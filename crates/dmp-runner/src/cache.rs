@@ -1,21 +1,25 @@
 //! Content-addressed on-disk result cache.
 //!
 //! Key = hash(config representation, seed, code-version salt). Entries live
-//! one-per-file under the cache directory as JSON envelopes carrying their
-//! own salt, key, and payload checksum; any mismatch or parse failure is a
+//! one-per-file, two lines each: a header `{"v":2,"salt":…,"key":…,"crc":…}`,
+//! then the payload's compact render. `crc` digests the payload bytes as
+//! stored, so `load` verifies all four header fields *before* parsing, then
+//! parses only the payload and returns it by value: a hit is one read, one
+//! digest pass, one parse. Any mismatch, truncation or parse failure is a
 //! *miss*, never an error — a corrupt or stale cache can only cost time.
 //!
 //! Layout: `<dir>/<key[0..2]>/<key>.json` (fan-out keeps directories small).
 //! Writes are atomic (`.tmp` + rename) so an interrupted sweep never leaves
 //! a truncated entry that later reads would trust.
 
-use crate::hash::StableHasher;
+use crate::hash::{hex_digest, StableHasher};
 use crate::json::{self, Json};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Envelope format version; bump when the on-disk layout changes.
-const FORMAT_VERSION: f64 = 1.0;
+/// Entry format version; bump when the on-disk layout changes (entries of
+/// any other version are misses and get overwritten).
+const FORMAT_VERSION: f64 = 2.0;
 
 /// Code-version salt. Bump whenever experiment semantics change in a way
 /// that should invalidate previously cached results without a version bump.
@@ -98,7 +102,13 @@ impl Cache {
     /// Look up `key`; `Some(payload)` only for a well-formed entry written
     /// under the same salt. Increments the hit/miss counters.
     pub fn load(&self, key: &str) -> Option<Json> {
-        let result = self.load_inner(key);
+        self.load_with(key, Some)
+    }
+
+    /// Look up `key` and decode its payload. An entry that verifies but does
+    /// not decode is a miss like any other, counted once.
+    pub fn load_with<T>(&self, key: &str, decode: impl FnOnce(Json) -> Option<T>) -> Option<T> {
+        let result = self.verified_payload(key).and_then(decode);
         match result {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -106,27 +116,21 @@ impl Cache {
         result
     }
 
-    fn load_inner(&self, key: &str) -> Option<Json> {
+    fn verified_payload(&self, key: &str) -> Option<Json> {
         if !self.enabled {
             return None;
         }
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        let envelope = json::parse(&text)?;
-        if envelope.get("v")?.as_f64()? != FORMAT_VERSION {
+        let (header, payload) = text.split_once('\n')?;
+        let header = json::parse(header)?;
+        let intact = header.get("v")?.as_f64()? == FORMAT_VERSION
+            && header.get("salt")?.as_str()? == self.salt
+            && header.get("key")?.as_str()? == key
+            && header.get("crc")?.as_str()? == hex_digest(payload.as_bytes());
+        if !intact {
             return None;
         }
-        if envelope.get("salt")?.as_str()? != self.salt {
-            return None;
-        }
-        if envelope.get("key")?.as_str()? != key {
-            return None;
-        }
-        let payload = envelope.get("payload")?;
-        let crc = envelope.get("crc")?.as_str()?;
-        if payload_checksum(payload) != crc {
-            return None;
-        }
-        Some(payload.clone())
+        json::parse(payload)
     }
 
     /// Persist `payload` under `key`. I/O errors are swallowed (a read-only
@@ -142,17 +146,17 @@ impl Cache {
         if std::fs::create_dir_all(parent).is_err() {
             return;
         }
-        let envelope = Json::obj([
+        let payload = payload.render();
+        let header = Json::obj([
             ("v", Json::Num(FORMAT_VERSION)),
             ("salt", Json::Str(self.salt.clone())),
             ("key", Json::Str(key.to_string())),
-            ("crc", Json::Str(payload_checksum(payload))),
-            ("payload", payload.clone()),
+            ("crc", Json::Str(hex_digest(payload.as_bytes()))),
         ]);
         // Unique tmp name per thread so concurrent stores of different keys
         // (or even the same key) never interleave partial writes.
         let tmp = parent.join(format!(".{}.{:?}.tmp", key, std::thread::current().id()));
-        if std::fs::write(&tmp, envelope.render_pretty()).is_ok() {
+        if std::fs::write(&tmp, format!("{}\n{payload}", header.render())).is_ok() {
             let _ = std::fs::rename(&tmp, &path);
         }
     }
@@ -169,10 +173,6 @@ impl Cache {
         let fan = key.get(0..2).unwrap_or("xx");
         self.dir.join(fan).join(format!("{key}.json"))
     }
-}
-
-fn payload_checksum(payload: &Json) -> String {
-    crate::hash::hex_digest(payload.render().as_bytes())
 }
 
 fn default_salt() -> String {
@@ -246,16 +246,16 @@ mod tests {
         let path = tmp.path().join(&key[0..2]).join(format!("{key}.json"));
 
         for garbage in [
-            "",                             // truncated to nothing
-            "not json at all",              // unparseable
-            "{\"v\": 1}",                   // missing fields
-            "{\"v\": 99, \"salt\": \"x\"}", // wrong version
+            "",                              // truncated to nothing
+            "not json at all",               // unparseable
+            "{\"v\":2}\n{}",                 // missing fields
+            "{\"v\":99,\"salt\":\"x\"}\n{}", // wrong version
         ] {
             std::fs::write(&path, garbage).unwrap();
             assert!(cache.load(&key).is_none(), "garbage {garbage:?} must miss");
         }
 
-        // Valid envelope whose payload was tampered with: checksum rejects it.
+        // Valid entry whose payload was tampered with: checksum rejects it.
         cache.store(&key, &payload());
         let text = std::fs::read_to_string(&path).unwrap();
         let tampered = text.replace("0.25", "0.75");

@@ -115,13 +115,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Num(v) => render_num(*v, out),
             Json::Str(s) => escape_into(s, out),
             Json::Arr(items) => {
                 render_seq(out, indent, depth, '[', ']', items.len(), |out, i, d| {
@@ -139,6 +133,23 @@ impl Json {
                 });
             }
         }
+    }
+}
+
+/// Whole numbers below 2^53 are most of a payload (counters, histogram
+/// bucket pairs). Their shortest round-trip digits are the integer's own, so
+/// they take the integer formatter; everything else (`-0`, fractions, larger
+/// magnitudes, where `Display` pads shortest digits with zeros) goes through
+/// `Display for f64`. Both paths emit the same bytes.
+fn render_num(v: f64, out: &mut String) {
+    const EXACT: u64 = 1 << 53;
+    let i = v as i64;
+    if i as f64 == v && i.unsigned_abs() < EXACT && (i != 0 || v.is_sign_positive()) {
+        let _ = write!(out, "{i}");
+    } else if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
     }
 }
 
@@ -191,17 +202,24 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parse a JSON document. Returns `None` on any syntax error (the cache
-/// treats unparseable files as misses, never as panics).
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses per
+/// level, so without a bound a file of `[`s overflows the stack and aborts
+/// the process; a `RunSummary` payload nests 6 deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document in one linear pass. Returns `None` on any syntax
+/// error or nesting beyond [`MAX_DEPTH`] (the cache treats unparseable files
+/// as misses, never as panics).
 pub fn parse(input: &str) -> Option<Json> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        src: input,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos == p.bytes.len() {
+    if p.pos == input.len() {
         Some(value)
     } else {
         None
@@ -209,13 +227,15 @@ pub fn parse(input: &str) -> Option<Json> {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -234,7 +254,7 @@ impl Parser<'_> {
     }
 
     fn eat_lit(&mut self, lit: &str) -> Option<()> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Some(())
         } else {
@@ -248,11 +268,21 @@ impl Parser<'_> {
             b't' => self.eat_lit("true").map(|_| Json::Bool(true)),
             b'f' => self.eat_lit("false").map(|_| Json::Bool(false)),
             b'"' => self.string().map(Json::Str),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             b'-' | b'0'..=b'9' => self.number(),
             _ => None,
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Option<Json>) -> Option<Json> {
+        if self.depth == MAX_DEPTH {
+            return None;
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Option<Json> {
@@ -266,59 +296,54 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
-        text.parse::<f64>().ok().map(Json::Num)
+        self.src[start..self.pos].parse::<f64>().ok().map(Json::Num)
     }
 
     fn string(&mut self) -> Option<String> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek()? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
+            // Copy the run up to the next delimiter in one piece. Both
+            // delimiters are ASCII, so the cut is a char boundary.
+            let run = self.pos;
+            let delimiter = loop {
+                match self.peek()? {
+                    b @ (b'"' | b'\\') => break b,
+                    _ => self.pos += 1,
                 }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek()? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let code = self.hex4_after_u()?;
-                            // Accept lone escapes only for BMP scalars; this
-                            // renderer never emits surrogate pairs.
-                            out.push(char::from_u32(code as u32)?);
-                            continue;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            };
+            out.push_str(&self.src[run..self.pos]);
+            self.pos += 1;
+            if delimiter == b'"' {
+                return Some(out);
             }
+            match self.peek()? {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000c}'),
+                b'u' => {
+                    let code = self.hex4_after_u()?;
+                    // Accept lone escapes only for BMP scalars; this
+                    // renderer never emits surrogate pairs.
+                    out.push(char::from_u32(code as u32)?);
+                    continue;
+                }
+                _ => return None,
+            }
+            self.pos += 1;
         }
     }
 
     fn hex4_after_u(&mut self) -> Option<u16> {
         // self.pos is at 'u'
         self.pos += 1;
-        let hex = self.bytes.get(self.pos..self.pos + 4)?;
-        let text = std::str::from_utf8(hex).ok()?;
-        let code = u16::from_str_radix(text, 16).ok()?;
+        let hex = self.src.get(self.pos..self.pos + 4)?;
+        let code = u16::from_str_radix(hex, 16).ok()?;
         self.pos += 4;
         Some(code)
     }

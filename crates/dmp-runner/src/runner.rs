@@ -196,7 +196,7 @@ impl Runner {
         let start = Instant::now();
         if spec.cacheable && self.cache.is_enabled() {
             let key = self.cache.key(&spec.config_repr, spec.seed);
-            if let Some(value) = self.cache.load(&key).and_then(|p| T::from_json(&p)) {
+            if let Some(value) = self.cache.load_with(&key, |p| T::from_json(&p)) {
                 return Cell {
                     label: spec.label,
                     value: CellValue::Ok(value),
@@ -363,6 +363,24 @@ mod tests {
         assert_eq!(stats.jobs, 12);
         assert_eq!(stats.cache_hits, 6);
         assert_eq!(stats.cache_misses, 6);
+    }
+
+    #[test]
+    fn undecodable_entry_is_one_miss_in_both_ledgers_and_is_overwritten() {
+        let tmp = TempDir::new("runner-drift");
+        let r = runner(1, &tmp);
+        // Schema drift without a salt bump: the entry verifies, but holds a
+        // string where an `f64` job expects a number.
+        let key = r.cache().key("square i=3", 3);
+        r.cache().store(&key, &Json::Str("nine".into()));
+
+        let cells = r.run_all(vec![job(3)]);
+        assert_eq!(cells[0].ok(), Some(&9.0));
+        assert!(!cells[0].from_cache, "the job re-ran");
+        assert_eq!(r.cache().counters(), (0, 1));
+        assert_eq!(r.stats().cache_misses, 1);
+        assert_eq!(r.stats().cache_hits, 0);
+        assert_eq!(r.cache().load(&key), Some(Json::Num(9.0)), "overwritten");
     }
 
     #[test]

@@ -373,24 +373,24 @@ impl JsonCodec for MetricsSnapshot {
     }
 
     fn from_json(json: &Json) -> Option<Self> {
-        let pairs = |key: &str| -> Option<Vec<(String, Json)>> {
+        let pairs = |key: &str| -> Option<&[(String, Json)]> {
             match json.get(key)? {
-                Json::Obj(pairs) => Some(pairs.clone()),
+                Json::Obj(pairs) => Some(pairs),
                 _ => None,
             }
         };
         let mut s = MetricsSnapshot::new();
         for (k, v) in pairs("labels")? {
-            s.labels.insert(k, v.as_str()?.to_string());
+            s.labels.insert(k.clone(), v.as_str()?.to_string());
         }
         for (k, v) in pairs("counters")? {
-            s.counters.insert(k, v.as_u64()?);
+            s.counters.insert(k.clone(), v.as_u64()?);
         }
         for (k, v) in pairs("gauges")? {
-            s.gauges.insert(k, v.as_f64()?);
+            s.gauges.insert(k.clone(), v.as_f64()?);
         }
         for (k, v) in pairs("histograms")? {
-            s.histograms.insert(k, Histogram::from_json(&v)?);
+            s.histograms.insert(k.clone(), Histogram::from_json(v)?);
         }
         Some(s)
     }
