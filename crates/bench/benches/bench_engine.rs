@@ -128,9 +128,8 @@ fn run_multipath_video(engine: EngineKind, dur_s: f64) -> TopoRun {
     let mut spec =
         dmp_sim::experiment::ExperimentSpec::new(setting, SchedulerKind::Dynamic, dur_s, 2007);
     spec.warmup_s = 10.0;
-    spec.engine = engine;
     let before = netsim::telemetry::snapshot();
-    let out = dmp_sim::experiment::run(&spec);
+    let out = netsim::scheduler::with_engine(engine, || dmp_sim::experiment::run(&spec));
     let delta = netsim::telemetry::snapshot().delta(&before);
     TopoRun {
         events: delta.events_processed,

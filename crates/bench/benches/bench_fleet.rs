@@ -7,10 +7,9 @@
 //! Modes (args after `--` reach this binary):
 //!
 //! * default (`cargo bench --bench bench_fleet`) — criterion-style timing of
-//!   the canonical fleet on both engines.
-//! * `--quick-smoke` — tiny fleet asserting (a) both engines agree on every
-//!   artifact byte outside the `config` line and (b) 1-thread and 8-thread
-//!   runs produce byte-identical artifacts (CI gate; seconds).
+//!   the canonical fleet.
+//! * `--quick-smoke` — tiny fleet asserting 1-thread and 8-thread runs
+//!   produce byte-identical artifacts (CI gate; seconds).
 //! * `--baseline <BENCH_fleet.json>` (combinable with `--quick-smoke`) —
 //!   re-measure aggregate events/sec and fail (exit 1) on a collapse below
 //!   half the recorded baseline. Loose on purpose: CI boxes are slower than
@@ -26,7 +25,6 @@ use std::time::Instant;
 use criterion::{criterion_group, Criterion};
 use dmp_fleet::{run_fleet, FleetOptions, FleetSpec};
 use dmp_runner::{Cache, Json, Runner};
-use netsim::EngineKind;
 use scenario::FleetTimeline;
 
 /// Fleet sizes measured by `--json` and the default bench:
@@ -36,21 +34,15 @@ const FLEETS: [(&str, u32, u32); 3] = [("small", 8, 4), ("medium", 16, 4), ("lar
 /// The canonical fleet the baseline gate re-measures.
 const GATE_FLEET: (&str, u32, u32) = FLEETS[1];
 
-const ENGINES: [(&str, EngineKind); 2] = [
-    ("heap", EngineKind::Heap),
-    ("calendar", EngineKind::Calendar),
-];
-
 /// A churn fleet with a flash-crowd spike — the `ext_fleet` shape, scaled
 /// for benching.
-fn spec(sessions: u32, shard_sessions: u32, duration_s: f64, engine: EngineKind) -> FleetSpec {
+fn spec(sessions: u32, shard_sessions: u32, duration_s: f64) -> FleetSpec {
     let mut spec = FleetSpec::new("bench", sessions, shard_sessions, 2007);
     spec.duration_s = duration_s;
     spec.warmup_s = 2.0;
     spec.arrival_rate_per_s = shard_sessions as f64 / duration_s * 1.8;
     spec.mean_hold_s = duration_s * 0.4;
     spec.timeline = FleetTimeline::named("flash").spike(0.3 * duration_s, 4.0, 0.25 * duration_s);
-    spec.engine = engine;
     spec
 }
 
@@ -63,41 +55,22 @@ fn run_once(threads: usize, spec: &FleetSpec) -> (String, u64, f64) {
     (result.artifact(spec).render(), result.total_events(), wall)
 }
 
-/// Render an artifact with the `config` entry dropped — the engine name is
-/// in the config string by design; everything else must match across engines.
-fn strip_config(artifact: &str) -> String {
-    let doc = dmp_runner::json::parse(artifact).expect("fleet artifact parses");
-    let Json::Obj(pairs) = doc else {
-        panic!("fleet artifact is an object");
-    };
-    Json::Obj(pairs.into_iter().filter(|(k, _)| k != "config").collect()).render()
-}
-
-/// `--quick-smoke`: engine agreement and thread determinism, fast.
+/// `--quick-smoke`: thread determinism, fast.
 fn quick_smoke() {
-    let cal = spec(6, 3, 15.0, EngineKind::Calendar);
-    let heap = spec(6, 3, 15.0, EngineKind::Heap);
-    let (cal_art, cal_events, _) = run_once(1, &cal);
-    let (heap_art, heap_events, _) = run_once(1, &heap);
+    let s = spec(6, 3, 15.0);
+    let (serial_art, events, _) = run_once(1, &s);
+    let (threaded_art, _, _) = run_once(8, &s);
     assert_eq!(
-        strip_config(&cal_art),
-        strip_config(&heap_art),
-        "fleet physics diverged between heap and calendar engines"
-    );
-    println!("smoke engines: agree ({cal_events} vs {heap_events} events)");
-    let (threaded_art, _, _) = run_once(8, &cal);
-    assert_eq!(
-        cal_art, threaded_art,
+        serial_art, threaded_art,
         "fleet artifact changed between 1 and 8 runner threads"
     );
-    println!("smoke threads: 1-thread and 8-thread artifacts byte-identical");
-    println!("quick-smoke OK: fleet deterministic across engines and thread counts");
+    println!("quick-smoke OK: 1-thread and 8-thread artifacts byte-identical ({events} events)");
 }
 
 /// One timed measurement of a fleet: aggregate simulated events per
 /// wall-clock second on `threads` runner threads.
 fn measure(sessions: u32, shard_sessions: u32, threads: usize) -> (u64, f64) {
-    let s = spec(sessions, shard_sessions, 30.0, EngineKind::Calendar);
+    let s = spec(sessions, shard_sessions, 30.0);
     let (_, events, wall) = run_once(threads, &s);
     (events, events as f64 / wall.max(1e-9))
 }
@@ -125,7 +98,7 @@ fn write_json(path: &str) {
         ));
     }
     let (_, sessions, shard_sessions) = GATE_FLEET;
-    let scaling_spec = spec(sessions, shard_sessions, 30.0, EngineKind::Calendar);
+    let scaling_spec = spec(sessions, shard_sessions, 30.0);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (art_1, events_1, wall_1) = run_once(1, &scaling_spec);
     let (art_8, _, wall_8) = run_once(8, &scaling_spec);
@@ -216,15 +189,11 @@ fn compare_baseline(path: &str) -> Result<(), String> {
     }
 }
 
-/// Default mode: criterion timing of the small fleet on both engines.
+/// Default mode: criterion timing of the small fleet.
 fn bench(c: &mut Criterion) {
     let (name, sessions, shard_sessions) = FLEETS[0];
-    for (ename, engine) in ENGINES {
-        let s = spec(sessions, shard_sessions, 20.0, engine);
-        c.bench_function(&format!("fleet/{name}/{ename}"), |b| {
-            b.iter(|| run_once(1, &s))
-        });
-    }
+    let s = spec(sessions, shard_sessions, 20.0);
+    c.bench_function(&format!("fleet/{name}"), |b| b.iter(|| run_once(1, &s)));
     for (fname, sessions, shard_sessions) in FLEETS {
         let (events, eps) = measure(sessions, shard_sessions, 1);
         println!("fleet/{fname}: {events} events, {eps:.0} events/s");

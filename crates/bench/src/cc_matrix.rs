@@ -16,10 +16,8 @@
 //!    (headroom beyond the largest multiple tried — e.g. redundant
 //!    duplication burns roughly half the aggregate rate on copies).
 //!
-//! Every simulation of the matrix runs under **both** engines and the cell
-//! records that they agreed bit-for-bit, exactly like the scenario
-//! extensions. The artifact is deterministic: byte-identical across engines
-//! (by construction), runner thread counts, and cache states.
+//! The artifact is deterministic: byte-identical across runner thread counts
+//! and cache states.
 
 use cc::CcKind;
 use dmp_core::spec::{PullStrategy, SchedulerKind};
@@ -27,7 +25,6 @@ use dmp_runner::{Json, Runner};
 use dmp_sim::experiment::{batch_jobs, ExperimentSpec, RunSummary};
 use dmp_sim::probe::{saturation_jobs, SaturationReport};
 use dmp_sim::setting;
-use netsim::EngineKind;
 
 use crate::report::{frac, Table};
 use crate::scale::Scale;
@@ -50,7 +47,7 @@ pub const SETTING: &str = "2-2";
 pub struct MatrixOptions {
     /// σ_a/µ multiples tried, ascending.
     pub multiples: Vec<f64>,
-    /// Replications per (cc, strategy, multiple, engine).
+    /// Replications per (cc, strategy, multiple).
     pub runs: usize,
     /// Video duration per run, seconds.
     pub duration_s: f64,
@@ -70,8 +67,8 @@ impl MatrixOptions {
     }
 
     /// Reduced grid for the CI smoke gate: one multiple, one replication,
-    /// short runs — enough to exercise every cell and the engine
-    /// differential without re-deriving the committed headrooms.
+    /// short runs — enough to exercise every cell without re-deriving the
+    /// committed headrooms.
     pub fn smoke() -> Self {
         Self {
             multiples: vec![1.6],
@@ -97,10 +94,7 @@ pub struct CellOutcome {
     /// `(multiple, mean playback late fraction)` for every multiple tried
     /// (the ascending search stops at the first pass).
     pub tried: Vec<(f64, f64)>,
-    /// Every simulation of this cell (probe included) produced
-    /// byte-identical summaries under the heap and calendar engines.
-    pub engines_agree: bool,
-    /// Always-on metrics merged over the cell's calendar replications
+    /// Always-on metrics merged over the cell's replications
     /// (every multiple tried). Labelled with the cell's cc/strategy by the
     /// dmp-sim layer; stays out of [`CellOutcome::to_json`] — the target
     /// folds it into the standalone `metrics/<name>.json` instead.
@@ -133,7 +127,6 @@ impl CellOutcome {
                         .collect(),
                 ),
             ),
-            ("engines_agree", Json::Bool(self.engines_agree)),
         ])
     }
 }
@@ -141,8 +134,8 @@ impl CellOutcome {
 /// The whole matrix plus the per-cc probes behind it.
 #[derive(Debug, Clone)]
 pub struct MatrixOutcome {
-    /// `(cc, σ_a pps, probe engines agreed)` per congestion control.
-    pub probes: Vec<(CcKind, f64, bool)>,
+    /// `(cc, σ_a pps)` per congestion control.
+    pub probes: Vec<(CcKind, f64)>,
     /// Cells in cc-major, strategy-minor order.
     pub cells: Vec<CellOutcome>,
     /// Options the matrix was computed with.
@@ -174,11 +167,10 @@ impl MatrixOutcome {
                 Json::Arr(
                     self.probes
                         .iter()
-                        .map(|(kind, sigma, agree)| {
+                        .map(|(kind, sigma)| {
                             Json::obj([
                                 ("cc", Json::Str(kind.name().to_string())),
                                 ("sigma_pps", Json::Num(*sigma)),
-                                ("engines_agree", Json::Bool(*agree)),
                             ])
                         })
                         .collect(),
@@ -190,21 +182,11 @@ impl MatrixOutcome {
             ),
         ])
     }
-
-    /// All probes and all cells agreed across both engines.
-    pub fn all_engines_agree(&self) -> bool {
-        self.probes.iter().all(|&(_, _, agree)| agree) && self.cells.iter().all(|c| c.engines_agree)
-    }
 }
 
 /// The base streaming spec of the matrix: the study setting under the
-/// dynamic (DMP) scheduler at the given cell coordinates and engine.
-fn cell_spec(
-    kind: CcKind,
-    strategy: PullStrategy,
-    engine: EngineKind,
-    opts: &MatrixOptions,
-) -> ExperimentSpec {
+/// dynamic (DMP) scheduler at the given cell coordinates.
+fn cell_spec(kind: CcKind, strategy: PullStrategy, opts: &MatrixOptions) -> ExperimentSpec {
     let mut spec = ExperimentSpec::new(
         *setting(SETTING).expect("built-in"),
         SchedulerKind::Dynamic,
@@ -214,62 +196,22 @@ fn cell_spec(
     spec.warmup_s = 10.0;
     spec.cc = kind;
     spec.strategy = strategy;
-    spec.engine = engine;
     spec
 }
 
-/// Run `runs` replications of `spec` under both engines; returns the
-/// calendar summaries and whether the heap run agreed byte-for-byte.
-fn run_both_engines(
-    runner: &Runner,
-    spec: &ExperimentSpec,
-    runs: usize,
-) -> (Vec<RunSummary>, bool) {
-    let mut jobs = Vec::new();
-    for engine in [EngineKind::Calendar, EngineKind::Heap] {
-        let mut s = spec.clone();
-        s.engine = engine;
-        jobs.extend(batch_jobs(&s, runs, &[TAU_S]));
-    }
-    let cells = runner.run_all(jobs);
-    let take = |eng: usize| -> Vec<RunSummary> {
-        (0..runs)
-            .map(|i| {
-                let c = &cells[eng * runs + i];
-                c.ok()
-                    .unwrap_or_else(|| panic!("{} failed: {:?}", c.label, c.failure()))
-                    .clone()
-            })
-            .collect()
-    };
-    let calendar = take(0);
-    let heap = take(1);
-    let agree = calendar
-        .iter()
-        .zip(&heap)
-        .all(|(a, b)| format!("{a:?}") == format!("{b:?}"));
-    (calendar, agree)
-}
-
 /// Probe σ_a for one congestion control (round-robin pull — the multiples
-/// are defined against the baseline striping). Returns `(σ_a, engines
-/// agree)`; σ_a comes from the calendar run.
-fn probe_sigma(runner: &Runner, kind: CcKind, opts: &MatrixOptions) -> (f64, bool) {
-    let mut reports = Vec::new();
-    for engine in [EngineKind::Calendar, EngineKind::Heap] {
-        let spec = cell_spec(kind, PullStrategy::RoundRobin, engine, opts);
-        let cells = runner.run_all(saturation_jobs(&spec, 1));
-        let r: &SaturationReport = cells[0]
-            .ok()
-            .unwrap_or_else(|| panic!("{} failed: {:?}", cells[0].label, cells[0].failure()));
-        reports.push(r.clone());
-    }
-    let agree = format!("{:?}", reports[0]) == format!("{:?}", reports[1]);
-    (reports[0].aggregate_pps, agree)
+/// are defined against the baseline striping).
+fn probe_sigma(runner: &Runner, kind: CcKind, opts: &MatrixOptions) -> f64 {
+    let spec = cell_spec(kind, PullStrategy::RoundRobin, opts);
+    let cells = runner.run_all(saturation_jobs(&spec, 1));
+    let r: &SaturationReport = cells[0]
+        .ok()
+        .unwrap_or_else(|| panic!("{} failed: {:?}", cells[0].label, cells[0].failure()));
+    r.aggregate_pps
 }
 
 /// Mean playback-order late fraction at [`TAU_S`] over a batch.
-fn mean_late(runs: &[RunSummary]) -> f64 {
+fn mean_late(runs: &[&RunSummary]) -> f64 {
     runs.iter()
         .map(|r| r.per_tau[0].playback_order)
         .sum::<f64>()
@@ -288,18 +230,22 @@ fn cell_outcome(
     kind: CcKind,
     strategy: PullStrategy,
     sigma_pps: f64,
-    probe_agree: bool,
     opts: &MatrixOptions,
 ) -> CellOutcome {
     let mut tried = Vec::new();
     let mut headroom = None;
-    let mut engines_agree = probe_agree;
     let mut metrics = obs::MetricsSnapshot::new();
     for &m in &opts.multiples {
-        let mut spec = cell_spec(kind, strategy, EngineKind::Calendar, opts);
+        let mut spec = cell_spec(kind, strategy, opts);
         spec.setting.video.rate_pps = rate_for(sigma_pps, m);
-        let (runs, agree) = run_both_engines(runner, &spec, opts.runs);
-        engines_agree &= agree;
+        let cells = runner.run_all(batch_jobs(&spec, opts.runs, &[TAU_S]));
+        let runs: Vec<&RunSummary> = cells
+            .iter()
+            .map(|c| {
+                c.ok()
+                    .unwrap_or_else(|| panic!("{} failed: {:?}", c.label, c.failure()))
+            })
+            .collect();
         for r in &runs {
             metrics.merge(&r.metrics);
         }
@@ -316,7 +262,6 @@ fn cell_outcome(
         sigma_pps,
         headroom,
         tried,
-        engines_agree,
         metrics,
     }
 }
@@ -330,8 +275,8 @@ pub fn compute_matrix_cell(
     strategy: PullStrategy,
     opts: &MatrixOptions,
 ) -> CellOutcome {
-    let (sigma_pps, probe_agree) = probe_sigma(runner, kind, opts);
-    cell_outcome(runner, kind, strategy, sigma_pps, probe_agree, opts)
+    let sigma_pps = probe_sigma(runner, kind, opts);
+    cell_outcome(runner, kind, strategy, sigma_pps, opts)
 }
 
 /// Compute the full matrix on a runner.
@@ -339,17 +284,10 @@ pub fn compute_matrix(runner: &Runner, opts: &MatrixOptions) -> MatrixOutcome {
     let mut probes = Vec::new();
     let mut cells = Vec::new();
     for kind in CcKind::all() {
-        let (sigma_pps, probe_agree) = probe_sigma(runner, kind, opts);
-        probes.push((kind, sigma_pps, probe_agree));
+        let sigma_pps = probe_sigma(runner, kind, opts);
+        probes.push((kind, sigma_pps));
         for strategy in PullStrategy::all() {
-            cells.push(cell_outcome(
-                runner,
-                kind,
-                strategy,
-                sigma_pps,
-                probe_agree,
-                opts,
-            ));
+            cells.push(cell_outcome(runner, kind, strategy, sigma_pps, opts));
         }
     }
     MatrixOutcome {
@@ -373,7 +311,6 @@ pub fn render_matrix(out: &MatrixOutcome) -> String {
             "σ_a (pkt/s)",
             "headroom",
             "late @ headroom",
-            "engines agree",
         ],
     );
     for c in &out.cells {
@@ -391,7 +328,6 @@ pub fn render_matrix(out: &MatrixOutcome) -> String {
                 |m| format!("{m:.1}"),
             ),
             c.late_at_headroom().map_or_else(|| "—".to_string(), frac),
-            if c.engines_agree { "yes" } else { "NO" }.to_string(),
         ]);
     }
     t.render()
@@ -403,13 +339,11 @@ pub fn ext_cc_matrix(runner: &Runner, scale: &Scale) -> TargetReport {
     let out = compute_matrix(runner, &opts);
     let cells_json = out.to_json();
     // Fold every cell's metrics; cc/strategy collapse to "mixed" (the matrix
-    // spans both axes by construction) and the engine label is calendar —
-    // the engine whose replications the cells keep.
+    // spans both axes by construction).
     let mut metrics = obs::MetricsSnapshot::new();
     for c in &out.cells {
         metrics.merge(&c.metrics);
     }
-    metrics.set_label("engine", crate::target::engine_label(EngineKind::Calendar));
     TargetReport::new(render_matrix(&out), cells_json)
         .with_metrics(metrics)
         .with_meta(
@@ -420,7 +354,6 @@ pub fn ext_cc_matrix(runner: &Runner, scale: &Scale) -> TargetReport {
                     "strategy_count",
                     Json::Num(PullStrategy::all().len() as f64),
                 ),
-                ("all_engines_agree", Json::Bool(out.all_engines_agree())),
             ]),
         )
 }

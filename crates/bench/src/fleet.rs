@@ -2,19 +2,16 @@
 //! paper's per-session verdicts.
 //!
 //! * [`ext_fleet`] — one fleet of churning DMP sessions with a flash-crowd
-//!   arrival spike, run under **both** scheduler engines; the artifact
-//!   records the fleet report and that the engines agreed byte-for-byte.
-//!   The per-shard engine-counter breakdown goes to the `.meta.json`
-//!   sidecar (telemetry high-water marks are engine-shaped by design).
+//!   arrival spike; the artifact records the fleet report, the per-shard
+//!   engine-counter breakdown goes to the volatile `.meta.json` sidecar.
 //! * [`fleet_headroom`] — sweep the fleet size on a fixed pair of shared
 //!   bottlenecks and report the largest fleet in which at least 95 % of
 //!   sessions still meet the paper's 1.6× headroom rule — Section 7.3's
 //!   rule of thumb recast as an admission-control capacity.
 
 use dmp_core::HEADROOM_RULE;
-use dmp_fleet::{run_fleet, FleetOptions, FleetResult, FleetSpec};
-use dmp_runner::{Json, JsonCodec, Runner};
-use netsim::EngineKind;
+use dmp_fleet::{run_fleet, FleetOptions, FleetSpec};
+use dmp_runner::{Json, Runner};
 use scenario::FleetTimeline;
 
 use crate::report::{frac, Table};
@@ -50,70 +47,22 @@ pub fn fleet_spec(scale: &Scale) -> FleetSpec {
     spec
 }
 
-/// Render the deterministic fleet artifact with the `config` entry removed —
-/// the engine is in the config string by design, so the cross-engine
-/// comparison strips it and demands everything else agree byte-for-byte.
-fn strip_config(artifact: &Json) -> String {
-    let Json::Obj(pairs) = artifact else {
-        panic!("fleet artifact is an object");
-    };
-    Json::Obj(
-        pairs
-            .iter()
-            .filter(|(k, _)| k != "config")
-            .cloned()
-            .collect(),
-    )
-    .render()
-}
-
-fn report_row(t: &mut Table, label: &str, spec: &FleetSpec, result: &FleetResult) {
-    let r = &result.report;
-    t.row(vec![
-        label.to_string(),
-        format!("{}", r.sessions),
-        format!("{}", r.started),
-        format!("{}", r.completed),
-        format!("{:.0}", r.goodput_pps),
-        frac(r.late.p90),
-        format!("{:.1}", r.glitches.p90),
-        format!("{:.2}", r.headroom.p50),
-        frac(r.headroom_ok),
-        format!("{}", result.total_events()),
-        format!("{}", spec.shard_count()),
-    ]);
-}
-
-/// Fleet churn study under both engines (see module docs).
+/// Fleet churn study (see module docs).
 pub fn ext_fleet(runner: &Runner, scale: &Scale) -> TargetReport {
     let opts = FleetOptions {
         trace: scale.trace,
         ..FleetOptions::default()
     };
-    let mut results = Vec::new();
-    for engine in [EngineKind::Calendar, EngineKind::Heap] {
-        let mut spec = fleet_spec(scale);
-        spec.engine = engine;
-        let result = run_fleet(runner, &spec, &opts);
-        results.push((spec, result));
-    }
-    let (cal_spec, cal) = &results[0];
-    let (heap_spec, heap) = &results[1];
-    // Byte-identity must hold for the artifact *and* the always-on metrics
-    // snapshot (exact integer histogram arithmetic makes the latter
-    // engine-invariant by construction).
-    let engines_agree = strip_config(&cal.artifact(cal_spec))
-        == strip_config(&heap.artifact(heap_spec))
-        && cal.metrics.to_json().render() == heap.metrics.to_json().render();
+    let spec = fleet_spec(scale);
+    let result = run_fleet(runner, &spec, &opts);
 
     let mut t = Table::new(
         format!(
             "ext_fleet: {} churning DMP sessions, flash-crowd arrivals ({} shards)",
-            cal_spec.sessions,
-            cal_spec.shard_count()
+            spec.sessions,
+            spec.shard_count()
         ),
         &[
-            "engine",
             "sessions",
             "started",
             "completed",
@@ -126,29 +75,26 @@ pub fn ext_fleet(runner: &Runner, scale: &Scale) -> TargetReport {
             "shards",
         ],
     );
-    report_row(&mut t, "calendar", cal_spec, cal);
-    report_row(&mut t, "heap", heap_spec, heap);
-    let mut text = t.render();
-    text.push_str(&format!(
-        "\nEngines {}: fleet artifacts{} byte-identical across the heap and \
-         calendar schedulers.\n",
-        if engines_agree { "agree" } else { "DISAGREE" },
-        if engines_agree { "" } else { " NOT" },
-    ));
-
-    let data = Json::obj([
-        ("engines_agree", Json::Bool(engines_agree)),
-        ("fleet", cal.artifact(cal_spec)),
+    let r = &result.report;
+    t.row(vec![
+        format!("{}", r.sessions),
+        format!("{}", r.started),
+        format!("{}", r.completed),
+        format!("{:.0}", r.goodput_pps),
+        frac(r.late.p90),
+        format!("{:.1}", r.glitches.p90),
+        format!("{:.2}", r.headroom.p50),
+        frac(r.headroom_ok),
+        format!("{}", result.total_events()),
+        format!("{}", spec.shard_count()),
     ]);
+
+    let data = Json::obj([("fleet", result.artifact(&spec))]);
     // Satellite of `EngineTelemetry::absorb`: the volatile sidecar carries
-    // the per-shard counter breakdown plus the absorbed fleet total. The
-    // attached metrics are the calendar run's (just asserted byte-identical
-    // to the heap's), engine-labelled at this level only.
-    let mut metrics = cal.metrics.clone();
-    metrics.set_label("engine", crate::target::engine_label(EngineKind::Calendar));
-    TargetReport::new(text, data)
-        .with_meta("shards", cal.shards_meta())
-        .with_metrics(metrics)
+    // the per-shard counter breakdown plus the absorbed fleet total.
+    TargetReport::new(t.render(), data)
+        .with_meta("shards", result.shards_meta())
+        .with_metrics(result.metrics)
 }
 
 /// Fleet sizes swept by [`fleet_headroom`], smallest first.
@@ -254,6 +200,5 @@ pub fn fleet_headroom(runner: &Runner, scale: &Scale) -> TargetReport {
         ),
         ("sweep", Json::arr(rows)),
     ]);
-    metrics.set_label("engine", crate::target::engine_label(EngineKind::default()));
     TargetReport::new(text, data).with_metrics(metrics)
 }

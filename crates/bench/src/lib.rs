@@ -28,7 +28,7 @@
 //! | `ext_kpaths`, `ext_stored`, `ext_ablations` | extensions beyond the paper (K > 2 paths, stored video, design ablations) |
 //! | `ext_failover`, `ext_flashcrowd` | scripted path dynamics: mid-stream path failure and a transient flash crowd, with resilience metrics per scheduler |
 //! | `ext_fleet`, `fleet_headroom` | fleet-scale simulation: sharded multi-session fleets with Poisson churn and flash-crowd arrivals; admission capacity under the 1.6× rule |
-//! | `ext_cc_matrix` | the (congestion control × pull strategy) headroom matrix: smallest σ_a/µ multiple keeping late frames under 1 % per (Reno/CUBIC/BBR-lite, round-robin/weighted/best-path/redundant/deadline) cell, with saturation-probed σ_a and engine differentials |
+//! | `ext_cc_matrix` | the (congestion control × pull strategy) headroom matrix: smallest σ_a/µ multiple keeping late frames under 1 % per (Reno/CUBIC/BBR-lite, round-robin/weighted/best-path/redundant/deadline) cell, with saturation-probed σ_a |
 //! | `capacity_planner` | dense (loss × τ) heatmaps of the maximum supported bitrate for single-path/static/DMP streaming, one batched cacheable µ-bisection job per cell |
 //! | `ext_planner_check` | the planner's residual-capacity prediction of the fleet admission knee vs `fleet_headroom`'s measured one, with the relative error |
 //! | `trace_report` | post-process an [`obs`] flight-recorder JSONL trace (recorded with `--trace`) into cwnd/throughput timelines, queue percentiles and a per-glitch "why" report |

@@ -19,7 +19,6 @@ use dmp_core::spec::PathSpec;
 use dmp_core::HEADROOM_RULE;
 use dmp_fleet::{run_fleet, FleetOptions};
 use dmp_runner::{Json, Runner};
-use netsim::EngineKind;
 use tcp_model::{MuCellSpec, PlannerOptions, PlannerScheme};
 
 use crate::fleet::{headroom_fleet_spec, headroom_sweep_sizes, SERVED_FRACTION};
@@ -185,7 +184,6 @@ pub fn capacity_planner(r: &Runner, scale: &Scale) -> TargetReport {
         ("to_ratio", Json::Num(grid.to_ratio)),
         ("cells", Json::arr(rows)),
     ]);
-    metrics.set_label("engine", "model");
     TargetReport::new(text, data).with_metrics(metrics)
 }
 
@@ -285,7 +283,6 @@ pub fn ext_planner_check(runner: &Runner, scale: &Scale) -> TargetReport {
         metrics.gauge_max("planner.knee_rel_error_pct", e * 100.0);
     }
     metrics.counter_add("planner.check_points", sizes.len() as u64);
-    metrics.set_label("engine", crate::target::engine_label(EngineKind::default()));
     let data = Json::obj([
         ("headroom_rule", Json::Num(HEADROOM_RULE)),
         ("capacity_pps", Json::Num(capacity_pps)),

@@ -7,8 +7,7 @@
 //! * [`ext_failover`] — path 0 of two goes down 35 % into the video and
 //!   stays down: DMP re-routes onto the survivor, static splitting keeps
 //!   committing half the stream to the dead path, and single-path TCP never
-//!   recovers at all. Run under **both** simulation engines; the artifact
-//!   records that they agreed bit-for-bit.
+//!   recovers at all.
 //! * [`ext_flashcrowd`] — six extra backlogged TCP flows join path 0's
 //!   bottleneck for a quarter of the video: a transient overload instead of
 //!   a hard failure.
@@ -16,7 +15,6 @@
 use dmp_core::{ResilienceSpec, SchedulerKind, VideoSpec};
 use dmp_runner::{JobSpec, Json, JsonCodec, Runner};
 use dmp_sim::{scenario_batch_jobs, setting, ExperimentSpec, ScenarioSummary, Setting, TraceSpec};
-use netsim::EngineKind;
 use scenario::{Event, Scenario};
 
 use crate::report::{frac, tau, Table};
@@ -85,12 +83,10 @@ fn resilience_spec(fail_at_s: f64) -> ResilienceSpec {
 fn scenario_spec(
     setting: Setting,
     scheduler: SchedulerKind,
-    engine: EngineKind,
     scn: &Scenario,
     scale: &Scale,
 ) -> ExperimentSpec {
     let mut spec = ExperimentSpec::new(setting, scheduler, scale.sim_duration_s, scale.seed);
-    spec.engine = engine;
     spec.scenario = scn.clone();
     if scale.trace {
         // Per-run labels come from the job labels in `scenario_batch_jobs`.
@@ -99,42 +95,41 @@ fn scenario_spec(
     spec
 }
 
-/// The failover job matrix — scheduler × engine × replication, in that
-/// nesting order. Public so `tests/scenario_cache_key.rs` can assert every
-/// job's cache key embeds the scenario hash.
-pub fn failover_jobs(scale: &Scale) -> Vec<JobSpec<ScenarioSummary>> {
-    let (scn, fail_at) = failover_scenario(scale.sim_duration_s);
-    let res = resilience_spec(fail_at);
-    let mut jobs = Vec::new();
-    for &sched in &SCHEDULERS {
-        for engine in [EngineKind::Calendar, EngineKind::Heap] {
-            let spec = scenario_spec(failover_setting(), sched, engine, &scn, scale);
-            jobs.extend(scenario_batch_jobs(&spec, scale.sim_runs, &[TAU_S], res));
-        }
-    }
-    jobs
+/// One scenario's job matrix — scheduler × replication, in that nesting
+/// order.
+fn scheduler_jobs(
+    setting: Setting,
+    scn: &Scenario,
+    at_s: f64,
+    scale: &Scale,
+) -> Vec<JobSpec<ScenarioSummary>> {
+    let res = resilience_spec(at_s);
+    SCHEDULERS
+        .iter()
+        .flat_map(|&sched| {
+            let spec = scenario_spec(setting, sched, scn, scale);
+            scenario_batch_jobs(&spec, scale.sim_runs, &[TAU_S], res)
+        })
+        .collect()
 }
 
-/// The flash-crowd job matrix — scheduler × replication (calendar engine
-/// only; the failover target already carries the differential check).
+/// The failover job matrix. Public so `tests/scenario_cache_key.rs` can
+/// assert every job's cache key embeds the scenario hash.
+pub fn failover_jobs(scale: &Scale) -> Vec<JobSpec<ScenarioSummary>> {
+    let (scn, fail_at) = failover_scenario(scale.sim_duration_s);
+    scheduler_jobs(failover_setting(), &scn, fail_at, scale)
+}
+
+/// The flash-crowd job matrix.
 pub fn flashcrowd_jobs(scale: &Scale) -> Vec<JobSpec<ScenarioSummary>> {
     let (scn, at) = flashcrowd_scenario(scale.sim_duration_s);
-    let res = resilience_spec(at);
-    let base = *setting("2-2").expect("built-in");
-    let mut jobs = Vec::new();
-    for &sched in &SCHEDULERS {
-        let spec = scenario_spec(base, sched, EngineKind::Calendar, &scn, scale);
-        jobs.extend(scenario_batch_jobs(&spec, scale.sim_runs, &[TAU_S], res));
-    }
-    jobs
+    scheduler_jobs(*setting("2-2").expect("built-in"), &scn, at, scale)
 }
 
 /// Per-scheduler reduction of one scenario's replications.
 struct SchedRow {
     name: &'static str,
     runs: Vec<ScenarioSummary>,
-    /// `Some(agree)` when the scheduler also ran under the heap engine.
-    engines_agree: Option<bool>,
 }
 
 impl SchedRow {
@@ -164,10 +159,6 @@ impl SchedRow {
         Json::obj([
             ("scheduler", Json::Str(self.name.to_string())),
             (
-                "engines_agree",
-                self.engines_agree.map_or(Json::Null, Json::Bool),
-            ),
-            (
                 "glitches_mean",
                 Json::Num(self.mean(|s| s.resilience.glitch_count as f64)),
             ),
@@ -189,43 +180,22 @@ impl SchedRow {
     }
 }
 
-/// Reduce the cells of one scenario target into per-scheduler rows.
-/// `engines` is how many engine variants ran per scheduler (cells are laid
-/// out scheduler-major, engine-minor, run-innermost; row statistics come
-/// from the first engine, the calendar queue).
-fn reduce(
-    cells: &[dmp_runner::Cell<ScenarioSummary>],
-    runs: usize,
-    engines: usize,
-) -> Vec<SchedRow> {
+/// Reduce the cells of one scenario target (scheduler-major, run-innermost)
+/// into per-scheduler rows.
+fn reduce(cells: &[dmp_runner::Cell<ScenarioSummary>], runs: usize) -> Vec<SchedRow> {
     SCHEDULERS
         .iter()
-        .enumerate()
-        .map(|(si, sched)| {
-            let base = si * engines * runs;
-            let take = |eng: usize| -> Vec<ScenarioSummary> {
-                (0..runs)
-                    .map(|i| {
-                        let c = &cells[base + eng * runs + i];
-                        c.ok()
-                            .unwrap_or_else(|| panic!("{} failed: {:?}", c.label, c.failure()))
-                            .clone()
-                    })
-                    .collect()
-            };
-            let calendar = take(0);
-            let engines_agree = (engines > 1).then(|| {
-                let heap = take(1);
-                calendar
-                    .iter()
-                    .zip(&heap)
-                    .all(|(a, b)| format!("{a:?}") == format!("{b:?}"))
-            });
-            SchedRow {
-                name: sched.name(),
-                runs: calendar,
-                engines_agree,
-            }
+        .zip(cells.chunks(runs))
+        .map(|(sched, cells)| SchedRow {
+            name: sched.name(),
+            runs: cells
+                .iter()
+                .map(|c| {
+                    c.ok()
+                        .unwrap_or_else(|| panic!("{} failed: {:?}", c.label, c.failure()))
+                        .clone()
+                })
+                .collect(),
         })
         .collect()
 }
@@ -236,37 +206,27 @@ fn render(
     scn: &Scenario,
     fail_at: f64,
     reading: &str,
-    differential: bool,
 ) -> TargetReport {
-    let mut cols = vec![
-        "scheduler",
-        "glitches",
-        "stalled (s)",
-        "worst 10 s window",
-        "recovered",
-        "TTR (s)",
-    ];
-    if differential {
-        cols.push("engines agree");
-    }
-    let mut t = Table::new(title, &cols);
+    let mut t = Table::new(
+        title,
+        &[
+            "scheduler",
+            "glitches",
+            "stalled (s)",
+            "worst 10 s window",
+            "recovered",
+            "TTR (s)",
+        ],
+    );
     for row in rows {
-        let mut cells = vec![
+        t.row(vec![
             row.name.to_string(),
             format!("{:.1}", row.mean(|s| s.resilience.glitch_count as f64)),
             format!("{:.1}", row.mean(|s| s.resilience.total_glitch_s)),
             frac(row.mean(|s| s.resilience.worst_window_late)),
             format!("{}/{}", row.recovered(), row.runs.len()),
             tau(row.ttr_mean()),
-        ];
-        if differential {
-            cells.push(match row.engines_agree {
-                Some(true) => "yes".into(),
-                Some(false) => "NO".into(),
-                None => "-".into(),
-            });
-        }
-        t.row(cells);
+        ]);
     }
     let mut text = t.render();
     text.push_str(reading);
@@ -284,17 +244,13 @@ fn render(
             Json::Arr(rows.iter().map(SchedRow::to_json).collect()),
         ),
     ]);
-    // Merged always-on metrics over every calendar replication (row
-    // statistics come from the calendar engine; the heap runs only feed the
-    // byte-identity check). Engine-invariant by construction, so the label
-    // names the engine whose runs were folded.
+    // Merged always-on metrics over every replication.
     let mut metrics = obs::MetricsSnapshot::new();
     for row in rows {
         for s in &row.runs {
             metrics.merge(&s.summary.metrics);
         }
     }
-    metrics.set_label("engine", crate::target::engine_label(EngineKind::Calendar));
     TargetReport::new(text, data).with_metrics(metrics)
 }
 
@@ -302,11 +258,11 @@ fn render(
 pub fn ext_failover(r: &Runner, scale: &Scale) -> TargetReport {
     let (scn, fail_at) = failover_scenario(scale.sim_duration_s);
     let cells = r.run_all(failover_jobs(scale));
-    let rows = reduce(&cells, scale.sim_runs, 2);
+    let rows = reduce(&cells, scale.sim_runs);
     render(
         format!(
             "Scenario: permanent failure of path 0 at t={fail_at:.0}s \
-             (Setting fail-2-2, mu=25, tau={TAU_S}, mean over {} runs, both engines)",
+             (Setting fail-2-2, mu=25, tau={TAU_S}, mean over {} runs)",
             scale.sim_runs
         ),
         &rows,
@@ -318,9 +274,7 @@ pub fn ext_failover(r: &Runner, scale: &Scale) -> TargetReport {
          roughly one send-buffer drain and then recovers on path 1. Static\n\
          splitting keeps assigning every other packet to the dead path and never\n\
          recovers; single-path streaming on the failed path loses everything\n\
-         from the outage on. Identical event scripts replay on both simulation\n\
-         engines; `engines agree` is a bit-for-bit comparison of every run.\n",
-        true,
+         from the outage on.\n",
     )
 }
 
@@ -328,7 +282,7 @@ pub fn ext_failover(r: &Runner, scale: &Scale) -> TargetReport {
 pub fn ext_flashcrowd(r: &Runner, scale: &Scale) -> TargetReport {
     let (scn, at) = flashcrowd_scenario(scale.sim_duration_s);
     let cells = r.run_all(flashcrowd_jobs(scale));
-    let rows = reduce(&cells, scale.sim_runs, 1);
+    let rows = reduce(&cells, scale.sim_runs);
     render(
         format!(
             "Scenario: flash crowd of 6 TCP flows on path 0 at t={at:.0}s for a \
@@ -344,6 +298,5 @@ pub fn ext_flashcrowd(r: &Runner, scale: &Scale) -> TargetReport {
          shifts packets to the quiet one, keeping the worst window mild; static\n\
          splitting ships half the stream into the congested queue for the whole\n\
          episode, and single-path rides it out at the crowd's mercy.\n",
-        false,
     )
 }

@@ -57,14 +57,6 @@ impl TargetReport {
     }
 }
 
-/// The `engine` label value for a snapshot produced under `engine` — stamped
-/// at the bench level (never inside dmp-sim/fleet snapshots, whose
-/// cross-engine byte-identity is an asserted invariant) so `bench_diff`
-/// refuses to compare runs from different schedulers.
-pub fn engine_label(engine: netsim::EngineKind) -> String {
-    format!("{engine:?}").to_lowercase()
-}
-
 /// Signature shared by every reproduction target.
 pub type TargetFn = fn(&Runner, &Scale) -> TargetReport;
 

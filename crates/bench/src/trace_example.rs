@@ -12,7 +12,6 @@ use std::path::{Path, PathBuf};
 
 use dmp_core::spec::SchedulerKind;
 use dmp_sim::experiment::{ExperimentSpec, RunOutput, TraceSpec};
-use netsim::EngineKind;
 use obs::Trace;
 
 use crate::scenarios;
@@ -25,7 +24,7 @@ pub const LABEL: &str = "ext_failover_quick_run0";
 pub const DURATION_S: f64 = 60.0;
 
 /// The example's experiment spec: the `ext_failover` study setting and
-/// script at `DURATION_S`, first replication (base seed), calendar engine.
+/// script at `DURATION_S`, first replication (base seed).
 /// `dir = None` leaves the trace in [`obs::default_trace_dir`].
 pub fn example_spec(dir: Option<&Path>) -> ExperimentSpec {
     let (scn, _fail_at) = scenarios::failover_scenario(DURATION_S);
@@ -35,7 +34,6 @@ pub fn example_spec(dir: Option<&Path>) -> ExperimentSpec {
         DURATION_S,
         2007,
     );
-    spec.engine = EngineKind::Calendar;
     spec.scenario = scn;
     spec.trace = TraceSpec::on(LABEL);
     spec.trace.dir = dir.map(Path::to_path_buf);

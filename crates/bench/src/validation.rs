@@ -155,9 +155,7 @@ pub fn validation_figure(setting_name: &str, r: &Runner, scale: &Scale) -> Targe
         ),
         ("tables", Json::arr([a.to_json(), b.to_json()])),
     ]);
-    let mut metrics = batch.metrics.clone();
-    metrics.set_label("engine", crate::target::engine_label(spec.engine));
-    TargetReport::new(text, data).with_metrics(metrics)
+    TargetReport::new(text, data).with_metrics(batch.metrics)
 }
 
 /// Fig. 4: independent homogeneous paths, Setting 2-2.

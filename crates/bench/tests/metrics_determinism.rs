@@ -11,7 +11,7 @@ use dmp_core::spec::SchedulerKind;
 use dmp_fleet::{run_fleet, FleetOptions, FleetSpec};
 use dmp_runner::{ArtifactWriter, Cache, JsonCodec, Runner};
 use dmp_sim::{run_summary, setting, ExperimentSpec, TraceSpec};
-use netsim::EngineKind;
+use netsim::scheduler::{with_engine, EngineKind};
 
 fn temp_base(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("dmp-metrics-det-{tag}-{}", std::process::id()))
@@ -22,10 +22,9 @@ fn temp_base(tag: &str) -> std::path::PathBuf {
 #[test]
 fn sim_metrics_identical_across_engines_and_tracing() {
     let base = temp_base("sim");
-    let mk = |engine: EngineKind, trace: bool| {
+    let mk = |trace: bool| {
         let s = *setting("2-2").expect("built-in");
         let mut spec = ExperimentSpec::new(s, SchedulerKind::Dynamic, 40.0, 7);
-        spec.engine = engine;
         if trace {
             std::env::set_var("DMP_TRACE_DIR", base.join("traces"));
             spec.trace = TraceSpec::on("metrics-det");
@@ -33,9 +32,9 @@ fn sim_metrics_identical_across_engines_and_tracing() {
         let summary = run_summary(&spec, &[4.0]);
         summary.metrics.to_json().render()
     };
-    let calendar = mk(EngineKind::Calendar, false);
-    let heap = mk(EngineKind::Heap, false);
-    let traced = mk(EngineKind::Calendar, true);
+    let calendar = mk(false);
+    let heap = with_engine(EngineKind::Heap, || mk(false));
+    let traced = mk(true);
     std::env::remove_var("DMP_TRACE_DIR");
     std::fs::remove_dir_all(&base).ok();
     assert_eq!(calendar, heap, "metrics must not depend on the engine");
@@ -55,9 +54,8 @@ fn tiny_fleet(runner: &Runner, scale: &Scale) -> TargetReport {
     spec.mean_hold_s = 8.0;
     spec.video = dmp_core::spec::VideoSpec::new(25.0);
     let result = run_fleet(runner, &spec, &FleetOptions::default());
-    let mut metrics = result.metrics.clone();
-    metrics.set_label("engine", dmp_bench::target::engine_label(spec.engine));
-    TargetReport::new("tiny fleet\n", result.artifact(&spec)).with_metrics(metrics)
+    let artifact = result.artifact(&spec);
+    TargetReport::new("tiny fleet\n", artifact).with_metrics(result.metrics)
 }
 
 /// Bench layer: `execute` writes `metrics/<name>.json`, the bytes do not
@@ -143,10 +141,6 @@ fn ext_fleet_quick_meta_carries_session_histograms() {
             "{h} missing/empty in {meta_text}"
         );
     }
-    assert_eq!(
-        snap.labels.get("engine").map(String::as_str),
-        Some("calendar")
-    );
     assert!(base.join("metrics/ext_fleet.json").is_file());
 
     std::fs::remove_dir_all(&base).ok();

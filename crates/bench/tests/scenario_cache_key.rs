@@ -48,6 +48,22 @@ fn scenario_changes_the_cache_key_and_noop_does_not_collide() {
     }
 }
 
+/// A traced scenario job writes `<sanitized job label>.jsonl`; no engine
+/// suffix disambiguates stems any more, so the labels alone must — within
+/// each matrix and across the two (they share one trace directory).
+#[test]
+fn trace_stems_are_unique_across_the_scenario_job_matrices() {
+    let scale = Scale::quick();
+    let stems: Vec<String> = failover_jobs(&scale)
+        .iter()
+        .chain(&flashcrowd_jobs(&scale))
+        .map(|job| obs::sanitize_label(&job.label))
+        .collect();
+    assert_eq!(stems.len(), 2 * 3 * scale.sim_runs);
+    let distinct: std::collections::BTreeSet<&String> = stems.iter().collect();
+    assert_eq!(distinct.len(), stems.len(), "colliding stems in {stems:?}");
+}
+
 #[test]
 fn cc_and_strategy_pairs_never_collide_in_cache_keys() {
     use dmp_core::spec::{PullStrategy, SchedulerKind};
@@ -66,8 +82,8 @@ fn cc_and_strategy_pairs_never_collide_in_cache_keys() {
             spec.strategy = strategy;
             let job = &batch_jobs(&spec, 1, &[4.0])[0];
             assert!(
-                job.config_repr.starts_with("dmp-sim/v8/"),
-                "cache key is not on the v8 repr: {}",
+                job.config_repr.starts_with("dmp-sim/v9/"),
+                "cache key is not on the v9 repr: {}",
                 job.config_repr
             );
             keys.push(job.config_repr.clone());

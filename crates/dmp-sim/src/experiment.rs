@@ -13,7 +13,7 @@ use dmp_core::spec::{PathSpec, PullStrategy, SchedulerKind};
 use dmp_core::stats::OnlineStats;
 use dmp_core::trace::StreamTrace;
 use dmp_runner::{JobSpec, Json, JsonCodec};
-use netsim::{secs, EngineKind, Sim, SimTracer};
+use netsim::{secs, Sim, SimTracer};
 use obs::{Recorder, TraceConfig};
 use scenario::{PathBinding, Scenario, ScenarioDriver};
 
@@ -44,15 +44,9 @@ pub struct TraceSpec {
     pub ring: usize,
     /// Emit every Nth queue-occupancy change per queue.
     pub decimation: u32,
-    /// Run label; the trace file stem is `obs::sanitize_label(label)` plus
-    /// the `scope`, if any. When empty a label is derived from
-    /// setting/scheduler/seed/engine.
+    /// Run label; the trace file stem is `obs::sanitize_label(label)`. When
+    /// empty a label is derived from setting/scheduler/seed.
     pub label: String,
-    /// Disambiguating suffix appended to the trace stem (`<label>:<scope>`)
-    /// — the engine for differential batches, a session/shard component for
-    /// fleet runs. Keeping it out of `label` lets callers keep semantic
-    /// labels while concurrent runs in one batch never collide on a file.
-    pub scope: String,
     /// Output directory (`None`: [`obs::default_trace_dir`]).
     pub dir: Option<PathBuf>,
 }
@@ -67,7 +61,6 @@ impl TraceSpec {
             ring: cfg.ring_capacity,
             decimation: cfg.queue_decimation,
             label: String::new(),
-            scope: String::new(),
             dir: None,
         }
     }
@@ -79,12 +72,6 @@ impl TraceSpec {
             label: label.into(),
             ..Self::off()
         }
-    }
-
-    /// Set the stem-disambiguating scope (builder style).
-    pub fn with_scope(mut self, scope: impl Into<String>) -> Self {
-        self.scope = scope.into();
-        self
     }
 }
 
@@ -128,11 +115,6 @@ pub struct ExperimentSpec {
     /// Striping strategy layered on the scheduler (extension; the paper's
     /// implicit policy is `RoundRobin`).
     pub strategy: PullStrategy,
-    /// Simulation engine (scheduler implementation). Both engines produce
-    /// identical results — the heap exists for differential testing — but
-    /// the choice is part of the cache key so differential runs never serve
-    /// each other's cached summaries.
-    pub engine: EngineKind,
     /// Scripted path dynamics replayed during the run (empty = steady-state,
     /// exactly the paper's setups). Event times are relative to the start of
     /// the video, i.e. `warmup_s` is added on top.
@@ -159,7 +141,6 @@ impl ExperimentSpec {
             video_flavor: netsim::tcp::TcpFlavor::Reno,
             cc: cc::CcKind::Reno,
             strategy: PullStrategy::RoundRobin,
-            engine: EngineKind::default(),
             scenario: Scenario::default(),
             trace: TraceSpec::off(),
             seed,
@@ -196,8 +177,9 @@ impl ExperimentSpec {
         // physics of every video flow relative to v6.
         // v8: run summaries carry an always-on metrics snapshot; cached v7
         // payloads lack the `metrics` section and must not be replayed.
+        // v9: the `engine` field left the spec.
         format!(
-            "dmp-sim/v8/{self:?}/scenario#{:016x}",
+            "dmp-sim/v9/{self:?}/scenario#{:016x}",
             self.scenario.stable_hash()
         )
     }
@@ -235,9 +217,7 @@ pub struct RunOutput {
     /// Measured per-path TCP parameters.
     pub paths: Vec<MeasuredPath>,
     /// Always-on metrics: netsim sender/link distributions plus frame-level
-    /// delivery metrics, labelled with the run's `cc`/`strategy` (engine
-    /// deliberately excluded — both engines produce the identical snapshot,
-    /// and differential targets assert exactly that).
+    /// delivery metrics, labelled with the run's `cc`/`strategy`.
     pub metrics: obs::MetricsSnapshot,
 }
 
@@ -357,7 +337,7 @@ pub fn build(spec: &ExperimentSpec) -> BuiltExperiment {
         .expect("scenario does not fit this experiment's path count");
     let flash_per_path: Vec<usize> = (0..k).map(|p| spec.scenario.flash_flows_for(p)).collect();
 
-    let mut sim = Sim::with_engine(spec.seed, spec.engine);
+    let mut sim = Sim::new(spec.seed);
     let mut video_cfg = video_tcp(setting.video.packet_bytes, spec.send_buf_pkts);
     video_cfg.flavor = spec.video_flavor;
     video_cfg.cc = spec.cc;
@@ -395,24 +375,10 @@ pub fn build(spec: &ExperimentSpec) -> BuiltExperiment {
     // is behaviour-neutral — it reads state but never mutates it, draws no
     // randomness, and schedules no events.
     let recording = if spec.trace.enabled {
-        let base = if spec.trace.label.is_empty() {
-            // The engine belongs in the derived label: a differential run
-            // (same setting/scheduler/seed on both engines) must not have
-            // two simulations writing one file.
-            format!(
-                "{}_{:?}_seed{}_{:?}",
-                setting.name, spec.scheduler, spec.seed, spec.engine
-            )
+        let label = if spec.trace.label.is_empty() {
+            format!("{}_{:?}_seed{}", setting.name, spec.scheduler, spec.seed)
         } else {
             spec.trace.label.clone()
-        };
-        // The scope disambiguates concurrent runs sharing a semantic label
-        // — per-session/per-shard components of a fleet batch, the engine
-        // of a differential batch.
-        let label = if spec.trace.scope.is_empty() {
-            base
-        } else {
-            format!("{base}:{}", spec.trace.scope)
         };
         let dir = spec
             .trace
@@ -754,11 +720,7 @@ pub fn scenario_batch_jobs(
                 spec.scenario.name, spec.setting.name, spec.scheduler, i
             );
             if s.trace.enabled {
-                // The engine goes into the stem scope (not the job label): a
-                // mixed-engine batch — the differential targets — would
-                // otherwise have two concurrent jobs writing the same path.
                 s.trace.label = label.clone();
-                s.trace.scope = format!("{:?}", s.engine);
             }
             let traced = s.trace.enabled;
             let job = JobSpec::new(label, config_repr, s.seed, move || {
@@ -787,9 +749,7 @@ pub fn batch_jobs(spec: &ExperimentSpec, runs: usize, taus_s: &[f64]) -> Vec<Job
             let config_repr = format!("{}/taus{:?}", s.config_repr(), taus);
             let label = format!("sim:{}:{:?}:run{}", spec.setting.name, spec.scheduler, i);
             if s.trace.enabled {
-                // Engine in the stem scope, as in `scenario_batch_jobs`.
                 s.trace.label = label.clone();
-                s.trace.scope = format!("{:?}", s.engine);
             }
             let traced = s.trace.enabled;
             let job = JobSpec::new(label, config_repr, s.seed, move || run_summary(&s, &taus));
@@ -1015,9 +975,23 @@ mod tests {
         ident.scenario = Scenario::named("ident")
             .at(30.0, 0, scenario::Event::RateStep { factor: 1.0 })
             .at(60.0, 1, scenario::Event::RateStep { factor: 1.0 });
-        let a = run_summary(&base, &[2.0, 6.0]);
-        let b = run_summary(&ident, &[2.0, 6.0]);
+        let mut a = run_summary(&base, &[2.0, 6.0]);
+        let mut b = run_summary(&ident, &[2.0, 6.0]);
+        // The scheduler-event counter is the one place the two scripted
+        // timers are allowed — and required — to show.
+        let events_a = a.metrics.counters.remove("engine.events").unwrap();
+        let events_b = b.metrics.counters.remove("engine.events").unwrap();
+        assert_eq!(events_b - events_a, ident.scenario.events.len() as u64);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    #[test]
+    fn config_repr_is_engine_free_and_fresh() {
+        let repr = quick_spec("2-2", SchedulerKind::Dynamic, 1).config_repr();
+        assert!(repr.starts_with("dmp-sim/v9/"), "{repr}");
+        for word in ["Calendar", "Heap", "engine"] {
+            assert!(!repr.contains(word), "{word} in {repr}");
+        }
     }
 
     #[test]

@@ -81,8 +81,8 @@ impl JsonCodec for SaturationReport {
 
 /// The experiment the probe actually runs: `spec` with its video rate
 /// replaced by `SATURATION_FACTOR ×` the setting's aggregate capacity.
-/// Everything else — scheduler, congestion control, pull strategy, engine,
-/// scenario, background traffic — carries over unchanged.
+/// Everything else — scheduler, congestion control, pull strategy, scenario,
+/// background traffic — carries over unchanged.
 pub fn saturation_spec(spec: &ExperimentSpec) -> ExperimentSpec {
     let mut s = spec.clone();
     s.setting.video.rate_pps = (SATURATION_FACTOR * capacity_pps(&s.setting)).ceil();
@@ -132,19 +132,18 @@ mod tests {
     use super::*;
     use crate::configs::setting;
     use dmp_core::spec::SchedulerKind;
-    use netsim::EngineKind;
+    use netsim::scheduler::{with_engine, EngineKind};
 
-    fn probe_spec(kind: cc::CcKind, engine: EngineKind) -> ExperimentSpec {
+    fn probe_spec(kind: cc::CcKind) -> ExperimentSpec {
         let mut s = ExperimentSpec::new(*setting("2-2").unwrap(), SchedulerKind::Dynamic, 30.0, 7);
         s.warmup_s = 5.0;
         s.cc = kind;
-        s.engine = engine;
         s
     }
 
     #[test]
     fn saturated_source_is_backlogged_and_capacity_bounded() {
-        let spec = probe_spec(cc::CcKind::Reno, EngineKind::Calendar);
+        let spec = probe_spec(cc::CcKind::Reno);
         let r = run_saturation(&spec);
         let cap = capacity_pps(&spec.setting);
         // The probe must push the paths hard enough to measure a nontrivial
@@ -159,8 +158,9 @@ mod tests {
     #[test]
     fn probe_is_engine_invariant() {
         for kind in cc::CcKind::all() {
-            let cal = run_saturation(&probe_spec(kind, EngineKind::Calendar));
-            let heap = run_saturation(&probe_spec(kind, EngineKind::Heap));
+            let spec = probe_spec(kind);
+            let cal = run_saturation(&spec);
+            let heap = with_engine(EngineKind::Heap, || run_saturation(&spec));
             assert_eq!(
                 format!("{cal:?}"),
                 format!("{heap:?}"),
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn probe_jobs_key_embeds_cc_and_strategy() {
-        let mut a = probe_spec(cc::CcKind::Reno, EngineKind::Calendar);
+        let mut a = probe_spec(cc::CcKind::Reno);
         let mut b = a.clone();
         b.cc = cc::CcKind::Cubic;
         let mut c = a.clone();

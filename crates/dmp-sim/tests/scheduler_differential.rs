@@ -5,30 +5,29 @@
 //! calendar queue is a pure scheduling-order-preserving optimisation; any
 //! divergence here is a bug in it.
 //!
-//! The `engine` field is part of `ExperimentSpec::config_repr`, so when a
-//! cache is configured (`DMP_CACHE_DIR`) the two engines can never be served
-//! each other's cached summaries.
+//! No spec names an engine: the heap side of every comparison runs the same
+//! public job builders inside `netsim::scheduler::with_engine`, on a
+//! one-thread, cache-less runner (jobs run inline on the calling thread, so
+//! each simulator is built under the scope — and the scope panics if none
+//! was).
 
 use dmp_core::resilience::ResilienceSpec;
 use dmp_core::spec::{PullStrategy, SchedulerKind};
 use dmp_runner::{Cache, JsonCodec, Runner};
 use dmp_sim::configs::{setting, CORRELATED, HETEROGENEOUS, HOMOGENEOUS};
 use dmp_sim::experiment::{batch_jobs, scenario_batch_jobs, ExperimentSpec, RunSummary, TraceSpec};
-use netsim::EngineKind;
+use netsim::scheduler::{with_engine, EngineKind};
 use scenario::Scenario;
 
-/// One shortened replication of every setting with the given engine and
-/// scenario, executed through the runner (so the content-addressed cache,
-/// when enabled, is exercised with engine- and scenario-tagged keys),
-/// rendered to JSON bytes.
-fn all_settings_rendered(engine: EngineKind, scenario: &Scenario) -> Vec<(String, String)> {
-    let runner = Runner::new(1, Cache::from_env()).with_progress(false);
+/// One shortened replication of every setting with the given scenario,
+/// executed through the runner, rendered to JSON bytes.
+fn all_settings_rendered(scenario: &Scenario) -> Vec<(String, String)> {
+    let runner = Runner::new(1, Cache::disabled()).with_progress(false);
     let mut jobs = Vec::new();
     let mut names = Vec::new();
     for s in HOMOGENEOUS.iter().chain(&HETEROGENEOUS).chain(&CORRELATED) {
         let mut spec = ExperimentSpec::new(*s, SchedulerKind::Dynamic, 60.0, 2007);
         spec.warmup_s = 10.0;
-        spec.engine = engine;
         spec.scenario = scenario.clone();
         names.push(s.name.to_string());
         jobs.extend(batch_jobs(&spec, 1, &[2.0, 6.0]));
@@ -46,8 +45,10 @@ fn all_settings_rendered(engine: EngineKind, scenario: &Scenario) -> Vec<(String
 
 #[test]
 fn calendar_queue_matches_heap_reference_on_every_setting() {
-    let heap = all_settings_rendered(EngineKind::Heap, &Scenario::default());
-    let calendar = all_settings_rendered(EngineKind::Calendar, &Scenario::default());
+    let heap = with_engine(EngineKind::Heap, || {
+        all_settings_rendered(&Scenario::default())
+    });
+    let calendar = all_settings_rendered(&Scenario::default());
     assert_eq!(heap.len(), 12);
     for ((name_h, bytes_h), (name_c, bytes_c)) in heap.iter().zip(&calendar) {
         assert_eq!(name_h, name_c);
@@ -63,7 +64,6 @@ fn calendar_queue_matches_heap_reference_on_every_setting() {
 /// trace file contents keyed by job label (the process-wide obs registry is
 /// drained, so callers must not run concurrently with other registry users).
 fn failover_batch(
-    engine: EngineKind,
     threads: usize,
     trace_dir: Option<&std::path::Path>,
 ) -> (Vec<String>, Vec<(String, Vec<u8>)>) {
@@ -72,7 +72,6 @@ fn failover_batch(
         .at(30.0, 0, scenario::Event::PathUp);
     let mut spec = ExperimentSpec::new(*setting("2-2").unwrap(), SchedulerKind::Dynamic, 60.0, 77);
     spec.warmup_s = 10.0;
-    spec.engine = engine;
     spec.scenario = scn;
     if let Some(dir) = trace_dir {
         spec.trace = TraceSpec::on(""); // per-run labels come from the jobs
@@ -103,15 +102,7 @@ fn failover_batch(
                 f.events,
                 "registered event count must match the file"
             );
-            // Labels carry an `:<engine>` suffix (one file per job even in
-            // mixed-engine batches); strip it so the cross-engine compare
-            // pairs up the same run.
-            let label = f
-                .label
-                .strip_suffix(&format!(":{engine:?}"))
-                .expect("trace label ends with the engine")
-                .to_string();
-            (label, bytes)
+            (f.label, bytes)
         })
         .collect();
     (rendered, traces)
@@ -128,13 +119,13 @@ fn tracing_is_result_neutral_and_trace_bytes_are_engine_and_thread_invariant() {
     let dir_heap = base.join("heap");
     let dir_mt = base.join("mt");
 
-    let (untraced, none) = failover_batch(EngineKind::Calendar, 1, None);
+    let (untraced, none) = failover_batch(1, None);
     assert!(
         none.is_empty(),
         "untraced runs must register no trace files"
     );
 
-    let (traced, cal) = failover_batch(EngineKind::Calendar, 1, Some(&dir_cal));
+    let (traced, cal) = failover_batch(1, Some(&dir_cal));
     assert_eq!(
         untraced, traced,
         "tracing changed a deterministic result (it must be behaviour-neutral)"
@@ -143,12 +134,12 @@ fn tracing_is_result_neutral_and_trace_bytes_are_engine_and_thread_invariant() {
 
     // Engine invariance: the heap reference dispatches the same events in
     // the same order, so the trace bytes cannot differ.
-    let (_, heap) = failover_batch(EngineKind::Heap, 1, Some(&dir_heap));
+    let (_, heap) = with_engine(EngineKind::Heap, || failover_batch(1, Some(&dir_heap)));
     assert_eq!(cal, heap, "trace bytes diverge between scheduler engines");
 
     // Thread-count invariance: each run writes its own file and the registry
     // drain sorts by label, so 8 workers produce the same bytes as 1.
-    let (_, mt) = failover_batch(EngineKind::Calendar, 8, Some(&dir_mt));
+    let (_, mt) = failover_batch(8, Some(&dir_mt));
     assert_eq!(cal, mt, "trace bytes depend on runner thread count");
 
     // The trace actually contains the layers' events: header, TCP state,
@@ -178,8 +169,12 @@ fn tracing_is_result_neutral_and_trace_bytes_are_engine_and_thread_invariant() {
 fn noop_scenario_is_byte_identical_to_baseline_on_every_setting() {
     let noop = Scenario::named("noop");
     for engine in [EngineKind::Calendar, EngineKind::Heap] {
-        let baseline = all_settings_rendered(engine, &Scenario::default());
-        let scripted = all_settings_rendered(engine, &noop);
+        let (baseline, scripted) = with_engine(engine, || {
+            (
+                all_settings_rendered(&Scenario::default()),
+                all_settings_rendered(&noop),
+            )
+        });
         assert_eq!(baseline.len(), 12);
         for ((name_b, bytes_b), (name_s, bytes_s)) in baseline.iter().zip(&scripted) {
             assert_eq!(name_b, name_s);
@@ -191,13 +186,12 @@ fn noop_scenario_is_byte_identical_to_baseline_on_every_setting() {
     }
 }
 
-/// One shortened "2-2" run with the given engine, congestion control, and
-/// pull strategy, rendered to JSON bytes.
-fn rendered_22(engine: EngineKind, kind: cc::CcKind, strategy: PullStrategy) -> String {
+/// One shortened "2-2" run with the given congestion control and pull
+/// strategy, rendered to JSON bytes.
+fn rendered_22(kind: cc::CcKind, strategy: PullStrategy) -> String {
     let mut spec =
         ExperimentSpec::new(*setting("2-2").unwrap(), SchedulerKind::Dynamic, 60.0, 2007);
     spec.warmup_s = 10.0;
-    spec.engine = engine;
     spec.cc = kind;
     spec.strategy = strategy;
     let runner = Runner::new(1, Cache::disabled()).with_progress(false);
@@ -218,8 +212,10 @@ fn rendered_22(engine: EngineKind, kind: cc::CcKind, strategy: PullStrategy) -> 
 fn cc_algorithms_are_engine_invariant_and_distinct() {
     let mut by_kind = Vec::new();
     for kind in cc::CcKind::all() {
-        let heap = rendered_22(EngineKind::Heap, kind, PullStrategy::RoundRobin);
-        let calendar = rendered_22(EngineKind::Calendar, kind, PullStrategy::RoundRobin);
+        let heap = with_engine(EngineKind::Heap, || {
+            rendered_22(kind, PullStrategy::RoundRobin)
+        });
+        let calendar = rendered_22(kind, PullStrategy::RoundRobin);
         assert_eq!(
             heap, calendar,
             "cc {kind:?}: calendar-queue artifact diverges from the heap reference"
@@ -240,8 +236,8 @@ fn cc_algorithms_are_engine_invariant_and_distinct() {
 fn pull_strategies_are_engine_invariant_and_wired() {
     let mut by_strategy = Vec::new();
     for strategy in PullStrategy::all() {
-        let heap = rendered_22(EngineKind::Heap, cc::CcKind::Reno, strategy);
-        let calendar = rendered_22(EngineKind::Calendar, cc::CcKind::Reno, strategy);
+        let heap = with_engine(EngineKind::Heap, || rendered_22(cc::CcKind::Reno, strategy));
+        let calendar = rendered_22(cc::CcKind::Reno, strategy);
         assert_eq!(
             heap, calendar,
             "strategy {strategy:?}: calendar-queue artifact diverges from the heap reference"

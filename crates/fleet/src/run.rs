@@ -8,7 +8,10 @@
 //! thread count and of how shards were chunked into jobs. Per-shard
 //! simulations are pure functions of `(spec, shard)`, so the merged fleet is
 //! byte-identical across all execution choices — the property the
-//! determinism suite in `tests/determinism.rs` locks down.
+//! determinism suite in `tests/determinism.rs` locks down. Which scheduler a
+//! shard's simulator runs on is not an execution choice made here: netsim
+//! decides it, and the suite reaches the reference heap through netsim's
+//! test-oracle scope.
 
 use std::path::PathBuf;
 
@@ -28,7 +31,7 @@ pub struct FleetOptions {
     /// amortise job overhead when shards are tiny.
     pub shards_per_job: u32,
     /// Write flight-recorder traces (one JSONL file per shard, stems
-    /// `fleet:<name>:shard<i>:<engine>`). Traced jobs are not cached —
+    /// `fleet:<name>:shard<i>`). Traced jobs are not cached —
     /// their value is the side-effect file.
     pub trace: bool,
     /// Where traces go; defaults to [`obs::default_trace_dir`].
@@ -162,6 +165,12 @@ impl FleetResult {
     }
 }
 
+/// Label (and, sanitized, file stem) of one shard's trace: the shard
+/// component keeps concurrent shards of one batch from colliding on a file.
+fn shard_trace_label(fleet: &str, shard: u32) -> String {
+    format!("fleet:{fleet}:shard{shard}")
+}
+
 /// Run `spec` on `runner`, fanning shards across its worker threads.
 ///
 /// Panics if the spec fails [`FleetSpec::validate`] or any shard job fails.
@@ -190,14 +199,7 @@ pub fn run_fleet(runner: &Runner, spec: &FleetSpec, opts: &FleetOptions) -> Flee
                 (lo..hi)
                     .map(|shard| {
                         let traced = dir.as_ref().map(|d| {
-                            // Satellite of the trace-stem fix in dmp-sim: a
-                            // shard component keeps concurrent shards of one
-                            // batch from colliding, the engine component
-                            // keeps differential batches apart.
-                            let label = format!(
-                                "fleet:{}:shard{shard}:{:?}",
-                                job_spec.name, job_spec.engine
-                            );
+                            let label = shard_trace_label(&job_spec.name, shard);
                             (
                                 d.join(format!("{}.jsonl", obs::sanitize_label(&label))),
                                 label,
@@ -284,6 +286,15 @@ mod tests {
                 .map(|t| t.events_processed)
                 .sum::<u64>()
         );
+    }
+
+    #[test]
+    fn shard_trace_stems_are_distinct() {
+        let spec = small_spec();
+        let stems: std::collections::BTreeSet<String> = (0..spec.shard_count())
+            .map(|shard| obs::sanitize_label(&shard_trace_label(&spec.name, shard)))
+            .collect();
+        assert_eq!(stems.len(), spec.shard_count() as usize);
     }
 
     #[test]

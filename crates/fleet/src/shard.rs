@@ -125,13 +125,7 @@ pub fn run_shard(spec: &FleetSpec, shard: u32, trace: Option<(&Path, &str)>) -> 
     // plus per session one server node, K client nodes, and 2K access
     // duplexes (server side + client side).
     let sim_seed = spec.seed ^ SIM_TAG ^ u64::from(shard).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let mut sim = Sim::with_capacity(
-        sim_seed,
-        spec.engine,
-        2 * b + n * (1 + k),
-        2 * (b + n * 2 * k),
-        n * k,
-    );
+    let mut sim = Sim::with_capacity(sim_seed, 2 * b + n * (1 + k), 2 * (b + n * 2 * k), n * k);
 
     // Shared bottlenecks: b router pairs r1[i] --bottleneck--> r2[i].
     let bneck_spec = LinkSpec::from_table(
@@ -451,7 +445,7 @@ impl JsonCodec for ShardOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::EngineKind;
+    use netsim::scheduler::{with_engine, EngineKind};
 
     fn tiny_spec() -> FleetSpec {
         let mut spec = FleetSpec::new("tiny", 4, 2, 11);
@@ -483,12 +477,8 @@ mod tests {
     #[test]
     fn engines_agree_byte_for_byte_on_outcomes() {
         let spec = tiny_spec();
-        let mut heap = spec.clone();
-        heap.engine = EngineKind::Heap;
-        let mut cal = spec;
-        cal.engine = EngineKind::Calendar;
-        let a = run_shard(&heap, 1, None);
-        let b = run_shard(&cal, 1, None);
+        let a = with_engine(EngineKind::Heap, || run_shard(&spec, 1, None));
+        let b = run_shard(&spec, 1, None);
         assert_eq!(a.outcomes, b.outcomes);
         assert_eq!(a.events_processed, b.events_processed);
         // Telemetry is engine-shaped (far heap vs wheel) and may differ;

@@ -13,7 +13,6 @@
 
 use cc::CcKind;
 use dmp_core::spec::{PullStrategy, VideoSpec};
-use netsim::EngineKind;
 use scenario::FleetTimeline;
 
 /// Specification of one fleet-scale experiment.
@@ -56,9 +55,6 @@ pub struct FleetSpec {
     /// Fleet-wide arrival-rate timeline (flash-crowd spikes on the base
     /// rate; empty = homogeneous Poisson arrivals).
     pub timeline: FleetTimeline,
-    /// Simulation engine. Both engines produce byte-identical fleets; the
-    /// choice is in the cache key so differential runs never share entries.
-    pub engine: EngineKind,
     /// Startup delay τ the per-session lateness/glitch metrics evaluate at.
     pub tau_s: f64,
     /// Congestion control run by every session's video flows (background
@@ -90,7 +86,6 @@ impl FleetSpec {
             send_buf_pkts: 32,
             paths_per_session: 2,
             timeline: FleetTimeline::default(),
-            engine: EngineKind::default(),
             tau_s: 4.0,
             cc: CcKind::Reno,
             strategy: PullStrategy::RoundRobin,
@@ -157,10 +152,11 @@ impl FleetSpec {
     /// cwnd validation in the TCP sender (app-limited flows stop growing
     /// their window, which shifts every simulated byte stream); v4 shard
     /// outputs carry an always-on metrics snapshot (cached v3 payloads
-    /// lack the `metrics` section and must not be replayed).
+    /// lack the `metrics` section and must not be replayed); v5 the
+    /// `engine` field left the spec.
     pub fn config_repr(&self) -> String {
         format!(
-            "fleet/v4/{self:?}/timeline#{:016x}",
+            "fleet/v5/{self:?}/timeline#{:016x}",
             self.timeline.stable_hash()
         )
     }
@@ -202,9 +198,6 @@ mod tests {
         let mut b = a.clone();
         b.shard_sessions = 8; // a *different* fleet: contention changes
         assert_ne!(a.config_repr(), b.config_repr());
-        let mut c = a.clone();
-        c.engine = EngineKind::Heap;
-        assert_ne!(a.config_repr(), c.config_repr());
         let mut d = a.clone();
         d.timeline = FleetTimeline::named("surge").spike(10.0, 5.0, 20.0);
         assert_ne!(a.config_repr(), d.config_repr());
@@ -214,5 +207,14 @@ mod tests {
         let mut f = a.clone();
         f.strategy = PullStrategy::BestPath;
         assert_ne!(a.config_repr(), f.config_repr());
+    }
+
+    #[test]
+    fn config_repr_is_engine_free_and_fresh() {
+        let repr = FleetSpec::new("f", 8, 4, 1).config_repr();
+        assert!(repr.starts_with("fleet/v5/"), "{repr}");
+        for word in ["Calendar", "Heap", "engine"] {
+            assert!(!repr.contains(word), "{word} in {repr}");
+        }
     }
 }

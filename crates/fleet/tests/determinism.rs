@@ -5,25 +5,24 @@
 
 use dmp_fleet::{run_fleet, shard_plans, FleetOptions, FleetSpec};
 use dmp_runner::{Cache, Runner};
-use netsim::EngineKind;
+use netsim::scheduler::{with_engine, EngineKind};
 
 /// Small enough to run in tier-1 debug builds (these tests execute the full
 /// packet simulation many times over), large enough to exercise multiple
 /// shards, a remainder shard, and contention on shared bottlenecks.
-fn spec(engine: EngineKind) -> FleetSpec {
+fn spec() -> FleetSpec {
     let mut spec = FleetSpec::new("det", 5, 2, 2007);
     spec.duration_s = 10.0;
     spec.warmup_s = 1.0;
     spec.arrival_rate_per_s = 0.5;
     spec.mean_hold_s = 5.0;
     spec.video = dmp_core::spec::VideoSpec::new(25.0);
-    spec.engine = engine;
     spec
 }
 
-fn artifact(threads: usize, engine: EngineKind, shards_per_job: u32) -> String {
+fn artifact(threads: usize, shards_per_job: u32) -> String {
     let runner = Runner::new(threads, Cache::disabled());
-    let spec = spec(engine);
+    let spec = spec();
     let opts = FleetOptions {
         shards_per_job,
         ..FleetOptions::default()
@@ -33,12 +32,12 @@ fn artifact(threads: usize, engine: EngineKind, shards_per_job: u32) -> String {
 
 #[test]
 fn artifact_is_byte_identical_across_threads_and_chunking() {
-    let reference = artifact(1, EngineKind::Calendar, 1);
+    let reference = artifact(1, 1);
     // Three shards chunked 1, 2 and 3 per job cover split, partial-merge and
     // single-job paths; 2 and 8 threads cover contended and oversubscribed
     // pools (this box may have fewer cores than 8).
     for (threads, shards_per_job) in [(2, 1), (8, 2), (8, 3)] {
-        let other = artifact(threads, EngineKind::Calendar, shards_per_job);
+        let other = artifact(threads, shards_per_job);
         assert_eq!(
             reference, other,
             "artifact changed at threads={threads} shards_per_job={shards_per_job}"
@@ -47,25 +46,19 @@ fn artifact_is_byte_identical_across_threads_and_chunking() {
 }
 
 #[test]
-fn engines_produce_identical_fleets_up_to_the_config_line() {
-    // The engine is in the cache key (and hence the artifact's `config`
-    // string) by design; everything else must agree byte for byte.
-    let strip = |text: &str| -> String {
-        let doc = dmp_runner::json::parse(text).expect("artifact parses");
-        let dmp_runner::Json::Obj(pairs) = doc else {
-            panic!("artifact is an object");
-        };
-        dmp_runner::Json::Obj(pairs.into_iter().filter(|(k, _)| k != "config").collect()).render()
-    };
-    let heap = artifact(2, EngineKind::Heap, 2);
-    let cal = artifact(2, EngineKind::Calendar, 2);
-    assert_ne!(heap, cal, "config strings should differ");
-    assert_eq!(strip(&heap), strip(&cal), "fleet physics diverged");
+fn engines_produce_identical_fleets() {
+    // No spec names an engine, so the whole artifact — `config` line
+    // included — must agree byte for byte. The heap side runs on one thread:
+    // the oracle scope covers the calling thread only, and a one-thread
+    // runner executes its jobs inline.
+    let heap = with_engine(EngineKind::Heap, || artifact(1, 2));
+    let cal = artifact(2, 2);
+    assert_eq!(heap, cal, "fleet physics diverged");
 }
 
 #[test]
 fn churn_is_a_pure_function_of_the_spec_seed() {
-    let a = spec(EngineKind::Calendar);
+    let a = spec();
     for shard in 0..a.shard_count() {
         assert_eq!(shard_plans(&a, shard), shard_plans(&a, shard));
     }
@@ -77,7 +70,7 @@ fn churn_is_a_pure_function_of_the_spec_seed() {
 #[test]
 fn cache_round_trip_reproduces_the_artifact() {
     let dir = std::env::temp_dir().join(format!("fleet-det-cache-{}", std::process::id()));
-    let spec = spec(EngineKind::Calendar);
+    let spec = spec();
     let opts = FleetOptions::default();
     let cold = {
         let runner = Runner::new(2, Cache::new(&dir));

@@ -2,22 +2,37 @@
 //!
 //! Two implementations sit behind [`EventQueue`]:
 //!
+//! * [`CalendarQueue`] — the production scheduler: a two-level calendar
+//!   queue in the spirit of ns-2's, a *near wheel* of fine-grained time
+//!   buckets covering the next ~270 ms of simulated time plus a *far heap*
+//!   for distant timers. At the event densities of the paper's sweeps almost
+//!   every event (link serialisations, arrivals, delayed ACKs) lands in the
+//!   wheel, where push and pop are `O(1)` amortised; only long
+//!   retransmission timeouts touch the far heap.
 //! * [`HeapQueue`] — the reference `BinaryHeap` scheduler. Simple, obviously
-//!   correct, `O(log n)` per operation on the *whole* queue.
-//! * [`CalendarQueue`] — a two-level calendar queue in the spirit of ns-2's
-//!   scheduler: a *near wheel* of fine-grained time buckets covering the next
-//!   ~270 ms of simulated time, plus a *far heap* for distant timers. At the
-//!   event densities of the paper's sweeps almost every event (link
-//!   serialisations, arrivals, delayed ACKs) lands in the wheel, where push
-//!   and pop are `O(1)` amortised; only long retransmission timeouts touch
-//!   the far heap.
+//!   correct, `O(log n)` per operation on the *whole* queue. It is the test
+//!   oracle: no spec or option above this crate selects it.
 //!
 //! Both orderings are **identical**: events pop in strictly increasing
 //! `(time, seq)` order, where `seq` is the global push counter — i.e. exact
-//! FIFO among simultaneous events. A differential test at the experiment
-//! level (`dmp-sim/tests/scheduler_differential.rs`) and a property test
-//! below hold the two implementations to byte-identical behaviour.
+//! FIFO among simultaneous events. The property test below, `sim.rs`'s
+//! `both_engines_agree_exactly` and the experiment-level differentials
+//! (`dmp-sim/tests/scheduler_differential.rs`, `fleet/tests/determinism.rs`)
+//! hold the two implementations to byte-identical behaviour.
+//!
+//! # Why the calendar queue is the production engine
+//!
+//! Which queue a [`crate::sim::Sim`] runs on is decided here and nowhere
+//! else: [`Sim::new`](crate::sim::Sim::new) takes [`EngineKind::default`].
+//! The decision rests on `BENCH_netsim.json` (`bench_engine`): on
+//! `multipath_video` — the dense Setting 2-2 shape every figure, sweep and
+//! fleet shard runs — the calendar queue dispatches 10.9 M events/s against
+//! the heap's 7.9 M. The heap wins only on the two sparse topologies
+//! (`two_host` 15.1 vs 14.1, `bottleneck_bg` 9.0 vs 7.1 M events/s), which no
+//! production target resembles. Specs, cache keys and artifacts therefore
+//! carry no engine; tests reach the oracle through [`with_engine`].
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -31,6 +46,53 @@ pub enum EngineKind {
     /// Two-level calendar queue (near wheel + far heap). The default.
     #[default]
     Calendar,
+}
+
+thread_local! {
+    /// The innermost [`with_engine`] scope on this thread: its engine and
+    /// whether a `Sim` has been built under it yet.
+    static OVERRIDE: Cell<Option<(EngineKind, bool)>> = const { Cell::new(None) };
+}
+
+/// The engine a new [`crate::sim::Sim`] gets: the innermost [`with_engine`]
+/// scope's on this thread (marking that scope used), else the default.
+pub(crate) fn engine_for_new_sim() -> EngineKind {
+    match OVERRIDE.get() {
+        Some((kind, _)) => {
+            OVERRIDE.set(Some((kind, true)));
+            kind
+        }
+        None => EngineKind::default(),
+    }
+}
+
+/// Test-oracle hook: every [`Sim::new`](crate::sim::Sim::new) /
+/// [`Sim::with_capacity`](crate::sim::Sim::with_capacity) on this thread
+/// inside `f` runs on `kind`. This is how differential tests and
+/// `bench_engine` put code that owns its `Sim` (`dmp_sim::experiment::run`,
+/// `fleet::run_shard`, …) on the reference heap without any spec naming an
+/// engine. The previous scope is restored on return and on unwind.
+///
+/// Panics if `f` returns without having built a `Sim` on this thread — the
+/// work ran on a pool worker or was a cache hit, and the caller would be
+/// comparing the default engine with itself.
+#[doc(hidden)]
+pub fn with_engine<R>(kind: EngineKind, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<(EngineKind, bool)>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            OVERRIDE.set(self.0);
+        }
+    }
+    let restore = Restore(OVERRIDE.replace(Some((kind, false))));
+    let out = f();
+    let used = OVERRIDE.get().is_some_and(|(_, used)| used);
+    drop(restore);
+    assert!(
+        used,
+        "with_engine({kind:?}): no Sim was built on this thread inside the scope"
+    );
+    out
 }
 
 /// One queued event: a timestamp, the global push sequence number that breaks
@@ -423,6 +485,45 @@ mod tests {
             sorted.sort();
             assert_eq!(popped_h, sorted, "pop order must be (time, seq)");
         }
+    }
+
+    #[test]
+    fn with_engine_scopes_sim_new_and_restores_on_exit_nesting_and_unwind() {
+        use crate::sim::Sim;
+        let built = || Sim::new(1).engine();
+        assert_eq!(built(), EngineKind::Calendar);
+        let inside = with_engine(EngineKind::Heap, || {
+            assert_eq!(Sim::with_capacity(1, 2, 2, 1).engine(), EngineKind::Heap);
+            let nested = with_engine(EngineKind::Calendar, built);
+            assert_eq!(nested, EngineKind::Calendar);
+            built()
+        });
+        assert_eq!(
+            inside,
+            EngineKind::Heap,
+            "inner scope must restore the outer"
+        );
+        assert_eq!(built(), EngineKind::Calendar);
+
+        let unwound = std::panic::catch_unwind(|| {
+            with_engine(EngineKind::Heap, || {
+                built();
+                panic!("job failed");
+            })
+        });
+        assert!(unwound.is_err());
+        assert_eq!(built(), EngineKind::Calendar, "unwind must restore");
+    }
+
+    #[test]
+    #[should_panic(expected = "no Sim was built")]
+    fn with_engine_panics_when_nothing_ran_under_it() {
+        // A Sim built on another thread (a pool worker) does not count.
+        with_engine(EngineKind::Heap, || {
+            std::thread::spawn(|| crate::sim::Sim::new(1).engine())
+                .join()
+                .expect("worker ran")
+        });
     }
 
     #[test]

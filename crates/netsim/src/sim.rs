@@ -7,10 +7,12 @@
 //!
 //! # Scheduling
 //!
-//! Pending events live in an [`EventQueue`] — by default the two-level
-//! calendar queue ([`EngineKind::Calendar`]), with the reference binary heap
-//! ([`EngineKind::Heap`]) selectable via [`Sim::with_engine`] for
-//! differential testing. Events are tiny `Copy` payloads.
+//! Pending events live in an [`EventQueue`]: the two-level calendar queue
+//! ([`EngineKind::Calendar`]) for every simulator [`Sim::new`] builds — the
+//! choice, and the measurements behind it, live in [`crate::scheduler`]. The
+//! reference binary heap ([`EngineKind::Heap`]) is the test oracle, reached
+//! through [`Sim::with_engine`] or, for code that owns its `Sim`,
+//! `scheduler::with_engine`. Events are tiny `Copy` payloads.
 //!
 //! # Coalesced link delivery
 //!
@@ -179,10 +181,11 @@ pub struct Sim {
 }
 
 impl Sim {
-    /// Create an empty simulator with a deterministic RNG seed and the
-    /// default (calendar-queue) scheduler.
+    /// Create an empty simulator with a deterministic RNG seed on the
+    /// production (calendar-queue) scheduler — or, inside a
+    /// `scheduler::with_engine` test scope, on that scope's engine.
     pub fn new(seed: u64) -> Self {
-        Self::with_engine(seed, EngineKind::default())
+        Self::with_engine(seed, crate::scheduler::engine_for_new_sim())
     }
 
     /// Create an empty simulator with an explicit scheduler implementation.
@@ -223,14 +226,8 @@ impl Sim {
     /// reallocates an arena mid-construction. Capacity is an optimisation
     /// only — an under-estimate still grows normally and changes no
     /// simulation byte.
-    pub fn with_capacity(
-        seed: u64,
-        engine: EngineKind,
-        nodes: usize,
-        links: usize,
-        flows: usize,
-    ) -> Self {
-        let mut sim = Self::with_engine(seed, engine);
+    pub fn with_capacity(seed: u64, nodes: usize, links: usize, flows: usize) -> Self {
+        let mut sim = Self::new(seed);
         sim.nodes.reserve(nodes);
         sim.links.reserve(links);
         sim.link_deliver_ev.reserve(links);

@@ -259,15 +259,13 @@ impl TraceEvent {
     /// input or an unknown event name (forward compatibility: readers skip
     /// lines they do not understand).
     pub fn parse_line(line: &str) -> Option<TraceEvent> {
-        let fields = parse_flat_object(line)?;
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        let num = |k: &str| get(k).and_then(Value::as_f64);
+        let obj = dmp_runner::json::parse(line)?;
+        let num = |k: &str| obj.get(k)?.as_f64();
         let int = |k: &str| num(k).map(|x| x as u64);
+        let text = |k: &str| obj.get(k)?.as_str();
+        let flag = |k: &str| obj.get(k)?.as_bool();
         let t = int("t")?;
-        let ev = match get("ev")? {
-            Value::Str(s) => s.as_str(),
-            _ => return None,
-        };
+        let ev = text("ev")?;
         let kind = match ev {
             "path_conn" => EventKind::PathConn {
                 path: int("path")? as u32,
@@ -275,16 +273,10 @@ impl TraceEvent {
             },
             "cc_algo" => EventKind::CcAlgo {
                 conn: int("conn")? as u32,
-                algo: match get("algo")? {
-                    Value::Str(s) => s.clone(),
-                    _ => return None,
-                },
+                algo: text("algo")?.to_string(),
             },
             "strategy" => EventKind::Strategy {
-                name: match get("name")? {
-                    Value::Str(s) => s.clone(),
-                    _ => return None,
-                },
+                name: text("name")?.to_string(),
             },
             "cwnd" => EventKind::Cwnd {
                 conn: int("conn")? as u32,
@@ -293,12 +285,12 @@ impl TraceEvent {
             },
             "fastrec" => EventKind::FastRecovery {
                 conn: int("conn")? as u32,
-                entered: get("entered")?.as_bool()?,
+                entered: flag("entered")?,
             },
             "retx" => EventKind::Retransmit {
                 conn: int("conn")? as u32,
                 seq: int("seq")?,
-                fast: get("fast")?.as_bool()?,
+                fast: flag("fast")?,
             },
             "rto" => EventKind::RtoTimeout {
                 conn: int("conn")? as u32,
@@ -328,82 +320,16 @@ impl TraceEvent {
             },
             "path_ev" => EventKind::PathEvent {
                 path: int("path")? as u32,
-                action: match get("action")? {
-                    Value::Str(s) => PathAction::from_name(s)?,
-                    _ => return None,
-                },
+                action: PathAction::from_name(text("action")?)?,
             },
             "session" => EventKind::Session {
                 session: int("session")? as u32,
-                up: get("up")?.as_bool()?,
+                up: flag("up")?,
             },
             _ => return None,
         };
         Some(TraceEvent { t, kind })
     }
-}
-
-/// A scalar value in a flat JSON object.
-enum Value {
-    Num(f64),
-    Bool(bool),
-    Str(String),
-}
-
-impl Value {
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Minimal parser for one flat JSON object (`{"k":v,...}`) with number,
-/// boolean, and (escape-free) string values — exactly the subset the encoder
-/// produces.
-fn parse_flat_object(line: &str) -> Option<Vec<(String, Value)>> {
-    let s = line.trim();
-    let inner = s.strip_prefix('{')?.strip_suffix('}')?;
-    let mut fields = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        rest = rest.strip_prefix('"')?;
-        let kend = rest.find('"')?;
-        let key = rest[..kend].to_string();
-        rest = rest[kend + 1..]
-            .trim_start()
-            .strip_prefix(':')?
-            .trim_start();
-        let (value, after) = if let Some(r) = rest.strip_prefix('"') {
-            let vend = r.find('"')?;
-            (Value::Str(r[..vend].to_string()), &r[vend + 1..])
-        } else if let Some(r) = rest.strip_prefix("true") {
-            (Value::Bool(true), r)
-        } else if let Some(r) = rest.strip_prefix("false") {
-            (Value::Bool(false), r)
-        } else {
-            let vend = rest
-                .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
-                .unwrap_or(rest.len());
-            (Value::Num(rest[..vend].parse().ok()?), &rest[vend..])
-        };
-        fields.push((key, value));
-        rest = after.trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        } else if !rest.is_empty() {
-            return None;
-        }
-    }
-    Some(fields)
 }
 
 #[cfg(test)]

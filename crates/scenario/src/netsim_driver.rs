@@ -3,9 +3,8 @@
 //!
 //! Every scripted action is scheduled through [`netsim::SimApi::schedule_in`],
 //! i.e. as an ordinary `AppTimer` engine event. That keeps the replay on the
-//! engine's own clock and tie-break order, so both scheduler implementations
-//! (`EngineKind::Heap` and `EngineKind::Calendar`) execute the scenario
-//! byte-identically.
+//! engine's own clock and tie-break order, so the calendar queue and netsim's
+//! reference heap execute the scenario byte-identically.
 
 use netsim::app::App;
 use netsim::link::LinkSpec;
