@@ -3,10 +3,8 @@
 //!
 //! Modes (args after `--` reach this binary):
 //!
-//! * default (`cargo bench --bench bench_engine`) — criterion-style timing
-//!   of all three topologies on both engines.
-//! * `--quick-smoke` — tiny-scale run asserting both engines agree exactly
-//!   (CI gate; seconds, not minutes).
+//! * `--quick-smoke`, also what runs when no mode is named — tiny-scale run
+//!   asserting both engines agree exactly (CI gate; seconds, not minutes).
 //! * `--baseline <BENCH_netsim.json>` (combinable with `--quick-smoke`) —
 //!   re-measure events/sec per topology and fail (exit 1) if any topology
 //!   collapses below half of the recorded baseline. The 2x tolerance is
@@ -15,11 +13,10 @@
 //!   engine regressions, not percent-level drift.
 //! * `--json <path> [--repro-baseline-s X --repro-current-s Y]` — measure
 //!   and write the `BENCH_netsim.json` perf-trajectory artifact, optionally
-//!   recording the cold `repro_all --quick` serial-equivalent seconds.
+//!   recording the cold `dmp-bench all --quick` serial-equivalent seconds.
 
 use std::time::Instant;
 
-use criterion::{criterion_group, Criterion};
 use dmp_core::spec::SchedulerKind;
 use dmp_runner::Json;
 use netsim::app::App;
@@ -121,8 +118,8 @@ fn run_bottleneck_bg(engine: EngineKind, dur_s: f64) -> TopoRun {
 
 /// Topology 3: the paper's Setting 2-2 multipath video run (DMP scheduler,
 /// two independent congested paths, full background traffic) — the workload
-/// `repro_all` actually spends its time in. Events counted via the engine
-/// telemetry delta because `dmp_sim::experiment::run` owns the `Sim`.
+/// the paper targets actually spend their time in. Events counted via the
+/// engine telemetry delta because `dmp_sim::experiment::run` owns the `Sim`.
 fn run_multipath_video(engine: EngineKind, dur_s: f64) -> TopoRun {
     let setting = *dmp_sim::configs::setting("2-2").expect("setting 2-2 exists");
     let mut spec =
@@ -308,35 +305,6 @@ fn compare_baseline(path: &str) -> Result<(), String> {
     }
 }
 
-/// Default mode: criterion timing of every topology × engine.
-fn bench(c: &mut Criterion) {
-    for (name, f, _) in TOPOLOGIES {
-        for (ename, engine) in ENGINES {
-            c.bench_function(&format!("engine/{name}/{ename}"), |b| {
-                b.iter(|| f(engine, 20.0))
-            });
-        }
-    }
-    // Also print events/sec once per combination, which criterion's
-    // per-iteration timing does not show directly.
-    for (name, f, _) in TOPOLOGIES {
-        for (ename, engine) in ENGINES {
-            let (run, eps, tps) = measure(f, engine, 20.0);
-            println!(
-                "engine/{name}/{ename}: {} events ({} transits), {eps:.0} events/s, \
-                 {tps:.0} transits/s",
-                run.events, run.transits
-            );
-        }
-    }
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(3);
-    targets = bench
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name: &str| args.iter().any(|a| a == name);
@@ -368,5 +336,5 @@ fn main() {
         write_json(&path, base, cur);
         return;
     }
-    benches();
+    quick_smoke();
 }

@@ -6,10 +6,9 @@
 //!
 //! Modes (args after `--` reach this binary):
 //!
-//! * default (`cargo bench --bench bench_fleet`) — criterion-style timing of
-//!   the canonical fleet.
-//! * `--quick-smoke` — tiny fleet asserting 1-thread and 8-thread runs
-//!   produce byte-identical artifacts (CI gate; seconds).
+//! * `--quick-smoke`, also what runs when no mode is named — tiny fleet
+//!   asserting 1-thread and 8-thread runs produce byte-identical artifacts
+//!   (CI gate; seconds).
 //! * `--baseline <BENCH_fleet.json>` (combinable with `--quick-smoke`) —
 //!   re-measure aggregate events/sec and fail (exit 1) on a collapse below
 //!   half the recorded baseline. Loose on purpose: CI boxes are slower than
@@ -22,7 +21,6 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, Criterion};
 use dmp_fleet::{run_fleet, FleetOptions, FleetSpec};
 use dmp_runner::{Cache, Json, Runner};
 use scenario::FleetTimeline;
@@ -189,23 +187,6 @@ fn compare_baseline(path: &str) -> Result<(), String> {
     }
 }
 
-/// Default mode: criterion timing of the small fleet.
-fn bench(c: &mut Criterion) {
-    let (name, sessions, shard_sessions) = FLEETS[0];
-    let s = spec(sessions, shard_sessions, 20.0);
-    c.bench_function(&format!("fleet/{name}"), |b| b.iter(|| run_once(1, &s)));
-    for (fname, sessions, shard_sessions) in FLEETS {
-        let (events, eps) = measure(sessions, shard_sessions, 1);
-        println!("fleet/{fname}: {events} events, {eps:.0} events/s");
-    }
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(3);
-    targets = bench
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name: &str| args.iter().any(|a| a == name);
@@ -235,5 +216,5 @@ fn main() {
         write_json(&path);
         return;
     }
-    benches();
+    quick_smoke();
 }

@@ -4,14 +4,13 @@
 //!
 //! Modes (args after `--` reach this binary):
 //!
-//! * default (`cargo bench -p dmp-bench --bench bench_model`) —
-//!   criterion-style timing of one cold CSR solve and a warm τ-grid sweep.
-//! * `--quick-smoke` — (a) CSR + warm-start (serial and parallel-chunked)
-//!   agrees with the reference transition-list solver (the oracle, held to
-//!   1e-15 — see `measure_grid`) within 1e-12 on a reduced τ grid with
-//!   fewer warm than cold iterations, and (b) the quick
-//!   capacity-planner heatmap is byte-identical across 1-vs-8 runner threads
-//!   and across a cold-vs-warm cache (CI gate; seconds).
+//! * `--quick-smoke`, also what runs when no mode is named — (a) CSR +
+//!   warm-start (serial and parallel-chunked) agrees with the reference
+//!   transition-list solver (the oracle, held to 1e-15 — see `measure_grid`)
+//!   within 1e-12 on a reduced τ grid with fewer warm than cold iterations,
+//!   and (b) the quick capacity-planner heatmap is byte-identical across
+//!   1-vs-8 runner threads and across a cold-vs-warm cache (CI gate;
+//!   seconds).
 //! * `--baseline <BENCH_model.json>` (combinable with `--quick-smoke`) —
 //!   re-measure the fast-plane rate and fail (exit 1) on a collapse below
 //!   half the recorded baseline. Loose on purpose: CI boxes are slower than
@@ -26,7 +25,6 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, Criterion};
 use dmp_bench::planner::capacity_planner;
 use dmp_bench::Scale;
 use dmp_core::spec::PathSpec;
@@ -375,30 +373,6 @@ fn compare_baseline(path: &str) -> Result<(), String> {
     }
 }
 
-/// Default mode: criterion timing of a cold solve and the warm sweep.
-fn bench(c: &mut Criterion) {
-    let mu = mu();
-    let opts = SolveOptions::default();
-    c.bench_function("model/csr_cold_solve", |b| {
-        b.iter(|| {
-            ExactDmp::new(path(), WMAX, mu, 1.0, FLOOR)
-                .csr(&opts)
-                .expect("enumerates")
-                .solve(&opts, None)
-        })
-    });
-    let taus = tau_grid(8);
-    c.bench_function("model/warm_tau_sweep_8pt", |b| {
-        b.iter(|| exact_tau_sweep(path(), WMAX, mu, &taus, FLOOR, opts).expect("grid enumerates"))
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name: &str| args.iter().any(|a| a == name);
@@ -428,5 +402,5 @@ fn main() {
         write_json(&path);
         return;
     }
-    benches();
+    quick_smoke();
 }

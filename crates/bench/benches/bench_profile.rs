@@ -1,11 +1,11 @@
 //! Hot-path cost profile and zero-allocation gate for the netsim event loop.
 //!
 //! Runs the paper's Setting 2-2 multipath video experiment (the workload
-//! `repro_all` spends its time in) split into build → warm-up → steady-state
-//! phases via `dmp_sim::experiment::build`, with a counting global allocator
-//! watching the steady-state phase. The engine's claim is that after arenas
-//! and rings reach their peak sizes, dispatching events allocates nothing;
-//! this binary is the proof.
+//! the paper targets spend their time in) split into build → warm-up →
+//! steady-state phases via `dmp_sim::experiment::build`, with a counting
+//! global allocator watching the steady-state phase. The engine's claim is
+//! that after arenas and rings reach their peak sizes, dispatching events
+//! allocates nothing; this binary is the proof.
 //!
 //! Modes (args after `--` reach this binary):
 //!
@@ -190,8 +190,8 @@ fn profile_breakdown(_total_events: u64) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick-smoke");
-    // Criterion-style harness flags (--bench, --quiet, ...) may be passed by
-    // cargo; this binary only distinguishes quick-smoke from the full run.
+    // Harness flags (--bench, --quiet, ...) may be passed by cargo; this
+    // binary only distinguishes quick-smoke from the full run.
     let video_s = if quick { 60.0 } else { 240.0 };
     let run = phased_run(video_s);
     report(&run);

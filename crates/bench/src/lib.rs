@@ -1,13 +1,22 @@
 //! `dmp-bench` — the reproduction harness: one target per table and figure
 //! of *Multipath Live Streaming via TCP* (CoNEXT 2007).
 //!
-//! Every experiment is exposed twice:
+//! Every experiment is exposed once: as a line of [`target::TARGETS`], run
+//! by the one `dmp-bench` binary —
 //!
-//! * a **binary** (`cargo run --release -p dmp-bench --bin <name>`) that runs
-//!   the full-fidelity version and prints the paper-shaped table/series;
-//! * a **Criterion bench** (`cargo bench -p dmp-bench`) that runs a reduced
-//!   [`Scale::quick`] version — printing the same series into the bench log —
-//!   and measures the throughput of the underlying kernel.
+//! ```text
+//! cargo run --release -p dmp-bench -- <target>… [--quick] [--trace]
+//! ```
+//!
+//! — which prints each target's paper-shaped table/series, writes its
+//! artifacts and ends with a per-target telemetry summary. Full fidelity is
+//! the default; `--quick` is the reduced [`Scale::quick`] pass CI and the
+//! committed `artifacts/` use. Anything else on the command line (an unknown
+//! flag or target, a repeated target, no target) is refused before a job
+//! runs. The kernels' speed is measured by `benchmark/` (per-layer metrics of
+//! one traced pipeline) and gated by the four `benches/bench_*` smoke modes.
+//! The last four rows of the table are the package's tool binaries
+//! (`cargo run --release -p dmp-bench --bin <tool>`), not targets.
 //!
 //! | target | reproduces |
 //! |--------|------------|
@@ -17,14 +26,15 @@
 //! | `table3`    | Table 3 (correlated paths) |
 //! | `fig4`      | Fig. 4(a,b) — Setting 2-2 validation |
 //! | `fig5`      | Fig. 5(a,b) — Setting 1-2 validation |
+//! | `correlated_validation` | Section 5.3's correlated-path validation (figures omitted in the paper) |
 //! | `fig7`      | Fig. 7(a,b) — live-socket validation |
 //! | `fig8`      | Fig. 8 — diminishing gain from σ_a/µ |
-//! | `fig9`      | Fig. 9(a,b) — required startup delay at σ_a/µ = 1.6 |
+//! | `fig9a`, `fig9b` | Fig. 9(a,b) — required startup delay at σ_a/µ = 1.6 |
 //! | `fig10`     | Fig. 10 — path heterogeneity |
 //! | `fig11`     | Fig. 11 — DMP vs static streaming |
 //! | `fig_fluid` | Section 7.3 fluid example |
 //! | `headline`  | the 1.6× (K=2) vs 2× (K=1) rule |
-//! | `repro_all` | everything above, in order |
+//! | `all`       | everything above, in paper order |
 //! | `ext_kpaths`, `ext_stored`, `ext_ablations` | extensions beyond the paper (K > 2 paths, stored video, design ablations) |
 //! | `ext_failover`, `ext_flashcrowd` | scripted path dynamics: mid-stream path failure and a transient flash crowd, with resilience metrics per scheduler |
 //! | `ext_fleet`, `fleet_headroom` | fleet-scale simulation: sharded multi-session fleets with Poisson churn and flash-crowd arrivals; admission capacity under the 1.6× rule |
@@ -76,29 +86,4 @@ pub fn repo_path(p: &str) -> std::path::PathBuf {
         .join("..")
         .join("..")
         .join(p)
-}
-
-/// Parse the `--quick` / `--full` flags (or `DMP_QUICK=1`) for the binaries.
-/// An explicit `--full` wins over the environment; default is full scale.
-/// `--trace` (or `DMP_TRACE=1`) additionally records flight-recorder traces
-/// for the targets that support them (see [`Scale::trace`]).
-pub fn scale_from_env() -> Scale {
-    let mut scale = if std::env::args().any(|a| a == "--full") {
-        Scale::full()
-    } else {
-        let quick = std::env::args().any(|a| a == "--quick")
-            || std::env::var("DMP_QUICK")
-                .map(|v| v == "1")
-                .unwrap_or(false);
-        if quick {
-            Scale::quick()
-        } else {
-            Scale::full()
-        }
-    };
-    scale.trace = std::env::args().any(|a| a == "--trace")
-        || std::env::var("DMP_TRACE")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-    scale
 }

@@ -1,11 +1,12 @@
-//! Experiment scaling: every table/figure can run at `full` fidelity (the
-//! reproduction binaries; minutes of compute) or `quick` (the Criterion
-//! benches and smoke tests; seconds, noisier estimates but the same shape).
+//! Experiment scaling: every target runs at `full` fidelity (the default of
+//! the `dmp-bench` binary; minutes of compute) or `quick` (`--quick`: CI, the
+//! committed artifacts and the tests; seconds, noisier estimates but the
+//! same shape).
 
 use tcp_model::SearchOptions;
 
 /// Knobs shared by all reproduction targets.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// Simulated video duration per run, seconds (paper: 10 000 s).
     pub sim_duration_s: f64,
@@ -32,7 +33,7 @@ pub struct Scale {
     /// them (the scenario extensions and the live fig7 runs). Off by
     /// default: traced jobs bypass the result cache (a cache hit would skip
     /// the run and write no trace), so this trades cache reuse for
-    /// diagnosability. Enable with `--trace` or `DMP_TRACE=1`.
+    /// diagnosability. Enable with `--trace`.
     pub trace: bool,
 }
 
@@ -52,7 +53,7 @@ impl Scale {
         }
     }
 
-    /// Quick mode for benches/smoke tests (seconds per figure).
+    /// Quick mode for smoke runs and tests (seconds per figure).
     pub fn quick() -> Self {
         Self {
             sim_duration_s: 300.0,

@@ -2,8 +2,9 @@
 //! function `(&Runner, &Scale) -> TargetReport`. [`execute`] runs one target
 //! on a shared [`Runner`], writes its structured JSON artifact (plus a
 //! volatile `.meta.json` telemetry sidecar) under `target/artifacts/`,
-//! prints the paper-shaped text, and returns the telemetry row that
-//! `repro_all` folds into its final summary table.
+//! prints the paper-shaped text, and returns the telemetry row that the
+//! `dmp-bench` binary folds into its final summary table. [`TARGETS`] is the
+//! one list of what can be run.
 
 use std::time::{Duration, Instant};
 
@@ -60,45 +61,45 @@ impl TargetReport {
 /// Signature shared by every reproduction target.
 pub type TargetFn = fn(&Runner, &Scale) -> TargetReport;
 
-/// All reproduction targets in paper order — the `repro_all` schedule.
-pub fn all_targets() -> Vec<(&'static str, TargetFn)> {
-    vec![
-        ("fig1", crate::fig1::fig1 as TargetFn),
-        ("table1", crate::tables::table1),
-        ("table2", crate::tables::table2),
-        ("table3", crate::tables::table3),
-        ("fig4", crate::validation::fig4),
-        ("fig5", crate::validation::fig5),
-        (
-            "correlated_validation",
-            crate::validation::correlated_validation,
-        ),
-        ("fig7", crate::live_fig::fig7),
-        ("fig8", crate::params::fig8),
-        ("fig9a", crate::params::fig9a),
-        ("fig9b", crate::params::fig9b),
-        ("fig10", crate::hetero::fig10),
-        ("fig11", crate::static_cmp::fig11),
-        ("fig_fluid", crate::fluid_fig::fig_fluid),
-        ("headline", crate::params::headline),
-    ]
-}
-
-/// Extension targets (beyond the paper); run by their own binaries only.
-pub fn extension_targets() -> Vec<(&'static str, TargetFn)> {
-    vec![
-        ("ext_kpaths", crate::extensions::ext_kpaths as TargetFn),
-        ("ext_stored", crate::extensions::ext_stored),
-        ("ext_ablations", crate::extensions::ext_ablations),
-        ("ext_failover", crate::scenarios::ext_failover),
-        ("ext_flashcrowd", crate::scenarios::ext_flashcrowd),
-        ("ext_fleet", crate::fleet::ext_fleet),
-        ("fleet_headroom", crate::fleet::fleet_headroom),
-        ("ext_cc_matrix", crate::cc_matrix::ext_cc_matrix),
-        ("capacity_planner", crate::planner::capacity_planner),
-        ("ext_planner_check", crate::planner::ext_planner_check),
-    ]
-}
+/// Every target `dmp-bench` can run, in schedule order: `(name, function,
+/// reproduces a table or figure of the paper)`. The name is the command-line
+/// word and the artifact file stem; `dmp-bench all` expands to the paper
+/// targets, in this (paper) order. Adding a target is adding a line here.
+pub const TARGETS: &[(&str, TargetFn, bool)] = &[
+    ("fig1", crate::fig1::fig1, true),
+    ("table1", crate::tables::table1, true),
+    ("table2", crate::tables::table2, true),
+    ("table3", crate::tables::table3, true),
+    ("fig4", crate::validation::fig4, true),
+    ("fig5", crate::validation::fig5, true),
+    (
+        "correlated_validation",
+        crate::validation::correlated_validation,
+        true,
+    ),
+    ("fig7", crate::live_fig::fig7, true),
+    ("fig8", crate::params::fig8, true),
+    ("fig9a", crate::params::fig9a, true),
+    ("fig9b", crate::params::fig9b, true),
+    ("fig10", crate::hetero::fig10, true),
+    ("fig11", crate::static_cmp::fig11, true),
+    ("fig_fluid", crate::fluid_fig::fig_fluid, true),
+    ("headline", crate::params::headline, true),
+    ("ext_kpaths", crate::extensions::ext_kpaths, false),
+    ("ext_stored", crate::extensions::ext_stored, false),
+    ("ext_ablations", crate::extensions::ext_ablations, false),
+    ("ext_failover", crate::scenarios::ext_failover, false),
+    ("ext_flashcrowd", crate::scenarios::ext_flashcrowd, false),
+    ("ext_fleet", crate::fleet::ext_fleet, false),
+    ("fleet_headroom", crate::fleet::fleet_headroom, false),
+    ("ext_cc_matrix", crate::cc_matrix::ext_cc_matrix, false),
+    ("capacity_planner", crate::planner::capacity_planner, false),
+    (
+        "ext_planner_check",
+        crate::planner::ext_planner_check,
+        false,
+    ),
+];
 
 /// Telemetry from executing one target: wall-clock plus the per-target delta
 /// of the shared runner's cumulative counters.
@@ -232,33 +233,10 @@ pub fn execute(
     TargetOutcome { name, wall, stats }
 }
 
-/// Entry point shared by the standalone binaries: run the named targets at
-/// the environment-selected scale with an environment-configured runner and
-/// artifact directory, and print a one-line telemetry footer per target.
-pub fn run_standalone(targets: &[(&'static str, TargetFn)]) {
-    let scale = crate::scale_from_env();
-    let runner = Runner::from_env();
-    let artifacts = ArtifactWriter::from_env();
-    for &(name, f) in targets {
-        let out = execute(name, &runner, &artifacts, &scale, f);
-        eprintln!(
-            "[{name}] wall {:.1}s  serial-equiv {:.1}s  jobs {}  cache {}/{}  failed {}  \
-             (artifacts: {})",
-            out.wall.as_secs_f64(),
-            out.stats.serial_equiv.as_secs_f64(),
-            out.stats.jobs,
-            out.stats.cache_hits,
-            out.stats.cache_hits + out.stats.cache_misses,
-            out.stats.failed,
-            artifacts.dir().display(),
-        );
-    }
-}
-
-/// Render the `repro_all` summary table from per-target outcomes.
+/// Render the summary table `dmp-bench` ends with from per-target outcomes.
 pub fn summary_table(outcomes: &[TargetOutcome], threads: usize, total_wall: Duration) -> String {
     let mut t = Table::new(
-        format!("repro_all summary ({threads} thread(s))"),
+        format!("dmp-bench summary ({threads} thread(s))"),
         &[
             "target",
             "wall (s)",
@@ -324,4 +302,44 @@ pub fn profile_meta() -> Json {
             ]),
         )
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::TARGETS;
+
+    #[test]
+    fn registry_names_are_unique_words_and_all_is_the_paper_in_order() {
+        for (i, (name, _, _)) in TARGETS.iter().enumerate() {
+            // A name is a command-line word and a file stem, and `all` is
+            // taken.
+            assert!(!name.is_empty() && *name != "all");
+            assert!(!name.contains('/') && !name.starts_with('-'), "{name}");
+            assert!(
+                TARGETS[..i].iter().all(|(earlier, _, _)| earlier != name),
+                "{name} is registered twice"
+            );
+        }
+        let paper: Vec<&str> = TARGETS.iter().filter(|t| t.2).map(|t| t.0).collect();
+        assert_eq!(
+            paper,
+            [
+                "fig1",
+                "table1",
+                "table2",
+                "table3",
+                "fig4",
+                "fig5",
+                "correlated_validation",
+                "fig7",
+                "fig8",
+                "fig9a",
+                "fig9b",
+                "fig10",
+                "fig11",
+                "fig_fluid",
+                "headline"
+            ]
+        );
+    }
 }

@@ -8,7 +8,7 @@
 //!   panicking job becomes a [`runner::CellValue::Failed`] cell; the sweep
 //!   completes).
 //! * [`cache::Cache`] is a content-addressed on-disk result cache keyed by
-//!   `hash(config repr, seed, code-version salt)`, so re-running `repro_all`
+//!   `hash(config repr, seed, code-version salt)`, so re-running `dmp-bench all`
 //!   recomputes only what changed and interrupted sweeps resume where they
 //!   stopped. Corrupt or stale entries are misses, never errors.
 //! * [`artifact::ArtifactWriter`] emits one structured JSON file per

@@ -254,7 +254,7 @@ pub fn run_shard(spec: &FleetSpec, shard: u32, trace: Option<(&Path, &str)>) -> 
         .collect();
 
     let events_processed = sim.events_processed();
-    let telemetry = EngineTelemetry::from(&sim.counters());
+    let telemetry = sim.counters();
 
     // Always-on metrics: netsim distributions plus frame metrics over every
     // session's trace and per-session outcome histograms (lateness in ppm,

@@ -101,32 +101,11 @@ pub struct FlowCounters {
     pub acks_dropped: u64,
 }
 
-/// Cheap engine-health counters a simulation accumulates while running.
-///
-/// These are merged into the process-wide [`crate::telemetry`] totals when
-/// the `Sim` is dropped, and surfaced in `dmp-runner` `.meta.json` sidecars.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimCounters {
-    /// Events dispatched (including stale timer pops).
-    pub events_processed: u64,
-    /// Packet transits delivered (one per packet per link traversed). With
-    /// coalesced delivery one event can carry several transits, so this is
-    /// the physical-throughput denominator; `events_processed` is the
-    /// scheduler-traffic one.
-    pub transits: u64,
-    /// Timer events popped after cancellation or supersession.
-    pub stale_timer_pops: u64,
-    /// Timer events re-queued because the deadline moved later.
-    pub deferred_timer_pushes: u64,
-    /// Peak near-wheel occupancy (total queue size for the heap engine).
-    pub wheel_hwm: u64,
-    /// Peak far-heap occupancy (0 for the heap engine).
-    pub far_hwm: u64,
-    /// Peak single-link ring occupancy (queued + on-the-wire packets).
-    pub ring_hwm: u64,
-    /// Packets dropped by per-link Bernoulli random loss (fault injection).
-    pub random_loss_drops: u64,
-}
+/// Cheap engine-health counters a simulation accumulates while running:
+/// the same eight fields as the process-wide [`crate::telemetry`] totals
+/// they are merged into when the `Sim` is dropped, so one reading can be
+/// `absorb`ed and `delta`ed with another (a fleet's per-shard breakdown).
+pub type SimCounters = crate::telemetry::EngineTelemetry;
 
 #[derive(Debug, Clone, Copy)]
 enum AppCall {

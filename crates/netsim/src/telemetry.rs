@@ -18,8 +18,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::sim::SimCounters;
-
 static EVENTS_PROCESSED: AtomicU64 = AtomicU64::new(0);
 static TRANSITS: AtomicU64 = AtomicU64::new(0);
 static STALE_TIMER_POPS: AtomicU64 = AtomicU64::new(0);
@@ -29,10 +27,12 @@ static FAR_HWM: AtomicU64 = AtomicU64::new(0);
 static RING_HWM: AtomicU64 = AtomicU64::new(0);
 static RANDOM_LOSS_DROPS: AtomicU64 = AtomicU64::new(0);
 
-/// A point-in-time reading of the process-wide engine counters.
+/// A reading of the engine counters: of one simulation
+/// ([`crate::sim::Sim::counters`]) or, from [`snapshot`], of the process-wide
+/// totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineTelemetry {
-    /// Total events dispatched across all simulations.
+    /// Events dispatched (including stale timer pops).
     pub events_processed: u64,
     /// Packet transits delivered (one per packet per link traversed).
     /// Coalesced delivery means transits exceed events on transit-heavy
@@ -44,9 +44,11 @@ pub struct EngineTelemetry {
     /// Timer events re-queued because the deadline moved later (lazy
     /// deferral instead of one event per timer restart).
     pub deferred_timer_pushes: u64,
-    /// Peak near-wheel occupancy of any single simulation.
+    /// Peak near-wheel occupancy of any single simulation (total queue size
+    /// for the heap engine).
     pub wheel_hwm: u64,
-    /// Peak far-heap occupancy of any single simulation.
+    /// Peak far-heap occupancy of any single simulation (0 for the heap
+    /// engine).
     pub far_hwm: u64,
     /// Peak single-link ring occupancy (queued + on-the-wire packets) of any
     /// single simulation — successor of the retired global packet-slab HWM.
@@ -98,27 +100,9 @@ impl EngineTelemetry {
     }
 }
 
-impl From<&SimCounters> for EngineTelemetry {
-    /// Lift one simulation's counters into the telemetry shape, so per-shard
-    /// readings can be [`EngineTelemetry::absorb`]ed and `delta`ed with the
-    /// same arithmetic as the process-wide totals.
-    fn from(c: &SimCounters) -> Self {
-        EngineTelemetry {
-            events_processed: c.events_processed,
-            transits: c.transits,
-            stale_timer_pops: c.stale_timer_pops,
-            deferred_timer_pushes: c.deferred_timer_pushes,
-            wheel_hwm: c.wheel_hwm,
-            far_hwm: c.far_hwm,
-            ring_hwm: c.ring_hwm,
-            random_loss_drops: c.random_loss_drops,
-        }
-    }
-}
-
 /// Fold one simulation's counters into the process-wide totals. Called from
 /// `Sim`'s `Drop`.
-pub(crate) fn merge(c: &SimCounters) {
+pub(crate) fn merge(c: &EngineTelemetry) {
     EVENTS_PROCESSED.fetch_add(c.events_processed, Ordering::Relaxed);
     TRANSITS.fetch_add(c.transits, Ordering::Relaxed);
     STALE_TIMER_POPS.fetch_add(c.stale_timer_pops, Ordering::Relaxed);
@@ -315,29 +299,6 @@ mod tests {
         assert_eq!(total.wheel_hwm, 40, "peaks take the max across shards");
         assert_eq!(total.far_hwm, 9);
         assert_eq!(total.ring_hwm, 30);
-    }
-
-    #[test]
-    fn sim_counters_lift_preserves_every_field() {
-        let c = SimCounters {
-            events_processed: 7,
-            transits: 8,
-            stale_timer_pops: 1,
-            deferred_timer_pushes: 2,
-            wheel_hwm: 3,
-            far_hwm: 4,
-            ring_hwm: 5,
-            random_loss_drops: 6,
-        };
-        let t = EngineTelemetry::from(&c);
-        assert_eq!(t.events_processed, 7);
-        assert_eq!(t.transits, 8);
-        assert_eq!(t.stale_timer_pops, 1);
-        assert_eq!(t.deferred_timer_pushes, 2);
-        assert_eq!(t.wheel_hwm, 3);
-        assert_eq!(t.far_hwm, 4);
-        assert_eq!(t.ring_hwm, 5);
-        assert_eq!(t.random_loss_drops, 6);
     }
 
     #[test]

@@ -47,23 +47,13 @@ pub use report::Trace;
 use std::path::PathBuf;
 
 /// Default directory trace files are written into: `DMP_TRACE_DIR` if set,
-/// else `traces/` under the artifact directory (`DMP_ARTIFACT_DIR`, default
-/// `target/artifacts` respecting `CARGO_TARGET_DIR`) — mirroring
-/// `dmp-runner`'s `ArtifactWriter::from_env` so traces land next to the
-/// artifacts they explain.
+/// else `traces/` under `dmp-runner`'s `ArtifactWriter::from_env` directory,
+/// so traces land next to the artifacts they explain.
 pub fn default_trace_dir() -> PathBuf {
-    if let Some(d) = std::env::var_os("DMP_TRACE_DIR") {
-        return PathBuf::from(d);
+    match std::env::var_os("DMP_TRACE_DIR") {
+        Some(d) => PathBuf::from(d),
+        None => dmp_runner::ArtifactWriter::from_env().dir().join("traces"),
     }
-    std::env::var_os("DMP_ARTIFACT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            std::env::var_os("CARGO_TARGET_DIR")
-                .map(PathBuf::from)
-                .unwrap_or_else(|| PathBuf::from("target"))
-                .join("artifacts")
-        })
-        .join("traces")
 }
 
 /// Sanitise a run label into a file stem: every character outside

@@ -52,7 +52,9 @@ fn bucket_index(v: u64) -> usize {
     }
 }
 
-/// `[lo, hi)` value range of bucket `i` (inverse of [`bucket_index`]).
+/// `[lo, hi)` value range of bucket `i` (inverse of [`bucket_index`]). The
+/// top bucket would end at 2^64: its `hi` saturates at `u64::MAX`, which it
+/// includes.
 fn bucket_bounds(i: usize) -> (u64, u64) {
     if i < SUB as usize {
         (i as u64, i as u64 + 1)
@@ -61,7 +63,7 @@ fn bucket_bounds(i: usize) -> (u64, u64) {
         let shift = (j / SUB as usize) as u32;
         let sub = (j % SUB as usize) as u64;
         let lo = (SUB + sub) << shift;
-        (lo, lo + (1u64 << shift))
+        (lo, lo.saturating_add(1u64 << shift))
     }
 }
 
@@ -443,16 +445,27 @@ mod tests {
             assert!(i < BUCKETS, "index {i} out of range for {v}");
             let (lo, hi) = bucket_bounds(i);
             assert!(lo <= v, "lo {lo} > v {v}");
-            assert!(v - lo < hi - lo, "v {v} outside [{lo}, {hi})");
+            assert!(v < hi || hi == u64::MAX, "v {v} outside [{lo}, {hi})");
         }
         // Bucket bounds tile the value space in index order.
         let mut prev_hi = 0u64;
         for i in 0..BUCKETS {
             let (lo, hi) = bucket_bounds(i);
             assert_eq!(lo, prev_hi, "gap before bucket {i}");
-            assert!(hi > lo || i == BUCKETS - 1);
+            assert!(hi > lo, "bucket {i} is empty");
             prev_hi = hi;
         }
+        assert_eq!(prev_hi, u64::MAX, "the buckets cover all of u64");
+    }
+
+    #[test]
+    fn the_largest_sample_renders_in_every_profile() {
+        let mut h = Histogram::new();
+        h.record(u64::MAX);
+        let max = u64::MAX as f64;
+        let d = h.distribution();
+        assert_eq!((d.p50, d.p99, d.max), (max, max, max));
+        assert_eq!(h.to_json().get("p50").and_then(Json::as_f64), Some(max));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! for single-path, static multipath, and DMP streaming.
 //!
 //! This is the interactive face of the `capacity_planner` reproduction
-//! target (`cargo run --release -p dmp-bench --bin capacity_planner`), which
+//! target (`cargo run --release -p dmp-bench -- capacity_planner`), which
 //! renders the same cells as dense cached heatmaps. Here each cell is a
 //! [`MuCellSpec`] evaluated in-process via the library's `max_mu` bisection.
 //!

@@ -12,9 +12,8 @@
 //! | [`dmp_sim`] | the paper's Section 5 simulation experiments (Tables 1–3, Figs 4–5) |
 //! | [`dmp_live`] | DMP-streaming over real tokio TCP sockets + path emulator (Fig 7) |
 //!
-//! The reproduction binaries live in the `dmp-bench` crate: one target per
-//! table and figure (`cargo run --release -p dmp-bench --bin fig8`, …,
-//! `repro_all`).
+//! The reproduction harness is the `dmp-bench` crate: one named target per
+//! table and figure (`cargo run --release -p dmp-bench -- fig8`, …, `all`).
 //!
 //! ## Thirty-second tour
 //!
