@@ -1,6 +1,7 @@
 //! Model-plane performance benchmark: the CSR stationary solver with
 //! warm-started τ-grid sweeps, the parallel chunked "fast plane" those
-//! sweeps compose into, and the batched capacity-planner cells.
+//! sweeps compose into, the batched capacity-planner cells, and the SSA
+//! event kernel on a Fig. 8 column.
 //!
 //! Modes (args after `--` reach this binary):
 //!
@@ -12,13 +13,15 @@
 //!   1-vs-8 runner threads and across a cold-vs-warm cache (CI gate;
 //!   seconds).
 //! * `--baseline <BENCH_model.json>` (combinable with `--quick-smoke`) —
-//!   re-measure the fast-plane rate and fail (exit 1) on a collapse below
-//!   half the recorded baseline. Loose on purpose: CI boxes are slower than
-//!   the one that wrote the baseline; the gate catches order-of-magnitude
-//!   regressions, not percent-level drift.
+//!   re-measure the fast-plane rate and the SSA consumption rate and fail
+//!   (exit 1) when either collapses below half the recorded baseline. Loose
+//!   on purpose: CI boxes are slower than the one that wrote the baseline;
+//!   the gate catches order-of-magnitude regressions, not percent-level
+//!   drift.
 //! * `--json <path>` — measure the full grid (per-point cold reference vs
 //!   cold CSR vs warm CSR vs the parallel plane, iteration counts, planner
-//!   cells/sec) and write the `BENCH_model.json` perf-trajectory artifact.
+//!   cells/sec, SSA ns per consumption) and write the `BENCH_model.json`
+//!   perf-trajectory artifact.
 //!
 //! Paths are resolved via [`dmp_bench::repo_path`], so `BENCH_model.json`
 //! reads/writes the workspace root regardless of cargo's bench CWD.
@@ -32,7 +35,7 @@ use dmp_runner::test_util::TempDir;
 use dmp_runner::{Cache, Json, JsonCodec, Runner};
 use tcp_model::exact::exact_tau_sweep;
 use tcp_model::solver::solve_stationary_reference;
-use tcp_model::{ExactDmp, ExactLateFraction, SolveOptions, TcpChain};
+use tcp_model::{calibrate, DmpModel, ExactDmp, ExactLateFraction, SolveOptions, TcpChain};
 
 /// The grid's single-flow instance: lossy 200 ms path, small window so the
 /// joint (chain, buffer) space stays in exact-solver territory.
@@ -178,6 +181,69 @@ fn measure_grid(points: usize) -> GridMeasure {
     }
 }
 
+/// The SSA column: Fig. 8's `σ_a/µ = 1.6` curve — two homogeneous paths,
+/// `p = 0.02`, `T_O = 4`, `µ = 25` pkt/s, τ = 2, 4, … 30 s.
+const SSA_LOSS: f64 = 0.02;
+const SSA_TO_RATIO: f64 = 4.0;
+const SSA_MU: f64 = 25.0;
+const SSA_RATIO: f64 = 1.6;
+const SSA_TAU_POINTS: u64 = 15;
+/// Timed passes over the column; the best one is reported.
+const SSA_PASSES: usize = 3;
+
+struct SsaMeasure {
+    /// Counted (post-warm-up) consumption events per pass.
+    consumptions: u64,
+    /// Wall nanoseconds per counted consumption, best pass.
+    ns_per_consumption: f64,
+    /// (worst − best) / best over the passes.
+    spread: f64,
+}
+
+/// One pass over the SSA column at `per_cell` consumptions per τ point:
+/// (counted consumptions, wall seconds).
+fn ssa_column(per_cell: u64) -> (u64, f64) {
+    let rtt = calibrate::rtt_for_ratio(
+        SSA_LOSS,
+        SSA_TO_RATIO,
+        DmpModel::DEFAULT_WMAX,
+        2,
+        SSA_MU,
+        SSA_RATIO,
+    );
+    let paths = vec![
+        PathSpec {
+            loss: SSA_LOSS,
+            rtt_s: rtt,
+            to_ratio: SSA_TO_RATIO,
+        };
+        2
+    ];
+    let mut consumptions = 0u64;
+    let t0 = Instant::now();
+    for i in 1..=SSA_TAU_POINTS {
+        let model = DmpModel::new(paths.clone(), SSA_MU, 2.0 * i as f64);
+        let est = std::hint::black_box(model.late_fraction(per_cell, i));
+        consumptions += est.consumptions;
+    }
+    (consumptions, t0.elapsed().as_secs_f64())
+}
+
+/// Warm-up pass (fills the calibration cache), then best of
+/// [`SSA_PASSES`] timed passes.
+fn measure_ssa(per_cell: u64) -> SsaMeasure {
+    let _ = ssa_column(per_cell / 10);
+    let passes: Vec<(u64, f64)> = (0..SSA_PASSES).map(|_| ssa_column(per_cell)).collect();
+    let ns = |&(c, s): &(u64, f64)| s * 1e9 / c as f64;
+    let best = passes.iter().map(ns).fold(f64::INFINITY, f64::min);
+    let worst = passes.iter().map(ns).fold(0.0, f64::max);
+    SsaMeasure {
+        consumptions: passes[0].0,
+        ns_per_consumption: best,
+        spread: (worst - best) / best,
+    }
+}
+
 /// Render the quick heatmap target on `threads` workers with the given
 /// cache: (artifact bytes, metrics bytes).
 fn render_heatmap(threads: usize, cache: Cache) -> (String, String) {
@@ -237,6 +303,17 @@ fn quick_smoke() {
 /// `--json <path>`: measure the full grid + planner cells and write the
 /// perf-trajectory artifact.
 fn write_json(path: &str) {
+    // The single-threaded SSA column first, before the 8-thread plane heats
+    // the box.
+    let ssa = measure_ssa(400_000);
+    println!(
+        "ssa: {} consumptions per pass, best of {SSA_PASSES}: {:.1} ns/consumption \
+         ({:.2e} consumptions/s), spread {:.1}%",
+        ssa.consumptions,
+        ssa.ns_per_consumption,
+        1e9 / ssa.ns_per_consumption,
+        100.0 * ssa.spread
+    );
     // Warm-up pass (page in code, fill the calibration cache), then timed.
     let _ = measure_grid(4);
     let g = measure_grid(32);
@@ -331,6 +408,27 @@ fn write_json(path: &str) {
                 ("threads", Json::Num(1.0)),
             ]),
         ),
+        (
+            "ssa",
+            Json::obj([
+                ("paths", Json::Num(2.0)),
+                ("loss", Json::Num(SSA_LOSS)),
+                ("to_ratio", Json::Num(SSA_TO_RATIO)),
+                ("sigma_a_over_mu", Json::Num(SSA_RATIO)),
+                ("tau_points", Json::Num(SSA_TAU_POINTS as f64)),
+                ("consumptions", Json::Num(ssa.consumptions as f64)),
+                ("passes", Json::Num(SSA_PASSES as f64)),
+                (
+                    "ns_per_consumption",
+                    Json::Num(round2(ssa.ns_per_consumption)),
+                ),
+                (
+                    "consumptions_per_s",
+                    Json::Num((1e9 / ssa.ns_per_consumption).round()),
+                ),
+                ("spread", Json::Num((ssa.spread * 1e4).round() / 1e4)),
+            ]),
+        ),
     ]);
     let path = dmp_bench::repo_path(path);
     std::fs::write(&path, json.render_pretty()).expect("write BENCH json");
@@ -338,7 +436,8 @@ fn write_json(path: &str) {
 }
 
 /// `--baseline <path>`: re-measure the fast-plane rate on a mid-size grid
-/// and compare against the recorded `BENCH_model.json` floor (baseline / 2).
+/// and the SSA consumption rate on a short column, and compare each against
+/// the recorded `BENCH_model.json` floor (baseline / 2).
 fn compare_baseline(path: &str) -> Result<(), String> {
     const TOLERANCE: f64 = 2.0;
     let resolved = dmp_bench::repo_path(path);
@@ -346,11 +445,27 @@ fn compare_baseline(path: &str) -> Result<(), String> {
         .map_err(|e| format!("cannot read baseline {}: {e}", resolved.display()))?;
     let doc = dmp_runner::json::parse(&text)
         .ok_or_else(|| format!("baseline {path} is not valid JSON"))?;
-    let baseline_rate = doc
-        .get("plane")
-        .and_then(|t| t.get("points_per_s"))
-        .and_then(|v| v.as_f64())
-        .ok_or_else(|| format!("baseline {path} has no plane/points_per_s"))?;
+    let recorded = |block: &str, field: &str| {
+        doc.get(block)
+            .and_then(|t| t.get(field))
+            .and_then(|v| v.as_f64())
+            .ok_or_else(|| format!("baseline {path} has no {block}/{field}"))
+    };
+    let check = |what: &str, unit: &str, rate: f64, baseline_rate: f64| {
+        let floor = baseline_rate / TOLERANCE;
+        if rate < floor {
+            Err(format!(
+                "{what} collapse vs {path}: {rate:.2} {unit} < {floor:.2} \
+                 ({baseline_rate:.2} / {TOLERANCE})"
+            ))
+        } else {
+            println!(
+                "baseline OK: {what} {rate:.2} {unit} vs recorded {baseline_rate:.2} \
+                 (floor {floor:.2})"
+            );
+            Ok(())
+        }
+    };
     // Warm-up, then the timed pass (rates, so grid sizes need not match).
     let mu = mu();
     let _ = plane_sweep(mu, &tau_grid(4), PLANE_THREADS);
@@ -358,19 +473,19 @@ fn compare_baseline(path: &str) -> Result<(), String> {
     let t0 = Instant::now();
     let _ = plane_sweep(mu, &taus, PLANE_THREADS);
     let rate = taus.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-    let floor = baseline_rate / TOLERANCE;
-    if rate < floor {
-        Err(format!(
-            "model solver collapse vs {path}: {rate:.2} plane grid points/s < {floor:.2} \
-             ({baseline_rate:.2} / {TOLERANCE})"
-        ))
-    } else {
-        println!(
-            "baseline OK: fast plane {rate:.2} points/s vs recorded {baseline_rate:.2} \
-             (floor {floor:.2})"
-        );
-        Ok(())
-    }
+    check(
+        "fast plane",
+        "points/s",
+        rate,
+        recorded("plane", "points_per_s")?,
+    )?;
+    let ssa = measure_ssa(100_000);
+    check(
+        "SSA kernel",
+        "consumptions/s",
+        1e9 / ssa.ns_per_consumption,
+        recorded("ssa", "consumptions_per_s")?,
+    )
 }
 
 fn main() {

@@ -21,8 +21,9 @@ use rand::SeedableRng;
 
 use crate::chain::TcpChain;
 
-/// Rounds simulated per calibration measurement (≈0.1% relative error).
-const CALIBRATION_ROUNDS: u64 = 1_500_000;
+/// Stage transitions simulated per calibration measurement — four per
+/// round, so 375 000 rounds (≈0.1% relative error).
+const CALIBRATION_TRANSITIONS: u64 = 1_500_000;
 
 /// Cache key: bit patterns of (loss, T_O) plus the window cap.
 type CalKey = (u64, u64, u32);
@@ -46,7 +47,7 @@ pub fn chain_per_round_throughput(loss: f64, to_ratio: f64, wmax: u32) -> f64 {
         to_ratio,
     };
     let mut rng = SmallRng::seed_from_u64(0xca11b8a7e);
-    let sigma_r = TcpChain::achievable_throughput(spec, wmax, CALIBRATION_ROUNDS, &mut rng);
+    let sigma_r = TcpChain::achievable_throughput(spec, wmax, CALIBRATION_TRANSITIONS, &mut rng);
     cache()
         .lock()
         .expect("calibration cache")

@@ -48,12 +48,6 @@ pub enum Phase {
     SlowStart,
     /// Linear growth: +1 segment every two rounds (toggle `C`).
     CongAvoid,
-    /// One Reno recovery round after a triple-duplicate-ACK detection;
-    /// `lost` packets are retransmitted during it.
-    Recovery {
-        /// Packets lost in the previous round (`L`), delivered by recovery.
-        lost: u32,
-    },
     /// Timeout with current backoff exponent `exp` (`E = exp + 1` in the
     /// paper's encoding; wait time `2^exp · T_O · R`).
     Timeout {
@@ -105,6 +99,22 @@ pub struct TcpChain {
     /// Precomputed `(1-p)^w` for w = 0..=wmax.
     no_loss_prob: Vec<f64>,
     ln_1mp: f64,
+    /// Stage-transition rate per phase, indexed by [`phase_slot`]: the
+    /// sending phases' `k/R`, then `k/(2^e·T_O·R)` for `e = 0..=6`.
+    rates: [f64; PHASE_SLOTS],
+}
+
+/// Slots of the per-phase tables: one for the sending phases plus one per
+/// backoff exponent.
+const PHASE_SLOTS: usize = 2 + TcpChain::MAX_BACKOFF_EXP as usize;
+
+/// Index of `phase` in the per-phase tables.
+#[inline]
+fn phase_slot(phase: Phase) -> usize {
+    match phase {
+        Phase::SlowStart | Phase::CongAvoid => 0,
+        Phase::Timeout { exp } => 1 + usize::from(exp),
+    }
 }
 
 impl TcpChain {
@@ -122,6 +132,23 @@ impl TcpChain {
         let no_loss_prob = (0..=wmax)
             .map(|w| (1.0 - path.loss).powi(w as i32))
             .collect();
+        let k = f64::from(Self::STAGES);
+        let timeout = |exp: u8| k / (f64::from(1u32 << exp) * path.rto_s());
+        // In `phase_slot` order. Spelled out rather than looped so that for
+        // a compile-time-constant path the table folds away and `new` stays
+        // inlinable: `powi` above rounds differently when the compiler
+        // evaluates it than at run time, and the exact solver's iteration
+        // counts in the benchmark ledger are pinned to the folded values.
+        let rates = [
+            k / path.rtt_s,
+            timeout(0),
+            timeout(1),
+            timeout(2),
+            timeout(3),
+            timeout(4),
+            timeout(5),
+            timeout(6),
+        ];
         Self {
             path,
             wmax,
@@ -134,6 +161,7 @@ impl TcpChain {
             },
             no_loss_prob,
             ln_1mp: (1.0 - path.loss).ln(),
+            rates,
         }
     }
 
@@ -164,12 +192,11 @@ impl TcpChain {
     /// Rate (events per second) at which this chain currently makes stage
     /// transitions: `k/R` in normal phases, `k/(2^e·T_O·R)` in timeout, so a
     /// full round (k stages) has mean duration `R` (resp. the backoff time).
+    /// A lookup in the per-phase table built by [`TcpChain::new`]: the rate
+    /// changes only with the phase, never with the stage.
+    #[inline]
     pub fn rate(&self) -> f64 {
-        let k = f64::from(Self::STAGES);
-        match self.state.phase {
-            Phase::Timeout { exp } => k / (f64::from(1u32 << exp) * self.path.rto_s()),
-            _ => k / self.path.rtt_s,
-        }
+        self.rates[phase_slot(self.state.phase)]
     }
 
     /// Number of successes before the first loss in a round of `w` packets:
@@ -192,13 +219,39 @@ impl TcpChain {
     /// Execute one transition of the chain (the caller has already waited
     /// `Exp(1/rate)`); returns the number of packets delivered. The first
     /// `k − 1` stage transitions of a round deliver nothing; the round's
-    /// outcome materialises on the last stage.
+    /// outcome materialises on the last stage. This is `advance_stage`
+    /// followed, when it fires, by `complete_round` — the two halves the SSA
+    /// kernel in [`crate::dmp`] calls separately so that only the second
+    /// sits behind a branch.
     pub fn step(&mut self, rng: &mut impl Rng) -> Transition {
-        if self.state.stage + 1 < Self::STAGES {
-            self.state.stage += 1;
-            return Transition { delivered: 0 };
+        if self.advance_stage(true) {
+            self.complete_round(rng)
+        } else {
+            Transition { delivered: 0 }
         }
-        self.state.stage = 0;
+    }
+
+    /// Move one Erlang stage forward when `go` is set and report whether
+    /// that completed the round (the stage counter has wrapped to 0 and the
+    /// caller owes a [`TcpChain::complete_round`]). With `go` unset nothing
+    /// changes and the answer is `false`. Written as arithmetic on the flag,
+    /// not control flow: the SSA kernel calls it on every event — with
+    /// `go = false` for a consumption — and which of the four stages a chain
+    /// is in is a coin flip no branch predictor learns.
+    #[inline]
+    pub(crate) fn advance_stage(&mut self, go: bool) -> bool {
+        let stage = self.state.stage + u8::from(go);
+        let fire = stage == Self::STAGES;
+        self.state.stage = if fire { 0 } else { stage };
+        fire
+    }
+
+    /// Draw the outcome of the round whose last stage just completed
+    /// ([`TcpChain::advance_stage`] returned `true`): the packets delivered,
+    /// and the window/phase the next round starts from. The only part of a
+    /// chain transition that consumes random numbers.
+    pub(crate) fn complete_round(&mut self, rng: &mut impl Rng) -> Transition {
+        debug_assert_eq!(self.state.stage, 0, "round completes on a stage wrap");
         let s = self.state;
         match s.phase {
             Phase::SlowStart | Phase::CongAvoid => {
@@ -209,13 +262,6 @@ impl TcpChain {
                     self.on_lossy_round(succ);
                 }
                 Transition { delivered: succ }
-            }
-            Phase::Recovery { lost } => {
-                // Legacy state kept for exact-solver compatibility; the live
-                // chain no longer enters it (triple-dup-ack detection halves
-                // the window without a dead round, as in Padhye et al.).
-                self.state.phase = Phase::CongAvoid;
-                Transition { delivered: lost }
             }
             Phase::Timeout { exp } => {
                 if rng.gen_range(0.0..1.0) < self.path.loss {
@@ -269,16 +315,6 @@ impl TcpChain {
                     v.push((lossy.state, (1.0 - p).powi(g as i32) * p, g));
                 }
                 v
-            }
-            Phase::Recovery { lost } => {
-                vec![(
-                    TcpChainState {
-                        phase: Phase::CongAvoid,
-                        ..base
-                    },
-                    1.0,
-                    lost,
-                )]
             }
             Phase::Timeout { exp } => {
                 let fail = TcpChainState {
@@ -351,13 +387,14 @@ impl TcpChain {
     }
 
     /// Empirical achievable throughput of a **backlogged** source driving
-    /// this chain, in packets per second, estimated over `rounds` transitions
-    /// (the paper's `σ_k`). Scales as `σR/R`, so callers can cache per-round
+    /// this chain, in packets per second, estimated over `transitions` stage
+    /// transitions — [`TcpChain::STAGES`] of them make one round (the
+    /// paper's `σ_k`). Scales as `σR/R`, so callers can cache per-round
     /// values.
     pub fn achievable_throughput(
         path: PathSpec,
         wmax: u32,
-        rounds: u64,
+        transitions: u64,
         rng: &mut impl Rng,
     ) -> f64 {
         let mut chain = TcpChain::new(path, wmax);
@@ -365,13 +402,17 @@ impl TcpChain {
         for _ in 0..1_000 {
             chain.step(rng);
         }
+        // Mean holding time per phase, `1/rate` of the same table entries
+        // the SSA reads (so the sum below adds the same terms in the same
+        // order as dividing per transition would).
+        let hold = chain.rates.map(|r| 1.0 / r);
         let mut time = 0.0;
         let mut delivered: u64 = 0;
-        for _ in 0..rounds {
+        for _ in 0..transitions {
             // Mean holding time suffices for a throughput estimate (the
             // holding times are exponential with this mean and independent
             // of the outcome draw).
-            time += 1.0 / chain.rate();
+            time += hold[phase_slot(chain.state.phase)];
             delivered += u64::from(chain.step(rng).delivered);
         }
         delivered as f64 / time
@@ -636,10 +677,8 @@ mod tests {
             let t = round(&mut c, &mut rng);
             match phase {
                 Phase::SlowStart | Phase::CongAvoid => assert!(t.delivered <= w_before),
-                Phase::Recovery { lost } => assert_eq!(t.delivered, lost),
                 Phase::Timeout { .. } => assert!(t.delivered <= 1),
             }
-            assert!(!matches!(c.state().phase, Phase::Recovery { .. }));
             assert!(c.state().w >= 1 && c.state().w <= 24);
         }
     }

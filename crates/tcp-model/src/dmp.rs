@@ -99,23 +99,78 @@ impl LateFracEstimate {
 /// The stochastic simulation (Gillespie) of the joint chain. Exposed so the
 /// startup-delay search can run it incrementally.
 ///
-/// The event loop is zero-allocation: the per-chain transition rates are
-/// cached in a flat buffer (recomputed only for the chain that just moved),
-/// and [`DmpSsa::reset`] rewinds an existing workspace to the fresh-build
-/// state so batched sweeps (µ bisections, τ searches) reuse one allocation
-/// for every cell. The cached rates are summed in the same order the chains
-/// would be polled, so trajectories are byte-identical to the historical
-/// recompute-per-event loop.
+/// One event kernel serves [`DmpSsa::run`] and [`DmpSsa::step`]. It costs one
+/// RNG draw, a handful of selects and a single data-dependent branch: which
+/// event a draw picks is computed as flags, not control flow —
+/// `cons = pick < µ`, the chain index by `select_chain`, `N -= cons`,
+/// `late = cons ∧ N < 0`, the chain's Erlang stage advanced by `!cons` — so
+/// the consumption-vs-production coin flip, the which-chain flip and the
+/// one-in-four stage wrap never reach the branch predictor. The branch left
+/// is "a round just completed" (about one event in seven), behind which sit
+/// the outcome draw, the window update and the rate bookkeeping.
+///
+/// No division happens per event either: each chain reads its rate from a
+/// per-phase table, `rates[k]` mirrors it, and `total = µ + r₀ + r₁ + …` is
+/// cached and re-summed only when a completed round moved a chain between
+/// phases. Two orders are load-bearing, because `pick` is drawn on
+/// `[0, total)` and floating-point addition is not associative: `total` is
+/// summed left to right starting from µ, and `select_chain` subtracts the
+/// rates from `pick` one at a time in chain order instead of comparing
+/// against prefix sums. Either changed, a draw near a boundary lands on
+/// another event and every later draw follows it — and the results stored
+/// under `model-late/v1`, `tcp-model-tau/v2` and `tcp-model-mu/v1` were
+/// computed in exactly this order (`tests/ssa_golden.rs` holds recorded
+/// trajectories).
+///
+/// The loop allocates nothing, and [`DmpSsa::reset`] rewinds an existing
+/// workspace to the fresh-build state so batched sweeps (µ bisections, τ
+/// searches) reuse one allocation for every cell.
 pub struct DmpSsa {
     chains: Vec<TcpChain>,
     mu: f64,
     nmax: i64,
     n: i64,
     rng: SmallRng,
-    /// `rates[k]` = `chains[k].rate()`, maintained across steps.
+    /// `rates[k]` = `chains[k].rate()`, maintained across events.
     rates: Vec<f64>,
+    /// `unfrozen_total(mu, &rates)`: the total event rate while the buffer is
+    /// below its cap.
+    total: f64,
     /// Packets produced per path (to report DMP's dynamic split).
     pub produced: Vec<u64>,
+}
+
+/// What one event of the joint chain was.
+struct Event {
+    /// A consumption (otherwise a chain's stage transition).
+    cons: bool,
+    /// A consumption that found the buffer empty.
+    late: bool,
+}
+
+/// Total event rate with no chain frozen: µ plus the chain rates, added left
+/// to right (the order is part of the trajectory — see [`DmpSsa`]).
+fn unfrozen_total(mu: f64, rates: &[f64]) -> f64 {
+    rates.iter().fold(mu, |total, &r| total + r)
+}
+
+/// The chain a production draw lands on: with `p` uniform on `[0, Σ rates)`,
+/// the first `k` with `p < rates[k]` after subtracting the rates before it,
+/// one at a time — the last chain when rounding leaves `p ≥ Σ rates`.
+/// Equivalent to `for k { if p < rates[k] { return k }; p -= rates[k] }`,
+/// but as a count of leading misses, so no branch depends on the draw. Any
+/// `p` (a consumption passes a negative one) yields an in-range index.
+#[inline]
+fn select_chain(mut p: f64, rates: &[f64]) -> usize {
+    let (_, head) = rates.split_last().expect("a model has at least one path");
+    let mut k = 0;
+    let mut missed_all = true;
+    for &r in head {
+        missed_all &= p >= r;
+        k += usize::from(missed_all);
+        p -= r;
+    }
+    k
 }
 
 impl DmpSsa {
@@ -127,13 +182,14 @@ impl DmpSsa {
             .iter()
             .map(|&p| TcpChain::new(p, model.wmax))
             .collect();
-        let rates = chains.iter().map(TcpChain::rate).collect();
+        let rates: Vec<f64> = chains.iter().map(TcpChain::rate).collect();
         Self {
             chains,
             mu: model.mu,
             nmax: model.nmax(),
             n: 0,
             rng: SmallRng::seed_from_u64(seed),
+            total: unfrozen_total(model.mu, &rates),
             rates,
             produced: vec![0; model.paths.len()],
         }
@@ -167,6 +223,7 @@ impl DmpSsa {
         self.rng = SmallRng::seed_from_u64(seed);
         self.rates.clear();
         self.rates.extend(self.chains.iter().map(TcpChain::rate));
+        self.total = unfrozen_total(self.mu, &self.rates);
         self.produced.clear();
         self.produced.resize(self.chains.len(), 0);
     }
@@ -180,43 +237,41 @@ impl DmpSsa {
     /// (`late` = it found an empty buffer), `None` for a production event.
     #[inline]
     pub fn step(&mut self) -> Option<bool> {
-        // Competing exponentials: consumption at µ always; chain k at its
-        // current rate unless the buffer is full (live-streaming freeze).
+        let e = self.event();
+        e.cons.then_some(e.late)
+    }
+
+    /// The event kernel (see the type's docs for why it is written in
+    /// flags). Competing exponentials: consumption at µ always; chain `k` at
+    /// its current rate unless the buffer is full (live-streaming freeze).
+    /// The holding time `Exp(total)` is not needed for the embedded
+    /// statistics: consumptions sample the stationary law by PASTA.
+    #[inline(always)]
+    fn event(&mut self) -> Event {
         let frozen = self.n >= self.nmax;
-        let mut total = self.mu;
-        if !frozen {
-            for &r in &self.rates {
-                total += r;
+        let total = if frozen { self.mu } else { self.total };
+        let pick = self.rng.gen_range(0.0..total);
+        let cons = pick < self.mu;
+        debug_assert!(cons || !frozen, "production selected while N = N_max");
+        // For a consumption `k` is some valid index and the chain is left
+        // untouched (`advance_stage(false)`).
+        let k = select_chain(pick - self.mu, &self.rates);
+        if self.chains[k].advance_stage(!cons) {
+            let t = self.chains[k].complete_round(&mut self.rng);
+            let rate = self.chains[k].rate();
+            if rate != self.rates[k] {
+                self.rates[k] = rate;
+                self.total = unfrozen_total(self.mu, &self.rates);
             }
+            self.produced[k] += u64::from(t.delivered);
+            self.n = (self.n + i64::from(t.delivered)).min(self.nmax);
         }
-        // (Holding time is Exp(total) but is not needed for the embedded
-        // statistics: consumptions sample the stationary law by PASTA.)
-        let mut pick = self.rng.gen_range(0.0..total);
-        if pick < self.mu {
-            self.n -= 1;
-            return Some(self.n < 0);
+        self.n -= i64::from(cons);
+        debug_assert!(self.n <= self.nmax, "N above N_max after an event");
+        Event {
+            cons,
+            late: cons & (self.n < 0),
         }
-        pick -= self.mu;
-        debug_assert!(!frozen);
-        for (k, c) in self.chains.iter_mut().enumerate() {
-            let r = self.rates[k];
-            if pick < r {
-                let t = c.step(&mut self.rng);
-                self.rates[k] = c.rate();
-                let s = i64::from(t.delivered);
-                self.produced[k] += u64::from(t.delivered);
-                self.n = (self.n + s).min(self.nmax);
-                return None;
-            }
-            pick -= r;
-        }
-        // Floating-point edge: attribute to the last chain.
-        let last = self.chains.len() - 1;
-        let t = self.chains[last].step(&mut self.rng);
-        self.rates[last] = self.chains[last].rate();
-        self.produced[last] += u64::from(t.delivered);
-        self.n = (self.n + i64::from(t.delivered)).min(self.nmax);
-        None
     }
 
     /// Run until `consumptions` consumption events have been observed after a
@@ -225,9 +280,7 @@ impl DmpSsa {
         let warmup = consumptions / 10;
         let mut seen = 0u64;
         while seen < warmup {
-            if self.step().is_some() {
-                seen += 1;
-            }
+            seen += u64::from(self.event().cons);
         }
         const BATCHES: u64 = 20;
         let per_batch = (consumptions / BATCHES).max(1);
@@ -238,12 +291,9 @@ impl DmpSsa {
             let mut late = 0u64;
             let mut c = 0u64;
             while c < per_batch {
-                if let Some(is_late) = self.step() {
-                    c += 1;
-                    if is_late {
-                        late += 1;
-                    }
-                }
+                let e = self.event();
+                c += u64::from(e.cons);
+                late += u64::from(e.late);
             }
             late_total += late;
             counted += c;
@@ -384,6 +434,56 @@ mod tests {
             ssa.step();
             assert!(ssa.buffer_level() <= m.nmax());
         }
+    }
+
+    /// [`select_chain`] against the loop it replaced, on draws over, on and
+    /// around every cumulative boundary.
+    #[test]
+    fn select_chain_matches_the_sequential_reference() {
+        fn reference(mut pick: f64, rates: &[f64]) -> usize {
+            for (k, &r) in rates.iter().enumerate() {
+                if pick < r {
+                    return k;
+                }
+                pick -= r;
+            }
+            rates.len() - 1
+        }
+        let mut rng = SmallRng::seed_from_u64(0x5e1ec7);
+        let mut hits = [0u64; 4];
+        for case in 0..100_000u64 {
+            let k = 1 + (case % 4) as usize;
+            // Rates spread like the chains': 4/R for R in 20 ms..1 s, slowed
+            // by a backoff factor 2^e.
+            let rates: Vec<f64> = (0..k)
+                .map(|_| 4.0 / (rng.gen_range(0.02..1.0) * f64::from(1u32 << rng.gen_range(0..7))))
+                .collect();
+            let sum: f64 = rates.iter().sum();
+            let mut picks = vec![
+                rng.gen_range(0.0..sum),
+                0.0,
+                sum,
+                sum * (1.0 + f64::EPSILON),
+                2.0 * sum,
+                rng.gen_range(-100.0..0.0),
+            ];
+            let mut edge = 0.0;
+            for &r in &rates {
+                edge += r;
+                let bits = edge.to_bits();
+                picks.extend([edge, f64::from_bits(bits - 1), f64::from_bits(bits + 1)]);
+            }
+            for p in picks {
+                let got = select_chain(p, &rates);
+                assert_eq!(got, reference(p, &rates), "p = {p:e}, rates = {rates:?}");
+                hits[got] += 1;
+            }
+            assert_eq!(select_chain(2.0 * sum, &rates), k - 1, "p ≥ Σr → last");
+        }
+        assert!(
+            hits.iter().all(|&h| h > 10_000),
+            "every index hit: {hits:?}"
+        );
     }
 
     #[test]
