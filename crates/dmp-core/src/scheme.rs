@@ -36,6 +36,19 @@ impl DynamicQueue {
         Self::default()
     }
 
+    /// Create an empty server queue with room for `packets` packets, for a
+    /// caller that knows how many the source will ever generate: the backlog
+    /// cannot exceed that, so [`push`](Self::push) never reallocates. The
+    /// reserve is clamped (1 Mi packets), so "generate forever" grows
+    /// normally instead of reserving gigabytes.
+    pub fn with_capacity(packets: u64) -> Self {
+        const MAX_RESERVE: u64 = 1 << 20;
+        Self {
+            q: VecDeque::with_capacity(packets.min(MAX_RESERVE) as usize),
+            total_generated: 0,
+        }
+    }
+
     /// Append a freshly generated packet (called once per `1/µ` seconds by
     /// the video source).
     pub fn push(&mut self, pkt: StreamPacket) {

@@ -90,7 +90,10 @@ impl DmpServer {
         let k = flows.len();
         Self {
             flows,
-            queue: DynamicQueue::new(),
+            // Sized for the whole stream, like the trace: a backlog that
+            // first peaks late in a run must not reallocate on the
+            // steady-state path (the zero-allocation gate).
+            queue: DynamicQueue::with_capacity(stop_after),
             video,
             trace,
             start_at,

@@ -1,0 +1,107 @@
+//! The engine's zero-allocation claim as a tier-1 test: once arenas, rings
+//! and the scheduler's slab have reached their peak sizes, dispatching events
+//! never touches the heap. `bench_profile --quick-smoke` asserts the same on
+//! a `cargo bench` run (where it also checks the profiler bins); this file is
+//! what keeps the claim from going red unnoticed between CI bench runs.
+//!
+//! The counter is armed per thread, so the test harness's own threads and
+//! the other test in this binary never show up in a measurement.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use dmp_core::spec::SchedulerKind;
+use dmp_sim::experiment::{self, ExperimentSpec};
+use netsim::scheduler::EventQueue;
+use netsim::EngineKind;
+
+thread_local! {
+    /// `Some((allocations, bytes))` while this thread is being measured.
+    static COUNT: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
+}
+
+/// System allocator that counts `alloc` and `realloc` — a `Vec` growing in
+/// place is exactly the steady-state heap traffic the gate exists to catch.
+struct CountingAlloc;
+
+fn record(bytes: usize) {
+    COUNT.with(|c| {
+        if let Some((n, b)) = c.get() {
+            c.set(Some((n + 1, b + bytes as u64)));
+        }
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is a
+// const-initialised `Cell` without a destructor, so touching it from inside
+// the allocator neither allocates nor runs after thread teardown.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `(allocations, bytes)` this thread requested while `f` ran.
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
+    COUNT.set(Some((0, 0)));
+    let out = f();
+    let counted = COUNT.replace(None).expect("armed above");
+    (out, counted)
+}
+
+/// Setting 2-2 under DMP, the shape every figure and fleet shard runs: build,
+/// run the first half of the video as warm-up (growth allowed), then the
+/// second half must not allocate. Splitting `advance_to` is behaviour-neutral.
+#[test]
+fn steady_state_event_loop_never_allocates() {
+    const VIDEO_S: f64 = 60.0;
+    let setting = *dmp_sim::configs::setting("2-2").expect("setting 2-2 exists");
+    let mut spec = ExperimentSpec::new(setting, SchedulerKind::Dynamic, VIDEO_S, 2007);
+    spec.warmup_s = 10.0;
+    let mut built = experiment::build(&spec);
+    let end = built.end();
+    built.advance_to(netsim::secs(spec.warmup_s + VIDEO_S / 2.0));
+
+    let events_before = built.events_processed();
+    let ((), (allocs, bytes)) = allocations_in(|| built.advance_to(end));
+    let steady_events = built.events_processed() - events_before;
+
+    assert!(
+        steady_events > 50_000,
+        "steady window too short: {steady_events} events"
+    );
+    assert_eq!(
+        allocs, 0,
+        "{allocs} heap allocations ({bytes} bytes) over {steady_events} steady-state events; \
+         `ALLOC_TRACE=1 cargo bench -p dmp-bench --bench bench_profile -- --quick-smoke` names the sites"
+    );
+    assert!(
+        built.finish().trace.delivered() > 0,
+        "run delivered nothing"
+    );
+}
+
+/// Building the production queue is a constant number of allocations (the
+/// head table and the slab), not one per wheel bucket.
+#[test]
+fn building_the_event_queue_is_a_handful_of_allocations() {
+    let (queue, (allocs, _)) = allocations_in(|| EventQueue::<u64>::new(EngineKind::default()));
+    assert!(queue.is_empty());
+    assert!(
+        (1..=4).contains(&allocs),
+        "EventQueue::new made {allocs} allocations"
+    );
+}

@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::packet::{NodeId, Packet, PacketKind};
 use crate::red::{RedParams, RedState, RedVerdict};
-use crate::time::SimTime;
+use crate::time::{round_ns, SimTime};
 
 /// Static description of a link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,7 +84,7 @@ impl LinkSpec {
     /// multiply by the per-byte cost so it agrees bit-for-bit with the
     /// cached hot path in [`Link`].
     pub fn tx_time(&self, bytes: u32) -> SimTime {
-        (f64::from(bytes) * (8e9 / self.bandwidth_bps)).round() as SimTime
+        round_ns(f64::from(bytes) * (8e9 / self.bandwidth_bps))
     }
 }
 
@@ -193,7 +193,7 @@ impl Link {
     /// `self.spec.tx_time(bytes)` by construction.
     #[inline]
     fn tx_ns(&self, bytes: u32) -> SimTime {
-        (f64::from(bytes) * self.ns_per_byte).round() as SimTime
+        round_ns(f64::from(bytes) * self.ns_per_byte)
     }
 
     /// Create an idle link from `from` delivering to `to`. `seed` starts the

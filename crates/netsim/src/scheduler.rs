@@ -20,17 +20,50 @@
 //! (`dmp-sim/tests/scheduler_differential.rs`, `fleet/tests/determinism.rs`)
 //! hold the two implementations to byte-identical behaviour.
 //!
+//! # How the wheel is stored
+//!
+//! The wheel is three flat pieces:
+//!
+//! * `heads` — one `u32` per bucket (2048 × 4 B = 8 KB): the slab index of
+//!   the bucket's first event, `NIL` when the bucket is empty;
+//! * the *slab* — every wheel event in one `Vec<Entry>`, with a parallel
+//!   `Vec<u32>` of `next` links that thread each bucket's events into a
+//!   singly-linked list, and the unused nodes into a LIFO free list;
+//! * `occupied` — one bit per bucket, so a pop finds the earliest non-empty
+//!   bucket 64 buckets per word.
+//!
+//! A push takes a node off the free list (the one the last pop vacated, so it
+//! is still in cache) and links it at its bucket's head. A pop walks the one
+//! bucket the bitmap names, keeps the `(time, seq)` minimum and its
+//! predecessor, unlinks it and puts the node back on the free list. List
+//! order never matters — the minimum is searched, not assumed — so neither
+//! operation sorts or shifts anything. The slab is reserved once and grows
+//! only while a run is still climbing to its peak number of pending events
+//! (≈ 100 in the paper's densest settings): the steady-state event loop
+//! allocates nothing (`dmp-sim/tests/zero_alloc.rs`).
+//!
+//! Why not a `Vec` per bucket: with ~100 pending events that puts a 24 B
+//! header and a heap buffer behind each of 2048 buckets — 48 KB + 1 MiB
+//! spread under a few KB of live data. An isolated hold-model probe hides
+//! the cost (under 20 ns per operation); in a running simulation, where
+//! links, senders and rings compete for the cache, that layout made the
+//! scheduler a quarter of an iteration and cost every `Sim::new` 2048
+//! allocations (`zero_alloc.rs` pins construction to a handful).
+//!
 //! # Why the calendar queue is the production engine
 //!
 //! Which queue a [`crate::sim::Sim`] runs on is decided here and nowhere
 //! else: [`Sim::new`](crate::sim::Sim::new) takes [`EngineKind::default`].
-//! The decision rests on `BENCH_netsim.json` (`bench_engine`): on
-//! `multipath_video` — the dense Setting 2-2 shape every figure, sweep and
-//! fleet shard runs — the calendar queue dispatches 10.9 M events/s against
-//! the heap's 7.9 M. The heap wins only on the two sparse topologies
-//! (`two_host` 15.1 vs 14.1, `bottleneck_bg` 9.0 vs 7.1 M events/s), which no
-//! production target resembles. Specs, cache keys and artifacts therefore
-//! carry no engine; tests reach the oracle through [`with_engine`].
+//! The decision rests on `BENCH_netsim.json` (`bench_engine -- --json`, best
+//! of three passes; absolute rates follow the shared host's speed, the order
+//! within a topology does not): on `multipath_video` — the dense Setting 2-2
+//! shape every figure, sweep and fleet shard runs — the calendar queue
+//! dispatches 14.3 M events/s against the heap's 9.2 M, and on
+//! `bottleneck_bg` (one congested link, 49 background flows) 13.3 M against
+//! 10.6 M. The heap still wins `two_host` — one flow, a handful of pending
+//! events, where a binary heap is two levels deep — by 15.4 M to 15.1 M,
+//! a shape no production target resembles. Specs, cache keys and artifacts
+//! therefore carry no engine; tests reach the oracle through [`with_engine`].
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -190,15 +223,36 @@ fn bucket_of(t: SimTime) -> u64 {
     t >> BUCKET_SHIFT
 }
 
+/// End-of-list / empty-bucket / empty-free-list marker for slab indices.
+const NIL: u32 = u32::MAX;
+/// Nodes reserved when the queue is built (36 B each for the simulator's
+/// payload). The paper's densest settings keep ~100 events in the wheel, so
+/// steady state never grows the slab; a denser run grows it like any `Vec`
+/// and keeps the capacity. Only nodes that were ever linked are touched, so
+/// the unused part of the reserve costs address space, not resident memory.
+const SLAB_RESERVE: usize = 1024;
+
 /// Two-level calendar queue: near wheel + far heap.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    /// The near wheel. Slot `b & BUCKET_MASK` holds all wheel events whose
-    /// absolute bucket is `b`; the window invariant (every resident bucket is
-    /// in `[base, base + BUCKETS)`) makes the mapping unambiguous. The
-    /// fixed-size array (not a slice) lets masked indexing skip the bounds
-    /// check in the push/pop hot paths.
-    buckets: Box<[Vec<Entry<T>>; BUCKETS]>,
+    /// The near wheel: `heads[b & BUCKET_MASK]` is the slab index of the
+    /// first event whose absolute bucket is `b` (`NIL` = empty bucket); the
+    /// window invariant (every resident bucket is in `[base, base + BUCKETS)`)
+    /// makes the mapping unambiguous. The fixed-size array (not a slice) lets
+    /// masked indexing skip the bounds check in the push/pop hot paths.
+    heads: Box<[u32; BUCKETS]>,
+    /// The slab: every wheel event, in one allocation. Node `i` is
+    /// `slab[i]` + `next[i]`.
+    slab: Vec<Entry<T>>,
+    /// `next[i]` links node `i` to the next node of its bucket, in no
+    /// particular order (pop takes the `(time, seq)` minimum), or to the next
+    /// unused node while `i` is on the free list. Kept beside the entries,
+    /// not inside them: a list walk then chases indices through 4 B per node
+    /// and the entry loads do not depend on each other.
+    next: Vec<u32>,
+    /// Head of the LIFO list of unused nodes, so the node an event just
+    /// vacated — still in cache — carries the next one.
+    free: u32,
     /// One bit per slot: is the bucket non-empty? Lets the pop path skip
     /// runs of empty buckets 64 at a time.
     occupied: [u64; WORDS],
@@ -215,17 +269,10 @@ pub struct CalendarQueue<T> {
 impl<T: Copy> CalendarQueue<T> {
     fn new() -> Self {
         Self {
-            // A modest per-bucket reserve (16 × 32 B × 2048 buckets ≈ 1 MiB)
-            // absorbs the occasional bucket that first sees its peak load
-            // late in a run; heavier-than-reserved buckets still grow and
-            // keep their capacity across wheel rotations.
-            buckets: (0..BUCKETS)
-                .map(|_| Vec::with_capacity(16))
-                .collect::<Vec<_>>()
-                .into_boxed_slice()
-                .try_into()
-                .ok()
-                .expect("exactly BUCKETS buckets"),
+            heads: Box::new([NIL; BUCKETS]),
+            slab: Vec::with_capacity(SLAB_RESERVE),
+            next: Vec::with_capacity(SLAB_RESERVE),
+            free: NIL,
             occupied: [0; WORDS],
             base: 0,
             wheel_len: 0,
@@ -238,10 +285,30 @@ impl<T: Copy> CalendarQueue<T> {
     #[inline]
     fn push_wheel(&mut self, e: Entry<T>) {
         let slot = (bucket_of(e.time) & BUCKET_MASK) as usize;
-        self.buckets[slot].push(e);
+        let head = self.heads[slot];
+        let i = self.free;
+        if i != NIL {
+            self.free = self.next[i as usize];
+            self.slab[i as usize] = e;
+            self.next[i as usize] = head;
+            self.heads[slot] = i;
+        } else {
+            self.heads[slot] = self.grow_slab(e, head);
+        }
         self.occupied[slot >> 6] |= 1u64 << (slot & 63);
         self.wheel_len += 1;
         self.wheel_hwm = self.wheel_hwm.max(self.wheel_len);
+    }
+
+    /// The free list is empty: append a node. Within [`SLAB_RESERVE`] this
+    /// does not allocate; past it the `Vec`s double.
+    #[cold]
+    fn grow_slab(&mut self, e: Entry<T>, next: u32) -> u32 {
+        let i = self.slab.len();
+        assert!(i < NIL as usize, "slab indices are u32 and NIL is taken");
+        self.slab.push(e);
+        self.next.push(next);
+        i as u32
     }
 
     fn push(&mut self, e: Entry<T>) {
@@ -323,19 +390,35 @@ impl<T: Copy> CalendarQueue<T> {
             // re-drain loop is needed here.
             self.base = b_min;
             let slot = (self.base & BUCKET_MASK) as usize;
-            let bucket = &mut self.buckets[slot];
-            let mut mi = 0;
-            for i in 1..bucket.len() {
-                if (bucket[i].time, bucket[i].seq) < (bucket[mi].time, bucket[mi].seq) {
-                    mi = i;
+            // Walk the bucket's list for the `(time, seq)` minimum, keeping
+            // its predecessor so it can be unlinked. The key is one integer
+            // so that the update compiles to selects: which node of a bucket
+            // is earliest is a coin flip no branch predictor learns.
+            let key = |e: &Entry<T>| (u128::from(e.time) << 64) | u128::from(e.seq);
+            let head = self.heads[slot];
+            let (mut min, mut min_prev) = (head, NIL);
+            let mut min_key = key(&self.slab[head as usize]);
+            let (mut prev, mut cur) = (head, self.next[head as usize]);
+            while cur != NIL {
+                let k = key(&self.slab[cur as usize]);
+                if k < min_key {
+                    (min_key, min, min_prev) = (k, cur, prev);
                 }
+                (prev, cur) = (cur, self.next[cur as usize]);
             }
-            if bucket[mi].time > t_end {
+            let e = self.slab[min as usize];
+            if e.time > t_end {
                 return None;
             }
-            let e = bucket.swap_remove(mi);
-            if bucket.is_empty() {
-                self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
+            let after = std::mem::replace(&mut self.next[min as usize], self.free);
+            self.free = min;
+            if min_prev == NIL {
+                self.heads[slot] = after;
+                if after == NIL {
+                    self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
+                }
+            } else {
+                self.next[min_prev as usize] = after;
             }
             self.wheel_len -= 1;
             return Some(e);
@@ -444,11 +527,23 @@ mod tests {
         out
     }
 
+    /// The calendar queue's storage invariant: the slab only grows when every
+    /// node is linked, so it is exactly as long as the wheel's high-water mark.
+    fn slab_len(q: &EventQueue<u32>) -> (usize, usize) {
+        match q {
+            EventQueue::Calendar(c) => (c.slab.len(), c.wheel_hwm),
+            EventQueue::Heap(_) => unreachable!("calendar queue expected"),
+        }
+    }
+
     /// Push a random schedule into both queues, interleaving pops the way the
     /// simulator does (events scheduled relative to the last popped time),
-    /// and require identical pop order — including FIFO among ties.
+    /// and require identical pop order — including FIFO among ties. The
+    /// schedule runs the wheel round several times, so nearly every push
+    /// lands on a node a pop returned to the free list.
     #[test]
     fn heap_and_calendar_pop_identically() {
+        const WHEEL_SPAN_NS: u64 = (BUCKETS as u64) << BUCKET_SHIFT;
         for seed in 0..8u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut heap = EventQueue::new(EngineKind::Heap);
@@ -457,19 +552,27 @@ mod tests {
             let mut now: SimTime = 0;
             let mut popped_h = Vec::new();
             let mut popped_c = Vec::new();
-            for _ in 0..5_000 {
-                if rng.gen_bool(0.6) || heap.is_empty() {
+            for _ in 0..40_000 {
+                // Hover around 150 pending events so that pops, and with
+                // them simulated time, keep pace with the pushes.
+                let p_push = if heap.len() < 150 { 0.6 } else { 0.4 };
+                if rng.gen_bool(p_push) || heap.is_empty() {
                     // Mix of near events (sub-bucket to a few ms), deliberate
-                    // ties, and far timers (beyond the wheel span).
-                    let dt: u64 = match rng.gen_range(0..10u32) {
-                        0..=5 => rng.gen_range(0..5_000_000),
-                        6 | 7 => 0,
-                        8 => rng.gen_range(0..300_000_000),
-                        _ => rng.gen_range(250_000_000..5_000_000_000),
+                    // ties, far timers (beyond the wheel span) that migrate
+                    // onto reused nodes, and now and then a burst of 40
+                    // simultaneous events in one bucket.
+                    let (dt, copies): (u64, u32) = match rng.gen_range(0..100u32) {
+                        0..=59 => (rng.gen_range(0..5_000_000), 1),
+                        60..=78 => (0, 1),
+                        79 => (rng.gen_range(0..5_000_000), 40),
+                        80..=89 => (rng.gen_range(0..300_000_000), 1),
+                        _ => (rng.gen_range(250_000_000..5_000_000_000), 1),
                     };
-                    seq += 1;
-                    heap.push(now + dt, seq, seq as u32);
-                    cal.push(now + dt, seq, seq as u32);
+                    for _ in 0..copies {
+                        seq += 1;
+                        heap.push(now + dt, seq, seq as u32);
+                        cal.push(now + dt, seq, seq as u32);
+                    }
                 } else {
                     let h = heap.pop_at_or_before(SimTime::MAX).unwrap();
                     let c = cal.pop_at_or_before(SimTime::MAX).unwrap();
@@ -478,13 +581,61 @@ mod tests {
                     popped_c.push((c.time, c.seq, c.payload));
                 }
             }
+            assert!(
+                now >= 3 * WHEEL_SPAN_NS,
+                "seed {seed}: only {now} ns of interleaved pops"
+            );
             popped_h.extend(drain_all(&mut heap));
             popped_c.extend(drain_all(&mut cal));
             assert_eq!(popped_h, popped_c, "seed {seed}");
             let mut sorted = popped_h.clone();
             sorted.sort();
             assert_eq!(popped_h, sorted, "pop order must be (time, seq)");
+            let (slab, hwm) = slab_len(&cal);
+            assert_eq!(slab, hwm, "seed {seed}: a push skipped the free list");
+            assert!(
+                (40..popped_c.len() / 4).contains(&slab),
+                "seed {seed}: {slab} nodes carried {} events",
+                popped_c.len()
+            );
         }
+    }
+
+    /// A far-heap event migrates onto the node the previous pop freed.
+    #[test]
+    fn far_event_migrates_onto_a_reused_node() {
+        let mut q = EventQueue::new(EngineKind::Calendar);
+        q.push(10, 1, 1u32);
+        q.push(5_000_000_000, 2, 2);
+        assert_eq!(q.pop_at_or_before(SimTime::MAX).unwrap().payload, 1);
+        assert_eq!(q.pop_at_or_before(SimTime::MAX).unwrap().payload, 2);
+        assert_eq!(slab_len(&q), (1, 1));
+        assert_eq!(q.hwm().far, 1);
+    }
+
+    /// A pop that finds the earliest bucket's minimum past `t_end` returns
+    /// `None` and leaves the bucket's list and its `occupied` bit as they
+    /// were: the same events come out afterwards, in order.
+    #[test]
+    fn refused_pop_leaves_the_bucket_intact() {
+        let mut q = EventQueue::new(EngineKind::Calendar);
+        // One bucket (all below 2^17 ns), linked in an order that puts the
+        // minimum in the middle of the list.
+        for (seq, time) in [(1, 3_000), (2, 1_000), (3, 2_000)] {
+            q.push(time, seq, seq as u32);
+        }
+        assert!(q.pop_at_or_before(999).is_none());
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop_at_or_before(1_500).unwrap().payload, 2);
+        assert!(q.pop_at_or_before(1_999).is_none());
+        assert_eq!(q.len(), 2);
+        // The bucket still accepts pushes, and ties pop FIFO.
+        q.push(2_000, 4, 4);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop_at_or_before(SimTime::MAX))
+            .map(|e| e.payload)
+            .collect();
+        assert_eq!(order, vec![3, 4, 1]);
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -291,7 +291,9 @@ impl TcpSender {
     // ------------------------------------------------------------------
 
     fn effective_wnd(&self) -> u64 {
-        (self.cc.pacing_window().floor() as u64).clamp(1, u64::from(self.cfg.max_wnd))
+        // The saturating cast is `floor` for every window (negatives and NaN
+        // go to 0 either way) without the libm call baseline x86-64 needs.
+        (self.cc.pacing_window() as u64).clamp(1, u64::from(self.cfg.max_wnd))
     }
 
     /// Data the application could still hand to TCP right now, segments.
