@@ -8,8 +8,8 @@
 //! ```
 //!
 //! `<baseline>`/`<candidate>` are each either one JSON file (a
-//! `metrics/<name>.json` snapshot, a `BENCH_*.json` capture — any JSON
-//! document) or a directory of them (two `metrics/` trees; files pair by
+//! `metrics/<name>.json` snapshot, a `benchmark/out/results.json` capture —
+//! any JSON document) or a directory of them (two `metrics/` trees; files pair by
 //! name). The default threshold is **0**: metrics are deterministic, so two
 //! runs of the same commit and configuration must agree to the byte. Exit
 //! code: 0 no drift, 1 drift past threshold, 2 incomparable runs (label /

@@ -315,8 +315,8 @@ fn json_files(dir: &Path) -> Result<Vec<std::path::PathBuf>, String> {
 }
 
 /// Diff two paths, each either a JSON file or a directory of JSON files
-/// (e.g. two `target/artifacts/metrics/` trees, or two `BENCH_*.json`
-/// captures). In directory mode files pair up by name; a file present on one
+/// (e.g. two `target/artifacts/metrics/` trees, or two
+/// `benchmark/out/results.json` captures). In directory mode files pair up by name; a file present on one
 /// side only makes the runs incomparable.
 pub fn diff_paths(a: &Path, b: &Path, opts: &DiffOptions) -> Result<DiffReport, String> {
     let mut report = DiffReport::default();

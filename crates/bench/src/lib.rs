@@ -14,9 +14,9 @@
 //! committed `artifacts/` use. Anything else on the command line (an unknown
 //! flag or target, a repeated target, no target) is refused before a job
 //! runs. The kernels' speed is measured by `benchmark/` (per-layer metrics of
-//! one traced pipeline) and gated by the four `benches/bench_*` smoke modes.
-//! The last four rows of the table are the package's tool binaries
-//! (`cargo run --release -p dmp-bench --bin <tool>`), not targets.
+//! one traced pipeline) and nowhere else. The last four rows of the table
+//! are the package's tool binaries (`cargo run --release -p dmp-bench --bin
+//! <tool>`), not targets.
 //!
 //! | target | reproduces |
 //! |--------|------------|
@@ -72,11 +72,11 @@ pub mod validation;
 pub use scale::Scale;
 pub use target::{TargetFn, TargetReport};
 
-/// Resolve a repo-root-relative path (`BENCH_fleet.json`, `artifacts/...`)
-/// from wherever the binary runs. Cargo starts bench/test binaries with the
-/// *package* directory as CWD, while CI and humans pass paths relative to
-/// the workspace root — so if the path does not exist as given, fall back to
-/// the workspace root (two levels above this crate's manifest).
+/// Resolve a repo-root-relative path (`artifacts/...`) from wherever the
+/// binary runs. Cargo starts test binaries with the *package* directory as
+/// CWD, while CI and humans pass paths relative to the workspace root — so if
+/// the path does not exist as given, fall back to the workspace root (two
+/// levels above this crate's manifest).
 pub fn repo_path(p: &str) -> std::path::PathBuf {
     let direct = std::path::PathBuf::from(p);
     if direct.is_absolute() || direct.exists() {

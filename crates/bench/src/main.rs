@@ -140,7 +140,6 @@ mod tests {
             (&["--quick"][..], "no target"),
             (&["fig8", "--quik"][..], "`--quik`"),
             (&["fig8", "--full"][..], "`--full`"),
-            (&["fig8", "--quick-smoke"][..], "`--quick-smoke`"),
             (&["nope"][..], "`nope`"),
             (&["fig8", "fig8"][..], "`fig8`"),
             (&["all", "fig8"][..], "`fig8`"),

@@ -42,9 +42,9 @@ impl StreamTrace {
         // Reserve for the whole observation window up front (generation can
         // never outpace `rate_pps × end`): the per-packet push on the
         // steady-state path must not reallocate, both for throughput and for
-        // the zero-allocation gate in `bench_profile`. Capacity is an upper
-        // bound — generation usually starts after a warmup — and capacity
-        // alone never changes a recorded byte.
+        // the zero-allocation gate (`dmp-sim/tests/zero_alloc.rs`). Capacity
+        // is an upper bound — generation usually starts after a warmup — and
+        // capacity alone never changes a recorded byte.
         // Clamped: callers may pass `end_ns = u64::MAX` for an unbounded
         // trace, and a multi-hour window should grow normally rather than
         // reserve gigabytes up front.

@@ -226,7 +226,7 @@ pub struct RunOutput {
 /// recorder, all wired into a [`Sim`]. [`run`] is [`build`] + drive +
 /// [`BuiltExperiment::finish`]; the phases are public so harnesses can
 /// instrument the event loop itself — the zero-allocation gate in
-/// `bench_profile` builds first (arena growth allowed), warms up, then
+/// `tests/zero_alloc.rs` builds first (arena growth allowed), warms up, then
 /// asserts the steady-state loop never touches the heap.
 pub struct BuiltExperiment {
     sim: Sim,
@@ -247,11 +247,6 @@ impl BuiltExperiment {
     /// Events processed so far (progress/perf metric).
     pub fn events_processed(&self) -> u64 {
         self.sim.events_processed()
-    }
-
-    /// Packet transits delivered so far.
-    pub fn transits(&self) -> u64 {
-        self.sim.transits()
     }
 
     /// Drive the event loop to simulated time `t`, capped at [`end`]

@@ -1,14 +1,14 @@
 //! The engine's zero-allocation claim as a tier-1 test: once arenas, rings
 //! and the scheduler's slab have reached their peak sizes, dispatching events
-//! never touches the heap. `bench_profile --quick-smoke` asserts the same on
-//! a `cargo bench` run (where it also checks the profiler bins); this file is
-//! what keeps the claim from going red unnoticed between CI bench runs.
+//! never touches the heap. When it does, the failure names the first
+//! offending site: the allocator captures a backtrace there.
 //!
 //! The counter is armed per thread, so the test harness's own threads and
 //! the other test in this binary never show up in a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::backtrace::Backtrace;
+use std::cell::{Cell, RefCell};
 
 use dmp_core::spec::SchedulerKind;
 use dmp_sim::experiment::{self, ExperimentSpec};
@@ -18,6 +18,8 @@ use netsim::EngineKind;
 thread_local! {
     /// `Some((allocations, bytes))` while this thread is being measured.
     static COUNT: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
+    /// Where the first counted allocation of the current measurement came from.
+    static FIRST_SITE: RefCell<Option<Backtrace>> = const { RefCell::new(None) };
 }
 
 /// System allocator that counts `alloc` and `realloc` — a `Vec` growing in
@@ -26,7 +28,12 @@ struct CountingAlloc;
 
 fn record(bytes: usize) {
     COUNT.with(|c| {
-        if let Some((n, b)) = c.get() {
+        // `take` disarms the counter: capturing a backtrace allocates, and
+        // those allocations re-enter this function.
+        if let Some((n, b)) = c.take() {
+            if n == 0 {
+                FIRST_SITE.set(Some(Backtrace::force_capture()));
+            }
             c.set(Some((n + 1, b + bytes as u64)));
         }
     });
@@ -35,6 +42,8 @@ fn record(bytes: usize) {
 // SAFETY: every call is forwarded unchanged to `System`; the counter is a
 // const-initialised `Cell` without a destructor, so touching it from inside
 // the allocator neither allocates nor runs after thread teardown.
+// `FIRST_SITE` does have a destructor, and is touched only while the counter
+// is armed — inside `allocations_in`, on a live thread.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         record(layout.size());
@@ -54,12 +63,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// `(allocations, bytes)` this thread requested while `f` ran.
-fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
+/// `(allocations, bytes)` this thread requested while `f` ran, and the
+/// backtrace of the first one.
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, (u64, u64), Option<Backtrace>) {
     COUNT.set(Some((0, 0)));
     let out = f();
     let counted = COUNT.replace(None).expect("armed above");
-    (out, counted)
+    (out, counted, FIRST_SITE.take())
 }
 
 /// Setting 2-2 under DMP, the shape every figure and fleet shard runs: build,
@@ -76,7 +86,7 @@ fn steady_state_event_loop_never_allocates() {
     built.advance_to(netsim::secs(spec.warmup_s + VIDEO_S / 2.0));
 
     let events_before = built.events_processed();
-    let ((), (allocs, bytes)) = allocations_in(|| built.advance_to(end));
+    let ((), (allocs, bytes), first_site) = allocations_in(|| built.advance_to(end));
     let steady_events = built.events_processed() - events_before;
 
     assert!(
@@ -84,9 +94,11 @@ fn steady_state_event_loop_never_allocates() {
         "steady window too short: {steady_events} events"
     );
     assert_eq!(
-        allocs, 0,
+        allocs,
+        0,
         "{allocs} heap allocations ({bytes} bytes) over {steady_events} steady-state events; \
-         `ALLOC_TRACE=1 cargo bench -p dmp-bench --bench bench_profile -- --quick-smoke` names the sites"
+         the first one came from:\n{}",
+        first_site.expect("captured with the first counted allocation")
     );
     assert!(
         built.finish().trace.delivered() > 0,
@@ -98,7 +110,7 @@ fn steady_state_event_loop_never_allocates() {
 /// head table and the slab), not one per wheel bucket.
 #[test]
 fn building_the_event_queue_is_a_handful_of_allocations() {
-    let (queue, (allocs, _)) = allocations_in(|| EventQueue::<u64>::new(EngineKind::default()));
+    let (queue, (allocs, _), _) = allocations_in(|| EventQueue::<u64>::new(EngineKind::default()));
     assert!(queue.is_empty());
     assert!(
         (1..=4).contains(&allocs),

@@ -54,9 +54,10 @@
 //!
 //! Which queue a [`crate::sim::Sim`] runs on is decided here and nowhere
 //! else: [`Sim::new`](crate::sim::Sim::new) takes [`EngineKind::default`].
-//! The decision rests on `BENCH_netsim.json` (`bench_engine -- --json`, best
-//! of three passes; absolute rates follow the shared host's speed, the order
-//! within a topology does not): on `multipath_video` — the dense Setting 2-2
+//! The decision rests on the last side-by-side recording of the two engines
+//! (2026-09-30, quoted under "Performance" in EXPERIMENTS.md; best of three
+//! passes; absolute rates follow the shared host's speed, the order within a
+//! topology does not): on `multipath_video` — the dense Setting 2-2
 //! shape every figure, sweep and fleet shard runs — the calendar queue
 //! dispatches 14.3 M events/s against the heap's 9.2 M, and on
 //! `bottleneck_bg` (one congested link, 49 background flows) 13.3 M against
@@ -101,10 +102,10 @@ pub(crate) fn engine_for_new_sim() -> EngineKind {
 
 /// Test-oracle hook: every [`Sim::new`](crate::sim::Sim::new) /
 /// [`Sim::with_capacity`](crate::sim::Sim::with_capacity) on this thread
-/// inside `f` runs on `kind`. This is how differential tests and
-/// `bench_engine` put code that owns its `Sim` (`dmp_sim::experiment::run`,
-/// `fleet::run_shard`, …) on the reference heap without any spec naming an
-/// engine. The previous scope is restored on return and on unwind.
+/// inside `f` runs on `kind`. This is how differential tests put code that
+/// owns its `Sim` (`dmp_sim::experiment::run`, `fleet::run_shard`, …) on the
+/// reference heap without any spec naming an engine. The previous scope is
+/// restored on return and on unwind.
 ///
 /// Panics if `f` returns without having built a `Sim` on this thread — the
 /// work ran on a pool worker or was a cache hit, and the caller would be

@@ -970,6 +970,7 @@ impl SimApi<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::{Ftp, HttpParams, HttpSession};
     use crate::time::{millis, secs, SECOND};
 
     /// Two hosts, one duplex link. An FTP transfers data; check delivery and
@@ -1094,7 +1095,7 @@ mod tests {
 
     /// A lossy two-host topology that actually consumes link RNG streams
     /// (Bernoulli link loss), so outcomes are a function of the seed.
-    fn lossy_run(seed: u64) -> (u64, u64, u64) {
+    fn lossy_sim(seed: u64) -> (Sim, FlowId) {
         let mut sim = Sim::new(seed);
         let a = sim.add_node("a");
         let b = sim.add_node("b");
@@ -1105,11 +1106,29 @@ mod tests {
         let flow = sim.add_flow(a, b, TcpConfig::default(), SinkConfig::default());
         sim.add_app(Box::new(FtpStarter { flow }));
         sim.run_until(30 * SECOND);
+        (sim, flow)
+    }
+
+    fn lossy_run(seed: u64) -> (u64, u64, u64) {
+        let (sim, flow) = lossy_sim(seed);
         (
             sim.sink(flow).stats.delivered,
             sim.flow_counters(flow).data_dropped,
             sim.events_processed(),
         )
+    }
+
+    /// On the `Sim` itself, not the process-wide atomics other tests share.
+    #[cfg(feature = "profile")]
+    #[test]
+    fn every_dispatched_event_lands_in_exactly_one_profiler_bin() {
+        let (sim, _) = lossy_sim(1);
+        let counts = sim.profile.counts;
+        assert!(
+            counts[0] > 0 && counts[1] > 0,
+            "link deliveries and retransmission timers must both have fired: {counts:?}"
+        );
+        assert_eq!(counts.iter().sum::<u64>(), sim.events_processed());
     }
 
     #[test]
@@ -1129,7 +1148,9 @@ mod tests {
 
     #[test]
     fn both_engines_agree_exactly() {
-        let run = |engine| {
+        // One backlogged flow over a lossy pipe: serialisation, delivery,
+        // ACK and retransmission-timer events.
+        let two_host = |engine| {
             let mut sim = Sim::with_engine(3, engine);
             let a = sim.add_node("a");
             let b = sim.add_node("b");
@@ -1140,16 +1161,61 @@ mod tests {
             let flow = sim.add_flow(a, b, TcpConfig::default(), SinkConfig::default());
             sim.add_app(Box::new(FtpStarter { flow }));
             sim.run_until(60 * SECOND);
-            (
-                sim.sink(flow).stats.delivered,
-                sim.sender(flow).stats.retransmits,
-                sim.sender(flow).stats.timeouts,
-                sim.flow_counters(flow).data_dropped,
-                sim.events_processed(),
-                sim.transits(),
-            )
+            (sim, vec![flow])
         };
-        assert_eq!(run(EngineKind::Heap), run(EngineKind::Calendar));
+        // The figure sweeps' background traffic on a bare `Sim`: a congested
+        // Table 1 config-2-like bottleneck shared by 9 FTPs and 40 on/off
+        // HTTP sessions, so app timers, think times and 49 flows' worth of
+        // same-instant ties cross the oracle too.
+        let bottleneck_bg = |engine| {
+            let mut sim = Sim::with_engine(2, engine);
+            let a = sim.add_node("src");
+            let b = sim.add_node("dst");
+            let (f, r) = sim.add_duplex(a, b, LinkSpec::from_table(3.7, 1.0, 50));
+            sim.add_route(a, b, f);
+            sim.add_route(b, a, r);
+            let cfg = TcpConfig {
+                max_wnd: 20,
+                ..TcpConfig::default()
+            };
+            let flows: Vec<FlowId> = (0..49u64)
+                .map(|i| {
+                    let flow = sim.add_flow(a, b, cfg, SinkConfig::default());
+                    let app: Box<dyn App> = if i < 9 {
+                        Box::new(Ftp::new(flow, i * SECOND / 10))
+                    } else {
+                        let start = (i - 9) * SECOND / 20;
+                        Box::new(HttpSession::new(flow, HttpParams::default(), start))
+                    };
+                    sim.add_app(app);
+                    flow
+                })
+                .collect();
+            sim.run_until(10 * SECOND);
+            (sim, flows)
+        };
+        let fingerprint = |(sim, flows): (Sim, Vec<FlowId>)| {
+            let per_flow = |&flow: &FlowId| {
+                (
+                    sim.sink(flow).stats.delivered,
+                    sim.sender(flow).stats.retransmits,
+                    sim.sender(flow).stats.timeouts,
+                    sim.flow_counters(flow).data_dropped,
+                )
+            };
+            let per_flow: Vec<_> = flows.iter().map(per_flow).collect();
+            (per_flow, sim.events_processed(), sim.transits())
+        };
+        assert_eq!(
+            fingerprint(two_host(EngineKind::Heap)),
+            fingerprint(two_host(EngineKind::Calendar))
+        );
+        let heap = fingerprint(bottleneck_bg(EngineKind::Heap));
+        assert!(
+            heap.0.iter().any(|flow| flow.3 > 0),
+            "the bottleneck never dropped: not the congested input it is meant to be"
+        );
+        assert_eq!(heap, fingerprint(bottleneck_bg(EngineKind::Calendar)));
     }
 
     #[test]

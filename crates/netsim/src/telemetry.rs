@@ -13,8 +13,9 @@
 //!
 //! With the `profile` cargo feature, the `profile` submodule additionally
 //! accumulates per-event-kind dispatch counts and tick (TSC cycle / ns)
-//! totals — the breakdown behind `bench_profile`. Never compiled into
-//! default builds; never part of deterministic artifacts.
+//! totals — the `engine_profile` block of `dmp-bench`'s `.meta.json`
+//! sidecars. Never compiled into default builds; never part of deterministic
+//! artifacts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -98,8 +98,8 @@ impl ExactDmp {
 /// even though `N_max = ⌈µτ⌉` changes the state space), and each solve
 /// mixes away the slow modes via [`CsrCtmc::solve_accelerated`]. On a
 /// dense grid this cuts iteration counts by an order of magnitude versus
-/// per-point cold solves — `bench_model` measures exactly this sweep
-/// against the reference solver.
+/// per-point cold solves — `tests/solver_csr.rs` holds exactly this sweep
+/// to the reference solver.
 pub fn exact_tau_sweep(
     path: PathSpec,
     wmax: u32,

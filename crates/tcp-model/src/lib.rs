@@ -43,7 +43,6 @@ pub use search::{
     TauSearchSpec,
 };
 pub use solver::{
-    solve_stationary, solve_stationary_reference, try_solve_stationary, CsrCtmc, Ctmc, SolveError,
-    SolveOptions, Stationary,
+    solve_stationary, try_solve_stationary, CsrCtmc, Ctmc, SolveError, SolveOptions, Stationary,
 };
 pub use stored::{stored_video_late_fraction, StoredVideoResult};

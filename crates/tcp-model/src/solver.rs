@@ -15,9 +15,9 @@
 //! solve (the fixed points of nearby cells are close; power iteration
 //! converges linearly from wherever it starts).
 //!
-//! [`solve_stationary_reference`] keeps the original transition-list
-//! implementation as the oracle the CSR path is property-tested against
-//! (`tests/solver_csr.rs` demands agreement within 1e-12).
+//! The original transition-list implementation lives on in
+//! `tests/solver_csr.rs` as the oracle the CSR path is property-tested
+//! against (agreement within 1e-12).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -133,8 +133,8 @@ impl Default for SolveOptions {
 /// The hot loop of [`CsrCtmc::solve`] touches four flat arrays
 /// (`row_off`/`cols`/`probs`/`self_prob`) sequentially — no per-state `Vec`,
 /// no per-nonzero division (`q/Λ` is precomputed), no per-iteration row-sum
-/// recomputation. Enumeration order is the same BFS order as
-/// [`solve_stationary_reference`], so state indices agree between the two.
+/// recomputation. Enumeration order is the same BFS order as the reference
+/// solver's in `tests/solver_csr.rs`, so state indices agree between the two.
 pub struct CsrCtmc<S> {
     states: Vec<S>,
     index: HashMap<S, usize>,
@@ -304,10 +304,10 @@ impl<S: Clone + Eq + Hash> CsrCtmc<S> {
     /// at zero and fill in through the iteration). A warm start with
     /// negligible overlap falls back to the uniform cold start.
     ///
-    /// This is the *plain* iteration, trajectory-compatible with
-    /// [`solve_stationary_reference`] (same update, same stopping rule, same
-    /// arithmetic order) — the 1e-12 oracle comparisons in
-    /// `tests/solver_csr.rs` hold it to the reference bit-for-bit in spirit.
+    /// This is the *plain* iteration, trajectory-compatible with the
+    /// reference solver in `tests/solver_csr.rs` (same update, same stopping
+    /// rule, same arithmetic order) — the 1e-12 oracle comparisons there hold
+    /// it to the reference bit-for-bit in spirit.
     /// Grid sweeps that only need the *fixed point* (not the trajectory)
     /// should prefer [`CsrCtmc::solve_accelerated`].
     pub fn solve(&self, opts: &SolveOptions, warm: Option<&Stationary<S>>) -> Stationary<S> {
@@ -364,7 +364,7 @@ impl<S: Clone + Eq + Hash> CsrCtmc<S> {
     /// ~300× spectral amplification of the production chains. Agreement
     /// with a plain or reference solve is then limited by the *other*
     /// side's bias; hold the oracle to a matching tighter tolerance when
-    /// asserting, as `bench_model` does. If the inner target dips under
+    /// asserting, as `tests/solver_csr.rs` does. If the inner target dips under
     /// the f64 summation-noise floor (a few 1e-16 on large chains), the
     /// stall detector accepts once the residual is two decades past the
     /// caller's tolerance and no longer improving, rather than spinning to
@@ -606,83 +606,6 @@ pub fn solve_stationary<C: Ctmc>(chain: &C, opts: SolveOptions) -> Stationary<C:
     match try_solve_stationary(chain, opts) {
         Ok(sol) => sol,
         Err(e) => panic!("{e}"),
-    }
-}
-
-/// The original transition-list power iteration, kept verbatim as the oracle
-/// for the CSR fast path (`tests/solver_csr.rs`). It re-materialises every
-/// row's `Vec<(state, rate)>` once and recomputes the row sums each sweep —
-/// exactly the costs [`CsrCtmc`] exists to remove — so keep it out of hot
-/// paths.
-///
-/// # Panics
-/// Panics if the reachable state space exceeds `opts.max_states`.
-pub fn solve_stationary_reference<C: Ctmc>(chain: &C, opts: SolveOptions) -> Stationary<C::State> {
-    // --- enumerate reachable states ---
-    let mut states: Vec<C::State> = vec![chain.initial()];
-    let mut index: HashMap<C::State, usize> = HashMap::new();
-    index.insert(states[0].clone(), 0);
-    // Sparse rows: row[i] = Vec<(j, rate)>.
-    let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();
-    let mut head = 0;
-    while head < states.len() {
-        let s = states[head].clone();
-        let ts = chain.transitions(&s);
-        let mut row = Vec::with_capacity(ts.len());
-        for (t, rate) in ts {
-            assert!(rate > 0.0, "transition rates must be positive");
-            let j = *index.entry(t.clone()).or_insert_with(|| {
-                states.push(t);
-                states.len() - 1
-            });
-            row.push((j, rate));
-        }
-        rows.push(row);
-        head += 1;
-        assert!(
-            states.len() <= opts.max_states,
-            "state space exceeds {} states — use the SSA solver instead",
-            opts.max_states
-        );
-    }
-    let n = states.len();
-
-    // --- uniformisation ---
-    let lambda = rows
-        .iter()
-        .map(|r| r.iter().map(|&(_, q)| q).sum::<f64>())
-        .fold(0.0f64, f64::max)
-        * 1.02
-        + 1e-12;
-
-    // P = I + Q/Λ: self-loop weight 1 - Σq/Λ.
-    let mut pi = vec![1.0 / n as f64; n];
-    let mut next = vec![0.0f64; n];
-    let mut iterations = 0;
-    let mut residual = f64::INFINITY;
-    while iterations < opts.max_iterations && residual > opts.tolerance {
-        next.iter_mut().for_each(|x| *x = 0.0);
-        for (i, row) in rows.iter().enumerate() {
-            let out: f64 = row.iter().map(|&(_, q)| q).sum();
-            next[i] += pi[i] * (1.0 - out / lambda);
-            for &(j, q) in row {
-                next[j] += pi[i] * q / lambda;
-            }
-        }
-        residual = pi.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-        std::mem::swap(&mut pi, &mut next);
-        iterations += 1;
-    }
-    // Normalise against drift.
-    let total: f64 = pi.iter().sum();
-    pi.iter_mut().for_each(|x| *x /= total);
-
-    Stationary {
-        states,
-        pi,
-        index,
-        iterations,
-        residual,
     }
 }
 
