@@ -3,7 +3,7 @@
 //! committed artifact and cache digest depends on it), parsing in linear
 //! time, and a nesting limit instead of a stack overflow.
 
-use dmp_runner::json::{self, Json, MAX_DEPTH};
+use dmp_base::json::{self, Json, MAX_DEPTH};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 

@@ -87,7 +87,7 @@ fn live_job(i: usize, exp: LiveExperiment, taus: Vec<f64>) -> JobSpec<RunSummary
         // simulator's. Labelled `backend=live`: bench_diff must refuse to
         // diff a live run against a simulated one rather than report drift.
         let mut metrics = obs::MetricsSnapshot::new().with_label("backend", "live");
-        obs::record_frame_metrics(&mut metrics, &run.output.trace);
+        obs::record_frame_metrics(&mut metrics, run.output.trace.frames());
         RunSummary {
             paths: Vec::new(),
             per_tau: run.report.per_tau,

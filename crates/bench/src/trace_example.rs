@@ -25,7 +25,7 @@ pub const DURATION_S: f64 = 60.0;
 
 /// The example's experiment spec: the `ext_failover` study setting and
 /// script at `DURATION_S`, first replication (base seed).
-/// `dir = None` leaves the trace in [`obs::default_trace_dir`].
+/// `dir = None` leaves the trace in `ArtifactWriter::from_env().trace_dir()`.
 pub fn example_spec(dir: Option<&Path>) -> ExperimentSpec {
     let (scn, _fail_at) = scenarios::failover_scenario(DURATION_S);
     let mut spec = ExperimentSpec::new(

@@ -2,8 +2,8 @@
 //! the shaping timeline each emulated path actually applied, and — when the
 //! scale's `trace` flag is on — the flight-recorder trace file references.
 //! One test function: `execute` drains the process-wide [`obs`] and
-//! `dmp_live::telemetry` registries, and the trace directory is selected via
-//! the `DMP_TRACE_DIR` environment variable.
+//! `dmp_live::telemetry` registries, and the live layer's trace directory
+//! follows the `DMP_ARTIFACT_DIR` environment variable.
 
 use dmp_bench::{target, Scale};
 use dmp_runner::{ArtifactWriter, Cache, Json, Runner};
@@ -11,8 +11,8 @@ use dmp_runner::{ArtifactWriter, Cache, Json, Runner};
 #[test]
 fn live_meta_sidecar_lists_applied_timelines_and_trace_files() {
     let base = std::env::temp_dir().join(format!("dmp-meta-sidecar-{}", std::process::id()));
-    std::env::set_var("DMP_TRACE_DIR", base.join("traces"));
-    let artifacts = ArtifactWriter::new(base.join("artifacts"));
+    std::env::set_var("DMP_ARTIFACT_DIR", base.join("artifacts"));
+    let artifacts = ArtifactWriter::from_env();
     let runner = Runner::new(2, Cache::disabled()).with_progress(false);
     let mut scale = Scale::quick();
     scale.live_experiments = 1; // two paths
@@ -61,6 +61,6 @@ fn live_meta_sidecar_lists_applied_timelines_and_trace_files() {
     assert!(events > 0);
     assert_eq!(trace_text.lines().count() as u64, events);
 
-    std::env::remove_var("DMP_TRACE_DIR");
+    std::env::remove_var("DMP_ARTIFACT_DIR");
     std::fs::remove_dir_all(&base).ok();
 }

@@ -26,8 +26,8 @@ fn sim_metrics_identical_across_engines_and_tracing() {
         let s = *setting("2-2").expect("built-in");
         let mut spec = ExperimentSpec::new(s, SchedulerKind::Dynamic, 40.0, 7);
         if trace {
-            std::env::set_var("DMP_TRACE_DIR", base.join("traces"));
             spec.trace = TraceSpec::on("metrics-det");
+            spec.trace.dir = Some(base.join("traces"));
         }
         let summary = run_summary(&spec, &[4.0]);
         summary.metrics.to_json().render()
@@ -35,7 +35,6 @@ fn sim_metrics_identical_across_engines_and_tracing() {
     let calendar = mk(false);
     let heap = with_engine(EngineKind::Heap, || mk(false));
     let traced = mk(true);
-    std::env::remove_var("DMP_TRACE_DIR");
     std::fs::remove_dir_all(&base).ok();
     assert_eq!(calendar, heap, "metrics must not depend on the engine");
     assert_eq!(calendar, traced, "recording must not perturb metrics");

@@ -55,11 +55,6 @@ impl OnlineStats {
         }
         t_quantile_975(self.n - 1) * self.std_dev() / (self.n as f64).sqrt()
     }
-
-    /// `(mean, ci95 half-width)` convenience pair.
-    pub fn mean_ci95(&self) -> (f64, f64) {
-        (self.mean(), self.ci95_half_width())
-    }
 }
 
 /// Summarise a slice of observations.

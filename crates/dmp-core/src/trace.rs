@@ -138,6 +138,14 @@ impl StreamTrace {
         self.end_ns
     }
 
+    /// One `(gen_ns, arrival_ns, path)` frame per generated packet, in
+    /// sequence order: the plain shape `obs::record_frame_metrics` folds.
+    pub fn frames(&self) -> impl Iterator<Item = (u64, Option<u64>, u8)> + '_ {
+        self.records
+            .iter()
+            .map(|r| (r.gen_ns, r.arrival_ns, r.path))
+    }
+
     /// Number of packets generated.
     pub fn generated(&self) -> u64 {
         self.records.len() as u64
@@ -177,59 +185,6 @@ impl StreamTrace {
         let cutoff = self.end_ns.saturating_sub(margin_ns);
         let n = self.records.partition_point(|r| r.gen_ns < cutoff);
         &self.records[..n]
-    }
-}
-
-impl StreamTrace {
-    /// Export the trace as CSV (`seq,gen_ns,arrival_ns,path`; empty
-    /// `arrival_ns` for packets that never arrived) for external analysis
-    /// or plotting.
-    pub fn write_csv(&self, mut w: impl std::io::Write) -> std::io::Result<()> {
-        writeln!(w, "seq,gen_ns,arrival_ns,path")?;
-        for r in &self.records {
-            match r.arrival_ns {
-                Some(a) => writeln!(w, "{},{},{},{}", r.seq, r.gen_ns, a, r.path)?,
-                None => writeln!(w, "{},{},,", r.seq, r.gen_ns)?,
-            }
-        }
-        Ok(())
-    }
-
-    /// Parse a trace previously written by [`StreamTrace::write_csv`].
-    /// `video` and `end_ns` are not stored in the CSV and must be supplied.
-    pub fn read_csv(
-        video: VideoSpec,
-        end_ns: u64,
-        r: impl std::io::BufRead,
-    ) -> std::io::Result<Self> {
-        let mut trace = StreamTrace::new(video, end_ns);
-        let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-        for (i, line) in r.lines().enumerate() {
-            let line = line?;
-            if i == 0 || line.trim().is_empty() {
-                continue; // header / trailing newline
-            }
-            let mut f = line.split(',');
-            let seq: u64 = f
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| bad("bad seq"))?;
-            let gen_ns: u64 = f
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| bad("bad gen_ns"))?;
-            trace.on_generated(seq, gen_ns);
-            let arrival = f.next().ok_or_else(|| bad("missing arrival"))?;
-            if !arrival.is_empty() {
-                let a: u64 = arrival.parse().map_err(|_| bad("bad arrival_ns"))?;
-                let path: u8 = f
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| bad("bad path"))?;
-                trace.on_arrival(seq, a, path);
-            }
-        }
-        Ok(trace)
     }
 }
 
@@ -303,28 +258,6 @@ mod tests {
         let shares = t.path_shares(2);
         assert!((shares[0] - 0.5).abs() < 1e-12);
         assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_round_trips() {
-        let mut t = StreamTrace::new(spec(), 10_000_000_000);
-        for i in 0..5 {
-            t.on_generated(i, i * 100_000_000);
-        }
-        t.on_arrival(0, 120_000_000, 0);
-        t.on_arrival(2, 450_000_000, 1);
-        // packet 1, 3, 4 never arrive
-        let mut csv = Vec::new();
-        t.write_csv(&mut csv).unwrap();
-        let back = StreamTrace::read_csv(spec(), 10_000_000_000, csv.as_slice()).unwrap();
-        assert_eq!(back.records(), t.records());
-        assert_eq!(back.delivered(), 2);
-    }
-
-    #[test]
-    fn csv_rejects_garbage() {
-        let res = StreamTrace::read_csv(spec(), 1, "seq,gen\nnot-a-number,0,,\n".as_bytes());
-        assert!(res.is_err());
     }
 
     #[test]

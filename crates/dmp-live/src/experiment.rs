@@ -54,7 +54,7 @@ pub struct LiveExperiment {
     /// When set, record an [`obs`] flight-recorder trace under this label:
     /// the same JSONL schema the simulator emits, timestamped in *nominal*
     /// nanoseconds (dilated runs are rescaled), written to
-    /// [`obs::default_trace_dir`] and registered for the harness sidecars.
+    /// `ArtifactWriter::from_env().trace_dir()` and registered for the sidecars.
     pub trace_label: Option<String>,
 }
 
@@ -220,7 +220,8 @@ pub async fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> std::io::Re
             e
         }));
         events.sort_by_key(|e| e.t);
-        let path = obs::default_trace_dir().join(format!("{}.jsonl", obs::sanitize_label(label)));
+        let dir = dmp_runner::ArtifactWriter::from_env().trace_dir();
+        let path = dir.join(format!("{}.jsonl", obs::sanitize_label(label)));
         let mut rec = obs::Recorder::to_file(obs::TraceConfig::default(), &path)?;
         for e in &events {
             rec.emit(e.t, e.kind.clone());
@@ -336,15 +337,15 @@ mod tests {
     #[test]
     fn traced_live_run_writes_nominal_time_jsonl_and_registers_it() {
         tokio::runtime::Runtime::new().unwrap().block_on(async {
-            // The live layer writes to obs::default_trace_dir(); point it at
+            // The live layer writes under the artifact directory; point it at
             // a temp dir (no other test in this binary reads the variable).
             let dir = std::env::temp_dir().join(format!("dmp-live-trace-{}", std::process::id()));
-            std::env::set_var("DMP_TRACE_DIR", &dir);
+            std::env::set_var("DMP_ARTIFACT_DIR", &dir);
             let mut exp = two_path_exp(1_200_000.0, 1_200_000.0, 100.0, 200);
             exp.time_dilation = 4.0; // exercise the nominal-time rescale
             exp.trace_label = Some("live:test:seed3".into());
             let run = run_experiment(&exp, &[2.0]).await.unwrap();
-            std::env::remove_var("DMP_TRACE_DIR");
+            std::env::remove_var("DMP_ARTIFACT_DIR");
 
             let files = obs::drain_trace_files();
             let f = files

@@ -47,6 +47,12 @@ impl ArtifactWriter {
         &self.dir
     }
 
+    /// Where a run's JSONL trace files go unless its spec names a
+    /// directory: `traces/` beside the artifacts they explain.
+    pub fn trace_dir(&self) -> PathBuf {
+        self.dir.join("traces")
+    }
+
     /// Write the deterministic `data` payload as `<name>.json`, returning
     /// its path.
     pub fn write(&self, name: &str, data: &Json) -> io::Result<PathBuf> {

@@ -14,8 +14,8 @@
 //! * [`artifact::ArtifactWriter`] emits one structured JSON file per
 //!   figure/table under `target/artifacts/`, split into a deterministic data
 //!   payload and a volatile `.meta.json` telemetry sidecar.
-//! * [`json::Json`] is the dependency-free JSON value used for cache
-//!   entries and artifacts, with deterministic rendering.
+//! * [`json::Json`], [`JsonCodec`] and [`hash::StableHasher`] (cache-entry
+//!   and artifact values, cache-key digest) are `dmp-base`'s, re-exported.
 //!
 //! Environment knobs: `DMP_THREADS`, `DMP_CACHE_DIR`, `DMP_CACHE_SALT`,
 //! `DMP_NO_CACHE=1`, `DMP_ARTIFACT_DIR`, `DMP_QUIET=1`.
@@ -24,8 +24,6 @@
 
 pub mod artifact;
 pub mod cache;
-pub mod hash;
-pub mod json;
 pub mod pool;
 pub mod runner;
 
@@ -34,5 +32,5 @@ pub mod test_util;
 
 pub use artifact::ArtifactWriter;
 pub use cache::Cache;
-pub use json::Json;
-pub use runner::{Cell, CellValue, JobSpec, JsonCodec, Runner, RunnerStats};
+pub use dmp_base::{hash, json, Json, JsonCodec};
+pub use runner::{Cell, CellValue, JobSpec, Runner, RunnerStats};

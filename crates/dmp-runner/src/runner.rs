@@ -1,19 +1,11 @@
 //! The job runner: parallel execution + caching + panic isolation.
 
 use crate::cache::Cache;
-use crate::json::Json;
 use crate::pool;
+use crate::JsonCodec;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Values that can round-trip through the cache as JSON.
-pub trait JsonCodec: Sized {
-    /// Serialise for cache storage / artifact emission.
-    fn to_json(&self) -> Json;
-    /// Deserialise a cached payload; `None` turns the hit into a miss.
-    fn from_json(json: &Json) -> Option<Self>;
-}
 
 /// One schedulable unit of work: a pure, seeded computation.
 pub struct JobSpec<T> {
@@ -271,58 +263,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-// Blanket-ish codecs for common leaf types used by ports.
-
-impl JsonCodec for f64 {
-    fn to_json(&self) -> Json {
-        Json::Num(*self)
-    }
-    fn from_json(json: &Json) -> Option<Self> {
-        json.as_f64()
-    }
-}
-
-impl JsonCodec for Option<f64> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(v) => Json::Num(*v),
-            None => Json::Null,
-        }
-    }
-    fn from_json(json: &Json) -> Option<Self> {
-        match json {
-            Json::Null => Some(None),
-            Json::Num(v) => Some(Some(*v)),
-            _ => None,
-        }
-    }
-}
-
-impl JsonCodec for u64 {
-    fn to_json(&self) -> Json {
-        Json::Num(*self as f64)
-    }
-    fn from_json(json: &Json) -> Option<Self> {
-        json.as_u64()
-    }
-}
-
-/// Generic sequence codec (subsumes the old `Vec<f64>`-only impl, byte-
-/// compatible with entries it cached): shard-fanned jobs return one summary
-/// per shard, so sequences of codec-able values must round-trip as a unit.
-impl<T: JsonCodec> JsonCodec for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::arr(self.iter().map(JsonCodec::to_json))
-    }
-    fn from_json(json: &Json) -> Option<Self> {
-        json.as_arr()?.iter().map(T::from_json).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_util::TempDir;
+    use crate::Json;
 
     fn runner(threads: usize, tmp: &TempDir) -> Runner {
         Runner::new(threads, Cache::new(tmp.path())).with_progress(false)

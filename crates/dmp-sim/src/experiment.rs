@@ -9,10 +9,10 @@ use std::rc::Rc;
 
 use dmp_core::metrics::{LateFractions, LatenessReport};
 use dmp_core::resilience::{ResilienceReport, ResilienceSpec};
-use dmp_core::spec::{PathSpec, PullStrategy, SchedulerKind};
+use dmp_core::spec::{PullStrategy, SchedulerKind};
 use dmp_core::stats::OnlineStats;
 use dmp_core::trace::StreamTrace;
-use dmp_runner::{JobSpec, Json, JsonCodec};
+use dmp_runner::{ArtifactWriter, JobSpec, Json, JsonCodec};
 use netsim::{secs, Sim, SimTracer};
 use obs::{Recorder, TraceConfig};
 use scenario::{PathBinding, Scenario, ScenarioDriver};
@@ -27,7 +27,7 @@ use crate::video::{shared_trace, DmpServer, StaticServer, VideoClient};
 /// transitions of the video flows, bottleneck/server queue occupancy,
 /// pull/stripe decisions, deliveries, and scripted path events — and writes
 /// it as `<sanitised-label>.jsonl` under `dir` (default
-/// [`obs::default_trace_dir`]), registering the file in the process-wide
+/// [`ArtifactWriter::trace_dir`]), registering the file in the process-wide
 /// [`obs::registry`](obs::drain_trace_files) for harnesses to reference from
 /// their `.meta.json` sidecars.
 ///
@@ -47,7 +47,7 @@ pub struct TraceSpec {
     /// Run label; the trace file stem is `obs::sanitize_label(label)`. When
     /// empty a label is derived from setting/scheduler/seed.
     pub label: String,
-    /// Output directory (`None`: [`obs::default_trace_dir`]).
+    /// Output directory (`None`: `ArtifactWriter::from_env().trace_dir()`).
     pub dir: Option<PathBuf>,
 }
 
@@ -198,17 +198,6 @@ pub struct MeasuredPath {
     pub share: f64,
 }
 
-impl MeasuredPath {
-    /// Convert to the model's path description.
-    pub fn to_path_spec(&self) -> PathSpec {
-        PathSpec {
-            loss: self.loss.max(1e-6),
-            rtt_s: self.rtt_s,
-            to_ratio: self.to_ratio,
-        }
-    }
-}
-
 /// Everything one run produces.
 #[derive(Debug)]
 pub struct RunOutput {
@@ -289,7 +278,7 @@ impl BuiltExperiment {
             .collect();
 
         let mut metrics = sim.metrics_snapshot();
-        obs::record_frame_metrics(&mut metrics, &trace);
+        obs::record_frame_metrics(&mut metrics, trace.frames());
         for (k, v) in labels {
             metrics.set_label(k, v);
         }
@@ -379,7 +368,7 @@ pub fn build(spec: &ExperimentSpec) -> BuiltExperiment {
             .trace
             .dir
             .clone()
-            .unwrap_or_else(obs::default_trace_dir);
+            .unwrap_or_else(|| ArtifactWriter::from_env().trace_dir());
         let path = dir.join(format!("{}.jsonl", obs::sanitize_label(&label)));
         let cfg = TraceConfig {
             ring_capacity: spec.trace.ring,

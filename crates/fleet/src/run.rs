@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 
 use dmp_core::{FleetReport, SessionOutcome};
-use dmp_runner::{JobSpec, Json, Runner};
+use dmp_runner::{ArtifactWriter, JobSpec, Json, Runner};
 use netsim::EngineTelemetry;
 
 use crate::shard::{run_shard, ShardOutput};
@@ -34,7 +34,7 @@ pub struct FleetOptions {
     /// `fleet:<name>:shard<i>`). Traced jobs are not cached —
     /// their value is the side-effect file.
     pub trace: bool,
-    /// Where traces go; defaults to [`obs::default_trace_dir`].
+    /// Where traces go; defaults to `ArtifactWriter::from_env().trace_dir()`.
     pub trace_dir: Option<PathBuf>,
 }
 
@@ -182,7 +182,7 @@ pub fn run_fleet(runner: &Runner, spec: &FleetSpec, opts: &FleetOptions) -> Flee
     let trace_dir = opts.trace.then(|| {
         opts.trace_dir
             .clone()
-            .unwrap_or_else(obs::default_trace_dir)
+            .unwrap_or_else(|| ArtifactWriter::from_env().trace_dir())
     });
 
     let mut jobs: Vec<JobSpec<Vec<ShardOutput>>> = Vec::new();

@@ -264,7 +264,7 @@ pub fn run_shard(spec: &FleetSpec, shard: u32, trace: Option<(&Path, &str)>) -> 
     // however shards are chunked into jobs.
     let mut metrics = sim.metrics_snapshot();
     for (s, o) in sessions.iter().zip(&outcomes) {
-        obs::record_frame_metrics(&mut metrics, &s.trace.borrow());
+        obs::record_frame_metrics(&mut metrics, s.trace.borrow().frames());
         if o.started {
             metrics.counter_add("fleet.sessions_started", 1);
             metrics

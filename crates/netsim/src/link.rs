@@ -380,11 +380,6 @@ impl Link {
         flushed
     }
 
-    /// Is the link administratively down?
-    pub fn is_admin_down(&self) -> bool {
-        self.admin_down
-    }
-
     /// Packets currently queued (excluding any on the wire).
     pub fn queue_len(&self) -> usize {
         self.ring.len() - self.started

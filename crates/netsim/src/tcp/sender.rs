@@ -270,11 +270,6 @@ impl TcpSender {
         self.cc.ssthresh()
     }
 
-    /// Which congestion-control algorithm this sender runs.
-    pub fn cc_kind(&self) -> CcKind {
-        self.cfg.cc
-    }
-
     /// True if a sized transfer is finished and the sender has gone idle.
     pub fn is_idle(&self) -> bool {
         self.mode == AppMode::Idle && self.unacked() == 0 && self.tx_buf.is_empty()
@@ -548,18 +543,6 @@ impl TcpSender {
                 self.mode = AppMode::Idle;
                 self.transfer_complete = true;
             }
-        }
-    }
-
-    /// Measured loss rate numerator helper: retransmissions per transmission
-    /// (an upper bound on drop probability seen by this flow; queue-level
-    /// counts are used by the simulator for the exact value).
-    pub fn retransmit_fraction(&self) -> f64 {
-        let total = self.total_transmissions();
-        if total == 0 {
-            0.0
-        } else {
-            self.stats.retransmits as f64 / total as f64
         }
     }
 }

@@ -256,74 +256,76 @@ impl TraceEvent {
     }
 
     /// Parse one JSONL line back into an event. Returns `None` on malformed
-    /// input or an unknown event name (forward compatibility: readers skip
-    /// lines they do not understand).
+    /// input (a negative, fractional or out-of-range integer field included)
+    /// or an unknown event name (forward compatibility: readers skip lines
+    /// they do not understand).
     pub fn parse_line(line: &str) -> Option<TraceEvent> {
-        let obj = dmp_runner::json::parse(line)?;
+        let obj = dmp_base::json::parse(line)?;
         let num = |k: &str| obj.get(k)?.as_f64();
-        let int = |k: &str| num(k).map(|x| x as u64);
+        let int = |k: &str| obj.get(k)?.as_u64();
+        let small = |k: &str| u32::try_from(int(k)?).ok();
         let text = |k: &str| obj.get(k)?.as_str();
         let flag = |k: &str| obj.get(k)?.as_bool();
         let t = int("t")?;
         let ev = text("ev")?;
         let kind = match ev {
             "path_conn" => EventKind::PathConn {
-                path: int("path")? as u32,
-                conn: int("conn")? as u32,
+                path: small("path")?,
+                conn: small("conn")?,
             },
             "cc_algo" => EventKind::CcAlgo {
-                conn: int("conn")? as u32,
+                conn: small("conn")?,
                 algo: text("algo")?.to_string(),
             },
             "strategy" => EventKind::Strategy {
                 name: text("name")?.to_string(),
             },
             "cwnd" => EventKind::Cwnd {
-                conn: int("conn")? as u32,
+                conn: small("conn")?,
                 cwnd: num("cwnd")?,
                 ssthresh: num("ssthresh")?,
             },
             "fastrec" => EventKind::FastRecovery {
-                conn: int("conn")? as u32,
+                conn: small("conn")?,
                 entered: flag("entered")?,
             },
             "retx" => EventKind::Retransmit {
-                conn: int("conn")? as u32,
+                conn: small("conn")?,
                 seq: int("seq")?,
                 fast: flag("fast")?,
             },
             "rto" => EventKind::RtoTimeout {
-                conn: int("conn")? as u32,
+                conn: small("conn")?,
                 seq: int("seq")?,
-                backoff_exp: int("backoff_exp")? as u32,
+                backoff_exp: small("backoff_exp")?,
             },
             "link_q" => EventKind::LinkQueue {
-                link: int("link")? as u32,
-                depth: int("depth")? as u32,
+                link: small("link")?,
+                depth: small("depth")?,
             },
             "srv_q" => EventKind::SrvQueue {
-                depth: int("depth")? as u32,
+                depth: small("depth")?,
             },
             "pull" => EventKind::Pull {
-                path: int("path")? as u32,
+                path: small("path")?,
                 seq: int("seq")?,
-                queued: int("queued")? as u32,
+                queued: small("queued")?,
             },
             "stripe" => EventKind::Stripe {
-                path: int("path")? as u32,
+                path: small("path")?,
                 seq: int("seq")?,
             },
             "gen" => EventKind::Generated { seq: int("seq")? },
             "dlv" => EventKind::Delivered {
-                path: int("path")? as u32,
+                path: small("path")?,
                 seq: int("seq")?,
             },
             "path_ev" => EventKind::PathEvent {
-                path: int("path")? as u32,
+                path: small("path")?,
                 action: PathAction::from_name(text("action")?)?,
             },
             "session" => EventKind::Session {
-                session: int("session")? as u32,
+                session: small("session")?,
                 up: flag("up")?,
             },
             _ => return None,
@@ -467,6 +469,11 @@ mod tests {
         assert!(TraceEvent::parse_line("{\"t\":1,\"ev\":\"future_thing\",\"x\":2}").is_none());
         assert!(TraceEvent::parse_line("not json").is_none());
         assert!(TraceEvent::parse_line("").is_none());
+        // Bad integers are skipped too — these once read as t = 0, seq = 1, conn = 1.
+        assert!(TraceEvent::parse_line("{\"t\":-5,\"ev\":\"gen\",\"seq\":1}").is_none());
+        assert!(TraceEvent::parse_line("{\"t\":5,\"ev\":\"gen\",\"seq\":1.5}").is_none());
+        let wide = "{\"t\":5,\"ev\":\"fastrec\",\"conn\":4294967297,\"entered\":true}";
+        assert!(TraceEvent::parse_line(wide).is_none());
     }
 
     #[test]

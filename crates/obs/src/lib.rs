@@ -44,18 +44,6 @@ pub use recorder::{Recorder, TraceConfig};
 pub use registry::{drain_trace_files, record_trace_file, TraceFileRef};
 pub use report::Trace;
 
-use std::path::PathBuf;
-
-/// Default directory trace files are written into: `DMP_TRACE_DIR` if set,
-/// else `traces/` under `dmp-runner`'s `ArtifactWriter::from_env` directory,
-/// so traces land next to the artifacts they explain.
-pub fn default_trace_dir() -> PathBuf {
-    match std::env::var_os("DMP_TRACE_DIR") {
-        Some(d) => PathBuf::from(d),
-        None => dmp_runner::ArtifactWriter::from_env().dir().join("traces"),
-    }
-}
-
 /// Sanitise a run label into a file stem: every character outside
 /// `[A-Za-z0-9._-]` becomes `_`. Labels like `scn:failover:Dmp:run0` map to
 /// stable, filesystem-safe names.

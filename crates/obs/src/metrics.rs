@@ -22,14 +22,12 @@
 //! buckets; every power-of-two octave above splits into 8 sub-buckets
 //! (≤ 12.5 % relative bucket width). Alongside the buckets each histogram
 //! keeps exact integer moments (`count`, `sum`, `sum_sq` in `u128`, `min`,
-//! `max`), from which [`dmp_core::Distribution`] reconstructs mean, p50,
+//! `max`), from which [`dmp_base::Distribution`] reconstructs mean, p50,
 //! p90, p99, max, and stddev — the repo's single percentile implementation.
 
 use std::collections::BTreeMap;
 
-use dmp_core::trace::StreamTrace;
-use dmp_core::Distribution;
-use dmp_runner::{Json, JsonCodec};
+use dmp_base::{Distribution, Json, JsonCodec};
 
 /// Sub-bucket resolution: each power-of-two octave splits into
 /// `2^SUB_BITS` linear sub-buckets.
@@ -399,7 +397,8 @@ impl JsonCodec for MetricsSnapshot {
 }
 
 /// Record the frame-level metrics every backend shares — the DMP scheme's
-/// per-packet delivery trace folded into counters and histograms:
+/// per-packet delivery trace, as one `(gen_ns, arrival_ns, path)` frame per
+/// generated packet, folded into counters and histograms:
 ///
 /// * `frame.generated` / `frame.delivered` / `frame.lost` counters;
 /// * `frame.delay_ms` — delivery delay (arrival − generation) per
@@ -411,18 +410,22 @@ impl JsonCodec for MetricsSnapshot {
 /// Shared by `dmp-sim` (sim time), `fleet` shards (per session), and
 /// `dmp-live` (nominal time), so all three layers report comparable
 /// distributions.
-pub fn record_frame_metrics(snap: &mut MetricsSnapshot, trace: &StreamTrace) {
+pub fn record_frame_metrics(
+    snap: &mut MetricsSnapshot,
+    frames: impl IntoIterator<Item = (u64, Option<u64>, u8)>,
+) {
+    let mut generated = 0u64;
     let mut delivered = 0u64;
     let hist = snap.histograms.entry("frame.delay_ms".into()).or_default();
     let mut per_path = [0u64; 16];
-    for r in trace.records() {
-        if let Some(arrival) = r.arrival_ns {
+    for (gen_ns, arrival_ns, path) in frames {
+        generated += 1;
+        if let Some(arrival) = arrival_ns {
             delivered += 1;
-            hist.record(arrival.saturating_sub(r.gen_ns) / 1_000_000);
-            per_path[(r.path as usize).min(per_path.len() - 1)] += 1;
+            hist.record(arrival.saturating_sub(gen_ns) / 1_000_000);
+            per_path[(path as usize).min(per_path.len() - 1)] += 1;
         }
     }
-    let generated = trace.generated();
     snap.counter_add("frame.generated", generated);
     snap.counter_add("frame.delivered", delivered);
     snap.counter_add("frame.lost", generated.saturating_sub(delivered));
@@ -559,16 +562,13 @@ mod tests {
 
     #[test]
     fn frame_metrics_fold_a_delivery_trace() {
-        use dmp_core::spec::VideoSpec;
-        let mut t = StreamTrace::new(VideoSpec::new(50.0), 10_000_000_000);
-        for seq in 0..10u64 {
-            t.on_generated(seq, seq * 20_000_000);
-            if seq < 8 {
-                t.on_arrival(seq, seq * 20_000_000 + 250_000_000, (seq % 2) as u8);
-            }
-        }
+        let frames = (0..10u64).map(|seq| {
+            let gen_ns = seq * 20_000_000;
+            let arrival_ns = (seq < 8).then_some(gen_ns + 250_000_000);
+            (gen_ns, arrival_ns, (seq % 2) as u8)
+        });
         let mut s = MetricsSnapshot::new();
-        record_frame_metrics(&mut s, &t);
+        record_frame_metrics(&mut s, frames);
         assert_eq!(s.counters["frame.generated"], 10);
         assert_eq!(s.counters["frame.delivered"], 8);
         assert_eq!(s.counters["frame.lost"], 2);

@@ -6,7 +6,7 @@
 //! binary, which combines these primitives with `dmp-core`'s glitch model.
 
 use crate::event::{EventKind, TraceEvent};
-use dmp_core::Distribution;
+use dmp_base::Distribution;
 
 const SECOND_NS: f64 = 1e9;
 

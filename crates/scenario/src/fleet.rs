@@ -20,6 +20,7 @@
 //! round-trips through [`FleetTimeline::parse`] and a stable FNV-1a hash for
 //! content-addressed cache keys.
 
+use dmp_base::hash::StableHasher;
 use std::fmt;
 
 /// One arrival-rate spike: the fleet arrival rate is multiplied by `factor`
@@ -216,12 +217,9 @@ impl FleetTimeline {
     /// cache keys so two runs with different arrival profiles can never be
     /// served each other's cached shard results.
     pub fn stable_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.canonical().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        let mut h = StableHasher::new();
+        h.write(self.canonical().as_bytes());
+        h.finish_u64()
     }
 }
 
@@ -266,6 +264,9 @@ mod tests {
             FleetTimeline::named("a").stable_hash(),
             FleetTimeline::named("b").stable_hash()
         );
+        // Golden: the `timeline#…` suffix of every spike-free fleet cache key.
+        let plain = FleetTimeline::default();
+        assert_eq!(plain.stable_hash(), 0x2a95_ab9d_d6c2_8ebc);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! form (round-trips through [`Scenario::parse`]), and a stable hash for
 //! content-addressed cache keys.
 
+use dmp_base::hash::StableHasher;
 use std::fmt;
 
 /// One scripted network event, applied to a path at a point in time.
@@ -238,12 +239,9 @@ impl Scenario {
     /// experiment cache keys so two runs with different scripts can never be
     /// served each other's cached results.
     pub fn stable_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.canonical().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        let mut h = StableHasher::new();
+        h.write(self.canonical().as_bytes());
+        h.finish_u64()
     }
 }
 
@@ -331,6 +329,9 @@ mod tests {
             Scenario::named("a").stable_hash(),
             Scenario::named("b").stable_hash()
         );
+        // Golden: the `scenario_hash` committed in artifacts/ext_failover.json.
+        let failover = Scenario::named("failover").at(105.0, 0, Event::PathDown);
+        assert_eq!(failover.stable_hash(), 0xc9d4_7b91_b40b_5b95);
     }
 
     #[test]
