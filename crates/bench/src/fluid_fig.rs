@@ -3,7 +3,7 @@
 //! regenerate the underlying curves).
 
 use dmp_runner::{Json, Runner};
-use tcp_model::fluid::section_7_3_comparison;
+use tcp_model::fluid::{single_path_late_fraction, two_path_late_fraction};
 
 use crate::report::Table;
 use crate::scale::Scale;
@@ -12,7 +12,9 @@ use crate::target::TargetReport;
 /// Print `f(x)` for the single path and for DMP (aligned and anti-aligned
 /// phases) across the split `x ∈ (0, µ]` and a few startup delays. The
 /// paper's period of 10 s and playback rate µ = 50 pkt/s are used.
-/// Closed-form and instant — evaluated inline, no jobs.
+/// Evaluated inline, no jobs: 63 Euler integrations of 400 k steps each
+/// (≈ 0.3 s), the single-path curve once per τ since it depends on neither
+/// the split nor the alignment.
 pub fn fig_fluid(_r: &Runner, _scale: &Scale) -> TargetReport {
     let mu = 50.0;
     let period = 10.0;
@@ -29,10 +31,11 @@ pub fn fig_fluid(_r: &Runner, _scale: &Scale) -> TargetReport {
             ],
         );
         let mut points = Vec::new();
+        let f_single = single_path_late_fraction(mu, period, tau);
         for i in 1..=10 {
             let x = mu * i as f64 / 10.0;
-            let (f_single, f_aligned) = section_7_3_comparison(mu, x, period, tau, false);
-            let (_, f_anti) = section_7_3_comparison(mu, x, period, tau, true);
+            let f_aligned = two_path_late_fraction(mu, x, period, tau, false);
+            let f_anti = two_path_late_fraction(mu, x, period, tau, true);
             t.row(vec![
                 format!("{x:.0}"),
                 format!("{f_single:.4}"),

@@ -285,8 +285,9 @@ pub fn opt_num(v: Option<f64>) -> Json {
     }
 }
 
-/// The hot-path profiler's cumulative per-event-kind breakdown, as a JSON
-/// object for `.meta.json` sidecars. Only compiled with the `profile`
+/// The hot-path profiler's cumulative breakdown — per event kind, then per
+/// thing a delivered packet reached — as a JSON object for `.meta.json`
+/// sidecars. Only compiled with the `profile`
 /// feature; the counters are process-wide, so callers wanting a per-target
 /// view should snapshot-and-delta like `execute` does for engine telemetry.
 #[cfg(feature = "profile")]

@@ -106,6 +106,23 @@ fn steady_state_event_loop_never_allocates() {
     );
 }
 
+/// What `experiment::build` asks the allocator for on Setting 2-2 (100 flows,
+/// 52 links) is arenas, rings and the scheduler's slab — sized by the entities:
+/// 731 allocations, 851 815 bytes. The always-on metrics are three histograms
+/// per `Sim`; with one per link and two per sender (252 of them) the same
+/// build read 980 allocations, 2 064 775 bytes.
+#[test]
+fn building_setting_2_2_is_sized_by_entities_not_histograms() {
+    let setting = *dmp_sim::configs::setting("2-2").expect("setting 2-2 exists");
+    let spec = ExperimentSpec::new(setting, SchedulerKind::Dynamic, 60.0, 2007);
+    let (built, (allocs, bytes), _) = allocations_in(|| experiment::build(&spec));
+    assert!(built.end() > 0);
+    assert!(
+        allocs < 850 && bytes < 1_400_000,
+        "experiment::build made {allocs} allocations, {bytes} bytes"
+    );
+}
+
 /// Building the production queue is a constant number of allocations (the
 /// head table and the slab), not one per wheel bucket.
 #[test]

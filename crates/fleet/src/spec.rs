@@ -123,6 +123,11 @@ impl FleetSpec {
         if self.paths_per_session == 0 {
             return Err("paths_per_session must be ≥ 1".into());
         }
+        if self.send_buf_pkts == 0 {
+            return Err("send_buf_pkts must be ≥ 1: a sender without a buffer \
+                        refuses every chunk and the whole fleet reads as late"
+                .into());
+        }
         if self.bottlenecks_per_shard < self.paths_per_session {
             return Err(format!(
                 "bottlenecks_per_shard {} < paths_per_session {}: a session's \
@@ -190,6 +195,9 @@ mod tests {
         let mut s = FleetSpec::new("f", 4, 2, 1);
         s.arrival_rate_per_s = 0.0;
         assert!(s.validate().is_err());
+        let mut s = FleetSpec::new("f", 4, 2, 1);
+        s.send_buf_pkts = 0;
+        assert!(s.validate().unwrap_err().contains("send_buf_pkts"));
     }
 
     #[test]

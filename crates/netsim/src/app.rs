@@ -25,8 +25,10 @@ pub trait App {
 
     /// Send-buffer space became available on `flow` (the sender received a
     /// new cumulative ACK). Only delivered for flows owned via
-    /// [`SimApi::own_flow`]. This is the "TCP sender can fetch packets"
-    /// trigger of DMP-streaming.
+    /// [`SimApi::own_flow`] whose send buffer the application fills with
+    /// [`SimApi::push_chunk`]: a backlogged flow synthesises its own data
+    /// and has no buffer to refill. This is the "TCP sender can fetch
+    /// packets" trigger of DMP-streaming.
     fn on_send_space(&mut self, api: &mut SimApi<'_>, flow: FlowId) {
         let _ = (api, flow);
     }

@@ -159,8 +159,12 @@ pub struct Link {
     /// When the transmitter finishes serialising the last started packet.
     free_at: SimTime,
     /// Nanoseconds per byte at the current rate (`8e9 / bandwidth_bps`),
-    /// cached so the per-departure path is one multiply, not a divide.
+    /// cached so a memo miss is one multiply, not a divide.
     ns_per_byte: f64,
+    /// `(size_bytes, tx_ns)` of the two packet sizes serialised most
+    /// recently at the current rate (a flow has two: data and ACK). Size 0
+    /// serialises in 0 ns at any rate, so the zeroed memo is already valid.
+    tx_memo: [(u32, SimTime); 2],
     /// Arrival stamp of the most recently departed packet: later departures
     /// clamp to this so the wire stays FIFO even across delay reductions.
     last_arrival: SimTime,
@@ -170,11 +174,6 @@ pub struct Link {
     red: Option<RedState>,
     /// Statistics.
     pub stats: LinkStats,
-    /// Always-on metrics: queue depth (packets waiting, excluding the wire)
-    /// sampled at every arrival — the full occupancy distribution behind
-    /// `LinkStats::mean_queue`. Recording is an array increment and never
-    /// touches the link's RNG, so metrics never perturb loss draws.
-    pub queue_hist: obs::Histogram,
 }
 
 /// Outcome of offering a packet to a link.
@@ -189,11 +188,21 @@ pub enum Offer {
 }
 
 impl Link {
-    /// Serialisation time from the cached per-byte cost; identical to
-    /// `self.spec.tx_time(bytes)` by construction.
+    /// Serialisation time at the current rate; identical to
+    /// `self.spec.tx_time(bytes)` by construction — a memo hit returns what
+    /// the same expression produced for the same size and rate.
     #[inline]
-    fn tx_ns(&self, bytes: u32) -> SimTime {
-        round_ns(f64::from(bytes) * self.ns_per_byte)
+    fn tx_ns(&mut self, bytes: u32) -> SimTime {
+        let [a, b] = self.tx_memo;
+        if a.0 == bytes {
+            return a.1;
+        }
+        if b.0 == bytes {
+            return b.1;
+        }
+        let ns = round_ns(f64::from(bytes) * self.ns_per_byte);
+        self.tx_memo = [(bytes, ns), a];
+        ns
     }
 
     /// Create an idle link from `from` delivering to `to`. `seed` starts the
@@ -209,11 +218,11 @@ impl Link {
             started: 0,
             free_at: 0,
             ns_per_byte: 8e9 / spec.bandwidth_bps,
+            tx_memo: [(0, 0); 2],
             last_arrival: 0,
             rng: SmallRng::seed_from_u64(seed),
             red: spec.red.map(RedState::new),
             stats: LinkStats::default(),
-            queue_hist: obs::Histogram::new(),
         }
     }
 
@@ -251,7 +260,6 @@ impl Link {
         let queued = self.ring.len() - self.started;
         self.stats.queue_len_sum += queued as u64;
         self.stats.queue_samples += 1;
-        self.queue_hist.record(queued as u64);
         if self.admin_down {
             self.stats.dropped += 1;
             self.stats.admin_dropped += 1;
@@ -342,6 +350,7 @@ impl Link {
         assert!(bps > 0.0, "bandwidth must be positive (got {bps})");
         self.spec.bandwidth_bps = bps;
         self.ns_per_byte = 8e9 / bps;
+        self.tx_memo = [(0, 0); 2];
     }
 
     /// Change the propagation delay. The caller must `advance` to `now`
@@ -437,6 +446,29 @@ mod tests {
         let spec = LinkSpec::from_table(1.5, 0.0, 10);
         // 1500 B at 1.5 Mbps = 8 ms.
         assert_eq!(spec.tx_time(1500), 8_000_000);
+    }
+
+    #[test]
+    fn memoised_serialisation_time_is_the_spec_formula() {
+        // Four sizes in rotation over a two-entry memo: hits, misses and
+        // evictions all answer what `LinkSpec::tx_time` computes afresh, and
+        // a rate change leaves nothing stale behind.
+        let mut l = Link::new(LinkSpec::from_table(3.7, 1.0, 10), 0, 1, 1);
+        for bps in [3.7e6, 1.234_567e6, 3.7e6] {
+            l.set_bandwidth_bps(bps);
+            for round in 0..3 {
+                for bytes in [40, 40, 1_040, 1_500, 1_500, 40, 9_000] {
+                    assert_eq!(
+                        l.tx_ns(bytes),
+                        l.spec.tx_time(bytes),
+                        "{bytes} B at {bps} bps, round {round}"
+                    );
+                }
+            }
+        }
+        // The memo starts out answering for size 0, correctly.
+        let mut fresh = link(1);
+        assert_eq!(fresh.tx_ns(0), fresh.spec.tx_time(0));
     }
 
     #[test]

@@ -152,6 +152,16 @@ pub struct Sim {
     transits: u64,
     stale_timer_pops: u64,
     deferred_timer_pushes: u64,
+    /// Always-on metrics, one ledger for the whole simulation: recording is
+    /// an array increment plus integer sums, draws no randomness and
+    /// schedules nothing, so it never perturbs the run. RTT samples, µs.
+    rtt_hist: obs::Histogram,
+    /// Congestion window in whole packets, sampled with each RTT measurement.
+    cwnd_hist: obs::Histogram,
+    /// Queue depth (packets waiting, excluding the wire) seen by every
+    /// offered packet — the occupancy distribution behind
+    /// `LinkStats::mean_queue`.
+    queue_hist: obs::Histogram,
     /// Flight recorder (None = tracing off; the untraced `run_until`
     /// instantiation compiles every hook out).
     tracer: Option<SimTracer>,
@@ -192,6 +202,9 @@ impl Sim {
             transits: 0,
             stale_timer_pops: 0,
             deferred_timer_pushes: 0,
+            rtt_hist: obs::Histogram::new(),
+            cwnd_hist: obs::Histogram::new(),
+            queue_hist: obs::Histogram::new(),
             tracer: None,
             #[cfg(feature = "profile")]
             profile: telemetry::profile::SimProfile::default(),
@@ -293,10 +306,19 @@ impl Sim {
         tcp: TcpConfig,
         sink: SinkConfig,
     ) -> FlowId {
+        assert!(
+            tcp.max_wnd >= 1,
+            "TcpConfig::max_wnd must be at least 1 segment"
+        );
+        assert!(
+            tcp.send_buf_pkts >= 1,
+            "TcpConfig::send_buf_pkts must be at least 1 segment"
+        );
         let flow = self.flows.len() as FlowId;
         self.senders.push(TcpSender::new(flow, src, dst, tcp));
         self.sender_timer_ev.push(None);
-        self.sinks.push(TcpSink::new(flow, dst, src, sink));
+        self.sinks
+            .push(TcpSink::new(flow, dst, src, sink, tcp.max_wnd));
         // A gap fill can deliver up to a window of buffered segments in one
         // arrival, and each arrival acks at most once; reserving here (where
         // the sender's window bound is in scope) keeps sink flushes off the
@@ -371,33 +393,33 @@ impl Sim {
     }
 
     /// Fold the simulation's always-on metrics into one mergeable snapshot:
-    /// per-sender RTT/cwnd histograms and retransmission counters, per-link
-    /// queue-depth histograms and drop counters, plus the engine event
-    /// totals. Senders and links are visited in id order and histograms merge
-    /// with exact integer arithmetic, so the snapshot is a pure function of
-    /// the simulated system — byte-identical across scheduler engines,
-    /// runner thread counts, and trace on/off.
+    /// the RTT, cwnd and queue-depth histograms this `Sim` recorded for all
+    /// of its senders and links, their retransmission and drop counters
+    /// summed, plus the engine event totals. A histogram is a set of exact
+    /// integer sums, so the order samples were recorded in leaves no mark
+    /// and the snapshot is a pure function of the simulated system —
+    /// byte-identical across scheduler engines, runner thread counts, and
+    /// trace on/off. The RTT and cwnd histograms appear once the `Sim` has a
+    /// flow, the queue-depth one once it has a link.
     pub fn metrics_snapshot(&self) -> obs::MetricsSnapshot {
         let mut snap = obs::MetricsSnapshot::new();
+        if !self.senders.is_empty() {
+            snap.histograms
+                .insert("net.rtt_us".to_string(), self.rtt_hist.clone());
+            snap.histograms
+                .insert("net.cwnd_pkts".to_string(), self.cwnd_hist.clone());
+        }
         for s in &self.senders {
-            snap.histograms
-                .entry("net.rtt_us".to_string())
-                .or_default()
-                .merge(&s.rtt_hist);
-            snap.histograms
-                .entry("net.cwnd_pkts".to_string())
-                .or_default()
-                .merge(&s.cwnd_hist);
             snap.counter_add("net.data_sent", s.stats.data_sent);
             snap.counter_add("net.retransmits", s.stats.retransmits);
             snap.counter_add("net.rto_timeouts", s.stats.timeouts);
             snap.counter_add("net.fast_retransmits", s.stats.fast_retransmits);
         }
-        for l in &self.links {
+        if !self.links.is_empty() {
             snap.histograms
-                .entry("net.queue_depth_pkts".to_string())
-                .or_default()
-                .merge(&l.queue_hist);
+                .insert("net.queue_depth_pkts".to_string(), self.queue_hist.clone());
+        }
+        for l in &self.links {
             snap.counter_add("net.queue_drops", l.stats.dropped);
             snap.counter_add("net.random_loss_drops", l.stats.random_dropped);
             snap.gauge_max("net.peak_queue_pkts", l.stats.peak_queue as f64);
@@ -540,7 +562,15 @@ impl Sim {
                 while let Some(pkt) = self.links[l as usize].pop_due(time) {
                     self.transits += 1;
                     let node = self.links[l as usize].to;
+                    #[cfg(feature = "profile")]
+                    let (bin, t0) = (
+                        Self::arrival_profile_bin(node, &pkt),
+                        telemetry::profile::timestamp(),
+                    );
                     self.handle_arrival::<M>(node, pkt);
+                    #[cfg(feature = "profile")]
+                    self.profile
+                        .record(bin, telemetry::profile::timestamp().wrapping_sub(t0));
                 }
                 self.link_deliver_ev[l as usize] = None;
                 self.sync_link_deliver(l);
@@ -596,6 +626,18 @@ impl Sim {
         }
     }
 
+    /// Profiler bin of the `handle_arrival` arm `pkt` will take at `node`,
+    /// matching `telemetry::profile::KIND_NAMES` order.
+    #[cfg(feature = "profile")]
+    fn arrival_profile_bin(node: NodeId, pkt: &Packet) -> usize {
+        telemetry::profile::EVENT_KINDS
+            + match (pkt.dst != node, pkt.kind) {
+                (true, _) => 0,
+                (false, PacketKind::Data) => 1,
+                (false, PacketKind::Ack) => 2,
+            }
+    }
+
     fn handle_arrival<M: RecordMode>(&mut self, node: NodeId, pkt: Packet) {
         if pkt.dst != node {
             self.route_from::<M>(node, pkt);
@@ -631,6 +673,9 @@ impl Sim {
     fn offer_to_link<M: RecordMode>(&mut self, l: LinkId, pkt: Packet) {
         self.advance_link::<M>(l);
         let now = self.now;
+        // The depth `offer` is about to meet (and sum into `LinkStats`).
+        self.queue_hist
+            .record(self.links[l as usize].queue_len() as u64);
         match self.links[l as usize].offer(now, pkt) {
             Offer::Started => self.sync_link_deliver(l),
             Offer::Queued => {
@@ -713,6 +758,10 @@ impl Sim {
                 self.senders[s].timer_deadline,
                 EventKind::SenderTimer(sender_id),
             );
+        }
+        if let Some((rtt_us, cwnd_pkts)) = self.senders[s].metric_sample.take() {
+            self.rtt_hist.record(rtt_us);
+            self.cwnd_hist.record(cwnd_pkts);
         }
         if std::mem::take(&mut self.senders[s].wake_app) {
             if let Some(app) = self.flows[flow as usize].owner_app {
@@ -1123,12 +1172,18 @@ mod tests {
     #[test]
     fn every_dispatched_event_lands_in_exactly_one_profiler_bin() {
         let (sim, _) = lossy_sim(1);
-        let counts = sim.profile.counts;
+        let (events, arrivals) = sim.profile.counts.split_at(telemetry::profile::EVENT_KINDS);
         assert!(
-            counts[0] > 0 && counts[1] > 0,
-            "link deliveries and retransmission timers must both have fired: {counts:?}"
+            events[0] > 0 && events[1] > 0,
+            "link deliveries and retransmission timers must both have fired: {events:?}"
         );
-        assert_eq!(counts.iter().sum::<u64>(), sim.events_processed());
+        assert_eq!(events.iter().sum::<u64>(), sim.events_processed());
+        // Two hosts, no router: every transit reaches a sink or a sender.
+        assert!(
+            arrivals[0] == 0 && arrivals[1] > 0 && arrivals[2] > 0,
+            "{arrivals:?}"
+        );
+        assert_eq!(arrivals.iter().sum::<u64>(), sim.transits());
     }
 
     #[test]
@@ -1146,54 +1201,56 @@ mod tests {
         assert_ne!(lossy_run(1), lossy_run(2));
     }
 
+    /// One backlogged flow over a lossy pipe: serialisation, delivery, ACK
+    /// and retransmission-timer events.
+    fn two_host(engine: EngineKind) -> (Sim, Vec<FlowId>) {
+        let mut sim = Sim::with_engine(3, engine);
+        let a = sim.add_node("a");
+        let b = sim.add_node("b");
+        let spec = LinkSpec::from_table(2.0, 20.0, 10).with_random_loss(0.01);
+        let (f, r) = sim.add_duplex(a, b, spec);
+        sim.add_route(a, b, f);
+        sim.add_route(b, a, r);
+        let flow = sim.add_flow(a, b, TcpConfig::default(), SinkConfig::default());
+        sim.add_app(Box::new(FtpStarter { flow }));
+        sim.run_until(60 * SECOND);
+        (sim, vec![flow])
+    }
+
+    /// The figure sweeps' background traffic on a bare `Sim`: a congested
+    /// Table 1 config-2-like bottleneck shared by 9 FTPs and 40 on/off HTTP
+    /// sessions, so app timers, think times and 49 flows' worth of
+    /// same-instant ties cross the oracle too.
+    fn bottleneck_bg(engine: EngineKind) -> (Sim, Vec<FlowId>) {
+        let mut sim = Sim::with_engine(2, engine);
+        let a = sim.add_node("src");
+        let b = sim.add_node("dst");
+        let (f, r) = sim.add_duplex(a, b, LinkSpec::from_table(3.7, 1.0, 50));
+        sim.add_route(a, b, f);
+        sim.add_route(b, a, r);
+        let cfg = TcpConfig {
+            max_wnd: 20,
+            ..TcpConfig::default()
+        };
+        let flows: Vec<FlowId> = (0..49u64)
+            .map(|i| {
+                let flow = sim.add_flow(a, b, cfg, SinkConfig::default());
+                let app: Box<dyn App> = if i < 9 {
+                    Box::new(Ftp::new(flow, i * SECOND / 10))
+                } else {
+                    let start = (i - 9) * SECOND / 20;
+                    Box::new(HttpSession::new(flow, HttpParams::default(), start))
+                };
+                sim.add_app(app);
+                flow
+            })
+            .collect();
+        sim.run_until(10 * SECOND);
+        (sim, flows)
+    }
+
     #[test]
     fn both_engines_agree_exactly() {
-        // One backlogged flow over a lossy pipe: serialisation, delivery,
-        // ACK and retransmission-timer events.
-        let two_host = |engine| {
-            let mut sim = Sim::with_engine(3, engine);
-            let a = sim.add_node("a");
-            let b = sim.add_node("b");
-            let spec = LinkSpec::from_table(2.0, 20.0, 10).with_random_loss(0.01);
-            let (f, r) = sim.add_duplex(a, b, spec);
-            sim.add_route(a, b, f);
-            sim.add_route(b, a, r);
-            let flow = sim.add_flow(a, b, TcpConfig::default(), SinkConfig::default());
-            sim.add_app(Box::new(FtpStarter { flow }));
-            sim.run_until(60 * SECOND);
-            (sim, vec![flow])
-        };
-        // The figure sweeps' background traffic on a bare `Sim`: a congested
-        // Table 1 config-2-like bottleneck shared by 9 FTPs and 40 on/off
-        // HTTP sessions, so app timers, think times and 49 flows' worth of
-        // same-instant ties cross the oracle too.
-        let bottleneck_bg = |engine| {
-            let mut sim = Sim::with_engine(2, engine);
-            let a = sim.add_node("src");
-            let b = sim.add_node("dst");
-            let (f, r) = sim.add_duplex(a, b, LinkSpec::from_table(3.7, 1.0, 50));
-            sim.add_route(a, b, f);
-            sim.add_route(b, a, r);
-            let cfg = TcpConfig {
-                max_wnd: 20,
-                ..TcpConfig::default()
-            };
-            let flows: Vec<FlowId> = (0..49u64)
-                .map(|i| {
-                    let flow = sim.add_flow(a, b, cfg, SinkConfig::default());
-                    let app: Box<dyn App> = if i < 9 {
-                        Box::new(Ftp::new(flow, i * SECOND / 10))
-                    } else {
-                        let start = (i - 9) * SECOND / 20;
-                        Box::new(HttpSession::new(flow, HttpParams::default(), start))
-                    };
-                    sim.add_app(app);
-                    flow
-                })
-                .collect();
-            sim.run_until(10 * SECOND);
-            (sim, flows)
-        };
         let fingerprint = |(sim, flows): (Sim, Vec<FlowId>)| {
             let per_flow = |&flow: &FlowId| {
                 (
@@ -1424,5 +1481,117 @@ mod tests {
             c.wheel_hwm + c.far_hwm < 200,
             "queue should stay small: {c:?}"
         );
+    }
+
+    /// Digest of the rendered always-on metrics.
+    fn snapshot_digest(sim: &Sim) -> String {
+        use dmp_base::JsonCodec;
+        let mut h = dmp_base::hash::StableHasher::new();
+        h.write_str(&sim.metrics_snapshot().to_json().render());
+        h.finish_hex()
+    }
+
+    #[test]
+    fn one_ledger_per_sim_reproduces_the_merged_per_entity_histograms() {
+        // Read off the commit that still kept one histogram per link and two
+        // per sender and merged them in `metrics_snapshot`.
+        assert_eq!(
+            snapshot_digest(&two_host(EngineKind::Calendar).0),
+            "2178191aebec2fda9e2eb7ab9fa81e1f"
+        );
+        assert_eq!(
+            snapshot_digest(&bottleneck_bg(EngineKind::Calendar).0),
+            "edd625913cecae1832961e788eb5aff1"
+        );
+    }
+
+    #[test]
+    fn every_offer_records_the_queue_depth_it_meets() {
+        // A 200-segment initial window hits a slow link with a 4 000-packet
+        // queue in one burst: the first segment departs, the second finds
+        // the queue empty, every later one finds one more waiting.
+        const BURST: u64 = 200;
+        let mut sim = Sim::new(5);
+        let a = sim.add_node("a");
+        let b = sim.add_node("b");
+        let spec = LinkSpec::from_table(1.0, 50.0, 4_000);
+        let (f, r) = sim.add_duplex(a, b, spec);
+        sim.add_route(a, b, f);
+        sim.add_route(b, a, r);
+        let cfg = TcpConfig {
+            max_wnd: BURST as u32,
+            initial_cwnd: BURST as f64,
+            ..TcpConfig::default()
+        };
+        let flow = sim.add_flow(a, b, cfg, SinkConfig::default());
+        sim.add_app(Box::new(FtpStarter { flow }));
+        // Stop before the first segment arrives: no ACK has been offered.
+        sim.run_until(spec.tx_time(1500));
+        let mut direct = obs::Histogram::new();
+        direct.record(0);
+        for depth in 0..BURST - 1 {
+            direct.record(depth);
+        }
+        assert_eq!(
+            sim.metrics_snapshot().histograms["net.queue_depth_pkts"],
+            direct
+        );
+        // Under full dynamics the ledger still holds one sample per offer.
+        sim.run_until(30 * SECOND);
+        let depth = &sim.metrics_snapshot().histograms["net.queue_depth_pkts"];
+        let offers = sim.link(f).stats.queue_samples + sim.link(r).stats.queue_samples;
+        assert_eq!(depth.count(), offers);
+        assert_eq!(depth.max() + 1, sim.link(f).stats.peak_queue as u64);
+    }
+
+    #[test]
+    fn only_a_buffered_sender_wakes_its_application() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        #[derive(Default)]
+        struct Calls {
+            send_space: Cell<u64>,
+            complete: Cell<u64>,
+        }
+        /// Owns a sized backlogged transfer (an HTTP page, an FTP file).
+        struct SizedTransfer {
+            flow: FlowId,
+            calls: Rc<Calls>,
+        }
+        impl App for SizedTransfer {
+            fn start(&mut self, api: &mut SimApi<'_>) {
+                api.own_flow(self.flow);
+                api.set_backlogged(self.flow, Some(500));
+            }
+            fn on_send_space(&mut self, _: &mut SimApi<'_>, _: FlowId) {
+                self.calls.send_space.set(self.calls.send_space.get() + 1);
+            }
+            fn on_transfer_complete(&mut self, _: &mut SimApi<'_>, _: FlowId) {
+                self.calls.complete.set(self.calls.complete.get() + 1);
+            }
+        }
+        let (mut sim, flow) = two_host_sim(10.0, 10.0, 100);
+        let calls = Rc::new(Calls::default());
+        sim.add_app(Box::new(SizedTransfer {
+            flow,
+            calls: Rc::clone(&calls),
+        }));
+        sim.run_until(10 * SECOND);
+        assert_eq!(sim.sender(flow).acked(), 500);
+        assert_eq!(calls.send_space.get(), 0, "no send buffer to refill");
+        assert_eq!(calls.complete.get(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_wnd")]
+    fn a_zero_window_is_refused_when_the_flow_is_added() {
+        let mut sim = Sim::new(1);
+        let a = sim.add_node("a");
+        let b = sim.add_node("b");
+        let cfg = TcpConfig {
+            max_wnd: 0,
+            ..TcpConfig::default()
+        };
+        sim.add_flow(a, b, cfg, SinkConfig::default());
     }
 }

@@ -1,11 +1,11 @@
 //! Seq-indexed ring buffer for window-bounded TCP state.
 //!
-//! Both per-segment maps in the TCP endpoints — the sender's in-flight
-//! segments and the sink's out-of-order buffer — key on segment sequence
-//! numbers that live inside a window of at most `max_wnd` consecutive values.
-//! A `BTreeMap` pays pointer chasing and node allocation for a key space
-//! that is dense and bounded; this ring buffer stores value `seq` at slot
-//! `seq & (capacity - 1)` in a flat `Vec<Option<T>>`.
+//! The sink's out-of-order buffer keys on segment sequence numbers that live
+//! inside a window of at most `max_wnd` consecutive values, most of them
+//! absent. A `BTreeMap` pays pointer chasing and node allocation for a key
+//! space that is bounded; this ring buffer stores value `seq` at slot
+//! `seq & (capacity - 1)` in a flat `Vec<Option<T>>`. (The sender's in-flight
+//! window is dense as well as bounded, and keeps a plain array instead.)
 //!
 //! Invariant: every live sequence number lies in `[base, base + capacity)`,
 //! so residues are collision-free and a slot unambiguously belongs to one
@@ -31,9 +31,15 @@ impl<T> SeqRing<T> {
 
     /// An empty ring with `base = 0`.
     pub fn new() -> Self {
+        Self::with_window(Self::INITIAL_CAP)
+    }
+
+    /// An empty ring with `base = 0` that holds any `window` consecutive
+    /// sequence numbers without growing.
+    pub fn with_window(window: usize) -> Self {
         Self {
             base: 0,
-            slots: (0..Self::INITIAL_CAP).map(|_| None).collect(),
+            slots: (0..window.next_power_of_two()).map(|_| None).collect(),
             len: 0,
         }
     }
@@ -88,7 +94,9 @@ impl<T> SeqRing<T> {
 
     /// Remove and return the value at `seq`, if any.
     pub fn remove(&mut self, seq: u64) -> Option<T> {
-        if seq < self.base || seq - self.base >= self.slots.len() as u64 {
+        // The sink probes on every in-order segment; its buffer is empty
+        // unless a loss is being repaired.
+        if self.len == 0 || seq < self.base || seq - self.base >= self.slots.len() as u64 {
             return None;
         }
         let slot = self.slot(seq);

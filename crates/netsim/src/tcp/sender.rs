@@ -18,7 +18,6 @@ use std::collections::VecDeque;
 use cc::{AckCtx, Cc, CcAlgo, CcConfig, CcKind};
 
 use crate::packet::{AppChunk, FlowId, NodeId, Packet};
-use crate::tcp::ring::SeqRing;
 use crate::tcp::rtt::RttEstimator;
 use crate::time::{secs, SimTime};
 use crate::trace::TraceMark;
@@ -123,23 +122,18 @@ pub struct TcpSender {
     // --- data ---
     mode: AppMode,
     tx_buf: VecDeque<AppChunk>,
-    /// Chunks sent but not yet cumulatively acked, keyed by segment number.
-    /// The key space `[snd_una, next_seq)` is dense and window-bounded, so a
-    /// seq-indexed ring beats a tree map on every access.
-    inflight: SeqRing<AppChunk>,
+    /// Chunks sent but not yet cumulatively acked: segment `seq` lives at
+    /// `inflight[seq & (len - 1)]`. The live range `[snd_una, next_seq)` is
+    /// dense and never wider than `cfg.max_wnd`, which the power-of-two
+    /// length covers — so residues cannot collide and no slot needs a
+    /// presence flag: a slot below `snd_una` is simply never read again.
+    inflight: Box<[AppChunk]>,
 
     // --- estimator & stats ---
     /// RTT estimator (public for measurement reports).
     pub rtt: RttEstimator,
     /// Counters.
     pub stats: SenderStats,
-    /// Always-on metrics: RTT samples, µs. Recording is an array increment —
-    /// it never alters sender behaviour or RNG draws, so metrics-on runs stay
-    /// byte-identical.
-    pub rtt_hist: obs::Histogram,
-    /// Always-on metrics: cwnd in whole packets, sampled once per RTT
-    /// measurement (same Karn-filtered cadence as `rtt_hist`).
-    pub cwnd_hist: obs::Histogram,
 
     // --- interaction with the simulator ---
     /// Packets emitted since the last flush.
@@ -150,6 +144,12 @@ pub struct TcpSender {
     pub timer_dirty: bool,
     /// Set when send-buffer space became available (Buffered mode).
     pub wake_app: bool,
+    /// Always-on metrics: `(RTT in µs, cwnd in whole packets)` of the RTT
+    /// measurement the last new ACK completed (Karn-filtered, so about one
+    /// per round trip). The engine takes it on flush and records it in the
+    /// `Sim`'s histograms; an ACK completes at most one measurement and the
+    /// engine flushes after every ACK, so one slot loses nothing.
+    pub metric_sample: Option<(u64, u64)>,
     /// Set once when a sized backlogged transfer is fully acknowledged.
     pub transfer_complete: bool,
     /// Flight-recorder opt-in: when set, state transitions push
@@ -163,6 +163,7 @@ pub struct TcpSender {
 impl TcpSender {
     /// Create an idle sender for `flow` from `node` to `peer`.
     pub fn new(flow: FlowId, node: NodeId, peer: NodeId, cfg: TcpConfig) -> Self {
+        let inflight_cap = (cfg.max_wnd as usize).next_power_of_two();
         Self {
             flow,
             node,
@@ -184,17 +185,16 @@ impl TcpSender {
             sample: None,
             mode: AppMode::Buffered,
             tx_buf: VecDeque::new(),
-            inflight: SeqRing::new(),
+            inflight: vec![AppChunk::synthetic(0, 0); inflight_cap].into_boxed_slice(),
             rtt: RttEstimator::default(),
             stats: SenderStats::default(),
-            rtt_hist: obs::Histogram::new(),
-            cwnd_hist: obs::Histogram::new(),
             // One flush routes at most a window's worth of segments, so
             // reserving up front keeps the steady-state loop off the heap.
             outbox: Vec::with_capacity(cfg.max_wnd as usize + 1),
             timer_deadline: None,
             timer_dirty: false,
             wake_app: false,
+            metric_sample: None,
             transfer_complete: false,
             trace_on: false,
             marks: Vec::new(),
@@ -327,6 +327,11 @@ impl TcpSender {
         }
     }
 
+    #[inline]
+    fn inflight_slot(&self, seq: u64) -> usize {
+        (seq & (self.inflight.len() as u64 - 1)) as usize
+    }
+
     /// Transmit as much as the window and available data allow.
     pub fn try_send(&mut self, now: SimTime) {
         let wnd = self.effective_wnd();
@@ -334,7 +339,8 @@ impl TcpSender {
             let Some(chunk) = self.next_chunk(now) else {
                 break;
             };
-            self.inflight.insert(self.next_seq, chunk);
+            let slot = self.inflight_slot(self.next_seq);
+            self.inflight[slot] = chunk;
             self.emit(self.next_seq, chunk, false);
             if self.sample.is_none() {
                 self.sample = Some((self.next_seq, now));
@@ -360,10 +366,11 @@ impl TcpSender {
     }
 
     fn retransmit_head(&mut self) {
-        let chunk = *self
-            .inflight
-            .get(self.snd_una)
-            .expect("snd_una must be in flight when retransmitting");
+        assert!(
+            self.unacked() > 0,
+            "snd_una must be in flight when retransmitting"
+        );
+        let chunk = self.inflight[self.inflight_slot(self.snd_una)];
         self.emit(self.snd_una, chunk, true);
         self.stats.retransmits += 1;
         // Karn: never sample a segment that has been retransmitted.
@@ -417,12 +424,10 @@ impl TcpSender {
                 self.rtt.update(now - t0);
                 rtt_sample_s = Some((now - t0) as f64 / 1e9);
                 self.sample = None;
-                self.rtt_hist.record((now - t0) / 1_000);
-                self.cwnd_hist.record(self.cc.cwnd() as u64);
+                self.metric_sample = Some(((now - t0) / 1_000, self.cc.cwnd() as u64));
             }
         }
         let newly_acked = ack - self.snd_una;
-        self.inflight.advance_to(ack);
         self.snd_una = ack;
         self.dupacks = 0;
         self.backoff_exp = 0;
@@ -444,7 +449,7 @@ impl TcpSender {
                 self.mark_cwnd(now);
                 self.arm_timer(now);
                 self.try_send(now);
-                self.wake_app = true;
+                self.note_send_space();
                 return;
             }
             // Full ACK (or classic Reno): deflate and exit.
@@ -477,7 +482,16 @@ impl TcpSender {
         } else {
             self.arm_timer(now); // restart RTO on forward progress
         }
-        self.wake_app = true;
+        self.note_send_space();
+    }
+
+    /// A new ACK freed send-buffer space. Only a buffered sender has a send
+    /// buffer the application fills; a backlogged or idle one synthesises
+    /// its own data, so there is nobody to wake.
+    fn note_send_space(&mut self) {
+        if self.mode == AppMode::Buffered {
+            self.wake_app = true;
+        }
     }
 
     fn handle_dupack(&mut self, now: SimTime) {
@@ -798,6 +812,68 @@ mod tests {
         drain(&mut s);
         s.on_ack(s.acked() + 2, t + SECOND / 10);
         assert!(s.cwnd() > s.cfg.initial_cwnd, "window-limited ACKs grow");
+    }
+
+    /// Drive a buffered sender through seeded sends, cumulative ACKs,
+    /// fast retransmits and timeouts, mirroring every first transmission in
+    /// a `BTreeMap`: each retransmission must carry the chunk its sequence
+    /// number was first sent with, however often the ring has wrapped.
+    #[test]
+    fn dense_inflight_ring_matches_a_btreemap_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+
+        for (seed, wnd) in [(1u64, 4u32), (2, 20), (3, 64)] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut s = TcpSender::new(
+                0,
+                0,
+                1,
+                TcpConfig {
+                    max_wnd: wnd,
+                    send_buf_pkts: wnd as usize,
+                    initial_cwnd: f64::from(wnd),
+                    ..TcpConfig::default()
+                },
+            );
+            let mut reference: BTreeMap<u64, AppChunk> = BTreeMap::new();
+            let mut pushed = VecDeque::new();
+            let (mut now, mut retransmits) = (0, 0u64);
+            let wraps = |s: &TcpSender| s.acked() / u64::from(wnd.next_power_of_two());
+            while wraps(&s) < 40 {
+                now += SECOND / 100;
+                while s.free_space() > 0 {
+                    let chunk = AppChunk::synthetic(rng.gen_range(0..u64::MAX), now);
+                    assert!(s.push_chunk(chunk));
+                    pushed.push_back(chunk);
+                }
+                match rng.gen_range(0..10u32) {
+                    0 => s.on_timeout(now),
+                    1 => (0..3).for_each(|_| s.on_ack(s.acked(), now)),
+                    _ if s.unacked() > 0 => {
+                        let ack = s.acked() + rng.gen_range(1..=s.unacked());
+                        s.on_ack(ack, now);
+                        reference.retain(|&seq, _| seq >= ack);
+                    }
+                    _ => s.try_send(now),
+                }
+                assert!(s.unacked() <= u64::from(wnd), "flight outgrew max_wnd");
+                for pkt in drain(&mut s) {
+                    let chunk = pkt.chunk.expect("data");
+                    if pkt.is_retransmit {
+                        retransmits += 1;
+                        assert_eq!(pkt.seq, s.acked(), "only the head is resent");
+                        assert_eq!(Some(&chunk), reference.get(&pkt.seq), "wnd {wnd}");
+                    } else {
+                        assert_eq!(Some(chunk), pushed.pop_front(), "wnd {wnd}");
+                        assert_eq!(reference.insert(pkt.seq, chunk), None);
+                    }
+                }
+                assert_eq!(reference.len() as u64, s.unacked());
+            }
+            assert!(retransmits > 10, "wnd {wnd}: {retransmits} retransmits");
+        }
     }
 
     #[test]

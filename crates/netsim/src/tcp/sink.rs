@@ -55,7 +55,7 @@ pub struct TcpSink {
     rcv_next: u64,
     /// Segments received ahead of `rcv_next`, keyed by segment number. The
     /// sender's window bounds how far ahead a segment can be, so a
-    /// seq-indexed ring replaces the old tree map.
+    /// seq-indexed ring of that many slots never grows.
     ooo: SeqRing<AppChunk>,
     delack_count: u32,
 
@@ -74,15 +74,16 @@ pub struct TcpSink {
 }
 
 impl TcpSink {
-    /// Create a sink for `flow` on `node` acking back to `peer`.
-    pub fn new(flow: FlowId, node: NodeId, peer: NodeId, cfg: SinkConfig) -> Self {
+    /// Create a sink for `flow` on `node` acking back to `peer`, whose sender
+    /// keeps at most `max_wnd` segments in flight.
+    pub fn new(flow: FlowId, node: NodeId, peer: NodeId, cfg: SinkConfig, max_wnd: u32) -> Self {
         Self {
             flow,
             node,
             peer,
             cfg,
             rcv_next: 0,
-            ooo: SeqRing::new(),
+            ooo: SeqRing::with_window(max_wnd as usize),
             delack_count: 0,
             stats: SinkStats::default(),
             outbox: Vec::new(),
@@ -173,7 +174,7 @@ mod tests {
     }
 
     fn sink() -> TcpSink {
-        TcpSink::new(0, 1, 0, SinkConfig::default())
+        TcpSink::new(0, 1, 0, SinkConfig::default(), 64)
     }
 
     #[test]
@@ -243,6 +244,7 @@ mod tests {
                 ack_every: 1,
                 ..SinkConfig::default()
             },
+            64,
         );
         s.on_data(&data(0), 0);
         assert_eq!(s.outbox.len(), 1);

@@ -141,13 +141,27 @@ pub fn snapshot() -> EngineTelemetry {
 pub mod profile {
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// Number of profiled event kinds.
-    pub const KIND_COUNT: usize = 4;
+    /// Number of profiler bins: [`EVENT_KINDS`] per-event ones, then one per
+    /// thing a delivered packet can reach.
+    pub const KIND_COUNT: usize = 7;
 
-    /// Kind names, indexed by the bin order used by the engine: link
-    /// delivery, sender timer, sink timer, app timer.
-    pub const KIND_NAMES: [&str; KIND_COUNT] =
-        ["link_deliver", "sender_timer", "sink_timer", "app_timer"];
+    /// The first `EVENT_KINDS` bins partition the dispatched events; the
+    /// rest partition the packet transits, and their ticks are a part of
+    /// `link_deliver`'s (an arrival is handled inside a delivery event).
+    pub const EVENT_KINDS: usize = 4;
+
+    /// Bin names, indexed by the bin order used by the engine: link
+    /// delivery, sender timer, sink timer, app timer; then a packet arriving
+    /// at a router (forwarded), data at its sink, an ACK at its sender.
+    pub const KIND_NAMES: [&str; KIND_COUNT] = [
+        "link_deliver",
+        "sender_timer",
+        "sink_timer",
+        "app_timer",
+        "forward",
+        "sink_data",
+        "sender_ack",
+    ];
 
     static COUNTS: [AtomicU64; KIND_COUNT] = [const { AtomicU64::new(0) }; KIND_COUNT];
     static TICKS: [AtomicU64; KIND_COUNT] = [const { AtomicU64::new(0) }; KIND_COUNT];
@@ -156,14 +170,14 @@ pub mod profile {
     /// the process-wide atomics when the `Sim` drops).
     #[derive(Debug, Clone, Copy, Default)]
     pub struct SimProfile {
-        /// Dispatches per kind.
+        /// Dispatches (or arrivals) per bin.
         pub counts: [u64; KIND_COUNT],
-        /// Ticks (TSC cycles or ns) per kind.
+        /// Ticks (TSC cycles or ns) per bin.
         pub ticks: [u64; KIND_COUNT],
     }
 
     impl SimProfile {
-        /// Record one dispatch of kind `kind` costing `ticks`.
+        /// Record one dispatch (or arrival) in bin `kind` costing `ticks`.
         #[inline]
         pub fn record(&mut self, kind: usize, ticks: u64) {
             self.counts[kind] += 1;
