@@ -172,6 +172,10 @@ pub struct Link {
     /// loss-free links never draw and lossy links never perturb each other.
     rng: SmallRng,
     red: Option<RedState>,
+    /// Engine bookkeeping: is the simulator's one delivery event for this
+    /// link in its queue? Its time needs no field — the event always targets
+    /// the wire head, whose stamp never moves.
+    pub(crate) deliver_ev: bool,
     /// Statistics.
     pub stats: LinkStats,
 }
@@ -222,6 +226,7 @@ impl Link {
             last_arrival: 0,
             rng: SmallRng::seed_from_u64(seed),
             red: spec.red.map(RedState::new),
+            deliver_ev: false,
             stats: LinkStats::default(),
         }
     }
@@ -234,7 +239,19 @@ impl Link {
     ///
     /// Postcondition: queued packets remain only if the transmitter is still
     /// busy (`free_at > now`).
-    pub fn advance(&mut self, now: SimTime, mut on_depart: impl FnMut(SimTime, usize)) {
+    #[inline(always)]
+    pub fn advance(&mut self, now: SimTime, on_depart: impl FnMut(SimTime, usize)) {
+        // Most touches find nothing to start (empty queue, or a transmitter
+        // still busy): those pay this test, not a call.
+        if self.started < self.ring.len() && self.free_at <= now {
+            self.start_due(now, on_depart);
+        }
+    }
+
+    /// The body of [`advance`](Self::advance), entered only with a packet to
+    /// start.
+    #[inline(never)]
+    fn start_due(&mut self, now: SimTime, mut on_depart: impl FnMut(SimTime, usize)) {
         while self.started < self.ring.len() && self.free_at <= now {
             let start = self.free_at;
             let size = self.ring[self.started].pkt.size_bytes;

@@ -42,6 +42,28 @@
 //! (≈ 100 in the paper's densest settings): the steady-state event loop
 //! allocates nothing (`dmp-sim/tests/zero_alloc.rs`).
 //!
+//! The far heap is not asked on the way: the queue caches the bucket of its
+//! earliest event (`far_min`, `u64::MAX` when it is empty; lowered by a far
+//! push, re-read after a drain), so a pop compares one integer with the
+//! window's end and peeks the `BinaryHeap` only when that event has come
+//! inside the window — or when the wheel has run dry and the window must jump
+//! to it.
+//!
+//! # What is inlined, and what is not
+//!
+//! [`EventQueue::push`] and [`EventQueue::pop_at_or_before`] are
+//! `#[inline(always)]`, and so is the calendar arm behind them (`push`,
+//! `push_wheel`, `pop_at_or_before`): in a simulation they are the event
+//! loop, one pop and about one push per event, and as calls behind the enum
+//! match they were a quarter of a `video_2path` iteration. Inlined, a pushed
+//! event's three fields go from registers into the slab node and a popped
+//! one's come back in registers; see `push_wheel` and the `Heap` arm of
+//! `pop_at_or_before` for the two places where that needed saying in code.
+//! What happens once per many events stays a call — a far push, the drain,
+//! the window jump, slab growth — and so does the whole `Heap` arm: the
+//! oracle is run by tests, and inlining `BinaryHeap` sifts would only put
+//! them in the production loop's way.
+//!
 //! Why not a `Vec` per bucket: with ~100 pending events that puts a 24 B
 //! header and a heap buffer behind each of 2048 buckets — 48 KB + 1 MiB
 //! spread under a few KB of live data. An isolated hold-model probe hides
@@ -188,11 +210,15 @@ impl<T: Copy> HeapQueue<T> {
         }
     }
 
+    // The oracle stays a call: inlined beside the calendar arm it would only
+    // put `BinaryHeap` sifts into the production event loop's body.
+    #[inline(never)]
     fn push(&mut self, e: Entry<T>) {
         self.heap.push(Reverse(e));
         self.hwm = self.hwm.max(self.heap.len());
     }
 
+    #[inline(never)]
     fn pop_at_or_before(&mut self, t_end: SimTime) -> Option<Entry<T>> {
         match self.heap.peek() {
             Some(Reverse(e)) if e.time <= t_end => self.heap.pop().map(|Reverse(e)| e),
@@ -263,6 +289,10 @@ pub struct CalendarQueue<T> {
     wheel_len: usize,
     /// Events too far in the future for the wheel, ordered by `(time, seq)`.
     far: BinaryHeap<Reverse<Entry<T>>>,
+    /// Bucket of the far heap's earliest event, `u64::MAX` when the heap is
+    /// empty: lowered by a far push, re-read after a drain. A pop compares
+    /// this one integer with the window's end instead of peeking the heap.
+    far_min: u64,
     wheel_hwm: usize,
     far_hwm: usize,
 }
@@ -278,23 +308,33 @@ impl<T: Copy> CalendarQueue<T> {
             base: 0,
             wheel_len: 0,
             far: BinaryHeap::new(),
+            far_min: u64::MAX,
             wheel_hwm: 0,
             far_hwm: 0,
         }
     }
 
-    #[inline]
-    fn push_wheel(&mut self, e: Entry<T>) {
-        let slot = (bucket_of(e.time) & BUCKET_MASK) as usize;
+    /// Takes the event as its three fields, not as an `Entry`: inlined into
+    /// the simulator's `schedule`, each then goes from its register straight
+    /// into the slab node. An `Entry` assembled on the stack first is written
+    /// with four narrow stores and copied out with two 16-byte loads that
+    /// straddle them, which no store buffer forwards — that stall was 6 % of
+    /// a `video_2path` iteration.
+    #[inline(always)]
+    fn push_wheel(&mut self, time: SimTime, seq: u64, payload: T) {
+        let slot = (bucket_of(time) & BUCKET_MASK) as usize;
         let head = self.heads[slot];
         let i = self.free;
         if i != NIL {
             self.free = self.next[i as usize];
-            self.slab[i as usize] = e;
+            let node = &mut self.slab[i as usize];
+            node.time = time;
+            node.seq = seq;
+            node.payload = payload;
             self.next[i as usize] = head;
             self.heads[slot] = i;
         } else {
-            self.heads[slot] = self.grow_slab(e, head);
+            self.heads[slot] = self.grow_slab(Entry { time, seq, payload }, head);
         }
         self.occupied[slot >> 6] |= 1u64 << (slot & 63);
         self.wheel_len += 1;
@@ -312,27 +352,44 @@ impl<T: Copy> CalendarQueue<T> {
         i as u32
     }
 
-    fn push(&mut self, e: Entry<T>) {
-        let b = bucket_of(e.time);
+    #[inline(always)]
+    fn push(&mut self, time: SimTime, seq: u64, payload: T) {
+        let b = bucket_of(time);
         debug_assert!(b >= self.base, "event scheduled behind the wheel window");
         if b < self.base + BUCKETS as u64 {
-            self.push_wheel(e);
+            self.push_wheel(time, seq, payload);
         } else {
-            self.far.push(Reverse(e));
-            self.far_hwm = self.far_hwm.max(self.far.len());
+            self.push_far(Entry { time, seq, payload }, b);
         }
     }
 
-    /// Move far-heap events that now fall inside the wheel window.
+    /// An event in bucket `b`, past the wheel window, goes to the far heap.
+    #[inline(never)]
+    fn push_far(&mut self, e: Entry<T>, b: u64) {
+        self.far.push(Reverse(e));
+        self.far_min = self.far_min.min(b);
+        self.far_hwm = self.far_hwm.max(self.far.len());
+    }
+
+    /// Move far-heap events that now fall inside the wheel window, and
+    /// re-read the cached minimum. Called only when the cache says the
+    /// earliest far event is inside the window.
+    #[inline(never)]
     fn drain_far(&mut self) {
         let horizon = self.base + BUCKETS as u64;
-        while let Some(&Reverse(e)) = self.far.peek() {
-            if bucket_of(e.time) >= horizon {
-                break;
+        self.far_min = loop {
+            match self.far.peek() {
+                None => break u64::MAX,
+                Some(&Reverse(e)) => {
+                    let b = bucket_of(e.time);
+                    if b >= horizon {
+                        break b;
+                    }
+                    self.far.pop();
+                    self.push_wheel(e.time, e.seq, e.payload);
+                }
             }
-            self.far.pop();
-            self.push_wheel(e);
-        }
+        };
     }
 
     /// First non-empty bucket at or after `base` in circular window order.
@@ -360,70 +417,78 @@ impl<T: Copy> CalendarQueue<T> {
         self.base + ((slot + BUCKETS - start) & (BUCKETS - 1)) as u64
     }
 
-    fn pop_at_or_before(&mut self, t_end: SimTime) -> Option<Entry<T>> {
-        loop {
-            self.drain_far();
-            if self.wheel_len == 0 {
-                match self.far.peek() {
-                    None => return None,
-                    Some(&Reverse(e)) if e.time > t_end => return None,
-                    Some(&Reverse(e)) => {
-                        // Jump the window to the far heap's earliest bucket;
-                        // the next drain_far pulls it (and its neighbours) in.
-                        self.base = bucket_of(e.time);
-                        continue;
-                    }
-                }
+    /// The wheel is empty: jump the window to the far heap's earliest bucket
+    /// and pull that event (and its neighbours) in. `false`, and the window
+    /// stays, when the far heap is empty too or its earliest event is past
+    /// `t_end`.
+    #[cold]
+    fn jump_to_far(&mut self, t_end: SimTime) -> bool {
+        match self.far.peek() {
+            Some(&Reverse(e)) if e.time <= t_end => {
+                self.base = bucket_of(e.time);
+                self.drain_far();
+                true
             }
-            let b_min = self.first_occupied_from_base();
-            if b_min > bucket_of(t_end) {
-                // The earliest event is beyond the horizon. Advance the
-                // window only to t_end's bucket: the caller will set
-                // `now = t_end`, so later pushes stay inside the window.
-                self.base = self.base.max(bucket_of(t_end));
-                return None;
-            }
-            // The global minimum lives in bucket `b_min`: it is the wheel's
-            // earliest bucket, and no far event can precede it — advancing
-            // the window to it admits only far events in buckets at or past
-            // the *old* horizon, which is past `b_min` (it was inside the
-            // old window). They are picked up by the next pop's drain; no
-            // re-drain loop is needed here.
-            self.base = b_min;
-            let slot = (self.base & BUCKET_MASK) as usize;
-            // Walk the bucket's list for the `(time, seq)` minimum, keeping
-            // its predecessor so it can be unlinked. The key is one integer
-            // so that the update compiles to selects: which node of a bucket
-            // is earliest is a coin flip no branch predictor learns.
-            let key = |e: &Entry<T>| (u128::from(e.time) << 64) | u128::from(e.seq);
-            let head = self.heads[slot];
-            let (mut min, mut min_prev) = (head, NIL);
-            let mut min_key = key(&self.slab[head as usize]);
-            let (mut prev, mut cur) = (head, self.next[head as usize]);
-            while cur != NIL {
-                let k = key(&self.slab[cur as usize]);
-                if k < min_key {
-                    (min_key, min, min_prev) = (k, cur, prev);
-                }
-                (prev, cur) = (cur, self.next[cur as usize]);
-            }
-            let e = self.slab[min as usize];
-            if e.time > t_end {
-                return None;
-            }
-            let after = std::mem::replace(&mut self.next[min as usize], self.free);
-            self.free = min;
-            if min_prev == NIL {
-                self.heads[slot] = after;
-                if after == NIL {
-                    self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
-                }
-            } else {
-                self.next[min_prev as usize] = after;
-            }
-            self.wheel_len -= 1;
-            return Some(e);
+            _ => false,
         }
+    }
+
+    #[inline(always)]
+    fn pop_at_or_before(&mut self, t_end: SimTime) -> Option<Entry<T>> {
+        if self.far_min < self.base + BUCKETS as u64 {
+            self.drain_far();
+        }
+        if self.wheel_len == 0 && !self.jump_to_far(t_end) {
+            return None;
+        }
+        let b_min = self.first_occupied_from_base();
+        if b_min > bucket_of(t_end) {
+            // The earliest event is beyond the horizon. Advance the
+            // window only to t_end's bucket: the caller will set
+            // `now = t_end`, so later pushes stay inside the window.
+            self.base = self.base.max(bucket_of(t_end));
+            return None;
+        }
+        // The global minimum lives in bucket `b_min`: it is the wheel's
+        // earliest bucket, and no far event can precede it — advancing
+        // the window to it admits only far events in buckets at or past
+        // the *old* horizon, which is past `b_min` (it was inside the
+        // old window). They are picked up by the next pop's drain; no
+        // re-drain loop is needed here.
+        self.base = b_min;
+        let slot = (self.base & BUCKET_MASK) as usize;
+        // Walk the bucket's list for the `(time, seq)` minimum, keeping
+        // its predecessor so it can be unlinked. The key is one integer
+        // so that the update compiles to selects: which node of a bucket
+        // is earliest is a coin flip no branch predictor learns.
+        let key = |e: &Entry<T>| (u128::from(e.time) << 64) | u128::from(e.seq);
+        let head = self.heads[slot];
+        let (mut min, mut min_prev) = (head, NIL);
+        let mut min_key = key(&self.slab[head as usize]);
+        let (mut prev, mut cur) = (head, self.next[head as usize]);
+        while cur != NIL {
+            let k = key(&self.slab[cur as usize]);
+            if k < min_key {
+                (min_key, min, min_prev) = (k, cur, prev);
+            }
+            (prev, cur) = (cur, self.next[cur as usize]);
+        }
+        let e = self.slab[min as usize];
+        if e.time > t_end {
+            return None;
+        }
+        let after = std::mem::replace(&mut self.next[min as usize], self.free);
+        self.free = min;
+        if min_prev == NIL {
+            self.heads[slot] = after;
+            if after == NIL {
+                self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
+            }
+        } else {
+            self.next[min_prev as usize] = after;
+        }
+        self.wheel_len -= 1;
+        Some(e)
     }
 
     fn len(&self) -> usize {
@@ -467,22 +532,34 @@ impl<T: Copy> EventQueue<T> {
 
     /// Queue an event. `time` must be at or after the time of the last popped
     /// event (events are never scheduled in the past).
-    #[inline]
+    #[inline(always)]
     pub fn push(&mut self, time: SimTime, seq: u64, payload: T) {
-        let e = Entry { time, seq, payload };
         match self {
-            Self::Heap(q) => q.push(e),
-            Self::Calendar(q) => q.push(e),
+            Self::Calendar(q) => q.push(time, seq, payload),
+            Self::Heap(q) => q.push(Entry { time, seq, payload }),
         }
     }
 
     /// Remove and return the earliest event if it is due at or before
     /// `t_end`; `None` otherwise (the event stays queued).
-    #[inline]
+    #[inline(always)]
     pub fn pop_at_or_before(&mut self, t_end: SimTime) -> Option<Entry<T>> {
         match self {
-            Self::Heap(q) => q.pop_at_or_before(t_end),
             Self::Calendar(q) => q.pop_at_or_before(t_end),
+            // Rebuilt field by field on purpose. Handed on as it comes, the
+            // oracle's result is written through a pointer into the slot
+            // both arms return in, which pins the calendar arm's result to
+            // that stack slot as well: the event loop then stored every
+            // popped event and loaded it back before it could branch on its
+            // kind (6 % of a `video_2path` iteration).
+            Self::Heap(q) => {
+                let e = q.pop_at_or_before(t_end)?;
+                Some(Entry {
+                    time: e.time,
+                    seq: e.seq,
+                    payload: e.payload,
+                })
+            }
         }
     }
 
@@ -528,20 +605,36 @@ mod tests {
         out
     }
 
-    /// The calendar queue's storage invariant: the slab only grows when every
-    /// node is linked, so it is exactly as long as the wheel's high-water mark.
-    fn slab_len(q: &EventQueue<u32>) -> (usize, usize) {
+    /// The calendar queue inside `q`, for tests that read its private state.
+    fn calendar(q: &EventQueue<u32>) -> &CalendarQueue<u32> {
         match q {
-            EventQueue::Calendar(c) => (c.slab.len(), c.wheel_hwm),
+            EventQueue::Calendar(c) => c,
             EventQueue::Heap(_) => unreachable!("calendar queue expected"),
         }
     }
 
+    /// The calendar queue's storage invariant: the slab only grows when every
+    /// node is linked, so it is exactly as long as the wheel's high-water mark.
+    fn slab_len(q: &EventQueue<u32>) -> (usize, usize) {
+        let c = calendar(q);
+        (c.slab.len(), c.wheel_hwm)
+    }
+
+    /// Is the next pop going to take the `base` jump: wheel empty, far heap
+    /// not, and its earliest event outside the window?
+    fn about_to_jump(q: &EventQueue<u32>) -> bool {
+        let c = calendar(q);
+        c.wheel_len == 0 && !c.far.is_empty() && c.far_min >= c.base + BUCKETS as u64
+    }
+
     /// Push a random schedule into both queues, interleaving pops the way the
-    /// simulator does (events scheduled relative to the last popped time),
-    /// and require identical pop order — including FIFO among ties. The
-    /// schedule runs the wheel round several times, so nearly every push
-    /// lands on a node a pop returned to the free list.
+    /// simulator does (events scheduled relative to the last popped time, a
+    /// share of the pops stopped by a `run_until` horizon), and require
+    /// identical pop order — including FIFO among ties — and identical
+    /// refusals. The schedule runs the wheel round several times, so nearly
+    /// every push lands on a node a pop returned to the free list; now and
+    /// then the pushes pause until the queue has run dry, so the wheel empties
+    /// with only far timers left and the window has to jump to them.
     #[test]
     fn heap_and_calendar_pop_identically() {
         const WHEEL_SPAN_NS: u64 = (BUCKETS as u64) << BUCKET_SHIFT;
@@ -553,7 +646,48 @@ mod tests {
             let mut now: SimTime = 0;
             let mut popped_h = Vec::new();
             let mut popped_c = Vec::new();
-            for _ in 0..40_000 {
+            let (mut refused, mut jumps) = (0u32, 0u32);
+            // Pop both queues up to `t_end`. A refusal must be mutual, and
+            // leaves the caller at the horizon, as `run_until` does.
+            let mut pop_both = |heap: &mut EventQueue<u32>,
+                                cal: &mut EventQueue<u32>,
+                                now: &mut SimTime,
+                                t_end: SimTime| {
+                jumps += u32::from(about_to_jump(cal));
+                let h = heap.pop_at_or_before(t_end);
+                let c = cal.pop_at_or_before(t_end);
+                assert_eq!(h.is_some(), c.is_some(), "seed {seed}: horizon {t_end}");
+                match (h, c) {
+                    (Some(h), Some(c)) => {
+                        *now = h.time;
+                        popped_h.push((h.time, h.seq, h.payload));
+                        popped_c.push((c.time, c.seq, c.payload));
+                    }
+                    _ => {
+                        *now = t_end;
+                        refused += 1;
+                    }
+                }
+            };
+            for step in 0..40_000u32 {
+                if step % 8_000 == 7_999 {
+                    // The pushes pause behind two timers later than any
+                    // other: pop until both queues are dry, every pop under
+                    // a horizon at most two wheel spans out — the wheel runs
+                    // empty before each of the two, and the jump to it is
+                    // refused until the horizon has crept up to it.
+                    for dt in [6_000_000_000, 8_000_000_000] {
+                        seq += 1;
+                        heap.push(now + dt, seq, seq as u32);
+                        cal.push(now + dt, seq, seq as u32);
+                    }
+                    while !heap.is_empty() {
+                        let t_end = now + rng.gen_range(0..2 * WHEEL_SPAN_NS);
+                        pop_both(&mut heap, &mut cal, &mut now, t_end);
+                    }
+                    assert!(cal.is_empty(), "seed {seed}: calendar kept events");
+                    continue;
+                }
                 // Hover around 150 pending events so that pops, and with
                 // them simulated time, keep pace with the pushes.
                 let p_push = if heap.len() < 150 { 0.6 } else { 0.4 };
@@ -575,16 +709,24 @@ mod tests {
                         cal.push(now + dt, seq, seq as u32);
                     }
                 } else {
-                    let h = heap.pop_at_or_before(SimTime::MAX).unwrap();
-                    let c = cal.pop_at_or_before(SimTime::MAX).unwrap();
-                    now = h.time;
-                    popped_h.push((h.time, h.seq, h.payload));
-                    popped_c.push((c.time, c.seq, c.payload));
+                    // One pop in four stops at a horizon a bucket or two
+                    // ahead: refused in the earliest bucket's walk, or
+                    // before it, about as often as it is served.
+                    let t_end = if rng.gen_bool(0.25) {
+                        now + rng.gen_range(0..2u64 << BUCKET_SHIFT)
+                    } else {
+                        SimTime::MAX
+                    };
+                    pop_both(&mut heap, &mut cal, &mut now, t_end);
                 }
             }
             assert!(
                 now >= 3 * WHEEL_SPAN_NS,
                 "seed {seed}: only {now} ns of interleaved pops"
+            );
+            assert!(
+                refused >= 1_000 && jumps >= 20,
+                "seed {seed}: {refused} refusals, {jumps} window jumps"
             );
             popped_h.extend(drain_all(&mut heap));
             popped_c.extend(drain_all(&mut cal));
@@ -600,6 +742,40 @@ mod tests {
                 popped_c.len()
             );
         }
+    }
+
+    /// A far push that undercuts the cached far minimum must lower it. Here
+    /// the cache was just re-read by a drain (5 s), the undercutting timer
+    /// (4.5 s) goes to the far heap, and it is due between two wheel events:
+    /// it comes out between them only if the pop that moves the window over
+    /// 4.5 s sees a cache that says so.
+    #[test]
+    fn far_push_below_the_refreshed_minimum_pops_in_order() {
+        const MS: u64 = 1_000_000;
+        let far_len = |q: &EventQueue<u32>| calendar(q).far.len();
+        let mut q = EventQueue::new(EngineKind::Calendar);
+        q.push(4_000 * MS, 1, 1u32);
+        q.push(5_000 * MS, 2, 2);
+        assert_eq!(far_len(&q), 2);
+        // Empty wheel: the window jumps to 4 s, the drain takes event 1 and
+        // re-reads the minimum from event 2.
+        assert_eq!(q.pop_at_or_before(SimTime::MAX).unwrap().payload, 1);
+        q.push(4_500 * MS, 3, 3);
+        assert_eq!(
+            far_len(&q),
+            2,
+            "4.5 s is past the window that starts at 4 s"
+        );
+        q.push(4_250 * MS, 4, 4);
+        assert_eq!(far_len(&q), 2, "4.25 s is inside it");
+        assert_eq!(q.pop_at_or_before(SimTime::MAX).unwrap().payload, 4);
+        // The window now starts at 4.25 s and covers 4.5 s and 4.51 s.
+        q.push(4_510 * MS, 5, 5);
+        assert_eq!(far_len(&q), 2);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop_at_or_before(SimTime::MAX))
+            .map(|e| e.payload)
+            .collect();
+        assert_eq!(order, vec![3, 5, 2]);
     }
 
     /// A far-heap event migrates onto the node the previous pop freed.

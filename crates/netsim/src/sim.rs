@@ -25,6 +25,10 @@
 //! throughput is counted separately ([`SimCounters::transits`]) so
 //! events/sec comparisons across engine generations stay honest.
 //!
+//! What the engine tracks about that event lives in the link: one bit, "a
+//! delivery event is in the queue". Its time is not stored — it is the wire
+//! head's arrival stamp, which never moves once set.
+//!
 //! # Timers
 //!
 //! TCP retransmission and delayed-ACK timers are *lazy*: each endpoint has at
@@ -32,7 +36,21 @@
 //! common case) just moves the endpoint's desired deadline; when the old
 //! event pops, it is re-queued at the new deadline (a *deferral*) or
 //! discarded (a *stale pop*) — instead of pushing one event per restart and
-//! letting generation-dead entries pile up in the queue.
+//! letting generation-dead entries pile up in the queue. The time of that one
+//! outstanding event is a field of the endpoint itself (`timer_ev`, written
+//! by the engine only), beside the deadline it is compared with; flow `f`'s
+//! endpoints are `senders[f]` and `sinks[f]`, so an event or a packet reaches
+//! them with one index and no side table.
+//!
+//! # One loop body
+//!
+//! `run_loop` pops through the calendar queue's inlined arm, and what every
+//! event runs is inlined into it and into `offer_to_link`: `advance_link`
+//! (untraced it is `Link::advance`'s "anything to start?" test and nothing
+//! else, and the compiler inlines it unasked), `sync_link_deliver` with the
+//! push behind it, and `drain_pending`'s emptiness test. Their rare halves —
+//! starting queued packets, running queued app callbacks, everything about
+//! the far heap — stay calls, as does the reference heap.
 //!
 //! # Tracing
 //!
@@ -83,11 +101,10 @@ impl EventKind {
     }
 }
 
-/// One TCP connection: sender and sink endpoints plus app subscriptions.
+/// One TCP connection's app subscriptions. Its endpoints need no index:
+/// flow `f` is `senders[f]` and `sinks[f]`, by construction in `add_flow`.
 #[derive(Debug)]
 struct Flow {
-    sender: u32,
-    sink: u32,
     owner_app: Option<AppId>,
     receiver_app: Option<AppId>,
 }
@@ -128,17 +145,8 @@ pub struct Sim {
     event_seq: u64,
     nodes: Vec<Node>,
     links: Vec<Link>,
-    /// Time of the single outstanding delivery event per link (None = no
-    /// event in the queue; the wire must then be empty, except transiently
-    /// inside a delivery dispatch).
-    link_deliver_ev: Vec<Option<SimTime>>,
     senders: Vec<TcpSender>,
-    /// Time of the single outstanding timer event per sender (None = no
-    /// event in the queue for this endpoint).
-    sender_timer_ev: Vec<Option<SimTime>>,
     sinks: Vec<TcpSink>,
-    /// Time of the single outstanding timer event per sink.
-    sink_timer_ev: Vec<Option<SimTime>>,
     flows: Vec<Flow>,
     flow_counters: Vec<FlowCounters>,
     apps: Vec<Option<Box<dyn App>>>,
@@ -187,11 +195,8 @@ impl Sim {
             event_seq: 0,
             nodes: Vec::new(),
             links: Vec::new(),
-            link_deliver_ev: Vec::new(),
             senders: Vec::new(),
-            sender_timer_ev: Vec::new(),
             sinks: Vec::new(),
-            sink_timer_ev: Vec::new(),
             flows: Vec::new(),
             flow_counters: Vec::new(),
             apps: Vec::new(),
@@ -222,13 +227,10 @@ impl Sim {
         let mut sim = Self::new(seed);
         sim.nodes.reserve(nodes);
         sim.links.reserve(links);
-        sim.link_deliver_ev.reserve(links);
         sim.flows.reserve(flows);
         sim.flow_counters.reserve(flows);
         sim.senders.reserve(flows);
-        sim.sender_timer_ev.reserve(flows);
         sim.sinks.reserve(flows);
-        sim.sink_timer_ev.reserve(flows);
         sim
     }
 
@@ -238,8 +240,7 @@ impl Sim {
     /// Tracing never consumes RNG draws or schedules events, so a traced run
     /// is behaviourally identical to an untraced one.
     pub fn set_tracer(&mut self, tracer: SimTracer) {
-        for flow in self.flows.iter() {
-            let sender = &mut self.senders[flow.sender as usize];
+        for sender in self.senders.iter_mut() {
             if tracer.flow_traced(sender.flow) {
                 sender.trace_on = true;
             }
@@ -267,7 +268,6 @@ impl Sim {
             .base_seed
             .wrapping_add((index + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         self.links.push(Link::new(spec, from, to, seed));
-        self.link_deliver_ev.push(None);
         (self.links.len() - 1) as LinkId
     }
 
@@ -316,7 +316,6 @@ impl Sim {
         );
         let flow = self.flows.len() as FlowId;
         self.senders.push(TcpSender::new(flow, src, dst, tcp));
-        self.sender_timer_ev.push(None);
         self.sinks
             .push(TcpSink::new(flow, dst, src, sink, tcp.max_wnd));
         // A gap fill can deliver up to a window of buffered segments in one
@@ -328,14 +327,16 @@ impl Sim {
             sk.delivered.reserve(tcp.max_wnd as usize + 1);
             sk.outbox.reserve(8);
         }
-        self.sink_timer_ev.push(None);
         self.flows.push(Flow {
-            sender: (self.senders.len() - 1) as u32,
-            sink: (self.sinks.len() - 1) as u32,
             owner_app: None,
             receiver_app: None,
         });
         self.flow_counters.push(FlowCounters::default());
+        // `handle_arrival` indexes both endpoint arenas by `pkt.flow`.
+        debug_assert!(
+            self.senders.len() == self.flows.len() && self.sinks.len() == self.flows.len(),
+            "flow {flow}: sender, sink and flow arenas out of step"
+        );
         flow
     }
 
@@ -436,12 +437,12 @@ impl Sim {
 
     /// Immutable access to a flow's sender.
     pub fn sender(&self, flow: FlowId) -> &TcpSender {
-        &self.senders[self.flows[flow as usize].sender as usize]
+        &self.senders[flow as usize]
     }
 
     /// Immutable access to a flow's sink.
     pub fn sink(&self, flow: FlowId) -> &TcpSink {
-        &self.sinks[self.flows[flow as usize].sink as usize]
+        &self.sinks[flow as usize]
     }
 
     /// Engine counters for a flow.
@@ -464,7 +465,7 @@ impl Sim {
     // Event loop
     // ------------------------------------------------------------------
 
-    #[inline]
+    #[inline(always)]
     fn schedule(&mut self, time: SimTime, kind: EventKind) {
         self.event_seq += 1;
         self.events.push(time, self.event_seq, kind);
@@ -539,13 +540,15 @@ impl Sim {
     /// Reconcile the link's single tracked delivery event with its wire
     /// head. Arrival stamps are monotone per link, so an outstanding event
     /// always targets the head and never goes stale; a push is needed only
-    /// when no event is outstanding.
-    #[inline]
+    /// when no event is outstanding (`Link::deliver_ev` clear; the wire must
+    /// then be empty, except transiently inside a delivery dispatch).
+    #[inline(always)]
     fn sync_link_deliver(&mut self, l: LinkId) {
-        if self.link_deliver_ev[l as usize].is_none() {
-            if let Some(at) = self.links[l as usize].next_arrival() {
+        let link = &mut self.links[l as usize];
+        if !link.deliver_ev {
+            if let Some(at) = link.next_arrival() {
+                link.deliver_ev = true;
                 self.schedule(at, EventKind::LinkDeliver(l));
-                self.link_deliver_ev[l as usize] = Some(at);
             }
         }
     }
@@ -553,12 +556,14 @@ impl Sim {
     fn dispatch<M: RecordMode>(&mut self, time: SimTime, kind: EventKind) {
         match kind {
             EventKind::LinkDeliver(l) => {
-                debug_assert_eq!(self.link_deliver_ev[l as usize], Some(time));
+                debug_assert!(self.links[l as usize].deliver_ev);
+                // The outstanding event targets the wire head.
+                debug_assert_eq!(self.links[l as usize].next_arrival(), Some(time));
                 self.advance_link::<M>(l);
-                // Deliver everything due at this instant. The tracked slot
-                // stays occupied until the loop ends so reentrant offers to
-                // this link (possible through app callbacks) cannot schedule
-                // a duplicate event for a head we are about to pop.
+                // Deliver everything due at this instant. The bit stays set
+                // until the loop ends so reentrant offers to this link
+                // (possible through app callbacks) cannot schedule a
+                // duplicate event for a head we are about to pop.
                 while let Some(pkt) = self.links[l as usize].pop_due(time) {
                     self.transits += 1;
                     let node = self.links[l as usize].to;
@@ -572,17 +577,17 @@ impl Sim {
                     self.profile
                         .record(bin, telemetry::profile::timestamp().wrapping_sub(t0));
                 }
-                self.link_deliver_ev[l as usize] = None;
+                self.links[l as usize].deliver_ev = false;
                 self.sync_link_deliver(l);
             }
             EventKind::SenderTimer(sender) => {
                 let s = sender as usize;
-                if self.sender_timer_ev[s] != Some(time) {
+                if self.senders[s].timer_ev != Some(time) {
                     // Superseded by a later push for an earlier deadline.
                     self.stale_timer_pops += 1;
                     return;
                 }
-                self.sender_timer_ev[s] = None;
+                self.senders[s].timer_ev = None;
                 match self.senders[s].timer_deadline {
                     Some(d) if d == time => {
                         self.senders[s].on_timeout(time);
@@ -593,7 +598,7 @@ impl Sim {
                         // defer by re-queueing one event at the new deadline.
                         debug_assert!(d > time, "tracked event after its deadline");
                         self.schedule(d, EventKind::SenderTimer(sender));
-                        self.sender_timer_ev[s] = Some(d);
+                        self.senders[s].timer_ev = Some(d);
                         self.deferred_timer_pushes += 1;
                     }
                     None => self.stale_timer_pops += 1, // cancelled
@@ -601,11 +606,11 @@ impl Sim {
             }
             EventKind::SinkTimer(sink) => {
                 let s = sink as usize;
-                if self.sink_timer_ev[s] != Some(time) {
+                if self.sinks[s].timer_ev != Some(time) {
                     self.stale_timer_pops += 1;
                     return;
                 }
-                self.sink_timer_ev[s] = None;
+                self.sinks[s].timer_ev = None;
                 match self.sinks[s].timer_deadline {
                     Some(d) if d == time => {
                         self.sinks[s].on_delack_timer();
@@ -614,7 +619,7 @@ impl Sim {
                     Some(d) => {
                         debug_assert!(d > time, "tracked event after its deadline");
                         self.schedule(d, EventKind::SinkTimer(sink));
-                        self.sink_timer_ev[s] = Some(d);
+                        self.sinks[s].timer_ev = Some(d);
                         self.deferred_timer_pushes += 1;
                     }
                     None => self.stale_timer_pops += 1,
@@ -645,14 +650,12 @@ impl Sim {
         }
         match pkt.kind {
             PacketKind::Data => {
-                let sink_id = self.flows[pkt.flow as usize].sink;
-                self.sinks[sink_id as usize].on_data(&pkt, self.now);
-                self.flush_sink::<M>(sink_id);
+                self.sinks[pkt.flow as usize].on_data(&pkt, self.now);
+                self.flush_sink::<M>(pkt.flow);
             }
             PacketKind::Ack => {
-                let sender_id = self.flows[pkt.flow as usize].sender;
-                self.senders[sender_id as usize].on_ack(pkt.seq, self.now);
-                self.flush_sender::<M>(sender_id);
+                self.senders[pkt.flow as usize].on_ack(pkt.seq, self.now);
+                self.flush_sender::<M>(pkt.flow);
             }
         }
     }
@@ -749,13 +752,14 @@ impl Sim {
         // allocation back instead of churning a fresh Vec per flush.
         std::mem::swap(&mut self.senders[s].outbox, &mut pkts);
         debug_assert!(pkts.is_empty());
-        if self.senders[s].timer_dirty {
-            self.senders[s].timer_dirty = false;
+        let sender = &mut self.senders[s];
+        if sender.timer_dirty {
+            sender.timer_dirty = false;
             Self::sync_timer(
                 &mut self.events,
                 &mut self.event_seq,
-                &mut self.sender_timer_ev[s],
-                self.senders[s].timer_deadline,
+                &mut sender.timer_ev,
+                sender.timer_deadline,
                 EventKind::SenderTimer(sender_id),
             );
         }
@@ -795,13 +799,14 @@ impl Sim {
         }
         std::mem::swap(&mut self.sinks[s].outbox, &mut pkts);
         debug_assert!(pkts.is_empty());
-        if self.sinks[s].timer_dirty {
-            self.sinks[s].timer_dirty = false;
+        let sink = &mut self.sinks[s];
+        if sink.timer_dirty {
+            sink.timer_dirty = false;
             Self::sync_timer(
                 &mut self.events,
                 &mut self.event_seq,
-                &mut self.sink_timer_ev[s],
-                self.sinks[s].timer_deadline,
+                &mut sink.timer_ev,
+                sink.timer_deadline,
                 EventKind::SinkTimer(sink_id),
             );
         }
@@ -818,7 +823,17 @@ impl Sim {
         }
     }
 
+    /// Run the app callbacks the last dispatch queued. Every event ends
+    /// here and most queued none: those pay the emptiness test, not a call.
+    #[inline(always)]
     fn drain_pending(&mut self) {
+        if !self.pending_calls.is_empty() {
+            self.run_pending();
+        }
+    }
+
+    #[inline(never)]
+    fn run_pending(&mut self) {
         while let Some(call) = self.pending_calls.pop() {
             match call {
                 AppCall::SendSpace(app, flow) => {
@@ -893,12 +908,11 @@ impl SimApi<'_> {
     /// Push a chunk into `flow`'s send buffer and transmit what the window
     /// allows. Returns `false` if the buffer was full.
     pub fn push_chunk(&mut self, flow: FlowId, chunk: AppChunk) -> bool {
-        let sid = self.sim.flows[flow as usize].sender;
         let now = self.sim.now;
-        let ok = self.sim.senders[sid as usize].push_chunk(chunk);
+        let ok = self.sim.senders[flow as usize].push_chunk(chunk);
         if ok {
-            self.sim.senders[sid as usize].try_send(now);
-            self.sim.flush_sender_dyn(sid);
+            self.sim.senders[flow as usize].try_send(now);
+            self.sim.flush_sender_dyn(flow);
         }
         ok
     }
@@ -906,17 +920,15 @@ impl SimApi<'_> {
     /// Make `flow` backlogged (infinite data or a sized transfer) and start
     /// transmitting.
     pub fn set_backlogged(&mut self, flow: FlowId, remaining: Option<u64>) {
-        let sid = self.sim.flows[flow as usize].sender;
         let now = self.sim.now;
-        self.sim.senders[sid as usize].set_backlogged(remaining);
-        self.sim.senders[sid as usize].try_send(now);
-        self.sim.flush_sender_dyn(sid);
+        self.sim.senders[flow as usize].set_backlogged(remaining);
+        self.sim.senders[flow as usize].try_send(now);
+        self.sim.flush_sender_dyn(flow);
     }
 
     /// Reset `flow`'s congestion state as a fresh connection (HTTP restart).
     pub fn restart_connection(&mut self, flow: FlowId) {
-        let sid = self.sim.flows[flow as usize].sender;
-        self.sim.senders[sid as usize].restart_connection();
+        self.sim.senders[flow as usize].restart_connection();
     }
 
     /// Read-only view of the sender of `flow` (stats, RTT estimator).

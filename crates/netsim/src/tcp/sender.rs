@@ -142,6 +142,9 @@ pub struct TcpSender {
     pub timer_deadline: Option<SimTime>,
     /// Set when `timer_deadline` changed and must be (re)scheduled.
     pub timer_dirty: bool,
+    /// Engine bookkeeping: time of this sender's one outstanding timer event
+    /// (None = none queued). The endpoint never reads it.
+    pub(crate) timer_ev: Option<SimTime>,
     /// Set when send-buffer space became available (Buffered mode).
     pub wake_app: bool,
     /// Always-on metrics: `(RTT in µs, cwnd in whole packets)` of the RTT
@@ -193,6 +196,7 @@ impl TcpSender {
             outbox: Vec::with_capacity(cfg.max_wnd as usize + 1),
             timer_deadline: None,
             timer_dirty: false,
+            timer_ev: None,
             wake_app: false,
             metric_sample: None,
             transfer_complete: false,

@@ -71,6 +71,9 @@ pub struct TcpSink {
     pub timer_deadline: Option<SimTime>,
     /// Set when `timer_deadline` changed.
     pub timer_dirty: bool,
+    /// Engine bookkeeping: time of this sink's one outstanding timer event
+    /// (None = none queued). The endpoint never reads it.
+    pub(crate) timer_ev: Option<SimTime>,
 }
 
 impl TcpSink {
@@ -90,6 +93,7 @@ impl TcpSink {
             delivered: Vec::new(),
             timer_deadline: None,
             timer_dirty: false,
+            timer_ev: None,
         }
     }
 

@@ -1,0 +1,107 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of one benchmark workload: the procedure
+# behind every speed claim in CHANGES.md and EXPERIMENTS.md "Performance".
+#
+#   tools/perf_pairs.sh <parent-ref> <workload> [pairs=10] [seconds=15] [seed0=9701]
+#
+# Checks <parent-ref> out into a scratch directory (under $TMPDIR, removed on
+# exit) and builds its benchmark/ there with a target directory of its own;
+# builds the working tree's benchmark/ the way benchmark/run.sh does; then
+# runs `--workload W --seed S --trace 0` from each side's benchmark/
+# directory, pair i on seed0+i-1, the side that goes first alternating.
+# Prints one row per pair (iter_s.p50), then for each end-to-end metric each
+# side's q1 / median / q3 and the pairs the change won, and both sides'
+# digest for the first seed (equal digests: the two sides did the same work).
+# Edits nothing under benchmark/: the Cargo.lock a local build touches is
+# restored on exit.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+    sed -n '2,16p' "$0" >&2
+    exit 2
+fi
+parent_ref=$1
+workload=$2
+pairs=${3:-10}
+seconds=${4:-15}
+seed0=${5:-9701}
+
+repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+scratch="$(mktemp -d)"
+# The scratch copy is a plain checkout (git archive), not a `git worktree`:
+# nothing is registered in .git, so there is nothing to prune on exit.
+trap 'rm -rf "$scratch"; git -C "$repo" checkout -q -- benchmark/Cargo.lock' EXIT
+
+mkdir "$scratch/parent"
+git -C "$repo" archive "$parent_ref" | tar -x -C "$scratch/parent"
+echo "building $parent_ref ..." >&2
+CARGO_TARGET_DIR="$scratch/parent-target" cargo build --release --offline --quiet \
+    --manifest-path "$scratch/parent/benchmark/Cargo.toml" >&2
+echo "building the working tree ..." >&2
+cargo build --release --offline --quiet --manifest-path "$repo/benchmark/Cargo.toml" >&2
+
+parent_bin="$scratch/parent-target/release/dmp-benchmark"
+change_bin="${CARGO_TARGET_DIR:-$repo/benchmark/target}/release/dmp-benchmark"
+
+# The end-to-end metrics of BENCHMARK.json and which way is better.
+metrics=(iter_s.p50 work_per_s setup_s peak_rss_mb)
+better=(lower higher lower lower)
+
+# run <side> <side-dir> <binary> <seed>: one untraced run; appends each
+# metric to $scratch/<side>.<metric> and prints "<iter_s.p50> <digest>".
+run() {
+    (cd "$2/benchmark" && "$3" --workload "$workload" --seed "$4" \
+        --seconds "$seconds" --trace 0) | awk -v out="$scratch/$1" -v names="${metrics[*]}" '
+        { value[$1] = $2 }
+        END {
+            n = split(names, name, " ")
+            for (i = 1; i <= n; i++) {
+                if (!(name[i] in value)) exit 1
+                print value[name[i]] >> (out "." name[i])
+            }
+            print value["iter_s.p50"], value["digest"]
+        }'
+}
+
+# quartiles <file>: q1 / median / q3 (linear interpolation) of one column.
+quartiles() {
+    sort -g "$1" | awk '
+        { v[NR] = $1 }
+        function q(p,   h, lo) {
+            h = 1 + (NR - 1) * p; lo = int(h)
+            return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+        }
+        END { printf "%.4f / %.4f / %.4f", q(0.25), q(0.5), q(0.75) }'
+}
+
+printf '%-5s %-6s %-7s %10s %10s %8s\n' pair seed first parent_s change_s delta
+for i in $(seq 1 "$pairs"); do
+    seed=$((seed0 + i - 1))
+    if [ $((i % 2)) -eq 1 ]; then
+        first=parent
+        read -r p dp < <(run parent "$scratch/parent" "$parent_bin" "$seed")
+        read -r c dc < <(run change "$repo" "$change_bin" "$seed")
+    else
+        first=change
+        read -r c dc < <(run change "$repo" "$change_bin" "$seed")
+        read -r p dp < <(run parent "$scratch/parent" "$parent_bin" "$seed")
+    fi
+    if [ "$i" -eq 1 ]; then
+        digests="digest (seed $seed): parent $dp  change $dc"
+    fi
+    printf '%-5s %-6s %-7s %10.4f %10.4f %+7.1f%%\n' "$i" "$seed" "$first" "$p" "$c" \
+        "$(awk -v p="$p" -v c="$c" 'BEGIN { print (c / p - 1) * 100 }')"
+done
+
+echo
+echo "$workload, $pairs pairs, q1 / median / q3:"
+for k in "${!metrics[@]}"; do
+    m=${metrics[$k]}
+    won=$(paste "$scratch/parent.$m" "$scratch/change.$m" | awk -v dir="${better[$k]}" '
+        (dir == "lower" && $2 < $1) || (dir == "higher" && $2 > $1) { won++ }
+        END { print won + 0 }')
+    printf '%-12s parent %s   change %s   change won %s/%s (%s is better)\n' \
+        "$m" "$(quartiles "$scratch/parent.$m")" "$(quartiles "$scratch/change.$m")" \
+        "$won" "$pairs" "${better[$k]}"
+done
+echo "$digests"
