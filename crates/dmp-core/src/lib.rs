@@ -7,8 +7,11 @@
 //! tokio implementation (`dmp-live`), and the analytical model (`tcp-model`):
 //!
 //! * [`spec`] — parameter types describing videos, paths, and experiments;
-//! * [`scheme`] — the server-side packet schedulers (dynamic shared queue,
-//!   static weighted splitter) and the client-side reorder buffer;
+//! * [`scheme`] — the scheme itself: [`Scheme`] decides who holds the server
+//!   queue's lock next, what the holder takes and (static streaming) where a
+//!   generated packet is assigned, for every [`spec::PullStrategy`]; beside
+//!   it the queues it is built from and the client-side reorder buffer. Both
+//!   transports run this one type;
 //! * [`trace`] — per-packet delivery traces recorded by either backend;
 //! * [`metrics`] — the paper's performance metric (fraction of late packets),
 //!   computed both in playback order and in arrival order;
@@ -44,6 +47,6 @@ pub mod trace;
 pub use fleet::{Distribution, FleetReport, SessionOutcome, HEADROOM_RULE};
 pub use metrics::{buffer_occupancy, BufferOccupancy, LateFractions, LatenessReport};
 pub use resilience::{ResilienceReport, ResilienceSpec};
-pub use scheme::{DynamicQueue, ReorderBuffer, StaticSplitter, StreamPacket};
+pub use scheme::{DynamicQueue, PathView, ReorderBuffer, Scheme, StreamPacket};
 pub use spec::{PathSpec, SchedulerKind, VideoSpec};
 pub use trace::{DeliveryRecord, StreamTrace};

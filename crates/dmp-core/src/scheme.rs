@@ -1,9 +1,25 @@
-//! Server-side packet schedulers and the client-side reorder buffer.
+//! The scheme itself: [`Scheme`], the one place that decides which path sends
+//! which packet, with the queues it is built from and the client-side
+//! reorder buffer.
 //!
-//! These types capture the *logic* of the schemes; the event loops that drive
-//! them live in `dmp-sim` (discrete-event time) and `dmp-live` (tokio).
+//! The paper's scheme (Fig. 2) is two decisions: **who holds the lock next**
+//! among the senders with buffer room ([`Scheme::next_holder`]) and **what
+//! the holder takes** ([`Scheme::take`], [`Scheme::next_copy`]). Static
+//! streaming adds **where a generated packet is assigned**
+//! ([`Scheme::on_generated`]). A [`PullStrategy`] varies all three.
+//!
+//! `Scheme` is pure: it sees its transport through [`PathView`], time as a
+//! `now_ns` argument, and allocates nothing per call. The simulator's server
+//! (`dmp_sim::video`) asks all of it — a discrete-event server must itself
+//! name the blocked sender that wakes first. The live server
+//! (`dmp_live::stream`) keeps one behind a mutex and asks only
+//! `on_generated` and `take`: its senders are tasks blocked in `write_all`,
+//! so the kernel's send buffers arbitrate the lock, as in the paper.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
+
+use crate::spec::{PullStrategy, SchedulerKind};
 
 /// One video packet as it moves through the system: a stream sequence number
 /// (its position, and therefore its playback instant) plus the time it was
@@ -17,13 +33,13 @@ pub struct StreamPacket {
     pub gen_ns: u64,
 }
 
-/// The DMP-streaming server queue: a single FIFO of generated-but-unsent
-/// packets, shared by all TCP senders.
+/// A server queue: a FIFO of generated-but-unsent packets. DMP-streaming has
+/// one, shared by all TCP senders; static streaming one per path.
 ///
 /// Packets with earlier playback times sit at the head. A sender that can
-/// accept data takes the lock and drains from the head until it is full
-/// ([`DynamicQueue::pull`]); this is the entire scheduling policy of
-/// DMP-streaming.
+/// accept data takes the lock and drains from the head, one
+/// [`pull_one`](DynamicQueue::pull_one) at a time, until it is full; this is
+/// the entire scheduling policy of DMP-streaming.
 #[derive(Debug, Default, Clone)]
 pub struct DynamicQueue {
     q: VecDeque<StreamPacket>,
@@ -56,25 +72,10 @@ impl DynamicQueue {
         self.q.push_back(pkt);
     }
 
-    /// A sender with `space` free slots in its send buffer takes the lock and
-    /// fetches packets from the head of the queue. Returns the packets
-    /// fetched (at most `space`, fewer if the queue runs dry).
-    pub fn pull(&mut self, space: usize) -> Vec<StreamPacket> {
-        let n = space.min(self.q.len());
-        self.q.drain(..n).collect()
-    }
-
-    /// Fetch a single packet from the head of the queue. The allocation-free
-    /// counterpart of [`pull`](Self::pull) for per-packet consumers (the
-    /// simulator's DMP server pulls this way so its steady state never
-    /// touches the heap).
+    /// Fetch the packet at the head of the queue (allocation-free, so a
+    /// server's steady state never touches the heap).
     pub fn pull_one(&mut self) -> Option<StreamPacket> {
         self.q.pop_front()
-    }
-
-    /// Peek at the next packet without removing it.
-    pub fn peek(&self) -> Option<&StreamPacket> {
-        self.q.front()
     }
 
     /// Packets currently waiting in the queue.
@@ -93,103 +94,234 @@ impl DynamicQueue {
     }
 }
 
-/// The static-streaming baseline: packets are assigned to paths ahead of
-/// time, in proportion to fixed weights (long-term average path bandwidths,
-/// measured beforehand). With equal weights over two paths this is the
-/// odd/even split the paper analyses.
-///
-/// Each path gets its own unbounded server-side queue; a path's sender only
-/// ever pulls from its own queue, so a congested path cannot shed load onto
-/// the others — exactly the weakness Section 7.4 quantifies.
-#[derive(Debug, Clone)]
-pub struct StaticSplitter {
-    weights: Vec<f64>,
-    /// Weighted-round-robin deficit counters.
-    credit: Vec<f64>,
-    queues: Vec<VecDeque<StreamPacket>>,
-    assigned: Vec<u64>,
+/// [`PullStrategy::DeadlineAware`] drops a packet that has waited at the
+/// server longer than this when a sender reaches it: it has missed any
+/// practical playout deadline and would only delay rescuable packets.
+pub const PULL_DEADLINE_S: f64 = 10.0;
+
+/// What the scheme may ask its transport about paths `0..K`.
+pub trait PathView {
+    /// Free slots in the path's send buffer, packets.
+    fn space(&self, path: usize) -> usize;
+    /// How good the path looks, smaller first: smoothed RTT in ns
+    /// (`u64::MAX` while unmeasured), then the *negated* congestion-window
+    /// headroom (window minus packets in flight).
+    fn quality(&self, path: usize) -> (u64, i64);
 }
 
-impl StaticSplitter {
-    /// Create a splitter for `weights.len()` paths. Weights must be positive;
-    /// they are normalised internally.
+/// A transport that arbitrates the lock itself and so reports nothing (the
+/// live senders: whichever task's `write_all` returned holds the lock).
+impl PathView for () {
+    fn space(&self, _: usize) -> usize {
+        0
+    }
+    fn quality(&self, _: usize) -> (u64, i64) {
+        (u64::MAX, 0)
+    }
+}
+
+/// The paths `waker, waker + 1, …` round the ring of `k`.
+fn rotation(waker: usize, k: usize) -> impl Iterator<Item = usize> {
+    (waker..k).chain(0..waker)
+}
+
+/// The scheme's decisions (module docs). DMP-streaming
+/// ([`SchedulerKind::Dynamic`], [`SchedulerKind::SinglePath`]) keeps one
+/// queue shared by all senders. The static baseline
+/// ([`SchedulerKind::Static`], Section 7.4) gives each path its own and
+/// assigns every packet ahead of time, so a congested path cannot shed load
+/// onto the others — the weakness that section quantifies.
+#[derive(Debug, Clone)]
+pub struct Scheme {
+    strategy: PullStrategy,
+    /// The queue all senders share — inline, because every wake-up of a
+    /// sender looks at it. Unused under static streaming.
+    shared: DynamicQueue,
+    /// Static streaming: `own[k]` is path `k`'s queue. Empty otherwise.
+    own: Vec<DynamicQueue>,
+    /// The paths' normalised long-term bandwidth shares: the static split,
+    /// and the target of [`PullStrategy::Weighted`].
+    weights: Vec<f64>,
+    /// Weighted-round-robin credit of the static split.
+    credit: Vec<f64>,
+    /// Packets taken per path under `Weighted` (its deficit counters).
+    taken: Vec<u64>,
+    /// Which sender wins the lock on the next generation event.
+    rr: usize,
+    dropped_late: u64,
+}
+
+impl Scheme {
+    /// A scheme over `weights.len()` paths (shares measured beforehand;
+    /// equal for homogeneous paths, which makes the static split the paper's
+    /// odd/even one) for a stream of `packets` packets: the shared queue
+    /// reserves that much, so a late backlog peak never reallocates.
     ///
     /// # Panics
-    /// Panics if `weights` is empty or contains a non-positive weight.
-    pub fn new(weights: &[f64]) -> Self {
+    /// Panics if `weights` is empty or has a non-positive entry.
+    pub fn new(
+        scheduler: SchedulerKind,
+        strategy: PullStrategy,
+        weights: &[f64],
+        packets: u64,
+    ) -> Self {
         assert!(!weights.is_empty(), "at least one path required");
         assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
-        let sum: f64 = weights.iter().sum();
-        let weights: Vec<f64> = weights.iter().map(|w| w / sum).collect();
-        let n = weights.len();
+        let (k, sum) = (weights.len(), weights.iter().sum::<f64>());
+        let per_path = scheduler == SchedulerKind::Static;
         Self {
-            weights,
-            credit: vec![0.0; n],
-            queues: vec![VecDeque::new(); n],
-            assigned: vec![0; n],
+            strategy,
+            shared: DynamicQueue::with_capacity(if per_path { 0 } else { packets }),
+            own: vec![DynamicQueue::new(); if per_path { k } else { 0 }],
+            weights: weights.iter().map(|w| w / sum).collect(),
+            credit: vec![0.0; k],
+            taken: vec![0; k],
+            rr: 0,
+            dropped_late: 0,
         }
     }
 
     /// Number of paths.
     pub fn paths(&self) -> usize {
-        self.weights.len()
+        self.taken.len()
     }
 
-    /// Assign a freshly generated packet to a path (weighted round-robin:
-    /// the path with the largest accumulated credit receives it). Returns the
-    /// chosen path index.
-    pub fn push(&mut self, pkt: StreamPacket) -> usize {
-        for (c, w) in self.credit.iter_mut().zip(&self.weights) {
-            *c += w;
+    /// Whether every path has its own queue (static streaming).
+    fn per_path(&self) -> bool {
+        !self.own.is_empty()
+    }
+
+    /// Depth of the shared queue; `None` when every path has its own.
+    pub fn shared_depth(&self) -> Option<usize> {
+        (!self.per_path()).then(|| self.shared.len())
+    }
+
+    /// Stale packets dropped by [`PullStrategy::DeadlineAware`] so far.
+    pub fn dropped_late(&self) -> u64 {
+        self.dropped_late
+    }
+
+    /// Whether a lock holder drains the queue until its buffer is full (the
+    /// paper's rule) rather than the lock being re-arbitrated after every
+    /// packet. A transport tracing the shared queue samples it whenever the
+    /// lock is released: per holder here, once per wake-up otherwise.
+    pub fn holder_drains(&self) -> bool {
+        match self.strategy {
+            PullStrategy::RoundRobin | PullStrategy::DeadlineAware => true,
+            PullStrategy::Weighted | PullStrategy::BestPath | PullStrategy::RedundantDuplicate => {
+                self.per_path()
+            }
         }
-        let k = self
-            .credit
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("credits are finite"))
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        self.credit[k] -= 1.0;
-        self.queues[k].push_back(pkt);
-        self.assigned[k] += 1;
-        k
     }
 
-    /// A sender on path `k` with `space` free slots pulls from *its own*
-    /// queue only.
-    pub fn pull(&mut self, k: usize, space: usize) -> Vec<StreamPacket> {
-        let q = &mut self.queues[k];
-        let n = space.min(q.len());
-        q.drain(..n).collect()
+    /// A packet was generated. Returns the paths whose own queue got it
+    /// (none: it joined the shared queue) and the sender that gets the first
+    /// go at the lock. Dynamic: the rotation says which blocked sender that
+    /// is. Static: the packet is assigned for good — by weighted round-robin
+    /// (the paper's split; the weights *are* the strategy for `RoundRobin`,
+    /// `Weighted` and `DeadlineAware`), to the best-looking path, or to
+    /// every path — and the first assignee wakes.
+    pub fn on_generated(
+        &mut self,
+        pkt: StreamPacket,
+        paths: &impl PathView,
+    ) -> (Range<usize>, usize) {
+        let k = self.paths();
+        if !self.per_path() {
+            self.shared.push(pkt);
+            let waker = self.rr;
+            self.rr = (waker + 1) % k;
+            return (0..0, waker);
+        }
+        let assigned = match self.strategy {
+            PullStrategy::RoundRobin | PullStrategy::Weighted | PullStrategy::DeadlineAware => {
+                // Everyone earns its share; the richest pays for the packet.
+                for (c, w) in self.credit.iter_mut().zip(&self.weights) {
+                    *c += w;
+                }
+                let credits = self.credit.iter().enumerate();
+                let richest = credits.max_by(|a, b| a.1.partial_cmp(b.1).expect("finite credits"));
+                let p = richest.expect("at least one path").0;
+                self.credit[p] -= 1.0;
+                p..p + 1
+            }
+            PullStrategy::BestPath => {
+                let best = (0..k).min_by_key(|&p| (paths.quality(p), p));
+                let best = best.expect("at least one path");
+                best..best + 1
+            }
+            PullStrategy::RedundantDuplicate => 0..k,
+        };
+        assigned.clone().for_each(|p| self.own[p].push(pkt));
+        (assigned.clone(), assigned.start)
     }
 
-    /// Fetch a single packet assigned to path `k` (allocation-free
-    /// counterpart of [`pull`](Self::pull)).
-    pub fn pull_one(&mut self, k: usize) -> Option<StreamPacket> {
-        self.queues[k].pop_front()
+    /// Who holds the lock next, `waker` being the sender whose wake-up
+    /// started this round: among the paths with buffer space and something
+    /// to take, the first in rotation order from the waker, the one furthest
+    /// behind its share (smallest `(taken + 1) / weight`), or the
+    /// best-looking one. Static senders only ever compete for their own
+    /// queue, so there it is always the rotation. `None`: nobody can take
+    /// anything.
+    pub fn next_holder(&self, waker: usize, paths: &impl PathView) -> Option<usize> {
+        if !self.per_path() && self.shared.is_empty() {
+            return None; // the common wake-up: nothing is waiting
+        }
+        let ready =
+            |p: &usize| paths.space(*p) > 0 && self.own.get(*p).is_none_or(|q| !q.is_empty());
+        match self.strategy {
+            PullStrategy::Weighted if !self.per_path() => (0..self.paths())
+                .filter(ready)
+                .map(|p| ((self.taken[p] + 1) as f64 / self.weights[p], p))
+                // Strict `<`: the lowest index wins a tie.
+                .reduce(|best, c| if c.0 < best.0 { c } else { best })
+                .map(|(_, p)| p),
+            PullStrategy::BestPath if !self.per_path() => (0..self.paths())
+                .filter(ready)
+                .min_by_key(|&p| (paths.quality(p), p)),
+            _ => rotation(waker, self.paths()).find(ready),
+        }
     }
 
-    /// Peek at the next packet assigned to path `k` without removing it.
-    pub fn peek(&self, k: usize) -> Option<&StreamPacket> {
-        self.queues[k].front()
+    /// What the lock holder `path` takes: the head of the shared queue, or
+    /// of its own. Under [`PullStrategy::DeadlineAware`] heads that have
+    /// waited longer than [`PULL_DEADLINE_S`] at `now_ns` are dropped and
+    /// counted on the way. `None`: the queue ran dry.
+    pub fn take(&mut self, path: usize, now_ns: u64) -> Option<StreamPacket> {
+        const DEADLINE_NS: u64 = (PULL_DEADLINE_S * 1e9) as u64;
+        loop {
+            let pkt = self
+                .own
+                .get_mut(path)
+                .unwrap_or(&mut self.shared)
+                .pull_one()?;
+            if self.strategy == PullStrategy::DeadlineAware
+                && now_ns.saturating_sub(pkt.gen_ns) > DEADLINE_NS
+            {
+                self.dropped_late += 1;
+                continue;
+            }
+            if self.strategy == PullStrategy::Weighted {
+                self.taken[path] += 1;
+            }
+            return Some(pkt);
+        }
     }
 
-    /// Assign a packet to an explicitly chosen path, bypassing the
-    /// weighted-round-robin credit counters (used by the non-default pull
-    /// strategies, which make their own placement decisions).
-    pub fn assign(&mut self, k: usize, pkt: StreamPacket) {
-        self.queues[k].push_back(pkt);
-        self.assigned[k] += 1;
-    }
-
-    /// Packets waiting for path `k`.
-    pub fn queued(&self, k: usize) -> usize {
-        self.queues[k].len()
-    }
-
-    /// Total packets ever assigned to path `k`.
-    pub fn assigned(&self, k: usize) -> u64 {
-        self.assigned[k]
+    /// Who else sends a copy of what the holder just took. Dynamic
+    /// [`PullStrategy::RedundantDuplicate`] hands the packet to every path
+    /// with buffer space, in rotation order from `waker` (the client keeps
+    /// the first arrival): this is the next such path after `last`, the
+    /// holder or the previous copy's path. Always `None` otherwise.
+    pub fn next_copy(&self, waker: usize, last: usize, paths: &impl PathView) -> Option<usize> {
+        if self.strategy != PullStrategy::RedundantDuplicate || self.per_path() {
+            return None;
+        }
+        let k = self.paths();
+        let served = (last + k - waker) % k + 1;
+        rotation(waker, k)
+            .skip(served)
+            .find(|&p| paths.space(p) > 0)
     }
 }
 
@@ -263,31 +395,33 @@ mod tests {
         for i in 0..5 {
             q.push(pkt(i));
         }
-        let got = q.pull(3);
-        assert_eq!(got.iter().map(|p| p.seq).collect::<Vec<_>>(), vec![0, 1, 2]);
+        let got: Vec<u64> = (0..3).filter_map(|_| q.pull_one()).map(|p| p.seq).collect();
+        assert_eq!(got, vec![0, 1, 2]);
         assert_eq!(q.len(), 2);
-        let got = q.pull(10);
-        assert_eq!(got.len(), 2);
+        assert_eq!(std::iter::from_fn(|| q.pull_one()).count(), 2);
         assert!(q.is_empty());
+        assert_eq!(q.pull_one(), None);
         assert_eq!(q.total_generated(), 5);
     }
 
-    #[test]
-    fn dynamic_queue_pull_zero_is_noop() {
-        let mut q = DynamicQueue::new();
-        q.push(pkt(0));
-        assert!(q.pull(0).is_empty());
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek().map(|p| p.seq), Some(0));
+    /// A static round-robin scheme over `weights`, and the path each of `n`
+    /// generated packets is assigned to.
+    fn static_split(weights: &[f64], n: u64) -> (Scheme, Vec<usize>) {
+        let mut s = Scheme::new(SchedulerKind::Static, PullStrategy::RoundRobin, weights, n);
+        let paths = (0..n).map(|i| {
+            let (assigned, waker) = s.on_generated(pkt(i), &());
+            assert_eq!(assigned, waker..waker + 1, "one path, and it wakes");
+            waker
+        });
+        let paths = paths.collect();
+        (s, paths)
     }
 
     #[test]
     fn static_splitter_equal_weights_alternates() {
-        let mut s = StaticSplitter::new(&[1.0, 1.0]);
-        let paths: Vec<usize> = (0..6).map(|i| s.push(pkt(i))).collect();
+        let (_, paths) = static_split(&[1.0, 1.0], 6);
         // Weighted round-robin with equal weights strictly alternates.
-        assert_eq!(s.assigned(0), 3);
-        assert_eq!(s.assigned(1), 3);
+        assert_eq!(paths.iter().filter(|&&p| p == 0).count(), 3);
         for w in paths.windows(2) {
             assert_ne!(w[0], w[1]);
         }
@@ -295,33 +429,27 @@ mod tests {
 
     #[test]
     fn static_splitter_respects_weights() {
-        let mut s = StaticSplitter::new(&[3.0, 1.0]);
-        for i in 0..4000 {
-            s.push(pkt(i));
-        }
-        let share0 = s.assigned(0) as f64 / 4000.0;
+        let (_, paths) = static_split(&[3.0, 1.0], 4000);
+        let share0 = paths.iter().filter(|&&p| p == 0).count() as f64 / 4000.0;
         assert!((share0 - 0.75).abs() < 0.01, "share0 = {share0}");
     }
 
     #[test]
     fn static_splitter_pull_is_per_path() {
-        let mut s = StaticSplitter::new(&[1.0, 1.0]);
-        for i in 0..4 {
-            s.push(pkt(i));
-        }
-        let a = s.pull(0, 10);
-        let b = s.pull(1, 10);
-        assert_eq!(a.len() + b.len(), 4);
-        // Every packet appears exactly once across the two pulls.
-        let mut seqs: Vec<u64> = a.iter().chain(&b).map(|p| p.seq).collect();
-        seqs.sort_unstable();
-        assert_eq!(seqs, vec![0, 1, 2, 3]);
+        let (mut s, paths) = static_split(&[1.0, 1.0], 4);
+        assert_eq!(s.shared_depth(), None);
+        let a: Vec<_> = std::iter::from_fn(|| s.take(0, 0)).collect();
+        let b: Vec<_> = std::iter::from_fn(|| s.take(1, 0)).collect();
+        assert_eq!((a.len(), b.len()), (2, 2));
+        // Each path is served exactly what was assigned to it.
+        assert!(a.iter().all(|p| paths[p.seq as usize] == 0));
+        assert!(b.iter().all(|p| paths[p.seq as usize] == 1));
     }
 
     #[test]
     #[should_panic(expected = "weights must be positive")]
     fn static_splitter_rejects_zero_weight() {
-        StaticSplitter::new(&[1.0, 0.0]);
+        static_split(&[1.0, 0.0], 0);
     }
 
     #[test]

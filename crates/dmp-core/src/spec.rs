@@ -81,6 +81,14 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
+    /// How many of the `available` paths the scheme streams over.
+    pub fn paths_used(&self, available: usize) -> usize {
+        match self {
+            SchedulerKind::Dynamic | SchedulerKind::Static => available,
+            SchedulerKind::SinglePath => 1,
+        }
+    }
+
     /// Human-readable name used in reports.
     pub fn name(&self) -> &'static str {
         match self {

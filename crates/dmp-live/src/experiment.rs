@@ -11,14 +11,14 @@
 //! path's achievable throughput and RTT. The model then sees a TCP flow with
 //! the same achievable throughput as the emulated path.
 
+use std::net::SocketAddr;
 use std::time::Duration;
 
 use dmp_core::metrics::LatenessReport;
 use dmp_core::spec::{PathSpec, VideoSpec};
-use tokio::net::TcpListener;
 
 use crate::emulator::{PathEmulator, PathProfile};
-use crate::stream::{run_stream, LiveConfig, LiveOutput};
+use crate::stream::{listen, run_stream, LiveConfig, LiveOutput};
 
 /// Default timeout ratio assumed when inverting PFTK (mid-range of the
 /// paper's measured 1.6–3.3).
@@ -134,13 +134,8 @@ fn undilate_trace(
 pub async fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> std::io::Result<LiveRun> {
     let f = exp.time_dilation;
     assert!(f >= 1.0, "time_dilation must be ≥ 1 (got {f})");
-    let mut listeners = Vec::new();
-    let mut client_addrs = Vec::new();
-    for _ in &exp.paths {
-        let l = TcpListener::bind("127.0.0.1:0").await?;
-        client_addrs.push(l.local_addr()?);
-        listeners.push(l);
-    }
+    let loopback = vec![SocketAddr::from(([127, 0, 0, 1], 0)); exp.paths.len()];
+    let (listeners, client_addrs) = listen(&loopback).await?;
     if let Some(schedules) = &exp.schedules {
         assert_eq!(
             schedules.len(),

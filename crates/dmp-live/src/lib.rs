@@ -11,8 +11,11 @@
 //!
 //! * [`wire`] — fixed-size packet framing (1448-byte frames as in the paper);
 //! * [`emulator`] — the bandwidth/delay path emulator;
-//! * [`stream`] — server (shared queue + per-path sender tasks) and client
-//!   (per-path readers recording a delivery trace);
+//! * [`stream`] — the server half ([`stream::serve`]: the core
+//!   `dmp_core::scheme::Scheme` behind a mutex + per-path sender tasks), the
+//!   client half ([`stream::receive`]: per-path readers reporting arrivals)
+//!   and [`run_stream`], the two joined around a delivery trace; the
+//!   `dmp-server` / `dmp-client` binaries run one half each;
 //! * [`experiment`] — the Fig. 7 validation harness: run, measure late
 //!   fractions, estimate effective path parameters, compare to the model;
 //! * [`telemetry`] — a process-wide registry of the shaping timelines each

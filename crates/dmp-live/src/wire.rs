@@ -14,14 +14,9 @@ pub const MAGIC: u32 = 0xD3_57_2E_A1;
 /// Header bytes preceding the padding payload.
 pub const HEADER_BYTES: usize = 24;
 
-/// One framed video packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Frame {
-    /// Stream sequence number (playback position).
-    pub seq: u64,
-    /// Generation time at the server, nanoseconds since the stream epoch.
-    pub gen_ns: u64,
-}
+/// One framed video packet: the scheme's own packet (stream sequence number
+/// and generation time at the server, ns since the stream epoch).
+pub type Frame = dmp_core::scheme::StreamPacket;
 
 /// Encode `frame` as exactly `packet_bytes` bytes into `dst`.
 ///

@@ -9,6 +9,7 @@ use std::rc::Rc;
 
 use dmp_core::metrics::{LateFractions, LatenessReport};
 use dmp_core::resilience::{ResilienceReport, ResilienceSpec};
+use dmp_core::scheme::Scheme;
 use dmp_core::spec::{PullStrategy, SchedulerKind};
 use dmp_core::stats::OnlineStats;
 use dmp_core::trace::StreamTrace;
@@ -19,7 +20,7 @@ use scenario::{PathBinding, Scenario, ScenarioDriver};
 
 use crate::configs::{config, Setting};
 use crate::topology::{attach_background, build_correlated_scenario, video_tcp, Topology};
-use crate::video::{shared_trace, DmpServer, StaticServer, VideoClient};
+use crate::video::{shared_trace, VideoClient, VideoServer};
 
 /// Flight-recorder configuration for one run.
 ///
@@ -312,10 +313,7 @@ pub fn run(spec: &ExperimentSpec) -> RunOutput {
 /// Build one experiment (topology, apps, tracer) without running it.
 pub fn build(spec: &ExperimentSpec) -> BuiltExperiment {
     let setting = &spec.setting;
-    let k = match spec.scheduler {
-        SchedulerKind::SinglePath => 1,
-        _ => 2,
-    };
+    let k = spec.scheduler.paths_used(setting.configs.len());
     spec.scenario
         .validate(k)
         .expect("scenario does not fit this experiment's path count");
@@ -443,42 +441,18 @@ pub fn build(spec: &ExperimentSpec) -> BuiltExperiment {
     let flows: Vec<_> = topo.paths.iter().map(|p| p.video_flow).collect();
     let n_packets = (spec.duration_s * setting.video.rate_pps) as u64;
 
-    match spec.scheduler {
-        SchedulerKind::Dynamic | SchedulerKind::SinglePath => {
-            let weights = spec
-                .static_weights
-                .clone()
-                .unwrap_or_else(|| vec![1.0; flows.len()]);
-            sim.add_app(Box::new(
-                DmpServer::new(
-                    flows.clone(),
-                    setting.video,
-                    trace.clone(),
-                    secs(spec.warmup_s),
-                    n_packets,
-                )
-                .with_strategy(spec.strategy)
-                .with_weights(&weights),
-            ));
-        }
-        SchedulerKind::Static => {
-            let weights = spec
-                .static_weights
-                .clone()
-                .unwrap_or_else(|| vec![1.0; flows.len()]);
-            sim.add_app(Box::new(
-                StaticServer::new(
-                    flows.clone(),
-                    &weights,
-                    setting.video,
-                    trace.clone(),
-                    secs(spec.warmup_s),
-                    n_packets,
-                )
-                .with_strategy(spec.strategy),
-            ));
-        }
-    }
+    let weights = spec
+        .static_weights
+        .clone()
+        .unwrap_or_else(|| vec![1.0; flows.len()]);
+    sim.add_app(Box::new(VideoServer::new(
+        Scheme::new(spec.scheduler, spec.strategy, &weights, n_packets),
+        flows.clone(),
+        setting.video,
+        trace.clone(),
+        secs(spec.warmup_s),
+        n_packets,
+    )));
     sim.add_app(Box::new(VideoClient::new(&flows, trace.clone())));
 
     BuiltExperiment {

@@ -3,7 +3,7 @@
 //! Every shard builds its own topology — `bottlenecks_per_shard` shared
 //! router pairs, one server node per session, one client node per path (the
 //! multihoming idiom `dmp-sim` uses for independent paths) — attaches one
-//! [`DmpServer`]/[`VideoClient`] pair per session according to the shard's
+//! [`VideoServer`]/[`VideoClient`] pair per session according to the shard's
 //! churn plan, runs to the end of the window, and reads per-session
 //! [`SessionOutcome`]s off the delivery traces. Congestion is *endogenous*:
 //! sessions contend with each other on the shared bottlenecks (no synthetic
@@ -22,11 +22,12 @@ use std::rc::Rc;
 
 use dmp_core::metrics::late_fraction_playback;
 use dmp_core::resilience::{ResilienceReport, ResilienceSpec};
-use dmp_core::spec::PathSpec;
+use dmp_core::scheme::Scheme;
+use dmp_core::spec::{PathSpec, SchedulerKind};
 use dmp_core::SessionOutcome;
 use dmp_runner::{Json, JsonCodec};
 use dmp_sim::topology::video_tcp;
-use dmp_sim::video::{shared_trace, DmpServer, SharedTrace, VideoClient};
+use dmp_sim::video::{shared_trace, SharedTrace, VideoClient, VideoServer};
 use netsim::link::LinkSpec;
 use netsim::tcp::SinkConfig;
 use netsim::trace::SimTracer;
@@ -224,16 +225,15 @@ pub fn run_shard(spec: &FleetSpec, shard: u32, trace: Option<(&Path, &str)>) -> 
 
     for s in &sessions {
         let start_at = secs(spec.warmup_s + s.plan.arrival_s);
-        sim.add_app(Box::new(
-            DmpServer::new(
-                s.flows.clone(),
-                spec.video,
-                s.trace.clone(),
-                start_at,
-                s.budget,
-            )
-            .with_strategy(spec.strategy),
-        ));
+        let equal = vec![1.0; s.flows.len()];
+        sim.add_app(Box::new(VideoServer::new(
+            Scheme::new(SchedulerKind::Dynamic, spec.strategy, &equal, s.budget),
+            s.flows.clone(),
+            spec.video,
+            s.trace.clone(),
+            start_at,
+            s.budget,
+        )));
         sim.add_app(Box::new(VideoClient::new(&s.flows, s.trace.clone())));
         sim.add_app(Box::new(SessionMarker {
             session: s.session,

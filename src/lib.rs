@@ -51,7 +51,7 @@ pub use tcp_model;
 /// The most commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use dmp_core::metrics::{LateFractions, LatenessReport};
-    pub use dmp_core::scheme::{DynamicQueue, ReorderBuffer, StaticSplitter, StreamPacket};
+    pub use dmp_core::scheme::{DynamicQueue, ReorderBuffer, Scheme, StreamPacket};
     pub use dmp_core::spec::{PathSpec, SchedulerKind, VideoSpec};
     pub use dmp_core::trace::StreamTrace;
     pub use dmp_live::{LiveConfig, LiveExperiment, PathProfile};

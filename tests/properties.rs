@@ -3,8 +3,10 @@
 //! cases, so failures are reproducible from the printed case seed.
 
 use dmp_core::metrics::{buffer_occupancy, late_fraction_arrival_order, late_fraction_playback};
-use dmp_core::scheme::{DynamicQueue, ReorderBuffer, StaticSplitter, StreamPacket};
-use dmp_core::spec::{PathSpec, VideoSpec};
+use dmp_core::scheme::{
+    DynamicQueue, PathView, ReorderBuffer, Scheme, StreamPacket, PULL_DEADLINE_S,
+};
+use dmp_core::spec::{PathSpec, PullStrategy, SchedulerKind, VideoSpec};
 use dmp_core::stats::summarize;
 use dmp_core::trace::StreamTrace;
 use rand::rngs::SmallRng;
@@ -68,7 +70,7 @@ fn reorder_buffer_is_a_sorting_network() {
     }
 }
 
-/// The static splitter conserves packets and respects weights within one
+/// The static split conserves packets and respects weights within one
 /// packet of the ideal split.
 #[test]
 fn splitter_conserves_and_balances() {
@@ -77,19 +79,21 @@ fn splitter_conserves_and_balances() {
         let w1 = 1 + rng.next_u32() % 19;
         let w2 = 1 + rng.next_u32() % 19;
         let n = 1 + rng.next_u64() % 1999;
-        let mut s = StaticSplitter::new(&[f64::from(w1), f64::from(w2)]);
-        for i in 0..n {
-            s.push(pkt(i));
-        }
-        assert_eq!(s.assigned(0) + s.assigned(1), n, "case {case}");
+        let weights = [f64::from(w1), f64::from(w2)];
+        let mut s = Scheme::new(SchedulerKind::Static, PullStrategy::RoundRobin, &weights, n);
+        let to_path0 = (0..n)
+            .filter(|&i| s.on_generated(pkt(i), &()).1 == 0)
+            .count();
         let ideal0 = n as f64 * f64::from(w1) / f64::from(w1 + w2);
         assert!(
-            (s.assigned(0) as f64 - ideal0).abs() <= 1.0 + 1e-9,
+            (to_path0 as f64 - ideal0).abs() <= 1.0 + 1e-9,
             "case {case}"
         );
         // Pulling everything returns each packet exactly once.
-        let got = s.pull(0, usize::MAX).len() + s.pull(1, usize::MAX).len();
-        assert_eq!(got as u64, n, "case {case}");
+        let got: Vec<usize> = (0..2)
+            .map(|k| std::iter::from_fn(|| s.take(k, 0)).count())
+            .collect();
+        assert_eq!(got, [to_path0, n as usize - to_path0], "case {case}");
     }
 }
 
@@ -109,7 +113,7 @@ fn dynamic_queue_fifo() {
                 q.push(pkt(next_push));
                 next_push += 1;
             } else {
-                for p in q.pull(amount) {
+                for p in (0..amount).map_while(|_| q.pull_one()) {
                     assert_eq!(p.seq, next_pop, "case {case}");
                     next_pop += 1;
                 }
@@ -118,6 +122,193 @@ fn dynamic_queue_fifo() {
         assert_eq!(q.total_generated(), next_push, "case {case}");
         assert_eq!(next_push - next_pop, q.len() as u64, "case {case}");
     }
+}
+
+/// A transport whose paths have whatever space and quality the test last
+/// rolled for them.
+struct FakePaths {
+    space: Vec<usize>,
+    quality: Vec<(u64, i64)>,
+}
+
+impl PathView for FakePaths {
+    fn space(&self, path: usize) -> usize {
+        self.space[path]
+    }
+    fn quality(&self, path: usize) -> (u64, i64) {
+        self.quality[path]
+    }
+}
+
+/// One scheme under a random transport, with the bookkeeping the
+/// conformance property checks against.
+struct Harness {
+    scheme: Scheme,
+    strategy: PullStrategy,
+    paths: FakePaths,
+    now_ns: u64,
+    /// Per queue (one shared, or one per path): sequence numbers generated
+    /// into it and neither handed out nor dropped yet.
+    pending: Vec<std::collections::BTreeSet<u64>>,
+    /// Per sequence number: when it was generated, where it was assigned,
+    /// and the paths it went to.
+    gen_ns: Vec<u64>,
+    assigned: Vec<std::ops::Range<usize>>,
+    handed: Vec<Vec<usize>>,
+    dropped: u64,
+}
+
+impl Harness {
+    /// The server's one loop, checking every decision on the way.
+    fn serve(&mut self, waker: usize, case: &str) {
+        const DEADLINE_NS: u64 = (PULL_DEADLINE_S * 1e9) as u64;
+        while let Some(path) = self.scheme.next_holder(waker, &self.paths) {
+            let taken = self.scheme.take(path, self.now_ns);
+            // Whatever sat in the holder's queue ahead of what it got (all
+            // of it, if it got nothing) was dropped: allowed only to the
+            // deadline-aware strategy, only for packets past the deadline.
+            // (Queue 0 is the shared one; otherwise queue `path` is the path's.)
+            let queues = self.pending.len();
+            let queue = &mut self.pending[path % queues];
+            let kept = taken.map_or_else(Default::default, |pkt| queue.split_off(&pkt.seq));
+            for stale in std::mem::replace(queue, kept) {
+                assert_eq!(self.strategy, PullStrategy::DeadlineAware, "{case}");
+                assert!(
+                    self.now_ns - self.gen_ns[stale as usize] > DEADLINE_NS,
+                    "{case}"
+                );
+                self.dropped += 1;
+            }
+            let Some(taken) = taken else { continue };
+            assert_eq!(queue.pop_first(), Some(taken.seq), "{case}: not the head");
+            if self.strategy == PullStrategy::DeadlineAware {
+                assert!(self.now_ns - taken.gen_ns <= DEADLINE_NS, "{case}");
+            }
+            let mut next = Some(path);
+            while let Some(to) = next {
+                assert!(self.paths.space[to] > 0, "{case}: path {to} has no space");
+                self.paths.space[to] -= 1;
+                let seq = taken.seq as usize;
+                assert!(!self.handed[seq].contains(&to), "{case}: twice to {to}");
+                let own = &self.assigned[seq];
+                assert!(
+                    own.is_empty() || own.contains(&to),
+                    "{case}: served by {to}"
+                );
+                self.handed[seq].push(to);
+                next = self.scheme.next_copy(waker, to, &self.paths);
+            }
+        }
+    }
+}
+
+/// The scheme's contract, for every scheduler × strategy, under a transport
+/// whose per-path space is random at every step: every sequence number is
+/// handed out exactly once (redundant: at least once, never twice to one
+/// path, and the client's first-arrival rule leaves one); nothing goes to a
+/// path without space; only `DeadlineAware` drops, only packets older than
+/// the deadline, and its count is what went missing; a static assignment is
+/// never served by another path.
+#[test]
+fn scheme_conformance() {
+    let schedulers = [
+        (SchedulerKind::Dynamic, 3),
+        (SchedulerKind::Static, 3),
+        (SchedulerKind::SinglePath, 1),
+    ];
+    // The property must not hold vacuously: the runs drop and duplicate.
+    let (mut drops, mut duplicates) = (0, 0);
+    for (scheduler, k) in schedulers {
+        for strategy in PullStrategy::all() {
+            for case in 0..CASES / 4 {
+                let name = format!("{scheduler:?} × {strategy:?}, case {case}");
+                let mut rng = case_rng(&format!("{scheduler:?}{strategy:?}"), case);
+                let weights: Vec<f64> = (0..k).map(|_| rng.gen_range(0.5f64..4.0)).collect();
+                let shared = scheduler != SchedulerKind::Static;
+                let mut h = Harness {
+                    scheme: Scheme::new(scheduler, strategy, &weights, 0),
+                    strategy,
+                    paths: FakePaths {
+                        space: vec![0; k],
+                        quality: vec![(u64::MAX, 0); k],
+                    },
+                    now_ns: 0,
+                    pending: vec![Default::default(); if shared { 1 } else { k }],
+                    gen_ns: Vec::new(),
+                    assigned: Vec::new(),
+                    handed: Vec::new(),
+                    dropped: 0,
+                };
+                let steps = usize_in(&mut rng, 20, 200);
+                for step in 0..=steps {
+                    // The last step drains: room for everything, every waker.
+                    let drain = step == steps;
+                    for p in 0..k {
+                        h.paths.space[p] = match rng.next_u64() % 8 {
+                            _ if drain => 1 << 20,
+                            roll @ 0..=1 => roll as usize + 1,
+                            _ => 0,
+                        };
+                        h.paths.quality[p] = (rng.next_u64() % 4, rng.gen_range(-3i64..3));
+                    }
+                    h.now_ns += rng.next_u64() % 4_000_000_000;
+                    let waker = if !drain && rng.gen_bool(0.5) {
+                        let seq = h.handed.len() as u64;
+                        let made = StreamPacket {
+                            seq,
+                            gen_ns: h.now_ns,
+                        };
+                        let (assigned, waker) = h.scheme.on_generated(made, &h.paths);
+                        assert_eq!(assigned.is_empty(), shared, "{name}");
+                        let queues = if shared { 0..1 } else { assigned.clone() };
+                        queues.for_each(|q| assert!(h.pending[q].insert(seq)));
+                        h.gen_ns.push(h.now_ns);
+                        h.assigned.push(assigned);
+                        h.handed.push(Vec::new());
+                        waker
+                    } else {
+                        usize_in(&mut rng, 0, k)
+                    };
+                    h.serve(waker, &name);
+                    if drain {
+                        (0..k).for_each(|w| h.serve(w, &name));
+                    }
+                }
+                assert!(
+                    h.pending.iter().all(|q| q.is_empty()),
+                    "{name}: left queued"
+                );
+                assert_eq!(h.scheme.dropped_late(), h.dropped, "{name}");
+                let missing = h.handed.iter().filter(|to| to.is_empty()).count() as u64;
+                let redundant = strategy == PullStrategy::RedundantDuplicate;
+                if redundant {
+                    assert_eq!(missing, 0, "{name}");
+                } else {
+                    assert_eq!(missing, h.dropped, "{name}");
+                    assert!(h.handed.iter().all(|to| to.len() <= 1), "{name}");
+                }
+                // Client side: the first arrival of each sequence number is
+                // new, every later copy a counted duplicate.
+                let mut client = ReorderBuffer::new();
+                let copies = h
+                    .handed
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(seq, to)| to.iter().map(move |_| seq));
+                let fresh = copies.filter(|&seq| client.insert(pkt(seq as u64))).count() as u64;
+                assert_eq!(fresh, h.handed.len() as u64 - missing, "{name}");
+                let total: u64 = h.handed.iter().map(|to| to.len() as u64).sum();
+                assert_eq!(client.duplicates(), total - fresh, "{name}");
+                assert!(redundant || client.duplicates() == 0, "{name}");
+                drops += h.dropped;
+                duplicates += client.duplicates();
+            }
+        }
+    }
+    assert!(
+        drops > 100 && duplicates > 100,
+        "{drops} drops, {duplicates} duplicates"
+    );
 }
 
 /// Late fractions are in [0,1] and monotone non-increasing in τ for any

@@ -112,9 +112,10 @@ fn two_paths_help_at_the_same_bitrate() {
 /// work): a video too big for any two of the paths streams over three.
 #[test]
 fn three_paths_carry_what_two_cannot() {
-    use dmp_core::spec::VideoSpec;
+    use dmp_core::scheme::Scheme;
+    use dmp_core::spec::{PullStrategy, VideoSpec};
     use dmp_sim::topology::{attach_background, build_independent, video_tcp};
-    use dmp_sim::video::{shared_trace, DmpServer, VideoClient};
+    use dmp_sim::video::{shared_trace, VideoClient, VideoServer};
     use netsim::{secs, Sim};
 
     let run_k = |k: usize| {
@@ -127,12 +128,20 @@ fn three_paths_carry_what_two_cannot() {
         let end = secs(220.0);
         let trace = shared_trace(video, end);
         let flows: Vec<_> = topo.paths.iter().map(|p| p.video_flow).collect();
-        sim.add_app(Box::new(DmpServer::new(
+        let packets = (200.0 * video.rate_pps) as u64;
+        let equal = vec![1.0; k];
+        sim.add_app(Box::new(VideoServer::new(
+            Scheme::new(
+                SchedulerKind::Dynamic,
+                PullStrategy::RoundRobin,
+                &equal,
+                packets,
+            ),
             flows.clone(),
             video,
             trace.clone(),
             secs(15.0),
-            (200.0 * video.rate_pps) as u64,
+            packets,
         )));
         sim.add_app(Box::new(VideoClient::new(&flows, trace.clone())));
         sim.run_until(end);
