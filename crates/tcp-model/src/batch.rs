@@ -179,8 +179,8 @@ impl MuCellSpec {
     }
 }
 
-/// One exact-solver cell: a single-flow [`ExactDmp`] instance solved via the
-/// CSR power iteration.
+/// One exact-solver cell: a single-flow [`ExactDmp`] instance solved by
+/// [`crate::solver::CsrCtmc::solve_accelerated`].
 #[derive(Debug, Clone)]
 pub struct ExactCellSpec {
     /// Path parameters.
@@ -198,9 +198,11 @@ pub struct ExactCellSpec {
 }
 
 impl ExactCellSpec {
-    /// Stable cache identity (namespace `tcp-model-exact/v1`).
+    /// Stable cache identity (namespace `tcp-model-exact/v2`; `v1` entries
+    /// hold the power iteration's `f`, which differs in its 13th digit, and
+    /// its 20 × larger `iterations`).
     pub fn config_repr(&self) -> String {
-        format!("tcp-model-exact/v1/{self:?}")
+        format!("tcp-model-exact/v2/{self:?}")
     }
 
     /// Solve the cell. State-space overflow (or any future typed solver
@@ -240,7 +242,7 @@ pub enum ExactOutcome {
         floor_mass: f64,
         /// Enumerated state count.
         states: u64,
-        /// Power iterations taken.
+        /// Solver sweeps taken.
         iterations: u64,
     },
     /// The solver declined (e.g. state space over `max_states`).

@@ -73,6 +73,55 @@ pub struct TcpChainState {
     pub stage: u8,
 }
 
+impl TcpChainState {
+    /// The state after a round of `self.w` packets in which none was lost
+    /// (sending phases only), under window cap `wmax`.
+    #[inline]
+    fn after_clean_round(mut self, wmax: u32) -> Self {
+        match self.phase {
+            Phase::SlowStart => {
+                // Delayed ACKs: W grows 1.5× per round in slow start.
+                let grown = (self.w + self.w.div_ceil(2)).min(wmax);
+                if grown >= self.ssthresh {
+                    self.w = grown.min(self.ssthresh).min(wmax);
+                    self.phase = Phase::CongAvoid;
+                    self.c = false;
+                } else {
+                    self.w = grown;
+                }
+            }
+            Phase::CongAvoid => {
+                if self.c {
+                    self.w = (self.w + 1).min(wmax);
+                    self.c = false;
+                } else {
+                    self.c = true;
+                }
+            }
+            Phase::Timeout { .. } => unreachable!("clean round only in sending phases"),
+        }
+        self
+    }
+
+    /// The state after a round whose first loss came after `succ` successes
+    /// (the lost packets re-enter later rounds' windows).
+    #[inline]
+    fn after_lossy_round(mut self, succ: u32) -> Self {
+        self.ssthresh = (self.w / 2).max(2);
+        if succ >= 3 {
+            // Enough duplicate ACKs for fast retransmit: Reno halves the
+            // window and keeps going (the retransmissions ride along in the
+            // next rounds' windows; no dead round, following Padhye et al.).
+            self.w = (self.w / 2).max(1);
+            self.c = false;
+            self.phase = Phase::CongAvoid;
+        } else {
+            self.phase = Phase::Timeout { exp: 0 };
+        }
+        self
+    }
+}
+
 /// Outcome of one chain transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition {
@@ -199,6 +248,13 @@ impl TcpChain {
         self.rates[phase_slot(self.state.phase)]
     }
 
+    /// [`TcpChain::rate`] as it would be in `state`, whatever state the chain
+    /// is in (the exact solver asks for every enumerated state).
+    #[inline]
+    pub fn rate_at(&self, state: &TcpChainState) -> f64 {
+        self.rates[phase_slot(state.phase)]
+    }
+
     /// Number of successes before the first loss in a round of `w` packets:
     /// `w` with probability `(1-p)^w`, otherwise `G < w` geometric.
     fn sample_first_loss(&self, w: u32, rng: &mut impl Rng) -> u32 {
@@ -303,16 +359,12 @@ impl TcpChain {
                 let w = state.w;
                 let mut v = Vec::with_capacity(w as usize + 1);
                 // Clean round.
-                let mut clean = self.clone();
-                clean.state = base;
-                clean.on_clean_round();
-                v.push((clean.state, self.no_loss_prob[w as usize], w));
+                let clean = base.after_clean_round(self.wmax);
+                v.push((clean, self.no_loss_prob[w as usize], w));
                 // First loss after `g` successes (g = 0..w-1).
                 for g in 0..w {
-                    let mut lossy = self.clone();
-                    lossy.state = base;
-                    lossy.on_lossy_round(g);
-                    v.push((lossy.state, (1.0 - p).powi(g as i32) * p, g));
+                    let lossy = base.after_lossy_round(g);
+                    v.push((lossy, (1.0 - p).powi(g as i32) * p, g));
                 }
                 v
             }
@@ -344,46 +396,11 @@ impl TcpChain {
     }
 
     fn on_clean_round(&mut self) {
-        let s = self.state;
-        match s.phase {
-            Phase::SlowStart => {
-                // Delayed ACKs: W grows 1.5× per round in slow start.
-                let grown = (s.w + s.w.div_ceil(2)).min(self.wmax);
-                if grown >= s.ssthresh {
-                    self.state.w = grown.min(s.ssthresh).min(self.wmax);
-                    self.state.phase = Phase::CongAvoid;
-                    self.state.c = false;
-                } else {
-                    self.state.w = grown;
-                }
-            }
-            Phase::CongAvoid => {
-                if s.c {
-                    self.state.w = (s.w + 1).min(self.wmax);
-                    self.state.c = false;
-                } else {
-                    self.state.c = true;
-                }
-            }
-            _ => unreachable!("clean round only in sending phases"),
-        }
+        self.state = self.state.after_clean_round(self.wmax);
     }
 
     fn on_lossy_round(&mut self, succ: u32) {
-        let s = self.state;
-        let lost = s.w - succ;
-        let _ = lost; // lost packets re-enter later rounds' windows
-        self.state.ssthresh = (s.w / 2).max(2);
-        if succ >= 3 {
-            // Enough duplicate ACKs for fast retransmit: Reno halves the
-            // window and keeps going (the retransmissions ride along in the
-            // next rounds' windows; no dead round, following Padhye et al.).
-            self.state.w = (s.w / 2).max(1);
-            self.state.c = false;
-            self.state.phase = Phase::CongAvoid;
-        } else {
-            self.state.phase = Phase::Timeout { exp: 0 };
-        }
+        self.state = self.state.after_lossy_round(succ);
     }
 
     /// Empirical achievable throughput of a **backlogged** source driving
@@ -596,6 +613,104 @@ mod tests {
         for st in states {
             let total: f64 = c.outcomes(st).iter().map(|&(_, pr, _)| pr).sum();
             assert!((total - 1.0).abs() < 1e-12, "{st:?}: {total}");
+        }
+    }
+
+    /// `outcomes` and the two round handlers as they were when `outcomes`
+    /// cloned the whole chain (loss table and all) once per outcome to call
+    /// them, kept verbatim as the reference for the by-value version.
+    fn outcomes_by_cloning(
+        chain: &TcpChain,
+        state: TcpChainState,
+    ) -> Vec<(TcpChainState, f64, u32)> {
+        fn on_clean_round(chain: &mut TcpChain) {
+            let s = chain.state;
+            match s.phase {
+                Phase::SlowStart => {
+                    let grown = (s.w + s.w.div_ceil(2)).min(chain.wmax);
+                    if grown >= s.ssthresh {
+                        chain.state.w = grown.min(s.ssthresh).min(chain.wmax);
+                        chain.state.phase = Phase::CongAvoid;
+                        chain.state.c = false;
+                    } else {
+                        chain.state.w = grown;
+                    }
+                }
+                Phase::CongAvoid => {
+                    if s.c {
+                        chain.state.w = (s.w + 1).min(chain.wmax);
+                        chain.state.c = false;
+                    } else {
+                        chain.state.c = true;
+                    }
+                }
+                _ => unreachable!("clean round only in sending phases"),
+            }
+        }
+        fn on_lossy_round(chain: &mut TcpChain, succ: u32) {
+            let s = chain.state;
+            chain.state.ssthresh = (s.w / 2).max(2);
+            if succ >= 3 {
+                chain.state.w = (s.w / 2).max(1);
+                chain.state.c = false;
+                chain.state.phase = Phase::CongAvoid;
+            } else {
+                chain.state.phase = Phase::Timeout { exp: 0 };
+            }
+        }
+        if !matches!(state.phase, Phase::SlowStart | Phase::CongAvoid)
+            || state.stage + 1 < TcpChain::STAGES
+        {
+            // Stage advances and timeouts never cloned.
+            return chain.outcomes(state);
+        }
+        let base = TcpChainState { stage: 0, ..state };
+        let p = chain.path.loss;
+        let w = state.w;
+        let mut v = Vec::with_capacity(w as usize + 1);
+        let mut clean = chain.clone();
+        clean.state = base;
+        on_clean_round(&mut clean);
+        v.push((clean.state, chain.no_loss_prob[w as usize], w));
+        for g in 0..w {
+            let mut lossy = chain.clone();
+            lossy.state = base;
+            on_lossy_round(&mut lossy, g);
+            v.push((lossy.state, (1.0 - p).powi(g as i32) * p, g));
+        }
+        v
+    }
+
+    #[test]
+    fn outcomes_and_rates_are_bit_equal_to_the_cloning_version() {
+        // Every chain state the exact solver can enumerate, on the benchmark's
+        // chain (wmax = 4) and on the tests' (wmax = 6).
+        for wmax in [4, 6] {
+            let chain = TcpChain::new(path(0.06, 200.0, 2.0), wmax);
+            let mut seen = vec![chain.state()];
+            let mut head = 0;
+            while head < seen.len() {
+                let s = seen[head];
+                head += 1;
+                let bits = |v: Vec<(TcpChainState, f64, u32)>| -> Vec<_> {
+                    v.into_iter()
+                        .map(|(t, pr, d)| (t, pr.to_bits(), d))
+                        .collect()
+                };
+                assert_eq!(
+                    bits(chain.outcomes(s)),
+                    bits(outcomes_by_cloning(&chain, s))
+                );
+                let mut moved = chain.clone();
+                moved.set_state(s);
+                assert_eq!(chain.rate_at(&s).to_bits(), moved.rate().to_bits());
+                for (t, _, _) in chain.outcomes(s) {
+                    if !seen.contains(&t) {
+                        seen.push(t);
+                    }
+                }
+            }
+            assert!(seen.len() > 100, "wmax {wmax}: {} states", seen.len());
         }
     }
 

@@ -13,7 +13,7 @@
 use dmp_core::spec::PathSpec;
 
 use crate::chain::{TcpChain, TcpChainState};
-use crate::solver::{solve_stationary, CsrCtmc, Ctmc, SolveError, SolveOptions, Stationary};
+use crate::solver::{solve_stationary, CsrCtmc, Ctmc, Mixer, SolveError, SolveOptions, Stationary};
 
 /// A single-flow DMP model with an enumerable state space.
 pub struct ExactDmp {
@@ -40,13 +40,10 @@ impl ExactDmp {
         }
     }
 
-    fn chain_rate(&self, s: &TcpChainState) -> f64 {
-        let mut c = self.proto.clone();
-        c.set_state(*s);
-        c.rate()
-    }
-
     /// Solve for the stationary distribution.
+    ///
+    /// # Panics
+    /// Panics on state-space overflow, like [`ExactDmp::late_fraction`].
     pub fn solve(&self, opts: SolveOptions) -> Stationary<(TcpChainState, i64)> {
         solve_stationary(self, opts)
     }
@@ -73,8 +70,6 @@ impl ExactDmp {
     }
 
     /// [`ExactDmp::late_fraction`] with a typed error instead of a panic.
-    /// Uses the Anderson-accelerated iteration — single cells want the fixed
-    /// point, not trajectory compatibility with the reference solver.
     pub fn try_late_fraction(&self, opts: SolveOptions) -> Result<ExactLateFraction, SolveError> {
         let sol = self.csr(&opts)?.solve_accelerated(&opts, None);
         Ok(self.summarise(&sol))
@@ -86,20 +81,19 @@ impl ExactDmp {
         ExactLateFraction {
             f: sol.prob_where(|&(_, n)| n <= 0),
             floor_mass: sol.prob_where(|&(_, n)| n == self.floor),
-            states: sol.states.len(),
+            states: sol.states().len(),
             iterations: sol.iterations,
         }
     }
 }
 
-/// Solve a τ-grid of [`ExactDmp`] instances with warm-started,
-/// Anderson-accelerated power iteration: each grid point seeds from its left
+/// Solve a τ-grid of [`ExactDmp`] instances with warm-started
+/// [`CsrCtmc::solve_accelerated`] solves: each grid point seeds from its left
 /// neighbor's stationary distribution (state keys carry the probability over
-/// even though `N_max = ⌈µτ⌉` changes the state space), and each solve
-/// mixes away the slow modes via [`CsrCtmc::solve_accelerated`]. On a
-/// dense grid this cuts iteration counts by an order of magnitude versus
-/// per-point cold solves — `tests/solver_csr.rs` holds exactly this sweep
-/// to the reference solver.
+/// even though `N_max = ⌈µτ⌉` changes the state space) and skips the sweeps
+/// a cold solve spends walking in from uniform; the whole grid shares one set
+/// of mixing buffers. `tests/solver_csr.rs` holds exactly this sweep to the
+/// reference solver.
 pub fn exact_tau_sweep(
     path: PathSpec,
     wmax: u32,
@@ -110,9 +104,10 @@ pub fn exact_tau_sweep(
 ) -> Result<Vec<ExactLateFraction>, SolveError> {
     let mut out = Vec::with_capacity(taus.len());
     let mut prev: Option<Stationary<(TcpChainState, i64)>> = None;
+    let mut mixer = Mixer::default();
     for &tau in taus {
         let model = ExactDmp::new(path, wmax, mu, tau, floor);
-        let sol = model.csr(&opts)?.solve_accelerated(&opts, prev.as_ref());
+        let sol = model.csr(&opts)?.solve_in(&opts, prev.as_ref(), &mut mixer);
         out.push(model.summarise(&sol));
         prev = Some(sol);
     }
@@ -129,7 +124,7 @@ pub struct ExactLateFraction {
     pub floor_mass: f64,
     /// Size of the enumerated state space.
     pub states: usize,
-    /// Power iterations the solve took (warm starts shrink this).
+    /// Sweeps the solve took (warm starts shrink this).
     pub iterations: u32,
 }
 
@@ -147,7 +142,7 @@ impl Ctmc for ExactDmp {
             out.push(((*x, n_next), self.mu));
         }
         if *n < self.nmax {
-            let rate = self.chain_rate(x);
+            let rate = self.proto.rate_at(x);
             for (x2, prob, delivered) in self.proto.outcomes(*x) {
                 if prob > 0.0 {
                     let n2 = (*n + i64::from(delivered)).min(self.nmax);
@@ -214,6 +209,40 @@ mod tests {
                 .f
         };
         assert!(f_at(0.9 * sigma) > f_at(0.6 * sigma));
+    }
+
+    #[test]
+    fn generator_entries_are_bit_equal_to_the_cloning_version() {
+        // Every row of the benchmark's largest chain and of a wmax = 6 one,
+        // against the rate read off a repositioned clone of the chain (what
+        // `transitions` did per state; `chain.rs` pins `outcomes` itself).
+        let models = [
+            ExactDmp::new(path(), 4, 10.0, 0.75, -40),
+            ExactDmp::new(path(), 6, 0.8 * sigma6(), 0.6, -30),
+        ];
+        for m in models {
+            let csr = m.csr(&SolveOptions::default()).unwrap();
+            let mut nonzeros = 0;
+            for &(x, n) in csr.states() {
+                let mut moved = m.proto.clone();
+                moved.set_state(x);
+                let mut want = Vec::new();
+                if n > m.floor {
+                    want.push(((x, n - 1), m.mu.to_bits()));
+                }
+                if n < m.nmax {
+                    for (x2, prob, delivered) in m.proto.outcomes(x) {
+                        let n2 = (n + i64::from(delivered)).min(m.nmax);
+                        want.push(((x2, n2), (moved.rate() * prob).to_bits()));
+                    }
+                }
+                let got = m.transitions(&(x, n));
+                nonzeros += got.len();
+                let got: Vec<_> = got.into_iter().map(|(s, q)| (s, q.to_bits())).collect();
+                assert_eq!(got, want, "row of {:?}", (x, n));
+            }
+            assert_eq!(nonzeros, csr.nnz());
+        }
     }
 
     #[test]

@@ -7,21 +7,26 @@
 //! cross-validated, and solves reduced DMP instances exactly in the tests.
 //!
 //! Method: enumerate the reachable state space (BFS from the initial state)
-//! **once** into a CSR sparse matrix ([`CsrCtmc`]), uniformise
-//! (`P = I + Q/Λ`), and power-iterate `π ← πP` to the fixed point `πQ = 0`
-//! with ping-pong buffers and zero per-iteration allocation. Grid sweeps can
-//! **warm-start**: seeding the iteration with a neighboring parameter
-//! point's [`Stationary`] cuts the iteration count to a fraction of a cold
-//! solve (the fixed points of nearby cells are close; power iteration
-//! converges linearly from wherever it starts).
+//! **once** into a sparse matrix in *incoming* form ([`CsrCtmc`]: for each
+//! state `j` its predecessors `i` with `w_ij = q_ij / out_j`), and sweep
+//! Gauss–Seidel on the balance equations `π_j · out_j = Σ_i π_i q_ij`:
+//! `π_j ← Σ_i π_i w_ij` for `j = 0..n`, in place, so a state reads the
+//! *fresh* value of every predecessor visited before it. BFS order is the
+//! good order for that — a state is enumerated after the state that first
+//! reached it (plain sweeps to a residual of 1e-12 on the benchmark's
+//! 11 659-state chain: 438 in BFS order, 4 143 in reverse; the uniformised
+//! power iteration `π ← πP` this replaced: 8 068). On top sits cycled
+//! extrapolation ([`CsrCtmc::solve_accelerated`]), and grid sweeps
+//! **warm-start** from a neighboring parameter point's [`Stationary`].
 //!
-//! The original transition-list implementation lives on in
-//! `tests/solver_csr.rs` as the oracle the CSR path is property-tested
-//! against (agreement within 1e-12).
+//! The original transition-list power iteration lives on in
+//! `tests/solver_csr.rs` as the oracle this solver is property-tested
+//! against (agreement within 1e-12) — the only power iteration in the tree.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// A finite CTMC described by its transition function.
 pub trait Ctmc {
@@ -32,7 +37,8 @@ pub trait Ctmc {
     /// state must be reachable from it).
     fn initial(&self) -> Self::State;
 
-    /// All outgoing transitions `(target, rate)` from `s`, with `rate > 0`.
+    /// All outgoing transitions `(target, rate)` from `s`, with `rate > 0`;
+    /// every state has at least one.
     fn transitions(&self, s: &Self::State) -> Vec<(Self::State, f64)>;
 }
 
@@ -53,42 +59,51 @@ pub enum SolveError {
 
 impl fmt::Display for SolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SolveError::StateSpaceExceeded { limit } => {
-                write!(
-                    f,
-                    "state space exceeds {limit} states — use the SSA solver instead"
-                )
-            }
-        }
+        let SolveError::StateSpaceExceeded { limit } = self;
+        write!(
+            f,
+            "state space exceeds {limit} states — use the SSA solver instead"
+        )
     }
 }
 
 impl std::error::Error for SolveError {}
 
+/// The enumerated states and their indices: built once per [`CsrCtmc`] and
+/// shared with every [`Stationary`] solved from it.
+#[derive(Debug)]
+struct StateTable<S> {
+    states: Vec<S>,
+    index: HashMap<S, usize>,
+}
+
 /// The stationary distribution of a finite CTMC.
 #[derive(Debug, Clone)]
 pub struct Stationary<S> {
-    /// Enumerated states.
-    pub states: Vec<S>,
-    /// `pi[i]` is the stationary probability of `states[i]`.
+    table: Arc<StateTable<S>>,
+    /// `pi[i]` is the stationary probability of `states()[i]`.
     pub pi: Vec<f64>,
-    index: HashMap<S, usize>,
-    /// Power iterations performed.
+    /// Gauss–Seidel sweeps performed.
     pub iterations: u32,
-    /// Final L1 change per iteration (convergence residual).
+    /// Relative L1 change `‖π′ − π‖₁ / ‖π′‖₁` of the last sweep (the
+    /// convergence residual actually reached).
     pub residual: f64,
 }
 
 impl<S: Clone + Eq + Hash> Stationary<S> {
+    /// The enumerated states, in BFS order.
+    pub fn states(&self) -> &[S] {
+        &self.table.states
+    }
+
     /// Probability of a single state (0 if unreachable).
     pub fn prob(&self, s: &S) -> f64 {
-        self.index.get(s).map_or(0.0, |&i| self.pi[i])
+        self.table.index.get(s).map_or(0.0, |&i| self.pi[i])
     }
 
     /// Total probability of all states satisfying `pred`.
     pub fn prob_where(&self, mut pred: impl FnMut(&S) -> bool) -> f64 {
-        self.states
+        self.states()
             .iter()
             .zip(&self.pi)
             .filter(|(s, _)| pred(s))
@@ -98,7 +113,7 @@ impl<S: Clone + Eq + Hash> Stationary<S> {
 
     /// Expectation of `f` under the stationary law.
     pub fn expect(&self, mut f: impl FnMut(&S) -> f64) -> f64 {
-        self.states
+        self.states()
             .iter()
             .zip(&self.pi)
             .map(|(s, p)| f(s) * p)
@@ -111,9 +126,10 @@ impl<S: Clone + Eq + Hash> Stationary<S> {
 pub struct SolveOptions {
     /// Abort if the reachable state space exceeds this many states.
     pub max_states: usize,
-    /// Maximum power iterations.
+    /// Maximum Gauss–Seidel sweeps.
     pub max_iterations: u32,
-    /// Stop when the L1 change of `π` in one sweep falls below this.
+    /// Target for the relative L1 *error* of `π`, as estimated from the
+    /// sweep residuals (see [`CsrCtmc::solve_accelerated`]).
     pub tolerance: f64,
 }
 
@@ -127,35 +143,51 @@ impl Default for SolveOptions {
     }
 }
 
-/// A CTMC enumerated into CSR (compressed sparse row) form, uniformised and
-/// ready for repeated stationary solves.
+/// A CTMC enumerated into sparse *incoming* form, ready for repeated
+/// stationary solves.
 ///
-/// The hot loop of [`CsrCtmc::solve`] touches four flat arrays
-/// (`row_off`/`cols`/`probs`/`self_prob`) sequentially — no per-state `Vec`,
-/// no per-nonzero division (`q/Λ` is precomputed), no per-iteration row-sum
-/// recomputation. Enumeration order is the same BFS order as the reference
+/// The sweep of [`CsrCtmc::solve_accelerated`] walks three flat arrays
+/// (`in_off`/`src`/`weight`) sequentially and gathers from `π` — no
+/// per-state `Vec`, no per-nonzero division (`q_ij / out_j` is precomputed),
+/// no second vector. Enumeration order is the same BFS order as the reference
 /// solver's in `tests/solver_csr.rs`, so state indices agree between the two.
 pub struct CsrCtmc<S> {
-    states: Vec<S>,
-    index: HashMap<S, usize>,
-    /// `row_off[i]..row_off[i+1]` spans row `i` in `cols`/`probs`.
-    row_off: Vec<usize>,
-    /// Column (target-state) index per nonzero.
-    cols: Vec<u32>,
-    /// Uniformised transition probability `q/Λ` per nonzero.
-    probs: Vec<f64>,
-    /// Self-loop weight `1 − Σ_j q_ij/Λ` per row.
-    self_prob: Vec<f64>,
-    /// Uniformisation constant Λ.
-    lambda: f64,
+    table: Arc<StateTable<S>>,
+    /// `in_off[j]..in_off[j+1]` spans state `j`'s predecessors in
+    /// `src`/`weight`.
+    in_off: Vec<u32>,
+    /// Source-state index per nonzero.
+    src: Vec<u32>,
+    /// `q_ij / out_j` per nonzero: the rate into `j`, over `j`'s outflow.
+    weight: Vec<f64>,
 }
+
+/// Sweeps per mixing cycle. On the benchmark's chain 16 and 24 give the same
+/// four sweep counts on every one of 120 calibrations (113 + 3 × 97, resp.
+/// 145 + 3 × 121); 4 … 12 take fewer sweeps but a count that moves with the
+/// calibration, and warm solves within 6–10 % of the cold one; at 32 a warm
+/// solve costs what the cold one does.
+const SWEEPS_PER_CYCLE: u32 = 16;
+
+/// Snapshot difference columns per least-squares solve. Under the
+/// `K`-sweep spacing only a handful of modes survive; 8 columns resolve them
+/// without the MGS cost (`WINDOW² · n` per cycle) rivalling the sweeps.
+const WINDOW: usize = 8;
+
+/// A relative residual this small is within two digits of f64's resolution:
+/// once it stops improving, what is left is summation noise.
+const ROUNDOFF: f64 = 64.0 * f64::EPSILON;
 
 impl<S: Clone + Eq + Hash> CsrCtmc<S> {
     /// Enumerate `chain`'s reachable states (BFS from the initial state) and
-    /// build the uniformised CSR matrix.
+    /// build the incoming-form matrix.
     ///
     /// Returns [`SolveError::StateSpaceExceeded`] instead of panicking when
     /// the reachable set outgrows `opts.max_states`.
+    ///
+    /// # Panics
+    /// Panics on a non-positive rate or a state without outgoing
+    /// transitions (its balance equation has no solution to sweep towards).
     pub fn enumerate<C: Ctmc<State = S>>(
         chain: &C,
         opts: &SolveOptions,
@@ -163,30 +195,29 @@ impl<S: Clone + Eq + Hash> CsrCtmc<S> {
         let mut states: Vec<S> = vec![chain.initial()];
         let mut index: HashMap<S, usize> = HashMap::new();
         index.insert(states[0].clone(), 0);
-        let mut row_off: Vec<usize> = vec![0];
-        let mut cols: Vec<u32> = Vec::new();
-        // Raw rates during the build; rescaled to `q/Λ` once Λ is known.
-        let mut rates: Vec<f64> = Vec::new();
-        // Per-row outflow Σq, accumulated in insertion order (the identical
-        // left-to-right summation the reference solver performs, so Λ and
-        // the self-loop weights agree bit-for-bit with it).
+        // Transitions `from → to` at `rate` in discovery order, and each
+        // state's outflow (summed left to right, as the reference solver does).
+        let mut from: Vec<u32> = Vec::new();
+        let mut to: Vec<u32> = Vec::new();
+        let mut rate: Vec<f64> = Vec::new();
         let mut outflow: Vec<f64> = Vec::new();
         let mut head = 0;
         while head < states.len() {
             let s = states[head].clone();
             let mut out = 0.0f64;
-            for (t, rate) in chain.transitions(&s) {
-                assert!(rate > 0.0, "transition rates must be positive");
+            for (t, q) in chain.transitions(&s) {
+                assert!(q > 0.0, "transition rates must be positive");
                 let j = *index.entry(t.clone()).or_insert_with(|| {
                     states.push(t);
                     states.len() - 1
                 });
-                cols.push(j as u32);
-                rates.push(rate);
-                out += rate;
+                from.push(head as u32);
+                to.push(j as u32);
+                rate.push(q);
+                out += q;
             }
+            assert!(out > 0.0, "every state needs an outgoing transition");
             outflow.push(out);
-            row_off.push(cols.len());
             head += 1;
             if states.len() > opts.max_states {
                 return Err(SolveError::StateSpaceExceeded {
@@ -195,48 +226,51 @@ impl<S: Clone + Eq + Hash> CsrCtmc<S> {
             }
         }
 
-        let lambda = outflow.iter().copied().fold(0.0f64, f64::max) * 1.02 + 1e-12;
-        let inv_lambda = 1.0 / lambda;
-        let mut probs = rates;
-        for p in &mut probs {
-            *p *= inv_lambda;
+        // Transpose by counting sort: `in_off[j + 1]` counts `j`'s
+        // predecessors, becomes the start of `j`'s span (prefix sum), and is
+        // advanced to its end as the span fills, sources ascending.
+        let mut in_off = vec![0u32; states.len() + 1];
+        for &j in &to {
+            in_off[j as usize + 1] += 1;
         }
-        let self_prob = outflow.iter().map(|&out| 1.0 - out / lambda).collect();
+        let mut start = 0;
+        for slot in &mut in_off[1..] {
+            start += std::mem::replace(slot, start);
+        }
+        let mut src = vec![0u32; to.len()];
+        let mut weight = vec![0.0f64; to.len()];
+        for ((&i, &j), &q) in from.iter().zip(&to).zip(&rate) {
+            let at = &mut in_off[j as usize + 1];
+            src[*at as usize] = i;
+            weight[*at as usize] = q / outflow[j as usize];
+            *at += 1;
+        }
         Ok(Self {
-            states,
-            index,
-            row_off,
-            cols,
-            probs,
-            self_prob,
-            lambda,
+            table: Arc::new(StateTable { states, index }),
+            in_off,
+            src,
+            weight,
         })
     }
 
     /// Number of enumerated states.
     pub fn len(&self) -> usize {
-        self.states.len()
+        self.table.states.len()
     }
 
-    /// True when the chain has no states (never happens: the initial state
-    /// always exists).
+    /// True when the chain has no states (never: the initial state exists).
     pub fn is_empty(&self) -> bool {
-        self.states.len() == 0
+        self.table.states.is_empty()
     }
 
-    /// Number of off-diagonal nonzeros in the uniformised matrix.
+    /// Number of transitions (nonzeros of the generator off its diagonal).
     pub fn nnz(&self) -> usize {
-        self.cols.len()
+        self.src.len()
     }
 
     /// The enumerated states, in BFS order.
     pub fn states(&self) -> &[S] {
-        &self.states
-    }
-
-    /// The uniformisation constant Λ.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
+        &self.table.states
     }
 
     /// Seed `π` from a neighboring solution by state key (mass on vanished
@@ -244,11 +278,11 @@ impl<S: Clone + Eq + Hash> CsrCtmc<S> {
     /// the carried-over mass is small — a "neighbor" that lost half its mass
     /// is not actually nearby and uniform is the safer start.
     fn seed_pi(&self, warm: Option<&Stationary<S>>) -> Vec<f64> {
-        let n = self.states.len();
+        let n = self.len();
         let mut pi = vec![0.0f64; n];
         if let Some(prev) = warm {
             let mut mass = 0.0;
-            for (p, s) in pi.iter_mut().zip(&self.states) {
+            for (p, s) in pi.iter_mut().zip(self.states()) {
                 *p = prev.prob(s);
                 mass += *p;
             }
@@ -262,41 +296,27 @@ impl<S: Clone + Eq + Hash> CsrCtmc<S> {
         pi
     }
 
-    /// One `next ← πP` sweep; returns the L1 change `‖next − π‖₁`.
-    fn sweep(&self, pi: &[f64], next: &mut [f64]) -> f64 {
-        let n = self.states.len();
-        next.iter_mut().for_each(|x| *x = 0.0);
-        for i in 0..n {
-            let v = pi[i];
-            if v == 0.0 {
-                continue;
+    /// One in-place Gauss–Seidel pass `π_j ← Σ_i π_i w_ij`, `j = 0..n`;
+    /// returns the *relative* L1 change `‖π′ − π‖₁ / ‖π′‖₁`. Relative
+    /// because the pass, unlike `π ← πP`, does not conserve `Σπ`: the
+    /// iterates settle on a multiple of the stationary law, normalised once
+    /// at the end.
+    fn sweep(&self, pi: &mut [f64]) -> f64 {
+        let (mut change, mut total) = (0.0f64, 0.0f64);
+        for j in 0..pi.len() {
+            let span = self.in_off[j] as usize..self.in_off[j + 1] as usize;
+            let mut v = 0.0f64;
+            for (&i, &w) in self.src[span.clone()].iter().zip(&self.weight[span]) {
+                v += pi[i as usize] * w;
             }
-            next[i] += v * self.self_prob[i];
-            let (s, e) = (self.row_off[i], self.row_off[i + 1]);
-            for (&j, &p) in self.cols[s..e].iter().zip(&self.probs[s..e]) {
-                next[j as usize] += v * p;
-            }
+            change += (v - pi[j]).abs();
+            total += v;
+            pi[j] = v;
         }
-        pi.iter().zip(next.iter()).map(|(a, b)| (a - b).abs()).sum()
+        change / total
     }
 
-    fn finish(&self, mut pi: Vec<f64>, iterations: u32, residual: f64) -> Stationary<S> {
-        // Clamp residual-level negative transients (a no-op for plain
-        // sweeps, whose iterates are nonnegative throughout), then
-        // normalise against drift.
-        pi.iter_mut().for_each(|x| *x = x.max(0.0));
-        let total: f64 = pi.iter().sum();
-        pi.iter_mut().for_each(|x| *x /= total);
-        Stationary {
-            states: self.states.clone(),
-            pi,
-            index: self.index.clone(),
-            iterations,
-            residual,
-        }
-    }
-
-    /// Power-iterate `π ← πP` to the stationary distribution.
+    /// Sweep to the stationary distribution.
     ///
     /// `warm` seeds the iteration from a neighboring parameter point's
     /// solution (state spaces need not match: probabilities are carried over
@@ -304,286 +324,244 @@ impl<S: Clone + Eq + Hash> CsrCtmc<S> {
     /// at zero and fill in through the iteration). A warm start with
     /// negligible overlap falls back to the uniform cold start.
     ///
-    /// This is the *plain* iteration, trajectory-compatible with the
-    /// reference solver in `tests/solver_csr.rs` (same update, same stopping
-    /// rule, same arithmetic order) — the 1e-12 oracle comparisons there hold
-    /// it to the reference bit-for-bit in spirit.
-    /// Grid sweeps that only need the *fixed point* (not the trajectory)
-    /// should prefer [`CsrCtmc::solve_accelerated`].
-    pub fn solve(&self, opts: &SolveOptions, warm: Option<&Stationary<S>>) -> Stationary<S> {
-        let mut pi = self.seed_pi(warm);
-        let mut next = vec![0.0f64; pi.len()];
-        let mut iterations = 0;
-        let mut residual = f64::INFINITY;
-        while iterations < opts.max_iterations && residual > opts.tolerance {
-            residual = self.sweep(&pi, &mut next);
-            std::mem::swap(&mut pi, &mut next);
-            iterations += 1;
-        }
-        self.finish(pi, iterations, residual)
-    }
-
-    /// Like [`CsrCtmc::solve`], but with cycled vector extrapolation
-    /// (windowed Anderson/RRE on `K`-spaced snapshots): run `K` plain
-    /// sweeps, treat the composite map `y ↦ y·Pᴷ` as the fixed-point
-    /// operator, and combine the last few snapshots with least-squares
-    /// weights chosen so the combined residual cancels.
+    /// **Acceleration** is cycled vector extrapolation (windowed
+    /// Anderson/RRE): run `K` = 16 sweeps (`SWEEPS_PER_CYCLE`), treat the
+    /// composite map `y ↦ Gᴷ(y)` as the fixed-point operator, and combine the
+    /// last 8 snapshots (`WINDOW`) with least-squares weights chosen so the
+    /// combined residual cancels. The spacing matters: loaded buffer chains
+    /// have a diffusion-like spectrum — a near-continuum of modes with rates
+    /// just under 1 — so extrapolating *consecutive* iterates is
+    /// restarted-GMRES on a condition number of hundreds, which stalls; under
+    /// `Gᴷ` the continuum collapses into a handful of discrete modes that the
+    /// window kills. A residual blow-up or degenerate mix drops the window
+    /// and re-anchors with plain sweeps, so a chain the window models badly
+    /// degrades to plain Gauss–Seidel, never to a wrong answer.
     ///
-    /// Why the spacing matters: loaded buffer chains have a diffusion-like
-    /// spectrum — a near-continuum of modes with rates just under 1 — so
-    /// extrapolating *consecutive* iterates (scalar Aitken, or Anderson on
-    /// a short window) is restarted-GMRES on a condition number of
-    /// hundreds, which stalls. Under `Pᴷ` the continuum collapses
-    /// (`r^K` separates the survivors into a handful of discrete modes),
-    /// and a window of 8 spanning several hundred sweeps of history kills
-    /// what remains. `K` starts at 48 and only *grows* (deterministically,
-    /// doubling when a full window still fails to beat the plain per-cycle
-    /// contraction — the signature of spacing too short for the chain's
-    /// spectrum); shrinking or re-ramping would discard a consistent
-    /// window, which costs more than it saves. The extrapolation cost
-    /// amortises over the `K` sweeps, so per-sweep overhead stays small,
-    /// unlike per-iteration mixing.
+    /// **Stopping** is on an error estimate, not on the residual: the first
+    /// sweep with `residual ≤ tolerance · (1 − ρ̂)`, `ρ̂` the largest
+    /// sweep-over-sweep residual ratio below 1 of this cycle and the one
+    /// before. A residual `r` says only that the next step is small; the
+    /// distance left is up to `r · ρ/(1 − ρ)` for the slowest mode present,
+    /// and a mixture of modes decays no slower than the ratios it shows over
+    /// a cycle. Two cycles and not the whole history: a cold start on a
+    /// deep-floor chain opens with mass marching down the buffer levels at a
+    /// residual that barely moves (ratios of 0.99995), and an estimate that
+    /// remembered it would ask for less than f64 can show (the 170 k-state
+    /// floor −400 chain: 1 057 sweeps against 802). The rule replaced a
+    /// residual target of `tolerance / 1000`, which at `n ≈ 10⁴` sat on f64's
+    /// summation floor (some calibrations of the benchmark's chain reached it
+    /// after tens of thousands of sweeps, or never), and with it the
+    /// accept-only-after-a-mix rule and the roundoff escape.
     ///
-    /// Safety: the mixing least-squares is solved by QR with
-    /// rank-deficient columns dropped; a residual blow-up or degenerate mix
-    /// drops the window and re-anchors with plain sweeps; and the method
-    /// only ever stops on a genuine sweep residual `‖πP − π‖₁`, and only on
-    /// a mix-fresh iterate (mid-plain-phase the error is slow-mode shaped
-    /// and exceeds the residual by the spectral factor) — so a chain the
-    /// window models badly degrades to plain power iteration, never to a
-    /// wrong answer.
-    ///
-    /// Accuracy: residual-based stopping certifies the *residual*, not the
-    /// error — a plain solve at tolerance `t` carries a slow-mode bias of
-    /// `≈ t · r/(1−r)`, and an accelerated trajectory's terminal bias is
-    /// not even sign-correlated with a plain trajectory's (their iterates
-    /// approach the fixed point from unrelated directions). So this method
-    /// converges three extra decades internally (`tolerance / 1000`) —
-    /// cheap under extrapolation, roughly one extra cycle — which pushes
-    /// the true error *below* the caller's tolerance even through the
-    /// ~300× spectral amplification of the production chains. Agreement
-    /// with a plain or reference solve is then limited by the *other*
-    /// side's bias; hold the oracle to a matching tighter tolerance when
-    /// asserting, as `tests/solver_csr.rs` does. If the inner target dips under
-    /// the f64 summation-noise floor (a few 1e-16 on large chains), the
-    /// stall detector accepts once the residual is two decades past the
-    /// caller's tolerance and no longer improving, rather than spinning to
-    /// `max_iterations`.
+    /// A `tolerance` of 1e-14 already asks for more than f64 gives at 10⁴
+    /// states: the residual bottoms out near 2e-16 and wanders. Once it is
+    /// under `tolerance` or 64 ε (`ROUNDOFF`) and 8 cycles have set no new
+    /// low, the solve returns, and [`Stationary::residual`] says with what.
     pub fn solve_accelerated(
         &self,
         opts: &SolveOptions,
         warm: Option<&Stationary<S>>,
     ) -> Stationary<S> {
-        /// Snapshot difference columns per least-squares solve. Under the
-        /// `Pᴷ` spacing only a handful of modes survive; 8 columns span
-        /// ~400 sweeps of history, enough to resolve them without the MGS
-        /// cost (`WINDOW² · n` per cycle) rivalling the sweeps themselves.
-        const WINDOW: usize = 8;
-        // Inner residual target: two decades past the caller's tolerance so
-        // the terminal *error* (not just the residual) sits at the level a
-        // plain solve's stopping rule nominally promises.
-        let tol = opts.tolerance / 1000.0;
+        self.solve_in(opts, warm, &mut Mixer::default())
+    }
+
+    /// [`CsrCtmc::solve_accelerated`] on a caller-kept [`Mixer`], so a grid
+    /// sweep sizes the mixing buffers once instead of once per cell.
+    pub(crate) fn solve_in(
+        &self,
+        opts: &SolveOptions,
+        warm: Option<&Stationary<S>>,
+        mixer: &mut Mixer,
+    ) -> Stationary<S> {
         let mut x = self.seed_pi(warm);
-        let n = x.len();
-        let mut gx = vec![0.0f64; n];
-        // Snapshot y (cycle start), its image z = y·Pᴷ lives in `x` when
-        // the cycle ends; f = z − y is the composite-map residual.
-        let mut y = vec![0.0f64; n];
-        let mut f_new = vec![0.0f64; n];
-        // Previous cycle's (f, z), for forming difference columns.
-        let mut f_prev = vec![0.0f64; n];
-        let mut z_prev = vec![0.0f64; n];
-        // Ring of difference columns (δf, δz) and the MGS scratch. All
-        // buffers are allocated once here — the sweeps themselves are
-        // allocation-free, like `solve`.
-        let mut df: Vec<Vec<f64>> = vec![vec![0.0f64; n]; WINDOW];
-        let mut dz: Vec<Vec<f64>> = vec![vec![0.0f64; n]; WINDOW];
-        let mut q: Vec<Vec<f64>> = vec![vec![0.0f64; n]; WINDOW];
-        let mut r_mat = [[0.0f64; WINDOW]; WINDOW];
-        let mut used_src = [0usize; WINDOW];
-        let mut qtf = [0.0f64; WINDOW];
-        let mut gamma = [0.0f64; WINDOW];
-        let mut stored = 0usize;
-        let mut newest = 0usize;
-        let mut have_prev = false;
-        // Whether `x` entered this cycle straight out of a successful mix.
-        let mut fresh_mix = false;
-        // Sweeps per cycle. 48 is tuned on the production DMP chains
-        // (~4× fewer total sweeps than plain); grown below if a chain
-        // mixes too slowly for this spacing.
-        let mut k_inner = 48u32;
+        mixer.reset(x.len());
         let mut iterations = 0u32;
         let mut residual = f64::INFINITY;
-        // First-sweep residual of the previous cycle, and a count of
-        // consecutive no-progress cycles, for stall detection.
-        let mut prev_res_first = f64::INFINITY;
-        let mut stalled = 0u32;
+        // Largest sweep-over-sweep residual ratio below 1 in this cycle so
+        // far, and in the one before.
+        let (mut rho_now, mut rho_last) = (0.0f64, 0.0f64);
+        // Best end-of-cycle residual, and the cycles since it was set.
+        let mut best = f64::INFINITY;
+        let mut since_best = 0usize;
         'outer: while iterations < opts.max_iterations {
-            y.copy_from_slice(&x);
-            let mut res_first = 0.0f64;
-            let mut res_last = 0.0f64;
-            for t in 0..k_inner {
-                residual = self.sweep(&x, &mut gx);
-                std::mem::swap(&mut x, &mut gx);
+            mixer.y.copy_from_slice(&x);
+            let mut first = 0.0f64;
+            for t in 0..SWEEPS_PER_CYCLE {
+                let prev = residual;
+                residual = self.sweep(&mut x);
                 iterations += 1;
                 if t == 0 {
-                    res_first = residual;
+                    first = residual;
                 }
-                res_last = residual;
-                if residual <= tol {
-                    // A small *residual* does not mean a small *error*: deep
-                    // into a plain phase the leftover error is slow-mode
-                    // shaped and exceeds the residual by the spectral factor
-                    // r/(1−r). Accept only an iterate fresh out of a mix
-                    // (slow modes just extrapolated away), or one from a
-                    // solve that never engaged the window (fast chains and
-                    // near-converged warm seeds, where no slow mode ever
-                    // showed up). Otherwise end the cycle early and mix.
-                    if (fresh_mix && t == 0) || (!have_prev && stored == 0) {
-                        break 'outer;
-                    }
-                    break;
+                if residual < prev {
+                    rho_now = rho_now.max(residual / prev);
                 }
-                if iterations >= opts.max_iterations {
+                let target = opts.tolerance * (1.0 - rho_now.max(rho_last));
+                if residual <= target || iterations >= opts.max_iterations {
                     break 'outer;
                 }
             }
-            fresh_mix = false;
-            // A mix that blew the residual up was extrapolating noise —
-            // drop the window and re-anchor with plain cycles.
-            if res_last > res_first * 4.0 {
-                stored = 0;
-                have_prev = false;
-            }
-            // Stall detection: each cycle ends in a mix, so the mix's
-            // effect shows up in the *next* cycle's first-sweep residual.
-            // If two consecutive fully-windowed cycles make essentially no
-            // cycle-over-cycle progress, the spacing is too short for this
-            // chain (the modes of `Pᴷ` are still clustered near 1): double
-            // K and rebuild the window under the new composite operator —
-            // a change of K invalidates the stored difference columns.
-            // (Merely-slow cycles are left alone: a consistent window is
-            // worth more than a perfectly-tuned K.)
-            if stored == WINDOW && res_first > prev_res_first * 0.9 {
-                stalled += 1;
-                if stalled >= 2 {
-                    // Stalled *at the roundoff floor* (already well past the
-                    // caller's tolerance): accept — no spacing will push an
-                    // f64 sweep below its summation noise.
-                    if residual <= opts.tolerance / 100.0 {
-                        break 'outer;
-                    }
-                    k_inner = (k_inner * 2).min(65_536);
-                    stored = 0;
-                    have_prev = false;
-                    stalled = 0;
-                }
+            (rho_last, rho_now) = (rho_now, 0.0);
+            if residual < best {
+                best = residual;
+                since_best = 0;
             } else {
-                stalled = 0;
-            }
-            prev_res_first = res_first;
-            for i in 0..n {
-                f_new[i] = x[i] - y[i];
-            }
-            if have_prev {
-                newest = (newest + 1) % WINDOW;
-                stored = (stored + 1).min(WINDOW);
-                for i in 0..n {
-                    df[newest][i] = f_new[i] - f_prev[i];
-                    dz[newest][i] = x[i] - z_prev[i];
+                since_best += 1;
+                if since_best >= WINDOW && best <= opts.tolerance.max(ROUNDOFF) {
+                    break;
                 }
             }
-            f_prev.copy_from_slice(&f_new);
-            z_prev.copy_from_slice(&x);
-            have_prev = true;
-            if stored == 0 {
-                continue;
+            // A cycle that ended well above where it began was extrapolating
+            // noise: drop the window and re-anchor with plain cycles.
+            if residual > first * 4.0 {
+                mixer.forget();
             }
-
-            // Least squares min ‖f − ΔF·γ‖₂ by modified Gram–Schmidt QR on
-            // the difference columns, newest first. (Normal equations would
-            // square the columns' condition number.) Columns that go
-            // rank-deficient under orthogonalisation are dropped.
-            let mut used = 0usize;
-            for j in 0..stored {
-                let src = (newest + WINDOW - j) % WINDOW;
-                let (head, tail) = q.split_at_mut(used);
-                let col = &mut tail[0];
-                col.copy_from_slice(&df[src]);
-                let norm0 = df[src].iter().map(|v| v * v).sum::<f64>().sqrt();
-                for (k, qk) in head.iter().enumerate() {
-                    let mut dot = 0.0f64;
-                    for (a, b) in qk.iter().zip(col.iter()) {
-                        dot += a * b;
-                    }
-                    r_mat[k][used] = dot;
-                    for (c, a) in col.iter_mut().zip(qk.iter()) {
-                        *c -= dot * a;
-                    }
-                }
-                let norm = col.iter().map(|v| v * v).sum::<f64>().sqrt();
-                if !norm.is_finite() || norm <= norm0 * 1e-12 {
-                    continue;
-                }
-                let inv = 1.0 / norm;
-                col.iter_mut().for_each(|v| *v *= inv);
-                r_mat[used][used] = norm;
-                used_src[used] = src;
-                used += 1;
-            }
-            if used == 0 {
-                continue;
-            }
-            for (k, qk) in q.iter().enumerate().take(used) {
-                let mut dot = 0.0f64;
-                for i in 0..n {
-                    dot += qk[i] * f_new[i];
-                }
-                qtf[k] = dot;
-            }
-            let mut ok = true;
-            for j in (0..used).rev() {
-                let mut v = qtf[j];
-                for k in j + 1..used {
-                    v -= r_mat[j][k] * gamma[k];
-                }
-                gamma[j] = v / r_mat[j][j];
-                ok &= gamma[j].is_finite();
-            }
-            if !ok {
-                stored = 0;
-                have_prev = false;
-                continue;
-            }
-
-            // Mixed iterate: x ← z − Σ γ_j δz_j. The iteration is linear,
-            // so transient negative entries are harmless (clamping here
-            // would wreck the Krylov structure); `finish` clamps at the
-            // end. Row-stochasticity keeps Σx at 1 up to roundoff, so no
-            // renormalisation is needed mid-flight either.
-            let mut total = 0.0f64;
-            for i in 0..n {
-                let mut v = x[i];
-                for (j, &g) in gamma.iter().enumerate().take(used) {
-                    v -= g * dz[used_src[j]][i];
-                }
-                x[i] = v;
-                total += v;
-            }
-            if total > 0.5 && total.is_finite() {
-                fresh_mix = true;
-            } else {
-                // Degenerate mix: fall back to the plain sweep output.
-                x.copy_from_slice(&z_prev);
-                stored = 0;
-                have_prev = false;
-            }
+            mixer.extrapolate(&mut x);
         }
-        self.finish(x, iterations, residual)
+        // Clamp residual-level negative transients of the mixing, then
+        // normalise: the sweeps fix `π` only up to scale.
+        x.iter_mut().for_each(|v| *v = v.max(0.0));
+        let total: f64 = x.iter().sum();
+        x.iter_mut().for_each(|v| *v /= total);
+        Stationary {
+            table: Arc::clone(&self.table),
+            pi: x,
+            iterations,
+            residual,
+        }
     }
 }
 
-/// Solve for the stationary distribution of `chain` on the CSR fast path.
+/// The cycled mixing's window and scratch: 27 `n`-vectors sized by
+/// [`Mixer::reset`] and reused from solve to solve.
+#[derive(Default)]
+pub(crate) struct Mixer {
+    /// Snapshot at the start of the current cycle (scratch between cycles).
+    y: Vec<f64>,
+    /// The last finished cycle's image `z = Gᴷ(y)` and composite residual
+    /// `f = z − y`.
+    z: Vec<f64>,
+    f: Vec<f64>,
+    /// Ring of difference columns `(δf, δz)` between consecutive cycles, and
+    /// the orthogonalised `δf`.
+    df: [Vec<f64>; WINDOW],
+    dz: [Vec<f64>; WINDOW],
+    q: [Vec<f64>; WINDOW],
+    stored: usize,
+    newest: usize,
+    have_prev: bool,
+}
+
+impl Mixer {
+    /// Size every buffer for an `n`-state chain and empty the window. A
+    /// buffer that has to grow takes a quarter of headroom with it, so the
+    /// slightly larger chains further along a τ grid fit where they are (27
+    /// piecemeal regrowths per cell left the heap 1 MB higher at 11 k
+    /// states). Each vector is written before it is read: no clearing.
+    fn reset(&mut self, n: usize) {
+        let singles = [&mut self.y, &mut self.z, &mut self.f];
+        let rings = [&mut self.df, &mut self.dz, &mut self.q];
+        for v in singles.into_iter().chain(rings.into_iter().flatten()) {
+            if v.capacity() < n {
+                v.clear();
+                v.reserve_exact(n + n / 4);
+            }
+            v.resize(n, 0.0);
+        }
+        self.forget();
+    }
+
+    /// Drop the window: the next cycles re-anchor with plain sweeps.
+    fn forget(&mut self) {
+        self.stored = 0;
+        self.have_prev = false;
+    }
+
+    /// End a cycle that took `self.y` to `x`: record the difference column
+    /// and replace `x` by the mixed iterate `z − Σ γ_j δz_j`, with `γ` the
+    /// least-squares solution of `min ‖f − ΔF·γ‖₂`. Leaves `x` alone while
+    /// the window is empty or when the mix is degenerate.
+    fn extrapolate(&mut self, x: &mut [f64]) {
+        // `y` becomes this cycle's residual, then trades places with the
+        // last one's.
+        for (y, z) in self.y.iter_mut().zip(x.iter()) {
+            *y = z - *y;
+        }
+        if self.have_prev {
+            self.newest = (self.newest + 1) % WINDOW;
+            self.stored = (self.stored + 1).min(WINDOW);
+            let (df, dz) = (&mut self.df[self.newest], &mut self.dz[self.newest]);
+            for i in 0..x.len() {
+                df[i] = self.y[i] - self.f[i];
+                dz[i] = x[i] - self.z[i];
+            }
+        }
+        std::mem::swap(&mut self.y, &mut self.f);
+        self.z.copy_from_slice(x);
+        self.have_prev = true;
+
+        // Modified Gram–Schmidt QR on the difference columns, newest first.
+        // (Normal equations would square the columns' condition number.)
+        // Columns that go rank-deficient under orthogonalisation are dropped.
+        let mut r_mat = [[0.0f64; WINDOW]; WINDOW];
+        let mut used_src = [0usize; WINDOW];
+        let mut used = 0usize;
+        for j in 0..self.stored {
+            let src = (self.newest + WINDOW - j) % WINDOW;
+            let (head, tail) = self.q.split_at_mut(used);
+            let col = &mut tail[0];
+            col.copy_from_slice(&self.df[src]);
+            let norm0 = col.iter().map(|v| v * v).sum::<f64>().sqrt();
+            for (k, qk) in head.iter().enumerate() {
+                let dot: f64 = qk.iter().zip(col.iter()).map(|(a, b)| a * b).sum();
+                r_mat[k][used] = dot;
+                for (c, a) in col.iter_mut().zip(qk) {
+                    *c -= dot * a;
+                }
+            }
+            let norm = col.iter().map(|v| v * v).sum::<f64>().sqrt();
+            if !norm.is_finite() || norm <= norm0 * 1e-12 {
+                continue;
+            }
+            col.iter_mut().for_each(|v| *v /= norm);
+            r_mat[used][used] = norm;
+            used_src[used] = src;
+            used += 1;
+        }
+        if used == 0 {
+            return;
+        }
+        // Back-substitute R·γ = Qᵀf.
+        let mut gamma = [0.0f64; WINDOW];
+        for j in (0..used).rev() {
+            let mut v: f64 = self.q[j].iter().zip(&self.f).map(|(a, b)| a * b).sum();
+            for k in j + 1..used {
+                v -= r_mat[j][k] * gamma[k];
+            }
+            gamma[j] = v / r_mat[j][j];
+        }
+
+        // The iteration is linear, so transient negative entries are
+        // harmless (clamping here would wreck the Krylov structure); the
+        // solve clamps at the end.
+        let (mut before, mut after) = (0.0f64, 0.0f64);
+        for (i, xi) in x.iter_mut().enumerate() {
+            before += *xi;
+            for (&g, &src) in gamma.iter().zip(&used_src).take(used) {
+                *xi -= g * self.dz[src][i];
+            }
+            after += *xi;
+        }
+        // A mix that lost half the mass (or went non-finite) is degenerate:
+        // fall back to the plain sweep output.
+        if !(after > 0.5 * before && after.is_finite()) {
+            x.copy_from_slice(&self.z);
+            self.forget();
+        }
+    }
+}
+
+/// Solve for the stationary distribution of `chain`.
 ///
 /// Returns [`SolveError`] instead of panicking when the reachable state
 /// space exceeds `opts.max_states`; prefer this in runner jobs so oversized
@@ -592,21 +570,17 @@ pub fn try_solve_stationary<C: Ctmc>(
     chain: &C,
     opts: SolveOptions,
 ) -> Result<Stationary<C::State>, SolveError> {
-    Ok(CsrCtmc::enumerate(chain, &opts)?.solve(&opts, None))
+    Ok(CsrCtmc::enumerate(chain, &opts)?.solve_accelerated(&opts, None))
 }
 
 /// Solve for the stationary distribution of `chain`.
 ///
 /// # Panics
-/// Panics if the reachable state space exceeds `opts.max_states` or the
-/// chain is degenerate (a state with no outgoing transitions that is not
-/// absorbing-by-design). Use [`try_solve_stationary`] to get a typed
+/// Panics if the reachable state space exceeds `opts.max_states` or a state
+/// has no outgoing transition. Use [`try_solve_stationary`] to get a typed
 /// [`SolveError`] instead.
 pub fn solve_stationary<C: Ctmc>(chain: &C, opts: SolveOptions) -> Stationary<C::State> {
-    match try_solve_stationary(chain, opts) {
-        Ok(sol) => sol,
-        Err(e) => panic!("{e}"),
-    }
+    try_solve_stationary(chain, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -682,6 +656,27 @@ mod tests {
     }
 
     #[test]
+    fn sweep_residual_is_relative_to_the_mass_of_the_iterate() {
+        // A Gauss–Seidel pass does not conserve Σπ, so its residual must not
+        // depend on it: the same iterate at 1024 × the mass (a power of two,
+        // so every product and sum scales exactly) reads the same residual.
+        let q = Mm1k {
+            lambda: 3.0,
+            mu: 5.0,
+            k: 10,
+        };
+        let csr = CsrCtmc::enumerate(&q, &SolveOptions::default()).unwrap();
+        let mut unit = vec![1.0 / 11.0; 11];
+        let mut heavy: Vec<f64> = unit.iter().map(|v| v * 1024.0).collect();
+        let before: f64 = unit.iter().sum();
+        let residual = csr.sweep(&mut unit);
+        assert_eq!(residual, csr.sweep(&mut heavy));
+        assert!(residual > 0.0 && residual < 2.0);
+        let after: f64 = unit.iter().sum();
+        assert!((after - before).abs() > 1e-3, "Σπ {before} → {after}");
+    }
+
+    #[test]
     fn oversized_state_space_is_a_typed_error_not_a_panic() {
         let q = Mm1k {
             lambda: 3.0,
@@ -714,8 +709,8 @@ mod tests {
             k: 40,
         };
         let csr = CsrCtmc::enumerate(&target, &opts).unwrap();
-        let cold = csr.solve(&opts, None);
-        let warm = csr.solve(&opts, Some(&seed));
+        let cold = csr.solve_accelerated(&opts, None);
+        let warm = csr.solve_accelerated(&opts, Some(&seed));
         assert!(
             warm.iterations < cold.iterations,
             "warm {} !< cold {}",
@@ -755,8 +750,8 @@ mod tests {
             k: 10,
         };
         let csr = CsrCtmc::enumerate(&q, &opts).unwrap();
-        let warm = csr.solve(&opts, Some(&far));
-        let cold = csr.solve(&opts, None);
+        let warm = csr.solve_accelerated(&opts, Some(&far));
+        let cold = csr.solve_accelerated(&opts, None);
         // Fallback means identical trajectories: same iterations, same π.
         assert_eq!(warm.iterations, cold.iterations);
         assert_eq!(warm.pi, cold.pi);

@@ -74,7 +74,7 @@ fn model_cell_namespaces_are_mutually_disjoint() {
         "legacy namespace moved: {late}"
     );
     assert!(mu.starts_with("tcp-model-mu/v1/"), "{mu}");
-    assert!(exact.starts_with("tcp-model-exact/v1/"), "{exact}");
+    assert!(exact.starts_with("tcp-model-exact/v2/"), "{exact}");
     let prefixes = ["model-late/", "tcp-model-mu/", "tcp-model-exact/"];
     for (i, r) in [&late, &mu, &exact].iter().enumerate() {
         for (j, p) in prefixes.iter().enumerate() {

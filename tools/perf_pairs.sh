@@ -10,14 +10,17 @@
 # runs `--workload W --seed S --trace 0` from each side's benchmark/
 # directory, pair i on seed0+i-1, the side that goes first alternating.
 # Prints one row per pair (iter_s.p50), then for each end-to-end metric each
-# side's q1 / median / q3 and the pairs the change won, and both sides'
-# digest for the first seed (equal digests: the two sides did the same work).
+# side's q1 / median / q3 and the pairs the change won, both sides' total of
+# failed operations, and both sides' digest for the first seed (equal digests:
+# the two sides did the same work). Stops, naming the side, the seed and the
+# run's attempted / failed counts, as soon as either binary exits non-zero or
+# reports "correct":false: a failed run is not a timing.
 # Edits nothing under benchmark/: the Cargo.lock a local build touches is
 # restored on exit.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,16p' "$0" >&2
+    sed -n '2,19p' "$0" >&2
     exit 2
 fi
 parent_ref=$1
@@ -47,11 +50,27 @@ change_bin="${CARGO_TARGET_DIR:-$repo/benchmark/target}/release/dmp-benchmark"
 metrics=(iter_s.p50 work_per_s setup_s peak_rss_mb)
 better=(lower higher lower lower)
 
-# run <side> <side-dir> <binary> <seed>: one untraced run; appends each
-# metric to $scratch/<side>.<metric> and prints "<iter_s.p50> <digest>".
+# run <side> <side-dir> <binary> <seed>: one untraced run, called in the
+# script's own shell (not in a substitution) so that a failed side stops
+# everything: a binary that exits non-zero or reports "correct":false ran a
+# different workload than the one being timed, and its row must not be
+# averaged. Appends each metric to $scratch/<side>.<metric> and the run's
+# failed count to $scratch/<side>.failed; leaves "<iter_s.p50> <digest>" in
+# $scratch/<side>.row.
 run() {
+    local out="$scratch/$1.out" status=0
     (cd "$2/benchmark" && "$3" --workload "$workload" --seed "$4" \
-        --seconds "$seconds" --trace 0) | awk -v out="$scratch/$1" -v names="${metrics[*]}" '
+        --seconds "$seconds" --trace 0) > "$out" || status=$?
+    local attempted failed
+    attempted=$(sed -n 's/.*"attempted":\([0-9]*\).*/\1/p' "$out" | tail -n 1)
+    failed=$(sed -n 's/.*"failed":\([0-9]*\).*/\1/p' "$out" | tail -n 1)
+    if [ "$status" -ne 0 ] || grep -q '"correct":false' "$out"; then
+        echo "perf_pairs: the $1 side failed on seed $4 (exit status $status):" \
+            "attempted ${attempted:-?}, failed ${failed:-?}" >&2
+        return 1
+    fi
+    echo "${failed:-0}" >> "$scratch/$1.failed"
+    awk -v out="$scratch/$1" -v names="${metrics[*]}" '
         { value[$1] = $2 }
         END {
             n = split(names, name, " ")
@@ -60,7 +79,7 @@ run() {
                 print value[name[i]] >> (out "." name[i])
             }
             print value["iter_s.p50"], value["digest"]
-        }'
+        }' "$out" > "$scratch/$1.row"
 }
 
 # quartiles <file>: q1 / median / q3 (linear interpolation) of one column.
@@ -79,13 +98,15 @@ for i in $(seq 1 "$pairs"); do
     seed=$((seed0 + i - 1))
     if [ $((i % 2)) -eq 1 ]; then
         first=parent
-        read -r p dp < <(run parent "$scratch/parent" "$parent_bin" "$seed")
-        read -r c dc < <(run change "$repo" "$change_bin" "$seed")
+        run parent "$scratch/parent" "$parent_bin" "$seed"
+        run change "$repo" "$change_bin" "$seed"
     else
         first=change
-        read -r c dc < <(run change "$repo" "$change_bin" "$seed")
-        read -r p dp < <(run parent "$scratch/parent" "$parent_bin" "$seed")
+        run change "$repo" "$change_bin" "$seed"
+        run parent "$scratch/parent" "$parent_bin" "$seed"
     fi
+    read -r p dp < "$scratch/parent.row"
+    read -r c dc < "$scratch/change.row"
     if [ "$i" -eq 1 ]; then
         digests="digest (seed $seed): parent $dp  change $dc"
     fi
@@ -104,4 +125,7 @@ for k in "${!metrics[@]}"; do
         "$m" "$(quartiles "$scratch/parent.$m")" "$(quartiles "$scratch/change.$m")" \
         "$won" "$pairs" "${better[$k]}"
 done
+total() { awk '{ s += $1 } END { print s + 0 }' "$1"; }
+echo "failed operations over all runs: parent $(total "$scratch/parent.failed")," \
+    "change $(total "$scratch/change.failed")"
 echo "$digests"
