@@ -7,7 +7,7 @@ use dmp_core::stats::OnlineStats;
 use dmp_runner::{JobSpec, Json, Runner};
 use dmp_sim::{run_summary, setting, ExperimentSpec, RunSummary};
 use netsim::tcp::TcpFlavor;
-use tcp_model::{calibrate, stored_video_late_fraction, DmpModel, TauSearchSpec};
+use tcp_model::{calibrate, stored_video_late_fraction, DmpModel, LateCellSpec, TauSearchSpec};
 
 use crate::report::{frac, tau, Table};
 use crate::scale::Scale;
@@ -29,14 +29,13 @@ pub fn ext_kpaths(r: &Runner, scale: &Scale) -> TargetReport {
     let mut jobs = Vec::new();
     for k in 1..=4usize {
         for &ratio in &ratios {
-            jobs.push(
-                TauSearchSpec {
-                    paths: vec![path; k],
-                    mu: k as f64 * sigma / ratio,
-                    opts,
-                }
-                .into_job(format!("ext_kpaths:K{k}:ratio{ratio}")),
-            );
+            let search = TauSearchSpec {
+                paths: vec![path; k],
+                mu: k as f64 * sigma / ratio,
+                opts,
+            };
+            let label = format!("ext_kpaths:K{k}:ratio{ratio}");
+            jobs.push(JobSpec::keyed(label, search, opts.seed, TauSearchSpec::run));
         }
     }
     let cells = r.run_all(jobs);
@@ -91,32 +90,30 @@ pub fn ext_stored(r: &Runner, scale: &Scale) -> TargetReport {
         };
         2
     ];
-    // One job per τ returning `[f_live, f_stored]`.
-    let consumptions = scale.model_consumptions;
+    // One job per τ returning `[f_live, f_stored]` at the model point of a
+    // late cell; the payload type keeps it apart from the cell's own `f`.
     let seed = scale.seed;
     let jobs: Vec<JobSpec<Vec<f64>>> = taus
         .iter()
         .map(|&tau_s| {
-            let paths = paths.clone();
-            let config_repr = format!(
-                "ext-stored/v1/paths{paths:?}/mu{mu}/tau{tau_s}/consumptions{consumptions}/seed{seed}"
-            );
-            JobSpec::new(
-                format!("ext_stored:tau{tau_s}"),
-                config_repr,
+            let cell = LateCellSpec {
+                paths: paths.clone(),
+                mu,
+                tau_s,
+                consumptions: scale.model_consumptions,
                 seed,
-                move || {
-                    let model = DmpModel::new(paths.clone(), mu, tau_s);
-                    let live = model.late_fraction(consumptions, seed).f;
-                    let stored = stored_video_late_fraction(
-                        &model,
-                        (consumptions / 20).max(10_000),
-                        10,
-                        seed,
-                    );
-                    vec![live, stored.f]
-                },
-            )
+            };
+            JobSpec::keyed(format!("ext_stored:tau{tau_s}"), cell, seed, |c| {
+                let model = DmpModel::new(c.paths.clone(), c.mu, c.tau_s);
+                let live = model.late_fraction(c.consumptions, c.seed).f;
+                let stored = stored_video_late_fraction(
+                    &model,
+                    (c.consumptions / 20).max(10_000),
+                    10,
+                    c.seed,
+                );
+                vec![live, stored.f]
+            })
         })
         .collect();
     let cells = r.run_all(jobs);
@@ -177,20 +174,19 @@ pub fn ext_ablations(r: &Runner, scale: &Scale) -> TargetReport {
     s.scheduler = SchedulerKind::Static;
     variants.push(("static splitting".into(), s));
 
-    // One job per (variant, replication); the ablations keep their original
-    // seed schedule (`seed + 7919·i`).
+    // One job per (variant, replication), keyed like `batch_jobs`'s; the
+    // ablations keep their original seed schedule (`seed + 7919·i`).
     let mut jobs = Vec::with_capacity(variants.len() * runs);
     for (vi, (_, spec)) in variants.iter().enumerate() {
         for i in 0..runs {
             let mut s = spec.clone();
             s.seed = spec.seed.wrapping_add(7919 * i as u64);
-            let taus = taus.to_vec();
-            let config_repr = format!("{}/taus{:?}", s.config_repr(), taus);
-            jobs.push(JobSpec::new(
+            let seed = s.seed;
+            jobs.push(JobSpec::keyed(
                 format!("ablate:v{vi}:run{i}"),
-                config_repr,
-                s.seed,
-                move || run_summary(&s, &taus),
+                (s, taus.to_vec()),
+                seed,
+                |(s, taus)| run_summary(s, taus),
             ));
         }
     }

@@ -20,14 +20,12 @@ const TAU_S: f64 = 4.0;
 /// Columns per sampled row of the flattened curve series.
 const COLS: usize = 6;
 
-/// Simulate the 60 s Setting 2-2 trace and sample the cumulative curves.
-/// Returns rows flattened as `[t, generated, arrived_p0, arrived_p1,
-/// arrived_all, playback; ...]` so the job result is a plain `Vec<f64>`.
-fn curve_rows(seed: u64) -> Vec<f64> {
-    let mut spec =
-        ExperimentSpec::new(*setting("2-2").unwrap(), SchedulerKind::Dynamic, 60.0, seed);
-    spec.warmup_s = 10.0;
-    let out = run(&spec);
+/// Simulate `spec` and sample the cumulative curves, playback starting
+/// `tau_s` after generation. Returns rows flattened as `[t, generated,
+/// arrived_p0, arrived_p1, arrived_all, playback; ...]` so the job result is
+/// a plain `Vec<f64>`.
+fn curve_rows((spec, tau_s): &(ExperimentSpec, f64)) -> Vec<f64> {
+    let out = run(spec);
     let records = out.trace.records();
     let mu = out.trace.video().rate_pps;
     let t0 = records[0].gen_ns as f64 / 1e9;
@@ -45,7 +43,7 @@ fn curve_rows(seed: u64) -> Vec<f64> {
                 })
                 .count() as f64
         };
-        let playback = if t > TAU_S { (t - TAU_S) * mu } else { 0.0 };
+        let playback = if t > *tau_s { (t - tau_s) * mu } else { 0.0 };
         rows.extend_from_slice(&[
             t,
             generated as f64,
@@ -63,12 +61,10 @@ fn curve_rows(seed: u64) -> Vec<f64> {
 /// every scale (only the seed comes from `scale`).
 pub fn fig1(r: &Runner, scale: &Scale) -> TargetReport {
     let seed = scale.seed;
-    let job = JobSpec::new(
-        "fig1:trace",
-        format!("fig1/v1/setting2-2/60s/tau{TAU_S}/seed{seed}"),
-        seed,
-        move || curve_rows(seed),
-    );
+    let mut spec =
+        ExperimentSpec::new(*setting("2-2").unwrap(), SchedulerKind::Dynamic, 60.0, seed);
+    spec.warmup_s = 10.0;
+    let job = JobSpec::keyed("fig1:trace", (spec, TAU_S), seed, curve_rows);
     let cells = r.run_all(vec![job]);
     let rows = cells[0].ok().expect("fig1 simulation").clone();
 

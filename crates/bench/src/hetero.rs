@@ -12,7 +12,7 @@
 //! mean DMP-streaming is insensitive to heterogeneity.
 
 use dmp_core::spec::PathSpec;
-use dmp_runner::{Json, Runner};
+use dmp_runner::{JobSpec, Json, Runner};
 use tcp_model::{pftk, DmpModel, TauSearchSpec};
 
 use crate::report::{tau, Table};
@@ -137,22 +137,11 @@ pub fn fig10(r: &Runner, scale: &Scale) -> TargetReport {
             };
             2
         ];
-        jobs.push(
-            TauSearchSpec {
-                paths: homo,
-                mu,
-                opts,
-            }
-            .into_job(format!("fig10:{i}:{}:g{}:homo", s.case, s.gamma)),
-        );
-        jobs.push(
-            TauSearchSpec {
-                paths: hetero_paths(s),
-                mu,
-                opts,
-            }
-            .into_job(format!("fig10:{i}:{}:g{}:hetero", s.case, s.gamma)),
-        );
+        for (kind, paths) in [("homo", homo), ("hetero", hetero_paths(s))] {
+            let search = TauSearchSpec { paths, mu, opts };
+            let label = format!("fig10:{i}:{}:g{}:{kind}", s.case, s.gamma);
+            jobs.push(JobSpec::keyed(label, search, opts.seed, TauSearchSpec::run));
+        }
     }
     let cells = r.run_all(jobs);
 

@@ -73,27 +73,28 @@ pub fn experiment_set(scale: &Scale) -> Vec<LiveExperiment> {
 /// re-streaming for `packets/µ` seconds. Delete `target/dmp-cache` or set
 /// `DMP_NO_CACHE=1` to re-measure.
 fn live_job(i: usize, exp: LiveExperiment, taus: Vec<f64>) -> JobSpec<RunSummary> {
-    // v2: the spec gained the `trace_label` field.
-    // v3: summaries gained the always-on `metrics` section (frame-level
-    // metrics on the nominal-time trace); v2 payloads lack it.
-    let config_repr = format!("live-fig7/v3/{exp:?}/taus{taus:?}");
     let seed = exp.seed;
     let traced = exp.trace_label.is_some();
-    let job = JobSpec::new(format!("fig7:live:exp{i}"), config_repr, seed, move || {
-        let rt = tokio::runtime::Runtime::new().expect("tokio runtime");
-        let run = rt.block_on(run_experiment(&exp, &taus)).expect("live run");
-        // Frame metrics on the *nominal-time* trace (run_experiment undilates
-        // timestamps), so live distributions are directly comparable with the
-        // simulator's. Labelled `backend=live`: bench_diff must refuse to
-        // diff a live run against a simulated one rather than report drift.
-        let mut metrics = obs::MetricsSnapshot::new().with_label("backend", "live");
-        obs::record_frame_metrics(&mut metrics, run.output.trace.frames());
-        RunSummary {
-            paths: Vec::new(),
-            per_tau: run.report.per_tau,
-            metrics,
-        }
-    });
+    let job = JobSpec::keyed(
+        format!("fig7:live:exp{i}"),
+        (exp, taus),
+        seed,
+        |(exp, taus)| {
+            let rt = tokio::runtime::Runtime::new().expect("tokio runtime");
+            let run = rt.block_on(run_experiment(exp, taus)).expect("live run");
+            // Frame metrics on the *nominal-time* trace (run_experiment undilates
+            // timestamps), so live distributions are directly comparable with the
+            // simulator's. Labelled `backend=live`: bench_diff must refuse to
+            // diff a live run against a simulated one rather than report drift.
+            let mut metrics = obs::MetricsSnapshot::new().with_label("backend", "live");
+            obs::record_frame_metrics(&mut metrics, run.output.trace.frames());
+            RunSummary {
+                paths: Vec::new(),
+                per_tau: run.report.per_tau,
+                metrics,
+            }
+        },
+    );
     // A cache hit would skip the stream and write no trace file.
     if traced {
         job.uncacheable()
@@ -130,13 +131,12 @@ pub fn fig7(r: &Runner, scale: &Scale) -> TargetReport {
                     // keeps one cache entry per configuration whether or not
                     // the measurement run was traced.
                     exp.trace_label = None;
-                    let config_repr =
-                        format!("live-fig7-model/v2/{exp:?}/tau{tau_s}/consumptions{consumptions}");
-                    JobSpec::new(
+                    let seed = exp.seed;
+                    JobSpec::keyed(
                         format!("fig7:model:exp{i}:tau{tau_s}"),
-                        config_repr,
-                        exp.seed,
-                        move || model_prediction(&exp, tau_s, consumptions),
+                        (exp, tau_s, consumptions),
+                        seed,
+                        |(exp, tau_s, consumptions)| model_prediction(exp, *tau_s, *consumptions),
                     )
                 })
             })

@@ -2,13 +2,12 @@
 //! with the model (Section 7.1).
 
 use dmp_core::spec::PathSpec;
-use dmp_runner::{Json, Runner};
-use tcp_model::{calibrate, DmpModel, TauSearchSpec};
+use dmp_runner::{JobSpec, Json, Runner};
+use tcp_model::{calibrate, DmpModel, LateCellSpec, TauSearchSpec};
 
 use crate::report::{frac, tau, Table};
 use crate::scale::Scale;
 use crate::target::{opt_num, TargetReport};
-use crate::validation::model_point_job;
 
 fn homo_paths(p: f64, rtt_s: f64, to: f64, k: usize) -> Vec<PathSpec> {
     vec![
@@ -21,18 +20,10 @@ fn homo_paths(p: f64, rtt_s: f64, to: f64, k: usize) -> Vec<PathSpec> {
     ]
 }
 
-fn search_job(
-    label: String,
-    paths: Vec<PathSpec>,
-    mu: f64,
-    scale: &Scale,
-) -> dmp_runner::JobSpec<Option<f64>> {
-    TauSearchSpec {
-        paths,
-        mu,
-        opts: scale.search_options(),
-    }
-    .into_job(label)
+fn search_job(label: String, paths: Vec<PathSpec>, mu: f64, scale: &Scale) -> JobSpec<Option<f64>> {
+    let opts = scale.search_options();
+    let search = TauSearchSpec { paths, mu, opts };
+    JobSpec::keyed(label, search, opts.seed, TauSearchSpec::run)
 }
 
 /// Fig. 8: diminishing gain from increasing `σ_a/µ`. Fixed `p = 0.02`,
@@ -50,14 +41,15 @@ pub fn fig8(r: &Runner, scale: &Scale) -> TargetReport {
     let mut jobs = Vec::with_capacity(taus.len() * ratios.len());
     for &tau_s in &taus {
         for (&ratio, &rtt) in ratios.iter().zip(&rtts) {
-            jobs.push(model_point_job(
-                format!("fig8:ratio{ratio}:tau{tau_s}"),
-                homo_paths(p, rtt, to, 2),
+            let cell = LateCellSpec {
+                paths: homo_paths(p, rtt, to, 2),
                 mu,
                 tau_s,
-                scale.model_consumptions,
-                scale.seed,
-            ));
+                consumptions: scale.model_consumptions,
+                seed: scale.seed,
+            };
+            let label = format!("fig8:ratio{ratio}:tau{tau_s}");
+            jobs.push(JobSpec::keyed(label, cell, scale.seed, LateCellSpec::run));
         }
     }
     let cells = r.run_all(jobs);

@@ -18,7 +18,7 @@
 use dmp_core::spec::PathSpec;
 use dmp_core::HEADROOM_RULE;
 use dmp_fleet::{run_fleet, FleetOptions};
-use dmp_runner::{Json, Runner};
+use dmp_runner::{JobSpec, Json, Runner};
 use tcp_model::{MuCellSpec, PlannerOptions, PlannerScheme};
 
 use crate::fleet::{headroom_fleet_spec, headroom_sweep_sizes, SERVED_FRACTION};
@@ -104,10 +104,14 @@ pub fn capacity_planner(r: &Runner, scale: &Scale) -> TargetReport {
     for &loss in &grid.losses {
         for &tau_s in &grid.taus {
             for scheme in SCHEMES {
-                jobs.push(
-                    cell_spec(&grid, loss, tau_s, scheme, opts)
-                        .into_job(format!("planner:{}:p{loss}:tau{tau_s}", scheme.name())),
-                );
+                let cell = cell_spec(&grid, loss, tau_s, scheme, opts);
+                let label = format!("planner:{}:p{loss}:tau{tau_s}", scheme.name());
+                jobs.push(JobSpec::keyed(
+                    label,
+                    cell,
+                    opts.search.seed,
+                    MuCellSpec::run,
+                ));
             }
         }
     }

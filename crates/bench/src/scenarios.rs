@@ -113,8 +113,8 @@ fn scheduler_jobs(
         .collect()
 }
 
-/// The failover job matrix. Public so `tests/scenario_cache_key.rs` can
-/// assert every job's cache key embeds the scenario hash.
+/// The failover job matrix. Public so the cache-key tests can read its
+/// keys and labels.
 pub fn failover_jobs(scale: &Scale) -> Vec<JobSpec<ScenarioSummary>> {
     let (scn, fail_at) = failover_scenario(scale.sim_duration_s);
     scheduler_jobs(failover_setting(), &scn, fail_at, scale)

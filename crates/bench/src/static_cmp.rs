@@ -6,7 +6,7 @@
 //! with the single-path (K = 1, µ/2) model and compared against DMP's.
 
 use dmp_core::spec::PathSpec;
-use dmp_runner::{Json, Runner};
+use dmp_runner::{JobSpec, Json, Runner};
 use tcp_model::{calibrate, required_startup_delay, DmpModel, TauSearchSpec};
 
 use crate::report::{tau, Table};
@@ -83,22 +83,13 @@ pub fn fig11(r: &Runner, scale: &Scale) -> TargetReport {
                 rtt_s: s.rtt_s,
                 to_ratio: 4.0,
             };
-            jobs.push(
-                TauSearchSpec {
-                    paths: vec![path],
-                    mu: mu / 2.0,
-                    opts,
-                }
-                .into_job(format!("fig11:R{}:r{}:p{p}:static", s.rtt_s, s.ratio)),
-            );
-            jobs.push(
-                TauSearchSpec {
-                    paths: vec![path; 2],
-                    mu,
-                    opts,
-                }
-                .into_job(format!("fig11:R{}:r{}:p{p}:dmp", s.rtt_s, s.ratio)),
-            );
+            for (scheme, paths, mu) in
+                [("static", vec![path], mu / 2.0), ("dmp", vec![path; 2], mu)]
+            {
+                let search = TauSearchSpec { paths, mu, opts };
+                let label = format!("fig11:R{}:r{}:p{p}:{scheme}", s.rtt_s, s.ratio);
+                jobs.push(JobSpec::keyed(label, search, opts.seed, TauSearchSpec::run));
+            }
             grid.push((s, p));
         }
     }

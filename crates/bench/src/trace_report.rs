@@ -6,7 +6,7 @@
 //! recovery activity (RTO expirations, fast-recovery transitions) in the
 //! surrounding window.
 
-use dmp_core::resilience::{ResilienceReport, ResilienceSpec};
+use dmp_core::resilience::{glitches, ResilienceReport, ResilienceSpec};
 use dmp_core::trace::DeliveryRecord;
 use obs::report::PacketTimes;
 use obs::{EventKind, Trace, TraceEvent};
@@ -36,43 +36,6 @@ impl Default for ReportOptions {
             bucket_s: 5.0,
         }
     }
-}
-
-/// One playback stall: a maximal run of consecutive late packets, in
-/// generation time. Same rule as `dmp_core::resilience` (which reports only
-/// aggregates): duration is the run's generation span plus one playback slot.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Glitch {
-    /// Generation time of the first late packet, seconds.
-    pub start_s: f64,
-    /// End of the stall (last late packet's slot), seconds.
-    pub end_s: f64,
-}
-
-/// Extract the glitch intervals from reconstructed packet times.
-pub fn glitches(pkts: &[PacketTimes], tau_s: f64, rate_pps: f64) -> Vec<Glitch> {
-    let slot_s = 1.0 / rate_pps;
-    let is_late = |p: &PacketTimes| p.arrival_s.is_none_or(|a| a > p.gen_s + tau_s);
-    let mut out = Vec::new();
-    let mut run: Option<(f64, f64)> = None;
-    for p in pkts {
-        if is_late(p) {
-            let (_, end) = run.get_or_insert((p.gen_s, p.gen_s));
-            *end = p.gen_s;
-        } else if let Some((s, e)) = run.take() {
-            out.push(Glitch {
-                start_s: s,
-                end_s: e + slot_s,
-            });
-        }
-    }
-    if let Some((s, e)) = run {
-        out.push(Glitch {
-            start_s: s,
-            end_s: e + slot_s,
-        });
-    }
-    out
 }
 
 fn records(pkts: &[PacketTimes]) -> Vec<DeliveryRecord> {
@@ -281,7 +244,8 @@ pub fn render_report(trace: &Trace, opts: &ReportOptions) -> String {
         window_s: opts.window_s,
         fail_at_s,
     };
-    let res = ResilienceReport::from_records(&records(&pkts), opts.rate_pps, spec);
+    let records = records(&pkts);
+    let res = ResilienceReport::from_records(&records, opts.rate_pps, spec);
     out.push_str(&format!(
         "\nresilience @ tau={:.0}s (mu={:.0} pkt/s): {} glitch(es), {:.1} s stalled total, \
          worst {:.0}-s window {:.1}% late, recovered: {}{}\n",
@@ -303,19 +267,19 @@ pub fn render_report(trace: &Trace, opts: &ReportOptions) -> String {
     // within τ of) the stall's onset; the full recovery-event windows are
     // spelled out only for the longest stalls, which keeps reports on
     // glitch-storm traces readable.
-    let glitch_list = glitches(&pkts, opts.tau_s, opts.rate_pps);
-    let cause_of = |g: &Glitch| {
+    let glitch_list = glitches(&records, opts.tau_s, opts.rate_pps);
+    let cause_of = |start_s: f64| {
         trace.path_events().into_iter().rev().find(|e| {
             let t = e.t as f64 / 1e9;
-            t <= g.start_s + opts.tau_s && t >= g.start_s - opts.window_s
+            t <= start_s + opts.tau_s && t >= start_s - opts.window_s
         })
     };
     let mut gt = Table::new(
         "glitches and their causes",
         &["glitch", "start (s)", "end (s)", "stalled (s)", "cause"],
     );
-    for (i, g) in glitch_list.iter().enumerate() {
-        let cause = match cause_of(g).map(|e| &e.kind) {
+    for (i, &(start_s, end_s)) in glitch_list.iter().enumerate() {
+        let cause = match cause_of(start_s).map(|e| &e.kind) {
             Some(EventKind::PathEvent { path, action }) => {
                 format!("scripted `{}` on path {path}", action.name())
             }
@@ -323,9 +287,9 @@ pub fn render_report(trace: &Trace, opts: &ReportOptions) -> String {
         };
         gt.row(vec![
             i.to_string(),
-            format!("{:.2}", g.start_s),
-            format!("{:.2}", g.end_s),
-            format!("{:.2}", g.end_s - g.start_s),
+            format!("{start_s:.2}"),
+            format!("{end_s:.2}"),
+            format!("{:.2}", end_s - start_s),
             cause,
         ]);
     }
@@ -337,31 +301,26 @@ pub fn render_report(trace: &Trace, opts: &ReportOptions) -> String {
     out.push_str(&gt.render());
 
     const MAX_DETAILED: usize = 3;
-    let mut by_duration: Vec<(usize, &Glitch)> = glitch_list.iter().enumerate().collect();
-    by_duration.sort_by(|(ia, a), (ib, b)| {
-        let (da, db) = (a.end_s - a.start_s, b.end_s - b.start_s);
+    let mut by_duration: Vec<(usize, (f64, f64))> = glitch_list.into_iter().enumerate().collect();
+    by_duration.sort_by(|(ia, (sa, ea)), (ib, (sb, eb))| {
+        let (da, db) = (ea - sa, eb - sb);
         db.partial_cmp(&da).unwrap().then(ia.cmp(ib))
     });
     by_duration.truncate(MAX_DETAILED);
     by_duration.sort_by_key(|(i, _)| *i);
-    for (i, g) in by_duration {
+    for (i, (start_s, end_s)) in by_duration {
         out.push_str(&format!(
-            "\nglitch {i}: generation time [{:.2} s, {:.2} s] ({:.2} s stalled)\n",
-            g.start_s,
-            g.end_s,
-            g.end_s - g.start_s
+            "\nglitch {i}: generation time [{start_s:.2} s, {end_s:.2} s] ({:.2} s stalled)\n",
+            end_s - start_s
         ));
-        match cause_of(g).map(|e| (e.t as f64 / 1e9, &e.kind)) {
+        match cause_of(start_s).map(|e| (e.t as f64 / 1e9, &e.kind)) {
             Some((t, EventKind::PathEvent { path, action })) => out.push_str(&format!(
                 "  cause: scripted `{}` on path {path} at {t:.2} s\n",
                 action.name(),
             )),
             _ => out.push_str("  cause: no scripted path event nearby (congestion-driven)\n"),
         }
-        let (w0, w1) = (
-            (g.start_s - opts.window_s).max(0.0),
-            g.end_s + opts.window_s,
-        );
+        let (w0, w1) = ((start_s - opts.window_s).max(0.0), end_s + opts.window_s);
         let window = trace.recovery_events_in(w0, w1);
         out.push_str(&format!(
             "  {} recovery-relevant event(s) in [{w0:.2} s, {w1:.2} s]:\n",
@@ -429,10 +388,10 @@ mod tests {
     #[test]
     fn glitches_are_maximal_late_runs() {
         let t = failover_trace();
-        let g = glitches(&t.packet_times(), 4.0, 1.0);
+        let g = glitches(&records(&t.packet_times()), 4.0, 1.0);
         assert_eq!(g.len(), 1);
-        assert!((g[0].start_s - 10.0).abs() < 1e-9);
-        assert!((g[0].end_s - 15.0).abs() < 1e-9, "end {}", g[0].end_s);
+        assert!((g[0].0 - 10.0).abs() < 1e-9);
+        assert!((g[0].1 - 15.0).abs() < 1e-9, "end {}", g[0].1);
     }
 
     #[test]

@@ -11,28 +11,6 @@ use crate::report::{frac, Table};
 use crate::scale::Scale;
 use crate::target::TargetReport;
 
-/// A cacheable model-curve point: `f(τ)` from the SSA late-fraction
-/// estimator at the given measured path parameters. Thin wrapper over
-/// [`LateCellSpec`] (which keeps the historical `model-late/v1` cache
-/// namespace byte-for-byte).
-pub fn model_point_job(
-    label: String,
-    paths: Vec<PathSpec>,
-    mu: f64,
-    tau_s: f64,
-    consumptions: u64,
-    seed: u64,
-) -> JobSpec<f64> {
-    LateCellSpec {
-        paths,
-        mu,
-        tau_s,
-        consumptions,
-        seed,
-    }
-    .into_job(label)
-}
-
 /// Shared engine for Fig. 4 (Setting 2-2) and Fig. 5 (Setting 1-2).
 pub fn validation_figure(setting_name: &str, r: &Runner, scale: &Scale) -> TargetReport {
     let s = *setting(setting_name).expect("known setting");
@@ -93,14 +71,15 @@ pub fn validation_figure(setting_name: &str, r: &Runner, scale: &Scale) -> Targe
     let model_jobs: Vec<JobSpec<f64>> = curve_taus
         .iter()
         .map(|&tau| {
-            model_point_job(
-                format!("model:{setting_name}:tau{tau}"),
-                paths.clone(),
-                s.video.rate_pps,
-                tau,
-                scale.model_consumptions,
-                scale.seed,
-            )
+            let cell = LateCellSpec {
+                paths: paths.clone(),
+                mu: s.video.rate_pps,
+                tau_s: tau,
+                consumptions: scale.model_consumptions,
+                seed: scale.seed,
+            };
+            let label = format!("model:{setting_name}:tau{tau}");
+            JobSpec::keyed(label, cell, scale.seed, LateCellSpec::run)
         })
         .collect();
     let model_cells = r.run_all(model_jobs);

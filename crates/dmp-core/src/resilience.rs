@@ -61,34 +61,41 @@ pub struct ResilienceReport {
     pub recovered: bool,
 }
 
+/// Whether `r` misses its playback deadline `gen + τ` (`tau_ns`).
+fn is_late(r: &DeliveryRecord, tau_ns: u64) -> bool {
+    r.arrival_ns.is_none_or(|a| a > r.gen_ns + tau_ns)
+}
+
+/// The glitches of `records` at startup delay `tau_s`: maximal runs of
+/// consecutive late packets in playback (sequence) order, as `(start_s,
+/// end_s)` on the generation clock. A run lasts its generation span plus one
+/// playback slot `1/rate_pps` (a single late packet stalls for ~1/µ).
+pub fn glitches(records: &[DeliveryRecord], tau_s: f64, rate_pps: f64) -> Vec<(f64, f64)> {
+    let tau_ns = (tau_s * 1e9) as u64;
+    let slot_s = 1.0 / rate_pps;
+    let mut out = Vec::new();
+    let mut run: Option<(u64, u64)> = None;
+    for r in records {
+        if is_late(r, tau_ns) {
+            run.get_or_insert((r.gen_ns, r.gen_ns)).1 = r.gen_ns;
+        } else if let Some((s, e)) = run.take() {
+            out.push((s as f64 / 1e9, e as f64 / 1e9 + slot_s));
+        }
+    }
+    if let Some((s, e)) = run {
+        out.push((s as f64 / 1e9, e as f64 / 1e9 + slot_s));
+    }
+    out
+}
+
 impl ResilienceReport {
     /// Evaluate `spec` over a trace's (stable) records. `rate_pps` is the
     /// video packet rate µ, used to convert packet runs into seconds.
     pub fn from_records(records: &[DeliveryRecord], rate_pps: f64, spec: ResilienceSpec) -> Self {
         let tau_ns = (spec.tau_s * 1e9) as u64;
         let slot_s = 1.0 / rate_pps;
-        let is_late = |r: &DeliveryRecord| match r.arrival_ns {
-            None => true,
-            Some(a) => a > r.gen_ns + tau_ns,
-        };
-
-        // Glitches: maximal runs of consecutive late packets in playback
-        // (sequence) order. Duration = generation span of the run + one
-        // playback slot (a single late packet stalls for ~1/µ).
-        let mut glitches: Vec<(f64, f64)> = Vec::new(); // (start_s, end_s)
-        let mut run_start: Option<u64> = None;
-        let mut run_end: u64 = 0;
-        for r in records {
-            if is_late(r) {
-                run_start.get_or_insert(r.gen_ns);
-                run_end = r.gen_ns;
-            } else if let Some(s) = run_start.take() {
-                glitches.push((s as f64 / 1e9, run_end as f64 / 1e9 + slot_s));
-            }
-        }
-        if let Some(s) = run_start {
-            glitches.push((s as f64 / 1e9, run_end as f64 / 1e9 + slot_s));
-        }
+        let late = |r: &DeliveryRecord| is_late(r, tau_ns);
+        let glitches = glitches(records, spec.tau_s, rate_pps);
         let total_glitch_s: f64 = glitches.iter().map(|(s, e)| e - s).sum();
         let max_glitch_s = glitches.iter().map(|(s, e)| e - s).fold(0.0, f64::max);
 
@@ -98,7 +105,7 @@ impl ResilienceReport {
         let mut worst_start = 0.0_f64;
         let mut lo = 0usize;
         let mut late_in_win = 0u64;
-        let late_flags: Vec<bool> = records.iter().map(is_late).collect();
+        let late_flags: Vec<bool> = records.iter().map(late).collect();
         for hi in 0..records.len() {
             if late_flags[hi] {
                 late_in_win += 1;
@@ -124,7 +131,7 @@ impl ResilienceReport {
                     .iter()
                     .rev()
                     .take_while(|r| r.gen_ns >= tail_from)
-                    .any(is_late)
+                    .any(late)
             }
             _ => true,
         };

@@ -1,6 +1,12 @@
 //! Content-addressed on-disk result cache.
 //!
-//! Key = hash(config representation, seed, code-version salt). Entries live
+//! Key = hash(config representation, seed, code-version salt). The
+//! representation is [`crate::JobSpec::keyed`]'s — input and payload type
+//! names plus the input's `Debug` — so a new field or a new job family can
+//! never be served an old entry. What the representation cannot see is a
+//! change of the *code*: bump [`CODE_SALT`] whenever a cached computation's
+//! output changes for the same input; it is the one invalidation point, and
+//! `DMP_NO_CACHE=1` re-measures without touching it. Entries live
 //! one-per-file, two lines each: a header `{"v":2,"salt":…,"key":…,"crc":…}`,
 //! then the payload's compact render. `crc` digests the payload bytes as
 //! stored, so `load` verifies all four header fields *before* parsing, then
@@ -21,8 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// any other version are misses and get overwritten).
 const FORMAT_VERSION: f64 = 2.0;
 
-/// Code-version salt. Bump whenever experiment semantics change in a way
-/// that should invalidate previously cached results without a version bump.
+/// Code-version salt: bump it whenever a cached computation's output
+/// changes for the same input (the input itself is in the key).
 pub const CODE_SALT: &str = "dmp-runner-2026-08-a";
 
 /// Handle to a cache directory (cheap to clone; counters are shared).
@@ -55,17 +61,12 @@ impl Cache {
 
     /// Cache configured from the environment:
     /// `DMP_CACHE_DIR` overrides the location (default `target/dmp-cache`),
-    /// `DMP_CACHE_SALT` appends to the code-version salt,
     /// `DMP_NO_CACHE=1` disables reads and writes.
     pub fn from_env() -> Self {
         let dir = std::env::var_os("DMP_CACHE_DIR")
             .map(PathBuf::from)
             .unwrap_or_else(default_dir);
         let mut cache = Self::new(dir);
-        if let Ok(extra) = std::env::var("DMP_CACHE_SALT") {
-            cache.salt.push('/');
-            cache.salt.push_str(&extra);
-        }
         if std::env::var("DMP_NO_CACHE").is_ok_and(|v| v == "1") {
             cache.enabled = false;
         }

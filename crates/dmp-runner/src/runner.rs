@@ -13,7 +13,8 @@ pub struct JobSpec<T> {
     pub label: String,
     /// Stable, complete textual representation of the job's configuration.
     /// Every field that influences the result must appear here — it is the
-    /// cache key (together with `seed` and the code-version salt).
+    /// cache key (together with `seed` and the code-version salt);
+    /// [`JobSpec::keyed`] derives it from the job's input.
     pub config_repr: String,
     /// RNG seed for this job.
     pub seed: u64,
@@ -26,7 +27,28 @@ pub struct JobSpec<T> {
 }
 
 impl<T> JobSpec<T> {
-    /// Convenience constructor for a cacheable job.
+    /// A cacheable job whose identity is derived from its input, the way
+    /// every job in the workspace is built: `config_repr` is the type name of
+    /// `(S, T)` followed by `input`'s `Debug`, so the namespace is the input
+    /// and payload type and every field of the input is in the key (derived
+    /// `Debug` prints `f64`s so they round-trip exactly). `work` runs on the
+    /// input. A change of what the computation returns for the same input
+    /// is [`crate::cache::CODE_SALT`]'s business, not the key's.
+    pub fn keyed<S>(
+        label: impl Into<String>,
+        input: S,
+        seed: u64,
+        work: impl FnOnce(&S) -> T + Send + 'static,
+    ) -> Self
+    where
+        S: std::fmt::Debug + Send + 'static,
+    {
+        let config_repr = format!("{}{input:?}", std::any::type_name::<(S, T)>());
+        Self::new(label, config_repr, seed, move || work(&input))
+    }
+
+    /// A cacheable job under a hand-written `config_repr`, which must carry
+    /// every input of `work`. Prefer [`JobSpec::keyed`].
     pub fn new(
         label: impl Into<String>,
         config_repr: impl Into<String>,

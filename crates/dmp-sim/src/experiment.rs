@@ -77,8 +77,8 @@ impl TraceSpec {
 }
 
 impl std::fmt::Debug for TraceSpec {
-    /// Only semantic fields: `config_repr` embeds this, and the label/dir
-    /// must not fragment the cache key space.
+    /// Only semantic fields: every cache key of a spec embeds this, and the
+    /// label/dir must not fragment the key space.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceSpec")
             .field("enabled", &self.enabled)
@@ -150,39 +150,10 @@ impl ExperimentSpec {
 }
 
 impl ExperimentSpec {
-    /// Stable, complete textual representation of this spec for
-    /// content-addressed caching. Every field that influences the simulation
-    /// appears (via `Debug`, which round-trips `f64` exactly); the leading
-    /// version tag invalidates old entries if the representation or the
-    /// simulation semantics change. The scenario's stable hash is appended
-    /// explicitly (`scenario#<hex>`), so two runs with different fault
-    /// scripts can never be served each other's cached results.
+    /// The spec's `Debug` — every field, the scenario included — which is
+    /// what it contributes to a [`JobSpec::keyed`] cache key.
     pub fn config_repr(&self) -> String {
-        // v2: lazy timer-event deferral changed event sequence numbers (and
-        // therefore tie-break order) relative to v1, and the spec gained the
-        // `engine` field.
-        // v3: the spec gained the `scenario` field and topologies gained
-        // flash-flow provisioning.
-        // v4: the spec gained the `trace` field (semantic knobs only; labels
-        // and output paths are excluded from `TraceSpec`'s `Debug`).
-        // v5: fleet-scale multi-session runs joined the shared runner cache
-        // namespace and trace stems gained a scope component; bumped so no
-        // pre-fleet entry can be served to a post-fleet batch.
-        // v6: coalesced link delivery and per-link RNG streams — event
-        // sequence numbers and the random-loss draws both changed, so no v5
-        // summary can be byte-compatible with a v6 run.
-        // v7: the spec gained the `cc` and `strategy` fields (pluggable
-        // congestion control + pull strategies), and RFC 2861 window
-        // validation is re-evaluated per ACK instead of latched per send —
-        // application-limited windows now stop growing, which shifts the
-        // physics of every video flow relative to v6.
-        // v8: run summaries carry an always-on metrics snapshot; cached v7
-        // payloads lack the `metrics` section and must not be replayed.
-        // v9: the `engine` field left the spec.
-        format!(
-            "dmp-sim/v9/{self:?}/scenario#{:016x}",
-            self.scenario.stable_hash()
-        )
+        format!("{self:?}")
     }
 }
 
@@ -658,60 +629,60 @@ pub fn run_scenario_summary(
 }
 
 /// Like [`batch_jobs`], but for scenario experiments: each job returns a
-/// [`ScenarioSummary`]. The τ grid and the resilience spec are both part of
-/// the cache key (the scenario itself already is, via
-/// [`ExperimentSpec::config_repr`]).
+/// [`ScenarioSummary`] and is keyed on `(spec, taus, resilience)`.
 pub fn scenario_batch_jobs(
     spec: &ExperimentSpec,
     runs: usize,
     taus_s: &[f64],
     resilience: ResilienceSpec,
 ) -> Vec<JobSpec<ScenarioSummary>> {
-    (0..runs)
-        .map(|i| {
-            let mut s = spec.clone();
-            s.seed = spec.seed.wrapping_add(i as u64);
-            let taus: Vec<f64> = taus_s.to_vec();
-            let config_repr = format!("{}/taus{:?}/res{:?}", s.config_repr(), taus, resilience);
-            let label = format!(
-                "scn:{}:{}:{:?}:run{}",
-                spec.scenario.name, spec.setting.name, spec.scheduler, i
-            );
-            if s.trace.enabled {
-                s.trace.label = label.clone();
-            }
-            let traced = s.trace.enabled;
-            let job = JobSpec::new(label, config_repr, s.seed, move || {
-                run_scenario_summary(&s, &taus, resilience)
-            });
-            // A cache hit would skip the simulation and write no trace file.
-            if traced {
-                job.uncacheable()
-            } else {
-                job
-            }
+    let label = |i| {
+        format!(
+            "scn:{}:{}:{:?}:run{i}",
+            spec.scenario.name, spec.setting.name, spec.scheduler
+        )
+    };
+    replica_jobs(spec, runs, label, |label, seed, s| {
+        let input = (s, taus_s.to_vec(), resilience);
+        JobSpec::keyed(label, input, seed, |(s, taus, res)| {
+            run_scenario_summary(s, taus, *res)
         })
-        .collect()
+    })
 }
 
 /// Build one cacheable [`JobSpec`] per replication of `spec` (seeds
-/// `spec.seed + i`), for submission to a [`dmp_runner::Runner`]. The τ grid
-/// is part of the cache key — a run evaluated at different startup delays is
-/// a different result.
+/// `spec.seed + i`), for submission to a [`dmp_runner::Runner`], keyed on
+/// `(spec, taus)` — a run evaluated at different startup delays is a
+/// different result.
 pub fn batch_jobs(spec: &ExperimentSpec, runs: usize, taus_s: &[f64]) -> Vec<JobSpec<RunSummary>> {
+    let label = |i| format!("sim:{}:{:?}:run{i}", spec.setting.name, spec.scheduler);
+    replica_jobs(spec, runs, label, |label, seed, s| {
+        JobSpec::keyed(label, (s, taus_s.to_vec()), seed, |(s, taus)| {
+            run_summary(s, taus)
+        })
+    })
+}
+
+/// One job per replication `i` of `spec`, built by `job(label(i), seed, s)`
+/// from the replica `s` with seed `spec.seed + i`; `label(i)` also names the
+/// trace of a traced replica. A traced job is not cached: a hit would skip
+/// the simulation and write no trace file.
+fn replica_jobs<T>(
+    spec: &ExperimentSpec,
+    runs: usize,
+    label: impl Fn(usize) -> String,
+    job: impl Fn(String, u64, ExperimentSpec) -> JobSpec<T>,
+) -> Vec<JobSpec<T>> {
     (0..runs)
         .map(|i| {
             let mut s = spec.clone();
             s.seed = spec.seed.wrapping_add(i as u64);
-            let taus: Vec<f64> = taus_s.to_vec();
-            let config_repr = format!("{}/taus{:?}", s.config_repr(), taus);
-            let label = format!("sim:{}:{:?}:run{}", spec.setting.name, spec.scheduler, i);
-            if s.trace.enabled {
+            let label = label(i);
+            let traced = s.trace.enabled;
+            if traced {
                 s.trace.label = label.clone();
             }
-            let traced = s.trace.enabled;
-            let job = JobSpec::new(label, config_repr, s.seed, move || run_summary(&s, &taus));
-            // A cache hit would skip the simulation and write no trace file.
+            let job = job(label, s.seed, s);
             if traced {
                 job.uncacheable()
             } else {
@@ -945,8 +916,9 @@ mod tests {
 
     #[test]
     fn config_repr_is_engine_free_and_fresh() {
-        let repr = quick_spec("2-2", SchedulerKind::Dynamic, 1).config_repr();
-        assert!(repr.starts_with("dmp-sim/v9/"), "{repr}");
+        let repr = batch_jobs(&quick_spec("2-2", SchedulerKind::Dynamic, 1), 1, &[4.0])
+            .remove(0)
+            .config_repr;
         for word in ["Calendar", "Heap", "engine"] {
             assert!(!repr.contains(word), "{word} in {repr}");
         }

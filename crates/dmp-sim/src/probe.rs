@@ -105,16 +105,14 @@ pub fn run_saturation(spec: &ExperimentSpec) -> SaturationReport {
 }
 
 /// Build one cacheable [`JobSpec`] per probe replication (seeds
-/// `spec.seed + i`), mirroring [`crate::experiment::batch_jobs`]. The key
-/// lives in its own `dmp-sim-sat/` namespace so a probe can never collide
+/// `spec.seed + i`), mirroring [`crate::experiment::batch_jobs`], keyed on
+/// the replica's spec. The payload type keeps a probe from ever colliding
 /// with a streaming summary of the same spec.
 pub fn saturation_jobs(spec: &ExperimentSpec, runs: usize) -> Vec<JobSpec<SaturationReport>> {
     (0..runs)
         .map(|i| {
             let mut s = spec.clone();
             s.seed = spec.seed.wrapping_add(i as u64);
-            // v1: initial probe (video rate forced to 2× aggregate capacity).
-            let config_repr = format!("dmp-sim-sat/v1/{}", s.config_repr());
             let label = format!(
                 "sat:{}:{}:{}:run{}",
                 spec.setting.name,
@@ -122,7 +120,8 @@ pub fn saturation_jobs(spec: &ExperimentSpec, runs: usize) -> Vec<JobSpec<Satura
                 spec.strategy.name(),
                 i
             );
-            JobSpec::new(label, config_repr, s.seed, move || run_saturation(&s))
+            let seed = s.seed;
+            JobSpec::keyed(label, s, seed, run_saturation)
         })
         .collect()
 }
@@ -181,7 +180,6 @@ mod tests {
             .iter()
             .map(|s| saturation_jobs(s, 1)[0].config_repr.clone())
             .collect();
-        assert!(keys.iter().all(|k| k.starts_with("dmp-sim-sat/v1/")));
         assert_ne!(keys[0], keys[1]);
         assert_ne!(keys[0], keys[2]);
     }

@@ -13,6 +13,7 @@
 //! decides it, and the suite reaches the reference heap through netsim's
 //! test-oracle scope.
 
+use std::ops::Range;
 use std::path::PathBuf;
 
 use dmp_core::{FleetReport, SessionOutcome};
@@ -102,7 +103,7 @@ impl FleetResult {
         };
         Json::obj([
             ("name", Json::Str(spec.name.clone())),
-            ("config", Json::Str(spec.config_repr())),
+            ("config", Json::Str(format!("{spec:?}"))),
             ("sessions", Json::Num(r.sessions as f64)),
             ("started", Json::Num(r.started as f64)),
             ("completed", Json::Num(r.completed as f64)),
@@ -178,7 +179,6 @@ pub fn run_fleet(runner: &Runner, spec: &FleetSpec, opts: &FleetOptions) -> Flee
     spec.validate().expect("valid fleet spec");
     let shards = spec.shard_count();
     let chunk = opts.shards_per_job.max(1);
-    let config = spec.config_repr();
     let trace_dir = opts.trace.then(|| {
         opts.trace_dir
             .clone()
@@ -189,24 +189,24 @@ pub fn run_fleet(runner: &Runner, spec: &FleetSpec, opts: &FleetOptions) -> Flee
     let mut lo = 0u32;
     while lo < shards {
         let hi = (lo + chunk).min(shards);
-        let job_spec = spec.clone();
         let dir = trace_dir.clone();
-        let job = JobSpec::new(
+        let job = JobSpec::keyed(
             format!("fleet:{}:shards{lo}-{}", spec.name, hi - 1),
-            format!("{config}/shards{lo}-{hi}"),
+            (spec.clone(), lo..hi),
             spec.seed,
-            move || {
-                (lo..hi)
+            move |(spec, range): &(FleetSpec, Range<u32>)| {
+                range
+                    .clone()
                     .map(|shard| {
                         let traced = dir.as_ref().map(|d| {
-                            let label = shard_trace_label(&job_spec.name, shard);
+                            let label = shard_trace_label(&spec.name, shard);
                             (
                                 d.join(format!("{}.jsonl", obs::sanitize_label(&label))),
                                 label,
                             )
                         });
                         run_shard(
-                            &job_spec,
+                            spec,
                             shard,
                             traced.as_ref().map(|(p, l)| (p.as_path(), l.as_str())),
                         )

@@ -15,13 +15,6 @@
 //! through [`FleetTimeline::inverse_cumulative`]. That is how `crates/fleet`
 //! turns one RNG stream into a churn schedule that is a pure function of the
 //! spec seed — independent of thread count, shard chunking, and engine.
-//!
-//! Like [`crate::Scenario`], a timeline has a canonical text form that
-//! round-trips through [`FleetTimeline::parse`] and a stable FNV-1a hash for
-//! content-addressed cache keys.
-
-use dmp_base::hash::StableHasher;
-use std::fmt;
 
 /// One arrival-rate spike: the fleet arrival rate is multiplied by `factor`
 /// on `[at_s, at_s + duration_s)`.
@@ -42,7 +35,7 @@ pub struct RateSpike {
 /// the base rate everywhere.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetTimeline {
-    /// Timeline name (no whitespace; part of the stable hash).
+    /// Timeline name (no whitespace).
     pub name: String,
     /// The spikes, in script order.
     pub spikes: Vec<RateSpike>,
@@ -154,83 +147,6 @@ impl FleetTimeline {
         }
         prev + (x - acc) / self.rate_at(base, prev)
     }
-
-    /// Canonical text form: one header line, then one line per spike in
-    /// script order (`{:?}` floats round-trip exactly, so
-    /// [`FleetTimeline::parse`] reproduces the timeline bit-for-bit).
-    pub fn canonical(&self) -> String {
-        let mut out = format!(
-            "fleet-timeline {}\n",
-            if self.name.is_empty() {
-                "-"
-            } else {
-                &self.name
-            }
-        );
-        for s in &self.spikes {
-            out.push_str(&format!(
-                "{:?} spike {:?} {:?}\n",
-                s.at_s, s.factor, s.duration_s
-            ));
-        }
-        out
-    }
-
-    /// Parse the canonical text form back into a timeline.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (_, header) = lines.next().ok_or("empty timeline text")?;
-        let name = header
-            .strip_prefix("fleet-timeline ")
-            .ok_or_else(|| format!("bad header: {header:?}"))?
-            .trim();
-        let mut t = FleetTimeline {
-            name: if name == "-" {
-                String::new()
-            } else {
-                name.to_string()
-            },
-            spikes: Vec::new(),
-        };
-        for (ln, line) in lines {
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            let err = |msg: &str| format!("line {}: {msg}: {line:?}", ln + 1);
-            if toks.len() != 4 || toks[1] != "spike" {
-                return Err(err("expected `<at> spike <factor> <duration>`"));
-            }
-            let f = |i: usize| -> Result<f64, String> {
-                toks[i].parse().map_err(|_| err("bad number"))
-            };
-            t.spikes.push(RateSpike {
-                at_s: f(0)?,
-                factor: f(2)?,
-                duration_s: f(3)?,
-            });
-        }
-        Ok(t)
-    }
-
-    /// Stable 64-bit hash of the canonical form (FNV-1a), embedded in fleet
-    /// cache keys so two runs with different arrival profiles can never be
-    /// served each other's cached shard results.
-    pub fn stable_hash(&self) -> u64 {
-        let mut h = StableHasher::new();
-        h.write(self.canonical().as_bytes());
-        h.finish_u64()
-    }
-}
-
-impl fmt::Display for RateSpike {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "spike ×{:?} at {:?}s for {:?}s",
-            self.factor, self.at_s, self.duration_s
-        )
-    }
 }
 
 #[cfg(test)]
@@ -241,32 +157,6 @@ mod tests {
         FleetTimeline::named("flash")
             .spike(10.0, 5.0, 20.0)
             .spike(25.0, 2.0, 10.0)
-    }
-
-    #[test]
-    fn canonical_round_trips() {
-        let t = sample();
-        assert_eq!(FleetTimeline::parse(&t.canonical()).unwrap(), t);
-        let d = FleetTimeline::default();
-        assert_eq!(FleetTimeline::parse(&d.canonical()).unwrap(), d);
-        // Awkward floats survive.
-        let t = FleetTimeline::named("f").spike(0.1 + 0.2, 1.0 / 3.0, 7.0);
-        assert_eq!(FleetTimeline::parse(&t.canonical()).unwrap(), t);
-    }
-
-    #[test]
-    fn hash_is_stable_and_discriminating() {
-        assert_eq!(sample().stable_hash(), sample().stable_hash());
-        let mut other = sample();
-        other.spikes[0].factor = 5.000001;
-        assert_ne!(sample().stable_hash(), other.stable_hash());
-        assert_ne!(
-            FleetTimeline::named("a").stable_hash(),
-            FleetTimeline::named("b").stable_hash()
-        );
-        // Golden: the `timeline#…` suffix of every spike-free fleet cache key.
-        let plain = FleetTimeline::default();
-        assert_eq!(plain.stable_hash(), 0x2a95_ab9d_d6c2_8ebc);
     }
 
     #[test]

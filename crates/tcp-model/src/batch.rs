@@ -1,21 +1,22 @@
-//! Batched model-plane evaluation: τ/µ sweeps compiled into independent,
-//! cacheable [`dmp_runner`] jobs.
+//! Batched model-plane evaluation: τ/µ sweeps as grids of independent
+//! **model cells**.
 //!
-//! A planner heatmap or validation curve is a grid of **model cells**, each
-//! fully described by a small spec (paths, rates, tuning). This module names
-//! those cells — [`LateCellSpec`] for one `f(τ)` point, [`MuCellSpec`] for
-//! one max-µ bisection, [`ExactCellSpec`] for one exact CTMC solve — and
-//! turns each into a `JobSpec` whose `config_repr` content-addresses the
-//! computation. The runner then fans the grid across threads and the cache
-//! makes re-renders free.
+//! A planner heatmap or validation curve is a grid of cells, each fully
+//! described by a small spec (paths, rates, tuning). This module names those
+//! cells — [`LateCellSpec`] for one `f(τ)` point, [`MuCellSpec`] for one
+//! max-µ bisection, [`ExactCellSpec`] for one exact CTMC solve — each with a
+//! pure `run`. The model crate submits nothing: callers wrap a cell in
+//! `dmp_runner::JobSpec::keyed(label, cell, seed, LateCellSpec::run)`, whose
+//! key is the cell's type and derived `Debug`, and the runner fans the grid
+//! across threads while its cache makes re-renders free.
 //!
 //! The exact cell is the one place the state-space cap can bite, so its
 //! payload is [`ExactOutcome`]: a solver failure is a *value* (cached like
 //! any other result, rendered into the artifact as a failed cell) rather
 //! than a panic tripping the runner's isolation.
 
+use dmp_base::{Json, JsonCodec};
 use dmp_core::spec::PathSpec;
-use dmp_runner::{JobSpec, Json, JsonCodec};
 
 use crate::calibrate;
 use crate::dmp::{static_streaming_late_fraction, DmpModel, DmpSsa};
@@ -24,9 +25,7 @@ use crate::search::{evaluate_tau_with, max_mu, PlannerOptions};
 use crate::solver::SolveOptions;
 
 /// One `f(τ)` model point: the SSA late-fraction estimator at fixed paths,
-/// µ and τ. This is the cell behind the Figure 4/5/8 curves (formerly
-/// `model_point_job` in the bench crate; the spec form keeps the repr — and
-/// therefore the cache namespace — byte-identical).
+/// µ and τ. This is the cell behind the Figure 4/5/8 curves.
 #[derive(Debug, Clone)]
 pub struct LateCellSpec {
     /// Per-path TCP parameters.
@@ -42,34 +41,11 @@ pub struct LateCellSpec {
 }
 
 impl LateCellSpec {
-    /// Stable cache identity. The namespace is `model-late/v1` — unchanged
-    /// from the pre-batch `model_point_job`, because the computation is
-    /// unchanged; `tests/model_cache_key.rs` pins the byte compatibility.
-    pub fn config_repr(&self) -> String {
-        let Self {
-            paths,
-            mu,
-            tau_s,
-            consumptions,
-            seed,
-        } = self;
-        format!(
-            "model-late/v1/paths{paths:?}/mu{mu}/tau{tau_s}/consumptions{consumptions}/seed{seed}"
-        )
-    }
-
     /// Evaluate the cell.
     pub fn run(&self) -> f64 {
         DmpModel::new(self.paths.clone(), self.mu, self.tau_s)
             .late_fraction(self.consumptions, self.seed)
             .f
-    }
-
-    /// Package as a cacheable runner job.
-    pub fn into_job(self, label: impl Into<String>) -> JobSpec<f64> {
-        let config_repr = self.config_repr();
-        let seed = self.seed;
-        JobSpec::new(label, config_repr, seed, move || self.run())
     }
 }
 
@@ -129,11 +105,6 @@ impl MuCellSpec {
             .sum()
     }
 
-    /// Stable cache identity (namespace `tcp-model-mu/v1`).
-    pub fn config_repr(&self) -> String {
-        format!("tcp-model-mu/v1/{self:?}")
-    }
-
     /// Run the bisection; `None` when even the lower bracket is infeasible.
     pub fn run(&self) -> Option<f64> {
         let opts = self.opts;
@@ -170,13 +141,6 @@ impl MuCellSpec {
             ),
         }
     }
-
-    /// Package as a cacheable runner job.
-    pub fn into_job(self, label: impl Into<String>) -> JobSpec<Option<f64>> {
-        let config_repr = self.config_repr();
-        let seed = self.opts.search.seed;
-        JobSpec::new(label, config_repr, seed, move || self.run())
-    }
 }
 
 /// One exact-solver cell: a single-flow [`ExactDmp`] instance solved by
@@ -198,13 +162,6 @@ pub struct ExactCellSpec {
 }
 
 impl ExactCellSpec {
-    /// Stable cache identity (namespace `tcp-model-exact/v2`; `v1` entries
-    /// hold the power iteration's `f`, which differs in its 13th digit, and
-    /// its 20 × larger `iterations`).
-    pub fn config_repr(&self) -> String {
-        format!("tcp-model-exact/v2/{self:?}")
-    }
-
     /// Solve the cell. State-space overflow (or any future typed solver
     /// error) comes back as [`ExactOutcome::Error`] — an ordinary value, so
     /// the runner caches it instead of burning the retry every render.
@@ -222,15 +179,9 @@ impl ExactCellSpec {
             },
         }
     }
-
-    /// Package as a cacheable runner job (deterministic, so seed 0).
-    pub fn into_job(self, label: impl Into<String>) -> JobSpec<ExactOutcome> {
-        let config_repr = self.config_repr();
-        JobSpec::new(label, config_repr, 0, move || self.run())
-    }
 }
 
-/// Payload of an [`ExactCellSpec`] job: either the stationary summary or a
+/// What an [`ExactCellSpec`] evaluates to: either the stationary summary or a
 /// typed solver failure. Both variants round-trip through the cache.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExactOutcome {
@@ -297,24 +248,6 @@ mod tests {
 
     fn paths() -> Vec<PathSpec> {
         vec![PathSpec::from_ms(0.02, 150.0, 4.0); 2]
-    }
-
-    #[test]
-    fn late_cell_repr_matches_the_legacy_model_point_namespace() {
-        // The bench crate cached `model_point_job` results under this exact
-        // string; the spec form must keep hitting those entries.
-        let spec = LateCellSpec {
-            paths: paths(),
-            mu: 25.0,
-            tau_s: 6.0,
-            consumptions: 300_000,
-            seed: 2007,
-        };
-        let legacy = format!(
-            "model-late/v1/paths{:?}/mu{}/tau{}/consumptions{}/seed{}",
-            spec.paths, spec.mu, spec.tau_s, spec.consumptions, spec.seed
-        );
-        assert_eq!(spec.config_repr(), legacy);
     }
 
     #[test]
@@ -385,10 +318,5 @@ mod tests {
             "dmp µmax {dmp} should not trail static {stat}"
         );
         assert!(dmp > single && stat > single, "{dmp}/{stat} vs {single}");
-        // And the repr pins the scheme (distinct cache cells per scheme).
-        assert_ne!(
-            cell(PlannerScheme::Dmp).config_repr(),
-            cell(PlannerScheme::Static).config_repr()
-        );
     }
 }

@@ -18,8 +18,8 @@
 //! * [`calibrate`] — self-consistent `σ_a/µ` dialling against the chain's
 //!   own backlogged throughput;
 //! * [`stored`] — the stored-video extension (the paper's future work);
-//! * [`batch`] — τ/µ sweeps compiled into independent, cacheable runner
-//!   jobs (the capacity planner's cells).
+//! * [`batch`] — τ/µ sweeps as grids of independent model cells (the
+//!   capacity planner's), each a pure `run` its callers key and submit.
 
 #![warn(missing_docs)]
 

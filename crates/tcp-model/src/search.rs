@@ -10,7 +10,6 @@
 
 use crate::dmp::{DmpModel, DmpSsa, LateFracEstimate};
 use dmp_core::spec::PathSpec;
-use dmp_runner::JobSpec;
 
 /// Tuning of the search.
 #[derive(Debug, Clone, Copy)]
@@ -221,25 +220,6 @@ impl TauSearchSpec {
         let mu = self.mu;
         required_startup_delay(move |tau| DmpModel::new(paths.clone(), mu, tau), &self.opts)
     }
-
-    /// Stable textual representation for content-addressed caching; every
-    /// field that influences the result appears, and the version tag
-    /// invalidates old entries if search semantics change.
-    ///
-    /// Version history: v1 fresh-SSA-per-evaluation; v2 the batched model
-    /// plane (workspace-reusing evaluations; results are asserted identical,
-    /// but the bump invalidates defensively and `tests/model_cache_key.rs`
-    /// keeps the namespaces disjoint).
-    pub fn config_repr(&self) -> String {
-        format!("tcp-model-tau/v2/{self:?}")
-    }
-
-    /// Package the search as a cacheable runner job.
-    pub fn into_job(self, label: impl Into<String>) -> JobSpec<Option<f64>> {
-        let config_repr = self.config_repr();
-        let seed = self.opts.seed;
-        JobSpec::new(label, config_repr, seed, move || self.run())
-    }
 }
 
 #[cfg(test)]
@@ -314,11 +294,6 @@ mod tests {
             spec.run(),
             required_startup_delay(model_family(1.8, 25.0), &opts)
         );
-        // The repr must pin every input (τ-grid aside, which is the search's
-        // own business).
-        let repr = spec.config_repr();
-        assert!(repr.contains("tcp-model-tau/v2"));
-        assert!(repr.contains("25.0"));
     }
 
     #[test]

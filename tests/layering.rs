@@ -14,7 +14,7 @@ const ALLOWED: &[(&str, &str)] = &[
     ("scenario", "dmp-base netsim obs"),
     ("dmp-core", "dmp-base"),
     ("dmp-runner", "dmp-base"),
-    ("tcp-model", "dmp-core dmp-runner"),
+    ("tcp-model", "dmp-base dmp-core"),
     ("dmp-sim", "cc dmp-core dmp-runner netsim obs scenario"),
     ("dmp-live", "dmp-core dmp-runner obs scenario tcp-model"),
     (
