@@ -50,7 +50,7 @@ pub fn fleet_spec(scale: &Scale) -> FleetSpec {
 /// Fleet churn study (see module docs).
 pub fn ext_fleet(runner: &Runner, scale: &Scale) -> TargetReport {
     let opts = FleetOptions {
-        trace: scale.trace,
+        trace_dir: scale.trace_dir(),
         ..FleetOptions::default()
     };
     let spec = fleet_spec(scale);
@@ -95,6 +95,7 @@ pub fn ext_fleet(runner: &Runner, scale: &Scale) -> TargetReport {
     TargetReport::new(t.render(), data)
         .with_meta("shards", result.shards_meta())
         .with_metrics(result.metrics)
+        .with_trace_files(result.trace_files)
 }
 
 /// Fleet sizes swept by [`fleet_headroom`], smallest first.

@@ -11,9 +11,10 @@
 use std::time::Duration;
 
 use dmp_core::spec::VideoSpec;
-use dmp_live::{model_prediction, run_experiment, LiveExperiment, PathProfile};
-use dmp_runner::{JobSpec, Json, Runner};
+use dmp_live::{model_prediction, run_experiment, AppliedPoint, LiveExperiment, PathProfile};
+use dmp_runner::{JobSpec, Json, JsonCodec, Runner};
 use dmp_sim::RunSummary;
+use obs::TraceSpec;
 
 use crate::report::{frac, Table};
 use crate::scale::Scale;
@@ -26,6 +27,7 @@ pub fn experiment_set(scale: &Scale) -> Vec<LiveExperiment> {
     let mut v = Vec::new();
     let pkt = 1448u32;
     let bits = f64::from(pkt) * 8.0;
+    let trace_dir = scale.trace_dir();
     for i in 0..scale.live_experiments {
         let (mu, ratio, hetero) = match i % 5 {
             0 => (25.0, 1.4, false),
@@ -60,10 +62,35 @@ pub fn experiment_set(scale: &Scale) -> Vec<LiveExperiment> {
             seed: scale.seed.wrapping_add(i as u64 * 97),
             time_dilation: scale.live_time_dilation,
             schedules: None,
-            trace_label: scale.trace.then(|| format!("fig7_live_exp{i}")),
+            trace: trace_dir
+                .as_ref()
+                .map(|dir| TraceSpec::new(format!("fig7_live_exp{i}"), dir)),
         });
     }
     v
+}
+
+/// What a live-run job returns: the lateness summary, plus the shaping
+/// timeline each emulated path applied. The codec is `RunSummary`'s, so the
+/// timelines, like the trace file, come back from a run, never the cache.
+pub struct LiveSummary {
+    /// Lateness, frame metrics and the trace file of the run.
+    pub summary: RunSummary,
+    /// Per path, the shaping states the emulator applied, nominal time.
+    pub timelines: Vec<Vec<AppliedPoint>>,
+}
+
+impl JsonCodec for LiveSummary {
+    fn to_json(&self) -> Json {
+        self.summary.to_json()
+    }
+
+    fn from_json(json: &Json) -> Option<Self> {
+        Some(Self {
+            summary: RunSummary::from_json(json)?,
+            timelines: Vec::new(),
+        })
+    }
 }
 
 /// One live-run job: stream the experiment on its own (thread-per-task)
@@ -72,9 +99,9 @@ pub fn experiment_set(scale: &Scale) -> Vec<LiveExperiment> {
 /// *recorded* measurement for that configuration and seed instead of
 /// re-streaming for `packets/µ` seconds. Delete `target/dmp-cache` or set
 /// `DMP_NO_CACHE=1` to re-measure.
-fn live_job(i: usize, exp: LiveExperiment, taus: Vec<f64>) -> JobSpec<RunSummary> {
+fn live_job(i: usize, exp: LiveExperiment, taus: Vec<f64>) -> JobSpec<LiveSummary> {
     let seed = exp.seed;
-    let traced = exp.trace_label.is_some();
+    let traced = exp.trace.is_some();
     let job = JobSpec::keyed(
         format!("fig7:live:exp{i}"),
         (exp, taus),
@@ -88,10 +115,14 @@ fn live_job(i: usize, exp: LiveExperiment, taus: Vec<f64>) -> JobSpec<RunSummary
             // diff a live run against a simulated one rather than report drift.
             let mut metrics = obs::MetricsSnapshot::new().with_label("backend", "live");
             obs::record_frame_metrics(&mut metrics, run.output.trace.frames());
-            RunSummary {
-                paths: Vec::new(),
-                per_tau: run.report.per_tau,
-                metrics,
+            LiveSummary {
+                summary: RunSummary {
+                    paths: Vec::new(),
+                    per_tau: run.report.per_tau,
+                    metrics,
+                    trace_file: run.trace_file,
+                },
+                timelines: run.timelines,
             }
         },
     );
@@ -130,7 +161,7 @@ pub fn fig7(r: &Runner, scale: &Scale) -> TargetReport {
                     // The model never looks at the trace label; dropping it
                     // keeps one cache entry per configuration whether or not
                     // the measurement run was traced.
-                    exp.trace_label = None;
+                    exp.trace = None;
                     let seed = exp.seed;
                     JobSpec::keyed(
                         format!("fig7:model:exp{i}:tau{tau_s}"),
@@ -156,11 +187,26 @@ pub fn fig7(r: &Runner, scale: &Scale) -> TargetReport {
     let mut in_band_count = 0u32;
     let mut points = Vec::new();
     let mut metrics = obs::MetricsSnapshot::new();
-    for (i, cell) in live_cells.iter().enumerate() {
-        let summary = cell
+    let mut timelines = Vec::new();
+    let mut trace_files = Vec::new();
+    for (i, (cell, exp)) in live_cells.iter().zip(&experiments).enumerate() {
+        let live = cell
             .ok()
             .unwrap_or_else(|| panic!("{} failed: {:?}", cell.label, cell.failure()));
+        let summary = &live.summary;
         metrics.merge(&summary.metrics);
+        trace_files.extend(summary.trace_file.clone());
+        for (k, points) in live.timelines.iter().enumerate() {
+            let points = points.iter().map(|p| {
+                Json::obj([
+                    ("t_s", Json::Num(p.t.as_secs_f64())),
+                    ("rate_bps", Json::Num(p.rate_bps)),
+                    ("delay_s", Json::Num(p.delay.as_secs_f64())),
+                    ("down", Json::Bool(p.down)),
+                ])
+            });
+            timelines.push((format!("seed{}-path{k}", exp.seed), Json::arr(points)));
+        }
         for (ti, lf) in summary.per_tau.iter().enumerate() {
             a.row(vec![
                 i.to_string(),
@@ -222,5 +268,13 @@ pub fn fig7(r: &Runner, scale: &Scale) -> TargetReport {
     ]);
     // `backend=live` rides in from every summary; no engine label — there is
     // no discrete-event engine behind a wall-clock measurement.
-    TargetReport::new(text, data).with_metrics(metrics)
+    let mut report = TargetReport::new(text, data)
+        .with_metrics(metrics)
+        .with_trace_files(trace_files);
+    // Live-path evidence for the sidecar, from the runs that streamed (a
+    // cached run has none): volatile by nature, never in the artifact.
+    if !timelines.is_empty() {
+        report = report.with_meta("live_timelines", Json::obj(timelines));
+    }
+    report
 }

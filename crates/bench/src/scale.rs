@@ -3,6 +3,9 @@
 //! committed artifacts and the tests; seconds, noisier estimates but the
 //! same shape).
 
+use std::path::PathBuf;
+
+use dmp_runner::ArtifactWriter;
 use tcp_model::SearchOptions;
 
 /// Knobs shared by all reproduction targets.
@@ -66,6 +69,12 @@ impl Scale {
             seed: 2007,
             trace: false,
         }
+    }
+
+    /// Where traced targets write their flight-recorder files (`None`
+    /// unless `trace` is on): the artifact directory's `traces/`.
+    pub fn trace_dir(&self) -> Option<PathBuf> {
+        self.trace.then(|| ArtifactWriter::from_env().trace_dir())
     }
 
     /// Search options matching this scale (threshold 1e-4 as in the paper).

@@ -88,10 +88,8 @@ fn scenario_spec(
 ) -> ExperimentSpec {
     let mut spec = ExperimentSpec::new(setting, scheduler, scale.sim_duration_s, scale.seed);
     spec.scenario = scn.clone();
-    if scale.trace {
-        // Per-run labels come from the job labels in `scenario_batch_jobs`.
-        spec.trace = TraceSpec::on("");
-    }
+    // Per-run labels come from the job labels in `scenario_batch_jobs`.
+    spec.trace = scale.trace_dir().map(|dir| TraceSpec::new("", dir));
     spec
 }
 
@@ -244,14 +242,16 @@ fn render(
             Json::Arr(rows.iter().map(SchedRow::to_json).collect()),
         ),
     ]);
-    // Merged always-on metrics over every replication.
+    // Merged always-on metrics over every replication, and the trace files
+    // of a traced run.
+    let runs = || rows.iter().flat_map(|row| &row.runs);
     let mut metrics = obs::MetricsSnapshot::new();
-    for row in rows {
-        for s in &row.runs {
-            metrics.merge(&s.summary.metrics);
-        }
+    for s in runs() {
+        metrics.merge(&s.summary.metrics);
     }
-    TargetReport::new(text, data).with_metrics(metrics)
+    TargetReport::new(text, data)
+        .with_metrics(metrics)
+        .with_trace_files(runs().filter_map(|s| s.summary.trace_file.clone()))
 }
 
 /// Scenario extension 1 — mid-stream path failure (see module docs).

@@ -9,7 +9,7 @@
 use std::time::{Duration, Instant};
 
 use dmp_runner::{ArtifactWriter, Json, JsonCodec, Runner, RunnerStats};
-use obs::MetricsSnapshot;
+use obs::{MetricsSnapshot, TraceFileRef};
 
 use crate::report::Table;
 use crate::scale::Scale;
@@ -32,6 +32,9 @@ pub struct TargetReport {
     /// compares — and mirrors it into the `.meta.json` sidecar's `metrics`
     /// section for one-file reading.
     pub metrics: Option<MetricsSnapshot>,
+    /// The flight-recorder files the target's runs returned (empty unless
+    /// the scale's `trace` flag is on), listed in the sidecar.
+    pub trace_files: Vec<TraceFileRef>,
 }
 
 impl TargetReport {
@@ -42,6 +45,7 @@ impl TargetReport {
             data,
             meta: Vec::new(),
             metrics: None,
+            trace_files: Vec::new(),
         }
     }
 
@@ -54,6 +58,12 @@ impl TargetReport {
     /// Attach the target's metrics snapshot.
     pub fn with_metrics(mut self, metrics: MetricsSnapshot) -> Self {
         self.metrics = Some(metrics);
+        self
+    }
+
+    /// Attach the trace files the target's runs returned.
+    pub fn with_trace_files(mut self, files: impl IntoIterator<Item = TraceFileRef>) -> Self {
+        self.trace_files.extend(files);
         self
     }
 }
@@ -181,36 +191,12 @@ pub fn execute(
     ]);
     #[cfg(feature = "profile")]
     engine_meta.push(("engine_profile", profile_meta()));
-    // Live-path evidence: the shaping timeline each emulated path actually
-    // applied during this target's wall-clock runs (empty for pure-sim
-    // targets). Volatile by nature, hence the meta sidecar, not the artifact.
-    let timelines = dmp_live::telemetry::drain_timelines();
-    if !timelines.is_empty() {
-        engine_meta.push((
-            "live_timelines",
-            Json::obj(timelines.into_iter().map(|(label, points)| {
-                (
-                    label,
-                    Json::arr(points.iter().map(|p| {
-                        Json::obj([
-                            ("t_s", Json::Num(p.t.as_secs_f64())),
-                            ("rate_bps", Json::Num(p.rate_bps)),
-                            ("delay_s", Json::Num(p.delay.as_secs_f64())),
-                            ("down", Json::Bool(p.down)),
-                        ])
-                    })),
-                )
-            })),
-        ));
-    }
-    // Flight-recorder traces written during this target (empty unless the
-    // scale's `trace` flag is on): label → JSONL file, so a reader of the
-    // sidecar can find the raw event streams behind the summary numbers.
-    let trace_files = obs::drain_trace_files();
-    if !trace_files.is_empty() {
+    // Label → JSONL file, so a reader of the sidecar can find the raw event
+    // streams behind the summary numbers.
+    if !report.trace_files.is_empty() {
         engine_meta.push((
             "trace_files",
-            Json::arr(trace_files.into_iter().map(|f| {
+            Json::arr(report.trace_files.into_iter().map(|f| {
                 Json::obj([
                     ("label", Json::Str(f.label)),
                     ("path", Json::Str(f.path.display().to_string())),

@@ -24,8 +24,8 @@ pub const LABEL: &str = "ext_failover_quick_run0";
 pub const DURATION_S: f64 = 60.0;
 
 /// The example's experiment spec: the `ext_failover` study setting and
-/// script at `DURATION_S`, first replication (base seed).
-/// `dir = None` leaves the trace in `ArtifactWriter::from_env().trace_dir()`.
+/// script at `DURATION_S`, first replication (base seed), traced into `dir`
+/// (`None`: untraced).
 pub fn example_spec(dir: Option<&Path>) -> ExperimentSpec {
     let (scn, _fail_at) = scenarios::failover_scenario(DURATION_S);
     let mut spec = ExperimentSpec::new(
@@ -35,8 +35,7 @@ pub fn example_spec(dir: Option<&Path>) -> ExperimentSpec {
         2007,
     );
     spec.scenario = scn;
-    spec.trace = TraceSpec::on(LABEL);
-    spec.trace.dir = dir.map(Path::to_path_buf);
+    spec.trace = dir.map(|dir| TraceSpec::new(LABEL, dir));
     spec
 }
 
@@ -52,18 +51,16 @@ pub fn example_report_options() -> ReportOptions {
 }
 
 /// Run the example into `dir`, returning the trace path, the run itself and
-/// the rendered report text. Drains the process-wide [`obs`] registry, so
-/// callers in test binaries must not race other registry users.
+/// the rendered report text.
 pub fn generate(dir: &Path) -> (PathBuf, RunOutput, String) {
     let out = dmp_sim::experiment::run(&example_spec(Some(dir)));
-    let registered = obs::drain_trace_files();
-    let file = registered
-        .iter()
-        .find(|f| f.label == LABEL)
-        .expect("traced run must register its trace file");
+    let file = out
+        .trace_file
+        .clone()
+        .expect("a traced run returns its trace file");
     let text = std::fs::read_to_string(&file.path).expect("read trace file");
     let trace = Trace::parse(&text).expect("parse trace");
     assert_eq!(trace.events.len() as u64, file.events);
     let report = render_report(&trace, &example_report_options());
-    (file.path.clone(), out, report)
+    (file.path, out, report)
 }

@@ -18,13 +18,14 @@ use std::fmt::Debug;
 use std::time::Duration;
 
 use cc::CcKind;
+use dmp_bench::live_fig::LiveSummary;
 use dmp_core::spec::{PathSpec, PullStrategy, SchedulerKind};
 use dmp_core::ResilienceSpec;
 use dmp_fleet::{FleetSpec, ShardOutput};
 use dmp_live::LiveExperiment;
 use dmp_runner::JobSpec;
 use dmp_sim::probe::saturation_jobs;
-use dmp_sim::{batch_jobs, scenario_batch_jobs, setting, ExperimentSpec, RunSummary, TraceSpec};
+use dmp_sim::{batch_jobs, scenario_batch_jobs, setting, ExperimentSpec, TraceSpec};
 use netsim::tcp::TcpFlavor;
 use scenario::{FleetTimeline, Scenario};
 use tcp_model::{
@@ -80,7 +81,7 @@ const SPEC_FIELDS: [fn(&mut ExperimentSpec); 13] = [
     |s| s.cc = CcKind::Cubic,
     |s| s.strategy = PullStrategy::BestPath,
     |s| s.scenario = Scenario::named("noop"),
-    |s| s.trace.ring += 1,
+    |s| s.trace = Some(TraceSpec::new("t", "d")),
     |s| s.seed += 1,
 ];
 
@@ -114,7 +115,7 @@ const LIVE_FIELDS: [fn(&mut LiveExperiment); 8] = [
     |e| e.seed += 1,
     |e| e.time_dilation += 1.0,
     |e| e.schedules = Some(Vec::new()),
-    |e| e.trace_label = Some("t".into()),
+    |e| e.trace = Some(TraceSpec::new("t", "d")),
 ];
 
 const LATE_FIELDS: [fn(&mut LateCellSpec); 5] = [
@@ -166,7 +167,7 @@ fn every_job_family_keys_every_field_of_its_input_and_nothing_else() {
     let sat = |s: ExperimentSpec| saturation_jobs(&s, 1).remove(0).config_repr;
     let fig1 = |s: ExperimentSpec, tau: f64| key::<_, Vec<f64>>((s, tau));
     let shard = |f: FleetSpec, lo: u32| key::<_, Vec<ShardOutput>>((f, lo..lo + 1));
-    let fig7 = |e: LiveExperiment, t: Vec<f64>| key::<_, RunSummary>((e, t));
+    let fig7 = |e: LiveExperiment, t: Vec<f64>| key::<_, LiveSummary>((e, t));
     let fig7_model = |e: LiveExperiment, tau: f64, n: u64| key::<_, f64>((e, tau, n));
 
     // (1) and (4): one job per family, pairwise distinct.
@@ -256,9 +257,8 @@ fn every_job_family_keys_every_field_of_its_input_and_nothing_else() {
 
     // (3): the trace's label and directory name a file, not a simulation.
     let mut traced = spec.clone();
-    traced.trace = TraceSpec::on("a");
-    let mut moved = traced.clone();
-    moved.trace.label = "b".into();
-    moved.trace.dir = Some("elsewhere".into());
+    traced.trace = Some(TraceSpec::new("a", "here"));
+    let mut moved = spec.clone();
+    moved.trace = Some(TraceSpec::new("b", "elsewhere"));
     assert_eq!(sat(traced), sat(moved));
 }

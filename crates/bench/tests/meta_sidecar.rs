@@ -1,9 +1,8 @@
 //! The `.meta.json` sidecar of a live target must carry the run's evidence:
 //! the shaping timeline each emulated path actually applied, and — when the
 //! scale's `trace` flag is on — the flight-recorder trace file references.
-//! One test function: `execute` drains the process-wide [`obs`] and
-//! `dmp_live::telemetry` registries, and the live layer's trace directory
-//! follows the `DMP_ARTIFACT_DIR` environment variable.
+//! One test function: `Scale::trace_dir` follows the `DMP_ARTIFACT_DIR`
+//! environment variable.
 
 use dmp_bench::{target, Scale};
 use dmp_runner::{ArtifactWriter, Cache, Json, Runner};

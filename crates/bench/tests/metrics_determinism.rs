@@ -26,8 +26,7 @@ fn sim_metrics_identical_across_engines_and_tracing() {
         let s = *setting("2-2").expect("built-in");
         let mut spec = ExperimentSpec::new(s, SchedulerKind::Dynamic, 40.0, 7);
         if trace {
-            spec.trace = TraceSpec::on("metrics-det");
-            spec.trace.dir = Some(base.join("traces"));
+            spec.trace = Some(TraceSpec::new("metrics-det", base.join("traces")));
         }
         let summary = run_summary(&spec, &[4.0]);
         summary.metrics.to_json().render()

@@ -1,13 +1,11 @@
 //! The committed flight-recorder example (`artifacts/traces/`) must stay
 //! reproducible byte-for-byte, its report must correlate the failover glitch
 //! with the scripted `PathDown`, and recording the trace must not perturb
-//! the simulation itself. One test function: `trace_example::generate`
-//! drains the process-wide [`obs`] registry.
+//! the simulation itself.
 
 use std::path::Path;
 
 use dmp_bench::trace_example;
-use dmp_sim::experiment::TraceSpec;
 
 fn committed(name: &str) -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -54,9 +52,7 @@ fn committed_example_is_reproducible_and_report_explains_the_glitch() {
     // Behaviour neutrality: the identical spec with tracing off produces the
     // identical simulation (the full-matrix version of this lives in
     // dmp-sim's scheduler_differential test).
-    let mut spec = trace_example::example_spec(None);
-    spec.trace = TraceSpec::off();
-    let untraced = dmp_sim::experiment::run(&spec);
+    let untraced = dmp_sim::experiment::run(&trace_example::example_spec(None));
     assert_eq!(untraced.trace.records(), traced_out.trace.records());
     assert_eq!(
         format!("{:?}", untraced.paths),

@@ -11,13 +11,15 @@
 //! path's achievable throughput and RTT. The model then sees a TCP flow with
 //! the same achievable throughput as the emulated path.
 
+use std::io;
 use std::net::SocketAddr;
 use std::time::Duration;
 
 use dmp_core::metrics::LatenessReport;
 use dmp_core::spec::{PathSpec, VideoSpec};
+use obs::{TraceFileRef, TraceSpec};
 
-use crate::emulator::{PathEmulator, PathProfile};
+use crate::emulator::{AppliedPoint, PathEmulator, PathProfile};
 use crate::stream::{listen, run_stream, LiveConfig, LiveOutput};
 
 /// Default timeout ratio assumed when inverting PFTK (mid-range of the
@@ -51,11 +53,11 @@ pub struct LiveExperiment {
     /// resamplers. `None` = the profiles' own random processes. Step times
     /// are nominal; dilation is applied internally.
     pub schedules: Option<Vec<scenario::PathSchedule>>,
-    /// When set, record an [`obs`] flight-recorder trace under this label:
-    /// the same JSONL schema the simulator emits, timestamped in *nominal*
-    /// nanoseconds (dilated runs are rescaled), written to
-    /// `ArtifactWriter::from_env().trace_dir()` and registered for the sidecars.
-    pub trace_label: Option<String>,
+    /// When set, record an [`obs`] flight-recorder trace to this
+    /// destination: the same JSONL schema the simulator emits, timestamped
+    /// in *nominal* nanoseconds (dilated runs are rescaled), returned in
+    /// [`LiveRun::trace_file`].
+    pub trace: Option<TraceSpec>,
 }
 
 impl LiveExperiment {
@@ -99,6 +101,10 @@ pub struct LiveRun {
     pub report: LatenessReport,
     /// Model-facing path estimates.
     pub est_paths: Vec<PathSpec>,
+    /// Per path, the shaping states its emulator applied, nominal time.
+    pub timelines: Vec<Vec<AppliedPoint>>,
+    /// The trace file [`LiveExperiment::trace`] asked for.
+    pub trace_file: Option<TraceFileRef>,
 }
 
 /// Scale a nominal path profile to run `f`× faster than real time.
@@ -131,18 +137,22 @@ fn undilate_trace(
 }
 
 /// Execute the experiment and evaluate lateness at each τ in `taus_s`.
-pub async fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> std::io::Result<LiveRun> {
+///
+/// A `time_dilation` below 1 (or not finite) and a schedule count other
+/// than the path count are `InvalidInput` errors.
+pub async fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> io::Result<LiveRun> {
     let f = exp.time_dilation;
-    assert!(f >= 1.0, "time_dilation must be ≥ 1 (got {f})");
-    let loopback = vec![SocketAddr::from(([127, 0, 0, 1], 0)); exp.paths.len()];
-    let (listeners, client_addrs) = listen(&loopback).await?;
-    if let Some(schedules) = &exp.schedules {
-        assert_eq!(
-            schedules.len(),
-            exp.paths.len(),
-            "one schedule per path required"
-        );
+    let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+    if !(f.is_finite() && f >= 1.0) {
+        return invalid(format!("time_dilation must be finite and ≥ 1, not {f}"));
     }
+    let paths = exp.paths.len();
+    let schedules = exp.schedules.as_ref().map_or(paths, Vec::len);
+    if schedules != paths {
+        return invalid(format!("{schedules} schedules for {paths} paths"));
+    }
+    let loopback = vec![SocketAddr::from(([127, 0, 0, 1], 0)); paths];
+    let (listeners, client_addrs) = listen(&loopback).await?;
     let mut emus = Vec::new();
     for (k, profile) in exp.paths.iter().enumerate() {
         let dilated = dilate_profile(profile, f);
@@ -171,7 +181,7 @@ pub async fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> std::io::Re
         },
         packets: exp.packets,
         send_buf_bytes: exp.send_buf_bytes,
-        trace: exp.trace_label.is_some(),
+        trace: exp.trace.is_some(),
     };
     let max_tau = taus_s.iter().cloned().fold(1.0, f64::max);
     let grace = Duration::from_secs_f64((max_tau.min(15.0) + 2.0) / f);
@@ -180,22 +190,24 @@ pub async fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> std::io::Re
         output.trace = undilate_trace(&output.trace, exp.video, f);
         output.elapsed = output.elapsed.mul_f64(f);
     }
-    // Surface what each emulated path actually applied (rate/delay/down
-    // timeline) for the artifact sidecars, rescaled to nominal time.
-    for (k, emu) in emus.iter().enumerate() {
-        let timeline: Vec<_> = emu
-            .timeline()
-            .into_iter()
-            .map(|p| crate::emulator::AppliedPoint {
-                t: p.t.mul_f64(f),
-                rate_bps: p.rate_bps / f,
-                delay: p.delay.mul_f64(f),
-                down: p.down,
-            })
-            .collect();
-        crate::telemetry::record_timeline(format!("seed{}-path{k}", exp.seed), timeline);
-    }
-    if let Some(label) = &exp.trace_label {
+    // What each emulated path actually applied (rate/delay/down timeline),
+    // rescaled to nominal time.
+    let timelines = emus
+        .iter()
+        .map(|emu| {
+            emu.timeline()
+                .into_iter()
+                .map(|p| AppliedPoint {
+                    t: p.t.mul_f64(f),
+                    rate_bps: p.rate_bps / f,
+                    delay: p.delay.mul_f64(f),
+                    down: p.down,
+                })
+                .collect()
+        })
+        .collect();
+    let mut trace_file = None;
+    if let Some(trace) = &exp.trace {
         // Rescale event timestamps to nominal time, prepend the path↔conn
         // header (live "connections" are the path socket indices), and sort:
         // tasks interleave, so collection order is not time order.
@@ -215,14 +227,16 @@ pub async fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> std::io::Re
             e
         }));
         events.sort_by_key(|e| e.t);
-        let dir = dmp_runner::ArtifactWriter::from_env().trace_dir();
-        let path = dir.join(format!("{}.jsonl", obs::sanitize_label(label)));
+        let path = trace.path();
         let mut rec = obs::Recorder::to_file(obs::TraceConfig::default(), &path)?;
         for e in &events {
             rec.emit(e.t, e.kind.clone());
         }
-        let written = rec.finish()?;
-        obs::record_trace_file(label.clone(), path, written.events);
+        trace_file = Some(TraceFileRef {
+            label: trace.label.clone(),
+            path,
+            events: rec.finish()?.events,
+        });
         output.trace_events = events;
     }
     let report = LatenessReport::from_trace(&output.trace, taus_s);
@@ -233,6 +247,8 @@ pub async fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> std::io::Re
         output,
         report,
         est_paths,
+        timelines,
+        trace_file,
     })
 }
 
@@ -265,7 +281,7 @@ mod tests {
             seed: 3,
             time_dilation: 1.0,
             schedules: None,
-            trace_label: None,
+            trace: None,
         }
     }
 
@@ -332,21 +348,18 @@ mod tests {
     #[test]
     fn traced_live_run_writes_nominal_time_jsonl_and_registers_it() {
         tokio::runtime::Runtime::new().unwrap().block_on(async {
-            // The live layer writes under the artifact directory; point it at
-            // a temp dir (no other test in this binary reads the variable).
             let dir = std::env::temp_dir().join(format!("dmp-live-trace-{}", std::process::id()));
-            std::env::set_var("DMP_ARTIFACT_DIR", &dir);
             let mut exp = two_path_exp(1_200_000.0, 1_200_000.0, 100.0, 200);
             exp.time_dilation = 4.0; // exercise the nominal-time rescale
-            exp.trace_label = Some("live:test:seed3".into());
+            exp.trace = Some(TraceSpec::new("live:test:seed3", &dir));
             let run = run_experiment(&exp, &[2.0]).await.unwrap();
-            std::env::remove_var("DMP_ARTIFACT_DIR");
 
-            let files = obs::drain_trace_files();
-            let f = files
-                .iter()
-                .find(|f| f.label == "live:test:seed3")
-                .expect("trace file registered");
+            let f = run
+                .trace_file
+                .as_ref()
+                .expect("the run returns its trace file");
+            assert_eq!(f.label, "live:test:seed3");
+            assert_eq!(run.timelines.len(), 2, "one applied timeline per path");
             let text = std::fs::read_to_string(&f.path).unwrap();
             let trace = obs::Trace::parse(&text).unwrap();
             assert_eq!(f.events, text.lines().count() as u64);
@@ -371,6 +384,32 @@ mod tests {
             assert!(run.output.trace.delivered() >= 199);
             std::fs::remove_dir_all(&dir).ok();
         })
+    }
+
+    /// `run_experiment`'s error on `exp`, which must be `InvalidInput`.
+    fn invalid_input(exp: &LiveExperiment) -> String {
+        let run = tokio::runtime::Runtime::new()
+            .unwrap()
+            .block_on(run_experiment(exp, &[1.0]));
+        let err = run.expect_err("the input must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        err.to_string()
+    }
+
+    #[test]
+    fn a_dilation_below_one_is_an_input_error() {
+        for f in [0.5, f64::NAN, f64::INFINITY] {
+            let mut exp = two_path_exp(600_000.0, 600_000.0, 50.0, 100);
+            exp.time_dilation = f;
+            assert!(invalid_input(&exp).contains("time_dilation"));
+        }
+    }
+
+    #[test]
+    fn a_schedule_per_path_is_required() {
+        let mut exp = two_path_exp(600_000.0, 600_000.0, 50.0, 100);
+        exp.schedules = Some(vec![scenario::PathSchedule { steps: Vec::new() }]);
+        assert!(invalid_input(&exp).contains("1 schedules for 2 paths"));
     }
 
     #[test]

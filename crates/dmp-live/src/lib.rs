@@ -17,16 +17,19 @@
 //!   and [`run_stream`], the two joined around a delivery trace; the
 //!   `dmp-server` / `dmp-client` binaries run one half each;
 //! * [`experiment`] — the Fig. 7 validation harness: run, measure late
-//!   fractions, estimate effective path parameters, compare to the model;
-//! * [`telemetry`] — a process-wide registry of the shaping timelines each
-//!   emulated path actually applied, drained into artifact sidecars.
+//!   fractions, estimate effective path parameters, compare to the model.
+//!   A [`LiveRun`] also returns what the run left behind: the shaping
+//!   timeline each emulated path actually applied and, when the experiment
+//!   names a trace destination, the flight-recorder file it wrote.
+//!
+//! The crate reads no environment and links no job runner: where a trace
+//! goes is part of the experiment's input.
 
 #![warn(missing_docs)]
 
 pub mod emulator;
 pub mod experiment;
 pub mod stream;
-pub mod telemetry;
 pub mod wire;
 
 pub use emulator::{AppliedPoint, PathEmulator, PathProfile};

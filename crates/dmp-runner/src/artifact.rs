@@ -47,8 +47,8 @@ impl ArtifactWriter {
         &self.dir
     }
 
-    /// Where a run's JSONL trace files go unless its spec names a
-    /// directory: `traces/` beside the artifacts they explain.
+    /// Where the harness sends its runs' JSONL trace files: `traces/`
+    /// beside the artifacts they explain.
     pub fn trace_dir(&self) -> PathBuf {
         self.dir.join("traces")
     }

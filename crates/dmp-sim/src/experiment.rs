@@ -4,7 +4,7 @@
 //! of Tables 2 and 3).
 
 use std::cell::RefCell;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use dmp_core::metrics::{LateFractions, LatenessReport};
@@ -13,80 +13,17 @@ use dmp_core::scheme::Scheme;
 use dmp_core::spec::{PullStrategy, SchedulerKind};
 use dmp_core::stats::OnlineStats;
 use dmp_core::trace::StreamTrace;
-use dmp_runner::{ArtifactWriter, JobSpec, Json, JsonCodec};
-use netsim::{secs, Sim, SimTracer};
-use obs::{Recorder, TraceConfig};
+use dmp_runner::{JobSpec, Json, JsonCodec};
+use netsim::{secs, FlowId, LinkId, Sim, SimTracer};
+use obs::{Recorder, TraceConfig, TraceFileRef};
 use scenario::{PathBinding, Scenario, ScenarioDriver};
 
 use crate::configs::{config, Setting};
 use crate::topology::{attach_background, build_correlated_scenario, video_tcp, Topology};
 use crate::video::{shared_trace, VideoClient, VideoServer};
 
-/// Flight-recorder configuration for one run.
-///
-/// When `enabled`, the run records an [`obs`] event trace — TCP state
-/// transitions of the video flows, bottleneck/server queue occupancy,
-/// pull/stripe decisions, deliveries, and scripted path events — and writes
-/// it as `<sanitised-label>.jsonl` under `dir` (default
-/// [`ArtifactWriter::trace_dir`]), registering the file in the process-wide
-/// [`obs::registry`](obs::drain_trace_files) for harnesses to reference from
-/// their `.meta.json` sidecars.
-///
-/// `Debug` (and therefore [`ExperimentSpec::config_repr`]) prints only the
-/// semantic fields: the label and directory name the output file, not the
-/// simulation. Trace-enabled jobs are marked uncacheable by [`batch_jobs`] /
-/// [`scenario_batch_jobs`] anyway — a cached summary would skip the
-/// simulation and write no trace.
-#[derive(Clone)]
-pub struct TraceSpec {
-    /// Record a trace for this run.
-    pub enabled: bool,
-    /// In-memory ring capacity before spilling to the file, events.
-    pub ring: usize,
-    /// Emit every Nth queue-occupancy change per queue.
-    pub decimation: u32,
-    /// Run label; the trace file stem is `obs::sanitize_label(label)`. When
-    /// empty a label is derived from setting/scheduler/seed.
-    pub label: String,
-    /// Output directory (`None`: `ArtifactWriter::from_env().trace_dir()`).
-    pub dir: Option<PathBuf>,
-}
-
-impl TraceSpec {
-    /// Tracing disabled (the default; runs behave exactly as before the
-    /// flight recorder existed, byte for byte).
-    pub fn off() -> Self {
-        let cfg = TraceConfig::default();
-        Self {
-            enabled: false,
-            ring: cfg.ring_capacity,
-            decimation: cfg.queue_decimation,
-            label: String::new(),
-            dir: None,
-        }
-    }
-
-    /// Tracing enabled under `label` with default tuning.
-    pub fn on(label: impl Into<String>) -> Self {
-        Self {
-            enabled: true,
-            label: label.into(),
-            ..Self::off()
-        }
-    }
-}
-
-impl std::fmt::Debug for TraceSpec {
-    /// Only semantic fields: every cache key of a spec embeds this, and the
-    /// label/dir must not fragment the key space.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceSpec")
-            .field("enabled", &self.enabled)
-            .field("ring", &self.ring)
-            .field("decimation", &self.decimation)
-            .finish()
-    }
-}
+/// Where [`ExperimentSpec::trace`] sends a run's flight-recorder trace.
+pub use obs::TraceSpec;
 
 /// Specification of one simulation run.
 #[derive(Debug, Clone)]
@@ -120,10 +57,11 @@ pub struct ExperimentSpec {
     /// exactly the paper's setups). Event times are relative to the start of
     /// the video, i.e. `warmup_s` is added on top.
     pub scenario: Scenario,
-    /// Flight-recorder configuration (off by default; recording is
-    /// behaviour-neutral, so traced and untraced runs produce identical
-    /// results).
-    pub trace: TraceSpec,
+    /// Where to write a flight-recorder trace of the video flows, queues,
+    /// scheduler decisions and scripted events (`None` by default), returned
+    /// as [`RunOutput::trace_file`]. Batch jobs relabel it with the job label
+    /// and are not cached. Recording never changes a result.
+    pub trace: Option<TraceSpec>,
     /// RNG seed.
     pub seed: u64,
 }
@@ -143,7 +81,7 @@ impl ExperimentSpec {
             cc: cc::CcKind::Reno,
             strategy: PullStrategy::RoundRobin,
             scenario: Scenario::default(),
-            trace: TraceSpec::off(),
+            trace: None,
             seed,
         }
     }
@@ -180,6 +118,8 @@ pub struct RunOutput {
     /// Always-on metrics: netsim sender/link distributions plus frame-level
     /// delivery metrics, labelled with the run's `cc`/`strategy`.
     pub metrics: obs::MetricsSnapshot,
+    /// The flight-recorder file this run wrote (traced runs only).
+    pub trace_file: Option<TraceFileRef>,
 }
 
 /// An experiment built but not yet run: topology, background traffic,
@@ -194,7 +134,7 @@ pub struct BuiltExperiment {
     end: netsim::SimTime,
     trace: Rc<RefCell<StreamTrace>>,
     flows: Vec<netsim::FlowId>,
-    recording: Option<(Rc<RefCell<Recorder>>, PathBuf, String)>,
+    recording: Option<Recording>,
     /// `cc`/`strategy` label values stamped into the metrics snapshot.
     labels: [(&'static str, String); 2],
 }
@@ -221,9 +161,9 @@ impl BuiltExperiment {
     }
 
     /// Extract the delivery trace and per-path measurements, flushing the
-    /// flight-recorder file if one was attached. The caller is expected to
-    /// have driven the run to [`Self::end`] (an early finish just reports
-    /// the partial trace).
+    /// flight-recorder file if one was attached and naming it in the
+    /// output. The caller is expected to have driven the run to
+    /// [`Self::end`] (an early finish just reports the partial trace).
     pub fn finish(self) -> RunOutput {
         let BuiltExperiment {
             sim,
@@ -255,21 +195,73 @@ impl BuiltExperiment {
             metrics.set_label(k, v);
         }
 
-        if let Some((rec, path, label)) = recording {
-            // The Sim's tracer holds the other recorder handle; drop it first.
-            drop(sim);
-            let rec = Rc::try_unwrap(rec)
-                .ok()
-                .expect("sim dropped its recorder handle")
-                .into_inner();
-            let out = rec.finish().expect("flush trace file");
-            obs::record_trace_file(label, path, out.events);
-        }
-
         RunOutput {
             trace,
             paths,
             metrics,
+            trace_file: recording.map(|r| r.finish(sim)),
+        }
+    }
+}
+
+/// A flight recorder wired into a [`Sim`], as [`build`] and the fleet's
+/// shards attach it to a traced run.
+pub struct Recording {
+    rec: Rc<RefCell<Recorder>>,
+    label: String,
+    path: PathBuf,
+}
+
+impl Recording {
+    /// Create the trace file at `path` and make `sim` record into it: queue
+    /// samples of `links`; the TCP state of each `(path index, flow)` of
+    /// `flows`, announced with its path and `cc`; the pull `strategy`. It
+    /// reads state but never mutates it, draws no randomness, and schedules
+    /// no events.
+    pub fn attach(
+        sim: &mut Sim,
+        label: &str,
+        path: &Path,
+        links: impl IntoIterator<Item = LinkId>,
+        flows: impl IntoIterator<Item = (u32, FlowId)>,
+        cc: cc::CcKind,
+        strategy: PullStrategy,
+    ) -> Self {
+        let rec = Rc::new(RefCell::new(
+            Recorder::to_file(TraceConfig::default(), path).expect("create trace file"),
+        ));
+        let mut tracer = SimTracer::new(Rc::clone(&rec));
+        for link in links {
+            tracer.trace_link(link);
+        }
+        for (k, conn) in flows {
+            tracer.trace_flow(conn);
+            tracer.emit(0, obs::EventKind::PathConn { path: k, conn });
+            let algo = cc.name().to_string();
+            tracer.emit(0, obs::EventKind::CcAlgo { conn, algo });
+        }
+        let name = strategy.name().to_string();
+        tracer.emit(0, obs::EventKind::Strategy { name });
+        sim.set_tracer(tracer);
+        Self {
+            rec,
+            label: label.to_string(),
+            path: path.to_path_buf(),
+        }
+    }
+
+    /// Drop `sim` (its tracer holds the other recorder handle), flush the
+    /// file, and name what it holds.
+    pub fn finish(self, sim: Sim) -> TraceFileRef {
+        drop(sim);
+        let rec = Rc::try_unwrap(self.rec)
+            .ok()
+            .expect("sim dropped its recorder handle")
+            .into_inner();
+        TraceFileRef {
+            label: self.label,
+            path: self.path,
+            events: rec.finish().expect("flush trace file").events,
         }
     }
 }
@@ -324,58 +316,18 @@ pub fn build(spec: &ExperimentSpec) -> BuiltExperiment {
     attach_background(&mut sim, &topo, &cfgs, spec.seed);
 
     // Flight recorder: every flow and link exists by now, so the tracer can
-    // opt the video flows and bottlenecks in before anything runs. Recording
-    // is behaviour-neutral — it reads state but never mutates it, draws no
-    // randomness, and schedules no events.
-    let recording = if spec.trace.enabled {
-        let label = if spec.trace.label.is_empty() {
-            format!("{}_{:?}_seed{}", setting.name, spec.scheduler, spec.seed)
-        } else {
-            spec.trace.label.clone()
-        };
-        let dir = spec
-            .trace
-            .dir
-            .clone()
-            .unwrap_or_else(|| ArtifactWriter::from_env().trace_dir());
-        let path = dir.join(format!("{}.jsonl", obs::sanitize_label(&label)));
-        let cfg = TraceConfig {
-            ring_capacity: spec.trace.ring,
-            queue_decimation: spec.trace.decimation,
-        };
-        let rec = Rc::new(RefCell::new(
-            Recorder::to_file(cfg, &path).expect("create trace file"),
-        ));
-        let mut tracer = SimTracer::new(Rc::clone(&rec));
-        for (k, h) in topo.paths.iter().enumerate() {
-            tracer.trace_flow(h.video_flow);
-            tracer.trace_link(h.bottleneck);
-            tracer.emit(
-                0,
-                obs::EventKind::PathConn {
-                    path: k as u32,
-                    conn: h.video_flow,
-                },
-            );
-            tracer.emit(
-                0,
-                obs::EventKind::CcAlgo {
-                    conn: h.video_flow,
-                    algo: spec.cc.name().to_string(),
-                },
-            );
-        }
-        tracer.emit(
-            0,
-            obs::EventKind::Strategy {
-                name: spec.strategy.name().to_string(),
-            },
-        );
-        sim.set_tracer(tracer);
-        Some((rec, path, label))
-    } else {
-        None
-    };
+    // opt the video flows and bottlenecks in before anything runs.
+    let recording = spec.trace.as_ref().map(|trace| {
+        Recording::attach(
+            &mut sim,
+            &trace.label,
+            &trace.path(),
+            topo.paths.iter().map(|h| h.bottleneck),
+            (0..).zip(topo.paths.iter().map(|h| h.video_flow)),
+            spec.cc,
+            spec.strategy,
+        )
+    });
 
     if !spec.scenario.is_empty() {
         // On correlated topologies every path shares one flash-flow pool;
@@ -452,9 +404,22 @@ pub struct RunSummary {
     /// Always-on metrics snapshot. Serialised with the summary, so cached
     /// jobs replay the exact metrics of the original run.
     pub metrics: obs::MetricsSnapshot,
+    /// The flight-recorder file the run wrote. Never serialised: a traced
+    /// job is not cached, and a decoded summary names no file.
+    pub trace_file: Option<TraceFileRef>,
 }
 
 impl RunSummary {
+    /// Summarise a finished run at the given startup delays.
+    fn of(out: RunOutput, taus_s: &[f64]) -> Self {
+        Self {
+            per_tau: LatenessReport::from_trace(&out.trace, taus_s).per_tau,
+            paths: out.paths,
+            metrics: out.metrics,
+            trace_file: out.trace_file,
+        }
+    }
+
     /// Rebuild the per-run lateness report (e.g. for Fig. 4a scatters).
     pub fn report(&self) -> LatenessReport {
         LatenessReport {
@@ -528,19 +493,14 @@ impl JsonCodec for RunSummary {
             paths,
             per_tau,
             metrics,
+            trace_file: None,
         })
     }
 }
 
 /// Run one experiment and summarise it at the given startup delays.
 pub fn run_summary(spec: &ExperimentSpec, taus_s: &[f64]) -> RunSummary {
-    let out = run(spec);
-    let report = LatenessReport::from_trace(&out.trace, taus_s);
-    RunSummary {
-        paths: out.paths,
-        per_tau: report.per_tau,
-        metrics: out.metrics,
-    }
+    RunSummary::of(run(spec), taus_s)
 }
 
 /// A [`RunSummary`] plus resilience metrics — what scenario experiments
@@ -611,7 +571,6 @@ pub fn run_scenario_summary(
     resilience: ResilienceSpec,
 ) -> ScenarioSummary {
     let out = run(spec);
-    let report = LatenessReport::from_trace(&out.trace, taus_s);
     let shifted = ResilienceSpec {
         fail_at_s: resilience.fail_at_s.map(|t| t + spec.warmup_s),
         ..resilience
@@ -619,11 +578,7 @@ pub fn run_scenario_summary(
     let records = out.trace.stable_records(resilience.tau_s);
     let res = ResilienceReport::from_records(records, spec.setting.video.rate_pps, shifted);
     ScenarioSummary {
-        summary: RunSummary {
-            paths: out.paths,
-            per_tau: report.per_tau,
-            metrics: out.metrics,
-        },
+        summary: RunSummary::of(out, taus_s),
         resilience: res,
     }
 }
@@ -678,9 +633,9 @@ fn replica_jobs<T>(
             let mut s = spec.clone();
             s.seed = spec.seed.wrapping_add(i as u64);
             let label = label(i);
-            let traced = s.trace.enabled;
-            if traced {
-                s.trace.label = label.clone();
+            let traced = s.trace.is_some();
+            if let Some(trace) = &mut s.trace {
+                trace.label = label.clone();
             }
             let job = job(label, s.seed, s);
             if traced {

@@ -11,7 +11,7 @@
 //! each simulator is built under the scope — and the scope panics if none
 //! was).
 
-use std::sync::Mutex;
+use std::path::Path;
 
 use dmp_core::resilience::ResilienceSpec;
 use dmp_core::spec::{PullStrategy, SchedulerKind};
@@ -62,24 +62,23 @@ fn calendar_queue_matches_heap_reference_on_every_setting() {
     }
 }
 
-/// A shortened failover scenario batch (two replications), traced or not.
-/// Returns the rendered per-run summaries and, for traced runs, each run's
-/// trace file contents keyed by job label (the process-wide obs registry is
-/// drained, so callers must not run concurrently with other registry users).
+/// A shortened failover scenario batch (two replications) under
+/// `scheduler`, traced or not. Returns the rendered per-run summaries and
+/// the trace files the runs returned, as (label, contents) — each checked
+/// to hold the event count its reference names.
 fn failover_batch(
+    scheduler: SchedulerKind,
     threads: usize,
-    trace_dir: Option<&std::path::Path>,
+    trace_dir: Option<&Path>,
 ) -> (Vec<String>, Vec<(String, Vec<u8>)>) {
     let scn = Scenario::named("failover")
         .at(20.0, 0, scenario::Event::PathDown)
         .at(30.0, 0, scenario::Event::PathUp);
-    let mut spec = ExperimentSpec::new(*setting("2-2").unwrap(), SchedulerKind::Dynamic, 60.0, 77);
+    let mut spec = ExperimentSpec::new(*setting("2-2").unwrap(), scheduler, 60.0, 77);
     spec.warmup_s = 10.0;
     spec.scenario = scn;
-    if let Some(dir) = trace_dir {
-        spec.trace = TraceSpec::on(""); // per-run labels come from the jobs
-        spec.trace.dir = Some(dir.to_path_buf());
-    }
+    // Per-run labels come from the jobs.
+    spec.trace = trace_dir.map(|dir| TraceSpec::new("", dir));
     let res = ResilienceSpec {
         tau_s: 4.0,
         window_s: 10.0,
@@ -87,53 +86,46 @@ fn failover_batch(
     };
     let runner = Runner::new(threads, Cache::disabled()).with_progress(false);
     let cells = runner.run_all(scenario_batch_jobs(&spec, 2, &[4.0], res));
-    let rendered = cells
+    let summaries: Vec<_> = cells
         .iter()
-        .map(|c| {
-            c.ok()
-                .expect("simulation job must not fail")
-                .to_json()
-                .render()
-        })
+        .map(|c| c.ok().expect("simulation job must not fail"))
         .collect();
-    let traces = obs::drain_trace_files()
-        .into_iter()
-        .map(|f| {
-            let bytes = std::fs::read(&f.path).expect("trace file exists");
-            assert_eq!(
-                bytes.iter().filter(|&&b| b == b'\n').count() as u64,
-                f.events,
-                "registered event count must match the file"
-            );
-            (f.label, bytes)
-        })
+    let rendered = summaries.iter().map(|s| s.to_json().render()).collect();
+    let traces = summaries
+        .iter()
+        .filter_map(|s| s.summary.trace_file.as_ref())
+        .map(|f| (f.label.clone(), trace_bytes(f)))
         .collect();
     (rendered, traces)
 }
 
-/// The obs trace-file registry is process-global and tests in one binary run
-/// concurrently: a test that records traces holds this from its first traced
-/// run to its last drain.
-static TRACE_REGISTRY: Mutex<()> = Mutex::new(());
+/// The file a trace reference names, checked to hold `events` lines.
+fn trace_bytes(f: &obs::TraceFileRef) -> Vec<u8> {
+    let bytes = std::fs::read(&f.path).expect("trace file exists");
+    assert_eq!(
+        bytes.iter().filter(|&&b| b == b'\n').count() as u64,
+        f.events,
+        "{}: the returned event count must match the file",
+        f.label
+    );
+    bytes
+}
 
 /// The flight recorder must be invisible in every deterministic result and
 /// the trace itself must be byte-identical across scheduler engines and
 /// runner thread counts.
 #[test]
 fn tracing_is_result_neutral_and_trace_bytes_are_engine_and_thread_invariant() {
-    let _registry = TRACE_REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let base = std::env::temp_dir().join(format!("dmp-sim-trace-diff-{}", std::process::id()));
     let dir_cal = base.join("cal");
     let dir_heap = base.join("heap");
     let dir_mt = base.join("mt");
 
-    let (untraced, none) = failover_batch(1, None);
-    assert!(
-        none.is_empty(),
-        "untraced runs must register no trace files"
-    );
+    let dynamic = SchedulerKind::Dynamic;
+    let (untraced, none) = failover_batch(dynamic, 1, None);
+    assert!(none.is_empty(), "untraced runs must return no trace files");
 
-    let (traced, cal) = failover_batch(1, Some(&dir_cal));
+    let (traced, cal) = failover_batch(dynamic, 1, Some(&dir_cal));
     assert_eq!(
         untraced, traced,
         "tracing changed a deterministic result (it must be behaviour-neutral)"
@@ -142,12 +134,14 @@ fn tracing_is_result_neutral_and_trace_bytes_are_engine_and_thread_invariant() {
 
     // Engine invariance: the heap reference dispatches the same events in
     // the same order, so the trace bytes cannot differ.
-    let (_, heap) = with_engine(EngineKind::Heap, || failover_batch(1, Some(&dir_heap)));
+    let (_, heap) = with_engine(EngineKind::Heap, || {
+        failover_batch(dynamic, 1, Some(&dir_heap))
+    });
     assert_eq!(cal, heap, "trace bytes diverge between scheduler engines");
 
-    // Thread-count invariance: each run writes its own file and the registry
-    // drain sorts by label, so 8 workers produce the same bytes as 1.
-    let (_, mt) = failover_batch(8, Some(&dir_mt));
+    // Thread-count invariance: each run writes its own file and returns it
+    // in its own result, so 8 workers produce the same bytes as 1.
+    let (_, mt) = failover_batch(dynamic, 8, Some(&dir_mt));
     assert_eq!(cal, mt, "trace bytes depend on runner thread count");
 
     // The trace actually contains the layers' events: header, TCP state,
@@ -167,6 +161,34 @@ fn tracing_is_result_neutral_and_trace_bytes_are_engine_and_thread_invariant() {
         assert!(text.contains(needle), "trace is missing {needle}");
     }
 
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// Two different traced batches at once, from two threads: each result lists
+/// exactly its own trace files — its own labels, each file holding the event
+/// count it names — whichever batch finishes first.
+#[test]
+fn concurrent_traced_batches_each_return_their_own_trace_files() {
+    let base = std::env::temp_dir().join(format!("dmp-sim-trace-pair-{}", std::process::id()));
+    let schedulers = [SchedulerKind::Dynamic, SchedulerKind::Static];
+    let start = std::sync::Barrier::new(schedulers.len());
+    let batches = std::thread::scope(|s| {
+        let runs = schedulers.map(|sched| {
+            let (dir, start) = (base.join(format!("{sched:?}")), &start);
+            s.spawn(move || {
+                start.wait(); // both batches record at once
+                failover_batch(sched, 1, Some(&dir)).1
+            })
+        });
+        runs.map(|run| run.join().expect("batch thread"))
+    });
+    for (sched, traces) in schedulers.iter().zip(&batches) {
+        let labels: Vec<&str> = traces.iter().map(|(label, _)| label.as_str()).collect();
+        let want: Vec<String> = (0..2)
+            .map(|i| format!("scn:failover:2-2:{sched:?}:run{i}"))
+            .collect();
+        assert_eq!(labels, want, "{sched:?} returned another batch's traces");
+    }
     std::fs::remove_dir_all(&base).ok();
 }
 
@@ -277,16 +299,18 @@ fn pull_strategies_are_engine_invariant_and_wired() {
 }
 
 /// FNV digests of one traced replication of `spec`: the rendered
-/// `RunSummary` and the trace file's JSONL bytes. Call with
-/// [`TRACE_REGISTRY`] held.
-fn golden_digests(mut spec: ExperimentSpec, dir: &std::path::Path) -> (String, String) {
-    spec.trace = TraceSpec::on("");
-    spec.trace.dir = Some(dir.to_path_buf());
-    let summary = rendered(&spec);
-    let files = obs::drain_trace_files();
-    assert_eq!(files.len(), 1, "one replication writes one trace file");
-    let jsonl = std::fs::read(&files[0].path).expect("trace file exists");
-    (hex_digest(summary.as_bytes()), hex_digest(&jsonl))
+/// `RunSummary` and the JSONL bytes of the trace file it returned.
+fn golden_digests(mut spec: ExperimentSpec, dir: &Path) -> (String, String) {
+    spec.trace = Some(TraceSpec::new("golden", dir));
+    let summary = dmp_sim::run_summary(&spec, &[2.0, 6.0]);
+    let jsonl = trace_bytes(
+        summary
+            .trace_file
+            .as_ref()
+            .expect("a traced run returns its file"),
+    );
+    let json = summary.to_json().render();
+    (hex_digest(json.as_bytes()), hex_digest(&jsonl))
 }
 
 /// The shortened run with both paths down from 10 s to 25 s of the video:
@@ -405,7 +429,6 @@ fn every_scheduler_strategy_cell_matches_the_pre_move_digests() {
     ];
     assert_eq!(GRID.map(|r| r.1)[..5], PullStrategy::all());
 
-    let _registry = TRACE_REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("dmp-sim-golden-grid-{}", std::process::id()));
     let plain =
         GRID.map(|(sched, strat, s, t)| ("plain", spec_22(sched, cc::CcKind::Reno, strat), s, t));

@@ -17,10 +17,11 @@ use std::ops::Range;
 use std::path::PathBuf;
 
 use dmp_core::{FleetReport, SessionOutcome};
-use dmp_runner::{ArtifactWriter, JobSpec, Json, Runner};
+use dmp_runner::{JobSpec, Json, Runner};
 use netsim::EngineTelemetry;
+use obs::TraceSpec;
 
-use crate::shard::{run_shard, ShardOutput};
+use crate::shard::{run_shard, telemetry_json, ShardOutput};
 use crate::spec::FleetSpec;
 
 /// Execution-level knobs: everything here changes *how* a fleet runs, never
@@ -31,11 +32,9 @@ pub struct FleetOptions {
     /// Shards per runner job. 1 maximises parallelism; larger values
     /// amortise job overhead when shards are tiny.
     pub shards_per_job: u32,
-    /// Write flight-recorder traces (one JSONL file per shard, stems
-    /// `fleet:<name>:shard<i>`). Traced jobs are not cached —
-    /// their value is the side-effect file.
-    pub trace: bool,
-    /// Where traces go; defaults to `ArtifactWriter::from_env().trace_dir()`.
+    /// Write one flight-recorder trace per shard into this directory,
+    /// labelled `fleet:<name>:shard<i>` and listed in
+    /// [`FleetResult::trace_files`]. Traced jobs are not cached.
     pub trace_dir: Option<PathBuf>,
 }
 
@@ -43,7 +42,6 @@ impl Default for FleetOptions {
     fn default() -> Self {
         Self {
             shards_per_job: 1,
-            trace: false,
             trace_dir: None,
         }
     }
@@ -67,6 +65,8 @@ pub struct FleetResult {
     /// histogram arithmetic, so the result is also chunking- and
     /// thread-invariant.
     pub metrics: obs::MetricsSnapshot,
+    /// The trace files the shards wrote (traced runs), shard-index order.
+    pub trace_files: Vec<obs::TraceFileRef>,
 }
 
 impl FleetResult {
@@ -141,26 +141,11 @@ impl FleetResult {
     /// Volatile per-shard breakdown for the `.meta.json` sidecar: each
     /// shard's engine counters plus the absorbed fleet total.
     pub fn shards_meta(&self) -> Json {
-        let shard = |t: &EngineTelemetry| {
-            Json::obj([
-                ("events_processed", Json::Num(t.events_processed as f64)),
-                ("transits", Json::Num(t.transits as f64)),
-                ("stale_timer_pops", Json::Num(t.stale_timer_pops as f64)),
-                (
-                    "deferred_timer_pushes",
-                    Json::Num(t.deferred_timer_pushes as f64),
-                ),
-                ("wheel_hwm", Json::Num(t.wheel_hwm as f64)),
-                ("far_hwm", Json::Num(t.far_hwm as f64)),
-                ("ring_hwm", Json::Num(t.ring_hwm as f64)),
-                ("random_loss_drops", Json::Num(t.random_loss_drops as f64)),
-            ])
-        };
         Json::obj([
-            ("total", shard(&self.merged_telemetry())),
+            ("total", telemetry_json(&self.merged_telemetry())),
             (
                 "per_shard",
-                Json::arr(self.shard_telemetry.iter().map(shard)),
+                Json::arr(self.shard_telemetry.iter().map(telemetry_json)),
             ),
         ])
     }
@@ -179,17 +164,13 @@ pub fn run_fleet(runner: &Runner, spec: &FleetSpec, opts: &FleetOptions) -> Flee
     spec.validate().expect("valid fleet spec");
     let shards = spec.shard_count();
     let chunk = opts.shards_per_job.max(1);
-    let trace_dir = opts.trace.then(|| {
-        opts.trace_dir
-            .clone()
-            .unwrap_or_else(|| ArtifactWriter::from_env().trace_dir())
-    });
 
     let mut jobs: Vec<JobSpec<Vec<ShardOutput>>> = Vec::new();
     let mut lo = 0u32;
     while lo < shards {
         let hi = (lo + chunk).min(shards);
-        let dir = trace_dir.clone();
+        let dir = opts.trace_dir.clone();
+        let traced = dir.is_some();
         let job = JobSpec::keyed(
             format!("fleet:{}:shards{lo}-{}", spec.name, hi - 1),
             (spec.clone(), lo..hi),
@@ -198,25 +179,16 @@ pub fn run_fleet(runner: &Runner, spec: &FleetSpec, opts: &FleetOptions) -> Flee
                 range
                     .clone()
                     .map(|shard| {
-                        let traced = dir.as_ref().map(|d| {
-                            let label = shard_trace_label(&spec.name, shard);
-                            (
-                                d.join(format!("{}.jsonl", obs::sanitize_label(&label))),
-                                label,
-                            )
-                        });
-                        run_shard(
-                            spec,
-                            shard,
-                            traced.as_ref().map(|(p, l)| (p.as_path(), l.as_str())),
-                        )
+                        let label = shard_trace_label(&spec.name, shard);
+                        let path = dir.as_ref().map(|d| TraceSpec::new(&label, d).path());
+                        run_shard(spec, shard, path.as_deref().map(|p| (p, label.as_str())))
                     })
                     .collect()
             },
         );
         // A traced job's product is the side-effect trace file, which the
         // cache would skip reproducing on a hit.
-        jobs.push(if opts.trace { job.uncacheable() } else { job });
+        jobs.push(if traced { job.uncacheable() } else { job });
         lo = hi;
     }
 
@@ -225,6 +197,7 @@ pub fn run_fleet(runner: &Runner, spec: &FleetSpec, opts: &FleetOptions) -> Flee
     let mut shard_events = Vec::with_capacity(shards as usize);
     let mut shard_telemetry = Vec::with_capacity(shards as usize);
     let mut metrics = obs::MetricsSnapshot::new();
+    let mut trace_files = Vec::new();
     for cell in &cells {
         let outputs = match cell.ok() {
             Some(v) => v,
@@ -239,6 +212,7 @@ pub fn run_fleet(runner: &Runner, spec: &FleetSpec, opts: &FleetOptions) -> Flee
             shard_events.push(out.events_processed);
             shard_telemetry.push(out.telemetry);
             metrics.merge(&out.metrics);
+            trace_files.extend(out.trace_file.clone());
         }
     }
     let report = FleetReport::from_outcomes(&outcomes, spec.duration_s);
@@ -248,6 +222,7 @@ pub fn run_fleet(runner: &Runner, spec: &FleetSpec, opts: &FleetOptions) -> Flee
         shard_events,
         shard_telemetry,
         metrics,
+        trace_files,
     }
 }
 

@@ -16,9 +16,7 @@
 //! layer fan shards across any number of worker threads and still merge
 //! byte-identical results.
 
-use std::cell::RefCell;
 use std::path::Path;
-use std::rc::Rc;
 
 use dmp_core::metrics::late_fraction_playback;
 use dmp_core::resilience::{ResilienceReport, ResilienceSpec};
@@ -26,13 +24,13 @@ use dmp_core::scheme::Scheme;
 use dmp_core::spec::{PathSpec, SchedulerKind};
 use dmp_core::SessionOutcome;
 use dmp_runner::{Json, JsonCodec};
+use dmp_sim::experiment::Recording;
 use dmp_sim::topology::video_tcp;
 use dmp_sim::video::{shared_trace, SharedTrace, VideoClient, VideoServer};
 use netsim::link::LinkSpec;
 use netsim::tcp::SinkConfig;
-use netsim::trace::SimTracer;
 use netsim::{secs, App, EngineTelemetry, FlowId, Sim, SimApi, SimTime};
-use obs::{EventKind, Recorder, TraceConfig};
+use obs::EventKind;
 
 use crate::churn::{shard_plans, SessionPlan};
 use crate::spec::FleetSpec;
@@ -57,7 +55,8 @@ fn drain_s(spec: &FleetSpec) -> f64 {
 /// fleet, split into the deterministic part (`outcomes`, `events_processed`
 /// — byte-identical across engines, thread counts, and shard chunking) and
 /// the engine-shaped part (`telemetry` — HWM fields differ between engines
-/// by design and must only ever reach volatile meta sidecars).
+/// by design and must only ever reach volatile meta sidecars), plus the
+/// trace file of a traced run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardOutput {
     /// Which shard this is.
@@ -74,6 +73,9 @@ pub struct ShardOutput {
     /// lateness/headroom/glitch histograms. Engine-invariant (no HWMs), so
     /// it merges and serialises byte-identically across engines.
     pub metrics: obs::MetricsSnapshot,
+    /// The flight-recorder file this shard wrote. Never serialised: a traced
+    /// job is not cached, and a decoded output names no file.
+    pub trace_file: Option<obs::TraceFileRef>,
 }
 
 /// Marks a session's lifecycle in the flight-recorder stream. Attached to
@@ -114,8 +116,8 @@ struct SessionHandles {
 }
 
 /// Run shard `shard` of `spec`. When `trace` is given, a flight recorder
-/// writes the shard's JSONL trace to that path and registers it under the
-/// given label (see [`obs::record_trace_file`]).
+/// writes the shard's JSONL trace to that path, returned under the given
+/// label in [`ShardOutput::trace_file`].
 pub fn run_shard(spec: &FleetSpec, shard: u32, trace: Option<(&Path, &str)>) -> ShardOutput {
     let n = spec.sessions_in_shard(shard) as usize;
     let k = spec.paths_per_session as usize;
@@ -187,40 +189,17 @@ pub fn run_shard(spec: &FleetSpec, shard: u32, trace: Option<(&Path, &str)>) -> 
     }
 
     let recording = trace.map(|(path, label)| {
-        let rec = Rc::new(RefCell::new(
-            Recorder::to_file(TraceConfig::default(), path).expect("create trace file"),
-        ));
-        let mut tracer = SimTracer::new(Rc::clone(&rec));
-        for (fwd, _) in &bnecks {
-            tracer.trace_link(*fwd);
-        }
-        for s in &sessions {
-            for (path, &f) in s.flows.iter().enumerate() {
-                tracer.trace_flow(f);
-                tracer.emit(
-                    0,
-                    EventKind::PathConn {
-                        path: path as u32,
-                        conn: f,
-                    },
-                );
-                tracer.emit(
-                    0,
-                    EventKind::CcAlgo {
-                        conn: f,
-                        algo: spec.cc.name().to_string(),
-                    },
-                );
-            }
-        }
-        tracer.emit(
-            0,
-            EventKind::Strategy {
-                name: spec.strategy.name().to_string(),
-            },
-        );
-        sim.set_tracer(tracer);
-        (rec, path.to_path_buf(), label.to_string())
+        Recording::attach(
+            &mut sim,
+            label,
+            path,
+            bnecks.iter().map(|&(fwd, _)| fwd),
+            sessions
+                .iter()
+                .flat_map(|s| (0..).zip(s.flows.iter().copied())),
+            spec.cc,
+            spec.strategy,
+        )
     });
 
     for s in &sessions {
@@ -284,23 +263,13 @@ pub fn run_shard(spec: &FleetSpec, shard: u32, trace: Option<(&Path, &str)>) -> 
     metrics.set_label("cc", spec.cc.name());
     metrics.set_label("strategy", spec.strategy.name());
 
-    if let Some((rec, path, label)) = recording {
-        // The Sim's tracer holds the other recorder handle; drop it first.
-        drop(sim);
-        let rec = Rc::try_unwrap(rec)
-            .ok()
-            .expect("sim dropped its recorder handle")
-            .into_inner();
-        let out = rec.finish().expect("flush trace file");
-        obs::record_trace_file(label, path, out.events);
-    }
-
     ShardOutput {
         shard,
         outcomes,
         events_processed,
         telemetry,
         metrics,
+        trace_file: recording.map(|r| r.finish(sim)),
     }
 }
 
@@ -360,6 +329,23 @@ fn outcome_of(
     }
 }
 
+/// One simulation's engine counters, as cached and as the sidecar shows them.
+pub(crate) fn telemetry_json(t: &EngineTelemetry) -> Json {
+    Json::obj([
+        ("events_processed", Json::Num(t.events_processed as f64)),
+        ("transits", Json::Num(t.transits as f64)),
+        ("stale_timer_pops", Json::Num(t.stale_timer_pops as f64)),
+        (
+            "deferred_timer_pushes",
+            Json::Num(t.deferred_timer_pushes as f64),
+        ),
+        ("wheel_hwm", Json::Num(t.wheel_hwm as f64)),
+        ("far_hwm", Json::Num(t.far_hwm as f64)),
+        ("ring_hwm", Json::Num(t.ring_hwm as f64)),
+        ("random_loss_drops", Json::Num(t.random_loss_drops as f64)),
+    ])
+}
+
 impl JsonCodec for ShardOutput {
     fn to_json(&self) -> Json {
         let outcomes = self.outcomes.iter().map(|o| {
@@ -376,28 +362,12 @@ impl JsonCodec for ShardOutput {
                 ("headroom", Json::Num(o.headroom)),
             ])
         });
-        let t = &self.telemetry;
         Json::obj([
             ("shard", Json::Num(f64::from(self.shard))),
             ("events", Json::Num(self.events_processed as f64)),
             ("metrics", self.metrics.to_json()),
             ("outcomes", Json::arr(outcomes)),
-            (
-                "telemetry",
-                Json::obj([
-                    ("events_processed", Json::Num(t.events_processed as f64)),
-                    ("transits", Json::Num(t.transits as f64)),
-                    ("stale_timer_pops", Json::Num(t.stale_timer_pops as f64)),
-                    (
-                        "deferred_timer_pushes",
-                        Json::Num(t.deferred_timer_pushes as f64),
-                    ),
-                    ("wheel_hwm", Json::Num(t.wheel_hwm as f64)),
-                    ("far_hwm", Json::Num(t.far_hwm as f64)),
-                    ("ring_hwm", Json::Num(t.ring_hwm as f64)),
-                    ("random_loss_drops", Json::Num(t.random_loss_drops as f64)),
-                ]),
-            ),
+            ("telemetry", telemetry_json(&self.telemetry)),
         ])
     }
 
@@ -428,6 +398,7 @@ impl JsonCodec for ShardOutput {
             events_processed: json.get("events")?.as_u64()?,
             metrics: obs::MetricsSnapshot::from_json(json.get("metrics")?)?,
             outcomes,
+            trace_file: None,
             telemetry: EngineTelemetry {
                 events_processed: field("events_processed")?,
                 transits: field("transits")?,
@@ -507,6 +478,11 @@ mod tests {
         let spec = tiny_spec();
         let plain = run_shard(&spec, 0, None);
         let traced = run_shard(&spec, 0, Some((&path, "fleet:tiny:shard0")));
+        let file = traced.trace_file.expect("a traced shard returns its file");
+        assert_eq!(
+            (file.label.as_str(), file.path),
+            ("fleet:tiny:shard0", path.clone())
+        );
         assert_eq!(plain.outcomes, traced.outcomes);
         assert_eq!(plain.events_processed, traced.events_processed);
         assert_eq!(
@@ -518,6 +494,7 @@ mod tests {
             text.contains("\"ev\":\"session\""),
             "trace should carry session markers"
         );
+        assert_eq!(text.lines().count() as u64, file.events);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -11,6 +11,13 @@
 //! varies with thread interleaving and machine speed, which is exactly why it
 //! lives here and not in simulation results.
 //!
+//! This is the last process-global side channel: trace files and live path
+//! timelines come back in their runs' results. `dmp-bench` still reads it
+//! by subtraction ([`EngineTelemetry::delta`]) for its sidecars, but the
+//! reader that keeps it alive is `benchmark/`'s `NetsimTally`, which
+//! changes only together with the benchmark ledger. It goes when the counts
+//! move onto each `Sim`'s own result (ROADMAP items 1 and 6).
+//!
 //! With the `profile` cargo feature, the `profile` submodule additionally
 //! accumulates per-event-kind dispatch counts and tick (TSC cycle / ns)
 //! totals — the `engine_profile` block of `dmp-bench`'s `.meta.json`

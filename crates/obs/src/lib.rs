@@ -25,6 +25,11 @@
 //! percentiles); the `trace-report` binary in `dmp-bench` builds the
 //! per-glitch "why" report on top.
 //!
+//! A run is traced when its input carries a [`TraceSpec`] (label and
+//! directory), and it hands back a [`TraceFileRef`] (label, path, events)
+//! in its result; the harness lists those in the `.meta.json` sidecars.
+//! Nothing here is process-global.
+//!
 //! The [`metrics`] module is the complementary **always-on** layer: cheap
 //! mergeable counters/gauges/histograms that every run records regardless of
 //! tracing, snapshotted into artifact sidecars and compared across runs by
@@ -35,13 +40,11 @@
 pub mod event;
 pub mod metrics;
 pub mod recorder;
-pub mod registry;
 pub mod report;
 
 pub use event::{EventKind, PathAction, TraceEvent};
 pub use metrics::{record_frame_metrics, Histogram, MetricsSnapshot};
-pub use recorder::{Recorder, TraceConfig};
-pub use registry::{drain_trace_files, record_trace_file, TraceFileRef};
+pub use recorder::{Recorder, TraceConfig, TraceFileRef, TraceSpec};
 pub use report::Trace;
 
 /// Sanitise a run label into a file stem: every character outside

@@ -28,8 +28,55 @@ impl Default for TraceConfig {
     }
 }
 
+/// Where one run's trace goes: the file `<dir>/<sanitised label>.jsonl`,
+/// recorded with [`TraceConfig::default`]. A run is traced exactly when it
+/// is given one.
+///
+/// `Debug` prints no field: a job input's `Debug` is its cache key, and the
+/// label and directory name a file, not a run.
+#[derive(Clone, PartialEq, Eq)]
+pub struct TraceSpec {
+    /// Run label: names the file (sanitised) and the returned reference.
+    pub label: String,
+    /// Directory the file is written to (created if missing).
+    pub dir: PathBuf,
+}
+
+impl TraceSpec {
+    /// Trace `label` into `dir`.
+    pub fn new(label: impl Into<String>, dir: impl Into<PathBuf>) -> Self {
+        Self {
+            label: label.into(),
+            dir: dir.into(),
+        }
+    }
+
+    /// The trace file's path.
+    pub fn path(&self) -> PathBuf {
+        self.dir
+            .join(format!("{}.jsonl", crate::sanitize_label(&self.label)))
+    }
+}
+
+impl std::fmt::Debug for TraceSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("TraceSpec")
+    }
+}
+
+/// A written trace file, as the run that wrote it returns it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceFileRef {
+    /// The run label the trace belongs to.
+    pub label: String,
+    /// Where the JSONL file was written.
+    pub path: PathBuf,
+    /// Number of events (lines) in the file.
+    pub events: u64,
+}
+
 enum Sink {
-    File { path: PathBuf, w: BufWriter<File> },
+    File(BufWriter<File>),
     Mem(Vec<u8>),
 }
 
@@ -45,8 +92,6 @@ pub struct Recorder {
 pub struct RecorderOutput {
     /// Total events written.
     pub events: u64,
-    /// Path of the JSONL file (file-backed recorders).
-    pub path: Option<PathBuf>,
     /// The raw JSONL bytes (in-memory recorders).
     pub bytes: Option<Vec<u8>>,
 }
@@ -55,15 +100,15 @@ impl Recorder {
     /// Recorder spilling to a new JSONL file at `path` (parent directories
     /// are created; an existing file is truncated).
     pub fn to_file(cfg: TraceConfig, path: impl AsRef<Path>) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let w = BufWriter::new(File::create(&path)?);
+        let w = BufWriter::new(File::create(path)?);
         Ok(Self {
             ring: Vec::with_capacity(cfg.ring_capacity.max(1)),
             cfg,
-            sink: Sink::File { path, w },
+            sink: Sink::File(w),
             events: 0,
         })
     }
@@ -95,7 +140,7 @@ impl Recorder {
 
     fn spill(&mut self) -> io::Result<()> {
         let w: &mut dyn Write = match &mut self.sink {
-            Sink::File { w, .. } => w,
+            Sink::File(w) => w,
             Sink::Mem(buf) => buf,
         };
         self.events += self.ring.len() as u64;
@@ -108,21 +153,17 @@ impl Recorder {
     /// Flush the remaining ring contents and close the sink.
     pub fn finish(mut self) -> io::Result<RecorderOutput> {
         self.spill()?;
-        match self.sink {
-            Sink::File { path, mut w } => {
+        let bytes = match self.sink {
+            Sink::File(mut w) => {
                 w.flush()?;
-                Ok(RecorderOutput {
-                    events: self.events,
-                    path: Some(path),
-                    bytes: None,
-                })
+                None
             }
-            Sink::Mem(buf) => Ok(RecorderOutput {
-                events: self.events,
-                path: None,
-                bytes: Some(buf),
-            }),
-        }
+            Sink::Mem(buf) => Some(buf),
+        };
+        Ok(RecorderOutput {
+            events: self.events,
+            bytes,
+        })
     }
 }
 
@@ -169,9 +210,9 @@ mod tests {
             f.emit(seq * 7, EventKind::Generated { seq });
             m.emit(seq * 7, EventKind::Generated { seq });
         }
-        let fp = f.finish().unwrap().path.unwrap();
+        f.finish().unwrap();
         let mem = m.finish().unwrap().bytes.unwrap();
-        assert_eq!(std::fs::read(&fp).unwrap(), mem);
+        assert_eq!(std::fs::read(&path).unwrap(), mem);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -44,7 +44,7 @@ fn main() -> std::io::Result<()> {
         // back): ~14 s of video streams in ~3.5 s of wall clock.
         time_dilation: 4.0,
         schedules: None,
-        trace_label: None,
+        trace: None,
     };
 
     println!(

@@ -22,7 +22,7 @@ fn exp(rates: [f64; 2], mu: f64, packets: u64) -> LiveExperiment {
         seed: 9,
         time_dilation: 1.0,
         schedules: None,
-        trace_label: None,
+        trace: None,
     }
 }
 
@@ -140,7 +140,7 @@ fn asymmetric_delays_reorder_across_paths_but_metrics_agree() {
             seed: 77,
             time_dilation: 1.0,
             schedules: None,
-            trace_label: None,
+            trace: None,
         };
         let run = run_experiment(&e, &[1.0]).await.unwrap();
         let trace = &run.output.trace;
