@@ -1,21 +1,16 @@
 //! Cross-run regression differ: compare two metrics documents (or whole
-//! `metrics/` directories) leaf-by-leaf with per-metric relative-change
-//! thresholds.
+//! `metrics/` directories) leaf-by-leaf.
 //!
 //! The comparison model is deliberately simple because the inputs are
 //! deterministic by construction: a metrics snapshot is a pure function of
-//! the run, so two runs of the same configuration must agree to the byte and
-//! the default threshold is **zero**. Thresholds exist for the cross-commit
-//! use — diffing today's `metrics/` against a committed baseline after a
-//! change that legitimately shifts a metric (e.g. a congestion-control fix
-//! moving `net.rtt_us.p90`) — where the reviewer raises the budget for the
-//! metrics the change is supposed to move and everything else stays gated at
-//! zero.
+//! the run, so two runs of the same configuration must agree to the byte,
+//! and any numeric leaf that moves at all is drift. A change that is meant
+//! to move a metric re-records the committed baseline instead.
 //!
 //! Three-way verdict, one exit code each (see [`Verdict::exit_code`]):
 //!
-//! * **Ok** (0) — every compared leaf within its threshold;
-//! * **Drift** (1) — at least one numeric leaf moved past its threshold;
+//! * **Ok** (0) — every compared leaf agrees;
+//! * **Drift** (1) — at least one numeric leaf moved;
 //! * **Incomparable** (2) — the documents do not describe the same
 //!   configuration: a string/bool leaf (labels: `cc`, `strategy`, `engine`,
 //!   `backend`…) differs, or a leaf/file exists on one side only. Refusing
@@ -33,9 +28,9 @@ use dmp_runner::Json;
 /// Outcome of a diff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// All compared leaves within threshold.
+    /// All compared leaves agree.
     Ok,
-    /// At least one numeric leaf moved past its threshold.
+    /// At least one numeric leaf moved.
     Drift,
     /// The runs are not comparable (config mismatch / missing leaves).
     Incomparable,
@@ -61,30 +56,7 @@ impl Verdict {
     }
 }
 
-/// Per-metric relative-change budgets.
-#[derive(Debug, Clone, Default)]
-pub struct DiffOptions {
-    /// Budget for every leaf without a more specific override. Zero (the
-    /// default) demands byte-level agreement — right for same-commit
-    /// determinism gates.
-    pub default_rel: f64,
-    /// `(path prefix, budget)` overrides; the **longest** matching prefix
-    /// wins, so `("net.", 0.02)` can sit under `("net.rtt_us", 0.10)`.
-    pub overrides: Vec<(String, f64)>,
-}
-
-impl DiffOptions {
-    /// The budget applying to `path`.
-    pub fn threshold_for(&self, path: &str) -> f64 {
-        self.overrides
-            .iter()
-            .filter(|(prefix, _)| path.starts_with(prefix.as_str()))
-            .max_by_key(|(prefix, _)| prefix.len())
-            .map_or(self.default_rel, |&(_, rel)| rel)
-    }
-}
-
-/// One numeric leaf that moved past its budget.
+/// One numeric leaf that moved.
 #[derive(Debug, Clone)]
 pub struct Drift {
     /// Dotted leaf path (`<file>:` prefixed in directory mode).
@@ -95,16 +67,14 @@ pub struct Drift {
     pub after: f64,
     /// Relative change `|after-before| / max(|before|,|after|)`.
     pub rel: f64,
-    /// The budget the change exceeded.
-    pub threshold: f64,
 }
 
 /// The full machine-readable result of a diff.
 #[derive(Debug, Clone, Default)]
 pub struct DiffReport {
-    /// Numeric leaves compared (within or past budget).
+    /// Numeric leaves compared (agreeing or not).
     pub compared: usize,
-    /// Leaves past their budget, first-seen order.
+    /// Leaves that moved, first-seen order.
     pub drifted: Vec<Drift>,
     /// Reasons the runs are not comparable (empty when they are).
     pub incomparable: Vec<String>,
@@ -136,7 +106,6 @@ impl DiffReport {
                         ("before", Json::Num(d.before)),
                         ("after", Json::Num(d.after)),
                         ("rel", Json::Num(d.rel)),
-                        ("threshold", Json::Num(d.threshold)),
                     ])
                 })),
             ),
@@ -156,8 +125,8 @@ impl DiffReport {
         for d in &self.drifted {
             let _ = writeln!(
                 out,
-                "drift: {} {} -> {} (rel {:.3e} > {:.3e})",
-                d.path, d.before, d.after, d.rel, d.threshold
+                "drift: {} {} -> {} (rel {:.3e})",
+                d.path, d.before, d.after, d.rel
             );
         }
         let _ = writeln!(
@@ -215,23 +184,15 @@ fn flatten(doc: &Json) -> Vec<(String, Leaf)> {
     out
 }
 
-/// Relative change between two values: 0 when equal (including both zero),
-/// else `|b-a| / max(|a|,|b|)` — symmetric, and 1.0 when one side is zero.
+/// Relative change between two different values: `|b-a| / max(|a|,|b|)` —
+/// symmetric, and 1.0 when one side is zero.
 fn rel_change(a: f64, b: f64) -> f64 {
-    if a == b {
-        return 0.0;
-    }
-    let scale = a.abs().max(b.abs());
-    if scale == 0.0 {
-        0.0
-    } else {
-        (b - a).abs() / scale
-    }
+    (b - a).abs() / a.abs().max(b.abs())
 }
 
 /// Diff two documents into `report`, prefixing every path with `prefix`
 /// (directory mode passes the file stem; single-document mode passes "").
-fn diff_into(report: &mut DiffReport, prefix: &str, a: &Json, b: &Json, opts: &DiffOptions) {
+fn diff_into(report: &mut DiffReport, prefix: &str, a: &Json, b: &Json) {
     let la = flatten(a);
     let lb = flatten(b);
     let full = |p: &str| {
@@ -262,15 +223,12 @@ fn diff_into(report: &mut DiffReport, prefix: &str, a: &Json, b: &Json, opts: &D
         match (leaf_a, leaf_b) {
             (Leaf::Num(x), Leaf::Num(y)) => {
                 report.compared += 1;
-                let rel = rel_change(*x, *y);
-                let threshold = opts.threshold_for(p);
-                if rel > threshold {
+                if x != y {
                     report.drifted.push(Drift {
                         path: full(p),
                         before: *x,
                         after: *y,
-                        rel,
-                        threshold,
+                        rel: rel_change(*x, *y),
                     });
                 }
             }
@@ -290,9 +248,9 @@ fn diff_into(report: &mut DiffReport, prefix: &str, a: &Json, b: &Json, opts: &D
 }
 
 /// Diff two in-memory documents.
-pub fn diff_docs(a: &Json, b: &Json, opts: &DiffOptions) -> DiffReport {
+pub fn diff_docs(a: &Json, b: &Json) -> DiffReport {
     let mut report = DiffReport::default();
-    diff_into(&mut report, "", a, b, opts);
+    diff_into(&mut report, "", a, b);
     report
 }
 
@@ -318,7 +276,7 @@ fn json_files(dir: &Path) -> Result<Vec<std::path::PathBuf>, String> {
 /// (e.g. two `target/artifacts/metrics/` trees, or two
 /// `benchmark/out/results.json` captures). In directory mode files pair up by name; a file present on one
 /// side only makes the runs incomparable.
-pub fn diff_paths(a: &Path, b: &Path, opts: &DiffOptions) -> Result<DiffReport, String> {
+pub fn diff_paths(a: &Path, b: &Path) -> Result<DiffReport, String> {
     let mut report = DiffReport::default();
     match (a.is_dir(), b.is_dir()) {
         (true, true) => {
@@ -346,16 +304,10 @@ pub fn diff_paths(a: &Path, b: &Path, opts: &DiffOptions) -> Result<DiffReport, 
                     .unwrap_or_default()
                     .to_string_lossy()
                     .into_owned();
-                diff_into(
-                    &mut report,
-                    &stem,
-                    &parse_file(pa)?,
-                    &parse_file(&fb[i])?,
-                    opts,
-                );
+                diff_into(&mut report, &stem, &parse_file(pa)?, &parse_file(&fb[i])?);
             }
         }
-        (false, false) => diff_into(&mut report, "", &parse_file(a)?, &parse_file(b)?, opts),
+        (false, false) => diff_into(&mut report, "", &parse_file(a)?, &parse_file(b)?),
         _ => {
             report.incomparable.push(format!(
                 "{} and {} are not both files or both directories",
@@ -385,54 +337,39 @@ mod tests {
     #[test]
     fn identical_documents_report_zero_drift() {
         let doc = snapshot().to_json();
-        let r = diff_docs(&doc, &doc, &DiffOptions::default());
+        let r = diff_docs(&doc, &doc);
         assert_eq!(r.verdict(), Verdict::Ok);
         assert!(r.compared > 0);
         assert!(r.drifted.is_empty() && r.incomparable.is_empty());
         assert_eq!(r.verdict().exit_code(), 0);
     }
 
+    /// The budget is zero: the smallest move of one leaf is drift, and
+    /// only that leaf is reported.
     #[test]
     fn perturbation_past_threshold_is_drift() {
         let a = snapshot();
         let mut b = snapshot();
-        b.counter_add("frame.delivered", 10); // 100 -> 110: rel ≈ 0.091
-        let report = diff_docs(
-            &a.to_json(),
-            &b.to_json(),
-            &DiffOptions {
-                default_rel: 0.05,
-                overrides: vec![],
-            },
-        );
+        b.counter_add("frame.delivered", 1); // 100 -> 101
+        let report = diff_docs(&a.to_json(), &b.to_json());
         assert_eq!(report.verdict(), Verdict::Drift);
         assert_eq!(report.verdict().exit_code(), 1);
         assert_eq!(report.drifted.len(), 1);
-        assert_eq!(report.drifted[0].path, "counters.frame.delivered");
-        // A generous override on that one metric absorbs the change.
-        let report = diff_docs(
-            &a.to_json(),
-            &b.to_json(),
-            &DiffOptions {
-                default_rel: 0.05,
-                overrides: vec![("counters.frame.delivered".into(), 0.2)],
-            },
-        );
-        assert_eq!(report.verdict(), Verdict::Ok);
+        let d = &report.drifted[0];
+        assert_eq!(d.path, "counters.frame.delivered");
+        assert_eq!((d.before, d.after), (100.0, 101.0));
+        assert!((d.rel - 1.0 / 101.0).abs() < 1e-12, "rel {}", d.rel);
     }
 
+    /// Incomparability dominates drift: a label mismatch is reported as
+    /// such even where numbers moved as well.
     #[test]
     fn label_mismatch_is_incomparable_even_with_loose_thresholds() {
         let a = snapshot();
-        let b = snapshot().with_label("cc", "cubic");
-        let report = diff_docs(
-            &a.to_json(),
-            &b.to_json(),
-            &DiffOptions {
-                default_rel: 10.0,
-                overrides: vec![],
-            },
-        );
+        let mut b = snapshot().with_label("cc", "cubic");
+        b.counter_add("frame.delivered", 10);
+        let report = diff_docs(&a.to_json(), &b.to_json());
+        assert_eq!(report.drifted.len(), 1);
         assert_eq!(report.verdict(), Verdict::Incomparable);
         assert_eq!(report.verdict().exit_code(), 2);
         assert!(report.incomparable[0].contains("labels.cc"));
@@ -443,7 +380,7 @@ mod tests {
         let a = snapshot();
         let mut b = snapshot();
         b.counter_add("net.retransmits", 1); // candidate-only leaf
-        let report = diff_docs(&a.to_json(), &b.to_json(), &DiffOptions::default());
+        let report = diff_docs(&a.to_json(), &b.to_json());
         assert_eq!(report.verdict(), Verdict::Incomparable);
     }
 
@@ -459,22 +396,8 @@ mod tests {
             assert!(!p.contains("buckets"), "bucket path {p} leaked into diff");
         }
         b.histogram("frame.delay_ms").record(5);
-        let report = diff_docs(&doc_a, &b.to_json(), &DiffOptions::default());
+        let report = diff_docs(&doc_a, &b.to_json());
         assert_eq!(report.verdict(), Verdict::Drift);
-    }
-
-    #[test]
-    fn longest_prefix_override_wins() {
-        let opts = DiffOptions {
-            default_rel: 0.0,
-            overrides: vec![
-                ("histograms.".into(), 0.02),
-                ("histograms.net.rtt_us".into(), 0.5),
-            ],
-        };
-        assert_eq!(opts.threshold_for("histograms.net.rtt_us.p90"), 0.5);
-        assert_eq!(opts.threshold_for("histograms.frame.delay_ms.p90"), 0.02);
-        assert_eq!(opts.threshold_for("counters.frame.lost"), 0.0);
     }
 
     #[test]
@@ -486,11 +409,11 @@ mod tests {
         let doc = snapshot().to_json().render_pretty();
         std::fs::write(da.join("ext_fleet.json"), &doc).unwrap();
         std::fs::write(db.join("ext_fleet.json"), &doc).unwrap();
-        let r = diff_paths(&da, &db, &DiffOptions::default()).unwrap();
+        let r = diff_paths(&da, &db).unwrap();
         assert_eq!(r.verdict(), Verdict::Ok);
         // An extra candidate file breaks comparability.
         std::fs::write(db.join("extra.json"), &doc).unwrap();
-        let r = diff_paths(&da, &db, &DiffOptions::default()).unwrap();
+        let r = diff_paths(&da, &db).unwrap();
         assert_eq!(r.verdict(), Verdict::Incomparable);
         std::fs::remove_dir_all(&tmp).unwrap();
     }

@@ -44,7 +44,7 @@
 //! | `trace_report` | post-process an [`obs`] flight-recorder JSONL trace (recorded with `--trace`) into cwnd/throughput timelines, queue percentiles and a per-glitch "why" report |
 //! | `trace_example` | record the committed quick-scale `ext_failover` example trace and its report (see `artifacts/traces/`) |
 //! | `metrics_report` | render the always-on `metrics/<name>.json` snapshots written next to every artifact: percentile tables and sparkline histogram shapes |
-//! | `bench_diff` | cross-run regression differ: compare two metrics files/directories with per-metric relative-change thresholds; exit 0 no drift, 1 drift, 2 incomparable configs |
+//! | `bench_diff` | cross-run regression differ: compare two metrics files/directories leaf by leaf, any moved number being drift; exit 0 no drift, 1 drift, 2 incomparable configs |
 
 #![warn(missing_docs)]
 

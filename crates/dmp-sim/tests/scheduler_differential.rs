@@ -1,15 +1,15 @@
-//! Differential test for the simulation engine: every figure configuration
-//! (all twelve paper settings: homogeneous, heterogeneous, and correlated)
-//! is run under both the reference binary-heap scheduler and the calendar
-//! queue, and the rendered result JSON must be **byte-identical**. The
-//! calendar queue is a pure scheduling-order-preserving optimisation; any
-//! divergence here is a bug in it.
+//! Whole-experiment invariance tests for the simulation engine and the
+//! scheme: every figure configuration (all twelve paper settings:
+//! homogeneous, heterogeneous, and correlated), the cc × strategy grids and
+//! the traced failover batch, each rendered to bytes and held to what must
+//! not change it — a no-op scenario, the flight recorder, the runner's
+//! thread count — or to digests read off earlier code.
 //!
-//! No spec names an engine: the heap side of every comparison runs the same
-//! public job builders inside `netsim::scheduler::with_engine`, on a
-//! one-thread, cache-less runner (jobs run inline on the calling thread, so
-//! each simulator is built under the scope — and the scope panics if none
-//! was).
+//! Every simulation here runs under the event queue's contract check (debug
+//! builds, `netsim::scheduler`): each pop is held to strictly increasing
+//! `(time, seq)` order and each refusal to "nothing due", which fixes the
+//! event sequence any conforming queue dispatches: where a test name below
+//! says engine-invariant, that check is what makes it so.
 
 use std::path::Path;
 
@@ -19,7 +19,6 @@ use dmp_runner::hash::hex_digest;
 use dmp_runner::{Cache, JsonCodec, Runner};
 use dmp_sim::configs::{setting, CORRELATED, HETEROGENEOUS, HOMOGENEOUS};
 use dmp_sim::experiment::{batch_jobs, scenario_batch_jobs, ExperimentSpec, RunSummary, TraceSpec};
-use netsim::scheduler::{with_engine, EngineKind};
 use scenario::Scenario;
 
 /// One shortened replication of every setting with the given scenario,
@@ -44,22 +43,6 @@ fn all_settings_rendered(scenario: &Scenario) -> Vec<(String, String)> {
             (name, summary.to_json().render())
         })
         .collect()
-}
-
-#[test]
-fn calendar_queue_matches_heap_reference_on_every_setting() {
-    let heap = with_engine(EngineKind::Heap, || {
-        all_settings_rendered(&Scenario::default())
-    });
-    let calendar = all_settings_rendered(&Scenario::default());
-    assert_eq!(heap.len(), 12);
-    for ((name_h, bytes_h), (name_c, bytes_c)) in heap.iter().zip(&calendar) {
-        assert_eq!(name_h, name_c);
-        assert_eq!(
-            bytes_h, bytes_c,
-            "setting {name_h}: calendar-queue artifact diverges from the heap reference"
-        );
-    }
 }
 
 /// A shortened failover scenario batch (two replications) under
@@ -112,41 +95,33 @@ fn trace_bytes(f: &obs::TraceFileRef) -> Vec<u8> {
 }
 
 /// The flight recorder must be invisible in every deterministic result and
-/// the trace itself must be byte-identical across scheduler engines and
-/// runner thread counts.
+/// the trace itself must be byte-identical across runner thread counts;
+/// engine invariance is the contract check's (module docs).
 #[test]
 fn tracing_is_result_neutral_and_trace_bytes_are_engine_and_thread_invariant() {
     let base = std::env::temp_dir().join(format!("dmp-sim-trace-diff-{}", std::process::id()));
-    let dir_cal = base.join("cal");
-    let dir_heap = base.join("heap");
+    let dir_one = base.join("one");
     let dir_mt = base.join("mt");
 
     let dynamic = SchedulerKind::Dynamic;
     let (untraced, none) = failover_batch(dynamic, 1, None);
     assert!(none.is_empty(), "untraced runs must return no trace files");
 
-    let (traced, cal) = failover_batch(dynamic, 1, Some(&dir_cal));
+    let (traced, one) = failover_batch(dynamic, 1, Some(&dir_one));
     assert_eq!(
         untraced, traced,
         "tracing changed a deterministic result (it must be behaviour-neutral)"
     );
-    assert_eq!(cal.len(), 2, "one trace file per replication");
-
-    // Engine invariance: the heap reference dispatches the same events in
-    // the same order, so the trace bytes cannot differ.
-    let (_, heap) = with_engine(EngineKind::Heap, || {
-        failover_batch(dynamic, 1, Some(&dir_heap))
-    });
-    assert_eq!(cal, heap, "trace bytes diverge between scheduler engines");
+    assert_eq!(one.len(), 2, "one trace file per replication");
 
     // Thread-count invariance: each run writes its own file and returns it
     // in its own result, so 8 workers produce the same bytes as 1.
     let (_, mt) = failover_batch(dynamic, 8, Some(&dir_mt));
-    assert_eq!(cal, mt, "trace bytes depend on runner thread count");
+    assert_eq!(one, mt, "trace bytes depend on runner thread count");
 
     // The trace actually contains the layers' events: header, TCP state,
     // queue samples, scheduler decisions, deliveries, and the scripted fault.
-    let text = String::from_utf8(cal[0].1.clone()).unwrap();
+    let text = String::from_utf8(one[0].1.clone()).unwrap();
     for needle in [
         "\"ev\":\"path_conn\"",
         "\"ev\":\"cwnd\"",
@@ -194,25 +169,19 @@ fn concurrent_traced_batches_each_return_their_own_trace_files() {
 
 /// A named-but-empty scenario takes a different cache key (so it never
 /// collides with the scenario-free baseline) but must not perturb a single
-/// byte of any rendered artifact, under either engine.
+/// byte of any rendered artifact. The baseline is every paper setting's
+/// run, under the contract check.
 #[test]
 fn noop_scenario_is_byte_identical_to_baseline_on_every_setting() {
-    let noop = Scenario::named("noop");
-    for engine in [EngineKind::Calendar, EngineKind::Heap] {
-        let (baseline, scripted) = with_engine(engine, || {
-            (
-                all_settings_rendered(&Scenario::default()),
-                all_settings_rendered(&noop),
-            )
-        });
-        assert_eq!(baseline.len(), 12);
-        for ((name_b, bytes_b), (name_s, bytes_s)) in baseline.iter().zip(&scripted) {
-            assert_eq!(name_b, name_s);
-            assert_eq!(
-                bytes_b, bytes_s,
-                "setting {name_b} ({engine:?}): a no-op scenario changed the artifact"
-            );
-        }
+    let baseline = all_settings_rendered(&Scenario::default());
+    let scripted = all_settings_rendered(&Scenario::named("noop"));
+    assert_eq!(baseline.len(), 12);
+    for ((name_b, bytes_b), (name_s, bytes_s)) in baseline.iter().zip(&scripted) {
+        assert_eq!(name_b, name_s);
+        assert_eq!(
+            bytes_b, bytes_s,
+            "setting {name_b}: a no-op scenario changed the artifact"
+        );
     }
 }
 
@@ -242,49 +211,32 @@ fn rendered_22(scheduler: SchedulerKind, kind: cc::CcKind, strategy: PullStrateg
     rendered(&spec_22(scheduler, kind, strategy))
 }
 
-/// Every congestion-control algorithm must be engine-invariant: the cc logic
-/// consumes only simulated time and the ACK stream, so any divergence between
-/// the heap reference and the calendar queue is an engine bug. The grid also
-/// proves the `cc` knob is actually wired through: the three algorithms must
-/// not all produce the same artifact.
+/// Every congestion-control algorithm runs under the contract check (the cc
+/// logic consumes only simulated time and the ACK stream, so that fixes its
+/// run), and the `cc` knob is actually wired through: the three algorithms
+/// must not all produce the same artifact.
 #[test]
 fn cc_algorithms_are_engine_invariant_and_distinct() {
-    let mut by_kind = Vec::new();
-    for kind in cc::CcKind::all() {
-        let heap = with_engine(EngineKind::Heap, || {
-            rendered_22(SchedulerKind::Dynamic, kind, PullStrategy::RoundRobin)
-        });
-        let calendar = rendered_22(SchedulerKind::Dynamic, kind, PullStrategy::RoundRobin);
-        assert_eq!(
-            heap, calendar,
-            "cc {kind:?}: calendar-queue artifact diverges from the heap reference"
-        );
-        by_kind.push(heap);
-    }
+    let by_kind: Vec<String> = cc::CcKind::all()
+        .into_iter()
+        .map(|kind| rendered_22(SchedulerKind::Dynamic, kind, PullStrategy::RoundRobin))
+        .collect();
     assert!(
         by_kind.windows(2).any(|w| w[0] != w[1]),
         "all congestion-control algorithms rendered identical artifacts — the knob is not wired"
     );
 }
 
-/// Every pull strategy must be engine-invariant, and the non-default
+/// Every pull strategy runs under the contract check, and the non-default
 /// strategies must actually change scheduling (RoundRobin is the historical
 /// baseline; RedundantDuplicate at minimum must differ, since it duplicates
 /// packets across paths).
 #[test]
 fn pull_strategies_are_engine_invariant_and_wired() {
-    let mut by_strategy = Vec::new();
-    for strategy in PullStrategy::all() {
-        let heap = with_engine(EngineKind::Heap, || {
-            rendered_22(SchedulerKind::Dynamic, cc::CcKind::Reno, strategy)
-        });
-        let calendar = rendered_22(SchedulerKind::Dynamic, cc::CcKind::Reno, strategy);
-        assert_eq!(
-            heap, calendar,
-            "strategy {strategy:?}: calendar-queue artifact diverges from the heap reference"
-        );
-        by_strategy.push((strategy, heap));
-    }
+    let by_strategy: Vec<(PullStrategy, String)> = PullStrategy::all()
+        .into_iter()
+        .map(|s| (s, rendered_22(SchedulerKind::Dynamic, cc::CcKind::Reno, s)))
+        .collect();
     let rr = &by_strategy[0].1;
     assert_eq!(by_strategy[0].0, PullStrategy::RoundRobin);
     let dup = by_strategy

@@ -16,13 +16,13 @@
 //!   [`dmp_core::SessionOutcome`]s.
 //! - [`run`] — fans shards across a [`dmp_runner::Runner`] pool and merges
 //!   outputs in shard-index order, so the fleet artifact is byte-identical
-//!   across thread counts, shard-per-job chunking, and both scheduler
-//!   engines.
+//!   across thread counts and shard-per-job chunking.
 //!
 //! Determinism contract: everything in [`run::FleetResult::artifact`] is a
-//! pure function of the [`spec::FleetSpec`]; engine-shaped telemetry (wheel
-//! and far-heap high-water marks differ between engines by design) is kept
-//! in the volatile meta sidecar via [`run::FleetResult::shards_meta`].
+//! pure function of the [`spec::FleetSpec`]; engine telemetry (the wheel and
+//! far-heap high-water marks describe the event queue's storage, not the
+//! simulated fleet) is kept in the volatile meta sidecar via
+//! [`run::FleetResult::shards_meta`].
 
 #![warn(missing_docs)]
 

@@ -9,9 +9,8 @@
 //! simulations are pure functions of `(spec, shard)`, so the merged fleet is
 //! byte-identical across all execution choices — the property the
 //! determinism suite in `tests/determinism.rs` locks down. Which scheduler a
-//! shard's simulator runs on is not an execution choice made here: netsim
-//! decides it, and the suite reaches the reference heap through netsim's
-//! test-oracle scope.
+//! shard's simulator runs on is not an execution choice at all: netsim has
+//! one.
 
 use std::ops::Range;
 use std::path::PathBuf;
@@ -55,10 +54,10 @@ pub struct FleetResult {
     /// The fleet-level verdict folded from the outcomes.
     pub report: FleetReport,
     /// Events dispatched by each shard's simulation, shard-index order
-    /// (engine-invariant, part of the deterministic artifact).
+    /// (part of the deterministic artifact).
     pub shard_events: Vec<u64>,
-    /// Each shard's engine counters, shard-index order (engine-shaped;
-    /// volatile meta sidecars only).
+    /// Each shard's engine counters, shard-index order (volatile meta
+    /// sidecars only).
     pub shard_telemetry: Vec<EngineTelemetry>,
     /// Every shard's metrics merged in shard-index order — the same merge
     /// discipline as [`EngineTelemetry::absorb`], but over the exact integer
@@ -86,9 +85,9 @@ impl FleetResult {
 
     /// The deterministic artifact document: spec identity, per-session
     /// outcomes, the fleet report, and per-shard event counts. Everything in
-    /// here is byte-identical across thread counts, shard chunking, and both
-    /// scheduler engines; telemetry deliberately stays out (its high-water
-    /// marks are engine-shaped).
+    /// here is byte-identical across thread counts and shard chunking;
+    /// telemetry deliberately stays out (its high-water marks describe the
+    /// event queue's storage, not the fleet).
     pub fn artifact(&self, spec: &FleetSpec) -> Json {
         let r = &self.report;
         let dist = |d: &dmp_core::Distribution| {

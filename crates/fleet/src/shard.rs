@@ -53,25 +53,24 @@ fn drain_s(spec: &FleetSpec) -> f64 {
 
 /// One fleet shard's results: everything the run layer needs to merge the
 /// fleet, split into the deterministic part (`outcomes`, `events_processed`
-/// — byte-identical across engines, thread counts, and shard chunking) and
-/// the engine-shaped part (`telemetry` — HWM fields differ between engines
-/// by design and must only ever reach volatile meta sidecars), plus the
-/// trace file of a traced run.
+/// — byte-identical across thread counts and shard chunking) and the
+/// engine's bookkeeping (`telemetry` — its HWM fields describe the event
+/// queue's storage, not the simulated system, and only ever reach volatile
+/// meta sidecars), plus the trace file of a traced run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardOutput {
     /// Which shard this is.
     pub shard: u32,
     /// Per-session outcomes, in global session order.
     pub outcomes: Vec<SessionOutcome>,
-    /// Events the shard's simulation dispatched (engine-invariant).
+    /// Events the shard's simulation dispatched.
     pub events_processed: u64,
-    /// The shard simulation's engine counters (engine-dependent; volatile
-    /// meta only).
+    /// The shard simulation's engine counters (volatile meta only).
     pub telemetry: EngineTelemetry,
     /// Always-on metrics: the shard sim's sender/link distributions, frame
     /// metrics over every session's delivery trace, and per-session
-    /// lateness/headroom/glitch histograms. Engine-invariant (no HWMs), so
-    /// it merges and serialises byte-identically across engines.
+    /// lateness/headroom/glitch histograms. No HWMs, so it merges and
+    /// serialises byte-identically across thread counts and chunking.
     pub metrics: obs::MetricsSnapshot,
     /// The flight-recorder file this shard wrote. Never serialised: a traced
     /// job is not cached, and a decoded output names no file.
@@ -416,7 +415,6 @@ impl JsonCodec for ShardOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::scheduler::{with_engine, EngineKind};
 
     fn tiny_spec() -> FleetSpec {
         let mut spec = FleetSpec::new("tiny", 4, 2, 11);
@@ -445,22 +443,15 @@ mod tests {
         assert_eq!(out.outcomes[1].session, 1);
     }
 
+    /// Shard 1, once, under the event queue's contract check (debug builds):
+    /// it holds every pop to `(time, seq)` order, which fixes the outcomes
+    /// and metrics any conforming queue produces.
     #[test]
     fn engines_agree_byte_for_byte_on_outcomes() {
-        let spec = tiny_spec();
-        let a = with_engine(EngineKind::Heap, || run_shard(&spec, 1, None));
-        let b = run_shard(&spec, 1, None);
-        assert_eq!(a.outcomes, b.outcomes);
-        assert_eq!(a.events_processed, b.events_processed);
-        // Telemetry is engine-shaped (far heap vs wheel) and may differ;
-        // only the deterministic half must agree. Metrics are part of that
-        // deterministic half: snapshots must serialise byte-identically.
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(
-            a.metrics.to_json().render(),
-            b.metrics.to_json().render(),
-            "metric snapshots must be byte-identical across engines"
-        );
+        let out = run_shard(&tiny_spec(), 1, None);
+        let sessions: Vec<u32> = out.outcomes.iter().map(|o| o.session).collect();
+        assert_eq!(sessions, [2, 3]);
+        assert!(out.events_processed > 0);
     }
 
     #[test]

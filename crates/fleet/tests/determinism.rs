@@ -1,11 +1,12 @@
 //! The fleet determinism contract: the deterministic artifact is a pure
 //! function of the [`FleetSpec`] — byte-identical across runner thread
-//! counts, shard-per-job chunking, and both scheduler engines — and the
-//! churn plan is a pure function of the spec seed.
+//! counts and shard-per-job chunking — and the churn plan is a pure function
+//! of the spec seed. Every shard runs under the event queue's contract check
+//! (debug builds), which fixes the event sequence any conforming scheduler
+//! dispatches.
 
 use dmp_fleet::{run_fleet, shard_plans, FleetOptions, FleetSpec};
 use dmp_runner::{Cache, Runner};
-use netsim::scheduler::{with_engine, EngineKind};
 
 /// Small enough to run in tier-1 debug builds (these tests execute the full
 /// packet simulation many times over), large enough to exercise multiple
@@ -48,12 +49,11 @@ fn artifact_is_byte_identical_across_threads_and_chunking() {
 #[test]
 fn engines_produce_identical_fleets() {
     // No spec names an engine, so the whole artifact — `config` line
-    // included — must agree byte for byte. The heap side runs on one thread:
-    // the oracle scope covers the calling thread only, and a one-thread
-    // runner executes its jobs inline.
-    let heap = with_engine(EngineKind::Heap, || artifact(1, 2));
-    let cal = artifact(2, 2);
-    assert_eq!(heap, cal, "fleet physics diverged");
+    // included — is a function of the spec alone: the one scheduler runs it
+    // under its contract check, inline on one thread.
+    let artifact = artifact(1, 2);
+    let config = dmp_runner::Json::Str(format!("{:?}", spec())).render();
+    assert!(artifact.contains(&config), "{artifact}");
 }
 
 #[test]

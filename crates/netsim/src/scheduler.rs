@@ -1,24 +1,37 @@
-//! Pending-event queues for the simulation engine.
+//! The pending-event queue of the simulation engine.
 //!
-//! Two implementations sit behind [`EventQueue`]:
+//! [`EventQueue`] is a two-level calendar queue in the spirit of ns-2's: a
+//! *near wheel* of fine-grained time buckets covering the next ~270 ms of
+//! simulated time plus a *far heap* for distant timers. At the event
+//! densities of the paper's sweeps almost every event (link serialisations,
+//! arrivals, delayed ACKs) lands in the wheel, where push and pop are `O(1)`
+//! amortised; only long retransmission timeouts touch the far heap. It is
+//! the one scheduler a [`crate::sim::Sim`] runs on.
 //!
-//! * [`CalendarQueue`] — the production scheduler: a two-level calendar
-//!   queue in the spirit of ns-2's, a *near wheel* of fine-grained time
-//!   buckets covering the next ~270 ms of simulated time plus a *far heap*
-//!   for distant timers. At the event densities of the paper's sweeps almost
-//!   every event (link serialisations, arrivals, delayed ACKs) lands in the
-//!   wheel, where push and pop are `O(1)` amortised; only long
-//!   retransmission timeouts touch the far heap.
-//! * [`HeapQueue`] — the reference `BinaryHeap` scheduler. Simple, obviously
-//!   correct, `O(log n)` per operation on the *whole* queue. It is the test
-//!   oracle: no spec or option above this crate selects it.
+//! # The contract, and the check that holds the queue to it
 //!
-//! Both orderings are **identical**: events pop in strictly increasing
-//! `(time, seq)` order, where `seq` is the global push counter — i.e. exact
-//! FIFO among simultaneous events. The property test below, `sim.rs`'s
-//! `both_engines_agree_exactly` and the experiment-level differentials
-//! (`dmp-sim/tests/scheduler_differential.rs`, `fleet/tests/determinism.rs`)
-//! hold the two implementations to byte-identical behaviour.
+//! Events pop in strictly increasing `(time, seq)` order, where `seq` is the
+//! global push counter — exact FIFO among simultaneous events — and
+//! [`EventQueue::pop_at_or_before`] declines only when no pending event is
+//! due by its horizon.
+//!
+//! In builds with debug assertions (the dev profile, so every `cargo test`
+//! without `--release`) the queue checks that contract itself, on every
+//! simulation that runs:
+//!
+//! * **every pop**, in `O(1)`: the popped `(time, seq)` is strictly greater
+//!   than the previous pop's, and at most the horizon;
+//! * **every refusal**, in one walk of the wheel lists and a peek at the far
+//!   heap (a `Sim` refuses once per `run_until`): no pending event is due at
+//!   or before the horizon, and the events pending are as many as were
+//!   pushed and not popped.
+//!
+//! As `seq` is the global push counter, the two together mean the pops come
+//! out sorted, a refusal happens only when nothing is due, and no event is
+//! lost or duplicated. The check allocates nothing. Release builds compile
+//! it out, so the benchmark and `dmp-bench` do not pay for it; the unit tests
+//! below also hold the queue to an explicit sorted reference, which runs
+//! with debug assertions off too.
 //!
 //! # How the wheel is stored
 //!
@@ -52,17 +65,14 @@
 //! # What is inlined, and what is not
 //!
 //! [`EventQueue::push`] and [`EventQueue::pop_at_or_before`] are
-//! `#[inline(always)]`, and so is the calendar arm behind them (`push`,
-//! `push_wheel`, `pop_at_or_before`): in a simulation they are the event
-//! loop, one pop and about one push per event, and as calls behind the enum
-//! match they were a quarter of a `video_2path` iteration. Inlined, a pushed
-//! event's three fields go from registers into the slab node and a popped
-//! one's come back in registers; see `push_wheel` and the `Heap` arm of
-//! `pop_at_or_before` for the two places where that needed saying in code.
-//! What happens once per many events stays a call — a far push, the drain,
-//! the window jump, slab growth — and so does the whole `Heap` arm: the
-//! oracle is run by tests, and inlining `BinaryHeap` sifts would only put
-//! them in the production loop's way.
+//! `#[inline(always)]`, and so is `push_wheel` behind them: in a simulation
+//! they are the event loop, one pop and about one push per event, and as
+//! calls they were a quarter of a `video_2path` iteration. Inlined, a pushed
+//! event's three fields go from registers into the slab node (see
+//! `push_wheel` for why that needed saying in code) and a popped one's come
+//! back in registers. What happens once per many events stays a call — a far
+//! push, the drain, the window jump, slab growth, and the check's refusal
+//! walk.
 //!
 //! Why not a `Vec` per bucket: with ~100 pending events that puts a 24 B
 //! header and a heap buffer behind each of 2048 buckets — 48 KB + 1 MiB
@@ -71,84 +81,22 @@
 //! links, senders and rings compete for the cache, that layout made the
 //! scheduler a quarter of an iteration and cost every `Sim::new` 2048
 //! allocations (`zero_alloc.rs` pins construction to a handful).
-//!
-//! # Why the calendar queue is the production engine
-//!
-//! Which queue a [`crate::sim::Sim`] runs on is decided here and nowhere
-//! else: [`Sim::new`](crate::sim::Sim::new) takes [`EngineKind::default`].
-//! The decision rests on the last side-by-side recording of the two engines
-//! (2026-09-30, quoted under "Performance" in EXPERIMENTS.md; best of three
-//! passes; absolute rates follow the shared host's speed, the order within a
-//! topology does not): on `multipath_video` — the dense Setting 2-2
-//! shape every figure, sweep and fleet shard runs — the calendar queue
-//! dispatches 14.3 M events/s against the heap's 9.2 M, and on
-//! `bottleneck_bg` (one congested link, 49 background flows) 13.3 M against
-//! 10.6 M. The heap still wins `two_host` — one flow, a handful of pending
-//! events, where a binary heap is two levels deep — by 15.4 M to 15.1 M,
-//! a shape no production target resembles. Specs, cache keys and artifacts
-//! therefore carry no engine; tests reach the oracle through [`with_engine`].
 
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Which pending-event queue a [`crate::sim::Sim`] uses.
+/// The kind of queue [`EventQueue::new`] builds; there is one. The type and
+/// that parameter stay only for `benchmark/src/probes.rs`, which builds its
+/// hold-model queue with `EventQueue::new(EngineKind::default())` and is
+/// edited only together with the benchmark ledger — the deferral
+/// `dmp_runner::JobSpec::new` has for the same reason.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Reference binary-heap scheduler.
-    Heap,
-    /// Two-level calendar queue (near wheel + far heap). The default.
+    /// Two-level calendar queue (near wheel + far heap).
     #[default]
     Calendar,
-}
-
-thread_local! {
-    /// The innermost [`with_engine`] scope on this thread: its engine and
-    /// whether a `Sim` has been built under it yet.
-    static OVERRIDE: Cell<Option<(EngineKind, bool)>> = const { Cell::new(None) };
-}
-
-/// The engine a new [`crate::sim::Sim`] gets: the innermost [`with_engine`]
-/// scope's on this thread (marking that scope used), else the default.
-pub(crate) fn engine_for_new_sim() -> EngineKind {
-    match OVERRIDE.get() {
-        Some((kind, _)) => {
-            OVERRIDE.set(Some((kind, true)));
-            kind
-        }
-        None => EngineKind::default(),
-    }
-}
-
-/// Test-oracle hook: every [`Sim::new`](crate::sim::Sim::new) /
-/// [`Sim::with_capacity`](crate::sim::Sim::with_capacity) on this thread
-/// inside `f` runs on `kind`. This is how differential tests put code that
-/// owns its `Sim` (`dmp_sim::experiment::run`, `fleet::run_shard`, …) on the
-/// reference heap without any spec naming an engine. The previous scope is
-/// restored on return and on unwind.
-///
-/// Panics if `f` returns without having built a `Sim` on this thread — the
-/// work ran on a pool worker or was a cache hit, and the caller would be
-/// comparing the default engine with itself.
-#[doc(hidden)]
-pub fn with_engine<R>(kind: EngineKind, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<(EngineKind, bool)>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            OVERRIDE.set(self.0);
-        }
-    }
-    let restore = Restore(OVERRIDE.replace(Some((kind, false))));
-    let out = f();
-    let used = OVERRIDE.get().is_some_and(|(_, used)| used);
-    drop(restore);
-    assert!(
-        used,
-        "with_engine({kind:?}): no Sim was built on this thread inside the scope"
-    );
-    out
 }
 
 /// One queued event: a timestamp, the global push sequence number that breaks
@@ -180,60 +128,20 @@ impl<T> Ord for Entry<T> {
     }
 }
 
+/// An entry's `(time, seq)` as one integer, ordered the same way.
+#[inline(always)]
+fn key<T>(e: &Entry<T>) -> u128 {
+    (u128::from(e.time) << 64) | u128::from(e.seq)
+}
+
 /// High-water marks a queue reports for telemetry.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueueHwm {
-    /// Peak number of events resident in the near wheel (total queue size for
-    /// the heap scheduler).
+    /// Peak number of events resident in the near wheel.
     pub wheel: u64,
-    /// Peak number of events resident in the far heap (0 for the heap
-    /// scheduler).
+    /// Peak number of events resident in the far heap.
     pub far: u64,
 }
-
-// ---------------------------------------------------------------------------
-// Reference heap
-// ---------------------------------------------------------------------------
-
-/// The reference `BinaryHeap` scheduler.
-#[derive(Debug)]
-pub struct HeapQueue<T> {
-    heap: BinaryHeap<Reverse<Entry<T>>>,
-    hwm: usize,
-}
-
-impl<T: Copy> HeapQueue<T> {
-    fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            hwm: 0,
-        }
-    }
-
-    // The oracle stays a call: inlined beside the calendar arm it would only
-    // put `BinaryHeap` sifts into the production event loop's body.
-    #[inline(never)]
-    fn push(&mut self, e: Entry<T>) {
-        self.heap.push(Reverse(e));
-        self.hwm = self.hwm.max(self.heap.len());
-    }
-
-    #[inline(never)]
-    fn pop_at_or_before(&mut self, t_end: SimTime) -> Option<Entry<T>> {
-        match self.heap.peek() {
-            Some(Reverse(e)) if e.time <= t_end => self.heap.pop().map(|Reverse(e)| e),
-            _ => None,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Calendar queue
-// ---------------------------------------------------------------------------
 
 /// log2 of the bucket width: 2^17 ns ≈ 131 µs per bucket.
 const BUCKET_SHIFT: u32 = 17;
@@ -259,9 +167,10 @@ const NIL: u32 = u32::MAX;
 /// the unused part of the reserve costs address space, not resident memory.
 const SLAB_RESERVE: usize = 1024;
 
-/// Two-level calendar queue: near wheel + far heap.
+/// The pending-event queue: a two-level calendar queue, near wheel + far
+/// heap (module docs).
 #[derive(Debug)]
-pub struct CalendarQueue<T> {
+pub struct EventQueue<T> {
     /// The near wheel: `heads[b & BUCKET_MASK]` is the slab index of the
     /// first event whose absolute bucket is `b` (`NIL` = empty bucket); the
     /// window invariant (every resident bucket is in `[base, base + BUCKETS)`)
@@ -295,10 +204,24 @@ pub struct CalendarQueue<T> {
     far_min: u64,
     wheel_hwm: usize,
     far_hwm: usize,
+    /// What the contract check remembers between operations.
+    #[cfg(debug_assertions)]
+    check: ContractCheck,
 }
 
-impl<T: Copy> CalendarQueue<T> {
-    fn new() -> Self {
+/// The debug-build contract check's memory (module docs).
+#[cfg(debug_assertions)]
+#[derive(Debug, Default)]
+struct ContractCheck {
+    /// The previous pop's [`key`]; `None` before the first pop.
+    last_pop: Option<u128>,
+    pushes: u64,
+    pops: u64,
+}
+
+impl<T: Copy> EventQueue<T> {
+    /// An empty queue (there is one [`EngineKind`]).
+    pub fn new(_: EngineKind) -> Self {
         Self {
             heads: Box::new([NIL; BUCKETS]),
             slab: Vec::with_capacity(SLAB_RESERVE),
@@ -311,6 +234,26 @@ impl<T: Copy> CalendarQueue<T> {
             far_min: u64::MAX,
             wheel_hwm: 0,
             far_hwm: 0,
+            #[cfg(debug_assertions)]
+            check: ContractCheck::default(),
+        }
+    }
+
+    /// Queue an event. `time` must be at or after the time of the last popped
+    /// event (events are never scheduled in the past), and `seq` must be
+    /// newer than every earlier push's.
+    #[inline(always)]
+    pub fn push(&mut self, time: SimTime, seq: u64, payload: T) {
+        #[cfg(debug_assertions)]
+        {
+            self.check.pushes += 1;
+        }
+        let b = bucket_of(time);
+        debug_assert!(b >= self.base, "event scheduled behind the wheel window");
+        if b < self.base + BUCKETS as u64 {
+            self.push_wheel(time, seq, payload);
+        } else {
+            self.push_far(Entry { time, seq, payload }, b);
         }
     }
 
@@ -350,17 +293,6 @@ impl<T: Copy> CalendarQueue<T> {
         self.slab.push(e);
         self.next.push(next);
         i as u32
-    }
-
-    #[inline(always)]
-    fn push(&mut self, time: SimTime, seq: u64, payload: T) {
-        let b = bucket_of(time);
-        debug_assert!(b >= self.base, "event scheduled behind the wheel window");
-        if b < self.base + BUCKETS as u64 {
-            self.push_wheel(time, seq, payload);
-        } else {
-            self.push_far(Entry { time, seq, payload }, b);
-        }
     }
 
     /// An event in bucket `b`, past the wheel window, goes to the far heap.
@@ -433,8 +365,21 @@ impl<T: Copy> CalendarQueue<T> {
         }
     }
 
+    /// Remove and return the earliest event if it is due at or before
+    /// `t_end`; `None` otherwise (the event stays queued).
     #[inline(always)]
-    fn pop_at_or_before(&mut self, t_end: SimTime) -> Option<Entry<T>> {
+    pub fn pop_at_or_before(&mut self, t_end: SimTime) -> Option<Entry<T>> {
+        let popped = self.take_earliest(t_end);
+        #[cfg(debug_assertions)]
+        match &popped {
+            Some(e) => self.check_pop(key(e), t_end),
+            None => self.check_refusal(t_end),
+        }
+        popped
+    }
+
+    #[inline(always)]
+    fn take_earliest(&mut self, t_end: SimTime) -> Option<Entry<T>> {
         if self.far_min < self.base + BUCKETS as u64 {
             self.drain_far();
         }
@@ -461,7 +406,6 @@ impl<T: Copy> CalendarQueue<T> {
         // its predecessor so it can be unlinked. The key is one integer
         // so that the update compiles to selects: which node of a bucket
         // is earliest is a coin flip no branch predictor learns.
-        let key = |e: &Entry<T>| (u128::from(e.time) << 64) | u128::from(e.seq);
         let head = self.heads[slot];
         let (mut min, mut min_prev) = (head, NIL);
         let mut min_key = key(&self.slab[head as usize]);
@@ -491,84 +435,69 @@ impl<T: Copy> CalendarQueue<T> {
         Some(e)
     }
 
-    fn len(&self) -> usize {
-        self.wheel_len + self.far.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The pluggable queue
-// ---------------------------------------------------------------------------
-
-/// A pending-event queue: the reference heap or the calendar queue, selected
-/// at [`crate::sim::Sim`] construction.
-// One instance per `Sim`, so the variant size gap is irrelevant; boxing the
-// calendar queue would put a pointer chase on every push/pop instead.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum EventQueue<T> {
-    /// Reference binary heap.
-    Heap(HeapQueue<T>),
-    /// Two-level calendar queue.
-    Calendar(CalendarQueue<T>),
-}
-
-impl<T: Copy> EventQueue<T> {
-    /// Create an empty queue of the given kind.
-    pub fn new(kind: EngineKind) -> Self {
-        match kind {
-            EngineKind::Heap => Self::Heap(HeapQueue::new()),
-            EngineKind::Calendar => Self::Calendar(CalendarQueue::new()),
-        }
-    }
-
-    /// Which implementation this is.
-    pub fn kind(&self) -> EngineKind {
-        match self {
-            Self::Heap(_) => EngineKind::Heap,
-            Self::Calendar(_) => EngineKind::Calendar,
-        }
-    }
-
-    /// Queue an event. `time` must be at or after the time of the last popped
-    /// event (events are never scheduled in the past).
+    /// A pop of the event with [`key`] `k` at horizon `t_end`: it is due by
+    /// then and comes strictly after the previous pop. Takes the key, not
+    /// the entry, so that the popped event need not leave its registers.
+    #[cfg(debug_assertions)]
     #[inline(always)]
-    pub fn push(&mut self, time: SimTime, seq: u64, payload: T) {
-        match self {
-            Self::Calendar(q) => q.push(time, seq, payload),
-            Self::Heap(q) => q.push(Entry { time, seq, payload }),
+    fn check_pop(&mut self, k: u128, t_end: SimTime) {
+        let (time, seq) = ((k >> 64) as SimTime, k as u64);
+        assert!(
+            time <= t_end,
+            "event queue contract: popped ({time} ns, seq {seq}) past the horizon {t_end} ns"
+        );
+        if let Some(last) = self.check.last_pop {
+            assert!(
+                k > last,
+                "event queue contract: popped ({time} ns, seq {seq}) after ({} ns, seq {})",
+                last >> 64,
+                last as u64
+            );
         }
+        self.check.last_pop = Some(k);
+        self.check.pops += 1;
     }
 
-    /// Remove and return the earliest event if it is due at or before
-    /// `t_end`; `None` otherwise (the event stays queued).
-    #[inline(always)]
-    pub fn pop_at_or_before(&mut self, t_end: SimTime) -> Option<Entry<T>> {
-        match self {
-            Self::Calendar(q) => q.pop_at_or_before(t_end),
-            // Rebuilt field by field on purpose. Handed on as it comes, the
-            // oracle's result is written through a pointer into the slot
-            // both arms return in, which pins the calendar arm's result to
-            // that stack slot as well: the event loop then stored every
-            // popped event and loaded it back before it could branch on its
-            // kind (6 % of a `video_2path` iteration).
-            Self::Heap(q) => {
-                let e = q.pop_at_or_before(t_end)?;
-                Some(Entry {
-                    time: e.time,
-                    seq: e.seq,
-                    payload: e.payload,
-                })
+    /// A refusal at `t_end`: nothing pending is due by then, and exactly the
+    /// events pushed and not popped are pending.
+    #[cfg(debug_assertions)]
+    #[cold]
+    fn check_refusal(&self, t_end: SimTime) {
+        let expected = self.check.pushes - self.check.pops;
+        let mut pending = self.far.len() as u64;
+        let mut earliest = self.far.peek().map(|Reverse(e)| key(e));
+        for &head in self.heads.iter() {
+            let mut i = head;
+            while i != NIL {
+                pending += 1;
+                // Also ends the walk of a list that loops.
+                assert!(
+                    pending <= expected,
+                    "event queue contract: more than the {expected} events pushed and not popped are pending"
+                );
+                let k = key(&self.slab[i as usize]);
+                earliest = Some(earliest.map_or(k, |m| m.min(k)));
+                i = self.next[i as usize];
             }
+        }
+        assert_eq!(
+            pending, expected,
+            "event queue contract: {pending} events pending after {} pushes and {} pops",
+            self.check.pushes, self.check.pops
+        );
+        if let Some(k) = earliest {
+            assert!(
+                (k >> 64) as SimTime > t_end,
+                "event queue contract: refused at the horizon {t_end} ns with ({} ns, seq {}) due",
+                k >> 64,
+                k as u64
+            );
         }
     }
 
     /// Events currently queued.
     pub fn len(&self) -> usize {
-        match self {
-            Self::Heap(q) => q.len(),
-            Self::Calendar(q) => q.len(),
-        }
+        self.wheel_len + self.far.len()
     }
 
     /// True if no events are queued.
@@ -578,15 +507,9 @@ impl<T: Copy> EventQueue<T> {
 
     /// Occupancy high-water marks.
     pub fn hwm(&self) -> QueueHwm {
-        match self {
-            Self::Heap(q) => QueueHwm {
-                wheel: q.hwm as u64,
-                far: 0,
-            },
-            Self::Calendar(q) => QueueHwm {
-                wheel: q.wheel_hwm as u64,
-                far: q.far_hwm as u64,
-            },
+        QueueHwm {
+            wheel: self.wheel_hwm as u64,
+            far: self.far_hwm as u64,
         }
     }
 }
@@ -597,73 +520,77 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    fn drain_all(q: &mut EventQueue<u32>) -> Vec<(SimTime, u64, u32)> {
-        let mut out = Vec::new();
-        while let Some(e) = q.pop_at_or_before(SimTime::MAX) {
-            out.push((e.time, e.seq, e.payload));
-        }
-        out
+    fn queue() -> EventQueue<u32> {
+        EventQueue::new(EngineKind::Calendar)
     }
 
-    /// The calendar queue inside `q`, for tests that read its private state.
-    fn calendar(q: &EventQueue<u32>) -> &CalendarQueue<u32> {
-        match q {
-            EventQueue::Calendar(c) => c,
-            EventQueue::Heap(_) => unreachable!("calendar queue expected"),
-        }
+    fn payloads(q: &mut EventQueue<u32>) -> Vec<u32> {
+        std::iter::from_fn(|| q.pop_at_or_before(SimTime::MAX))
+            .map(|e| e.payload)
+            .collect()
     }
 
-    /// The calendar queue's storage invariant: the slab only grows when every
-    /// node is linked, so it is exactly as long as the wheel's high-water mark.
+    /// The storage invariant: the slab only grows when every node is linked,
+    /// so it is exactly as long as the wheel's high-water mark.
     fn slab_len(q: &EventQueue<u32>) -> (usize, usize) {
-        let c = calendar(q);
-        (c.slab.len(), c.wheel_hwm)
+        (q.slab.len(), q.wheel_hwm)
     }
 
     /// Is the next pop going to take the `base` jump: wheel empty, far heap
     /// not, and its earliest event outside the window?
     fn about_to_jump(q: &EventQueue<u32>) -> bool {
-        let c = calendar(q);
-        c.wheel_len == 0 && !c.far.is_empty() && c.far_min >= c.base + BUCKETS as u64
+        q.wheel_len == 0 && !q.far.is_empty() && q.far_min >= q.base + BUCKETS as u64
     }
 
-    /// Push a random schedule into both queues, interleaving pops the way the
-    /// simulator does (events scheduled relative to the last popped time, a
-    /// share of the pops stopped by a `run_until` horizon), and require
-    /// identical pop order — including FIFO among ties — and identical
-    /// refusals. The schedule runs the wheel round several times, so nearly
-    /// every push lands on a node a pop returned to the free list; now and
-    /// then the pushes pause until the queue has run dry, so the wheel empties
-    /// with only far timers left and the window has to jump to them.
+    /// Push a random schedule into the queue and into a test-local binary
+    /// heap of the same events — the sorted reference — interleaving pops the
+    /// way the simulator does (events scheduled relative to the last popped
+    /// time, a share of the pops stopped by a `run_until` horizon), and
+    /// require every pop to match the reference — including FIFO among ties
+    /// — and every refusal too. The reference keeps this a check of the
+    /// contract where debug assertions are off. The schedule runs the wheel
+    /// round several times, so nearly every push lands on a node a pop
+    /// returned to the free list; now and then the pushes pause until the
+    /// queue has run dry, so the wheel empties with only far timers left and
+    /// the window has to jump to them.
     #[test]
     fn heap_and_calendar_pop_identically() {
         const WHEEL_SPAN_NS: u64 = (BUCKETS as u64) << BUCKET_SHIFT;
         for seed in 0..8u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut heap = EventQueue::new(EngineKind::Heap);
-            let mut cal = EventQueue::new(EngineKind::Calendar);
+            let mut heap = BinaryHeap::new();
+            let mut cal = queue();
             let mut seq = 0u64;
             let mut now: SimTime = 0;
-            let mut popped_h = Vec::new();
-            let mut popped_c = Vec::new();
-            let (mut refused, mut jumps) = (0u32, 0u32);
+            let (mut pops, mut refused, mut jumps) = (0usize, 0u32, 0u32);
+            let mut push_both = |heap: &mut BinaryHeap<_>, cal: &mut EventQueue<u32>, time| {
+                seq += 1;
+                heap.push(Reverse((time, seq, seq as u32)));
+                cal.push(time, seq, seq as u32);
+            };
             // Pop both queues up to `t_end`. A refusal must be mutual, and
             // leaves the caller at the horizon, as `run_until` does.
-            let mut pop_both = |heap: &mut EventQueue<u32>,
+            let mut pop_both = |heap: &mut BinaryHeap<Reverse<(SimTime, u64, u32)>>,
                                 cal: &mut EventQueue<u32>,
                                 now: &mut SimTime,
                                 t_end: SimTime| {
                 jumps += u32::from(about_to_jump(cal));
-                let h = heap.pop_at_or_before(t_end);
-                let c = cal.pop_at_or_before(t_end);
-                assert_eq!(h.is_some(), c.is_some(), "seed {seed}: horizon {t_end}");
-                match (h, c) {
-                    (Some(h), Some(c)) => {
-                        *now = h.time;
-                        popped_h.push((h.time, h.seq, h.payload));
-                        popped_c.push((c.time, c.seq, c.payload));
+                let want = match heap.peek() {
+                    Some(&Reverse(e)) if e.0 <= t_end => heap.pop().map(|Reverse(e)| e),
+                    _ => None,
+                };
+                let got = cal.pop_at_or_before(t_end);
+                assert_eq!(
+                    got.map(|e| (e.time, e.seq, e.payload)),
+                    want,
+                    "seed {seed}: horizon {t_end}"
+                );
+                match want {
+                    Some((time, _, _)) => {
+                        *now = time;
+                        pops += 1;
                     }
-                    _ => {
+                    None => {
                         *now = t_end;
                         refused += 1;
                     }
@@ -677,9 +604,7 @@ mod tests {
                     // empty before each of the two, and the jump to it is
                     // refused until the horizon has crept up to it.
                     for dt in [6_000_000_000, 8_000_000_000] {
-                        seq += 1;
-                        heap.push(now + dt, seq, seq as u32);
-                        cal.push(now + dt, seq, seq as u32);
+                        push_both(&mut heap, &mut cal, now + dt);
                     }
                     while !heap.is_empty() {
                         let t_end = now + rng.gen_range(0..2 * WHEEL_SPAN_NS);
@@ -704,9 +629,7 @@ mod tests {
                         _ => (rng.gen_range(250_000_000..5_000_000_000), 1),
                     };
                     for _ in 0..copies {
-                        seq += 1;
-                        heap.push(now + dt, seq, seq as u32);
-                        cal.push(now + dt, seq, seq as u32);
+                        push_both(&mut heap, &mut cal, now + dt);
                     }
                 } else {
                     // One pop in four stops at a horizon a bucket or two
@@ -720,6 +643,10 @@ mod tests {
                     pop_both(&mut heap, &mut cal, &mut now, t_end);
                 }
             }
+            while !heap.is_empty() {
+                pop_both(&mut heap, &mut cal, &mut now, SimTime::MAX);
+            }
+            assert!(cal.is_empty(), "seed {seed}: calendar kept events");
             assert!(
                 now >= 3 * WHEEL_SPAN_NS,
                 "seed {seed}: only {now} ns of interleaved pops"
@@ -728,20 +655,31 @@ mod tests {
                 refused >= 1_000 && jumps >= 20,
                 "seed {seed}: {refused} refusals, {jumps} window jumps"
             );
-            popped_h.extend(drain_all(&mut heap));
-            popped_c.extend(drain_all(&mut cal));
-            assert_eq!(popped_h, popped_c, "seed {seed}");
-            let mut sorted = popped_h.clone();
-            sorted.sort();
-            assert_eq!(popped_h, sorted, "pop order must be (time, seq)");
             let (slab, hwm) = slab_len(&cal);
             assert_eq!(slab, hwm, "seed {seed}: a push skipped the free list");
             assert!(
-                (40..popped_c.len() / 4).contains(&slab),
-                "seed {seed}: {slab} nodes carried {} events",
-                popped_c.len()
+                (40..pops / 4).contains(&slab),
+                "seed {seed}: {slab} nodes carried {pops} events"
             );
         }
+    }
+
+    /// An event pushed behind the last pop, in the bucket that pop was
+    /// taken from — so the wheel-window assertion does not fire first —
+    /// pops next, out of order. A queue compared only with another queue
+    /// (the same push, the same pop) would agree with it; the contract
+    /// check refuses the pop.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(
+        expected = "event queue contract: popped (500 ns, seq 2) after (1000 ns, seq 1)"
+    )]
+    fn a_pop_behind_the_previous_one_breaks_the_contract() {
+        let mut q = queue();
+        q.push(1_000, 1, 1);
+        assert_eq!(q.pop_at_or_before(SimTime::MAX).unwrap().payload, 1);
+        q.push(500, 2, 2);
+        q.pop_at_or_before(SimTime::MAX);
     }
 
     /// A far push that undercuts the cached far minimum must lower it. Here
@@ -752,40 +690,35 @@ mod tests {
     #[test]
     fn far_push_below_the_refreshed_minimum_pops_in_order() {
         const MS: u64 = 1_000_000;
-        let far_len = |q: &EventQueue<u32>| calendar(q).far.len();
-        let mut q = EventQueue::new(EngineKind::Calendar);
+        let mut q = queue();
         q.push(4_000 * MS, 1, 1u32);
         q.push(5_000 * MS, 2, 2);
-        assert_eq!(far_len(&q), 2);
+        assert_eq!(q.far.len(), 2);
         // Empty wheel: the window jumps to 4 s, the drain takes event 1 and
         // re-reads the minimum from event 2.
         assert_eq!(q.pop_at_or_before(SimTime::MAX).unwrap().payload, 1);
         q.push(4_500 * MS, 3, 3);
         assert_eq!(
-            far_len(&q),
+            q.far.len(),
             2,
             "4.5 s is past the window that starts at 4 s"
         );
         q.push(4_250 * MS, 4, 4);
-        assert_eq!(far_len(&q), 2, "4.25 s is inside it");
+        assert_eq!(q.far.len(), 2, "4.25 s is inside it");
         assert_eq!(q.pop_at_or_before(SimTime::MAX).unwrap().payload, 4);
         // The window now starts at 4.25 s and covers 4.5 s and 4.51 s.
         q.push(4_510 * MS, 5, 5);
-        assert_eq!(far_len(&q), 2);
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop_at_or_before(SimTime::MAX))
-            .map(|e| e.payload)
-            .collect();
-        assert_eq!(order, vec![3, 5, 2]);
+        assert_eq!(q.far.len(), 2);
+        assert_eq!(payloads(&mut q), vec![3, 5, 2]);
     }
 
     /// A far-heap event migrates onto the node the previous pop freed.
     #[test]
     fn far_event_migrates_onto_a_reused_node() {
-        let mut q = EventQueue::new(EngineKind::Calendar);
+        let mut q = queue();
         q.push(10, 1, 1u32);
         q.push(5_000_000_000, 2, 2);
-        assert_eq!(q.pop_at_or_before(SimTime::MAX).unwrap().payload, 1);
-        assert_eq!(q.pop_at_or_before(SimTime::MAX).unwrap().payload, 2);
+        assert_eq!(payloads(&mut q), vec![1, 2]);
         assert_eq!(slab_len(&q), (1, 1));
         assert_eq!(q.hwm().far, 1);
     }
@@ -795,7 +728,7 @@ mod tests {
     /// were: the same events come out afterwards, in order.
     #[test]
     fn refused_pop_leaves_the_bucket_intact() {
-        let mut q = EventQueue::new(EngineKind::Calendar);
+        let mut q = queue();
         // One bucket (all below 2^17 ns), linked in an order that puts the
         // minimum in the middle of the list.
         for (seq, time) in [(1, 3_000), (2, 1_000), (3, 2_000)] {
@@ -808,55 +741,13 @@ mod tests {
         assert_eq!(q.len(), 2);
         // The bucket still accepts pushes, and ties pop FIFO.
         q.push(2_000, 4, 4);
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop_at_or_before(SimTime::MAX))
-            .map(|e| e.payload)
-            .collect();
-        assert_eq!(order, vec![3, 4, 1]);
+        assert_eq!(payloads(&mut q), vec![3, 4, 1]);
         assert!(q.is_empty());
     }
 
     #[test]
-    fn with_engine_scopes_sim_new_and_restores_on_exit_nesting_and_unwind() {
-        use crate::sim::Sim;
-        let built = || Sim::new(1).engine();
-        assert_eq!(built(), EngineKind::Calendar);
-        let inside = with_engine(EngineKind::Heap, || {
-            assert_eq!(Sim::with_capacity(1, 2, 2, 1).engine(), EngineKind::Heap);
-            let nested = with_engine(EngineKind::Calendar, built);
-            assert_eq!(nested, EngineKind::Calendar);
-            built()
-        });
-        assert_eq!(
-            inside,
-            EngineKind::Heap,
-            "inner scope must restore the outer"
-        );
-        assert_eq!(built(), EngineKind::Calendar);
-
-        let unwound = std::panic::catch_unwind(|| {
-            with_engine(EngineKind::Heap, || {
-                built();
-                panic!("job failed");
-            })
-        });
-        assert!(unwound.is_err());
-        assert_eq!(built(), EngineKind::Calendar, "unwind must restore");
-    }
-
-    #[test]
-    #[should_panic(expected = "no Sim was built")]
-    fn with_engine_panics_when_nothing_ran_under_it() {
-        // A Sim built on another thread (a pool worker) does not count.
-        with_engine(EngineKind::Heap, || {
-            std::thread::spawn(|| crate::sim::Sim::new(1).engine())
-                .join()
-                .expect("worker ran")
-        });
-    }
-
-    #[test]
     fn pop_respects_horizon() {
-        let mut q = EventQueue::new(EngineKind::Calendar);
+        let mut q = queue();
         q.push(100, 1, 1u32);
         q.push(5_000_000_000, 2, 2); // far heap
         assert!(q.pop_at_or_before(99).is_none());
@@ -872,20 +763,17 @@ mod tests {
 
     #[test]
     fn far_events_migrate_in_order() {
-        let mut q = EventQueue::new(EngineKind::Calendar);
+        let mut q = queue();
         // Two far events in adjacent buckets beyond the span, plus a near one.
         q.push(10, 1, 1u32);
         q.push(400_000_000, 2, 2);
         q.push(300_000_000, 3, 3);
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop_at_or_before(SimTime::MAX))
-            .map(|e| e.payload)
-            .collect();
-        assert_eq!(order, vec![1, 3, 2]);
+        assert_eq!(payloads(&mut q), vec![1, 3, 2]);
     }
 
     #[test]
     fn hwm_tracks_occupancy() {
-        let mut q = EventQueue::new(EngineKind::Calendar);
+        let mut q = queue();
         for i in 0..10u64 {
             q.push(i * 1000, i + 1, i as u32);
         }

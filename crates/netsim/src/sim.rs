@@ -7,12 +7,11 @@
 //!
 //! # Scheduling
 //!
-//! Pending events live in an [`EventQueue`]: the two-level calendar queue
-//! ([`EngineKind::Calendar`]) for every simulator [`Sim::new`] builds — the
-//! choice, and the measurements behind it, live in [`crate::scheduler`]. The
-//! reference binary heap ([`EngineKind::Heap`]) is the test oracle, reached
-//! through [`Sim::with_engine`] or, for code that owns its `Sim`,
-//! `scheduler::with_engine`. Events are tiny `Copy` payloads.
+//! Pending events live in an [`EventQueue`], the two-level calendar queue of
+//! [`crate::scheduler`]; events are tiny `Copy` payloads. In builds with
+//! debug assertions the queue checks its `(time, seq)` contract on every pop
+//! and every refusal (the module docs say what that covers), so every
+//! simulation a test runs is checked event by event.
 //!
 //! # Coalesced link delivery
 //!
@@ -44,13 +43,15 @@
 //!
 //! # One loop body
 //!
-//! `run_loop` pops through the calendar queue's inlined arm, and what every
+//! `run_loop` pops through the calendar queue's inlined pop, and what every
 //! event runs is inlined into it and into `offer_to_link`: `advance_link`
 //! (untraced it is `Link::advance`'s "anything to start?" test and nothing
 //! else, and the compiler inlines it unasked), `sync_link_deliver` with the
-//! push behind it, and `drain_pending`'s emptiness test. Their rare halves —
+//! push behind it, and `drain_pending`'s emptiness test; `sync_timer` and its
+//! push are forced into the endpoint flushes (left to the compiler, it became
+//! a call on every flush and cost `video_2path` 2 %). Their rare halves —
 //! starting queued packets, running queued app callbacks, everything about
-//! the far heap — stay calls, as does the reference heap.
+//! the far heap — stay calls.
 //!
 //! # Tracing
 //!
@@ -178,20 +179,11 @@ pub struct Sim {
 }
 
 impl Sim {
-    /// Create an empty simulator with a deterministic RNG seed on the
-    /// production (calendar-queue) scheduler — or, inside a
-    /// `scheduler::with_engine` test scope, on that scope's engine.
+    /// Create an empty simulator with a deterministic RNG seed.
     pub fn new(seed: u64) -> Self {
-        Self::with_engine(seed, crate::scheduler::engine_for_new_sim())
-    }
-
-    /// Create an empty simulator with an explicit scheduler implementation.
-    /// Both engines produce identical simulations; the heap exists as a
-    /// reference for differential testing.
-    pub fn with_engine(seed: u64, engine: EngineKind) -> Self {
         Self {
             now: 0,
-            events: EventQueue::new(engine),
+            events: EventQueue::new(EngineKind::Calendar),
             event_seq: 0,
             nodes: Vec::new(),
             links: Vec::new(),
@@ -368,11 +360,6 @@ impl Sim {
         self.transits
     }
 
-    /// Which scheduler implementation this simulation runs on.
-    pub fn engine(&self) -> EngineKind {
-        self.events.kind()
-    }
-
     /// Engine-health counters accumulated so far.
     pub fn counters(&self) -> SimCounters {
         let hwm = self.events.hwm();
@@ -399,8 +386,7 @@ impl Sim {
     /// summed, plus the engine event totals. A histogram is a set of exact
     /// integer sums, so the order samples were recorded in leaves no mark
     /// and the snapshot is a pure function of the simulated system —
-    /// byte-identical across scheduler engines, runner thread counts, and
-    /// trace on/off. The RTT and cwnd histograms appear once the `Sim` has a
+    /// byte-identical across runner thread counts and trace on/off. The RTT and cwnd histograms appear once the `Sim` has a
     /// flow, the queue-depth one once it has a link.
     pub fn metrics_snapshot(&self) -> obs::MetricsSnapshot {
         let mut snap = obs::MetricsSnapshot::new();
@@ -708,7 +694,7 @@ impl Sim {
     /// timer event. An event is pushed only when the deadline is *earlier*
     /// than the tracked event (or there is none); a later deadline is
     /// reached by deferral at pop time, a cancelled one by a stale pop.
-    #[inline]
+    #[inline(always)]
     fn sync_timer(
         events: &mut EventQueue<EventKind>,
         event_seq: &mut u64,
@@ -1215,8 +1201,8 @@ mod tests {
 
     /// One backlogged flow over a lossy pipe: serialisation, delivery, ACK
     /// and retransmission-timer events.
-    fn two_host(engine: EngineKind) -> (Sim, Vec<FlowId>) {
-        let mut sim = Sim::with_engine(3, engine);
+    fn two_host() -> Sim {
+        let mut sim = Sim::new(3);
         let a = sim.add_node("a");
         let b = sim.add_node("b");
         let spec = LinkSpec::from_table(2.0, 20.0, 10).with_random_loss(0.01);
@@ -1226,15 +1212,15 @@ mod tests {
         let flow = sim.add_flow(a, b, TcpConfig::default(), SinkConfig::default());
         sim.add_app(Box::new(FtpStarter { flow }));
         sim.run_until(60 * SECOND);
-        (sim, vec![flow])
+        sim
     }
 
     /// The figure sweeps' background traffic on a bare `Sim`: a congested
     /// Table 1 config-2-like bottleneck shared by 9 FTPs and 40 on/off HTTP
     /// sessions, so app timers, think times and 49 flows' worth of
-    /// same-instant ties cross the oracle too.
-    fn bottleneck_bg(engine: EngineKind) -> (Sim, Vec<FlowId>) {
-        let mut sim = Sim::with_engine(2, engine);
+    /// same-instant ties pass the queue's contract check too.
+    fn bottleneck_bg() -> Sim {
+        let mut sim = Sim::new(2);
         let a = sim.add_node("src");
         let b = sim.add_node("dst");
         let (f, r) = sim.add_duplex(a, b, LinkSpec::from_table(3.7, 1.0, 50));
@@ -1244,47 +1230,18 @@ mod tests {
             max_wnd: 20,
             ..TcpConfig::default()
         };
-        let flows: Vec<FlowId> = (0..49u64)
-            .map(|i| {
-                let flow = sim.add_flow(a, b, cfg, SinkConfig::default());
-                let app: Box<dyn App> = if i < 9 {
-                    Box::new(Ftp::new(flow, i * SECOND / 10))
-                } else {
-                    let start = (i - 9) * SECOND / 20;
-                    Box::new(HttpSession::new(flow, HttpParams::default(), start))
-                };
-                sim.add_app(app);
-                flow
-            })
-            .collect();
-        sim.run_until(10 * SECOND);
-        (sim, flows)
-    }
-
-    #[test]
-    fn both_engines_agree_exactly() {
-        let fingerprint = |(sim, flows): (Sim, Vec<FlowId>)| {
-            let per_flow = |&flow: &FlowId| {
-                (
-                    sim.sink(flow).stats.delivered,
-                    sim.sender(flow).stats.retransmits,
-                    sim.sender(flow).stats.timeouts,
-                    sim.flow_counters(flow).data_dropped,
-                )
+        for i in 0..49u64 {
+            let flow = sim.add_flow(a, b, cfg, SinkConfig::default());
+            let app: Box<dyn App> = if i < 9 {
+                Box::new(Ftp::new(flow, i * SECOND / 10))
+            } else {
+                let start = (i - 9) * SECOND / 20;
+                Box::new(HttpSession::new(flow, HttpParams::default(), start))
             };
-            let per_flow: Vec<_> = flows.iter().map(per_flow).collect();
-            (per_flow, sim.events_processed(), sim.transits())
-        };
-        assert_eq!(
-            fingerprint(two_host(EngineKind::Heap)),
-            fingerprint(two_host(EngineKind::Calendar))
-        );
-        let heap = fingerprint(bottleneck_bg(EngineKind::Heap));
-        assert!(
-            heap.0.iter().any(|flow| flow.3 > 0),
-            "the bottleneck never dropped: not the congested input it is meant to be"
-        );
-        assert_eq!(heap, fingerprint(bottleneck_bg(EngineKind::Calendar)));
+            sim.add_app(app);
+        }
+        sim.run_until(10 * SECOND);
+        sim
     }
 
     #[test]
@@ -1408,6 +1365,9 @@ mod tests {
         assert!(sim.link(f).stats.admin_dropped > 0);
     }
 
+    /// Tracing must not perturb a run. Engine invariance is the queue's own
+    /// contract check now: it holds both runs' pops to `(time, seq)` order,
+    /// which fixes the event sequence any conforming queue dispatches.
     #[test]
     fn tracing_is_behaviour_neutral_and_engine_invariant() {
         use crate::trace::SimTracer;
@@ -1416,8 +1376,8 @@ mod tests {
         use std::rc::Rc;
 
         // A lossy run exercises retransmits, timeouts, and queue dynamics.
-        let run = |engine: EngineKind, traced: bool| {
-            let mut sim = Sim::with_engine(9, engine);
+        let run = |traced: bool| {
+            let mut sim = Sim::new(9);
             let a = sim.add_node("a");
             let b = sim.add_node("b");
             let spec = LinkSpec::from_table(2.0, 20.0, 10).with_random_loss(0.01);
@@ -1454,18 +1414,11 @@ mod tests {
             (outcome, text)
         };
 
-        let (plain, none) = run(EngineKind::Calendar, false);
+        let (plain, none) = run(false);
         assert!(none.is_none());
-        let (traced_cal, trace_cal) = run(EngineKind::Calendar, true);
-        let (traced_heap, trace_heap) = run(EngineKind::Heap, true);
-        assert_eq!(plain, traced_cal, "tracing must not perturb the run");
-        assert_eq!(traced_cal, traced_heap);
-        let tc = trace_cal.unwrap();
-        assert_eq!(
-            tc,
-            trace_heap.unwrap(),
-            "trace bytes must be engine-invariant"
-        );
+        let (traced, trace) = run(true);
+        assert_eq!(plain, traced, "tracing must not perturb the run");
+        let tc = trace.unwrap();
         assert!(tc.contains("\"ev\":\"cwnd\""), "missing cwnd events");
         assert!(tc.contains("\"ev\":\"link_q\""), "missing queue samples");
         assert!(tc.contains("\"ev\":\"retx\""), "missing retransmit events");
@@ -1508,11 +1461,11 @@ mod tests {
         // Read off the commit that still kept one histogram per link and two
         // per sender and merged them in `metrics_snapshot`.
         assert_eq!(
-            snapshot_digest(&two_host(EngineKind::Calendar).0),
+            snapshot_digest(&two_host()),
             "2178191aebec2fda9e2eb7ab9fa81e1f"
         );
         assert_eq!(
-            snapshot_digest(&bottleneck_bg(EngineKind::Calendar).0),
+            snapshot_digest(&bottleneck_bg()),
             "edd625913cecae1832961e788eb5aff1"
         );
     }

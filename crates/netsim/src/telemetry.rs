@@ -52,11 +52,9 @@ pub struct EngineTelemetry {
     /// Timer events re-queued because the deadline moved later (lazy
     /// deferral instead of one event per timer restart).
     pub deferred_timer_pushes: u64,
-    /// Peak near-wheel occupancy of any single simulation (total queue size
-    /// for the heap engine).
+    /// Peak near-wheel occupancy of the event queue of any single simulation.
     pub wheel_hwm: u64,
-    /// Peak far-heap occupancy of any single simulation (0 for the heap
-    /// engine).
+    /// Peak far-heap occupancy of the event queue of any single simulation.
     pub far_hwm: u64,
     /// Peak single-link ring occupancy (queued + on-the-wire packets) of any
     /// single simulation — successor of the retired global packet-slab HWM.

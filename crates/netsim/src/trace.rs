@@ -12,7 +12,8 @@
 //! Determinism: emission reads simulation state but never mutates it, never
 //! touches the RNG, and never schedules events, so a traced run makes
 //! exactly the same decisions as an untraced one, and the event order (hence
-//! the trace bytes) is identical across scheduler engines.
+//! the trace bytes) is the one the event queue's `(time, seq)` contract
+//! fixes.
 
 use std::cell::RefCell;
 use std::rc::Rc;

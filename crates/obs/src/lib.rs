@@ -15,8 +15,8 @@
 //!   consumes the exact same RNG draws as a build that never heard of
 //!   tracing, so deterministic artifacts are byte-identical either way;
 //! * **deterministic when on** — emission is a pure function of simulation
-//!   state, so a trace file is byte-identical across scheduler engines and
-//!   across runner thread counts (each run writes its own file);
+//!   state, so a trace file is byte-identical across runner thread counts
+//!   (each run writes its own file);
 //! * **bounded memory** — the ring holds a fixed number of events and spills
 //!   to its sink when full, so multi-minute traces never accumulate in RAM.
 //!

@@ -16,7 +16,7 @@
 //!   snapshot (the same discipline as `EngineTelemetry::absorb`);
 //! * **deterministic serialisation** — snapshots serialise with sorted keys
 //!   and exact integer bucket counts, so two equal snapshots render the
-//!   same bytes across engines, runner thread counts, and trace on/off.
+//!   same bytes across runner thread counts and trace on/off.
 //!
 //! The histogram is HDR-style log-linear: values `< 8` get exact unit
 //! buckets; every power-of-two octave above splits into 8 sub-buckets

@@ -10,8 +10,8 @@
 //! * **netsim** ([`netsim_driver`]): a [`netsim_driver::ScenarioDriver`] app
 //!   schedules every scripted action as an ordinary engine event (an app
 //!   timer) and applies it through the simulator's link-mutation API, so the
-//!   replay is byte-identical on the calendar queue and on netsim's
-//!   reference heap (the driver's own tests run both);
+//!   replay follows the event queue's `(time, seq)` order like every other
+//!   event;
 //! * **dmp-live** ([`live`]): the timeline compiles to a piecewise-constant
 //!   rate/delay/down schedule per path ([`live::PathSchedule`]) that replaces
 //!   the path emulator's random rate resampler.

@@ -3,8 +3,8 @@
 //!
 //! Every scripted action is scheduled through [`netsim::SimApi::schedule_in`],
 //! i.e. as an ordinary `AppTimer` engine event. That keeps the replay on the
-//! engine's own clock and tie-break order, so the calendar queue and netsim's
-//! reference heap execute the scenario byte-identically.
+//! engine's own clock and tie-break order: the event queue's `(time, seq)`
+//! contract orders scripted actions exactly like the traffic around them.
 
 use netsim::app::App;
 use netsim::link::LinkSpec;
@@ -284,15 +284,14 @@ impl App for ScenarioDriver {
 mod tests {
     use super::*;
     use netsim::link::LinkSpec;
-    use netsim::scheduler::EngineKind;
     use netsim::sim::Sim;
     use netsim::tcp::{SinkConfig, TcpConfig};
     use netsim::time::{millis, SECOND};
 
     /// Two nodes joined by a duplex bottleneck. Returns
     /// (sim, video_flow, flash_flows, fwd, rev).
-    fn build(engine: EngineKind, n_flash: usize) -> (Sim, FlowId, Vec<FlowId>, LinkId, LinkId) {
-        let mut sim = Sim::with_engine(7, engine);
+    fn build(n_flash: usize) -> (Sim, FlowId, Vec<FlowId>, LinkId, LinkId) {
+        let mut sim = Sim::new(7);
         let src = sim.add_node("src");
         let dst = sim.add_node("dst");
         let (fwd, rev) = sim.add_duplex(src, dst, LinkSpec::from_table(2.0, 5.0, 50));
@@ -352,39 +351,36 @@ mod tests {
 
     #[test]
     fn scripted_down_and_recovery_shapes_throughput() {
-        for engine in [EngineKind::Heap, EngineKind::Calendar] {
-            let (mut sim, video, _, fwd, rev) = build(engine, 0);
-            sim.add_app(Box::new(Backlog(video)));
-            let s =
-                Scenario::named("failover")
-                    .at(10.0, 0, Event::PathDown)
-                    .at(16.0, 0, Event::PathUp);
-            sim.add_app(Box::new(ScenarioDriver::new(
-                &s,
-                vec![PathBinding {
-                    links: vec![fwd, rev],
-                    flash_flows: vec![],
-                }],
-                0,
-            )));
-            sim.run_until(10 * SECOND);
-            let before = delivered(&sim, video);
-            sim.run_until(15 * SECOND);
-            let mid = delivered(&sim, video);
-            sim.run_until(40 * SECOND);
-            let after = delivered(&sim, video);
-            assert!(before > 500, "no traffic before outage: {before}");
-            assert!(mid - before < 20, "outage not enforced: {before}..{mid}");
-            assert!(
-                after - mid > 500,
-                "no recovery after PathUp: {mid}..{after}"
-            );
-        }
+        let (mut sim, video, _, fwd, rev) = build(0);
+        sim.add_app(Box::new(Backlog(video)));
+        let s = Scenario::named("failover")
+            .at(10.0, 0, Event::PathDown)
+            .at(16.0, 0, Event::PathUp);
+        sim.add_app(Box::new(ScenarioDriver::new(
+            &s,
+            vec![PathBinding {
+                links: vec![fwd, rev],
+                flash_flows: vec![],
+            }],
+            0,
+        )));
+        sim.run_until(10 * SECOND);
+        let before = delivered(&sim, video);
+        sim.run_until(15 * SECOND);
+        let mid = delivered(&sim, video);
+        sim.run_until(40 * SECOND);
+        let after = delivered(&sim, video);
+        assert!(before > 500, "no traffic before outage: {before}");
+        assert!(mid - before < 20, "outage not enforced: {before}..{mid}");
+        assert!(
+            after - mid > 500,
+            "no recovery after PathUp: {mid}..{after}"
+        );
     }
 
     #[test]
     fn flash_crowd_steals_bandwidth_then_returns_it() {
-        let (mut sim, video, flash, fwd, rev) = build(EngineKind::Calendar, 4);
+        let (mut sim, video, flash, fwd, rev) = build(4);
         sim.add_app(Box::new(Backlog(video)));
         let s = Scenario::named("crowd").at(
             20.0,
@@ -423,7 +419,7 @@ mod tests {
 
     #[test]
     fn loss_episode_applies_and_clears() {
-        let (mut sim, video, _, fwd, _) = build(EngineKind::Calendar, 0);
+        let (mut sim, video, _, fwd, _) = build(0);
         sim.add_app(Box::new(Backlog(video)));
         let s = Scenario::named("lossy").at(
             5.0,
@@ -452,7 +448,7 @@ mod tests {
 
     #[test]
     fn offset_shifts_the_whole_script() {
-        let (mut sim, video, _, fwd, rev) = build(EngineKind::Heap, 0);
+        let (mut sim, video, _, fwd, rev) = build(0);
         sim.add_app(Box::new(Backlog(video)));
         let s = Scenario::named("late").at(0.0, 0, Event::PathDown);
         sim.add_app(Box::new(ScenarioDriver::new(
