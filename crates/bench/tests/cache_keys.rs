@@ -2,8 +2,9 @@
 //! `(input, payload)` followed by the input's `Debug`. One property over one
 //! job of every job family — the library builders called as they are, the
 //! families built inside a bench target (`fig1`, `ext_stored`, `fig7`, the
-//! model cells, the fleet's shard jobs; `ext_ablations` is `batch_jobs`'s
-//! family) keyed with the (input, payload) types the target uses:
+//! model cells, `fig_fluid`'s among them, the fleet's shard jobs;
+//! `ext_ablations` is `batch_jobs`'s family) keyed with the (input, payload)
+//! types the target uses:
 //!
 //! 1. keys are pairwise distinct across the families;
 //! 2. perturbing any field of a family's input moves its key (one
@@ -29,8 +30,8 @@ use dmp_sim::{batch_jobs, scenario_batch_jobs, setting, ExperimentSpec, TraceSpe
 use netsim::tcp::TcpFlavor;
 use scenario::{FleetTimeline, Scenario};
 use tcp_model::{
-    ExactCellSpec, ExactOutcome, LateCellSpec, MuCellSpec, PlannerOptions, PlannerScheme,
-    SearchOptions, SolveOptions, TauSearchSpec,
+    ExactCellSpec, ExactOutcome, FluidCellSpec, LateCellSpec, MuCellSpec, PlannerOptions,
+    PlannerScheme, SearchOptions, SolveOptions, TauSearchSpec,
 };
 
 /// The key `JobSpec::keyed` gives `input` under payload type `T`.
@@ -160,6 +161,12 @@ fn every_job_family_keys_every_field_of_its_input_and_nothing_else() {
         mu: 25.0,
         opts: SearchOptions::default(),
     };
+    let fluid = FluidCellSpec {
+        mu: 50.0,
+        period_s: 10.0,
+        tau_s: 3.0,
+        split: Some((20.0, true)),
+    };
 
     let batch = |s: ExperimentSpec, t: &[f64]| batch_jobs(&s, 1, t).remove(0).config_repr;
     let scn =
@@ -184,6 +191,7 @@ fn every_job_family_keys_every_field_of_its_input_and_nothing_else() {
         key::<_, Option<f64>>(mu.clone()),
         key::<_, ExactOutcome>(exact.clone()),
         key::<_, Option<f64>>(search.clone()),
+        key::<_, f64>(fluid),
     ];
     assert_eq!(
         keys.iter().collect::<BTreeSet<_>>().len(),
@@ -229,6 +237,13 @@ fn every_job_family_keys_every_field_of_its_input_and_nothing_else() {
         |c| c.opts.threshold *= 2.0,
     ];
     every_field_moves(&search, &search_fields, key::<_, Option<f64>>);
+    let fluid_fields: [fn(&mut FluidCellSpec); 4] = [
+        |c| c.mu += 1.0,
+        |c| c.period_s += 1.0,
+        |c| c.tau_s += 1.0,
+        |c| c.split = None,
+    ];
+    every_field_moves(&fluid, &fluid_fields, key::<_, f64>);
     // ... and the tuple components beside the structs.
     let pairs = [
         (batch(spec.clone(), &taus), batch(spec.clone(), &taus[..1])),

@@ -4,7 +4,8 @@
 //! A planner heatmap or validation curve is a grid of cells, each fully
 //! described by a small spec (paths, rates, tuning). This module names those
 //! cells — [`LateCellSpec`] for one `f(τ)` point, [`MuCellSpec`] for one
-//! max-µ bisection, [`ExactCellSpec`] for one exact CTMC solve — each with a
+//! max-µ bisection, [`ExactCellSpec`] for one exact CTMC solve,
+//! [`FluidCellSpec`] for one Section 7.3 fluid integration — each with a
 //! pure `run`. The model crate submits nothing: callers wrap a cell in
 //! `dmp_runner::JobSpec::keyed(label, cell, seed, LateCellSpec::run)`, whose
 //! key is the cell's type and derived `Debug`, and the runner fans the grid
@@ -18,11 +19,11 @@
 use dmp_base::{Json, JsonCodec};
 use dmp_core::spec::PathSpec;
 
-use crate::calibrate;
 use crate::dmp::{static_streaming_late_fraction, DmpModel, DmpSsa};
 use crate::exact::ExactDmp;
 use crate::search::{evaluate_tau_with, max_mu, PlannerOptions};
 use crate::solver::SolveOptions;
+use crate::{calibrate, fluid};
 
 /// One `f(τ)` model point: the SSA late-fraction estimator at fixed paths,
 /// µ and τ. This is the cell behind the Figure 4/5/8 curves.
@@ -46,6 +47,33 @@ impl LateCellSpec {
         DmpModel::new(self.paths.clone(), self.mu, self.tau_s)
             .late_fraction(self.consumptions, self.seed)
             .f
+    }
+}
+
+/// One point of the Section 7.3 fluid comparison: the late fraction of the
+/// single on/off path, or of DMP over two paths at split `x`.
+#[derive(Debug, Clone, Copy)]
+pub struct FluidCellSpec {
+    /// Playback rate µ, packets per second.
+    pub mu: f64,
+    /// On/off cycle length, seconds.
+    pub period_s: f64,
+    /// Startup delay τ, seconds.
+    pub tau_s: f64,
+    /// `None` for the single path; `Some((x, anti_aligned))` for DMP with
+    /// on-rates `x` and `2µ − x`.
+    pub split: Option<(f64, bool)>,
+}
+
+impl FluidCellSpec {
+    /// Integrate the cell.
+    pub fn run(&self) -> f64 {
+        match self.split {
+            None => fluid::single_path_late_fraction(self.mu, self.period_s, self.tau_s),
+            Some((x, anti_aligned)) => {
+                fluid::two_path_late_fraction(self.mu, x, self.period_s, self.tau_s, anti_aligned)
+            }
+        }
     }
 }
 
@@ -119,7 +147,7 @@ impl MuCellSpec {
                     |mu| {
                         let model = DmpModel::new(paths.clone(), mu, self.tau_s);
                         let ssa = ws.get_or_insert_with(|| DmpSsa::new(&model, opts.search.seed));
-                        evaluate_tau_with(ssa, &model, &opts.search).estimate.f
+                        evaluate_tau_with(ssa, &model, &opts.search).below
                     },
                     sigma,
                     &opts,
@@ -134,7 +162,7 @@ impl MuCellSpec {
                         opts.search.max_consumptions,
                         opts.search.seed,
                     )
-                    .f
+                    .f < opts.search.threshold
                 },
                 sigma,
                 &opts,

@@ -140,6 +140,9 @@ pub struct DmpSsa {
     pub produced: Vec<u64>,
 }
 
+/// Batches per [`DmpSsa::run`]: the batch means behind the CI.
+pub(crate) const BATCHES: u64 = 20;
+
 /// What one event of the joint chain was.
 struct Event {
     /// A consumption (otherwise a chain's stage transition).
@@ -275,14 +278,22 @@ impl DmpSsa {
     }
 
     /// Run until `consumptions` consumption events have been observed after a
-    /// warm-up of `consumptions/10`; estimate `f` with batch-means CIs.
+    /// warm-up of `consumptions/10`; estimate `f` with batch-means CIs. Counts
+    /// exactly `BATCHES · max(consumptions / BATCHES, 1)` consumptions.
     pub fn run(&mut self, consumptions: u64) -> LateFracEstimate {
+        self.run_capped(consumptions, u64::MAX)
+    }
+
+    /// [`DmpSsa::run`], stopped at the end of the first batch by which
+    /// `late_cap` late consumptions have been counted; the estimate then
+    /// covers the batches run. Up to that point the trajectory is `run`'s,
+    /// event for event: the cap is read once per batch, never in the kernel.
+    pub(crate) fn run_capped(&mut self, consumptions: u64, late_cap: u64) -> LateFracEstimate {
         let warmup = consumptions / 10;
         let mut seen = 0u64;
         while seen < warmup {
             seen += u64::from(self.event().cons);
         }
-        const BATCHES: u64 = 20;
         let per_batch = (consumptions / BATCHES).max(1);
         let mut batch_stats = OnlineStats::new();
         let mut late_total = 0u64;
@@ -298,6 +309,9 @@ impl DmpSsa {
             late_total += late;
             counted += c;
             batch_stats.push(late as f64 / c as f64);
+            if late_total >= late_cap {
+                break;
+            }
         }
         LateFracEstimate {
             f: late_total as f64 / counted as f64,

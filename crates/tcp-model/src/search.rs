@@ -5,10 +5,10 @@
 //! `f(τ)` is monotonically non-increasing in τ (a larger buffer cap only
 //! helps), so a bracketing + bisection search applies. Each point is
 //! evaluated adaptively: simulation effort grows until the confidence
-//! interval decides the comparison against the threshold or a budget is
-//! exhausted.
+//! interval decides the comparison against the threshold, the late count
+//! alone settles it, or a budget is exhausted.
 
-use crate::dmp::{DmpModel, DmpSsa, LateFracEstimate};
+use crate::dmp::{DmpModel, DmpSsa, LateFracEstimate, BATCHES};
 use dmp_core::spec::PathSpec;
 
 /// Tuning of the search.
@@ -20,9 +20,11 @@ pub struct SearchOptions {
     pub resolution_s: f64,
     /// Largest τ considered before declaring failure, seconds.
     pub tau_max_s: f64,
-    /// Consumption events per evaluation block.
+    /// Consumption events per evaluation block (positive).
     pub block: u64,
-    /// Maximum consumption events per τ evaluation.
+    /// Budget per τ evaluation, spent in whole blocks: the evaluation runs
+    /// at most `⌈max_consumptions / block⌉` blocks (at least one), each
+    /// counting `20 · max(block / 20, 1)` consumptions after its warm-up.
     pub max_consumptions: u64,
     /// Base RNG seed.
     pub seed: u64,
@@ -73,6 +75,12 @@ impl Default for PlannerOptions {
 /// `[bracket.0 · σ_a, bracket.1 · σ_a]`. Returns `None` when even the lower
 /// bracket fails (the path cannot support the scheme at this τ).
 ///
+/// `feasible(µ)` is the verdict "the late fraction at µ is below the
+/// threshold", not the fraction itself: an evaluation that stops as soon as
+/// its verdict is certain ([`evaluate_tau_with`]) returns a partial
+/// estimate, which must not be compared as a number. DMP and single-path
+/// cells pass [`TauEval::below`].
+///
 /// # The lower bracket is not zero on purpose
 ///
 /// `f(µ)` is **not monotone near µ = 0**: the live-streaming buffer cap is
@@ -85,18 +93,23 @@ impl Default for PlannerOptions {
 /// it. If `f(lo)` is already at or above the threshold the function reports
 /// `None` rather than bisecting on a non-monotone bracket.
 pub fn max_mu(
-    mut f_of_mu: impl FnMut(f64) -> f64,
+    mut feasible: impl FnMut(f64) -> bool,
     sigma_a: f64,
     opts: &PlannerOptions,
 ) -> Option<f64> {
     assert!(sigma_a > 0.0 && opts.bracket.0 > 0.0 && opts.bracket.1 > opts.bracket.0);
+    assert!(
+        opts.mu_rel_resolution > 0.0,
+        "PlannerOptions::mu_rel_resolution must be positive, got {}",
+        opts.mu_rel_resolution
+    );
     let (mut lo, mut hi) = (opts.bracket.0 * sigma_a, opts.bracket.1 * sigma_a);
-    if f_of_mu(lo) >= opts.search.threshold {
+    if !feasible(lo) {
         return None;
     }
     while hi - lo > opts.mu_rel_resolution * hi {
         let mid = 0.5 * (lo + hi);
-        if f_of_mu(mid) < opts.search.threshold {
+        if feasible(mid) {
             lo = mid;
         } else {
             hi = mid;
@@ -110,10 +123,13 @@ pub fn max_mu(
 pub struct TauEval {
     /// Startup delay evaluated.
     pub tau_s: f64,
-    /// Estimate obtained.
+    /// The estimate at the moment the verdict became certain: pooled over
+    /// every consumption counted, which is fewer than the budget when the
+    /// late count settled the verdict early (then `f ≥ threshold`).
     pub estimate: LateFracEstimate,
-    /// Whether the point is below the threshold (by point estimate when the
-    /// CI does not decide).
+    /// Whether the point is below the threshold: `estimate.f < threshold`,
+    /// which is the CI's verdict where the CI decides and the point
+    /// estimate's where it does not.
     pub below: bool,
 }
 
@@ -129,18 +145,59 @@ pub fn evaluate_tau(model: &DmpModel, opts: &SearchOptions) -> TauEval {
     evaluate_tau_with(&mut ssa, model, opts)
 }
 
+/// The late count that settles an evaluation as "not below": the smallest
+/// `L` with `L / C_max ≥ threshold` in `f64`, where `C_max` is the most
+/// consumptions [`evaluate_tau_with`] can count — `⌈max_consumptions /
+/// block⌉` blocks (at least one) of `BATCHES · max(block / BATCHES, 1)`
+/// each, which exceeds `max_consumptions` when `block` does not divide it
+/// or is below `BATCHES`. Late counts only grow and the count of
+/// consumptions never passes `C_max`, so once `L` are late the final
+/// `f = late / counted` is at least `threshold` whatever the remaining
+/// blocks draw. Above `C_max` (a threshold over 1) nothing settles early.
+fn certain_late_count(opts: &SearchOptions) -> u64 {
+    let blocks = opts.max_consumptions.div_ceil(opts.block).max(1);
+    let c_max = blocks.saturating_mul(BATCHES * (opts.block / BATCHES).max(1));
+    let c = c_max as f64;
+    // `ceil(threshold · C_max)` up to rounding; settle the last ulp on the
+    // quotient the evaluation's `f` is computed as.
+    let mut l = (opts.threshold * c).ceil().clamp(0.0, c) as u64;
+    while l > 0 && (l - 1) as f64 / c >= opts.threshold {
+        l -= 1;
+    }
+    while l <= c_max && (l as f64 / c) < opts.threshold {
+        l += 1;
+    }
+    l
+}
+
 /// [`evaluate_tau`] on a reusable workspace: the SSA is reset (not
 /// reallocated) to the model's initial state, so a bisection can evaluate
 /// its whole τ ladder on one allocation. Identical results to
 /// [`evaluate_tau`] by [`DmpSsa::reset`]'s fresh-build equivalence.
+///
+/// Blocks of `opts.block` consumptions are pooled until the CI decides the
+/// comparison or the budget is spent — or until the smallest late count `L`
+/// with `L / C_max ≥ threshold` has been counted, `C_max` being the most
+/// consumptions those blocks can count, checked after each of a block's
+/// batches: then no later block can bring `f` under the threshold, so the
+/// evaluation stops with `below = false`. `below` is the one the full
+/// budget would give, from a fraction of the consumptions when `f(τ)` is
+/// well above the threshold (most probes of a bisection).
 pub fn evaluate_tau_with(ssa: &mut DmpSsa, model: &DmpModel, opts: &SearchOptions) -> TauEval {
+    assert!(
+        opts.block > 0,
+        "SearchOptions::block must be positive, got 0"
+    );
     ssa.reset(model, tau_seed(opts, model.tau_s));
-    let mut spent = 0u64;
-    let mut est = ssa.run(opts.block);
-    spent += opts.block;
-    while est.decides(opts.threshold).is_none() && spent < opts.max_consumptions {
+    let settled = certain_late_count(opts);
+    let mut est = ssa.run_capped(opts.block, settled);
+    let mut spent = opts.block;
+    while est.late < settled
+        && est.decides(opts.threshold).is_none()
+        && spent < opts.max_consumptions
+    {
         // Keep the same trajectory going: pool the counts.
-        let more = ssa.run(opts.block);
+        let more = ssa.run_capped(opts.block, settled - est.late);
         est = LateFracEstimate {
             f: (est.late + more.late) as f64 / (est.consumptions + more.consumptions) as f64,
             ci95: est.ci95 * (spent as f64 / (spent + opts.block) as f64).sqrt(),
@@ -149,13 +206,10 @@ pub fn evaluate_tau_with(ssa: &mut DmpSsa, model: &DmpModel, opts: &SearchOption
         };
         spent += opts.block;
     }
-    let below = est
-        .decides(opts.threshold)
-        .unwrap_or(est.f < opts.threshold);
     TauEval {
         tau_s: model.tau_s,
         estimate: est,
-        below,
+        below: est.f < opts.threshold,
     }
 }
 
@@ -167,6 +221,11 @@ pub fn required_startup_delay(
     mut model_at: impl FnMut(f64) -> DmpModel,
     opts: &SearchOptions,
 ) -> Option<f64> {
+    assert!(
+        opts.resolution_s > 0.0,
+        "SearchOptions::resolution_s must be positive, got {}",
+        opts.resolution_s
+    );
     let mut ws: Option<DmpSsa> = None;
     let mut eval = |tau: f64, ws: &mut Option<DmpSsa>| -> TauEval {
         let model = model_at(tau);
@@ -299,13 +358,78 @@ mod tests {
     #[test]
     fn max_mu_bisects_to_the_threshold_crossing() {
         let opts = PlannerOptions::default();
-        // Synthetic step f(µ): feasible below 10 pkt/s, infeasible above.
-        let m = max_mu(|mu| if mu < 10.0 { 0.0 } else { 1.0 }, 10.0, &opts)
-            .expect("lower bracket is feasible");
+        // Synthetic step: feasible below 10 pkt/s, infeasible above.
+        let m = max_mu(|mu| mu < 10.0, 10.0, &opts).expect("lower bracket is feasible");
         assert!((9.9..10.0).contains(&m), "µmax = {m}");
         // Infeasible already at the lower bracket → None; bisecting below it
         // would walk onto the non-monotone small-µ branch.
-        assert_eq!(max_mu(|_| 1.0, 10.0, &opts), None);
+        assert_eq!(max_mu(|_| false, 10.0, &opts), None);
+    }
+
+    // Options a search could never finish with are refused up front, naming
+    // the field: a zero block never spends its budget, a non-positive (or
+    // NaN) resolution bisects down to adjacent floats forever.
+
+    #[test]
+    #[should_panic(expected = "SearchOptions::block")]
+    fn a_zero_block_is_refused() {
+        let opts = SearchOptions {
+            block: 0,
+            ..quick_opts()
+        };
+        evaluate_tau(&model_family(1.8, 25.0)(4.0), &opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "SearchOptions::resolution_s")]
+    fn a_non_positive_tau_resolution_is_refused() {
+        let opts = SearchOptions {
+            resolution_s: 0.0,
+            ..quick_opts()
+        };
+        required_startup_delay(model_family(1.8, 25.0), &opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "PlannerOptions::mu_rel_resolution")]
+    fn a_nan_mu_resolution_is_refused() {
+        let opts = PlannerOptions {
+            mu_rel_resolution: f64::NAN,
+            ..PlannerOptions::default()
+        };
+        max_mu(|mu| mu < 10.0, 10.0, &opts);
+    }
+
+    #[test]
+    fn the_settling_late_count_is_the_least_that_reaches_the_threshold() {
+        for (threshold, block, max_consumptions, c_max) in [
+            // Default options: ten full blocks.
+            (1e-4, 200_000, 2_000_000, 2_000_000u64),
+            // A budget that is not a whole number of blocks runs the last
+            // block whole.
+            (1e-4, 200_000, 2_100_000, 2_200_000),
+            // A block below the batch count still counts one per batch.
+            (1e-2, 7, 70, 200),
+            // A block that the batch count does not divide.
+            (3e-3, 1_010, 2_000, 2_000),
+        ] {
+            let opts = SearchOptions {
+                threshold,
+                block,
+                max_consumptions,
+                ..SearchOptions::default()
+            };
+            let l = certain_late_count(&opts);
+            let c = c_max as f64;
+            assert!(l as f64 / c >= threshold, "{opts:?}: {l}");
+            assert!(((l - 1) as f64 / c) < threshold, "{opts:?}: {l}");
+        }
+        // Nothing is certain above the countable maximum.
+        let never = SearchOptions {
+            threshold: 2.0,
+            ..SearchOptions::default()
+        };
+        assert_eq!(certain_late_count(&never), 2_000_001);
     }
 
     #[test]
