@@ -345,28 +345,44 @@ impl TcpChain {
     /// `state`: `(next_state, probability, delivered)` triples summing to 1.
     /// This is the analytical counterpart of [`TcpChain::step`], used by the
     /// exact CTMC solver on reduced models and to cross-validate the sampler.
+    /// Collects [`TcpChain::for_each_outcome`].
     pub fn outcomes(&self, state: TcpChainState) -> Vec<(TcpChainState, f64, u32)> {
+        let mut v = Vec::new();
+        self.for_each_outcome(state, |next, prob, delivered| {
+            v.push((next, prob, delivered))
+        });
+        v
+    }
+
+    /// Call `f(next_state, probability, delivered)` once per outcome of one
+    /// stage transition from `state`, in [`TcpChain::outcomes`]' order and
+    /// with its bits: the clean round first, then the first loss after
+    /// `g = 0..w` successes. The exact solver's `Ctmc::transitions` pushes
+    /// each straight into the enumeration's buffer.
+    pub fn for_each_outcome(
+        &self,
+        state: TcpChainState,
+        mut f: impl FnMut(TcpChainState, f64, u32),
+    ) {
         // Intermediate Erlang stages advance deterministically.
         if state.stage + 1 < Self::STAGES {
             let mut next = state;
             next.stage += 1;
-            return vec![(next, 1.0, 0)];
+            return f(next, 1.0, 0);
         }
         let base = TcpChainState { stage: 0, ..state };
         let p = self.path.loss;
         match state.phase {
             Phase::SlowStart | Phase::CongAvoid => {
                 let w = state.w;
-                let mut v = Vec::with_capacity(w as usize + 1);
                 // Clean round.
                 let clean = base.after_clean_round(self.wmax);
-                v.push((clean, self.no_loss_prob[w as usize], w));
+                f(clean, self.no_loss_prob[w as usize], w);
                 // First loss after `g` successes (g = 0..w-1).
                 for g in 0..w {
                     let lossy = base.after_lossy_round(g);
-                    v.push((lossy, (1.0 - p).powi(g as i32) * p, g));
+                    f(lossy, (1.0 - p).powi(g as i32) * p, g);
                 }
-                v
             }
             Phase::Timeout { exp } => {
                 let fail = TcpChainState {
@@ -385,7 +401,8 @@ impl TcpChain {
                     },
                     ..base
                 };
-                vec![(fail, p, 0), (ok, 1.0 - p, 1)]
+                f(fail, p, 0);
+                f(ok, 1.0 - p, 1);
             }
         }
     }

@@ -9,6 +9,11 @@
 //! Use it to validate solver changes (`tests/model_exact_vs_ssa.rs` pins the
 //! SSA against it) and to get noise-free late fractions for small
 //! configurations.
+//!
+//! A state's generator row is a consumption (rate µ, unless at the floor)
+//! followed by the chain's outcomes in [`TcpChain::for_each_outcome`] order,
+//! each at `rate_at(x) · prob`, pushed straight into the enumeration's
+//! buffer: enumerating builds no `Vec` per state and clones no chain.
 
 use dmp_core::spec::PathSpec;
 
@@ -30,8 +35,21 @@ pub struct ExactDmp {
 impl ExactDmp {
     /// Build the model for one path with window cap `wmax` (keep it ≤ ~8:
     /// the state space grows as `O(wmax² · (nmax - floor))`).
+    ///
+    /// # Panics
+    /// Panics unless µ and τ are positive and finite (an infinite one makes
+    /// `N_max` `i64::MAX`, and the BFS would walk 2 M states before giving
+    /// up) and the floor is negative.
     pub fn new(path: PathSpec, wmax: u32, mu: f64, tau_s: f64, floor: i64) -> Self {
-        assert!(mu > 0.0 && tau_s > 0.0 && floor < 0);
+        assert!(
+            mu > 0.0 && mu < f64::INFINITY,
+            "playback rate µ must be positive and finite, got {mu}"
+        );
+        assert!(
+            tau_s > 0.0 && tau_s < f64::INFINITY,
+            "startup delay τ must be positive and finite, got {tau_s}"
+        );
+        assert!(floor < 0, "deficit floor must be negative, got {floor}");
         Self {
             proto: TcpChain::new(path, wmax),
             mu,
@@ -135,22 +153,20 @@ impl Ctmc for ExactDmp {
         (self.proto.state(), 0)
     }
 
-    fn transitions(&self, (x, n): &Self::State) -> Vec<(Self::State, f64)> {
-        let mut out = Vec::new();
-        let n_next = (*n - 1).max(self.floor);
-        if n_next != *n {
-            out.push(((*x, n_next), self.mu));
+    fn transitions(&self, &(x, n): &Self::State, out: &mut Vec<(Self::State, f64)>) {
+        let n_next = (n - 1).max(self.floor);
+        if n_next != n {
+            out.push(((x, n_next), self.mu));
         }
-        if *n < self.nmax {
-            let rate = self.proto.rate_at(x);
-            for (x2, prob, delivered) in self.proto.outcomes(*x) {
+        if n < self.nmax {
+            let rate = self.proto.rate_at(&x);
+            self.proto.for_each_outcome(x, |x2, prob, delivered| {
                 if prob > 0.0 {
-                    let n2 = (*n + i64::from(delivered)).min(self.nmax);
+                    let n2 = (n + i64::from(delivered)).min(self.nmax);
                     out.push(((x2, n2), rate * prob));
                 }
-            }
+            });
         }
-        out
     }
 }
 
@@ -223,6 +239,7 @@ mod tests {
         for m in models {
             let csr = m.csr(&SolveOptions::default()).unwrap();
             let mut nonzeros = 0;
+            let mut row = Vec::new();
             for &(x, n) in csr.states() {
                 let mut moved = m.proto.clone();
                 moved.set_state(x);
@@ -236,9 +253,9 @@ mod tests {
                         want.push(((x2, n2), (moved.rate() * prob).to_bits()));
                     }
                 }
-                let got = m.transitions(&(x, n));
-                nonzeros += got.len();
-                let got: Vec<_> = got.into_iter().map(|(s, q)| (s, q.to_bits())).collect();
+                m.transitions(&(x, n), &mut row);
+                nonzeros += row.len();
+                let got: Vec<_> = row.drain(..).map(|(s, q)| (s, q.to_bits())).collect();
                 assert_eq!(got, want, "row of {:?}", (x, n));
             }
             assert_eq!(nonzeros, csr.nnz());
@@ -264,6 +281,18 @@ mod tests {
             warm_iters < cold_iters,
             "warm sweep {warm_iters} iterations !< cold {cold_iters}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "playback rate µ must be positive and finite, got inf")]
+    fn an_infinite_playback_rate_is_refused_by_name() {
+        ExactDmp::new(path(), 4, f64::INFINITY, 1.0, -40);
+    }
+
+    #[test]
+    #[should_panic(expected = "startup delay τ must be positive and finite, got inf")]
+    fn an_infinite_startup_delay_is_refused_by_name() {
+        ExactDmp::new(path(), 4, 10.0, f64::INFINITY, -40);
     }
 
     #[test]

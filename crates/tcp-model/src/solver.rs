@@ -22,10 +22,19 @@
 //! The original transition-list power iteration lives on in
 //! `tests/solver_csr.rs` as the oracle this solver is property-tested
 //! against (agreement within 1e-12) — the only power iteration in the tree.
+//!
+//! Enumeration costs what the BFS costs: each state's transitions land in
+//! one buffer the enumeration owns and drains ([`Ctmc::transitions`]), and
+//! the state index hashes with a multiply–rotate word mix (`WordHasher`)
+//! instead of std's SipHash. The hasher decides only where a key sits in
+//! the table; every index is a BFS discovery number, so no state index,
+//! weight, sweep count or bit of `π` depends on it
+//! (`tests/solver_csr.rs`'s `enumeration_and_solves_reproduce_recorded_bits`
+//! holds digests recorded under SipHash).
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// A finite CTMC described by its transition function.
@@ -37,10 +46,56 @@ pub trait Ctmc {
     /// state must be reachable from it).
     fn initial(&self) -> Self::State;
 
-    /// All outgoing transitions `(target, rate)` from `s`, with `rate > 0`;
-    /// every state has at least one.
-    fn transitions(&self, s: &Self::State) -> Vec<(Self::State, f64)>;
+    /// Append all outgoing transitions `(target, rate)` from `s` to `out`,
+    /// with `0 < rate < ∞`; every state has at least one. `out` arrives
+    /// empty and is drained by the caller, so one buffer serves the whole
+    /// enumeration: no per-state allocation.
+    fn transitions(&self, s: &Self::State, out: &mut Vec<(Self::State, f64)>);
 }
+
+/// The state index's hasher: FxHash's word mix (rotate, xor, multiply by a
+/// 64-bit odd constant) — a few cycles per field where SipHash spends tens
+/// per key. Its output is neither stored nor compared, only used to place
+/// keys in a `StateIndex`; `dmp_base::hash` stays the one stable digest. The
+/// keys are states a `Ctmc` generates, never outside input, so SipHash's
+/// resistance to crafted collisions buys nothing here.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.add(u64::from(v));
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// State → BFS discovery number.
+type StateIndex<S> = HashMap<S, usize, BuildHasherDefault<WordHasher>>;
 
 /// Why a chain could not be enumerated.
 ///
@@ -74,7 +129,7 @@ impl std::error::Error for SolveError {}
 #[derive(Debug)]
 struct StateTable<S> {
     states: Vec<S>,
-    index: HashMap<S, usize>,
+    index: StateIndex<S>,
 }
 
 /// The stationary distribution of a finite CTMC.
@@ -186,38 +241,44 @@ impl<S: Clone + Eq + Hash> CsrCtmc<S> {
     /// the reachable set outgrows `opts.max_states`.
     ///
     /// # Panics
-    /// Panics on a non-positive rate or a state without outgoing
+    /// Panics on a rate that is not positive and finite (an infinite one
+    /// would make a weight `∞/∞`), or on a state without outgoing
     /// transitions (its balance equation has no solution to sweep towards).
     pub fn enumerate<C: Ctmc<State = S>>(
         chain: &C,
         opts: &SolveOptions,
     ) -> Result<Self, SolveError> {
         let mut states: Vec<S> = vec![chain.initial()];
-        let mut index: HashMap<S, usize> = HashMap::new();
+        let mut index = StateIndex::default();
         index.insert(states[0].clone(), 0);
-        // Transitions `from → to` at `rate` in discovery order, and each
-        // state's outflow (summed left to right, as the reference solver does).
-        let mut from: Vec<u32> = Vec::new();
+        // Transitions (target `to`, `rate`) in discovery order; per state,
+        // where its row of them ends and its outflow (summed left to right,
+        // as the reference solver does).
+        let mut row_end: Vec<u32> = Vec::new();
         let mut to: Vec<u32> = Vec::new();
         let mut rate: Vec<f64> = Vec::new();
         let mut outflow: Vec<f64> = Vec::new();
+        let mut row: Vec<(S, f64)> = Vec::new();
         let mut head = 0;
         while head < states.len() {
-            let s = states[head].clone();
+            chain.transitions(&states[head], &mut row);
             let mut out = 0.0f64;
-            for (t, q) in chain.transitions(&s) {
-                assert!(q > 0.0, "transition rates must be positive");
+            for (t, q) in row.drain(..) {
+                assert!(
+                    q > 0.0 && q < f64::INFINITY,
+                    "transition rates must be positive and finite, got rate {q}"
+                );
                 let j = *index.entry(t.clone()).or_insert_with(|| {
                     states.push(t);
                     states.len() - 1
                 });
-                from.push(head as u32);
                 to.push(j as u32);
                 rate.push(q);
                 out += q;
             }
             assert!(out > 0.0, "every state needs an outgoing transition");
             outflow.push(out);
+            row_end.push(to.len() as u32);
             head += 1;
             if states.len() > opts.max_states {
                 return Err(SolveError::StateSpaceExceeded {
@@ -239,11 +300,16 @@ impl<S: Clone + Eq + Hash> CsrCtmc<S> {
         }
         let mut src = vec![0u32; to.len()];
         let mut weight = vec![0.0f64; to.len()];
-        for ((&i, &j), &q) in from.iter().zip(&to).zip(&rate) {
-            let at = &mut in_off[j as usize + 1];
-            src[*at as usize] = i;
-            weight[*at as usize] = q / outflow[j as usize];
-            *at += 1;
+        let mut begin = 0;
+        for (i, &end) in row_end.iter().enumerate() {
+            let end = end as usize;
+            for (&j, &q) in to[begin..end].iter().zip(&rate[begin..end]) {
+                let at = &mut in_off[j as usize + 1];
+                src[*at as usize] = i as u32;
+                weight[*at as usize] = q / outflow[j as usize];
+                *at += 1;
+            }
+            begin = end;
         }
         Ok(Self {
             table: Arc::new(StateTable { states, index }),
@@ -600,15 +666,13 @@ mod tests {
         fn initial(&self) -> u32 {
             0
         }
-        fn transitions(&self, &s: &u32) -> Vec<(u32, f64)> {
-            let mut t = Vec::new();
+        fn transitions(&self, &s: &u32, out: &mut Vec<(u32, f64)>) {
             if s < self.k {
-                t.push((s + 1, self.lambda));
+                out.push((s + 1, self.lambda));
             }
             if s > 0 {
-                t.push((s - 1, self.mu));
+                out.push((s - 1, self.mu));
             }
-            t
         }
     }
 
@@ -641,12 +705,8 @@ mod tests {
             fn initial(&self) -> bool {
                 true
             }
-            fn transitions(&self, &s: &bool) -> Vec<(bool, f64)> {
-                if s {
-                    vec![(false, 2.0)]
-                } else {
-                    vec![(true, 6.0)]
-                }
+            fn transitions(&self, &s: &bool, out: &mut Vec<(bool, f64)>) {
+                out.push(if s { (false, 2.0) } else { (true, 6.0) });
             }
         }
         let sol = solve_stationary(&OnOff, SolveOptions::default());
@@ -695,6 +755,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "transition rates must be positive and finite, got rate inf")]
+    fn an_infinite_rate_is_refused_by_name() {
+        // Its weight would be `∞/∞ = NaN`, and every sweep would spread it.
+        let q = Mm1k {
+            lambda: f64::INFINITY,
+            mu: 5.0,
+            k: 3,
+        };
+        let _ = CsrCtmc::enumerate(&q, &SolveOptions::default());
+    }
+
+    #[test]
     fn warm_start_from_neighbor_converges_faster_and_agrees() {
         let opts = SolveOptions::default();
         let near = Mm1k {
@@ -732,15 +804,13 @@ mod tests {
             fn initial(&self) -> u32 {
                 1_000
             }
-            fn transitions(&self, &s: &u32) -> Vec<(u32, f64)> {
-                let mut t = Vec::new();
+            fn transitions(&self, &s: &u32, out: &mut Vec<(u32, f64)>) {
                 if s < 1_010 {
-                    t.push((s + 1, 3.0));
+                    out.push((s + 1, 3.0));
                 }
                 if s > 1_000 {
-                    t.push((s - 1, 5.0));
+                    out.push((s - 1, 5.0));
                 }
-                t
             }
         }
         let far = solve_stationary(&Shifted, opts);
@@ -771,15 +841,13 @@ mod tests {
         fn initial(&self) -> i64 {
             0
         }
-        fn transitions(&self, &n: &i64) -> Vec<(i64, f64)> {
-            let mut t = Vec::new();
+        fn transitions(&self, &n: &i64, out: &mut Vec<(i64, f64)>) {
             if n < self.nmax {
-                t.push(((n + 2).min(self.nmax), self.a));
+                out.push(((n + 2).min(self.nmax), self.a));
             }
             if n > self.floor {
-                t.push((n - 1, self.mu));
+                out.push((n - 1, self.mu));
             }
-            t
         }
     }
 

@@ -1,0 +1,118 @@
+//! The per-flow chain's backlogged throughput, solved exactly.
+//!
+//! Every model point dials σ_a/µ through
+//! [`calibrate::chain_per_round_throughput`], a Monte-Carlo estimate of the
+//! per-round throughput σR of one [`TcpChain`] (1.5 M stage transitions).
+//! That number is a Markov reward: σR = Σ π(x) · rate(x) · E[delivered | x]
+//! over the chain's stationary law at `R = 1`, which [`CsrCtmc`] solves. This
+//! file measures the chain at the production window cap (`wmax = 64`) and
+//! holds the Monte-Carlo calibration to the exact value.
+//!
+//! `cargo test --release -p tcp-model --test exact_sigma -- --nocapture`
+//! prints each point's walls (enumerate, solve, Monte-Carlo run).
+
+use std::time::Instant;
+
+use dmp_core::spec::PathSpec;
+use tcp_model::chain::TcpChainState;
+use tcp_model::{calibrate, CsrCtmc, Ctmc, SolveOptions, TcpChain};
+
+/// One backlogged flow: the chain alone, its rates at `R = 1` s.
+struct PerFlow(TcpChain);
+
+impl Ctmc for PerFlow {
+    type State = TcpChainState;
+
+    fn initial(&self) -> TcpChainState {
+        self.0.state()
+    }
+
+    fn transitions(&self, s: &TcpChainState, out: &mut Vec<(TcpChainState, f64)>) {
+        let rate = self.0.rate_at(s);
+        self.0.for_each_outcome(*s, |next, prob, _| {
+            if prob > 0.0 {
+                out.push((next, rate * prob));
+            }
+        });
+    }
+}
+
+/// What one exact σR solve measured.
+struct Exact {
+    sigma_r: f64,
+    states: usize,
+    nnz: usize,
+    enumerate_ms: f64,
+    solve_ms: f64,
+    sweeps: u32,
+}
+
+fn exact_sigma_r(loss: f64, to_ratio: f64, wmax: u32) -> Exact {
+    let path = PathSpec {
+        loss,
+        rtt_s: 1.0,
+        to_ratio,
+    };
+    let flow = PerFlow(TcpChain::new(path, wmax));
+    let opts = SolveOptions::default();
+    let t0 = Instant::now();
+    let csr = CsrCtmc::enumerate(&flow, &opts).expect("the per-flow chain enumerates");
+    let enumerate_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let t0 = Instant::now();
+    let sol = csr.solve_accelerated(&opts, None);
+    let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let sigma_r = sol.expect(|s| {
+        let mut delivered = 0.0;
+        flow.0
+            .for_each_outcome(*s, |_, prob, d| delivered += prob * f64::from(d));
+        flow.0.rate_at(s) * delivered
+    });
+    Exact {
+        sigma_r,
+        states: csr.len(),
+        nnz: csr.nnz(),
+        enumerate_ms,
+        solve_ms,
+        sweeps: sol.iterations,
+    }
+}
+
+#[test]
+fn monte_carlo_calibration_meets_the_exact_per_round_throughput() {
+    // (loss, T_O, wmax): three production-cap points across the paper's
+    // loss range, and the exact solver's usual small cap.
+    let points = [
+        (0.02, 4.0, 64),
+        (0.06, 2.0, 64),
+        (0.005, 4.0, 64),
+        (0.02, 4.0, 4),
+    ];
+    for (loss, to_ratio, wmax) in points {
+        let exact = exact_sigma_r(loss, to_ratio, wmax);
+        let t0 = Instant::now();
+        let mc = calibrate::chain_per_round_throughput(loss, to_ratio, wmax);
+        let mc_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let rel = (mc - exact.sigma_r) / exact.sigma_r;
+        println!(
+            "p {loss} T_O {to_ratio} wmax {wmax}: {} states, {} nnz; enumerate \
+             {:.2} ms, solve {:.2} ms ({} sweeps), Monte-Carlo {mc_ms:.2} ms; \
+             σR exact {:.6}, MC {mc:.6}, rel {rel:+.2e}",
+            exact.states,
+            exact.nnz,
+            exact.enumerate_ms,
+            exact.solve_ms,
+            exact.sweeps,
+            exact.sigma_r
+        );
+        if wmax == 64 {
+            // The state space depends on the cap alone (every loss
+            // pattern has positive probability).
+            assert_eq!((exact.states, exact.nnz), (16_228, 136_604), "p {loss}");
+        }
+        assert!(
+            rel.abs() < 5e-3,
+            "p {loss} T_O {to_ratio} wmax {wmax}: MC {mc} vs exact {} ({rel:+.2e})",
+            exact.sigma_r
+        );
+    }
+}

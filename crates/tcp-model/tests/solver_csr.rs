@@ -15,10 +15,16 @@
 //! [`production_tau_sweep_meets_the_oracle_on_the_real_chain`] and
 //! [`unit_chains_match_the_reference_solver`] red on agreement; `sweep`
 //! returning the absolute change — `solver.rs`'s own
-//! `sweep_residual_is_relative_to_the_mass_of_the_iterate` red.
+//! `sweep_residual_is_relative_to_the_mass_of_the_iterate` red. In
+//! `chain.rs`, `for_each_outcome` emitting the lossy outcomes in reverse
+//! (`g = w−1..0`) turns [`enumeration_and_solves_reproduce_recorded_bits`]
+//! red on its sweep and deep-floor digests.
 
 use std::collections::HashMap;
+use std::fmt::Debug;
+use std::hash::Hash;
 
+use dmp_base::hash::StableHasher;
 use dmp_core::spec::PathSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -33,9 +39,12 @@ struct Reference<S> {
 }
 
 /// The original transition-list power iteration on the uniformised chain
-/// (`π ← πP`, `P = I + Q/Λ`), kept verbatim as the oracle for [`CsrCtmc`]. It
-/// re-materialises every row's `Vec<(state, rate)>` once and recomputes the
-/// row sums each sweep — exactly the costs [`CsrCtmc`] exists to remove.
+/// (`π ← πP`, `P = I + Q/Λ`), kept verbatim as the oracle for [`CsrCtmc`]
+/// (but for reading each row through [`Ctmc::transitions`]' buffer). It
+/// materialises every row as its own `Vec<(state, rate)>` and recomputes the
+/// row sums each sweep — exactly the costs [`CsrCtmc`] exists to remove —
+/// and indexes states through std's SipHash `HashMap`, independent of the
+/// solver's own hasher.
 ///
 /// # Panics
 /// Panics if the reachable state space exceeds `opts.max_states`.
@@ -46,12 +55,13 @@ fn solve_stationary_reference<C: Ctmc>(chain: &C, opts: SolveOptions) -> Referen
     index.insert(states[0].clone(), 0);
     // Sparse rows: row[i] = Vec<(j, rate)>.
     let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();
+    let mut ts = Vec::new();
     let mut head = 0;
     while head < states.len() {
         let s = states[head].clone();
-        let ts = chain.transitions(&s);
+        chain.transitions(&s, &mut ts);
         let mut row = Vec::with_capacity(ts.len());
-        for (t, rate) in ts {
+        for (t, rate) in ts.drain(..) {
             assert!(rate > 0.0, "transition rates must be positive");
             let j = *index.entry(t.clone()).or_insert_with(|| {
                 states.push(t);
@@ -134,15 +144,13 @@ impl Ctmc for BirthDeath {
         0
     }
 
-    fn transitions(&self, s: &usize) -> Vec<(usize, f64)> {
-        let mut out = Vec::new();
-        if *s < self.birth.len() {
-            out.push((s + 1, self.birth[*s]));
+    fn transitions(&self, &s: &usize, out: &mut Vec<(usize, f64)>) {
+        if s < self.birth.len() {
+            out.push((s + 1, self.birth[s]));
         }
-        if *s > 0 {
+        if s > 0 {
             out.push((s - 1, self.death[s - 1]));
         }
-        out
     }
 }
 
@@ -157,10 +165,10 @@ impl Ctmc for Cycle3 {
         0
     }
 
-    fn transitions(&self, s: &u8) -> Vec<(u8, f64)> {
+    fn transitions(&self, &s: &u8, out: &mut Vec<(u8, f64)>) {
         // Heterogeneous rates: π_i ∝ 1/rate_i.
-        let rate = [1.0, 2.0, 4.0][*s as usize];
-        vec![((s + 1) % 3, rate)]
+        let rate = [1.0, 2.0, 4.0][usize::from(s)];
+        out.push(((s + 1) % 3, rate));
     }
 }
 
@@ -180,15 +188,13 @@ impl Ctmc for Restart {
         0
     }
 
-    fn transitions(&self, s: &usize) -> Vec<(usize, f64)> {
-        let mut out = Vec::new();
-        if *s < self.on.len() {
-            out.push((s + 1, self.on[*s]));
+    fn transitions(&self, &s: &usize, out: &mut Vec<(usize, f64)>) {
+        if s < self.on.len() {
+            out.push((s + 1, self.on[s]));
         }
-        if *s > 0 {
+        if s > 0 {
             out.push((0, self.back[s - 1]));
         }
-        out
     }
 }
 
@@ -487,5 +493,89 @@ fn a_tolerance_below_the_roundoff_floor_is_not_a_trap() {
     assert!(
         (f_default - f).abs() <= 2e-13,
         "{f_default:.15e} vs {f:.15e}"
+    );
+}
+
+/// Digest of a solution: its states in BFS order (by `Debug`), every π bit,
+/// the sweep count and the residual's bits.
+fn solution_digest<S: Clone + Eq + Hash + Debug>(h: &mut StableHasher, sol: &Stationary<S>) {
+    for s in sol.states() {
+        h.write_str(&format!("{s:?}"));
+    }
+    for p in &sol.pi {
+        h.write_u64(p.to_bits());
+    }
+    h.write_u64(u64::from(sol.iterations));
+    h.write_u64(sol.residual.to_bits());
+}
+
+#[test]
+fn enumeration_and_solves_reproduce_recorded_bits() {
+    // Recorded before the state index left SipHash and `Ctmc::transitions`
+    // moved onto a caller-owned buffer: neither may move a state index, a
+    // weight, a sweep or a bit of π.
+    let opts = SolveOptions::default();
+    let path = PathSpec::from_ms(0.06, 200.0, 2.0);
+
+    // The `model_exact` workload's sweep at µ = 10: caps 5…8, the first solve
+    // cold, each later one warm from its left neighbour, replayed by hand to
+    // reach π (the sweep returns summaries, which must match the replay's).
+    let mu = 10.0;
+    let taus: Vec<f64> = (5..=8).map(|cap| (f64::from(cap) - 0.5) / mu).collect();
+    let cells = exact_tau_sweep(path, 4, mu, &taus, -40, opts).expect("grid enumerates");
+    let mut h = StableHasher::new();
+    let mut prev: Option<Stationary<_>> = None;
+    for (&tau, cell) in taus.iter().zip(&cells) {
+        let model = ExactDmp::new(path, 4, mu, tau, -40);
+        let sol = model
+            .csr(&opts)
+            .unwrap()
+            .solve_accelerated(&opts, prev.as_ref());
+        let replay = model.summarise(&sol);
+        assert_eq!(
+            (
+                cell.f.to_bits(),
+                cell.floor_mass.to_bits(),
+                cell.states,
+                cell.iterations
+            ),
+            (
+                replay.f.to_bits(),
+                replay.floor_mass.to_bits(),
+                replay.states,
+                replay.iterations
+            ),
+            "τ = {tau}"
+        );
+        solution_digest(&mut h, &sol);
+        prev = Some(sol);
+    }
+    let sweep = h.finish_hex();
+
+    // The deep-floor instance `tests/model_exact_vs_ssa.rs` cross-checks.
+    let mut h = StableHasher::new();
+    let model = ExactDmp::new(path, 6, 18.0, 1.0, -400);
+    solution_digest(&mut h, &model.solve(opts));
+    let deep = h.finish_hex();
+
+    // A birth–death chain with rates that vary along it.
+    let mut h = StableHasher::new();
+    let chain = BirthDeath {
+        birth: (0..50).map(|k| 1.0 + 0.03 * f64::from(k)).collect(),
+        death: (0..50).map(|k| 2.2 - 0.02 * f64::from(k)).collect(),
+    };
+    let sol = CsrCtmc::enumerate(&chain, &opts)
+        .unwrap()
+        .solve_accelerated(&opts, None);
+    solution_digest(&mut h, &sol);
+    let birth_death = h.finish_hex();
+
+    assert_eq!(
+        [sweep.as_str(), deep.as_str(), birth_death.as_str()],
+        [
+            "cc3bac595f15d5faea46c4f58eb47b6f",
+            "b263f906056e93675d85341775f257de",
+            "2a2f22dd6922d3b902923853d0072a18",
+        ]
     );
 }

@@ -22,14 +22,6 @@ struct MiniDmp {
     floor: i64,
 }
 
-impl MiniDmp {
-    fn chain_rate(&self, s: &TcpChainState) -> f64 {
-        let mut c = self.proto.clone();
-        c.set_state(*s);
-        c.rate()
-    }
-}
-
 impl Ctmc for MiniDmp {
     type State = (TcpChainState, i64);
 
@@ -37,8 +29,7 @@ impl Ctmc for MiniDmp {
         (self.proto.state(), 0)
     }
 
-    fn transitions(&self, (x, n): &Self::State) -> Vec<(Self::State, f64)> {
-        let mut out = Vec::new();
+    fn transitions(&self, (x, n): &Self::State, out: &mut Vec<(Self::State, f64)>) {
         // Consumption at rate µ (always active; saturate at the floor so the
         // space is finite — the floor is deep enough not to matter).
         let n_next = (*n - 1).max(self.floor);
@@ -47,7 +38,7 @@ impl Ctmc for MiniDmp {
         }
         // Production: chain transitions are frozen at N = N_max.
         if *n < self.nmax {
-            let rate = self.chain_rate(x);
+            let rate = self.proto.rate_at(x);
             for (x2, prob, delivered) in self.proto.outcomes(*x) {
                 let n2 = (*n + i64::from(delivered)).min(self.nmax);
                 if prob > 0.0 {
@@ -55,7 +46,6 @@ impl Ctmc for MiniDmp {
                 }
             }
         }
-        out
     }
 }
 
