@@ -54,7 +54,14 @@ impl StableHasher {
 
     /// Final 128-bit digest as 32 lowercase hex characters.
     pub fn finish_hex(&self) -> String {
-        format!("{:016x}{:016x}", self.lane1, self.lane2)
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut out = String::with_capacity(32);
+        for lane in [self.lane1, self.lane2] {
+            for nibble in (0..16).rev() {
+                out.push(char::from(HEX[(lane >> (4 * nibble)) as usize & 0xf]));
+            }
+        }
+        out
     }
 
     /// Final 64-bit digest (first lane) — used as a cheap integrity check.

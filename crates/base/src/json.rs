@@ -64,7 +64,9 @@ impl Json {
     /// Non-negative integer value, if this is a whole number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, which no `u64` holds. In
+            // range, the cast truncates, so it round-trips only whole numbers.
+            Json::Num(v) if *v >= 0.0 && *v < u64::MAX as f64 && (*v as u64) as f64 == *v => {
                 Some(*v as u64)
             }
             _ => None,
@@ -138,18 +140,38 @@ impl Json {
 
 /// Whole numbers below 2^53 are most of a payload (counters, histogram
 /// bucket pairs). Their shortest round-trip digits are the integer's own, so
-/// they take the integer formatter; everything else (`-0`, fractions, larger
+/// they take a digit loop; everything else (`-0`, fractions, larger
 /// magnitudes, where `Display` pads shortest digits with zeros) goes through
 /// `Display for f64`. Both paths emit the same bytes.
 fn render_num(v: f64, out: &mut String) {
     const EXACT: u64 = 1 << 53;
     let i = v as i64;
     if i as f64 == v && i.unsigned_abs() < EXACT && (i != 0 || v.is_sign_positive()) {
-        let _ = write!(out, "{i}");
+        if i < 0 {
+            out.push('-');
+        }
+        push_digits(i.unsigned_abs(), out);
     } else if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
+    }
+}
+
+/// The decimal digits of `n`, as `Display for u64` writes them.
+fn push_digits(mut n: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &digit in &buf[start..] {
+        out.push(char::from(digit));
     }
 }
 
@@ -173,32 +195,53 @@ fn render_seq(
         }
         if let Some(step) = indent {
             out.push('\n');
-            out.push_str(&" ".repeat(step * (depth + 1)));
+            push_spaces(step * (depth + 1), out);
         }
         item(out, i, depth + 1);
     }
     if let Some(step) = indent {
         out.push('\n');
-        out.push_str(&" ".repeat(step * depth));
+        push_spaces(step * depth, out);
     }
     out.push(close);
 }
 
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// `n` spaces of indentation, pushed in runs instead of one char at a time.
+fn push_spaces(mut n: usize, out: &mut String) {
+    const SPACES: &str = "                                ";
+    while n > 0 {
+        let run = n.min(SPACES.len());
+        out.push_str(&SPACES[..run]);
+        n -= run;
     }
+}
+
+/// `s` as a JSON string literal. Runs between escapes are copied whole, so a
+/// string with nothing to escape is one copy. Every escaped byte is ASCII,
+/// which makes each cut a char boundary.
+fn escape_into(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "\\u00",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        if escape == "\\u00" {
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -207,14 +250,23 @@ fn escape_into(s: &str, out: &mut String) {
 /// the process; a `RunSummary` payload nests 6 deep.
 pub const MAX_DEPTH: usize = 128;
 
+/// Longest integer literal [`parse`] accumulates in a `u64`: below 10^15 <
+/// 2^53 the conversion to `f64` is exact, so it yields `str::parse`'s bits.
+const FAST_DIGITS: usize = 15;
+
 /// Parse a JSON document in one linear pass. Returns `None` on any syntax
 /// error or nesting beyond [`MAX_DEPTH`] (the cache treats unparseable files
 /// as misses, never as panics).
+///
+/// Array items and object pairs collect on two stacks the parse owns; each
+/// finished container moves out of its stack into one exact-size `Vec`.
 pub fn parse(input: &str) -> Option<Json> {
     let mut p = Parser {
         src: input,
         pos: 0,
         depth: 0,
+        items: Vec::new(),
+        pairs: Vec::new(),
     };
     p.skip_ws();
     let value = p.value()?;
@@ -231,6 +283,10 @@ struct Parser<'a> {
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
+    /// Items of the open arrays, innermost on top.
+    items: Vec<Json>,
+    /// Pairs of the open objects, innermost on top.
+    pairs: Vec<(String, Json)>,
 }
 
 impl Parser<'_> {
@@ -285,11 +341,28 @@ impl Parser<'_> {
         value
     }
 
+    /// A number the way `str::parse::<f64>` reads the longest run of number
+    /// characters. A plain integer of at most [`FAST_DIGITS`] digits is
+    /// accumulated on the way instead; anything else is rescanned.
     fn number(&mut self) -> Option<Json> {
+        let bytes = self.src.as_bytes();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let negative = bytes[start] == b'-';
+        let digits_start = start + usize::from(negative);
+        let mut end = digits_start;
+        let mut n = 0u64;
+        while let Some(&d @ b'0'..=b'9') = bytes.get(end) {
+            n = n.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+            end += 1;
         }
+        let digits = end - digits_start;
+        let continues = matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+        if (1..=FAST_DIGITS).contains(&digits) && !continues {
+            self.pos = end;
+            let magnitude = n as f64;
+            return Some(Json::Num(if negative { -magnitude } else { magnitude }));
+        }
+        self.pos = digits_start;
         while matches!(
             self.peek(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
@@ -303,8 +376,9 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            // Copy the run up to the next delimiter in one piece. Both
-            // delimiters are ASCII, so the cut is a char boundary.
+            // Copy the run up to the next delimiter in one piece (a string
+            // without escapes is one exact allocation). Both delimiters are
+            // ASCII, so the cut is a char boundary.
             let run = self.pos;
             let delimiter = loop {
                 match self.peek()? {
@@ -339,32 +413,36 @@ impl Parser<'_> {
         }
     }
 
+    /// The four hex digits after `\u`, exactly four: no sign, no fewer.
     fn hex4_after_u(&mut self) -> Option<u16> {
         // self.pos is at 'u'
         self.pos += 1;
-        let hex = self.src.get(self.pos..self.pos + 4)?;
-        let code = u16::from_str_radix(hex, 16).ok()?;
+        let hex = self.src.as_bytes().get(self.pos..self.pos + 4)?;
+        let mut code = 0u16;
+        for &b in hex {
+            code = code << 4 | char::from(b).to_digit(16)? as u16;
+        }
         self.pos += 4;
         Some(code)
     }
 
     fn array(&mut self) -> Option<Json> {
         self.eat(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Some(Json::Arr(items));
+        if self.eat(b']').is_some() {
+            return Some(Json::Arr(Vec::new()));
         }
+        let base = self.items.len();
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek()? {
                 b',' => self.pos += 1,
                 b']' => {
                     self.pos += 1;
-                    return Some(Json::Arr(items));
+                    return Some(Json::Arr(self.items.drain(base..).collect()));
                 }
                 _ => return None,
             }
@@ -373,12 +451,11 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Option<Json> {
         self.eat(b'{')?;
-        let mut pairs = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Some(Json::Obj(pairs));
+        if self.eat(b'}').is_some() {
+            return Some(Json::Obj(Vec::new()));
         }
+        let base = self.pairs.len();
         loop {
             self.skip_ws();
             let key = self.string()?;
@@ -386,13 +463,13 @@ impl Parser<'_> {
             self.eat(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            pairs.push((key, value));
+            self.pairs.push((key, value));
             self.skip_ws();
             match self.peek()? {
                 b',' => self.pos += 1,
                 b'}' => {
                     self.pos += 1;
-                    return Some(Json::Obj(pairs));
+                    return Some(Json::Obj(self.pairs.drain(base..).collect()));
                 }
                 _ => return None,
             }
@@ -449,6 +526,36 @@ mod tests {
         ] {
             assert!(parse(bad).is_none(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse("\"\\u0041\""), Some(Json::Str("A".into())));
+        assert_eq!(parse("\"\\u00e9\\u00C9\""), Some(Json::Str("éÉ".into())));
+        for bad in [
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\u04\"",
+            "\"\\u",
+        ] {
+            assert_eq!(parse(bad), None, "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn as_u64_refuses_what_no_u64_holds() {
+        // The largest f64 below 2^64, and 2^64 itself.
+        let largest = 18_446_744_073_709_549_568.0;
+        assert_eq!(
+            Json::Num(largest).as_u64(),
+            Some(18_446_744_073_709_549_568)
+        );
+        assert_eq!(Json::Num(18_446_744_073_709_551_616.0).as_u64(), None);
+        for v in [-1.0, 0.5, -0.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(Json::Num(v).as_u64(), None, "{v}");
+        }
+        assert_eq!(Json::Num(-0.0).as_u64(), Some(0));
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! `DMP_NO_CACHE=1` re-measures without touching it. Entries live
 //! one-per-file, two lines each: a header `{"v":2,"salt":…,"key":…,"crc":…}`,
 //! then the payload's compact render. `crc` digests the payload bytes as
-//! stored, so `load` verifies all four header fields *before* parsing, then
-//! parses only the payload and returns it by value: a hit is one read, one
-//! digest pass, one parse. Any mismatch, truncation or parse failure is a
-//! *miss*, never an error — a corrupt or stale cache can only cost time.
+//! stored, so `load` renders the header `store` would have written above
+//! those bytes under this salt and key, and compares it with the first line
+//! byte for byte — the header is never parsed —, then parses only the
+//! payload and returns it by value: a hit is one read, one digest pass, one
+//! parse. Any mismatch, truncation or parse failure is a *miss*, never an
+//! error — a corrupt or stale cache can only cost time.
 //!
 //! Layout: `<dir>/<key[0..2]>/<key>.json` (fan-out keeps directories small).
 //! Writes are atomic (`.tmp` + rename) so an interrupted sweep never leaves
@@ -123,15 +125,22 @@ impl Cache {
         }
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
         let (header, payload) = text.split_once('\n')?;
-        let header = json::parse(header)?;
-        let intact = header.get("v")?.as_f64()? == FORMAT_VERSION
-            && header.get("salt")?.as_str()? == self.salt
-            && header.get("key")?.as_str()? == key
-            && header.get("crc")?.as_str()? == hex_digest(payload.as_bytes());
-        if !intact {
+        if header != self.header(key, payload) {
             return None;
         }
         json::parse(payload)
+    }
+
+    /// The header line [`store`](Self::store) writes above `payload`; a hit
+    /// must carry exactly these bytes.
+    fn header(&self, key: &str, payload: &str) -> String {
+        Json::obj([
+            ("v", Json::Num(FORMAT_VERSION)),
+            ("salt", Json::Str(self.salt.clone())),
+            ("key", Json::Str(key.to_string())),
+            ("crc", Json::Str(hex_digest(payload.as_bytes()))),
+        ])
+        .render()
     }
 
     /// Persist `payload` under `key`. I/O errors are swallowed (a read-only
@@ -148,16 +157,11 @@ impl Cache {
             return;
         }
         let payload = payload.render();
-        let header = Json::obj([
-            ("v", Json::Num(FORMAT_VERSION)),
-            ("salt", Json::Str(self.salt.clone())),
-            ("key", Json::Str(key.to_string())),
-            ("crc", Json::Str(hex_digest(payload.as_bytes()))),
-        ]);
+        let header = self.header(key, &payload);
         // Unique tmp name per thread so concurrent stores of different keys
         // (or even the same key) never interleave partial writes.
         let tmp = parent.join(format!(".{}.{:?}.tmp", key, std::thread::current().id()));
-        if std::fs::write(&tmp, format!("{}\n{payload}", header.render())).is_ok() {
+        if std::fs::write(&tmp, format!("{header}\n{payload}")).is_ok() {
             let _ = std::fs::rename(&tmp, &path);
         }
     }

@@ -5,8 +5,10 @@
 //! interleaving. Workers drain their own deque from the front and steal from
 //! victims' backs (classic Chase–Lev discipline, implemented with simple
 //! locked deques). Cold jobs are seconds-long simulations, but a warm job is
-//! a ~40 µs cache hit, so per-job queue overhead is measured, not assumed:
-//! the benchmark's `dmp-runner.pool.dispatch_ns_per_job` (well under 1 µs).
+//! a 45–65 µs cache hit (the benchmark's `dmp-runner.cache.load_us` plus
+//! `dmp-sim.summary_from_json_us` for a 3 KB `RunSummary`, 2-core host), so
+//! per-job queue overhead is measured, not assumed: the benchmark's
+//! `dmp-runner.pool.dispatch_ns_per_job` (well under 1 µs).
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

@@ -14,9 +14,14 @@
 //!   buckets and moments add as integers, so merging shard snapshots is
 //!   commutative and associative: any merge order produces the identical
 //!   snapshot (the same discipline as `EngineTelemetry::absorb`);
-//! * **deterministic serialisation** — snapshots serialise with sorted keys
-//!   and exact integer bucket counts, so two equal snapshots render the
-//!   same bytes across runner thread counts and trace on/off.
+//! * **deterministic serialisation** — snapshots serialise with sorted keys,
+//!   so two equal snapshots render the same bytes across runner thread
+//!   counts and trace on/off. Everything is written as a JSON number, i.e.
+//!   an `f64`: bucket counts, `count`, `min` and `max` stay exact below
+//!   2^53, but `sum` and `sum_sq` (`u128` in memory) already pass 2^53 in
+//!   long RTT histograms and round. A snapshot decoded from the cache and
+//!   merged is therefore byte-identical to the cold merge only while every
+//!   part's moments are below 2^53.
 //!
 //! The histogram is HDR-style log-linear: values `< 8` get exact unit
 //! buckets; every power-of-two octave above splits into 8 sub-buckets
@@ -181,31 +186,36 @@ impl Histogram {
             .map(|(i, &c)| (i, c))
     }
 
-    /// Non-empty buckets as ascending `(lo, hi, count)` value-range triples.
-    pub fn bounds_buckets(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
-        self.nonzero_buckets().map(|(i, c)| {
-            let (lo, hi) = bucket_bounds(i);
-            (lo as f64, hi as f64, c)
-        })
-    }
-
     /// Reconstruct the summary distribution (mean/p50/p90/p99/max/stddev)
     /// from the buckets and exact moments.
     pub fn distribution(&self) -> Distribution {
+        self.distribution_of(self.nonzero_buckets())
+    }
+
+    /// [`distribution`](Self::distribution) over this histogram's non-empty
+    /// `(index, count)` buckets, ascending.
+    fn distribution_of(&self, nonzero: impl Iterator<Item = (usize, u64)>) -> Distribution {
         Distribution::from_histogram(
             self.count,
             self.sum as f64,
             self.sum_sq as f64,
             self.min() as f64,
             self.max as f64,
-            self.bounds_buckets(),
+            nonzero.map(|(i, c)| {
+                let (lo, hi) = bucket_bounds(i);
+                (lo as f64, hi as f64, c)
+            }),
         )
     }
 }
 
 impl JsonCodec for Histogram {
     fn to_json(&self) -> Json {
-        let d = self.distribution();
+        // The non-empty buckets, gathered once into an exact-size `Vec`, feed
+        // both the percentiles and the rendered pairs.
+        let mut nonzero = Vec::with_capacity(self.counts.iter().filter(|&&c| c > 0).count());
+        nonzero.extend(self.nonzero_buckets());
+        let d = self.distribution_of(nonzero.iter().copied());
         Json::obj([
             ("count", Json::Num(self.count as f64)),
             ("sum", Json::Num(self.sum as f64)),
@@ -219,9 +229,11 @@ impl JsonCodec for Histogram {
             ("stddev", Json::Num(d.stddev)),
             (
                 "buckets",
-                Json::arr(
-                    self.nonzero_buckets()
-                        .map(|(i, c)| Json::nums([i as f64, c as f64])),
+                Json::Arr(
+                    nonzero
+                        .iter()
+                        .map(|&(i, c)| Json::nums([i as f64, c as f64]))
+                        .collect(),
                 ),
             ),
         ])
@@ -337,8 +349,9 @@ impl MetricsSnapshot {
 
 impl JsonCodec for MetricsSnapshot {
     /// Deterministic rendering: `BTreeMap` iteration sorts every section by
-    /// key, and histograms serialise exact integer state, so equal
-    /// snapshots produce identical bytes.
+    /// key, so equal snapshots produce identical bytes. Histogram moments
+    /// are written as `f64`: a `sum` or `sum_sq` above 2^53 rounds, and the
+    /// decoded snapshot is then not the one that was encoded.
     fn to_json(&self) -> Json {
         Json::obj([
             (
@@ -519,6 +532,38 @@ mod tests {
         assert_eq!(h, back);
         let empty = Histogram::from_json(&Histogram::new().to_json()).expect("empty");
         assert!(empty.is_empty());
+    }
+
+    /// A histogram as a cache hit returns it: rendered, parsed, decoded.
+    fn replayed(h: &Histogram) -> Histogram {
+        let text = h.to_json().render();
+        Histogram::from_json(&dmp_base::json::parse(&text).expect("parses")).expect("decodes")
+    }
+
+    #[test]
+    fn replay_then_merge_equals_the_cold_merge_below_2_pow_53() {
+        // Three parts whose `sum_sq` each ends just below 2^53, as a long
+        // RTT histogram's does; their merge is past it.
+        const TWO_53: u128 = 1 << 53;
+        let parts: Vec<Histogram> = (0..3u64)
+            .map(|k| {
+                let mut h = Histogram::new();
+                for i in 0..9u64 {
+                    h.record(31_000_000 + 7_919 * i + 104_729 * k + i * i);
+                }
+                assert!(h.sum < TWO_53 && h.sum_sq < TWO_53, "part {k} is exact");
+                h
+            })
+            .collect();
+        let mut cold = Histogram::new();
+        let mut warm = Histogram::new();
+        for h in &parts {
+            cold.merge(h);
+            warm.merge(&replayed(h));
+        }
+        assert!(cold.sum_sq > TWO_53, "the merge leaves the exact range");
+        assert_eq!(warm, cold);
+        assert_eq!(warm.to_json().render(), cold.to_json().render());
     }
 
     #[test]
