@@ -263,9 +263,12 @@ impl TcpChain {
             return w; // no loss this round
         }
         // Inverse-CDF geometric conditioned on < w: G = floor(ln(v)/ln(1-p)).
+        // The quotient is positive and finite (`v` in [ε, 1), `p` in (0, 1)),
+        // and `as u32` truncates toward zero and saturates, so the cast alone
+        // is `floor` followed by the cast, without the call.
         loop {
             let v: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let g = (v.ln() / self.ln_1mp).floor() as u32;
+            let g = (v.ln() / self.ln_1mp) as u32;
             if g < w {
                 return g;
             }
@@ -275,39 +278,33 @@ impl TcpChain {
     /// Execute one transition of the chain (the caller has already waited
     /// `Exp(1/rate)`); returns the number of packets delivered. The first
     /// `k − 1` stage transitions of a round deliver nothing; the round's
-    /// outcome materialises on the last stage. This is `advance_stage`
-    /// followed, when it fires, by `complete_round` — the two halves the SSA
-    /// kernel in [`crate::dmp`] calls separately so that only the second
-    /// sits behind a branch.
+    /// outcome materialises on the last stage, in `complete_round` — the
+    /// half the SSA kernel in [`crate::dmp`] calls on its own, keeping the
+    /// stage counters itself.
     pub fn step(&mut self, rng: &mut impl Rng) -> Transition {
-        if self.advance_stage(true) {
-            self.complete_round(rng)
-        } else {
-            Transition { delivered: 0 }
+        self.state.stage += 1;
+        if self.state.stage < Self::STAGES {
+            return Transition { delivered: 0 };
         }
+        self.state.stage = 0;
+        self.complete_round(rng)
     }
 
-    /// Move one Erlang stage forward when `go` is set and report whether
-    /// that completed the round (the stage counter has wrapped to 0 and the
-    /// caller owes a [`TcpChain::complete_round`]). With `go` unset nothing
-    /// changes and the answer is `false`. Written as arithmetic on the flag,
-    /// not control flow: the SSA kernel calls it on every event — with
-    /// `go = false` for a consumption — and which of the four stages a chain
-    /// is in is a coin flip no branch predictor learns.
+    /// Overwrite the Erlang stage alone: the SSA kernel hands back the stage
+    /// counter it held while it ran.
     #[inline]
-    pub(crate) fn advance_stage(&mut self, go: bool) -> bool {
-        let stage = self.state.stage + u8::from(go);
-        let fire = stage == Self::STAGES;
-        self.state.stage = if fire { 0 } else { stage };
-        fire
+    pub(crate) fn set_stage(&mut self, stage: u8) {
+        debug_assert!(stage < Self::STAGES, "stage {stage} out of range");
+        self.state.stage = stage;
     }
 
-    /// Draw the outcome of the round whose last stage just completed
-    /// ([`TcpChain::advance_stage`] returned `true`): the packets delivered,
-    /// and the window/phase the next round starts from. The only part of a
-    /// chain transition that consumes random numbers.
+    /// Draw the outcome of the round whose last stage just completed: the
+    /// packets delivered, and the window/phase the next round starts from.
+    /// The only part of a chain transition that consumes random numbers.
+    /// Neither reads nor writes the stage counter, which belongs to the
+    /// caller while an SSA kernel runs (it is stale in `self` until
+    /// [`TcpChain::set_stage`]).
     pub(crate) fn complete_round(&mut self, rng: &mut impl Rng) -> Transition {
-        debug_assert_eq!(self.state.stage, 0, "round completes on a stage wrap");
         let s = self.state;
         match s.phase {
             Phase::SlowStart | Phase::CongAvoid => {

@@ -42,10 +42,18 @@ impl DmpModel {
     /// Default maximum window for the per-flow chains.
     pub const DEFAULT_WMAX: u32 = 64;
 
+    /// Most paths a model may have: the SSA kernel is instantiated for
+    /// `K = 1..=4`.
+    pub const MAX_PATHS: usize = 4;
+
     /// A `K`-path model with the default window cap.
+    ///
+    /// # Panics
+    /// When `K` is 0 or above [`DmpModel::MAX_PATHS`], or µ or τ is not
+    /// positive and finite (an infinite τ would make `N_max` saturate, so
+    /// the buffer never froze; an infinite µ makes every draw 0 or NaN).
     pub fn new(paths: Vec<PathSpec>, mu: f64, tau_s: f64) -> Self {
-        assert!(!paths.is_empty());
-        assert!(mu > 0.0 && tau_s > 0.0);
+        check_parameters(paths.len(), mu, tau_s);
         Self {
             paths,
             mu,
@@ -99,43 +107,55 @@ impl LateFracEstimate {
 /// The stochastic simulation (Gillespie) of the joint chain. Exposed so the
 /// startup-delay search can run it incrementally.
 ///
-/// One event kernel serves [`DmpSsa::run`] and [`DmpSsa::step`]. It costs one
-/// RNG draw, a handful of selects and a single data-dependent branch: which
-/// event a draw picks is computed as flags, not control flow —
-/// `cons = pick < µ`, the chain index by `select_chain`, `N -= cons`,
-/// `late = cons ∧ N < 0`, the chain's Erlang stage advanced by `!cons` — so
-/// the consumption-vs-production coin flip, the which-chain flip and the
-/// one-in-four stage wrap never reach the branch predictor. The branch left
-/// is "a round just completed" (about one event in seven), behind which sit
-/// the outcome draw, the window update and the rate bookkeeping.
+/// One event kernel serves [`DmpSsa::run`] and [`DmpSsa::step`]. It is
+/// const-generic over the path count `K` and instantiated for `K = 1..=4`
+/// ([`DmpModel::MAX_PATHS`]); `run` and `step` copy the joint state —
+/// `N`, the cached total rate, the `K` chain rates and Erlang stages, and
+/// the RNG — into locals, run, and write it back, so no event loads or
+/// stores a chain through the `Vec`: between the two, only a completed
+/// round touches a [`TcpChain`].
+///
+/// An event costs one RNG draw, a handful of selects and a single
+/// data-dependent branch: which event a draw picks is computed as flags,
+/// not control flow — `cons = frozen ∨ pick < µ`, the chain index by
+/// `select_chain`, `N -= cons`, `late = cons ∧ N < 0`, the chain's Erlang
+/// stage advanced by `!cons` — so the consumption-vs-production coin flip,
+/// the which-chain flip and the one-in-four stage wrap never reach the
+/// branch predictor. The branch left is "a round just completed" (about one
+/// event in seven), behind which sit the outcome draw, the window update
+/// and the rate bookkeeping.
+///
+/// The draw does not wait for `N`: `pick` is always drawn on `[0, total)`
+/// with the unfrozen total, and a full buffer (`N = N_max`, the live
+/// freeze) only forces `cons`. That is the trajectory of drawing on
+/// `[0, µ)` while frozen, draw for draw: both take one `next_u64`, and
+/// while frozen every value of the old draw was a consumption, whatever it
+/// was. So `N` stays off the multiply-and-compare chain of the next event.
 ///
 /// No division happens per event either: each chain reads its rate from a
-/// per-phase table, `rates[k]` mirrors it, and `total = µ + r₀ + r₁ + …` is
-/// cached and re-summed only when a completed round moved a chain between
-/// phases. Two orders are load-bearing, because `pick` is drawn on
-/// `[0, total)` and floating-point addition is not associative: `total` is
-/// summed left to right starting from µ, and `select_chain` subtracts the
-/// rates from `pick` one at a time in chain order instead of comparing
-/// against prefix sums. Either changed, a draw near a boundary lands on
-/// another event and every later draw follows it — and the results stored
-/// under `model-late/v1`, `tcp-model-tau/v2` and `tcp-model-mu/v1` were
-/// computed in exactly this order (`tests/ssa_golden.rs` holds recorded
-/// trajectories).
+/// per-phase table, the kernel's `rates[k]` mirrors it, and
+/// `total = µ + r₀ + r₁ + …` is cached and re-summed only when a completed
+/// round moved a chain between phases. Two orders are load-bearing, because
+/// `pick` is drawn on `[0, total)` and floating-point addition is not
+/// associative: `total` is summed left to right starting from µ, and
+/// `select_chain` subtracts the rates from `pick` one at a time in chain
+/// order instead of comparing against prefix sums. Either changed, a draw
+/// near a boundary lands on another event and every later draw follows it
+/// — and the results stored under `model-late/v1`, `tcp-model-tau/v2` and
+/// `tcp-model-mu/v1` were computed in exactly this order
+/// (`tests/ssa_golden.rs` holds recorded trajectories for every `K`).
 ///
 /// The loop allocates nothing, and [`DmpSsa::reset`] rewinds an existing
 /// workspace to the fresh-build state so batched sweeps (µ bisections, τ
 /// searches) reuse one allocation for every cell.
 pub struct DmpSsa {
+    /// One chain per path; each chain's Erlang stage is stale while a
+    /// kernel runs (the kernel holds it) and written back when it returns.
     chains: Vec<TcpChain>,
     mu: f64,
     nmax: i64,
     n: i64,
     rng: SmallRng,
-    /// `rates[k]` = `chains[k].rate()`, maintained across events.
-    rates: Vec<f64>,
-    /// `unfrozen_total(mu, &rates)`: the total event rate while the buffer is
-    /// below its cap.
-    total: f64,
     /// Packets produced per path (to report DMP's dynamic split).
     pub produced: Vec<u64>,
 }
@@ -161,14 +181,14 @@ fn unfrozen_total(mu: f64, rates: &[f64]) -> f64 {
 /// the first `k` with `p < rates[k]` after subtracting the rates before it,
 /// one at a time — the last chain when rounding leaves `p ≥ Σ rates`.
 /// Equivalent to `for k { if p < rates[k] { return k }; p -= rates[k] }`,
-/// but as a count of leading misses, so no branch depends on the draw. Any
-/// `p` (a consumption passes a negative one) yields an in-range index.
+/// but as a count of leading misses, so no branch depends on the draw; for
+/// a constant `K` the loop unrolls. Any `p` (a consumption passes a
+/// negative one) yields an in-range index.
 #[inline]
-fn select_chain(mut p: f64, rates: &[f64]) -> usize {
-    let (_, head) = rates.split_last().expect("a model has at least one path");
+fn select_chain<const K: usize>(mut p: f64, rates: &[f64; K]) -> usize {
     let mut k = 0;
     let mut missed_all = true;
-    for &r in head {
+    for &r in &rates[..K - 1] {
         missed_all &= p >= r;
         k += usize::from(missed_all);
         p -= r;
@@ -176,24 +196,110 @@ fn select_chain(mut p: f64, rates: &[f64]) -> usize {
     k
 }
 
+/// One kernel run: the joint state every event reads and writes (`N`, the
+/// total, the rates, the stages and the RNG) copied into locals, beside the
+/// chains and counters that only a completed round touches. Built by
+/// [`Kernel::load`], handed back by [`Kernel::store`].
+struct Kernel<'a, const K: usize> {
+    chains: &'a mut [TcpChain; K],
+    produced: &'a mut [u64; K],
+    mu: f64,
+    nmax: i64,
+    n: i64,
+    /// `unfrozen_total(mu, &rates)`: the total event rate while the buffer
+    /// is below its cap.
+    total: f64,
+    /// `rates[k]` = `chains[k].rate()`.
+    rates: [f64; K],
+    /// `stages[k]`: chain `k`'s Erlang stage (the copy in `chains[k]` is
+    /// stale until `store`).
+    stages: [u8; K],
+    rng: SmallRng,
+}
+
+impl<'a, const K: usize> Kernel<'a, K> {
+    /// Copy `ssa`'s joint state into locals. `total` is re-derived from the
+    /// chains' rates: the cached total always is `unfrozen_total` of them.
+    #[inline(always)]
+    fn load(ssa: &'a mut DmpSsa) -> Self {
+        let chains: &mut [TcpChain; K] = ssa.chains.as_mut_slice().try_into().expect("K chains");
+        let rates = std::array::from_fn(|k| chains[k].rate());
+        let stages = std::array::from_fn(|k| chains[k].state().stage);
+        Self {
+            produced: ssa.produced.as_mut_slice().try_into().expect("K counters"),
+            chains,
+            mu: ssa.mu,
+            nmax: ssa.nmax,
+            n: ssa.n,
+            total: unfrozen_total(ssa.mu, &rates),
+            rates,
+            stages,
+            rng: ssa.rng.clone(),
+        }
+    }
+
+    /// Write the stages back into the chains; return `N` and the RNG for
+    /// the caller to write back.
+    #[inline(always)]
+    fn store(self) -> (i64, SmallRng) {
+        for (chain, &stage) in self.chains.iter_mut().zip(&self.stages) {
+            chain.set_stage(stage);
+        }
+        (self.n, self.rng)
+    }
+
+    /// The event kernel (see [`DmpSsa`] for why it is written in flags).
+    /// Competing exponentials: consumption at µ always; chain `k` at its
+    /// current rate unless the buffer is full (live-streaming freeze). The
+    /// holding time `Exp(total)` is not needed for the embedded statistics:
+    /// consumptions sample the stationary law by PASTA.
+    #[inline(always)]
+    fn event(&mut self) -> Event {
+        let pick = self.rng.gen_range(0.0..self.total);
+        let cons = (self.n >= self.nmax) | (pick < self.mu);
+        // For a consumption `k` is some valid index and its stage is
+        // written back unchanged.
+        let k = select_chain(pick - self.mu, &self.rates);
+        let stage = self.stages[k] + u8::from(!cons);
+        let fire = stage == TcpChain::STAGES;
+        self.stages[k] = if fire { 0 } else { stage };
+        if fire {
+            let t = self.chains[k].complete_round(&mut self.rng);
+            let rate = self.chains[k].rate();
+            if rate != self.rates[k] {
+                self.rates[k] = rate;
+                self.total = unfrozen_total(self.mu, &self.rates);
+            }
+            self.produced[k] += u64::from(t.delivered);
+            self.n = (self.n + i64::from(t.delivered)).min(self.nmax);
+        }
+        self.n -= i64::from(cons);
+        debug_assert!(self.n <= self.nmax, "N above N_max after an event");
+        Event {
+            cons,
+            late: cons & (self.n < 0),
+        }
+    }
+}
+
 impl DmpSsa {
     /// Build the simulation in the model's initial state (`N = 0`, all
     /// chains in slow start).
+    ///
+    /// # Panics
+    /// When the model has more than [`DmpModel::MAX_PATHS`] paths or none.
     pub fn new(model: &DmpModel, seed: u64) -> Self {
-        let chains: Vec<TcpChain> = model
-            .paths
-            .iter()
-            .map(|&p| TcpChain::new(p, model.wmax))
-            .collect();
-        let rates: Vec<f64> = chains.iter().map(TcpChain::rate).collect();
+        check_path_count(model.paths.len());
         Self {
-            chains,
+            chains: model
+                .paths
+                .iter()
+                .map(|&p| TcpChain::new(p, model.wmax))
+                .collect(),
             mu: model.mu,
             nmax: model.nmax(),
             n: 0,
             rng: SmallRng::seed_from_u64(seed),
-            total: unfrozen_total(model.mu, &rates),
-            rates,
             produced: vec![0; model.paths.len()],
         }
     }
@@ -205,6 +311,7 @@ impl DmpSsa {
     /// Byte-identical to a fresh construction — the warm/cold cache-identity
     /// tests depend on it.
     pub fn reset(&mut self, model: &DmpModel, seed: u64) {
+        check_path_count(model.paths.len());
         let same = self.chains.len() == model.paths.len()
             && self
                 .chains
@@ -224,9 +331,6 @@ impl DmpSsa {
         self.nmax = model.nmax();
         self.n = 0;
         self.rng = SmallRng::seed_from_u64(seed);
-        self.rates.clear();
-        self.rates.extend(self.chains.iter().map(TcpChain::rate));
-        self.total = unfrozen_total(self.mu, &self.rates);
         self.produced.clear();
         self.produced.resize(self.chains.len(), 0);
     }
@@ -238,43 +342,21 @@ impl DmpSsa {
 
     /// Advance by one event; returns `Some(late)` for a consumption event
     /// (`late` = it found an empty buffer), `None` for a production event.
-    #[inline]
     pub fn step(&mut self) -> Option<bool> {
-        let e = self.event();
+        let e = match self.chains.len() {
+            1 => self.step_k::<1>(),
+            2 => self.step_k::<2>(),
+            3 => self.step_k::<3>(),
+            _ => self.step_k::<4>(),
+        };
         e.cons.then_some(e.late)
     }
 
-    /// The event kernel (see the type's docs for why it is written in
-    /// flags). Competing exponentials: consumption at µ always; chain `k` at
-    /// its current rate unless the buffer is full (live-streaming freeze).
-    /// The holding time `Exp(total)` is not needed for the embedded
-    /// statistics: consumptions sample the stationary law by PASTA.
-    #[inline(always)]
-    fn event(&mut self) -> Event {
-        let frozen = self.n >= self.nmax;
-        let total = if frozen { self.mu } else { self.total };
-        let pick = self.rng.gen_range(0.0..total);
-        let cons = pick < self.mu;
-        debug_assert!(cons || !frozen, "production selected while N = N_max");
-        // For a consumption `k` is some valid index and the chain is left
-        // untouched (`advance_stage(false)`).
-        let k = select_chain(pick - self.mu, &self.rates);
-        if self.chains[k].advance_stage(!cons) {
-            let t = self.chains[k].complete_round(&mut self.rng);
-            let rate = self.chains[k].rate();
-            if rate != self.rates[k] {
-                self.rates[k] = rate;
-                self.total = unfrozen_total(self.mu, &self.rates);
-            }
-            self.produced[k] += u64::from(t.delivered);
-            self.n = (self.n + i64::from(t.delivered)).min(self.nmax);
-        }
-        self.n -= i64::from(cons);
-        debug_assert!(self.n <= self.nmax, "N above N_max after an event");
-        Event {
-            cons,
-            late: cons & (self.n < 0),
-        }
+    fn step_k<const K: usize>(&mut self) -> Event {
+        let mut kernel = Kernel::<K>::load(self);
+        let e = kernel.event();
+        (self.n, self.rng) = kernel.store();
+        e
     }
 
     /// Run until `consumptions` consumption events have been observed after a
@@ -289,10 +371,24 @@ impl DmpSsa {
     /// covers the batches run. Up to that point the trajectory is `run`'s,
     /// event for event: the cap is read once per batch, never in the kernel.
     pub(crate) fn run_capped(&mut self, consumptions: u64, late_cap: u64) -> LateFracEstimate {
+        match self.chains.len() {
+            1 => self.run_capped_k::<1>(consumptions, late_cap),
+            2 => self.run_capped_k::<2>(consumptions, late_cap),
+            3 => self.run_capped_k::<3>(consumptions, late_cap),
+            _ => self.run_capped_k::<4>(consumptions, late_cap),
+        }
+    }
+
+    fn run_capped_k<const K: usize>(
+        &mut self,
+        consumptions: u64,
+        late_cap: u64,
+    ) -> LateFracEstimate {
+        let mut kernel = Kernel::<K>::load(self);
         let warmup = consumptions / 10;
         let mut seen = 0u64;
         while seen < warmup {
-            seen += u64::from(self.event().cons);
+            seen += u64::from(kernel.event().cons);
         }
         let per_batch = (consumptions / BATCHES).max(1);
         let mut batch_stats = OnlineStats::new();
@@ -302,7 +398,7 @@ impl DmpSsa {
             let mut late = 0u64;
             let mut c = 0u64;
             while c < per_batch {
-                let e = self.event();
+                let e = kernel.event();
                 c += u64::from(e.cons);
                 late += u64::from(e.late);
             }
@@ -313,6 +409,7 @@ impl DmpSsa {
                 break;
             }
         }
+        (self.n, self.rng) = kernel.store();
         LateFracEstimate {
             f: late_total as f64 / counted as f64,
             ci95: batch_stats.ci95_half_width(),
@@ -320,6 +417,35 @@ impl DmpSsa {
             late: late_total,
         }
     }
+}
+
+/// [`DmpModel::new`]'s checks, each naming the value that failed. Out of
+/// line on purpose: inlined, the three formatted panics grow every function
+/// that builds a model, and that growth alone — in the benchmark's
+/// `model_ssa` workload, laid out before the exact solver — moved the
+/// Gauss–Seidel sweep's inner loop across a 64-byte line and made
+/// `model_exact` 6–8 % slower (EXPERIMENTS.md, "The SSA kernel on
+/// registers").
+#[inline(never)]
+fn check_parameters(k: usize, mu: f64, tau_s: f64) {
+    check_path_count(k);
+    assert!(
+        mu > 0.0 && mu < f64::INFINITY,
+        "playback rate µ must be positive and finite, got {mu}"
+    );
+    assert!(
+        tau_s > 0.0 && tau_s < f64::INFINITY,
+        "startup delay τ must be positive and finite, got {tau_s}"
+    );
+}
+
+/// Refuse a path count the kernel has no instantiation for.
+fn check_path_count(k: usize) {
+    assert!(
+        (1..=DmpModel::MAX_PATHS).contains(&k),
+        "the model takes 1 to {} paths, got K = {k}",
+        DmpModel::MAX_PATHS
+    );
 }
 
 /// The static-streaming baseline of Section 7.4: with `K` homogeneous paths,
@@ -487,12 +613,18 @@ mod tests {
                 let bits = edge.to_bits();
                 picks.extend([edge, f64::from_bits(bits - 1), f64::from_bits(bits + 1)]);
             }
+            let select = |p: f64| match k {
+                1 => select_chain::<1>(p, rates[..].try_into().unwrap()),
+                2 => select_chain::<2>(p, rates[..].try_into().unwrap()),
+                3 => select_chain::<3>(p, rates[..].try_into().unwrap()),
+                _ => select_chain::<4>(p, rates[..].try_into().unwrap()),
+            };
             for p in picks {
-                let got = select_chain(p, &rates);
+                let got = select(p);
                 assert_eq!(got, reference(p, &rates), "p = {p:e}, rates = {rates:?}");
                 hits[got] += 1;
             }
-            assert_eq!(select_chain(2.0 * sum, &rates), k - 1, "p ≥ Σr → last");
+            assert_eq!(select(2.0 * sum), k - 1, "p ≥ Σr → last");
         }
         assert!(
             hits.iter().all(|&h| h > 10_000),
@@ -517,6 +649,54 @@ mod tests {
             assert_eq!(warm.late, fresh.late);
             assert_eq!(warm.consumptions, fresh.consumptions);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "got K = 0")]
+    fn a_model_without_paths_is_refused() {
+        DmpModel::new(Vec::new(), 25.0, 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "got K = 5")]
+    fn a_model_with_more_paths_than_the_kernel_runs_is_refused() {
+        DmpModel::new(vec![PathSpec::from_ms(0.02, 150.0, 4.0); 5], 25.0, 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "playback rate µ must be positive and finite, got inf")]
+    fn an_infinite_mu_is_refused() {
+        DmpModel::new(homo(0.02, 150.0, 4.0), f64::INFINITY, 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "playback rate µ must be positive and finite, got NaN")]
+    fn a_nan_mu_is_refused() {
+        DmpModel::new(homo(0.02, 150.0, 4.0), f64::NAN, 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "playback rate µ must be positive and finite, got 0")]
+    fn a_zero_mu_is_refused() {
+        DmpModel::new(homo(0.02, 150.0, 4.0), 0.0, 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "startup delay τ must be positive and finite, got inf")]
+    fn an_infinite_tau_is_refused() {
+        DmpModel::new(homo(0.02, 150.0, 4.0), 25.0, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "startup delay τ must be positive and finite, got NaN")]
+    fn a_nan_tau_is_refused() {
+        DmpModel::new(homo(0.02, 150.0, 4.0), 25.0, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "startup delay τ must be positive and finite, got -1")]
+    fn a_negative_tau_is_refused() {
+        DmpModel::new(homo(0.02, 150.0, 4.0), 25.0, -1.0);
     }
 
     #[test]

@@ -116,3 +116,28 @@ fn monte_carlo_calibration_meets_the_exact_per_round_throughput() {
         );
     }
 }
+
+/// The Monte-Carlo σR of each point above, to the bit: every model
+/// artifact dials σ_a/µ through these values, so a change to the chain's
+/// sampler (the outcome draws, the geometric first-loss draw, the stage
+/// bookkeeping of `TcpChain::step`) that moves one trajectory shows here
+/// before it moves an artifact. Recorded at the commit before the
+/// geometric draw lost its `floor()` call.
+#[test]
+fn monte_carlo_calibration_reproduces_recorded_bits() {
+    let recorded = [
+        ((0.02, 4.0, 64), 0x4010_b464_5344_d184_u64), // 4.176163960528701
+        ((0.06, 2.0, 64), 0x4001_474a_aba1_90f5),     // 2.1598103913003066
+        ((0.005, 4.0, 64), 0x4025_982a_4a62_9f80),    // 10.797197651423403
+        ((0.02, 4.0, 4), 0x4005_f58a_1f82_c2f8),      // 2.74489235513499
+    ];
+    for ((loss, to_ratio, wmax), bits) in recorded {
+        let mc = calibrate::chain_per_round_throughput(loss, to_ratio, wmax);
+        assert_eq!(
+            mc.to_bits(),
+            bits,
+            "p {loss} T_O {to_ratio} wmax {wmax}: σR {mc} vs recorded {}",
+            f64::from_bits(bits)
+        );
+    }
+}

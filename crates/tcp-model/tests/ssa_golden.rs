@@ -3,10 +3,11 @@
 //! Every late fraction, τ and µ in the cache namespaces `model-late/v1`,
 //! `tcp-model-tau/v2` and `tcp-model-mu/v1` is a function of the exact event
 //! sequence [`DmpSsa`] draws, so a kernel rewrite has to reproduce that
-//! sequence, not just its statistics. The table below was recorded at the
-//! commit before the flag-based kernel (the branchy recompute-`total` loop);
-//! each row is all integers, so a match means the same draws selected the
-//! same events in the same order.
+//! sequence, not just its statistics. The K = 1–3 rows were recorded at the
+//! commit before the flag-based kernel (the branchy recompute-`total` loop),
+//! the K = 4 row at the commit before the const-K register kernel (each `K`
+//! is its own instantiation of that kernel); each row is all integers, so a
+//! match means the same draws selected the same events in the same order.
 
 use dmp_core::spec::PathSpec;
 use tcp_model::{DmpModel, DmpSsa};
@@ -104,6 +105,27 @@ const CASES: &[Case] = &[
         counted: 200_000,
         produced: &[115_547, 114_832],
         buffer_level: 125,
+    },
+    Case {
+        // The largest K the repo runs (`ext_kpaths`), heterogeneous in loss,
+        // RTT and T_O; every chain reaches timeout backoff (the p = 0.06
+        // chain up to exponent 2). Recorded at the commit before the
+        // const-K kernel.
+        name: "K=4 heterogeneous, timeout backoff",
+        paths: &[
+            (0.01, 80.0, 2.0),
+            (0.03, 150.0, 4.0),
+            (0.06, 200.0, 2.0),
+            (0.02, 250.0, 3.0),
+        ],
+        mu: 120.0,
+        tau_s: 5.0,
+        seed: 107,
+        consumptions: 200_000,
+        late: 153,
+        counted: 200_000,
+        produced: &[160_435, 35_959, 19_270, 31_616],
+        buffer_level: 494,
     },
 ];
 

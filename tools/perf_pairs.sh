@@ -5,8 +5,13 @@
 #   tools/perf_pairs.sh <parent-ref> <workload> [pairs=10] [seconds=15] [seed0=9701]
 #
 # Checks <parent-ref> out into a scratch directory (under $TMPDIR, removed on
-# exit) and builds its benchmark/ there with a target directory of its own;
-# builds the working tree's benchmark/ the way benchmark/run.sh does; then
+# exit) and copies the working tree (tracked and untracked files, not ignored
+# ones) beside it, as `parent/` and `change/`; builds each side's benchmark/
+# there with a target directory of its own. The two checkout paths have the
+# same length on purpose: the repository's crates are path dependencies of
+# benchmark/, so their panic locations are absolute paths in the binary's
+# read-only data, ahead of its code, and a longer path moves every function
+# (a moved loop alone can shift model_exact by several per cent); then
 # runs `--workload W --seed S --trace 0` from each side's benchmark/
 # directory, pair i on seed0+i-1, the side that goes first alternating.
 # Prints one row per pair (iter_s.p50), then for each end-to-end metric each
@@ -15,12 +20,12 @@
 # the two sides did the same work). Stops, naming the side, the seed and the
 # run's attempted / failed counts, as soon as either binary exits non-zero or
 # reports "correct":false: a failed run is not a timing.
-# Edits nothing under benchmark/: the Cargo.lock a local build touches is
-# restored on exit.
+# Edits nothing in the working tree: both sides build in their scratch
+# copies.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,19p' "$0" >&2
+    sed -n '2,24p' "$0" >&2
     exit 2
 fi
 parent_ref=$1
@@ -33,18 +38,22 @@ repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 scratch="$(mktemp -d)"
 # The scratch copy is a plain checkout (git archive), not a `git worktree`:
 # nothing is registered in .git, so there is nothing to prune on exit.
-trap 'rm -rf "$scratch"; git -C "$repo" checkout -q -- benchmark/Cargo.lock' EXIT
+trap 'rm -rf "$scratch"' EXIT
 
 mkdir "$scratch/parent"
 git -C "$repo" archive "$parent_ref" | tar -x -C "$scratch/parent"
 echo "building $parent_ref ..." >&2
 CARGO_TARGET_DIR="$scratch/parent-target" cargo build --release --offline --quiet \
     --manifest-path "$scratch/parent/benchmark/Cargo.toml" >&2
+mkdir "$scratch/change"
+git -C "$repo" ls-files -z --cached --others --exclude-standard \
+    | tar -C "$repo" -c --null -T - --ignore-failed-read | tar -x -C "$scratch/change"
 echo "building the working tree ..." >&2
-cargo build --release --offline --quiet --manifest-path "$repo/benchmark/Cargo.toml" >&2
+CARGO_TARGET_DIR="$scratch/change-target" cargo build --release --offline --quiet \
+    --manifest-path "$scratch/change/benchmark/Cargo.toml" >&2
 
 parent_bin="$scratch/parent-target/release/dmp-benchmark"
-change_bin="${CARGO_TARGET_DIR:-$repo/benchmark/target}/release/dmp-benchmark"
+change_bin="$scratch/change-target/release/dmp-benchmark"
 
 # The end-to-end metrics of BENCHMARK.json and which way is better.
 metrics=(iter_s.p50 work_per_s setup_s peak_rss_mb)
@@ -99,10 +108,10 @@ for i in $(seq 1 "$pairs"); do
     if [ $((i % 2)) -eq 1 ]; then
         first=parent
         run parent "$scratch/parent" "$parent_bin" "$seed"
-        run change "$repo" "$change_bin" "$seed"
+        run change "$scratch/change" "$change_bin" "$seed"
     else
         first=change
-        run change "$repo" "$change_bin" "$seed"
+        run change "$scratch/change" "$change_bin" "$seed"
         run parent "$scratch/parent" "$parent_bin" "$seed"
     fi
     read -r p dp < "$scratch/parent.row"
