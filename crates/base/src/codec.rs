@@ -1,14 +1,16 @@
 //! The cache/artifact codec contract, with the leaf-type impls the orphan
 //! rule keeps beside the trait.
 
-use crate::json::Json;
+use crate::json::{Json, JsonRead};
 
 /// Values that can round-trip through the cache as JSON.
 pub trait JsonCodec: Sized {
     /// Serialise for cache storage / artifact emission.
     fn to_json(&self) -> Json;
-    /// Deserialise a cached payload; `None` turns the hit into a miss.
-    fn from_json(json: &Json) -> Option<Self>;
+    /// Deserialise a cached payload; `None` turns the hit into a miss. One
+    /// body reads both a tree (`&Json`) and a cache hit's tape
+    /// ([`crate::json::Value`]).
+    fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self>;
 }
 
 // Blanket-ish codecs for common leaf types used by ports.
@@ -17,7 +19,7 @@ impl JsonCodec for f64 {
     fn to_json(&self) -> Json {
         Json::Num(*self)
     }
-    fn from_json(json: &Json) -> Option<Self> {
+    fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self> {
         json.as_f64()
     }
 }
@@ -29,11 +31,11 @@ impl JsonCodec for Option<f64> {
             None => Json::Null,
         }
     }
-    fn from_json(json: &Json) -> Option<Self> {
-        match json {
-            Json::Null => Some(None),
-            Json::Num(v) => Some(Some(*v)),
-            _ => None,
+    fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self> {
+        if json.is_null() {
+            Some(None)
+        } else {
+            json.as_f64().map(Some)
         }
     }
 }
@@ -42,7 +44,7 @@ impl JsonCodec for u64 {
     fn to_json(&self) -> Json {
         Json::Num(*self as f64)
     }
-    fn from_json(json: &Json) -> Option<Self> {
+    fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self> {
         json.as_u64()
     }
 }
@@ -54,7 +56,7 @@ impl<T: JsonCodec> JsonCodec for Vec<T> {
     fn to_json(&self) -> Json {
         Json::arr(self.iter().map(JsonCodec::to_json))
     }
-    fn from_json(json: &Json) -> Option<Self> {
-        json.as_arr()?.iter().map(T::from_json).collect()
+    fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self> {
+        json.items()?.map(T::from_json).collect()
     }
 }

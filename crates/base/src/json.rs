@@ -1,9 +1,16 @@
-//! Dependency-free JSON value with deterministic rendering.
+//! Dependency-free JSON value with deterministic rendering, and one scanner
+//! that reads it back.
 //!
 //! Artifacts and cache entries must be byte-identical across runs and thread
 //! counts, so rendering is fully deterministic: object keys keep insertion
 //! order (callers control it), `f64` uses Rust's shortest-roundtrip `Display`,
 //! and non-finite floats render as `null` (JSON has no NaN/Inf).
+//!
+//! Reading has one grammar, in one scanner: [`Tape::parse`] writes a
+//! document into a flat, borrowed [`Tape`] in one pass, and [`parse`] builds
+//! the owned [`Json`] tree from that tape. Decoders read either through
+//! [`JsonRead`], which `&Json` and the tape's [`Value`] both implement; a
+//! cache hit decodes straight from the tape and never builds a tree.
 
 use std::fmt::Write as _;
 
@@ -63,14 +70,7 @@ impl Json {
 
     /// Non-negative integer value, if this is a whole number.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            // `u64::MAX as f64` rounds up to 2^64, which no `u64` holds. In
-            // range, the cast truncates, so it round-trips only whole numbers.
-            Json::Num(v) if *v >= 0.0 && *v < u64::MAX as f64 && (*v as u64) as f64 == *v => {
-                Some(*v as u64)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(whole_u64)
     }
 
     /// String value, if this is a string.
@@ -142,8 +142,9 @@ impl Json {
 /// bucket pairs). Their shortest round-trip digits are the integer's own, so
 /// they take a digit loop; everything else (`-0`, fractions, larger
 /// magnitudes, where `Display` pads shortest digits with zeros) goes through
-/// `Display for f64`. Both paths emit the same bytes.
-fn render_num(v: f64, out: &mut String) {
+/// `Display for f64`. Both paths emit the same bytes, those
+/// [`Json::render`] writes for `Json::Num(v)`.
+pub fn render_num(v: f64, out: &mut String) {
     const EXACT: u64 = 1 << 53;
     let i = v as i64;
     if i as f64 == v && i.unsigned_abs() < EXACT && (i != 0 || v.is_sign_positive()) {
@@ -216,10 +217,11 @@ fn push_spaces(mut n: usize, out: &mut String) {
     }
 }
 
-/// `s` as a JSON string literal. Runs between escapes are copied whole, so a
-/// string with nothing to escape is one copy. Every escaped byte is ASCII,
-/// which makes each cut a char boundary.
-fn escape_into(s: &str, out: &mut String) {
+/// Append `s` as a JSON string literal, the bytes [`Json::render`] writes
+/// for `Json::Str(s)`. Runs between escapes are copied whole, so a string
+/// with nothing to escape is one copy. Every escaped byte is ASCII, which
+/// makes each cut a char boundary.
+pub fn escape_into(s: &str, out: &mut String) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
     let mut run = 0;
@@ -245,53 +247,364 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Deepest array/object nesting [`parse`] accepts. The parser recurses per
-/// level, so without a bound a file of `[`s overflows the stack and aborts
-/// the process; a `RunSummary` payload nests 6 deep.
+/// Deepest array/object nesting [`Tape::parse`] accepts. The scanner
+/// recurses per level, so without a bound a file of `[`s overflows the stack
+/// and aborts the process; a `RunSummary` payload nests 6 deep.
 pub const MAX_DEPTH: usize = 128;
 
-/// Longest integer literal [`parse`] accumulates in a `u64`: below 10^15 <
+/// Longest integer literal the scanner accumulates in a `u64`: below 10^15 <
 /// 2^53 the conversion to `f64` is exact, so it yields `str::parse`'s bits.
 const FAST_DIGITS: usize = 15;
 
-/// Parse a JSON document in one linear pass. Returns `None` on any syntax
+/// Parse a JSON document into an owned tree. Returns `None` on any syntax
 /// error or nesting beyond [`MAX_DEPTH`] (the cache treats unparseable files
 /// as misses, never as panics).
 ///
-/// Array items and object pairs collect on two stacks the parse owns; each
-/// finished container moves out of its stack into one exact-size `Vec`.
+/// The grammar is [`Tape::parse`]'s: the tree is built from the tape, each
+/// container into one exact-size `Vec`.
 pub fn parse(input: &str) -> Option<Json> {
-    let mut p = Parser {
-        src: input,
-        pos: 0,
-        depth: 0,
-        items: Vec::new(),
-        pairs: Vec::new(),
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos == input.len() {
-        Some(value)
-    } else {
-        None
+    Tape::parse(input).map(|tape| tape.root().to_tree())
+}
+
+/// Read access to a parsed value, shared by the tree (`&Json`) and the tape
+/// ([`Value`]), so a decoder has one body for both. `'a` is the lifetime of
+/// the document the strings are borrowed from.
+pub trait JsonRead<'a>: Copy {
+    /// An array's items, in document order.
+    type Items: Iterator<Item = Self>;
+    /// An object's `(key, value)` pairs, in document order.
+    type Pairs: Iterator<Item = (&'a str, Self)>;
+
+    /// The value of the first pair with this key, if this is an object.
+    fn get(self, key: &str) -> Option<Self>;
+    /// Whether this is `null`.
+    fn is_null(self) -> bool;
+    /// Numeric value, if this is a number.
+    fn as_f64(self) -> Option<f64>;
+    /// String value, if this is a string.
+    fn as_str(self) -> Option<&'a str>;
+    /// Bool value, if this is a bool.
+    fn as_bool(self) -> Option<bool>;
+    /// The items, if this is an array.
+    fn items(self) -> Option<Self::Items>;
+    /// The pairs, if this is an object.
+    fn pairs(self) -> Option<Self::Pairs>;
+
+    /// Non-negative integer value, if this is a whole number.
+    #[inline(always)]
+    fn as_u64(self) -> Option<u64> {
+        self.as_f64().and_then(whole_u64)
     }
 }
 
-struct Parser<'a> {
+/// `v` as a `u64`, if it is a whole number one holds.
+#[inline(always)]
+fn whole_u64(v: f64) -> Option<u64> {
+    // `u64::MAX as f64` rounds up to 2^64, which no `u64` holds. In range,
+    // the cast truncates, so it round-trips only whole numbers.
+    (v >= 0.0 && v < u64::MAX as f64 && (v as u64) as f64 == v).then_some(v as u64)
+}
+
+impl<'a> JsonRead<'a> for &'a Json {
+    type Items = std::slice::Iter<'a, Json>;
+    type Pairs = TreePairs<'a>;
+
+    fn get(self, key: &str) -> Option<Self> {
+        Json::get(self, key)
+    }
+    fn is_null(self) -> bool {
+        matches!(self, Json::Null)
+    }
+    fn as_f64(self) -> Option<f64> {
+        Json::as_f64(self)
+    }
+    fn as_str(self) -> Option<&'a str> {
+        Json::as_str(self)
+    }
+    fn as_bool(self) -> Option<bool> {
+        Json::as_bool(self)
+    }
+    fn items(self) -> Option<Self::Items> {
+        self.as_arr().map(<[Json]>::iter)
+    }
+    fn pairs(self) -> Option<Self::Pairs> {
+        match self {
+            Json::Obj(pairs) => Some(TreePairs(pairs.iter())),
+            _ => None,
+        }
+    }
+}
+
+/// The pairs of a tree object, keys as `&str`.
+#[derive(Debug, Clone)]
+pub struct TreePairs<'a>(std::slice::Iter<'a, (String, Json)>);
+
+impl<'a> Iterator for TreePairs<'a> {
+    type Item = (&'a str, &'a Json);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(k, v)| (k.as_str(), v))
+    }
+}
+
+/// A parsed document as one flat array of nodes, borrowing its text.
+///
+/// One pass over the text writes every value into a node array sized up
+/// front, in document order, a container ahead of its contents. A number is
+/// parsed on the way to the exact bits `str::parse::<f64>` gives it; a
+/// string is a byte range of the text, or of one side buffer if the literal
+/// had escapes; a container records its item count and where it ends, so a
+/// reader steps over it in O(1). Reading a value through [`Value`] allocates
+/// nothing; [`parse`] builds its tree from the same tape.
+#[derive(Debug)]
+pub struct Tape<'a> {
     src: &'a str,
+    nodes: Vec<Node>,
+    /// The contents of the string literals that had escapes, decoded, one
+    /// after the other.
+    unescaped: String,
+}
+
+/// One value on a [`Tape`] (24 bytes).
+#[derive(Debug, Clone, Copy)]
+enum Node {
+    Null,
+    Bool(bool),
+    Num(f64),
+    /// A string's contents: `start..end` of the source text, or of the
+    /// tape's unescaped text when the literal had escapes.
+    Str {
+        start: usize,
+        end: usize,
+        unescaped: bool,
+    },
+    /// `len` items follow, each one node or one container's nodes; `end` is
+    /// the index one past the array's last node.
+    Arr {
+        len: usize,
+        end: usize,
+    },
+    /// `len` pairs follow, each a `Str` key node, then the value's nodes.
+    Obj {
+        len: usize,
+        end: usize,
+    },
+}
+
+impl<'a> Tape<'a> {
+    /// Scan `input` in one pass. Returns `None` on any syntax error or
+    /// nesting beyond [`MAX_DEPTH`].
+    pub fn parse(input: &'a str) -> Option<Tape<'a>> {
+        let mut s = Scanner {
+            pos: 0,
+            depth: 0,
+            tape: Tape {
+                src: input,
+                nodes: Vec::with_capacity(node_bound(input)),
+                unescaped: String::new(),
+            },
+        };
+        s.skip_ws();
+        s.value()?;
+        s.skip_ws();
+        (s.pos == input.len()).then_some(s.tape)
+    }
+
+    /// The document's top-level value.
+    pub fn root(&self) -> Value<'_> {
+        Value { tape: self, at: 0 }
+    }
+
+    /// The value whose first node is at `*next`, as a tree; leaves `*next`
+    /// one past its last node. The nodes are in document order, so this is
+    /// one forward walk.
+    fn tree(&self, next: &mut usize) -> Json {
+        let at = *next;
+        *next += 1;
+        match self.nodes[at] {
+            Node::Null => Json::Null,
+            Node::Bool(b) => Json::Bool(b),
+            Node::Num(v) => Json::Num(v),
+            Node::Str { .. } => Json::Str(self.text(at).unwrap_or_default().to_owned()),
+            Node::Arr { len, .. } => Json::Arr((0..len).map(|_| self.tree(next)).collect()),
+            Node::Obj { len, .. } => Json::Obj(
+                (0..len)
+                    .map(|_| {
+                        let key = self.text(*next).unwrap_or_default().to_owned();
+                        *next += 1;
+                        (key, self.tree(next))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    /// The index one past the last node of the value at `at`.
+    #[inline(always)]
+    fn skip(&self, at: usize) -> usize {
+        match self.nodes[at] {
+            Node::Arr { end, .. } | Node::Obj { end, .. } => end,
+            _ => at + 1,
+        }
+    }
+
+    /// The contents of the string at `at`.
+    #[inline(always)]
+    fn text(&self, at: usize) -> Option<&str> {
+        match self.nodes[at] {
+            Node::Str {
+                start,
+                end,
+                unescaped: false,
+            } => Some(&self.src[start..end]),
+            Node::Str { start, end, .. } => Some(&self.unescaped[start..end]),
+            _ => None,
+        }
+    }
+}
+
+/// An upper bound on the nodes of a valid document: one for the top-level
+/// value, one per object key (each follows a `:`), and one per container
+/// item, each of which follows a `,` or its container's opening bracket.
+/// Bytes inside strings only raise the bound. Counted in `u8` lanes over
+/// chunks of at most 255 bytes, which the compiler vectorises.
+fn node_bound(input: &str) -> usize {
+    let count = |chunk: &[u8]| {
+        chunk.iter().fold(0u8, |n, &b| {
+            n + u8::from((b == b',') | (b == b':') | (b == b'[') | (b == b'{'))
+        })
+    };
+    1 + input
+        .as_bytes()
+        .chunks(255)
+        .map(|chunk| usize::from(count(chunk)))
+        .sum::<usize>()
+}
+
+/// A handle on one value of a [`Tape`]: what a cache hit is decoded
+/// through.
+#[derive(Debug, Clone, Copy)]
+pub struct Value<'t> {
+    tape: &'t Tape<'t>,
+    at: usize,
+}
+
+impl<'t> Value<'t> {
+    /// This value as an owned tree, every container in one exact-size `Vec`.
+    pub fn to_tree(self) -> Json {
+        self.tape.tree(&mut { self.at })
+    }
+
+    /// The values after this container's own node, up to `end`.
+    #[inline(always)]
+    fn children(self, end: usize) -> Items<'t> {
+        Items {
+            tape: self.tape,
+            next: self.at + 1,
+            end,
+        }
+    }
+}
+
+// The accessors are forced inline: the decoders that call them are
+// instantiated in other crates, and out of line they left decoding a
+// `Histogram` from the tape at 3.5× the cost of decoding it from the tree.
+impl<'t> JsonRead<'t> for Value<'t> {
+    type Items = Items<'t>;
+    type Pairs = Pairs<'t>;
+
+    #[inline(always)]
+    fn get(self, key: &str) -> Option<Self> {
+        self.pairs()?.find(|&(k, _)| k == key).map(|(_, v)| v)
+    }
+    #[inline(always)]
+    fn is_null(self) -> bool {
+        matches!(self.tape.nodes[self.at], Node::Null)
+    }
+    #[inline(always)]
+    fn as_f64(self) -> Option<f64> {
+        match self.tape.nodes[self.at] {
+            Node::Num(v) => Some(v),
+            _ => None,
+        }
+    }
+    #[inline(always)]
+    fn as_str(self) -> Option<&'t str> {
+        self.tape.text(self.at)
+    }
+    #[inline(always)]
+    fn as_bool(self) -> Option<bool> {
+        match self.tape.nodes[self.at] {
+            Node::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+    #[inline(always)]
+    fn items(self) -> Option<Items<'t>> {
+        match self.tape.nodes[self.at] {
+            Node::Arr { end, .. } => Some(self.children(end)),
+            _ => None,
+        }
+    }
+    #[inline(always)]
+    fn pairs(self) -> Option<Pairs<'t>> {
+        match self.tape.nodes[self.at] {
+            Node::Obj { end, .. } => Some(Pairs(self.children(end))),
+            _ => None,
+        }
+    }
+}
+
+/// The items of a tape array.
+#[derive(Debug, Clone)]
+pub struct Items<'t> {
+    tape: &'t Tape<'t>,
+    next: usize,
+    end: usize,
+}
+
+impl<'t> Iterator for Items<'t> {
+    type Item = Value<'t>;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Value<'t>> {
+        if self.next >= self.end {
+            return None;
+        }
+        let item = Value {
+            tape: self.tape,
+            at: self.next,
+        };
+        self.next = self.tape.skip(self.next);
+        Some(item)
+    }
+}
+
+/// The pairs of a tape object: each a key node, then a value.
+#[derive(Debug, Clone)]
+pub struct Pairs<'t>(Items<'t>);
+
+impl<'t> Iterator for Pairs<'t> {
+    type Item = (&'t str, Value<'t>);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        let key = self.0.next()?.as_str()?;
+        Some((key, self.0.next()?))
+    }
+}
+
+/// The one JSON scanner: writes a [`Tape`].
+struct Scanner<'a> {
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
-    /// Items of the open arrays, innermost on top.
-    items: Vec<Json>,
-    /// Pairs of the open objects, innermost on top.
-    pairs: Vec<(String, Json)>,
+    tape: Tape<'a>,
 }
 
-impl Parser<'_> {
+impl Scanner<'_> {
     fn peek(&self) -> Option<u8> {
-        self.src.as_bytes().get(self.pos).copied()
+        self.tape.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -309,43 +622,83 @@ impl Parser<'_> {
         }
     }
 
-    fn eat_lit(&mut self, lit: &str) -> Option<()> {
-        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+    fn eat_lit(&mut self, lit: &str, node: Node) -> Option<Node> {
+        if self.tape.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Some(())
+            Some(node)
         } else {
             None
         }
     }
 
-    fn value(&mut self) -> Option<Json> {
-        match self.peek()? {
-            b'n' => self.eat_lit("null").map(|_| Json::Null),
-            b't' => self.eat_lit("true").map(|_| Json::Bool(true)),
-            b'f' => self.eat_lit("false").map(|_| Json::Bool(false)),
-            b'"' => self.string().map(Json::Str),
-            b'[' => self.nested(Self::array),
-            b'{' => self.nested(Self::object),
-            b'-' | b'0'..=b'9' => self.number(),
-            _ => None,
-        }
+    /// One value and everything in it, appended to the tape.
+    fn value(&mut self) -> Option<()> {
+        let node = match self.peek()? {
+            b'n' => self.eat_lit("null", Node::Null)?,
+            b't' => self.eat_lit("true", Node::Bool(true))?,
+            b'f' => self.eat_lit("false", Node::Bool(false))?,
+            b'"' => self.string()?,
+            b'[' => return self.container(b']'),
+            b'{' => return self.container(b'}'),
+            b'-' | b'0'..=b'9' => Node::Num(self.number()?),
+            _ => return None,
+        };
+        self.tape.nodes.push(node);
+        Some(())
     }
 
-    fn nested(&mut self, container: fn(&mut Self) -> Option<Json>) -> Option<Json> {
+    /// An array (`close` is `]`) or an object (`}`), from its opening
+    /// bracket. Its node goes on the tape first and learns its length and
+    /// end once the closing bracket is read.
+    fn container(&mut self, close: u8) -> Option<()> {
         if self.depth == MAX_DEPTH {
             return None;
         }
         self.depth += 1;
-        let value = container(self);
+        self.pos += 1;
+        let at = self.tape.nodes.len();
+        self.tape.nodes.push(Node::Null);
+        self.skip_ws();
+        let mut len = 0;
+        if self.eat(close).is_none() {
+            loop {
+                self.skip_ws();
+                if close == b'}' {
+                    let key = self.string()?;
+                    self.tape.nodes.push(key);
+                    self.skip_ws();
+                    self.eat(b':')?;
+                    self.skip_ws();
+                }
+                self.value()?;
+                len += 1;
+                self.skip_ws();
+                match self.peek()? {
+                    b',' => self.pos += 1,
+                    b if b == close => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return None,
+                }
+            }
+        }
+        let end = self.tape.nodes.len();
+        self.tape.nodes[at] = if close == b']' {
+            Node::Arr { len, end }
+        } else {
+            Node::Obj { len, end }
+        };
         self.depth -= 1;
-        value
+        Some(())
     }
 
     /// A number the way `str::parse::<f64>` reads the longest run of number
     /// characters. A plain integer of at most [`FAST_DIGITS`] digits is
     /// accumulated on the way instead; anything else is rescanned.
-    fn number(&mut self) -> Option<Json> {
-        let bytes = self.src.as_bytes();
+    fn number(&mut self) -> Option<f64> {
+        let src = self.tape.src;
+        let bytes = src.as_bytes();
         let start = self.pos;
         let negative = bytes[start] == b'-';
         let digits_start = start + usize::from(negative);
@@ -360,7 +713,7 @@ impl Parser<'_> {
         if (1..=FAST_DIGITS).contains(&digits) && !continues {
             self.pos = end;
             let magnitude = n as f64;
-            return Some(Json::Num(if negative { -magnitude } else { magnitude }));
+            return Some(if negative { -magnitude } else { magnitude });
         }
         self.pos = digits_start;
         while matches!(
@@ -369,16 +722,20 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        self.src[start..self.pos].parse::<f64>().ok().map(Json::Num)
+        src[start..self.pos].parse::<f64>().ok()
     }
 
-    fn string(&mut self) -> Option<String> {
+    /// A string literal, from its opening quote. Without escapes it is the
+    /// byte range between the quotes; the first escape moves it, decoded,
+    /// onto the tape's unescaped text.
+    fn string(&mut self) -> Option<Node> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let src = self.tape.src;
+        let start = self.pos;
+        // Where the decoded contents begin, once an escape has been seen.
+        let mut from = None;
         loop {
-            // Copy the run up to the next delimiter in one piece (a string
-            // without escapes is one exact allocation). Both delimiters are
-            // ASCII, so the cut is a char boundary.
+            // Both delimiters are ASCII, so every cut is a char boundary.
             let run = self.pos;
             let delimiter = loop {
                 match self.peek()? {
@@ -386,29 +743,44 @@ impl Parser<'_> {
                     _ => self.pos += 1,
                 }
             };
-            out.push_str(&self.src[run..self.pos]);
+            let out = &mut self.tape.unescaped;
+            if delimiter == b'"' && from.is_none() {
+                self.pos += 1;
+                return Some(Node::Str {
+                    start,
+                    end: self.pos - 1,
+                    unescaped: false,
+                });
+            }
+            let from = *from.get_or_insert(out.len());
+            out.push_str(&src[run..self.pos]);
             self.pos += 1;
             if delimiter == b'"' {
-                return Some(out);
+                return Some(Node::Str {
+                    start: from,
+                    end: out.len(),
+                    unescaped: true,
+                });
             }
-            match self.peek()? {
-                b'"' => out.push('"'),
-                b'\\' => out.push('\\'),
-                b'/' => out.push('/'),
-                b'n' => out.push('\n'),
-                b'r' => out.push('\r'),
-                b't' => out.push('\t'),
-                b'b' => out.push('\u{0008}'),
-                b'f' => out.push('\u{000c}'),
+            let c = match self.peek()? {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{0008}',
+                b'f' => '\u{000c}',
                 b'u' => {
                     let code = self.hex4_after_u()?;
                     // Accept lone escapes only for BMP scalars; this
                     // renderer never emits surrogate pairs.
-                    out.push(char::from_u32(code as u32)?);
+                    self.tape.unescaped.push(char::from_u32(code as u32)?);
                     continue;
                 }
                 _ => return None,
-            }
+            };
+            self.tape.unescaped.push(c);
             self.pos += 1;
         }
     }
@@ -417,63 +789,13 @@ impl Parser<'_> {
     fn hex4_after_u(&mut self) -> Option<u16> {
         // self.pos is at 'u'
         self.pos += 1;
-        let hex = self.src.as_bytes().get(self.pos..self.pos + 4)?;
+        let hex = self.tape.src.as_bytes().get(self.pos..self.pos + 4)?;
         let mut code = 0u16;
         for &b in hex {
             code = code << 4 | char::from(b).to_digit(16)? as u16;
         }
         self.pos += 4;
         Some(code)
-    }
-
-    fn array(&mut self) -> Option<Json> {
-        self.eat(b'[')?;
-        self.skip_ws();
-        if self.eat(b']').is_some() {
-            return Some(Json::Arr(Vec::new()));
-        }
-        let base = self.items.len();
-        loop {
-            self.skip_ws();
-            let item = self.value()?;
-            self.items.push(item);
-            self.skip_ws();
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Some(Json::Arr(self.items.drain(base..).collect()));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn object(&mut self) -> Option<Json> {
-        self.eat(b'{')?;
-        self.skip_ws();
-        if self.eat(b'}').is_some() {
-            return Some(Json::Obj(Vec::new()));
-        }
-        let base = self.pairs.len();
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            self.pairs.push((key, value));
-            self.skip_ws();
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Some(Json::Obj(self.pairs.drain(base..).collect()));
-                }
-                _ => return None,
-            }
-        }
     }
 }
 
@@ -556,6 +878,27 @@ mod tests {
             assert_eq!(Json::Num(v).as_u64(), None, "{v}");
         }
         assert_eq!(Json::Num(-0.0).as_u64(), Some(0));
+    }
+
+    #[test]
+    fn the_tape_reads_what_the_tree_holds() {
+        let text = r#"{"a":"x\"y","a":2,"b":[1,{"c":null}],"d":"plain","e":"\u00e9t\u00e9"}"#;
+        let tape = Tape::parse(text).expect("parses");
+        let root = tape.root();
+        // The first of two pairs with one key, as `Json::get` finds it.
+        assert_eq!(root.get("a").and_then(JsonRead::as_str), Some("x\"y"));
+        assert_eq!(root.get("d").and_then(JsonRead::as_str), Some("plain"));
+        assert_eq!(root.get("e").and_then(JsonRead::as_str), Some("été"));
+        let b: Vec<_> = root
+            .get("b")
+            .and_then(JsonRead::items)
+            .expect("array")
+            .collect();
+        assert_eq!(b[0].as_u64(), Some(1));
+        assert!(b[1].get("c").is_some_and(JsonRead::is_null));
+        assert_eq!(root.to_tree(), parse(text).expect("parses"));
+        assert!(tape.nodes.len() <= node_bound(text));
+        assert_eq!(std::mem::size_of::<Node>(), 24);
     }
 
     #[test]

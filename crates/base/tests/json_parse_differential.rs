@@ -1,22 +1,30 @@
-//! The one-pass parser against the parser it replaced.
+//! The one-pass parser, and the tape it builds its tree from, against the
+//! parser they replaced.
 //!
 //! `reference` below is that parser, kept verbatim as an oracle: every
 //! container grows its own `Vec`, every string its own `String`, and every
-//! number goes through `str::parse::<f64>`. On each input the two must
+//! number goes through `str::parse::<f64>`. On each input `json::parse` must
 //! return the same `Option<Json>`, and equal documents must re-render to the
 //! same bytes (`Json`'s equality cannot tell `-0` from `0`; the bytes can).
-//! The one allowed difference is the `\u` fix: the reference takes a `+`
-//! after `\u` (`u16::from_str_radix` does), the parser refuses it.
+//! `Tape::parse` must accept the same inputs, and reading the tape through
+//! `JsonRead` alone must give what the reference tree holds: every accessor
+//! on every value (floats by their bits), the items and pairs in order, and
+//! `get` the first pair of a key. The one allowed difference is the `\u`
+//! fix: the reference takes a `+` after `\u` (`u16::from_str_radix` does),
+//! the parser and the tape refuse it.
 //!
 //! Mutations that turn this file red: raising `FAST_DIGITS` to 20 (the
 //! `u64` accumulator wraps on 18446744073709551616, which then reads as 0),
-//! dropping the `continues` check (`1.5` stops after `1`), and negating the
-//! fast path's magnitude as `0.0 - magnitude` (`-0` becomes `0`).
+//! dropping the `continues` check (`1.5` stops after `1`), negating the
+//! fast path's magnitude as `0.0 - magnitude` (`-0` becomes `0`), and a
+//! tape `get` that returns the last of two pairs with one key (the seeded
+//! documents repeat keys, and substituting `0` into the fixture's `"p99"`
+//! makes a second `"p90"`).
 
 mod common;
 
 use common::seeded_documents;
-use dmp_base::json::{self, Json};
+use dmp_base::json::{self, Json, JsonRead, Tape, Value};
 
 const RUN_SUMMARY: &str = include_str!("fixtures/run_summary.json");
 
@@ -216,11 +224,13 @@ fn signed_unicode_escape(input: &str) -> bool {
     input.contains("\\u+")
 }
 
-/// Both parsers on `input`; returns whether it parsed.
+/// Both parsers and the tape on `input`; returns whether it parsed.
 fn agree(input: &str) -> bool {
     let new = json::parse(input);
     let old = reference::parse(input);
+    let tape = Tape::parse(input);
     if new.is_none() && old.is_some() && signed_unicode_escape(input) {
+        assert!(tape.is_none(), "the tape took a signed \\u in {input:?}");
         return false;
     }
     assert_eq!(new, old, "parsers disagree on {input:?}");
@@ -229,7 +239,55 @@ fn agree(input: &str) -> bool {
         old.as_ref().map(Json::render),
         "equal documents render differently for {input:?}"
     );
+    assert_eq!(
+        tape.is_some(),
+        old.is_some(),
+        "the tape and the reference disagree on accepting {input:?}"
+    );
+    if let (Some(tape), Some(old)) = (&tape, &old) {
+        reads_as(tape.root(), old, input);
+    }
     new.is_some()
+}
+
+/// The tape value read through [`JsonRead`] against the reference's value:
+/// every accessor, the items and the pairs in order, recursively, and for
+/// each key, `get` must find the value of its first pair.
+fn reads_as(tape: Value<'_>, tree: &Json, input: &str) {
+    let bits = |v: Option<f64>| v.map(f64::to_bits);
+    assert_eq!(bits(tape.as_f64()), bits(tree.as_f64()), "{input:?}");
+    assert_eq!(tape.as_u64(), tree.as_u64(), "{input:?}");
+    assert_eq!(tape.as_str(), tree.as_str(), "{input:?}");
+    assert_eq!(tape.as_bool(), tree.as_bool(), "{input:?}");
+    assert_eq!(tape.is_null(), *tree == Json::Null, "{input:?}");
+    match tree {
+        Json::Arr(items) => {
+            let read: Vec<_> = tape.items().expect("an array").collect();
+            assert_eq!(read.len(), items.len(), "{input:?}");
+            for (t, j) in read.into_iter().zip(items) {
+                reads_as(t, j, input);
+            }
+        }
+        _ => assert!(tape.items().is_none(), "{input:?}"),
+    }
+    match tree {
+        Json::Obj(pairs) => {
+            let read: Vec<_> = tape.pairs().expect("an object").collect();
+            assert_eq!(read.len(), pairs.len(), "{input:?}");
+            for ((tk, tv), (jk, jv)) in read.into_iter().zip(pairs) {
+                assert_eq!(tk, jk, "{input:?}");
+                reads_as(tv, jv, input);
+                let first = tree.get(jk).expect("the key is present");
+                let got = tape.get(jk).expect("the key is present");
+                assert_eq!(got.to_tree().render(), first.render(), "{input:?}");
+            }
+            assert!(tape.get("\u{0}absent").is_none(), "{input:?}");
+        }
+        _ => {
+            assert!(tape.pairs().is_none(), "{input:?}");
+            assert!(tape.get("").is_none(), "{input:?}");
+        }
+    }
 }
 
 #[test]
@@ -340,6 +398,7 @@ fn the_number_grammar_parses_as_the_reference_does() {
 fn only_a_signed_unicode_escape_is_refused_where_the_reference_took_it() {
     assert_eq!(reference::parse("\"\\u+041\""), Some(Json::Str("A".into())));
     assert_eq!(json::parse("\"\\u+041\""), None);
+    assert!(Tape::parse("\"\\u+041\"").is_none());
     assert!(!agree("\"\\u-041\""));
     assert!(agree("\"\\u0041\""));
 }

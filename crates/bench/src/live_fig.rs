@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use dmp_core::spec::VideoSpec;
 use dmp_live::{model_prediction, run_experiment, AppliedPoint, LiveExperiment, PathProfile};
-use dmp_runner::{JobSpec, Json, JsonCodec, Runner};
+use dmp_runner::{JobSpec, Json, JsonCodec, JsonRead, Runner};
 use dmp_sim::RunSummary;
 use obs::TraceSpec;
 
@@ -85,7 +85,7 @@ impl JsonCodec for LiveSummary {
         self.summary.to_json()
     }
 
-    fn from_json(json: &Json) -> Option<Self> {
+    fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self> {
         Some(Self {
             summary: RunSummary::from_json(json)?,
             timelines: Vec::new(),

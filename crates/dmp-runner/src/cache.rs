@@ -9,19 +9,22 @@
 //! `DMP_NO_CACHE=1` re-measures without touching it. Entries live
 //! one-per-file, two lines each: a header `{"v":2,"salt":…,"key":…,"crc":…}`,
 //! then the payload's compact render. `crc` digests the payload bytes as
-//! stored, so `load` renders the header `store` would have written above
+//! stored, so a lookup writes the header `store` would have written above
 //! those bytes under this salt and key, and compares it with the first line
-//! byte for byte — the header is never parsed —, then parses only the
-//! payload and returns it by value: a hit is one read, one digest pass, one
-//! parse. Any mismatch, truncation or parse failure is a *miss*, never an
-//! error — a corrupt or stale cache can only cost time.
+//! byte for byte — the header is never parsed —, then scans only the
+//! payload, into a [`json::Tape`] that borrows the file's text, and decodes
+//! from that: a hit is one read, one digest pass, one scan into one node
+//! array, and no `Json` tree ([`Cache::load`], which returns the tree, builds
+//! it from the same tape). Any mismatch, truncation, parse or decode failure
+//! is a *miss*, never an error — a corrupt or stale cache can only cost
+//! time.
 //!
 //! Layout: `<dir>/<key[0..2]>/<key>.json` (fan-out keeps directories small).
 //! Writes are atomic (`.tmp` + rename) so an interrupted sweep never leaves
 //! a truncated entry that later reads would trust.
 
 use crate::hash::{hex_digest, StableHasher};
-use crate::json::{self, Json};
+use crate::json::{self, Json, Tape, Value};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -105,13 +108,22 @@ impl Cache {
     /// Look up `key`; `Some(payload)` only for a well-formed entry written
     /// under the same salt. Increments the hit/miss counters.
     pub fn load(&self, key: &str) -> Option<Json> {
-        self.load_with(key, Some)
+        self.load_with(key, |payload| Some(payload.to_tree()))
     }
 
-    /// Look up `key` and decode its payload. An entry that verifies but does
-    /// not decode is a miss like any other, counted once.
-    pub fn load_with<T>(&self, key: &str, decode: impl FnOnce(Json) -> Option<T>) -> Option<T> {
-        let result = self.verified_payload(key).and_then(decode);
+    /// Look up `key` and decode its payload from the tape, without building
+    /// a tree. An entry that verifies but does not decode is a miss like any
+    /// other, counted once.
+    pub fn load_with<T>(
+        &self,
+        key: &str,
+        decode: impl FnOnce(Value<'_>) -> Option<T>,
+    ) -> Option<T> {
+        let text = self.read_entry(key);
+        let result = text
+            .as_deref()
+            .and_then(|text| self.verified_payload(key, text))
+            .and_then(|payload| decode(Tape::parse(payload)?.root()));
         match result {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -119,28 +131,36 @@ impl Cache {
         result
     }
 
-    fn verified_payload(&self, key: &str) -> Option<Json> {
+    fn read_entry(&self, key: &str) -> Option<String> {
         if !self.enabled {
             return None;
         }
-        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
+        std::fs::read_to_string(self.entry_path(key)).ok()
+    }
+
+    /// The payload line of an entry's `text`, if its header is the one
+    /// [`store`](Self::store) writes above it under this salt and key.
+    fn verified_payload<'t>(&self, key: &str, text: &'t str) -> Option<&'t str> {
         let (header, payload) = text.split_once('\n')?;
-        if header != self.header(key, payload) {
-            return None;
-        }
-        json::parse(payload)
+        (header == self.header(key, payload)).then_some(payload)
     }
 
     /// The header line [`store`](Self::store) writes above `payload`; a hit
-    /// must carry exactly these bytes.
+    /// must carry exactly these bytes. Written field by field, it is the
+    /// render of `{"v":…,"salt":…,"key":…,"crc":…}` as a [`Json`] object.
     fn header(&self, key: &str, payload: &str) -> String {
-        Json::obj([
-            ("v", Json::Num(FORMAT_VERSION)),
-            ("salt", Json::Str(self.salt.clone())),
-            ("key", Json::Str(key.to_string())),
-            ("crc", Json::Str(hex_digest(payload.as_bytes()))),
-        ])
-        .render()
+        let crc = hex_digest(payload.as_bytes());
+        let mut line = String::with_capacity(40 + self.salt.len() + key.len() + crc.len());
+        line.push_str("{\"v\":");
+        json::render_num(FORMAT_VERSION, &mut line);
+        line.push_str(",\"salt\":");
+        json::escape_into(&self.salt, &mut line);
+        line.push_str(",\"key\":");
+        json::escape_into(key, &mut line);
+        line.push_str(",\"crc\":");
+        json::escape_into(&crc, &mut line);
+        line.push('}');
+        line
     }
 
     /// Persist `payload` under `key`. I/O errors are swallowed (a read-only
@@ -209,6 +229,34 @@ mod tests {
         cache.store(&key, &payload());
         assert_eq!(cache.load(&key), Some(payload()));
         assert_eq!(cache.counters(), (1, 1));
+    }
+
+    #[test]
+    fn the_header_is_the_render_of_its_json_object() {
+        let tmp = TempDir::new("cache-header");
+        let salts = [
+            default_salt(),
+            "quote\"d".to_string(),
+            "back\\slash".to_string(),
+            "control\u{1}\n\t\u{1f}".to_string(),
+            "non-ASCII τ é \u{1f3ac}".to_string(),
+            String::new(),
+        ];
+        for salt in salts {
+            let cache = Cache::with_salt(tmp.path(), salt.clone());
+            for key in [cache.key("spec", 1), "k\"\\\u{0}\u{7f}τ".to_string()] {
+                for payload in ["", "{\"mean\":0.25}"] {
+                    let rendered = Json::obj([
+                        ("v", Json::Num(FORMAT_VERSION)),
+                        ("salt", Json::Str(salt.clone())),
+                        ("key", Json::Str(key.clone())),
+                        ("crc", Json::Str(hex_digest(payload.as_bytes()))),
+                    ])
+                    .render();
+                    assert_eq!(cache.header(&key, payload), rendered, "{salt:?} {key:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,5 +34,5 @@ pub mod test_util;
 
 pub use artifact::ArtifactWriter;
 pub use cache::Cache;
-pub use dmp_base::{hash, json, Json, JsonCodec};
+pub use dmp_base::{hash, json, Json, JsonCodec, JsonRead};
 pub use runner::{Cell, CellValue, JobSpec, Runner, RunnerStats};

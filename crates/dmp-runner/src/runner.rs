@@ -210,7 +210,7 @@ impl Runner {
         let start = Instant::now();
         if spec.cacheable && self.cache.is_enabled() {
             let key = self.cache.key(&spec.config_repr, spec.seed);
-            if let Some(value) = self.cache.load_with(&key, |p| T::from_json(&p)) {
+            if let Some(value) = self.cache.load_with(&key, |p| T::from_json(p)) {
                 return Cell {
                     label: spec.label,
                     value: CellValue::Ok(value),

@@ -13,7 +13,7 @@ use dmp_core::scheme::Scheme;
 use dmp_core::spec::{PullStrategy, SchedulerKind};
 use dmp_core::stats::OnlineStats;
 use dmp_core::trace::StreamTrace;
-use dmp_runner::{JobSpec, Json, JsonCodec};
+use dmp_runner::{JobSpec, Json, JsonCodec, JsonRead};
 use netsim::{secs, FlowId, LinkId, Sim, SimTracer};
 use obs::{Recorder, TraceConfig, TraceFileRef};
 use scenario::{PathBinding, Scenario, ScenarioDriver};
@@ -461,11 +461,10 @@ impl JsonCodec for RunSummary {
         ])
     }
 
-    fn from_json(json: &Json) -> Option<Self> {
+    fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self> {
         let paths = json
             .get("paths")?
-            .as_arr()?
-            .iter()
+            .items()?
             .map(|p| {
                 Some(MeasuredPath {
                     loss: p.get("loss")?.as_f64()?,
@@ -477,8 +476,7 @@ impl JsonCodec for RunSummary {
             .collect::<Option<Vec<_>>>()?;
         let per_tau = json
             .get("per_tau")?
-            .as_arr()?
-            .iter()
+            .items()?
             .map(|lf| {
                 Some(LateFractions {
                     tau_s: lf.get("tau_s")?.as_f64()?,
@@ -537,7 +535,7 @@ impl JsonCodec for ScenarioSummary {
         ])
     }
 
-    fn from_json(json: &Json) -> Option<Self> {
+    fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self> {
         let summary = RunSummary::from_json(json.get("summary")?)?;
         let r = json.get("resilience")?;
         let resilience = ResilienceReport {
@@ -547,10 +545,7 @@ impl JsonCodec for ScenarioSummary {
             max_glitch_s: r.get("max_glitch_s")?.as_f64()?,
             worst_window_late: r.get("worst_window_late")?.as_f64()?,
             worst_window_start_s: r.get("worst_window_start_s")?.as_f64()?,
-            time_to_recover_s: match r.get("time_to_recover_s")? {
-                Json::Null => None,
-                v => Some(v.as_f64()?),
-            },
+            time_to_recover_s: Option::<f64>::from_json(r.get("time_to_recover_s")?)?,
             recovered: r.get("recovered")?.as_bool()?,
         };
         Some(Self {

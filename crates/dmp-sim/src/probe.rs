@@ -19,7 +19,7 @@
 //! (cc, strategy) cell is the smallest multiple `m` such that streaming at
 //! µ = σ_a/m keeps the late-frame fraction under 1 %.
 
-use dmp_runner::{JobSpec, Json, JsonCodec};
+use dmp_runner::{JobSpec, Json, JsonCodec, JsonRead};
 
 use crate::configs::config;
 use crate::experiment::{run, ExperimentSpec};
@@ -65,11 +65,8 @@ impl JsonCodec for SaturationReport {
         ])
     }
 
-    fn from_json(json: &Json) -> Option<Self> {
-        let per_path_pps = match json.get("per_path_pps")? {
-            Json::Arr(xs) => xs.iter().map(Json::as_f64).collect::<Option<Vec<_>>>()?,
-            _ => return None,
-        };
+    fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self> {
+        let per_path_pps = Vec::<f64>::from_json(json.get("per_path_pps")?)?;
         Some(Self {
             aggregate_pps: json.get("aggregate_pps")?.as_f64()?,
             per_path_pps,

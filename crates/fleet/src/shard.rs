@@ -23,7 +23,7 @@ use dmp_core::resilience::{ResilienceReport, ResilienceSpec};
 use dmp_core::scheme::Scheme;
 use dmp_core::spec::{PathSpec, SchedulerKind};
 use dmp_core::SessionOutcome;
-use dmp_runner::{Json, JsonCodec};
+use dmp_runner::{Json, JsonCodec, JsonRead};
 use dmp_sim::experiment::Recording;
 use dmp_sim::topology::video_tcp;
 use dmp_sim::video::{shared_trace, SharedTrace, VideoClient, VideoServer};
@@ -370,11 +370,10 @@ impl JsonCodec for ShardOutput {
         ])
     }
 
-    fn from_json(json: &Json) -> Option<Self> {
+    fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self> {
         let outcomes = json
             .get("outcomes")?
-            .as_arr()?
-            .iter()
+            .items()?
             .map(|o| {
                 Some(SessionOutcome {
                     session: o.get("session")?.as_u64()? as u32,
@@ -391,7 +390,7 @@ impl JsonCodec for ShardOutput {
             })
             .collect::<Option<Vec<_>>>()?;
         let t = json.get("telemetry")?;
-        let field = |name: &str| t.get(name).and_then(Json::as_u64);
+        let field = |name: &str| t.get(name)?.as_u64();
         Some(ShardOutput {
             shard: json.get("shard")?.as_u64()? as u32,
             events_processed: json.get("events")?.as_u64()?,

@@ -7,6 +7,8 @@
 //! in simulated nanoseconds) and live-socket traces (nominal nanoseconds
 //! since stream start, i.e. wall time divided by the dilation factor).
 
+use dmp_base::json::{JsonRead, Tape};
+
 /// One recorded event: a timestamp in nanoseconds plus the payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
@@ -260,7 +262,8 @@ impl TraceEvent {
     /// or an unknown event name (forward compatibility: readers skip lines
     /// they do not understand).
     pub fn parse_line(line: &str) -> Option<TraceEvent> {
-        let obj = dmp_base::json::parse(line)?;
+        let tape = Tape::parse(line)?;
+        let obj = tape.root();
         let num = |k: &str| obj.get(k)?.as_f64();
         let int = |k: &str| obj.get(k)?.as_u64();
         let small = |k: &str| u32::try_from(int(k)?).ok();

@@ -32,7 +32,7 @@
 
 use std::collections::BTreeMap;
 
-use dmp_base::{Distribution, Json, JsonCodec};
+use dmp_base::{Distribution, Json, JsonCodec, JsonRead};
 
 /// Sub-bucket resolution: each power-of-two octave splits into
 /// `2^SUB_BITS` linear sub-buckets.
@@ -239,7 +239,7 @@ impl JsonCodec for Histogram {
         ])
     }
 
-    fn from_json(json: &Json) -> Option<Self> {
+    fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self> {
         let mut h = Histogram::new();
         h.count = json.get("count")?.as_u64()?;
         if h.count == 0 {
@@ -249,13 +249,18 @@ impl JsonCodec for Histogram {
         h.sum_sq = json.get("sum_sq")?.as_f64()? as u128;
         h.min = json.get("min")?.as_u64()?;
         h.max = json.get("max")?.as_u64()?;
-        for pair in json.get("buckets")?.as_arr()? {
-            let pair = pair.as_arr()?;
-            let idx = pair.first()?.as_u64()? as usize;
+        // The percentiles are clamped to `[min, max]`; no recorded
+        // histogram has them the other way round.
+        if h.min > h.max {
+            return None;
+        }
+        for pair in json.get("buckets")?.items()? {
+            let mut pair = pair.items()?;
+            let idx = pair.next()?.as_u64()? as usize;
             if idx >= BUCKETS {
                 return None;
             }
-            h.counts[idx] = pair.get(1)?.as_u64()?;
+            h.counts[idx] = pair.next()?.as_u64()?;
         }
         Some(h)
     }
@@ -385,25 +390,20 @@ impl JsonCodec for MetricsSnapshot {
         ])
     }
 
-    fn from_json(json: &Json) -> Option<Self> {
-        let pairs = |key: &str| -> Option<&[(String, Json)]> {
-            match json.get(key)? {
-                Json::Obj(pairs) => Some(pairs),
-                _ => None,
-            }
-        };
+    fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self> {
+        let pairs = |key: &str| json.get(key)?.pairs();
         let mut s = MetricsSnapshot::new();
         for (k, v) in pairs("labels")? {
-            s.labels.insert(k.clone(), v.as_str()?.to_string());
+            s.labels.insert(k.to_string(), v.as_str()?.to_string());
         }
         for (k, v) in pairs("counters")? {
-            s.counters.insert(k.clone(), v.as_u64()?);
+            s.counters.insert(k.to_string(), v.as_u64()?);
         }
         for (k, v) in pairs("gauges")? {
-            s.gauges.insert(k.clone(), v.as_f64()?);
+            s.gauges.insert(k.to_string(), v.as_f64()?);
         }
         for (k, v) in pairs("histograms")? {
-            s.histograms.insert(k.clone(), Histogram::from_json(v)?);
+            s.histograms.insert(k.to_string(), Histogram::from_json(v)?);
         }
         Some(s)
     }
@@ -534,10 +534,25 @@ mod tests {
         assert!(empty.is_empty());
     }
 
-    /// A histogram as a cache hit returns it: rendered, parsed, decoded.
+    /// A histogram as a cache hit returns it: rendered, scanned, decoded
+    /// from the tape.
     fn replayed(h: &Histogram) -> Histogram {
         let text = h.to_json().render();
-        Histogram::from_json(&dmp_base::json::parse(&text).expect("parses")).expect("decodes")
+        let tape = dmp_base::json::Tape::parse(&text).expect("parses");
+        Histogram::from_json(tape.root()).expect("decodes")
+    }
+
+    #[test]
+    fn a_histogram_whose_min_exceeds_its_max_is_refused() {
+        let mut h = Histogram::new();
+        h.record(5);
+        h.record(9);
+        let text = h.to_json().render();
+        assert!(replayed(&h) == h);
+        let swapped = text.replace("\"min\":5", "\"min\":10");
+        assert_ne!(swapped, text, "the min field is present");
+        let doc = dmp_base::json::parse(&swapped).expect("parses");
+        assert!(Histogram::from_json(&doc).is_none());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! any other result, rendered into the artifact as a failed cell) rather
 //! than a panic tripping the runner's isolation.
 
-use dmp_base::{Json, JsonCodec};
+use dmp_base::{Json, JsonCodec, JsonRead};
 use dmp_core::spec::PathSpec;
 
 use crate::dmp::{static_streaming_late_fraction, DmpModel, DmpSsa};
@@ -253,7 +253,7 @@ impl JsonCodec for ExactOutcome {
         }
     }
 
-    fn from_json(json: &Json) -> Option<Self> {
+    fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self> {
         match json.get("kind")?.as_str()? {
             "solved" => Some(ExactOutcome::Solved {
                 f: json.get("f")?.as_f64()?,
