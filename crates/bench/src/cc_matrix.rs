@@ -26,7 +26,7 @@ use dmp_sim::experiment::{batch_jobs, ExperimentSpec, RunSummary};
 use dmp_sim::probe::{saturation_jobs, SaturationReport};
 use dmp_sim::setting;
 
-use crate::report::{frac, Table};
+use crate::report::{frac, Leaf, RenderError, Table};
 use crate::scale::Scale;
 use crate::target::TargetReport;
 
@@ -102,12 +102,6 @@ pub struct CellOutcome {
 }
 
 impl CellOutcome {
-    /// Mean late fraction at the headroom multiple (the last one tried,
-    /// when the search succeeded).
-    pub fn late_at_headroom(&self) -> Option<f64> {
-        self.headroom.and_then(|_| self.tried.last()).map(|t| t.1)
-    }
-
     /// The cell's deterministic JSON node (one entry of the artifact's
     /// `cells` array — what the smoke gate byte-compares).
     pub fn to_json(&self) -> Json {
@@ -297,13 +291,23 @@ pub fn compute_matrix(runner: &Runner, opts: &MatrixOptions) -> MatrixOutcome {
     }
 }
 
-/// Render the matrix as the target's text table.
-pub fn render_matrix(out: &MatrixOutcome) -> String {
+/// The matrix's text: one row per cell; a cell that met the budget shows
+/// the late fraction at its headroom, the last multiple it tried.
+pub fn render_cc_matrix(doc: &Json) -> Result<String, RenderError> {
+    let multiples = doc.items("multiples")?;
+    let largest = match multiples.last() {
+        Some(m) => m
+            .as_f64()
+            .ok_or_else(|| RenderError("a multiple is not a number".into()))?,
+        None => f64::NAN,
+    };
     let mut t = Table::new(
         format!(
-            "ext_cc_matrix: headroom multiple (σ_a/µ for <{:.0} % late, τ = {TAU_S} s) \
-             on Setting {SETTING}",
-            LATE_BUDGET * 100.0
+            "ext_cc_matrix: headroom multiple (σ_a/µ for <{:.0} % late, τ = {} s) \
+             on Setting {}",
+            doc.num("late_budget")? * 100.0,
+            doc.num("tau_s")?,
+            doc.text("setting")?
         ),
         &[
             "cc",
@@ -313,24 +317,21 @@ pub fn render_matrix(out: &MatrixOutcome) -> String {
             "late @ headroom",
         ],
     );
-    for c in &out.cells {
+    for c in doc.items("cells")? {
+        let headroom = c.opt_num("headroom")?;
+        let late = match (headroom, c.items("tried")?.last()) {
+            (Some(_), Some(last)) => frac(last.num("late")?),
+            _ => "—".to_string(),
+        };
         t.row(vec![
-            c.cc.name().to_string(),
-            c.strategy.name().to_string(),
-            format!("{:.1}", c.sigma_pps),
-            c.headroom.map_or_else(
-                || {
-                    format!(
-                        "> {:.1}",
-                        out.options.multiples.last().copied().unwrap_or(f64::NAN)
-                    )
-                },
-                |m| format!("{m:.1}"),
-            ),
-            c.late_at_headroom().map_or_else(|| "—".to_string(), frac),
+            c.text("cc")?.to_string(),
+            c.text("strategy")?.to_string(),
+            format!("{:.1}", c.num("sigma_pps")?),
+            headroom.map_or_else(|| format!("> {largest:.1}"), |m| format!("{m:.1}")),
+            late,
         ]);
     }
-    t.render()
+    Ok(t.render())
 }
 
 /// The `ext_cc_matrix` extension target.
@@ -344,7 +345,7 @@ pub fn ext_cc_matrix(runner: &Runner, scale: &Scale) -> TargetReport {
     for c in &out.cells {
         metrics.merge(&c.metrics);
     }
-    TargetReport::new(render_matrix(&out), cells_json)
+    TargetReport::new(cells_json)
         .with_metrics(metrics)
         .with_meta(
             "matrix",

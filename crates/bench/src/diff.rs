@@ -25,6 +25,8 @@ use std::path::Path;
 
 use dmp_runner::Json;
 
+use crate::target::artifact_files;
+
 /// Outcome of a diff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
@@ -260,28 +262,19 @@ fn parse_file(path: &Path) -> Result<Json, String> {
     dmp_runner::json::parse(&text).ok_or_else(|| format!("cannot parse {}", path.display()))
 }
 
-/// JSON files directly inside `dir`, sorted by file name.
-fn json_files(dir: &Path) -> Result<Vec<std::path::PathBuf>, String> {
-    let mut files: Vec<_> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot list {}: {e}", dir.display()))?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    files.sort();
-    Ok(files)
-}
-
 /// Diff two paths, each either a JSON file or a directory of JSON files
 /// (e.g. two `target/artifacts/metrics/` trees, or two
-/// `benchmark/out/results.json` captures). In directory mode files pair up by name; a file present on one
-/// side only makes the runs incomparable.
+/// `benchmark/out/results.json` captures). In directory mode the files
+/// [`artifact_files`] lists pair up by name; a file present on one side
+/// only makes the runs incomparable.
 pub fn diff_paths(a: &Path, b: &Path) -> Result<DiffReport, String> {
     let mut report = DiffReport::default();
     match (a.is_dir(), b.is_dir()) {
         (true, true) => {
-            let fa = json_files(a)?;
-            let fb = json_files(b)?;
+            let list = |dir: &Path| {
+                artifact_files(dir).map_err(|e| format!("cannot list {}: {e}", dir.display()))
+            };
+            let (fa, fb) = (list(a)?, list(b)?);
             let name = |p: &Path| p.file_name().unwrap_or_default().to_os_string();
             let nb: Vec<_> = fb.iter().map(|p| name(p)).collect();
             for p in &fb {

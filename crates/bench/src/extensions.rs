@@ -9,7 +9,7 @@ use dmp_sim::{run_summary, setting, ExperimentSpec, RunSummary};
 use netsim::tcp::TcpFlavor;
 use tcp_model::{calibrate, stored_video_late_fraction, DmpModel, LateCellSpec, TauSearchSpec};
 
-use crate::report::{frac, tau, Table};
+use crate::report::{frac, tables, tau, RenderError, Table};
 use crate::scale::Scale;
 use crate::target::{opt_num, TargetReport};
 
@@ -65,15 +65,17 @@ pub fn ext_kpaths(r: &Runner, scale: &Scale) -> TargetReport {
         }
         t.row(row);
     }
-    let mut text = t.render();
-    text.push_str(
-        "Reading: every added subscription adds its full throughput to the watchable\n\
-         bitrate at the same ratio, and the required startup delay shrinks with K:\n\
-         with more independent paths, one path's timeout stalls a smaller share of\n\
-         the stream while the survivors keep filling the buffer (path diversity).\n",
-    );
     let data = Json::obj([("points", Json::Arr(points)), ("table", t.to_json())]);
-    TargetReport::new(text, data)
+    TargetReport::new(data)
+}
+
+/// `ext_kpaths`'s text: its table and how to read it.
+pub fn render_kpaths(doc: &Json) -> Result<String, RenderError> {
+    Ok(tables(doc)?
+        + "Reading: every added subscription adds its full throughput to the watchable\n\
+           bitrate at the same ratio, and the required startup delay shrinks with K:\n\
+           with more independent paths, one path's timeout stalls a smaller share of\n\
+           the stream while the survivors keep filling the buffer (path diversity).\n")
 }
 
 /// Extension 2 — stored-video streaming: live vs stored late fraction at the
@@ -132,13 +134,15 @@ pub fn ext_stored(r: &Runner, scale: &Scale) -> TargetReport {
             ("f_stored", Json::Num(fs[1])),
         ]));
     }
-    let mut text = t.render();
-    text.push_str(
-        "Reading: the generation constraint is what makes live streaming hard; a\n\
-         stored video with the same startup delay buffers ahead and suffers less.\n",
-    );
     let data = Json::obj([("points", Json::Arr(points)), ("table", t.to_json())]);
-    TargetReport::new(text, data)
+    TargetReport::new(data)
+}
+
+/// `ext_stored`'s text: its table and how to read it.
+pub fn render_stored(doc: &Json) -> Result<String, RenderError> {
+    Ok(tables(doc)?
+        + "Reading: the generation constraint is what makes live streaming hard; a\n\
+           stored video with the same startup delay buffers ahead and suffers less.\n")
 }
 
 /// Ablations in the packet simulator: send-buffer size, RED vs drop-tail,
@@ -237,15 +241,17 @@ pub fn ext_ablations(r: &Runner, scale: &Scale) -> TargetReport {
         ]));
     }
 
-    let mut text = t.render();
-    text.push_str(
-        "Notes: the send buffer shifts where packets queue (a huge buffer commits\n\
-         packets to a path early and behaves more like static splitting). RED\n\
-         equalises loss rates across flows — which *hurts* the paced video stream:\n\
-         under drop-tail (+RTT diversity) a low-rate paced flow sees less loss than\n\
-         the fair-share equilibrium, and the video depends on that. NewReno's\n\
-         multi-loss recovery shaves the lateness tail.\n",
-    );
     let data = Json::obj([("variants", Json::Arr(points)), ("table", t.to_json())]);
-    TargetReport::new(text, data)
+    TargetReport::new(data)
+}
+
+/// `ext_ablations`'s text: its table and notes on each variant.
+pub fn render_ablations(doc: &Json) -> Result<String, RenderError> {
+    Ok(tables(doc)?
+        + "Notes: the send buffer shifts where packets queue (a huge buffer commits\n\
+           packets to a path early and behaves more like static splitting). RED\n\
+           equalises loss rates across flows — which *hurts* the paced video stream:\n\
+           under drop-tail (+RTT diversity) a low-rate paced flow sees less loss than\n\
+           the fair-share equilibrium, and the video depends on that. NewReno's\n\
+           multi-loss recovery shaves the lateness tail.\n")
 }

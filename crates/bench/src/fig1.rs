@@ -7,6 +7,7 @@ use dmp_core::spec::SchedulerKind;
 use dmp_runner::{JobSpec, Json, Runner};
 use dmp_sim::{run, setting, ExperimentSpec};
 
+use crate::report::{Leaf, RenderError};
 use crate::scale::Scale;
 use crate::target::TargetReport;
 
@@ -68,28 +69,6 @@ pub fn fig1(r: &Runner, scale: &Scale) -> TargetReport {
     let cells = r.run_all(vec![job]);
     let rows = cells[0].ok().expect("fig1 simulation").clone();
 
-    let mut text =
-        format!("Fig 1: cumulative packet-number curves, Setting 2-2 (tau = {TAU_S} s)\n");
-    text.push_str(&format!(
-        "{:>6}  {:>10}  {:>12}  {:>12}  {:>12}  {:>10}\n",
-        "t (s)", "generated", "arrived p0", "arrived p1", "arrived all", "playback"
-    ));
-    for row in rows.chunks(COLS) {
-        text.push_str(&format!(
-            "{:>6.0}  {:>10.0}  {:>12.0}  {:>12.0}  {:>12.0}  {:>10.0}\n",
-            row[0], row[1], row[2], row[3], row[4], row[5]
-        ));
-    }
-    // µ·τ for the caption: playback slope (µ, once t > τ) × startup delay,
-    // recovered from the last two playback samples.
-    let n = rows.len();
-    let mu_tau = (rows[n - 1] - rows[n - COLS - 1]) / STEP_S * TAU_S;
-    text.push_str(&format!(
-        "\nThe arrival curve hugs the generation curve (live constraint: at most\n\
-         mu*tau = {mu_tau:.0} packets ahead of playback) and stays above the playback\n\
-         line; packets below it would be the paper's shaded 'late packets' region.\n",
-    ));
-
     let data = Json::obj([
         ("figure", Json::Str("fig1".into())),
         ("tau_s", Json::Num(TAU_S)),
@@ -113,5 +92,41 @@ pub fn fig1(r: &Runner, scale: &Scale) -> TargetReport {
             Json::arr(rows.chunks(COLS).map(|r| Json::nums(r.iter().copied()))),
         ),
     ]);
-    TargetReport::new(text, data)
+    TargetReport::new(data)
+}
+
+/// Fig. 1's text: the sampled curves and a caption with µ·τ.
+pub fn render_fig1(doc: &Json) -> Result<String, RenderError> {
+    let tau_s = doc.num("tau_s")?;
+    let mut text =
+        format!("Fig 1: cumulative packet-number curves, Setting 2-2 (tau = {tau_s} s)\n");
+    text.push_str(&format!(
+        "{:>6}  {:>10}  {:>12}  {:>12}  {:>12}  {:>10}\n",
+        "t (s)", "generated", "arrived p0", "arrived p1", "arrived all", "playback"
+    ));
+    let mut playback = Vec::new();
+    for row in doc.items("rows")? {
+        let row: Option<Vec<f64>> = row
+            .as_arr()
+            .and_then(|r| r.iter().map(Json::as_f64).collect());
+        let Some([t, generated, p0, p1, all, play]) = row.as_deref() else {
+            return Err(RenderError(format!("a row is not {COLS} numbers")));
+        };
+        text.push_str(&format!(
+            "{t:>6.0}  {generated:>10.0}  {p0:>12.0}  {p1:>12.0}  {all:>12.0}  {play:>10.0}\n"
+        ));
+        playback.push(*play);
+    }
+    // µ·τ for the caption: playback slope (µ, once t > τ) × startup delay,
+    // recovered from the last two playback samples.
+    let [.., before, last] = playback[..] else {
+        return Err(RenderError("fewer than two rows".into()));
+    };
+    let mu_tau = (last - before) / STEP_S * tau_s;
+    text.push_str(&format!(
+        "\nThe arrival curve hugs the generation curve (live constraint: at most\n\
+         mu*tau = {mu_tau:.0} packets ahead of playback) and stays above the playback\n\
+         line; packets below it would be the paper's shaded 'late packets' region.\n",
+    ));
+    Ok(text)
 }

@@ -14,7 +14,7 @@ use dmp_fleet::{run_fleet, FleetOptions, FleetSpec};
 use dmp_runner::{Json, Runner};
 use scenario::FleetTimeline;
 
-use crate::report::{frac, Table};
+use crate::report::{frac, Leaf, RenderError, Table};
 use crate::scale::Scale;
 use crate::target::TargetReport;
 
@@ -55,12 +55,27 @@ pub fn ext_fleet(runner: &Runner, scale: &Scale) -> TargetReport {
     };
     let spec = fleet_spec(scale);
     let result = run_fleet(runner, &spec, &opts);
+    let data = Json::obj([("fleet", result.artifact(&spec))]);
+    // Satellite of `EngineTelemetry::absorb`: the volatile sidecar carries
+    // the per-shard counter breakdown plus the absorbed fleet total.
+    TargetReport::new(data)
+        .with_meta("shards", result.shards_meta())
+        .with_metrics(result.metrics)
+        .with_trace_files(result.trace_files)
+}
 
+/// `ext_fleet`'s text: one row of fleet totals; the events and shards are
+/// the sum and count of `shard_events`.
+pub fn render_ext_fleet(doc: &Json) -> Result<String, RenderError> {
+    let r = doc.at("fleet")?;
+    let shard_events = r.items("shard_events")?;
+    let events = shard_events.iter().map(Json::as_f64).sum::<Option<f64>>();
+    let events = events.ok_or_else(|| RenderError("a shard's events are not a number".into()))?;
+    let sessions = r.num("sessions")?;
+    let shards = shard_events.len();
     let mut t = Table::new(
         format!(
-            "ext_fleet: {} churning DMP sessions, flash-crowd arrivals ({} shards)",
-            spec.sessions,
-            spec.shard_count()
+            "ext_fleet: {sessions} churning DMP sessions, flash-crowd arrivals ({shards} shards)"
         ),
         &[
             "sessions",
@@ -75,27 +90,19 @@ pub fn ext_fleet(runner: &Runner, scale: &Scale) -> TargetReport {
             "shards",
         ],
     );
-    let r = &result.report;
     t.row(vec![
-        format!("{}", r.sessions),
-        format!("{}", r.started),
-        format!("{}", r.completed),
-        format!("{:.0}", r.goodput_pps),
-        frac(r.late.p90),
-        format!("{:.1}", r.glitches.p90),
-        format!("{:.2}", r.headroom.p50),
-        frac(r.headroom_ok),
-        format!("{}", result.total_events()),
-        format!("{}", spec.shard_count()),
+        sessions.to_string(),
+        r.num("started")?.to_string(),
+        r.num("completed")?.to_string(),
+        format!("{:.0}", r.num("goodput_pps")?),
+        frac(r.at("late")?.num("p90")?),
+        format!("{:.1}", r.at("glitches")?.num("p90")?),
+        format!("{:.2}", r.at("headroom")?.num("p50")?),
+        frac(r.num("headroom_ok")?),
+        events.to_string(),
+        shards.to_string(),
     ]);
-
-    let data = Json::obj([("fleet", result.artifact(&spec))]);
-    // Satellite of `EngineTelemetry::absorb`: the volatile sidecar carries
-    // the per-shard counter breakdown plus the absorbed fleet total.
-    TargetReport::new(t.render(), data)
-        .with_meta("shards", result.shards_meta())
-        .with_metrics(result.metrics)
-        .with_trace_files(result.trace_files)
+    Ok(t.render())
 }
 
 /// Fleet sizes swept by [`fleet_headroom`], smallest first.
@@ -132,21 +139,6 @@ pub fn fleet_headroom(runner: &Runner, scale: &Scale) -> TargetReport {
     let mut rows = Vec::new();
     let mut served_capacity: Option<u32> = None;
     let mut metrics = obs::MetricsSnapshot::new();
-    let mut t = Table::new(
-        format!(
-            "fleet_headroom: sessions vs the {HEADROOM_RULE}× rule on one shared \
-             bottleneck pair"
-        ),
-        &[
-            "sessions",
-            "started",
-            "headroom mean",
-            "headroom p50",
-            "≥1.6× rule",
-            "late p90",
-            "verdict",
-        ],
-    );
     for sessions in headroom_sweep_sizes(scale) {
         let spec = headroom_fleet_spec(scale, sessions);
         let result = run_fleet(runner, &spec, &FleetOptions::default());
@@ -156,15 +148,6 @@ pub fn fleet_headroom(runner: &Runner, scale: &Scale) -> TargetReport {
         if served {
             served_capacity = Some(sessions);
         }
-        t.row(vec![
-            sessions.to_string(),
-            r.started.to_string(),
-            format!("{:.2}", r.headroom.mean),
-            format!("{:.2}", r.headroom.p50),
-            frac(r.headroom_ok),
-            frac(r.late.p90),
-            if served { "served" } else { "degraded" }.to_string(),
-        ]);
         rows.push(Json::obj([
             ("sessions", Json::Num(f64::from(sessions))),
             ("started", Json::Num(r.started as f64)),
@@ -176,19 +159,6 @@ pub fn fleet_headroom(runner: &Runner, scale: &Scale) -> TargetReport {
             ("served", Json::Bool(served)),
         ]));
     }
-    let mut text = t.render();
-    text.push_str(&match served_capacity {
-        Some(n) => format!(
-            "\nLargest fleet meeting the {HEADROOM_RULE}× rule for ≥{:.0}% of \
-             sessions: {n} concurrent-churning sessions.\n",
-            SERVED_FRACTION * 100.0
-        ),
-        None => format!(
-            "\nNo swept fleet size met the {HEADROOM_RULE}× rule for ≥{:.0}% of \
-             sessions.\n",
-            SERVED_FRACTION * 100.0
-        ),
-    });
     let data = Json::obj([
         ("headroom_rule", Json::Num(HEADROOM_RULE)),
         ("served_fraction", Json::Num(SERVED_FRACTION)),
@@ -201,5 +171,49 @@ pub fn fleet_headroom(runner: &Runner, scale: &Scale) -> TargetReport {
         ),
         ("sweep", Json::arr(rows)),
     ]);
-    TargetReport::new(text, data).with_metrics(metrics)
+    TargetReport::new(data).with_metrics(metrics)
+}
+
+/// `fleet_headroom`'s text: the sweep and the largest served fleet.
+pub fn render_headroom(doc: &Json) -> Result<String, RenderError> {
+    let rule = doc.num("headroom_rule")?;
+    let served_pct = doc.num("served_fraction")? * 100.0;
+    let mut t = Table::new(
+        format!("fleet_headroom: sessions vs the {rule}× rule on one shared bottleneck pair"),
+        &[
+            "sessions",
+            "started",
+            "headroom mean",
+            "headroom p50",
+            "≥1.6× rule",
+            "late p90",
+            "verdict",
+        ],
+    );
+    for p in doc.items("sweep")? {
+        t.row(vec![
+            p.num("sessions")?.to_string(),
+            p.num("started")?.to_string(),
+            format!("{:.2}", p.num("headroom_mean")?),
+            format!("{:.2}", p.num("headroom_p50")?),
+            frac(p.num("headroom_ok")?),
+            frac(p.num("late_p90")?),
+            if p.flag("served")? {
+                "served"
+            } else {
+                "degraded"
+            }
+            .to_string(),
+        ]);
+    }
+    let verdict = match doc.opt_num("served_capacity")? {
+        Some(n) => format!(
+            "Largest fleet meeting the {rule}× rule for ≥{served_pct:.0}% of \
+             sessions: {n} concurrent-churning sessions."
+        ),
+        None => {
+            format!("No swept fleet size met the {rule}× rule for ≥{served_pct:.0}% of sessions.")
+        }
+    };
+    Ok(format!("{}\n{verdict}\n", t.render()))
 }

@@ -5,7 +5,7 @@
 use dmp_runner::{JobSpec, Json, Runner};
 use tcp_model::FluidCellSpec;
 
-use crate::report::Table;
+use crate::report::{Leaf, RenderError, Table};
 use crate::scale::Scale;
 use crate::target::TargetReport;
 
@@ -46,30 +46,14 @@ pub fn fig_fluid(r: &Runner, _scale: &Scale) -> TargetReport {
     let cells = r.run_all(jobs);
     let f = |k: usize| *cells[k].ok().expect("fluid job");
 
-    let mut text = String::new();
     let mut tau_blocks = Vec::new();
     for (ti, tau) in TAUS.into_iter().enumerate() {
-        let mut t = Table::new(
-            format!("Sec 7.3 fluid example: fraction late vs split x (tau = {tau} s, period 10 s)"),
-            &[
-                "x (pkts ps)",
-                "single path",
-                "DMP aligned",
-                "DMP anti-aligned",
-            ],
-        );
         let base = ti * (1 + 2 * SPLITS);
         let f_single = f(base);
         let mut points = Vec::new();
         for i in 1..=SPLITS {
             let x = x_at(i);
             let (f_aligned, f_anti) = (f(base + 2 * i - 1), f(base + 2 * i));
-            t.row(vec![
-                format!("{x:.0}"),
-                format!("{f_single:.4}"),
-                format!("{f_aligned:.4}"),
-                format!("{f_anti:.4}"),
-            ]);
             points.push(Json::obj([
                 ("x_pps", Json::Num(x)),
                 ("f_single", Json::Num(f_single)),
@@ -77,22 +61,52 @@ pub fn fig_fluid(r: &Runner, _scale: &Scale) -> TargetReport {
                 ("f_dmp_anti_aligned", Json::Num(f_anti)),
             ]));
         }
-        text.push_str(&t.render());
-        text.push('\n');
         tau_blocks.push(Json::obj([
             ("tau_s", Json::Num(tau)),
             ("points", Json::Arr(points)),
         ]));
+    }
+    let data = Json::obj([
+        ("mu_pps", Json::Num(mu)),
+        ("period_s", Json::Num(period_s)),
+        ("curves", Json::Arr(tau_blocks)),
+    ]);
+    TargetReport::new(data)
+}
+
+/// The fluid example's text: one table of `f(x)` per startup delay, then
+/// the claim they check.
+pub fn render_fig_fluid(doc: &Json) -> Result<String, RenderError> {
+    let mut text = String::new();
+    for curve in doc.items("curves")? {
+        let mut t = Table::new(
+            format!(
+                "Sec 7.3 fluid example: fraction late vs split x (tau = {} s, period {} s)",
+                curve.num("tau_s")?,
+                doc.num("period_s")?
+            ),
+            &[
+                "x (pkts ps)",
+                "single path",
+                "DMP aligned",
+                "DMP anti-aligned",
+            ],
+        );
+        for p in curve.items("points")? {
+            t.row(vec![
+                format!("{:.0}", p.num("x_pps")?),
+                format!("{:.4}", p.num("f_single")?),
+                format!("{:.4}", p.num("f_dmp_aligned")?),
+                format!("{:.4}", p.num("f_dmp_anti_aligned")?),
+            ]);
+        }
+        text.push_str(&t.render());
+        text.push('\n');
     }
     text.push_str(
         "Claim check: DMP <= single path for every split and alignment; anti-aligned\n\
          paths (alternating congestion) are strictly better whenever tau is below the\n\
          congested interval (tau < 5 s here).\n",
     );
-    let data = Json::obj([
-        ("mu_pps", Json::Num(mu)),
-        ("period_s", Json::Num(period_s)),
-        ("curves", Json::Arr(tau_blocks)),
-    ]);
-    TargetReport::new(text, data)
+    Ok(text)
 }

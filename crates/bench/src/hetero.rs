@@ -181,7 +181,7 @@ pub fn fig10(r: &Runner, scale: &Scale) -> TargetReport {
         ]));
     }
     let data = Json::obj([("points", Json::Arr(points)), ("table", t.to_json())]);
-    TargetReport::new(t.render(), data)
+    TargetReport::new(data)
 }
 
 #[cfg(test)]

@@ -2,7 +2,6 @@
 //! label lines, counter/gauge listings, and one percentile row plus a
 //! sparkline bucket dump per histogram.
 
-use dmp_runner::JsonCodec;
 use obs::{Histogram, MetricsSnapshot};
 
 use crate::report::Table;
@@ -85,22 +84,6 @@ pub fn render_snapshot(heading: &str, snap: &MetricsSnapshot) -> String {
         out.push_str(&t.render());
     }
     out
-}
-
-/// Parse and render one `metrics/<name>.json` file.
-pub fn render_file(path: &std::path::Path) -> Result<String, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let doc =
-        dmp_runner::json::parse(&text).ok_or_else(|| format!("cannot parse {}", path.display()))?;
-    let snap = MetricsSnapshot::from_json(&doc)
-        .ok_or_else(|| format!("{} is not a metrics snapshot", path.display()))?;
-    let stem = path
-        .file_stem()
-        .unwrap_or_default()
-        .to_string_lossy()
-        .into_owned();
-    Ok(render_snapshot(&stem, &snap))
 }
 
 #[cfg(test)]

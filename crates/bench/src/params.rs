@@ -5,7 +5,7 @@ use dmp_core::spec::PathSpec;
 use dmp_runner::{JobSpec, Json, Runner};
 use tcp_model::{calibrate, DmpModel, LateCellSpec, TauSearchSpec};
 
-use crate::report::{frac, tau, Table};
+use crate::report::{frac, tau, Leaf, RenderError, Table};
 use crate::scale::Scale;
 use crate::target::{opt_num, TargetReport};
 
@@ -79,7 +79,7 @@ pub fn fig8(r: &Runner, scale: &Scale) -> TargetReport {
         ("points", Json::Arr(series)),
         ("table", t.to_json()),
     ]);
-    TargetReport::new(t.render(), data)
+    TargetReport::new(data)
 }
 
 /// Fig. 9(a): required startup delay for `f < 10⁻⁴` at `σ_a/µ = 1.6`,
@@ -144,7 +144,7 @@ pub fn fig9a(r: &Runner, scale: &Scale) -> TargetReport {
         t.row(row);
     }
     let data = Json::obj([("points", Json::Arr(points)), ("table", t.to_json())]);
-    TargetReport::new(t.render(), data)
+    TargetReport::new(data)
 }
 
 /// Fig. 9(b): same, but fixing R ∈ {100, 200, 300} ms and varying µ.
@@ -186,7 +186,7 @@ pub fn fig9b(r: &Runner, scale: &Scale) -> TargetReport {
         t.row(row);
     }
     let data = Json::obj([("points", Json::Arr(points)), ("table", t.to_json())]);
-    TargetReport::new(t.render(), data)
+    TargetReport::new(data)
 }
 
 /// The headline comparison: the smallest `σ_a/µ` ratio at which streaming is
@@ -254,15 +254,6 @@ pub fn headline(r: &Runner, scale: &Scale) -> TargetReport {
             ("tau_k2_s", opt_num(t2)),
         ]));
     }
-    let mut text = t.render();
-    text.push_str(&format!(
-        "\nSmallest ratio with tau <= 10 s:  K=1: {}   K=2: {}\n\
-         Caveat: matching the aggregate throughput by scaling the RTT doubles the\n\
-         two-path RTT (and timeout stalls), which offsets part of the diversity gain.\n",
-        min_ratio[0].map_or("-".into(), |v| format!("{v:.1}")),
-        min_ratio[1].map_or("-".into(), |v| format!("{v:.1}")),
-    ));
-
     let mut t2 = Table::new(
         "Headline, fixed-path framing: identical paths (p=0.02, R=150 ms, TO=4), \
          required startup delay (s)",
@@ -280,14 +271,6 @@ pub fn headline(r: &Runner, scale: &Scale) -> TargetReport {
             ("tau_k2_s", opt_num(t2v)),
         ]));
     }
-    text.push('\n');
-    text.push_str(&t2.render());
-    text.push_str(
-        "The paper's rule drops out of this table: two paths at sigma_a/mu = 1.6 need\n\
-         about the startup delay one path needs at 2.0 — multipath converts the same\n\
-         hardware into ~25% more watchable bitrate.\n",
-    );
-
     let data = Json::obj([
         ("rtt_framing", Json::Arr(rows_rtt)),
         ("fixed_path_framing", Json::Arr(rows_fixed)),
@@ -297,5 +280,27 @@ pub fn headline(r: &Runner, scale: &Scale) -> TargetReport {
         ),
         ("tables", Json::arr([t.to_json(), t2.to_json()])),
     ]);
-    TargetReport::new(text, data)
+    TargetReport::new(data)
+}
+
+/// The headline's text: its two tables, the smallest ratios between them.
+pub fn render_headline(doc: &Json) -> Result<String, RenderError> {
+    let [rtt, fixed] = doc.items("tables")? else {
+        return Err(RenderError("`tables` does not hold two tables".into()));
+    };
+    let min = doc.at("min_ratio_tau10")?;
+    let ratio = |k| Ok::<_, RenderError>(min.opt_num(k)?.map_or("-".into(), |v| format!("{v:.1}")));
+    Ok(format!(
+        "{}\nSmallest ratio with tau <= 10 s:  K=1: {}   K=2: {}\n\
+         Caveat: matching the aggregate throughput by scaling the RTT doubles the\n\
+         two-path RTT (and timeout stalls), which offsets part of the diversity gain.\n\
+         \n{}\
+         The paper's rule drops out of this table: two paths at sigma_a/mu = 1.6 need\n\
+         about the startup delay one path needs at 2.0 — multipath converts the same\n\
+         hardware into ~25% more watchable bitrate.\n",
+        Table::from_json(rtt)?.render(),
+        ratio("k1")?,
+        ratio("k2")?,
+        Table::from_json(fixed)?.render(),
+    ))
 }

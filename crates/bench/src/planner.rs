@@ -22,7 +22,7 @@ use dmp_runner::{JobSpec, Json, Runner};
 use tcp_model::{MuCellSpec, PlannerOptions, PlannerScheme};
 
 use crate::fleet::{headroom_fleet_spec, headroom_sweep_sizes, SERVED_FRACTION};
-use crate::report::{frac, Table};
+use crate::report::{frac, Leaf, RenderError, Table};
 use crate::scale::Scale;
 use crate::target::TargetReport;
 
@@ -117,29 +117,11 @@ pub fn capacity_planner(r: &Runner, scale: &Scale) -> TargetReport {
     }
     let cells = r.run_all(jobs);
 
-    let mut text = String::new();
     let mut rows = Vec::new();
     let mut metrics = obs::MetricsSnapshot::new();
-    let kbps = |m: Option<f64>| m.map_or("-".to_string(), |mu| format!("{:.0}", mu * PKT_KBPS));
     let mut i = 0;
     for &loss in &grid.losses {
-        let mut t = Table::new(
-            format!(
-                "capacity_planner: max video bitrate (kbps, 1500 B packets, f < {:.0e}) \
-                 at p={loss}, RTT {:.0} ms, T_O {:.1}, 2 paths",
-                opts.search.threshold, grid.rtt_ms, grid.to_ratio
-            ),
-            &[
-                "tau (s)",
-                "single path",
-                "static 2-path",
-                "DMP 2-path",
-                "DMP headroom",
-            ],
-        );
         for &tau_s in &grid.taus {
-            let mut row = vec![format!("{tau_s:.0}")];
-            let mut dmp_headroom = None;
             for scheme in SCHEMES {
                 let spec = cell_spec(&grid, loss, tau_s, scheme, opts);
                 let mu_max = cells[i].ok().copied().flatten();
@@ -147,17 +129,11 @@ pub fn capacity_planner(r: &Runner, scale: &Scale) -> TargetReport {
                 let sigma_a = spec.sigma_a();
                 metrics.counter_add("planner.cells", 1);
                 match mu_max {
-                    Some(mu) => {
-                        metrics
-                            .histogram("planner.mu_max_kbps")
-                            .record((mu * PKT_KBPS).round() as u64);
-                        if scheme == PlannerScheme::Dmp {
-                            dmp_headroom = Some(sigma_a / mu);
-                        }
-                    }
+                    Some(mu) => metrics
+                        .histogram("planner.mu_max_kbps")
+                        .record((mu * PKT_KBPS).round() as u64),
                     None => metrics.counter_add("planner.infeasible_cells", 1),
                 }
-                row.push(kbps(mu_max));
                 rows.push(Json::obj([
                     ("loss", Json::Num(loss)),
                     ("tau_s", Json::Num(tau_s)),
@@ -170,8 +146,66 @@ pub fn capacity_planner(r: &Runner, scale: &Scale) -> TargetReport {
                     ),
                 ]));
             }
-            row.push(dmp_headroom.map_or("-".to_string(), |h| format!("{h:.2}x")));
-            t.row(row);
+        }
+    }
+    let data = Json::obj([
+        ("threshold", Json::Num(opts.search.threshold)),
+        ("rtt_ms", Json::Num(grid.rtt_ms)),
+        ("to_ratio", Json::Num(grid.to_ratio)),
+        ("cells", Json::arr(rows)),
+    ]);
+    TargetReport::new(data).with_metrics(metrics)
+}
+
+/// The planner's text: one bitrate heatmap per loss rate, a row per τ, a
+/// column per scheme of [`SCHEMES`] and the DMP headroom.
+pub fn render_planner(doc: &Json) -> Result<String, RenderError> {
+    let (threshold, rtt_ms, to_ratio) = (
+        doc.num("threshold")?,
+        doc.num("rtt_ms")?,
+        doc.num("to_ratio")?,
+    );
+    let kbps = |m: Option<f64>| m.map_or("-".to_string(), |mu| format!("{:.0}", mu * PKT_KBPS));
+    let cells = doc.items("cells")?;
+    if cells.len() % SCHEMES.len() != 0 {
+        return Err(RenderError("the cells end inside a row".into()));
+    }
+    // One row per (loss, τ): the cells of every scheme, in `SCHEMES` order.
+    let mut rows = Vec::new();
+    for row_cells in cells.chunks(SCHEMES.len()) {
+        let loss = row_cells[0].num("loss")?;
+        let mut row = vec![format!("{:.0}", row_cells[0].num("tau_s")?)];
+        let mut dmp_headroom = None;
+        for (cell, scheme) in row_cells.iter().zip(SCHEMES) {
+            if cell.text("scheme")? != scheme.name() || cell.num("loss")? != loss {
+                return Err(RenderError(format!("cells are not in {SCHEMES:?} order")));
+            }
+            row.push(kbps(cell.opt_num("mu_max_pps")?));
+            if scheme == PlannerScheme::Dmp {
+                dmp_headroom = cell.opt_num("headroom")?;
+            }
+        }
+        row.push(dmp_headroom.map_or("-".to_string(), |h| format!("{h:.2}x")));
+        rows.push((loss, row));
+    }
+    let mut text = String::new();
+    for heatmap in rows.chunk_by(|a, b| a.0 == b.0) {
+        let mut t = Table::new(
+            format!(
+                "capacity_planner: max video bitrate (kbps, 1500 B packets, f < {threshold:.0e}) \
+                 at p={}, RTT {rtt_ms:.0} ms, T_O {to_ratio:.1}, 2 paths",
+                heatmap[0].0
+            ),
+            &[
+                "tau (s)",
+                "single path",
+                "static 2-path",
+                "DMP 2-path",
+                "DMP headroom",
+            ],
+        );
+        for (_, row) in heatmap {
+            t.row(row.clone());
         }
         text.push_str(&t.render());
         text.push('\n');
@@ -181,14 +215,7 @@ pub fn capacity_planner(r: &Runner, scale: &Scale) -> TargetReport {
          approaches the full aggregate (headroom → 1.6x) while static splitting\n\
          keeps per-path reserves and single-path needs headroom ≈ 2x.\n",
     );
-
-    let data = Json::obj([
-        ("threshold", Json::Num(opts.search.threshold)),
-        ("rtt_ms", Json::Num(grid.rtt_ms)),
-        ("to_ratio", Json::Num(grid.to_ratio)),
-        ("cells", Json::arr(rows)),
-    ]);
-    TargetReport::new(text, data).with_metrics(metrics)
+    Ok(text)
 }
 
 /// Residual-capacity headroom the planner predicts for `n` sessions sharing
@@ -213,20 +240,6 @@ pub fn ext_planner_check(runner: &Runner, scale: &Scale) -> TargetReport {
     let mut metrics = obs::MetricsSnapshot::new();
     let mut measured_knee: Option<u32> = None;
     let mut rows = Vec::new();
-    let mut t = Table::new(
-        format!(
-            "ext_planner_check: predicted vs measured headroom on one bottleneck \
-             pair (C = {capacity_pps:.0} pkt/s, µ = {mu_pps:.0} pkt/s, K = {paths:.0})"
-        ),
-        &[
-            "sessions",
-            "predicted headroom",
-            "measured mean",
-            "measured p50",
-            ">=1.6x rule",
-            "verdict",
-        ],
-    );
     for &sessions in &sizes {
         let spec = headroom_fleet_spec(scale, sessions);
         let result = run_fleet(runner, &spec, &FleetOptions::default());
@@ -237,14 +250,6 @@ pub fn ext_planner_check(runner: &Runner, scale: &Scale) -> TargetReport {
             measured_knee = Some(sessions);
         }
         let predicted = predicted_headroom(capacity_pps, mu_pps, paths, sessions);
-        t.row(vec![
-            sessions.to_string(),
-            format!("{predicted:.2}"),
-            format!("{:.2}", r.headroom.mean),
-            format!("{:.2}", r.headroom.p50),
-            frac(r.headroom_ok),
-            if served { "served" } else { "degraded" }.to_string(),
-        ]);
         rows.push(Json::obj([
             ("sessions", Json::Num(f64::from(sessions))),
             ("predicted_headroom", Json::Num(predicted)),
@@ -268,20 +273,6 @@ pub fn ext_planner_check(runner: &Runner, scale: &Scale) -> TargetReport {
     let predicted_mu =
         measured_knee.map(|m| paths * capacity_pps / (HEADROOM_RULE + f64::from(m) - 1.0));
     let mu_rel_error = predicted_mu.map(|p| (p - mu_pps).abs() / mu_pps);
-
-    let mut text = t.render();
-    text.push_str(&format!(
-        "\nPredicted knee (h(n) >= {HEADROOM_RULE}): {}   measured knee (>= {:.0}% served): {}   \
-         relative error: {}\n",
-        predicted_knee.map_or("-".to_string(), |n| n.to_string()),
-        SERVED_FRACTION * 100.0,
-        measured_knee.map_or("-".to_string(), |n| n.to_string()),
-        knee_rel_error.map_or("-".to_string(), |e| format!("{:.0}%", e * 100.0)),
-    ));
-    text.push_str(
-        "The planner's residual-capacity model ignores queueing and churn burstiness,\n\
-         so it is expected to land near — typically under — the measured knee.\n",
-    );
 
     if let Some(e) = knee_rel_error {
         metrics.gauge_max("planner.knee_rel_error_pct", e * 100.0);
@@ -311,5 +302,58 @@ pub fn ext_planner_check(runner: &Runner, scale: &Scale) -> TargetReport {
         ("mu_rel_error", mu_rel_error.map_or(Json::Null, Json::Num)),
         ("sweep", Json::arr(rows)),
     ]);
-    TargetReport::new(text, data).with_metrics(metrics)
+    TargetReport::new(data).with_metrics(metrics)
+}
+
+/// The planner check's text: the sweep, predicted against measured, and
+/// the two knees.
+pub fn render_check(doc: &Json) -> Result<String, RenderError> {
+    let mut t = Table::new(
+        format!(
+            "ext_planner_check: predicted vs measured headroom on one bottleneck \
+             pair (C = {:.0} pkt/s, µ = {:.0} pkt/s, K = {:.0})",
+            doc.num("capacity_pps")?,
+            doc.num("mu_pps")?,
+            doc.num("paths_per_session")?
+        ),
+        &[
+            "sessions",
+            "predicted headroom",
+            "measured mean",
+            "measured p50",
+            ">=1.6x rule",
+            "verdict",
+        ],
+    );
+    for p in doc.items("sweep")? {
+        t.row(vec![
+            p.num("sessions")?.to_string(),
+            format!("{:.2}", p.num("predicted_headroom")?),
+            format!("{:.2}", p.num("measured_headroom_mean")?),
+            format!("{:.2}", p.num("measured_headroom_p50")?),
+            frac(p.num("headroom_ok")?),
+            if p.flag("served")? {
+                "served"
+            } else {
+                "degraded"
+            }
+            .to_string(),
+        ]);
+    }
+    let or_dash = |v: Option<f64>, f: fn(f64) -> String| v.map_or("-".to_string(), f);
+    Ok(format!(
+        "{}\nPredicted knee (h(n) >= {}): {}   measured knee (>= {:.0}% served): {}   \
+         relative error: {}\n\
+         The planner's residual-capacity model ignores queueing and churn burstiness,\n\
+         so it is expected to land near — typically under — the measured knee.\n",
+        t.render(),
+        doc.num("headroom_rule")?,
+        or_dash(doc.opt_num("predicted_knee")?, |n| n.to_string()),
+        SERVED_FRACTION * 100.0,
+        or_dash(doc.opt_num("measured_knee")?, |n| n.to_string()),
+        or_dash(doc.opt_num("knee_rel_error")?, |e| format!(
+            "{:.0}%",
+            e * 100.0
+        )),
+    ))
 }

@@ -1,7 +1,83 @@
 //! Plain-text report formatting: fixed-width tables and (x, y…) series that
-//! mirror the rows and curves of the paper's tables and figures.
+//! mirror the rows and curves of the paper's tables and figures, and the
+//! typed leaf reads every renderer turns an artifact into text with.
 
 use std::fmt::Write as _;
+
+use dmp_runner::Json;
+
+/// Why an artifact does not render: the member that is missing or holds the
+/// wrong kind of value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RenderError(pub String);
+
+impl std::fmt::Display for RenderError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for RenderError {}
+
+/// Typed reads of an artifact's members: a missing member or a value of the
+/// wrong kind is a [`RenderError`] naming the member, never a panic.
+pub trait Leaf {
+    /// The member `key`.
+    fn at(&self, key: &str) -> Result<&Json, RenderError>;
+
+    /// The number at `key`.
+    fn num(&self, key: &str) -> Result<f64, RenderError> {
+        self.at(key)?.as_f64().ok_or_else(|| kind(key, "a number"))
+    }
+
+    /// The number at `key`, `None` for `null` (an unreachable cell).
+    fn opt_num(&self, key: &str) -> Result<Option<f64>, RenderError> {
+        match self.at(key)? {
+            Json::Null => Ok(None),
+            v => v.as_f64().map(Some).ok_or_else(|| kind(key, "a number")),
+        }
+    }
+
+    /// The string at `key`.
+    fn text(&self, key: &str) -> Result<&str, RenderError> {
+        self.at(key)?.as_str().ok_or_else(|| kind(key, "a string"))
+    }
+
+    /// The array at `key`.
+    fn items(&self, key: &str) -> Result<&[Json], RenderError> {
+        self.at(key)?.as_arr().ok_or_else(|| kind(key, "an array"))
+    }
+
+    /// The bool at `key`.
+    fn flag(&self, key: &str) -> Result<bool, RenderError> {
+        self.at(key)?.as_bool().ok_or_else(|| kind(key, "a bool"))
+    }
+}
+
+impl Leaf for Json {
+    fn at(&self, key: &str) -> Result<&Json, RenderError> {
+        self.get(key)
+            .ok_or_else(|| RenderError(format!("no member `{key}`")))
+    }
+}
+
+fn kind(key: &str, want: &str) -> RenderError {
+    RenderError(format!("`{key}` is not {want}"))
+}
+
+/// The generic renderer: the artifact's `table` leaf, or each of its
+/// `tables` separated by a blank line — exactly what a tables-only target
+/// prints.
+pub fn tables(doc: &Json) -> Result<String, RenderError> {
+    if let Some(t) = doc.get("table") {
+        return Ok(Table::from_json(t)?.render());
+    }
+    let mut blocks = Vec::new();
+    for t in doc.items("tables")? {
+        blocks.push(Table::from_json(t)?.render());
+    }
+    Ok(blocks.join("\n"))
+}
 
 /// A fixed-width text table.
 #[derive(Debug, Default)]
@@ -30,8 +106,7 @@ impl Table {
 
     /// Structured form for JSON artifacts: title, header, and rows exactly
     /// as rendered (deterministic — no floats re-parsed, no locale).
-    pub fn to_json(&self) -> dmp_runner::Json {
-        use dmp_runner::Json;
+    pub fn to_json(&self) -> Json {
         Json::obj([
             ("title", Json::Str(self.title.clone())),
             (
@@ -47,6 +122,34 @@ impl Table {
                 ),
             ),
         ])
+    }
+
+    /// The table [`Table::to_json`] stored: every cell a string, every row
+    /// as wide as the header.
+    pub fn from_json(doc: &Json) -> Result<Self, RenderError> {
+        let strings = |cells: &[Json]| -> Result<Vec<String>, RenderError> {
+            let cell = |c: &Json| c.as_str().map(str::to_string);
+            cells
+                .iter()
+                .map(cell)
+                .collect::<Option<_>>()
+                .ok_or_else(|| kind("rows", "strings"))
+        };
+        let header = strings(doc.items("header")?)?;
+        let mut rows = Vec::new();
+        for row in doc.items("rows")? {
+            let row = strings(row.as_arr().ok_or_else(|| kind("rows", "arrays"))?)?;
+            if row.len() != header.len() {
+                return Err(RenderError("a row is not as wide as the header".into()));
+            }
+            rows.push(row);
+        }
+        let title = doc.text("title")?.to_string();
+        Ok(Self {
+            title,
+            header,
+            rows,
+        })
     }
 
     /// Render as aligned text.

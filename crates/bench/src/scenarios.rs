@@ -17,7 +17,7 @@ use dmp_runner::{JobSpec, Json, JsonCodec, Runner};
 use dmp_sim::{scenario_batch_jobs, setting, ExperimentSpec, ScenarioSummary, Setting, TraceSpec};
 use scenario::{Event, Scenario};
 
-use crate::report::{frac, tau, Table};
+use crate::report::{frac, tau, Leaf, RenderError, Table};
 use crate::scale::Scale;
 use crate::target::{opt_num, TargetReport};
 
@@ -198,43 +198,16 @@ fn reduce(cells: &[dmp_runner::Cell<ScenarioSummary>], runs: usize) -> Vec<Sched
         .collect()
 }
 
-fn render(
-    title: String,
-    rows: &[SchedRow],
-    scn: &Scenario,
-    fail_at: f64,
-    reading: &str,
-) -> TargetReport {
-    let mut t = Table::new(
-        title,
-        &[
-            "scheduler",
-            "glitches",
-            "stalled (s)",
-            "worst 10 s window",
-            "recovered",
-            "TTR (s)",
-        ],
-    );
-    for row in rows {
-        t.row(vec![
-            row.name.to_string(),
-            format!("{:.1}", row.mean(|s| s.resilience.glitch_count as f64)),
-            format!("{:.1}", row.mean(|s| s.resilience.total_glitch_s)),
-            frac(row.mean(|s| s.resilience.worst_window_late)),
-            format!("{}/{}", row.recovered(), row.runs.len()),
-            tau(row.ttr_mean()),
-        ]);
-    }
-    let mut text = t.render();
-    text.push_str(reading);
+/// The artifact of one scenario target: the script, and per scheduler the
+/// means over its replications and the replications themselves.
+fn report(rows: &[SchedRow], scn: &Scenario, at_s: f64) -> TargetReport {
     let data = Json::obj([
         ("scenario", Json::Str(scn.canonical())),
         (
             "scenario_hash",
             Json::Str(format!("{:016x}", scn.stable_hash())),
         ),
-        ("fail_at_s", Json::Num(fail_at)),
+        ("fail_at_s", Json::Num(at_s)),
         ("tau_s", Json::Num(TAU_S)),
         ("window_s", Json::Num(WINDOW_S)),
         (
@@ -249,25 +222,69 @@ fn render(
     for s in runs() {
         metrics.merge(&s.summary.metrics);
     }
-    TargetReport::new(text, data)
+    TargetReport::new(data)
         .with_metrics(metrics)
         .with_trace_files(runs().filter_map(|s| s.summary.trace_file.clone()))
+}
+
+/// A scenario target's text: the title `title` builds from the script's
+/// instant, τ and the replications per scheduler, a row of means per
+/// scheduler, then `reading`.
+fn render_scenario(
+    doc: &Json,
+    title: fn(f64, f64, usize) -> String,
+    reading: &str,
+) -> Result<String, RenderError> {
+    let schedulers = doc.items("schedulers")?;
+    let runs = match schedulers.first() {
+        Some(row) => row.items("runs")?.len(),
+        None => 0,
+    };
+    let mut t = Table::new(
+        title(doc.num("fail_at_s")?, doc.num("tau_s")?, runs),
+        &[
+            "scheduler",
+            "glitches",
+            "stalled (s)",
+            "worst 10 s window",
+            "recovered",
+            "TTR (s)",
+        ],
+    );
+    for row in schedulers {
+        t.row(vec![
+            row.text("scheduler")?.to_string(),
+            format!("{:.1}", row.num("glitches_mean")?),
+            format!("{:.1}", row.num("total_glitch_s_mean")?),
+            frac(row.num("worst_window_late_mean")?),
+            format!(
+                "{}/{}",
+                row.num("recovered_runs")?,
+                row.items("runs")?.len()
+            ),
+            tau(row.opt_num("time_to_recover_s_mean")?),
+        ]);
+    }
+    Ok(t.render() + reading)
 }
 
 /// Scenario extension 1 — mid-stream path failure (see module docs).
 pub fn ext_failover(r: &Runner, scale: &Scale) -> TargetReport {
     let (scn, fail_at) = failover_scenario(scale.sim_duration_s);
     let cells = r.run_all(failover_jobs(scale));
-    let rows = reduce(&cells, scale.sim_runs);
-    render(
-        format!(
-            "Scenario: permanent failure of path 0 at t={fail_at:.0}s \
-             (Setting fail-2-2, mu=25, tau={TAU_S}, mean over {} runs)",
-            scale.sim_runs
-        ),
-        &rows,
-        &scn,
-        fail_at,
+    report(&reduce(&cells, scale.sim_runs), &scn, fail_at)
+}
+
+/// `ext_failover`'s text.
+pub fn render_failover(doc: &Json) -> Result<String, RenderError> {
+    render_scenario(
+        doc,
+        |at, tau, runs| {
+            format!(
+                "Scenario: permanent failure of path 0 at t={at:.0}s \
+                 (Setting fail-2-2, mu=25, tau={tau}, mean over {runs} runs)"
+            )
+        },
         "Reading: the surviving path alone can carry the 25 pkt/s video, so what\n\
          happens after the outage is pure scheduler policy. DMP's backpressure\n\
          pull means the dead path simply stops pulling — the stream glitches for\n\
@@ -282,16 +299,19 @@ pub fn ext_failover(r: &Runner, scale: &Scale) -> TargetReport {
 pub fn ext_flashcrowd(r: &Runner, scale: &Scale) -> TargetReport {
     let (scn, at) = flashcrowd_scenario(scale.sim_duration_s);
     let cells = r.run_all(flashcrowd_jobs(scale));
-    let rows = reduce(&cells, scale.sim_runs);
-    render(
-        format!(
-            "Scenario: flash crowd of 6 TCP flows on path 0 at t={at:.0}s for a \
-             quarter of the video (Setting 2-2, tau={TAU_S}, mean over {} runs)",
-            scale.sim_runs
-        ),
-        &rows,
-        &scn,
-        at,
+    report(&reduce(&cells, scale.sim_runs), &scn, at)
+}
+
+/// `ext_flashcrowd`'s text.
+pub fn render_flashcrowd(doc: &Json) -> Result<String, RenderError> {
+    render_scenario(
+        doc,
+        |at, tau, runs| {
+            format!(
+                "Scenario: flash crowd of 6 TCP flows on path 0 at t={at:.0}s for a \
+                 quarter of the video (Setting 2-2, tau={tau}, mean over {runs} runs)"
+            )
+        },
         "Reading: unlike the hard failure, the crowded path keeps trickling, so\n\
          every scheduler eventually delivers — the question is how much stalls.\n\
          DMP's send buffers fill on the crowded path and the pull scheduler\n\

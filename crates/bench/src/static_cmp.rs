@@ -119,7 +119,7 @@ pub fn fig11(r: &Runner, scale: &Scale) -> TargetReport {
         ]));
     }
     let data = Json::obj([("points", Json::Arr(points)), ("table", t.to_json())]);
-    TargetReport::new(t.render(), data)
+    TargetReport::new(data)
 }
 
 #[cfg(test)]

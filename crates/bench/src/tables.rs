@@ -37,7 +37,7 @@ pub fn table1(_r: &Runner, _scale: &Scale) -> TargetReport {
         ]);
     }
     let data = Json::obj([("table", t.to_json())]);
-    TargetReport::new(t.render(), data)
+    TargetReport::new(data)
 }
 
 /// Run the per-setting batches on the runner (one job per replication,
@@ -151,15 +151,12 @@ pub fn table2(r: &Runner, scale: &Scale) -> TargetReport {
         &HETEROGENEOUS,
         &batches[HOMOGENEOUS.len()..],
     );
-    let mut text = t_homo.render();
-    text.push('\n');
-    text.push_str(&t_het.render());
     let data = Json::obj([
         ("tables", Json::arr([t_homo.to_json(), t_het.to_json()])),
         ("homogeneous", s_homo),
         ("heterogeneous", s_het),
     ]);
-    TargetReport::new(text, data)
+    TargetReport::new(data)
 }
 
 /// Table 3 analog: the same measurements when both TCP flows share one
@@ -172,5 +169,5 @@ pub fn table3(r: &Runner, scale: &Scale) -> TargetReport {
         &batches,
     );
     let data = Json::obj([("table", t.to_json()), ("settings", series)]);
-    TargetReport::new(t.render(), data)
+    TargetReport::new(data)
 }

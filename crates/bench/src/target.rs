@@ -1,26 +1,31 @@
 //! Target orchestration: every table/figure of the reproduction is a
-//! function `(&Runner, &Scale) -> TargetReport`. [`execute`] runs one target
-//! on a shared [`Runner`], writes its structured JSON artifact (plus a
-//! volatile `.meta.json` telemetry sidecar) under `target/artifacts/`,
-//! prints the paper-shaped text, and returns the telemetry row that the
-//! `dmp-bench` binary folds into its final summary table. [`TARGETS`] is the
-//! one list of what can be run.
+//! [`Target`] — a function `(&Runner, &Scale) -> TargetReport` that returns
+//! data only, and a renderer `fn(&Json) -> Result<String, RenderError>` that
+//! turns that data into the paper-shaped text. [`execute`] runs one target on
+//! a shared [`Runner`], writes its structured JSON artifact (plus a volatile
+//! `.meta.json` telemetry sidecar) under `target/artifacts/`, prints the
+//! rendering of the bytes it wrote, and returns the telemetry row that the
+//! `dmp-bench` binary folds into its final summary table. So `dmp-bench
+//! render <artifact.json>` ([`render_file`]) prints what the run printed,
+//! byte for byte. [`TARGETS`] is the one list of what can be run.
 
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use dmp_runner::{ArtifactWriter, Json, JsonCodec, Runner, RunnerStats};
+use dmp_runner::{json, ArtifactWriter, Json, JsonCodec, Runner, RunnerStats};
 use obs::{MetricsSnapshot, TraceFileRef};
 
-use crate::report::Table;
+use crate::report::{self, RenderError, Table};
 use crate::scale::Scale;
+use crate::{cc_matrix, extensions, fig1, fleet, fluid_fig, hetero, live_fig, params};
+use crate::{planner, scenarios, static_cmp, tables, validation};
 
-/// A target's rendered output.
+/// What a target returns: its data, never its text.
 #[derive(Debug)]
 pub struct TargetReport {
-    /// Paper-shaped text (tables, prose) printed to stdout.
-    pub text: String,
-    /// Structured artifact payload. Deterministic: byte-identical across
-    /// thread counts and cache states for the same scale and seed.
+    /// Structured artifact payload, everything the target prints is rendered
+    /// from. Deterministic: byte-identical across thread counts and cache
+    /// states for the same scale and seed.
     pub data: Json,
     /// Extra entries for the volatile `.meta.json` sidecar — telemetry the
     /// target wants alongside the engine counters (e.g. a fleet's per-shard
@@ -39,9 +44,8 @@ pub struct TargetReport {
 
 impl TargetReport {
     /// Build a report.
-    pub fn new(text: impl Into<String>, data: Json) -> Self {
+    pub fn new(data: Json) -> Self {
         Self {
-            text: text.into(),
             data,
             meta: Vec::new(),
             metrics: None,
@@ -71,45 +75,120 @@ impl TargetReport {
 /// Signature shared by every reproduction target.
 pub type TargetFn = fn(&Runner, &Scale) -> TargetReport;
 
-/// Every target `dmp-bench` can run, in schedule order: `(name, function,
-/// reproduces a table or figure of the paper)`. The name is the command-line
-/// word and the artifact file stem; `dmp-bench all` expands to the paper
-/// targets, in this (paper) order. Adding a target is adding a line here.
-pub const TARGETS: &[(&str, TargetFn, bool)] = &[
-    ("fig1", crate::fig1::fig1, true),
-    ("table1", crate::tables::table1, true),
-    ("table2", crate::tables::table2, true),
-    ("table3", crate::tables::table3, true),
-    ("fig4", crate::validation::fig4, true),
-    ("fig5", crate::validation::fig5, true),
-    (
+/// Signature shared by every renderer: the artifact in, the printed text
+/// out. A renderer reads only the artifact and its module's constants.
+pub type RenderFn = fn(&Json) -> Result<String, RenderError>;
+
+/// One line of the registry.
+#[derive(Debug, Clone, Copy)]
+pub struct Target {
+    /// Command-line word and artifact file stem.
+    pub name: &'static str,
+    /// Computes the data.
+    pub run: TargetFn,
+    /// Turns the data into the printed text.
+    pub render: RenderFn,
+    /// Reproduces a table or figure of the paper (a member of `all`).
+    pub paper: bool,
+}
+
+const fn paper(name: &'static str, run: TargetFn, render: RenderFn) -> Target {
+    Target {
+        name,
+        run,
+        render,
+        paper: true,
+    }
+}
+
+const fn extension(name: &'static str, run: TargetFn, render: RenderFn) -> Target {
+    Target {
+        name,
+        run,
+        render,
+        paper: false,
+    }
+}
+
+/// Every target `dmp-bench` can run, in schedule order; `dmp-bench all`
+/// expands to the paper targets, in this (paper) order. Adding a target is
+/// adding a line here.
+pub const TARGETS: &[Target] = &[
+    paper("fig1", fig1::fig1, fig1::render_fig1),
+    paper("table1", tables::table1, report::tables),
+    paper("table2", tables::table2, report::tables),
+    paper("table3", tables::table3, report::tables),
+    paper("fig4", validation::fig4, report::tables),
+    paper("fig5", validation::fig5, report::tables),
+    paper(
         "correlated_validation",
-        crate::validation::correlated_validation,
-        true,
+        validation::correlated_validation,
+        report::tables,
     ),
-    ("fig7", crate::live_fig::fig7, true),
-    ("fig8", crate::params::fig8, true),
-    ("fig9a", crate::params::fig9a, true),
-    ("fig9b", crate::params::fig9b, true),
-    ("fig10", crate::hetero::fig10, true),
-    ("fig11", crate::static_cmp::fig11, true),
-    ("fig_fluid", crate::fluid_fig::fig_fluid, true),
-    ("headline", crate::params::headline, true),
-    ("ext_kpaths", crate::extensions::ext_kpaths, false),
-    ("ext_stored", crate::extensions::ext_stored, false),
-    ("ext_ablations", crate::extensions::ext_ablations, false),
-    ("ext_failover", crate::scenarios::ext_failover, false),
-    ("ext_flashcrowd", crate::scenarios::ext_flashcrowd, false),
-    ("ext_fleet", crate::fleet::ext_fleet, false),
-    ("fleet_headroom", crate::fleet::fleet_headroom, false),
-    ("ext_cc_matrix", crate::cc_matrix::ext_cc_matrix, false),
-    ("capacity_planner", crate::planner::capacity_planner, false),
-    (
+    paper("fig7", live_fig::fig7, live_fig::render_fig7),
+    paper("fig8", params::fig8, report::tables),
+    paper("fig9a", params::fig9a, report::tables),
+    paper("fig9b", params::fig9b, report::tables),
+    paper("fig10", hetero::fig10, report::tables),
+    paper("fig11", static_cmp::fig11, report::tables),
+    paper(
+        "fig_fluid",
+        fluid_fig::fig_fluid,
+        fluid_fig::render_fig_fluid,
+    ),
+    paper("headline", params::headline, params::render_headline),
+    extension(
+        "ext_kpaths",
+        extensions::ext_kpaths,
+        extensions::render_kpaths,
+    ),
+    extension(
+        "ext_stored",
+        extensions::ext_stored,
+        extensions::render_stored,
+    ),
+    extension(
+        "ext_ablations",
+        extensions::ext_ablations,
+        extensions::render_ablations,
+    ),
+    extension(
+        "ext_failover",
+        scenarios::ext_failover,
+        scenarios::render_failover,
+    ),
+    extension(
+        "ext_flashcrowd",
+        scenarios::ext_flashcrowd,
+        scenarios::render_flashcrowd,
+    ),
+    extension("ext_fleet", fleet::ext_fleet, fleet::render_ext_fleet),
+    extension(
+        "fleet_headroom",
+        fleet::fleet_headroom,
+        fleet::render_headroom,
+    ),
+    extension(
+        "ext_cc_matrix",
+        cc_matrix::ext_cc_matrix,
+        cc_matrix::render_cc_matrix,
+    ),
+    extension(
+        "capacity_planner",
+        planner::capacity_planner,
+        planner::render_planner,
+    ),
+    extension(
         "ext_planner_check",
-        crate::planner::ext_planner_check,
-        false,
+        planner::ext_planner_check,
+        planner::render_check,
     ),
 ];
+
+/// The registered target called `name`.
+pub fn find(name: &str) -> Option<&'static Target> {
+    TARGETS.iter().find(|t| t.name == name)
+}
 
 /// Telemetry from executing one target: wall-clock plus the per-target delta
 /// of the shared runner's cumulative counters.
@@ -133,18 +212,19 @@ fn stats_delta(before: RunnerStats, after: RunnerStats) -> RunnerStats {
     }
 }
 
-/// Run one target, write `<name>.json` + `<name>.meta.json`, print its text.
+/// Run one target, write `<name>.json` + `<name>.meta.json`, print the
+/// rendering of the artifact bytes written.
 pub fn execute(
-    name: &'static str,
+    target: &Target,
     runner: &Runner,
     artifacts: &ArtifactWriter,
     scale: &Scale,
-    target: TargetFn,
 ) -> TargetOutcome {
+    let name = target.name;
     let before = runner.stats();
     let engine_before = netsim::telemetry::snapshot();
     let t0 = Instant::now();
-    let report = target(runner, scale);
+    let report = (target.run)(runner, scale);
     let wall = t0.elapsed();
     let stats = stats_delta(before, runner.stats());
     // Counts become deltas attributable to this target; high-water marks
@@ -153,6 +233,11 @@ pub fn execute(
     if let Err(e) = artifacts.write(name, &report.data) {
         eprintln!("warning: could not write artifact {name}.json: {e}");
     }
+    // Rendered from the bytes written, not from `data`: a non-finite number
+    // is stored as `null`, and `dmp-bench render` must print the same text.
+    let text = json::parse(&report.data.render_pretty())
+        .ok_or_else(|| RenderError("not JSON".into()))
+        .and_then(|doc| (target.render)(&doc));
     let mut engine_meta = report.meta;
     engine_meta.extend([
         ("engine_events", Json::Num(engine.events_processed as f64)),
@@ -215,8 +300,53 @@ pub fn execute(
     if let Err(e) = artifacts.write_meta(name, &stats, runner.threads(), wall, engine_meta) {
         eprintln!("warning: could not write artifact {name}.meta.json: {e}");
     }
-    println!("{}", report.text);
+    match text {
+        Ok(text) => println!("{text}"),
+        Err(e) => eprintln!("warning: could not render {name}.json: {e}"),
+    }
     TargetOutcome { name, wall, stats }
+}
+
+/// The files `dmp-bench render` reads for one argument: a file as given, a
+/// directory as every `*.json` in it except the `*.meta.json` sidecars,
+/// sorted by name.
+pub fn artifact_files(path: &Path) -> std::io::Result<Vec<PathBuf>> {
+    if !path.is_dir() {
+        return Ok(vec![path.to_path_buf()]);
+    }
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(path)? {
+        let file = entry?.path();
+        let name = file.file_name().unwrap_or_default().to_string_lossy();
+        if name.ends_with(".json") && !name.ends_with(".meta.json") && file.is_file() {
+            files.push(file);
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
+/// Render one artifact document as the file at `path` is read: a file
+/// under `metrics/` as a metrics snapshot, any other as the registered
+/// target its stem names.
+pub fn render_artifact(path: &Path, doc: &Json) -> Result<String, RenderError> {
+    let stem = path.file_stem().unwrap_or_default().to_string_lossy();
+    if path.parent().and_then(Path::file_name) == Some("metrics".as_ref()) {
+        let snap = MetricsSnapshot::from_json(doc)
+            .ok_or_else(|| RenderError("not a metrics snapshot".into()))?;
+        return Ok(crate::metrics_report::render_snapshot(&stem, &snap));
+    }
+    let target = find(&stem).ok_or_else(|| RenderError(format!("no target `{stem}`")))?;
+    (target.render)(doc)
+}
+
+/// Read, parse and render one artifact file; the error names the file.
+pub fn render_file(path: &Path) -> Result<String, RenderError> {
+    let rendered = std::fs::read_to_string(path)
+        .map_err(|e| RenderError(e.to_string()))
+        .and_then(|bytes| json::parse(&bytes).ok_or_else(|| RenderError("not JSON".into())))
+        .and_then(|doc| render_artifact(path, &doc));
+    rendered.map_err(|e| RenderError(format!("{}: {e}", path.display())))
 }
 
 /// Render the summary table `dmp-bench` ends with from per-target outcomes.
@@ -297,17 +427,21 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_words_and_all_is_the_paper_in_order() {
-        for (i, (name, _, _)) in TARGETS.iter().enumerate() {
-            // A name is a command-line word and a file stem, and `all` is
-            // taken.
-            assert!(!name.is_empty() && *name != "all");
-            assert!(!name.contains('/') && !name.starts_with('-'), "{name}");
+        for (i, t) in TARGETS.iter().enumerate() {
+            // A name is a command-line word and a file stem, and `all` and
+            // `render` are taken.
+            let name = t.name;
+            assert!(!name.is_empty() && name != "all" && name != "render");
             assert!(
-                TARGETS[..i].iter().all(|(earlier, _, _)| earlier != name),
+                !name.contains(['/', '.']) && !name.starts_with('-'),
+                "{name}"
+            );
+            assert!(
+                TARGETS[..i].iter().all(|earlier| earlier.name != name),
                 "{name} is registered twice"
             );
         }
-        let paper: Vec<&str> = TARGETS.iter().filter(|t| t.2).map(|t| t.0).collect();
+        let paper: Vec<&str> = TARGETS.iter().filter(|t| t.paper).map(|t| t.name).collect();
         assert_eq!(
             paper,
             [

@@ -14,7 +14,7 @@ use obs::{EventKind, Trace, TraceEvent};
 use crate::report::Table;
 
 /// Knobs for [`render_report`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReportOptions {
     /// Video packet rate µ (pkts/s); converts late-packet runs to seconds.
     pub rate_pps: f64,

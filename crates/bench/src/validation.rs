@@ -115,9 +115,6 @@ pub fn validation_figure(setting_name: &str, r: &Runner, scale: &Scale) -> Targe
         ]));
     }
 
-    let mut text = a.render();
-    text.push('\n');
-    text.push_str(&b.render());
     let data = Json::obj([
         ("setting", Json::Str(setting_name.to_string())),
         ("scatter", Json::Arr(scatter)),
@@ -134,7 +131,7 @@ pub fn validation_figure(setting_name: &str, r: &Runner, scale: &Scale) -> Targe
         ),
         ("tables", Json::arr([a.to_json(), b.to_json()])),
     ]);
-    TargetReport::new(text, data).with_metrics(batch.metrics)
+    TargetReport::new(data).with_metrics(batch.metrics)
 }
 
 /// Fig. 4: independent homogeneous paths, Setting 2-2.

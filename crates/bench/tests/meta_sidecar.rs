@@ -20,13 +20,8 @@ fn live_meta_sidecar_lists_applied_timelines_and_trace_files() {
     scale.model_consumptions = 20_000;
     scale.trace = true;
 
-    let out = target::execute(
-        "fig7",
-        &runner,
-        &artifacts,
-        &scale,
-        dmp_bench::live_fig::fig7,
-    );
+    let fig7 = target::find("fig7").expect("registered");
+    let out = target::execute(fig7, &runner, &artifacts, &scale);
     assert_eq!(out.stats.failed, 0, "live jobs must succeed");
 
     let meta_text =

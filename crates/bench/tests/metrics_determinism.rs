@@ -5,7 +5,7 @@
 //! perturbed metric exits nonzero.
 
 use dmp_bench::diff::{diff_paths, Verdict};
-use dmp_bench::target::{execute, TargetReport};
+use dmp_bench::target::{execute, Target, TargetReport};
 use dmp_bench::Scale;
 use dmp_core::spec::SchedulerKind;
 use dmp_fleet::{run_fleet, FleetOptions, FleetSpec};
@@ -50,9 +50,15 @@ fn tiny_fleet(runner: &Runner, scale: &Scale) -> TargetReport {
     spec.mean_hold_s = 8.0;
     spec.video = dmp_core::spec::VideoSpec::new(25.0);
     let result = run_fleet(runner, &spec, &FleetOptions::default());
-    let artifact = result.artifact(&spec);
-    TargetReport::new("tiny fleet\n", artifact).with_metrics(result.metrics)
+    TargetReport::new(result.artifact(&spec)).with_metrics(result.metrics)
 }
+
+const TINY_FLEET: Target = Target {
+    name: "tiny_fleet",
+    run: tiny_fleet,
+    render: |_| Ok("tiny fleet\n".to_string()),
+    paper: false,
+};
 
 /// Bench layer: `execute` writes `metrics/<name>.json`, the bytes do not
 /// depend on the runner's thread count, `bench_diff` on the two identical
@@ -66,13 +72,7 @@ fn metrics_file_thread_invariant_and_diffable() {
         let dir = base.join(format!("t{threads}"));
         let artifacts = ArtifactWriter::new(&dir);
         let runner = Runner::new(threads, Cache::disabled()).with_progress(false);
-        let out = execute(
-            "tiny_fleet",
-            &runner,
-            &artifacts,
-            &Scale::quick(),
-            tiny_fleet,
-        );
+        let out = execute(&TINY_FLEET, &runner, &artifacts, &Scale::quick());
         assert_eq!(out.stats.failed, 0);
         dirs.push(dir.join("metrics"));
     }
@@ -118,13 +118,8 @@ fn ext_fleet_quick_meta_carries_session_histograms() {
     let runner = Runner::new(4, Cache::disabled()).with_progress(false);
     let scale = Scale::quick();
     assert!(!scale.trace, "must hold without enabling traces");
-    let out = execute(
-        "ext_fleet",
-        &runner,
-        &artifacts,
-        &scale,
-        dmp_bench::fleet::ext_fleet,
-    );
+    let ext_fleet = dmp_bench::target::find("ext_fleet").expect("registered");
+    let out = execute(ext_fleet, &runner, &artifacts, &scale);
     assert_eq!(out.stats.failed, 0);
 
     let meta_text = std::fs::read_to_string(base.join("ext_fleet.meta.json")).unwrap();

@@ -11,17 +11,30 @@
 //! ```sh
 //! cargo run --release --example capacity_planner [loss] [rtt_ms] [to_ratio]
 //! ```
+//!
+//! A loss, RTT or timeout ratio that is not a finite number prints the usage
+//! and exits 2.
 
 use mptcp_streaming::prelude::*;
 use mptcp_streaming::tcp_model::{
     calibrate, MuCellSpec, PlannerOptions, PlannerScheme, SearchOptions,
 };
 
+/// The `n`th argument as a finite number, `default` when it is absent.
 fn arg(n: usize, default: f64) -> f64 {
-    std::env::args()
-        .nth(n)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    let Some(s) = std::env::args().nth(n) else {
+        return default;
+    };
+    match s.parse::<f64>() {
+        Ok(v) if v.is_finite() => v,
+        _ => {
+            eprintln!(
+                "capacity_planner: `{s}` is not a finite number\n\
+                 usage: capacity_planner [loss] [rtt_ms] [to_ratio]"
+            );
+            std::process::exit(2);
+        }
+    }
 }
 
 fn main() {
