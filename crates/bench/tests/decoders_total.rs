@@ -14,19 +14,25 @@
 //! (compared by re-encoding). The intact payload must decode and re-encode
 //! to its own bytes. One line of a committed flight-recorder trace gets the
 //! same mutations through `TraceEvent::parse_line`: no panic, and the intact
-//! line reads back to itself.
+//! line reads back to itself. A whole cache entry, header line included,
+//! written by `Cache::store`, gets every prefix and every substitution
+//! through `Cache::load_with`: each lookup is a miss or a hit equal to the
+//! stored value, and the cache counts each once.
 //!
 //! Mutations seen to turn this file red: a tape `get` that returns the last
 //! of two pairs with one key (the duplicate-key inputs then decode the
-//! second value from the tape and the first from the tree), and dropping
+//! second value from the tape and the first from the tree), dropping
 //! `Histogram::from_json`'s refusal of `min > max` (a substituted `min` then
-//! decodes, and re-encoding it panics in `f64::clamp`).
+//! decodes, and re-encoding it panics in `f64::clamp`), and a lookup that
+//! serves the payload line without comparing the header above it (a
+//! substituted digit in the payload is then a hit with another value).
 
 use dmp_bench::live_fig::LiveSummary;
 use dmp_core::{ResilienceReport, SessionOutcome};
 use dmp_fleet::ShardOutput;
 use dmp_runner::json::{self, Json, Tape};
-use dmp_runner::JsonCodec;
+use dmp_runner::test_util::TempDir;
+use dmp_runner::{Cache, JsonCodec};
 use dmp_sim::experiment::{RunSummary, ScenarioSummary};
 use dmp_sim::probe::SaturationReport;
 use netsim::EngineTelemetry;
@@ -57,22 +63,30 @@ fn decode<T: JsonCodec>(text: &str) -> Option<String> {
     tree
 }
 
-/// Every mutation of `payload`, each passed to `check`.
-fn mutations(payload: &str, mut check: impl FnMut(&str)) {
-    for end in (0..=payload.len()).filter(|&end| payload.is_char_boundary(end)) {
-        check(&payload[..end]);
+/// Every prefix of `bytes` and every substitution of one of its bytes by
+/// one of [`SUBSTITUTES`], each passed to `check`.
+fn byte_mutations(bytes: &[u8], mut check: impl FnMut(&[u8])) {
+    for end in 0..=bytes.len() {
+        check(&bytes[..end]);
     }
-    let mut bytes = payload.as_bytes().to_vec();
+    let mut bytes = bytes.to_vec();
     for i in 0..bytes.len() {
         let original = bytes[i];
         for &b in SUBSTITUTES.iter().filter(|&&b| b != original) {
             bytes[i] = b;
-            if let Ok(text) = std::str::from_utf8(&bytes) {
-                check(text);
-            }
+            check(&bytes);
         }
         bytes[i] = original;
     }
+}
+
+/// Every mutation of `payload` that is still UTF-8, each passed to `check`.
+fn mutations(payload: &str, mut check: impl FnMut(&str)) {
+    byte_mutations(payload.as_bytes(), |bytes| {
+        if let Ok(text) = std::str::from_utf8(bytes) {
+            check(text);
+        }
+    });
     if let Some(doc) = json::parse(payload) {
         for variant in duplicate_key_variants(&doc) {
             check(&variant.render());
@@ -162,6 +176,43 @@ fn histogram_of_the_fixture() {
         .and_then(|h| h.get("net.cwnd_pkts"))
         .expect("a histogram");
     total::<Histogram>(&hist.render());
+}
+
+#[test]
+fn run_summary_cache_entry() {
+    let tmp = TempDir::new("decoders-total-entry");
+    let cache = Cache::new(tmp.path());
+    let key = cache.key("decoders_total", 2008);
+    let stored = RunSummary::from_json(&fixture())
+        .expect("decodes")
+        .to_json();
+    cache.store(&key, &stored);
+    let stored = stored.render();
+    let path = tmp.path().join(&key[..2]).join(format!("{key}.json"));
+    let entry = std::fs::read(&path).expect("store wrote the entry");
+    let lookup = || cache.load_with(&key, |payload| RunSummary::from_json(payload));
+    assert_eq!(
+        lookup().map(|s| s.to_json().render()).as_deref(),
+        Some(stored.as_str()),
+        "the intact entry is a hit"
+    );
+
+    let (mut lookups, mut hits) = (1u64, 1u64);
+    byte_mutations(&entry, |bytes| {
+        std::fs::write(&path, bytes).expect("rewrite the entry");
+        lookups += 1;
+        if let Some(summary) = lookup() {
+            hits += 1;
+            assert_eq!(
+                summary.to_json().render(),
+                stored,
+                "a damaged entry is a hit with another value: {:?}",
+                String::from_utf8_lossy(bytes)
+            );
+        }
+    });
+    assert_eq!(cache.counters(), (hits, lookups - hits));
+    assert!(lookups - hits > entry.len() as u64, "damage is a miss");
 }
 
 #[test]

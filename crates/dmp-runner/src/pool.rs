@@ -5,10 +5,11 @@
 //! interleaving. Workers drain their own deque from the front and steal from
 //! victims' backs (classic Chase–Lev discipline, implemented with simple
 //! locked deques). Cold jobs are seconds-long simulations, but a warm job is
-//! a 45–65 µs cache hit (the benchmark's `dmp-runner.cache.load_us` plus
-//! `dmp-sim.summary_from_json_us` for a 3 KB `RunSummary`, 2-core host), so
-//! per-job queue overhead is measured, not assumed: the benchmark's
-//! `dmp-runner.pool.dispatch_ns_per_job` (well under 1 µs).
+//! a cache hit of about 22 µs (one `Runner` job decoding a 3 KB `RunSummary`
+//! from the entry's tape, 2-core host; the benchmark's
+//! `dmp-runner.cache.load_us` times `Cache::load`, the tree path, which a
+//! hit no longer takes), so per-job queue overhead is measured, not assumed:
+//! the benchmark's `dmp-runner.pool.dispatch_ns_per_job` (well under 1 µs).
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

@@ -3,15 +3,20 @@
 //! never touches the heap. When it does, the failure names the first
 //! offending site: the allocator captures a backtrace there.
 //!
+//! The same allocator bounds what a cached run weighs once decoded: a warm
+//! reproduction holds hundreds of decoded `RunSummary`s at once.
+//!
 //! The counter is armed per thread, so the test harness's own threads and
-//! the other test in this binary never show up in a measurement.
+//! the other tests in this binary never show up in a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
 use std::cell::{Cell, RefCell};
 
 use dmp_core::spec::SchedulerKind;
-use dmp_sim::experiment::{self, ExperimentSpec};
+use dmp_runner::json::Tape;
+use dmp_runner::JsonCodec;
+use dmp_sim::experiment::{self, ExperimentSpec, RunSummary};
 use netsim::scheduler::EventQueue;
 use netsim::EngineKind;
 
@@ -62,6 +67,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+const RUN_SUMMARY: &str = include_str!("../../base/tests/fixtures/run_summary.json");
 
 /// `(allocations, bytes)` this thread requested while `f` ran, and the
 /// backtrace of the first one.
@@ -135,5 +142,21 @@ fn building_the_event_queue_is_a_handful_of_allocations() {
     assert!(
         (1..=4).contains(&allocs),
         "EventQueue::new made {allocs} allocations"
+    );
+}
+
+/// Decoding the pinned `RunSummary` from its tape, as a cache hit does, asks
+/// for at most 7 000 bytes: its four histograms are sized up to their
+/// highest occupied bucket (20–143 of 496). It reads 5 933 bytes; a dense
+/// `vec![0; BUCKETS]` per histogram in `Histogram::from_json` reads 19 709
+/// and fails it.
+#[test]
+fn a_decoded_run_summary_holds_only_its_occupied_buckets() {
+    let tape = Tape::parse(RUN_SUMMARY.trim_end()).expect("the fixture scans");
+    let (summary, (allocs, bytes), _) = allocations_in(|| RunSummary::from_json(tape.root()));
+    assert!(summary.is_some(), "the fixture decodes");
+    assert!(
+        bytes <= 7_000,
+        "decoding the fixture made {allocs} allocations, {bytes} bytes"
     );
 }

@@ -29,6 +29,13 @@
 //! keeps exact integer moments (`count`, `sum`, `sum_sq` in `u128`, `min`,
 //! `max`), from which [`dmp_base::Distribution`] reconstructs mean, p50,
 //! p90, p99, max, and stddev — the repo's single percentile implementation.
+//!
+//! A histogram being recorded into holds all [`BUCKETS`] buckets, so a
+//! sample never allocates. A histogram at rest — a clone, a decoded one —
+//! holds its buckets only up to the highest occupied one: a cached
+//! `RunSummary` fills 20–143 of the 496, and a warm replay holds hundreds of
+//! them at once. Both are one type with one meaning: equality, merges and
+//! the JSON bytes ignore how many trailing empty buckets are stored.
 
 use std::collections::BTreeMap;
 
@@ -76,8 +83,9 @@ fn bucket_bounds(i: usize) -> (u64, u64) {
 /// milliseconds for frame delays, packets for queue depths, …) and encode
 /// it in the metric name (`net.rtt_us`). All state is integer, so merges
 /// are exact and order-independent.
-#[derive(Clone, PartialEq)]
 pub struct Histogram {
+    /// Bucket counts, at least up to `bucket_index(max)` once a sample is
+    /// in; every bucket past that one is zero.
     counts: Vec<u64>,
     count: u64,
     sum: u128,
@@ -92,6 +100,30 @@ impl Default for Histogram {
     }
 }
 
+/// A clone is at rest: it copies the buckets up to the highest occupied one.
+impl Clone for Histogram {
+    fn clone(&self) -> Self {
+        Self {
+            counts: self.occupied().to_vec(),
+            count: self.count,
+            sum: self.sum,
+            sum_sq: self.sum_sq,
+            min: self.min,
+            max: self.max,
+        }
+    }
+}
+
+/// Equal moments and equal buckets; how many empty buckets each side stores
+/// past its highest occupied one does not matter.
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Self) -> bool {
+        (self.count, self.sum, self.sum_sq, self.min, self.max)
+            == (other.count, other.sum, other.sum_sq, other.min, other.max)
+            && self.occupied() == other.occupied()
+    }
+}
+
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Histogram")
@@ -103,11 +135,19 @@ impl std::fmt::Debug for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram. Allocates its bucket array once; recording never
-    /// allocates (the steady-state event loop stays zero-alloc).
+    /// An empty histogram to record into. Allocates all [`BUCKETS`] buckets
+    /// once, so recording never allocates (the steady-state event loop stays
+    /// zero-alloc). A clone or a decoded histogram is at rest instead: it
+    /// holds its buckets only up to the highest occupied one, and the first
+    /// sample recorded past them widens it to all [`BUCKETS`].
     pub fn new() -> Self {
+        Self::with_counts(vec![0; BUCKETS])
+    }
+
+    /// An empty histogram over `counts`.
+    fn with_counts(counts: Vec<u64>) -> Self {
         Self {
-            counts: vec![0; BUCKETS],
+            counts,
             count: 0,
             sum: 0,
             sum_sq: 0,
@@ -119,7 +159,7 @@ impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        self.counts[bucket_index(v)] += 1;
+        self.bump(bucket_index(v), 1);
         self.count += 1;
         self.sum += u128::from(v);
         self.sum_sq += u128::from(v) * u128::from(v);
@@ -132,7 +172,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        self.counts[bucket_index(v)] += n;
+        self.bump(bucket_index(v), n);
         self.count += n;
         self.sum += u128::from(v) * u128::from(n);
         self.sum_sq += u128::from(v) * u128::from(v) * u128::from(n);
@@ -140,10 +180,39 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
+    /// Add `n` to bucket `i`, widening an at-rest histogram that stops
+    /// short of it. The widening takes and returns the bucket `Vec` by
+    /// value, so the call sees nothing of `self`: in a caller's tight loop
+    /// `sum` and `sum_sq` can stay in registers across it. It adds `n`
+    /// itself, so the common path checks `i` once.
+    #[inline]
+    fn bump(&mut self, i: usize, n: u64) {
+        match self.counts.get_mut(i) {
+            Some(c) => *c += n,
+            None => self.counts = widened(std::mem::take(&mut self.counts), i, n),
+        }
+    }
+
+    /// The buckets up to the highest occupied one (none when empty).
+    fn occupied(&self) -> &[u64] {
+        let width = if self.count == 0 {
+            0
+        } else {
+            bucket_index(self.max) + 1
+        };
+        &self.counts[..width.min(self.counts.len())]
+    }
+
     /// Fold `other` into `self`. Exact integer arithmetic: commutative and
     /// associative, so any merge order yields the identical histogram.
+    /// `self` widens only as far as `other`'s highest occupied bucket.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+        let theirs = other.occupied();
+        if let Some(extra) = theirs.len().checked_sub(self.counts.len()) {
+            self.counts.reserve_exact(extra);
+            self.counts.resize(theirs.len(), 0);
+        }
+        for (a, b) in self.counts.iter_mut().zip(theirs) {
             *a += b;
         }
         self.count += other.count;
@@ -179,7 +248,7 @@ impl Histogram {
 
     /// Non-empty buckets as ascending `(index, count)` pairs.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.counts
+        self.occupied()
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
@@ -213,7 +282,7 @@ impl JsonCodec for Histogram {
     fn to_json(&self) -> Json {
         // The non-empty buckets, gathered once into an exact-size `Vec`, feed
         // both the percentiles and the rendered pairs.
-        let mut nonzero = Vec::with_capacity(self.counts.iter().filter(|&&c| c > 0).count());
+        let mut nonzero = Vec::with_capacity(self.occupied().iter().filter(|&&c| c > 0).count());
         nonzero.extend(self.nonzero_buckets());
         let d = self.distribution_of(nonzero.iter().copied());
         Json::obj([
@@ -239,31 +308,71 @@ impl JsonCodec for Histogram {
         ])
     }
 
+    /// Accepts exactly what [`to_json`](Self::to_json) writes: integral,
+    /// non-negative moments, `min ≤ max`, and non-empty buckets in strictly
+    /// ascending order that add up to `count`, the first holding `min` and
+    /// the last `max`. The decoded histogram is at rest: its bucket array
+    /// ends at the bucket of `max`, allocated once at that size.
     fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self> {
-        let mut h = Histogram::new();
-        h.count = json.get("count")?.as_u64()?;
-        if h.count == 0 {
-            return Some(h);
+        let count = json.get("count")?.as_u64()?;
+        let moment = |key: &str| {
+            let x = json.get(key)?.as_f64()?;
+            (x >= 0.0 && x.fract() == 0.0).then_some(x as u128)
+        };
+        let buckets = json.get("buckets")?.items()?;
+        if count == 0 {
+            return (buckets.count() == 0).then(|| Histogram::with_counts(Vec::new()));
         }
-        h.sum = json.get("sum")?.as_f64()? as u128;
-        h.sum_sq = json.get("sum_sq")?.as_f64()? as u128;
-        h.min = json.get("min")?.as_u64()?;
-        h.max = json.get("max")?.as_u64()?;
+        let (sum, sum_sq) = (moment("sum")?, moment("sum_sq")?);
+        let min = json.get("min")?.as_u64()?;
+        let max = json.get("max")?.as_u64()?;
         // The percentiles are clamped to `[min, max]`; no recorded
         // histogram has them the other way round.
-        if h.min > h.max {
+        if min > max {
             return None;
         }
-        for pair in json.get("buckets")?.items()? {
+        let (first, last) = (bucket_index(min), bucket_index(max));
+        let mut counts = vec![0; last + 1];
+        let mut next = first;
+        let mut total = 0u64;
+        for pair in buckets {
             let mut pair = pair.items()?;
-            let idx = pair.next()?.as_u64()? as usize;
-            if idx >= BUCKETS {
+            let idx = usize::try_from(pair.next()?.as_u64()?).ok()?;
+            let c = pair.next()?.as_u64()?;
+            // Ascending, from the bucket of `min` on (a repeat is not
+            // ascending), and within `counts`, which ends at that of `max`.
+            if idx < next || idx > last || c == 0 || pair.next().is_some() {
                 return None;
             }
-            h.counts[idx] = pair.next()?.as_u64()?;
+            counts[idx] = c;
+            next = idx + 1;
+            total = total.checked_add(c)?;
         }
-        Some(h)
+        // The first pair holds `min` and the last `max`.
+        if counts[first] == 0 || counts[last] == 0 || total != count {
+            return None;
+        }
+        Some(Histogram {
+            counts,
+            count,
+            sum,
+            sum_sq,
+            min,
+            max,
+        })
     }
+}
+
+/// The bucket array of an at-rest histogram, widened to all [`BUCKETS`]
+/// for recording, with `n` added to bucket `i`. Out of line and by value:
+/// see [`Histogram::bump`].
+#[cold]
+#[inline(never)]
+fn widened(mut counts: Vec<u64>, i: usize, n: u64) -> Vec<u64> {
+    counts.reserve_exact(BUCKETS - counts.len());
+    counts.resize(BUCKETS, 0);
+    counts[i] += n;
+    counts
 }
 
 /// One frozen, serialisable, mergeable metrics reading.
@@ -347,7 +456,12 @@ impl MetricsSnapshot {
             self.gauge_max(k, v);
         }
         for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
+            match self.histograms.get_mut(k) {
+                Some(mine) => mine.merge(h),
+                None => {
+                    self.histograms.insert(k.clone(), h.clone());
+                }
+            }
         }
     }
 }
@@ -579,6 +693,209 @@ mod tests {
         assert!(cold.sum_sq > TWO_53, "the merge leaves the exact range");
         assert_eq!(warm, cold);
         assert_eq!(warm.to_json().render(), cold.to_json().render());
+    }
+
+    /// `n` samples from a seeded xorshift, spread over `bits` bits.
+    fn samples(seed: u64, n: usize, bits: u32) -> Vec<u64> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x >> (64 - bits)
+            })
+            .collect()
+    }
+
+    /// Sample sets whose moments stay below 2^53, so JSON carries them
+    /// exactly.
+    #[test]
+    fn recorded_cloned_decoded_and_merged_histograms_are_one_histogram() {
+        for (seed, n, bits) in [
+            (1, 1, 3),
+            (2, 40, 8),
+            (3, 500, 20),
+            (4, 2_000, 16),
+            (5, 3, 25),
+        ] {
+            let values = samples(seed, n, bits);
+            let mut recorded = Histogram::new();
+            values.iter().for_each(|&v| recorded.record(v));
+            let cloned = recorded.clone();
+            let decoded = Histogram::from_json(&recorded.to_json()).expect("decodes");
+            let mut merged = Histogram::new();
+            for part in values.chunks(n.div_ceil(3)) {
+                let mut h = Histogram::new();
+                part.iter().for_each(|&v| h.record(v));
+                merged.merge(&h.clone());
+            }
+            let bytes = recorded.to_json().render();
+            for (what, h) in [
+                ("clone", &cloned),
+                ("decoded", &decoded),
+                ("merge", &merged),
+            ] {
+                assert!(*h == recorded, "seed {seed}: the {what} differs");
+                assert_eq!(
+                    h.to_json().render(),
+                    bytes,
+                    "seed {seed}: the {what}'s bytes"
+                );
+            }
+            // At rest: a clone and a decoded histogram end at the bucket of
+            // `max`, recording ones hold all of them.
+            let width = bucket_index(recorded.max()) + 1;
+            assert_eq!((cloned.counts.len(), decoded.counts.len()), (width, width));
+            assert_eq!(
+                (recorded.counts.len(), merged.counts.len()),
+                (BUCKETS, BUCKETS)
+            );
+        }
+        let empty = Histogram::new();
+        assert!(empty.clone().counts.is_empty());
+        assert!(Histogram::from_json(&empty.to_json()).expect("decodes") == empty);
+    }
+
+    #[test]
+    fn recording_past_an_at_rest_histogram_widens_it() {
+        let mut dense = Histogram::new();
+        dense.record(5);
+        let mut at_rest = dense.clone();
+        assert_eq!(at_rest.counts.len(), bucket_index(5) + 1);
+        for v in [1_000_000, 3, u64::MAX] {
+            dense.record(v);
+            at_rest.record(v);
+        }
+        dense.record_n(7_777, 4);
+        let mut empty = Histogram::from_json(&Histogram::new().to_json()).expect("decodes");
+        empty.record_n(7_777, 4);
+        at_rest.merge(&empty);
+        assert!(at_rest == dense);
+        assert_eq!(at_rest.to_json().render(), dense.to_json().render());
+
+        // A merge widens only as far as the other side's highest bucket.
+        let mut small = Histogram::new();
+        small.record(2);
+        let mut grown = small.clone();
+        let mut wide = Histogram::new();
+        wide.record(100);
+        grown.merge(&wide.clone());
+        assert_eq!(grown.counts.len(), bucket_index(100) + 1);
+    }
+
+    /// A recorded histogram's JSON with member `key` replaced by `value`.
+    fn tampered(key: &str, value: Json) -> Json {
+        let mut h = Histogram::new();
+        for v in [3u64, 3, 10, 100, 100, 100] {
+            h.record(v);
+        }
+        let Json::Obj(mut pairs) = h.to_json() else {
+            unreachable!("a histogram renders an object")
+        };
+        pairs
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .expect("a member")
+            .1 = value;
+        Json::Obj(pairs)
+    }
+
+    /// `[index, count]` pairs as a `buckets` member.
+    fn buckets(pairs: &[(usize, f64)]) -> Json {
+        Json::Arr(
+            pairs
+                .iter()
+                .map(|&(i, c)| Json::nums([i as f64, c]))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn the_tampering_helper_rebuilds_what_the_encoder_writes() {
+        let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
+        let doc = tampered("buckets", buckets(&[(b3, 2.0), (b10, 1.0), (b100, 3.0)]));
+        assert!(Histogram::from_json(&doc).is_some());
+    }
+
+    #[test]
+    fn a_repeated_bucket_index_is_refused() {
+        let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
+        let doc = tampered(
+            "buckets",
+            buckets(&[(b3, 2.0), (b10, 1.0), (b10, 1.0), (b100, 2.0)]),
+        );
+        assert!(Histogram::from_json(&doc).is_none());
+    }
+
+    #[test]
+    fn buckets_out_of_order_are_refused() {
+        let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
+        let doc = tampered("buckets", buckets(&[(b3, 2.0), (b100, 3.0), (b10, 1.0)]));
+        assert!(Histogram::from_json(&doc).is_none());
+    }
+
+    #[test]
+    fn an_empty_bucket_is_refused() {
+        let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
+        let doc = tampered(
+            "buckets",
+            buckets(&[(b3, 2.0), (b10, 1.0), (b10 + 1, 0.0), (b100, 3.0)]),
+        );
+        assert!(Histogram::from_json(&doc).is_none());
+    }
+
+    #[test]
+    fn bucket_counts_that_miss_the_count_are_refused() {
+        let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
+        let doc = tampered("buckets", buckets(&[(b3, 2.0), (b10, 1.0), (b100, 4.0)]));
+        assert!(Histogram::from_json(&doc).is_none());
+        let empty = Histogram::new().to_json().render();
+        let doc = dmp_base::json::parse(&empty.replace("[]", "[[3,1]]")).expect("parses");
+        assert!(
+            Histogram::from_json(&doc).is_none(),
+            "an empty histogram with a bucket"
+        );
+    }
+
+    #[test]
+    fn negative_or_fractional_moments_are_refused() {
+        for key in ["sum", "sum_sq"] {
+            for bad in [-1.0, 0.5, 1e3 + 0.25] {
+                let doc = tampered(key, Json::Num(bad));
+                assert!(Histogram::from_json(&doc).is_none(), "{key} = {bad}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_first_bucket_that_does_not_hold_min_is_refused() {
+        let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
+        let doc = tampered(
+            "buckets",
+            buckets(&[(b3 + 1, 2.0), (b10, 1.0), (b100, 3.0)]),
+        );
+        assert!(Histogram::from_json(&doc).is_none());
+        let doc = tampered(
+            "buckets",
+            buckets(&[(b3 - 1, 2.0), (b10, 1.0), (b100, 3.0)]),
+        );
+        assert!(Histogram::from_json(&doc).is_none());
+    }
+
+    #[test]
+    fn a_last_bucket_that_does_not_hold_max_is_refused() {
+        let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
+        let doc = tampered(
+            "buckets",
+            buckets(&[(b3, 2.0), (b10, 1.0), (b100 - 1, 3.0)]),
+        );
+        assert!(Histogram::from_json(&doc).is_none());
+        let doc = tampered(
+            "buckets",
+            buckets(&[(b3, 2.0), (b10, 1.0), (b100 + 1, 3.0)]),
+        );
+        assert!(Histogram::from_json(&doc).is_none());
     }
 
     #[test]
