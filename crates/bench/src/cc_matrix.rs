@@ -66,9 +66,9 @@ impl MatrixOptions {
         }
     }
 
-    /// Reduced grid for the CI smoke gate: one multiple, one replication,
-    /// short runs — enough to exercise every cell without re-deriving the
-    /// committed headrooms.
+    /// Reduced grid for the thread-invariance test: one multiple, one
+    /// replication, short runs — enough to exercise every cell without
+    /// re-deriving the committed headrooms.
     pub fn smoke() -> Self {
         Self {
             multiples: vec![1.6],
@@ -258,19 +258,6 @@ fn cell_outcome(
         tried,
         metrics,
     }
-}
-
-/// Compute a single (cc, strategy) cell — probe included. The smoke gate
-/// uses this to re-derive the committed baseline cell without paying for
-/// the whole matrix.
-pub fn compute_matrix_cell(
-    runner: &Runner,
-    kind: CcKind,
-    strategy: PullStrategy,
-    opts: &MatrixOptions,
-) -> CellOutcome {
-    let sigma_pps = probe_sigma(runner, kind, opts);
-    cell_outcome(runner, kind, strategy, sigma_pps, opts)
 }
 
 /// Compute the full matrix on a runner.

@@ -23,7 +23,7 @@ use crate::target::TargetReport;
 pub const SERVED_FRACTION: f64 = 0.95;
 
 /// Whether the scale is the full-fidelity one (quick mode keeps fleets to a
-/// few seconds of wall clock; tier-1 tests and CI's smoke steps rely on it).
+/// few seconds of wall clock; the tier-1 reproduction gate relies on it).
 fn is_full(scale: &Scale) -> bool {
     scale.sim_duration_s >= 1_000.0
 }

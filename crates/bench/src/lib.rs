@@ -11,7 +11,8 @@
 //! — which writes each target's artifacts, prints its paper-shaped
 //! table/series rendered from the artifact it wrote, and ends with a
 //! per-target telemetry summary. Full fidelity is the default; `--quick` is
-//! the reduced [`Scale::quick`] pass CI and the committed `artifacts/` use.
+//! the reduced [`Scale::quick`] pass the committed `artifacts/` and their
+//! tier-1 reproduction gate use.
 //! Anything else on the command line (an unknown flag or target, a repeated
 //! target, no target) is refused before a job runs. The kernels' speed is
 //! measured by `benchmark/` (per-layer metrics of one traced pipeline) and

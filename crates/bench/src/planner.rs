@@ -51,7 +51,7 @@ pub struct PlannerGrid {
 }
 
 /// The grid for a scale: dense at full fidelity, a 2×3 corner in quick mode
-/// (same shape, seconds of compute — the CI smoke and committed artifact).
+/// (same shape, seconds of compute — the committed artifact).
 pub fn planner_grid(scale: &Scale) -> PlannerGrid {
     let full = scale.model_consumptions >= 1_000_000;
     PlannerGrid {

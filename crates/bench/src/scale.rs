@@ -1,7 +1,7 @@
 //! Experiment scaling: every target runs at `full` fidelity (the default of
-//! the `dmp-bench` binary; minutes of compute) or `quick` (`--quick`: CI, the
-//! committed artifacts and the tests; seconds, noisier estimates but the
-//! same shape).
+//! the `dmp-bench` binary; minutes of compute) or `quick` (`--quick`: the
+//! committed artifacts and the tests that reproduce them; seconds, noisier
+//! estimates but the same shape).
 
 use std::path::PathBuf;
 

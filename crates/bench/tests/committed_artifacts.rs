@@ -1,10 +1,6 @@
-//! The committed `artifacts/` are checked by CI and readable as a run
-//! printed them:
+//! The committed `artifacts/` are readable as a run printed them (that a
+//! fresh run writes them byte for byte is `tests/reproduction_gate.rs`):
 //!
-//! * every `artifacts/<stem>.json` is a registered target's artifact and the
-//!   workflow `cmp`s a fresh run's file against it;
-//! * every `artifacts/metrics/<stem>.json` has its data sibling and a
-//!   `bench_diff` or `cmp` line in the workflow;
 //! * every committed file renders through `dmp-bench render`;
 //! * rendering is total: a damaged committed artifact gives `render` an
 //!   `Err` or a string, never a panic. One mutation per render: each object
@@ -13,10 +9,7 @@
 //!   and metrics snapshots alike, and the top-level members of the two large
 //!   scenario dumps, `ext_failover.json` and `ext_flashcrowd.json`.
 //!
-//! Seen red: deleting the `cmp artifacts/ext_fleet.json …` line from
-//! `.github/workflows/ci.yml` fails
-//! `every_committed_artifact_is_a_target_that_ci_compares`, naming
-//! `ext_fleet`; reading a leaf with `.expect` instead of `?`
+//! Seen red: reading a leaf with `.expect` instead of `?`
 //! (`c.opt_num("headroom").expect("headroom")` in
 //! `cc_matrix::render_cc_matrix`) fails `damaged_artifacts_render_or_refuse`
 //! with each file and mutation that panicked.
@@ -32,71 +25,6 @@ fn json_files(dir: &str) -> Vec<PathBuf> {
     let files = target::artifact_files(&repo_path(dir)).expect("committed artifacts");
     assert!(!files.is_empty(), "{dir} holds no artifact");
     files
-}
-
-fn stem(path: &Path) -> String {
-    path.file_stem().unwrap().to_string_lossy().into_owned()
-}
-
-/// The workflow's shell lines: continuation lines joined, and every
-/// `for name in …; do … done` loop unrolled with `$name` substituted.
-fn ci_lines() -> Vec<String> {
-    let ci = std::fs::read_to_string(repo_path(".github/workflows/ci.yml")).expect("ci.yml");
-    let joined = ci.replace("\\\n", " ");
-    let mut lines = joined.lines();
-    let mut out = Vec::new();
-    while let Some(line) = lines.next() {
-        let words = line.trim().strip_prefix("for name in ");
-        match words.and_then(|w| w.strip_suffix("; do")) {
-            Some(words) => {
-                let body: Vec<&str> = lines.by_ref().take_while(|l| l.trim() != "done").collect();
-                for word in words.split_whitespace() {
-                    out.extend(body.iter().map(|l| l.replace("$name", word)));
-                }
-            }
-            None => out.push(line.to_string()),
-        }
-    }
-    out
-}
-
-#[test]
-fn every_committed_artifact_is_a_target_that_ci_compares() {
-    let lines = ci_lines();
-    for file in json_files("artifacts") {
-        let stem = stem(&file);
-        assert!(
-            target::find(&stem).is_some(),
-            "artifacts/{stem}.json is no registered target's artifact"
-        );
-        let cmp = format!("cmp artifacts/{stem}.json ");
-        assert!(
-            lines.iter().any(|l| l.trim_start().starts_with(&cmp)),
-            "no CI line compares a fresh run against artifacts/{stem}.json"
-        );
-    }
-}
-
-#[test]
-fn every_committed_metrics_snapshot_has_data_and_a_ci_check() {
-    let lines = ci_lines();
-    for file in json_files("artifacts/metrics") {
-        let stem = stem(&file);
-        assert!(
-            repo_path(&format!("artifacts/{stem}.json")).is_file(),
-            "artifacts/metrics/{stem}.json has no data artifact beside it"
-        );
-        let committed = format!("artifacts/metrics/{stem}.json");
-        let checked = lines.iter().any(|l| {
-            let mut words = l.split_whitespace();
-            let tool = words.next().unwrap_or_default();
-            (tool == "cmp" || tool.ends_with("bench_diff")) && words.any(|w| w == committed)
-        });
-        assert!(
-            checked,
-            "no CI `bench_diff` or `cmp` line reads {committed}"
-        );
-    }
 }
 
 #[test]
