@@ -260,6 +260,19 @@ fn cell_outcome(
     }
 }
 
+/// Compute a single (cc, strategy) cell — probe included. The baseline-cell
+/// test uses this to re-derive the committed Reno + round-robin cell
+/// without paying for the whole matrix.
+pub fn compute_matrix_cell(
+    runner: &Runner,
+    kind: CcKind,
+    strategy: PullStrategy,
+    opts: &MatrixOptions,
+) -> CellOutcome {
+    let sigma_pps = probe_sigma(runner, kind, opts);
+    cell_outcome(runner, kind, strategy, sigma_pps, opts)
+}
+
 /// Compute the full matrix on a runner.
 pub fn compute_matrix(runner: &Runner, opts: &MatrixOptions) -> MatrixOutcome {
     let mut probes = Vec::new();

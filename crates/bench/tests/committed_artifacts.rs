@@ -1,6 +1,11 @@
-//! The committed `artifacts/` are readable as a run printed them (that a
-//! fresh run writes them byte for byte is `tests/reproduction_gate.rs`):
+//! The committed `artifacts/` are checked by CI and readable as a run
+//! printed them (that a fresh run writes them byte for byte is
+//! `tests/reproduction_gate.rs`):
 //!
+//! * every `artifacts/<stem>.json` is a registered target's artifact, and
+//!   every `artifacts/metrics/<stem>.json` has its data sibling — the two
+//!   shapes the gate compares — and the workflow runs the workspace's tests,
+//!   the gate among them, with nothing excluded or skipped;
 //! * every committed file renders through `dmp-bench render`;
 //! * rendering is total: a damaged committed artifact gives `render` an
 //!   `Err` or a string, never a panic. One mutation per render: each object
@@ -25,6 +30,61 @@ fn json_files(dir: &str) -> Vec<PathBuf> {
     let files = target::artifact_files(&repo_path(dir)).expect("committed artifacts");
     assert!(!files.is_empty(), "{dir} holds no artifact");
     files
+}
+
+fn stem(path: &Path) -> String {
+    path.file_stem().unwrap().to_string_lossy().into_owned()
+}
+
+/// Whether the workflow runs every crate's tests, `reproduction_gate.rs`
+/// included: a `cargo test --workspace` line that excludes no package and
+/// skips no test.
+fn ci_runs_the_gate() -> bool {
+    let ci = std::fs::read_to_string(repo_path(".github/workflows/ci.yml")).expect("ci.yml");
+    ci.lines().any(|l| {
+        let words: Vec<&str> = l
+            .trim()
+            .trim_start_matches("run:")
+            .split_whitespace()
+            .collect();
+        words.starts_with(&["cargo", "test"])
+            && words.contains(&"--workspace")
+            && !words
+                .iter()
+                .any(|w| w.starts_with("--exclude") || w.starts_with("--skip"))
+    })
+}
+
+#[test]
+fn every_committed_artifact_is_a_target_that_ci_compares() {
+    for file in json_files("artifacts") {
+        let stem = stem(&file);
+        assert!(
+            target::find(&stem).is_some(),
+            "artifacts/{stem}.json is no registered target's artifact"
+        );
+    }
+    assert!(
+        ci_runs_the_gate(),
+        "no CI line runs `cargo test --workspace`, so no CI step compares a fresh run \
+         against artifacts/"
+    );
+}
+
+#[test]
+fn every_committed_metrics_snapshot_has_data_and_a_ci_check() {
+    for file in json_files("artifacts/metrics") {
+        let stem = stem(&file);
+        assert!(
+            repo_path(&format!("artifacts/{stem}.json")).is_file(),
+            "artifacts/metrics/{stem}.json has no data artifact beside it"
+        );
+    }
+    assert!(
+        ci_runs_the_gate(),
+        "no CI line runs `cargo test --workspace`, so no CI step compares a fresh run \
+         against artifacts/metrics/"
+    );
 }
 
 #[test]

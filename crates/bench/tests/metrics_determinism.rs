@@ -108,3 +108,31 @@ fn metrics_file_thread_invariant_and_diffable() {
 
     std::fs::remove_dir_all(&base).ok();
 }
+
+/// Acceptance: `ext_fleet` at quick scale carries per-session lateness and
+/// headroom histograms in its `.meta.json` — with tracing off.
+#[test]
+fn ext_fleet_quick_meta_carries_session_histograms() {
+    let base = temp_base("extfleet");
+    let artifacts = ArtifactWriter::new(&base);
+    let runner = Runner::new(4, Cache::disabled()).with_progress(false);
+    let scale = Scale::quick();
+    assert!(!scale.trace, "must hold without enabling traces");
+    let ext_fleet = dmp_bench::target::find("ext_fleet").expect("registered");
+    let out = execute(ext_fleet, &runner, &artifacts, &scale);
+    assert_eq!(out.stats.failed, 0);
+
+    let meta_text = std::fs::read_to_string(base.join("ext_fleet.meta.json")).unwrap();
+    let meta = dmp_runner::json::parse(&meta_text).expect("valid sidecar");
+    let snap = obs::MetricsSnapshot::from_json(meta.get("metrics").expect("metrics section"))
+        .expect("metrics section decodes");
+    for h in ["fleet.session_late_ppm", "fleet.session_headroom_milli"] {
+        assert!(
+            snap.histograms.get(h).is_some_and(|h| h.count() > 0),
+            "{h} missing/empty in {meta_text}"
+        );
+    }
+    assert!(base.join("metrics/ext_fleet.json").is_file());
+
+    std::fs::remove_dir_all(&base).ok();
+}
