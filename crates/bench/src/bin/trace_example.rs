@@ -1,5 +1,5 @@
 //! Regenerate the committed flight-recorder example: one traced quick-scale
-//! `ext_failover` replication plus its rendered `trace_report`, written to
+//! `ext_failover` replication plus its report, written to
 //! `artifacts/traces/` (override with `--dir <path>`). The simulation and the
 //! trace schema are deterministic, so re-running this binary on an unchanged
 //! tree reproduces the committed files byte-for-byte — which is exactly what

@@ -16,9 +16,9 @@
 //! Anything else on the command line (an unknown flag or target, a repeated
 //! target, no target) is refused before a job runs. The kernels' speed is
 //! measured by `benchmark/` (per-layer metrics of one traced pipeline) and
-//! nowhere else. The last four rows of the table are not targets: `render`
-//! is a `dmp-bench` subcommand, the other three the package's tool binaries
-//! (`cargo run --release -p dmp-bench --bin <tool>`).
+//! nowhere else. The last two rows of the table are not targets: `render`
+//! is a `dmp-bench` subcommand, `trace_example` the package's one other
+//! binary (`cargo run --release -p dmp-bench --bin trace_example`).
 //!
 //! | target | reproduces |
 //! |--------|------------|
@@ -43,10 +43,8 @@
 //! | `ext_cc_matrix` | the (congestion control × pull strategy) headroom matrix: smallest σ_a/µ multiple keeping late frames under 1 % per (Reno/CUBIC/BBR-lite, round-robin/weighted/best-path/redundant/deadline) cell, with saturation-probed σ_a |
 //! | `capacity_planner` | dense (loss × τ) heatmaps of the maximum supported bitrate for single-path/static/DMP streaming, one batched cacheable µ-bisection job per cell |
 //! | `ext_planner_check` | the planner's residual-capacity prediction of the fleet admission knee vs `fleet_headroom`'s measured one, with the relative error |
-//! | `render`    | `dmp-bench render <file\|dir>…`: print any artifact the harness wrote as its run printed it — a target's `<name>.json` through the target's renderer, a `metrics/<name>.json` snapshot as percentile tables with sparkline histogram shapes |
-//! | `trace_report` | post-process an [`obs`] flight-recorder JSONL trace (recorded with `--trace`) into cwnd/throughput timelines, queue percentiles and a per-glitch "why" report |
+//! | `render`    | `dmp-bench render <file\|dir>…`: print any artifact the harness wrote as its run printed it — a target's `<name>.json` through the target's renderer, a `metrics/<name>.json` snapshot as percentile tables with sparkline histogram shapes, an [`obs`] flight-recorder `.jsonl` trace (recorded with `--trace`) as cwnd/throughput timelines, queue percentiles and a per-glitch "why" report |
 //! | `trace_example` | record the committed quick-scale `ext_failover` example trace and its report (see `artifacts/traces/`) |
-//! | `bench_diff` | cross-run regression differ: compare two metrics files/directories leaf by leaf, any moved number being drift; exit 0 no drift, 1 drift, 2 incomparable configs |
 
 #![warn(missing_docs)]
 

@@ -111,8 +111,8 @@ fn live_job(i: usize, exp: LiveExperiment, taus: Vec<f64>) -> JobSpec<LiveSummar
             let run = rt.block_on(run_experiment(exp, taus)).expect("live run");
             // Frame metrics on the *nominal-time* trace (run_experiment undilates
             // timestamps), so live distributions are directly comparable with the
-            // simulator's. Labelled `backend=live`: bench_diff must refuse to
-            // diff a live run against a simulated one rather than report drift.
+            // simulator's. Labelled `backend=live`, so a live snapshot never
+            // reads as a simulated one.
             let mut metrics = obs::MetricsSnapshot::new().with_label("backend", "live");
             obs::record_frame_metrics(&mut metrics, run.output.trace.frames());
             LiveSummary {

@@ -8,17 +8,20 @@
 //! `--quick` selects [`Scale::quick`] (seconds per target) instead of the
 //! paper-fidelity default. `--trace` records [`obs`] flight-recorder traces
 //! for the scenario and live targets under `target/artifacts/traces/`,
-//! listed in each target's sidecar and readable with the `trace_report`
-//! binary — traced jobs bypass the result cache, and tracing never changes
-//! an artifact byte. A second invocation at the same scale answers from the
+//! listed in each target's sidecar and read with `dmp-bench render` —
+//! traced jobs bypass the result cache, and tracing never changes an
+//! artifact byte. A second invocation at the same scale answers from the
 //! content-addressed cache (`target/dmp-cache`); delete the directory or set
 //! `DMP_NO_CACHE=1` to recompute.
 //!
 //! `dmp-bench render <file|dir>…` runs nothing: it prints what the run that
 //! wrote each artifact printed — a target's `<name>.json` as that target, a
 //! `metrics/<name>.json` snapshot as percentile tables with sparklines, a
-//! directory as each `*.json` in it but the `.meta.json` sidecars. It exits
-//! 1 if any file does not render.
+//! `.jsonl` flight-recorder trace as its report (cwnd and throughput
+//! timelines, queue percentiles, each glitch and its likely cause), a
+//! directory as each `*.json` and `*.jsonl` in it but the `.meta.json`
+//! sidecars — one blank line between files. It exits 1 if any file does not
+//! render.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -93,7 +96,7 @@ fn main() {
         };
         eprintln!(
             "dmp-bench: {e}\nusage: dmp-bench <target>... [--quick] [--trace]\n\
-             \x20      dmp-bench render <artifact.json | dir>...\n\
+             \x20      dmp-bench render <artifact.json | trace.jsonl | dir>...\n\
              paper targets (`all` = these, in order): {}\nextension targets: {}",
             names(true),
             names(false)
@@ -129,10 +132,10 @@ fn run(targets: &[&Target], scale: &Scale) {
     );
 }
 
-/// Print every artifact `paths` name; the exit code is 1 if one does not
-/// render (the others still print).
+/// Print every artifact `paths` name, a blank line between two; the exit
+/// code is 1 if one does not render (the others still print).
 fn render(paths: &[PathBuf]) -> i32 {
-    let mut code = 0;
+    let (mut code, mut separator) = (0, "");
     for path in paths {
         let files = target::artifact_files(path).unwrap_or_else(|e| {
             eprintln!("dmp-bench: cannot list {}: {e}", path.display());
@@ -141,7 +144,7 @@ fn render(paths: &[PathBuf]) -> i32 {
         });
         for file in &files {
             match target::render_file(file) {
-                Ok(text) => println!("{text}"),
+                Ok(text) => print!("{}{text}", std::mem::replace(&mut separator, "\n")),
                 Err(e) => {
                     eprintln!("dmp-bench: {e}");
                     code = 1;

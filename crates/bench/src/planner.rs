@@ -1,5 +1,5 @@
-//! The capacity planner, promoted from `examples/capacity_planner.rs` into a
-//! real reproduction target: dense (loss × τ) heatmaps of the maximum
+//! The capacity planner, a reproduction target over the `tcp-model`
+//! planner: dense (loss × τ) heatmaps of the maximum
 //! supported playback rate per streaming scheme, computed as one batched
 //! [`MuCellSpec`] job per cell, plus a cross-check of the planner's
 //! residual-capacity prediction against the fleet's *measured* admission

@@ -33,9 +33,9 @@ pub struct TargetReport {
     pub meta: Vec<(&'static str, Json)>,
     /// The target's merged always-on metrics snapshot. Deterministic like
     /// `data` (pure function of the run; cached jobs replay it); [`execute`]
-    /// writes it standalone as `metrics/<name>.json` — the files `bench_diff`
-    /// compares — and mirrors it into the `.meta.json` sidecar's `metrics`
-    /// section for one-file reading.
+    /// writes it standalone as `metrics/<name>.json` — the snapshots the
+    /// reproduction gate compares — and mirrors it into the `.meta.json`
+    /// sidecar's `metrics` section for one-file reading.
     pub metrics: Option<MetricsSnapshot>,
     /// The flight-recorder files the target's runs returned (empty unless
     /// the scale's `trace` flag is on), listed in the sidecar.
@@ -308,8 +308,8 @@ pub fn execute(
 }
 
 /// The files `dmp-bench render` reads for one argument: a file as given, a
-/// directory as every `*.json` in it except the `*.meta.json` sidecars,
-/// sorted by name.
+/// directory as every `*.json` in it except the `*.meta.json` sidecars, and
+/// every `*.jsonl` trace, sorted by name.
 pub fn artifact_files(path: &Path) -> std::io::Result<Vec<PathBuf>> {
     if !path.is_dir() {
         return Ok(vec![path.to_path_buf()]);
@@ -318,7 +318,8 @@ pub fn artifact_files(path: &Path) -> std::io::Result<Vec<PathBuf>> {
     for entry in std::fs::read_dir(path)? {
         let file = entry?.path();
         let name = file.file_name().unwrap_or_default().to_string_lossy();
-        if name.ends_with(".json") && !name.ends_with(".meta.json") && file.is_file() {
+        let data = name.ends_with(".json") && !name.ends_with(".meta.json");
+        if (data || name.ends_with(".jsonl")) && file.is_file() {
             files.push(file);
         }
     }
@@ -326,26 +327,30 @@ pub fn artifact_files(path: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Render one artifact document as the file at `path` is read: a file
-/// under `metrics/` as a metrics snapshot, any other as the registered
-/// target its stem names.
-pub fn render_artifact(path: &Path, doc: &Json) -> Result<String, RenderError> {
+/// Render the text of the file at `path` as that file is read: a `.jsonl`
+/// file as a flight-recorder trace's report, a file under `metrics/` as a
+/// metrics snapshot, any other as the registered target its stem names.
+pub fn render_artifact(path: &Path, text: &str) -> Result<String, RenderError> {
+    if path.extension() == Some("jsonl".as_ref()) {
+        let trace = obs::Trace::parse(text).map_err(RenderError)?;
+        return crate::trace_report::render_report(&trace);
+    }
+    let doc = json::parse(text).ok_or_else(|| RenderError("not JSON".into()))?;
     let stem = path.file_stem().unwrap_or_default().to_string_lossy();
     if path.parent().and_then(Path::file_name) == Some("metrics".as_ref()) {
-        let snap = MetricsSnapshot::from_json(doc)
+        let snap = MetricsSnapshot::from_json(&doc)
             .ok_or_else(|| RenderError("not a metrics snapshot".into()))?;
         return Ok(crate::metrics_report::render_snapshot(&stem, &snap));
     }
     let target = find(&stem).ok_or_else(|| RenderError(format!("no target `{stem}`")))?;
-    (target.render)(doc)
+    (target.render)(&doc)
 }
 
-/// Read, parse and render one artifact file; the error names the file.
+/// Read and render one artifact file; the error names the file.
 pub fn render_file(path: &Path) -> Result<String, RenderError> {
     let rendered = std::fs::read_to_string(path)
         .map_err(|e| RenderError(e.to_string()))
-        .and_then(|bytes| json::parse(&bytes).ok_or_else(|| RenderError("not JSON".into())))
-        .and_then(|doc| render_artifact(path, &doc));
+        .and_then(|text| render_artifact(path, &text));
     rendered.map_err(|e| RenderError(format!("{}: {e}", path.display())))
 }
 

@@ -1,5 +1,6 @@
 //! The committed flight-recorder example: one quick-scale `ext_failover`
-//! replication, traced, plus its rendered `trace_report`.
+//! replication, traced, plus its report (what `dmp-bench render` prints for
+//! the trace).
 //!
 //! `artifacts/traces/ext_failover_quick_run0.jsonl` and its `.report.txt`
 //! are checked into the repository as a worked example of the observability
@@ -15,7 +16,7 @@ use dmp_sim::experiment::{ExperimentSpec, RunOutput, TraceSpec};
 use obs::Trace;
 
 use crate::scenarios;
-use crate::trace_report::{render_report, ReportOptions};
+use crate::trace_report::render_report;
 
 /// Label (and file stem) of the committed example trace.
 pub const LABEL: &str = "ext_failover_quick_run0";
@@ -39,17 +40,6 @@ pub fn example_spec(dir: Option<&Path>) -> ExperimentSpec {
     spec
 }
 
-/// Report options matching the `ext_failover` target's evaluation (τ, window)
-/// and the study setting's video rate.
-pub fn example_report_options() -> ReportOptions {
-    ReportOptions {
-        rate_pps: scenarios::failover_setting().video.rate_pps,
-        tau_s: scenarios::TAU_S,
-        window_s: scenarios::WINDOW_S,
-        bucket_s: 5.0,
-    }
-}
-
 /// Run the example into `dir`, returning the trace path, the run itself and
 /// the rendered report text.
 pub fn generate(dir: &Path) -> (PathBuf, RunOutput, String) {
@@ -61,6 +51,6 @@ pub fn generate(dir: &Path) -> (PathBuf, RunOutput, String) {
     let text = std::fs::read_to_string(&file.path).expect("read trace file");
     let trace = Trace::parse(&text).expect("parse trace");
     assert_eq!(trace.events.len() as u64, file.events);
-    let report = render_report(&trace, &example_report_options());
+    let report = render_report(&trace).expect("the example trace renders");
     (file.path, out, report)
 }

@@ -1,40 +1,51 @@
-//! Post-process a flight-recorder trace (see the [`obs`] crate) into the
-//! paper-style diagnostics the `trace_report` binary prints: cwnd-evolution
-//! and per-path throughput timelines, queue-depth percentiles, the
-//! [`dmp_core::resilience`] summary, and a per-glitch "why" report that
-//! correlates each playback stall with the scripted path events and TCP
-//! recovery activity (RTO expirations, fast-recovery transitions) in the
-//! surrounding window.
+//! The flight-recorder report `dmp-bench render` prints for a `.jsonl`
+//! trace (see the [`obs`] crate): cwnd-evolution and per-path throughput
+//! timelines, queue-depth percentiles, the [`dmp_core::resilience`] summary,
+//! and a per-glitch "why" report that correlates each playback stall with
+//! the scripted path events and TCP recovery activity (RTO expirations,
+//! fast-recovery transitions) in the surrounding window.
+//!
+//! A trace is outside input, so nothing here allocates by a value read from
+//! it: a trace whose `gen` events do not advance, or whose timeline would
+//! outnumber its events, is refused with a [`RenderError`].
 
 use dmp_core::resilience::{glitches, ResilienceReport, ResilienceSpec};
 use dmp_core::trace::DeliveryRecord;
 use obs::report::PacketTimes;
 use obs::{EventKind, Trace, TraceEvent};
 
-use crate::report::Table;
+use crate::report::{RenderError, Table};
+use crate::scenarios::{TAU_S, WINDOW_S};
 
-/// Knobs for [`render_report`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReportOptions {
-    /// Video packet rate µ (pkts/s); converts late-packet runs to seconds.
-    pub rate_pps: f64,
-    /// Startup delay τ: packet `i` stalls playback iff it misses `gen_i + τ`.
-    pub tau_s: f64,
-    /// Sliding window for the worst-window metric and the half-width of the
-    /// correlation window drawn around each glitch.
-    pub window_s: f64,
-    /// Bucket width of the per-path throughput timeline, seconds.
-    pub bucket_s: f64,
-}
+/// Bucket width of the per-path throughput timeline, seconds.
+const BUCKET_S: f64 = 5.0;
 
-impl Default for ReportOptions {
-    fn default() -> Self {
-        Self {
-            rate_pps: 25.0,
-            tau_s: 6.0,
-            window_s: 10.0,
-            bucket_s: 5.0,
+/// The video packet rate µ (pkts/s) of the trace: the sequence numbers the
+/// first and last `gen` events span over the nanoseconds between them. The
+/// `gen` events must rise in sequence number at non-decreasing times, the
+/// order in which the glitch report reads them.
+fn packet_rate(trace: &Trace) -> Result<f64, RenderError> {
+    let mut gens = trace.events.iter().filter_map(|e| match e.kind {
+        EventKind::Generated { seq } => Some((seq, e.t)),
+        _ => None,
+    });
+    let first = gens.next();
+    let mut last = first;
+    for (seq, t) in gens {
+        if last.is_some_and(|(s, t0)| seq <= s || t < t0) {
+            return Err(RenderError(format!(
+                "`gen` of seq {seq} at t {t} does not follow the one before"
+            )));
         }
+        last = Some((seq, t));
+    }
+    match (first, last) {
+        (Some((s0, t0)), Some((s1, t1))) if t1 > t0 => {
+            Ok((s1 - s0) as f64 * 1e9 / (t1 - t0) as f64)
+        }
+        _ => Err(RenderError(
+            "fewer than two `gen` events a time apart: no packet rate".into(),
+        )),
     }
 }
 
@@ -87,8 +98,10 @@ fn downsample<T: Copy>(series: &[T], max: usize) -> Vec<T> {
         .collect()
 }
 
-/// Render the full text report for one parsed trace.
-pub fn render_report(trace: &Trace, opts: &ReportOptions) -> String {
+/// Render the full text report for one parsed trace, at the `ext_failover`
+/// study's τ and window.
+pub fn render_report(trace: &Trace) -> Result<String, RenderError> {
+    let rate_pps = packet_rate(trace)?;
     let mut out = String::new();
     out.push_str(&format!(
         "flight-recorder report: {} events over {:.1} s\n",
@@ -171,13 +184,19 @@ pub fn render_report(trace: &Trace, opts: &ReportOptions) -> String {
 
     // Per-path throughput timeline.
     let mut tp = Table::new(
-        format!(
-            "per-path delivered packets per {:.0}-s bucket",
-            opts.bucket_s
-        ),
+        format!("per-path delivered packets per {BUCKET_S:.0}-s bucket"),
         &["path", "timeline"],
     );
-    for (path, counts) in trace.path_throughput(opts.bucket_s) {
+    // Refusing a timeline longer than the trace also keeps every timestamp
+    // far below where the resilience report's `gen + τ` (ns) overflows.
+    let timeline = trace.path_throughput(BUCKET_S).ok_or_else(|| {
+        RenderError(format!(
+            "a {:.1}-s trace of {} events: more {BUCKET_S:.0}-s buckets than events",
+            trace.duration_s(),
+            trace.events.len()
+        ))
+    })?;
+    for (path, counts) in timeline {
         tp.row(vec![
             path.to_string(),
             counts
@@ -227,12 +246,13 @@ pub fn render_report(trace: &Trace, opts: &ReportOptions) -> String {
     // and would otherwise fabricate an end-of-trace glitch.
     let mut pkts = trace.packet_times();
     let end_s = pkts.iter().map(|p| p.gen_s).fold(0.0, f64::max);
-    pkts.retain(|p| p.gen_s < end_s - (opts.tau_s + 5.0));
+    pkts.retain(|p| p.gen_s < end_s - (TAU_S + 5.0));
     if pkts.is_empty() {
         out.push_str("\nno (stable) gen/dlv events in the trace; skipping the glitch report\n");
-        return out;
+        return Ok(out);
     }
-    let fail_at_s = trace.path_events().iter().find_map(|e| match e.kind {
+    let path_events = trace.path_events();
+    let fail_at_s = path_events.iter().find_map(|e| match e.kind {
         EventKind::PathEvent {
             action: obs::PathAction::Down,
             ..
@@ -240,20 +260,20 @@ pub fn render_report(trace: &Trace, opts: &ReportOptions) -> String {
         _ => None,
     });
     let spec = ResilienceSpec {
-        tau_s: opts.tau_s,
-        window_s: opts.window_s,
+        tau_s: TAU_S,
+        window_s: WINDOW_S,
         fail_at_s,
     };
     let records = records(&pkts);
-    let res = ResilienceReport::from_records(&records, opts.rate_pps, spec);
+    let res = ResilienceReport::from_records(&records, rate_pps, spec);
     out.push_str(&format!(
         "\nresilience @ tau={:.0}s (mu={:.0} pkt/s): {} glitch(es), {:.1} s stalled total, \
          worst {:.0}-s window {:.1}% late, recovered: {}{}\n",
         res.tau_s,
-        opts.rate_pps,
+        rate_pps,
         res.glitch_count,
         res.total_glitch_s,
-        opts.window_s,
+        WINDOW_S,
         res.worst_window_late * 100.0,
         res.recovered,
         match res.time_to_recover_s {
@@ -267,11 +287,11 @@ pub fn render_report(trace: &Trace, opts: &ReportOptions) -> String {
     // within τ of) the stall's onset; the full recovery-event windows are
     // spelled out only for the longest stalls, which keeps reports on
     // glitch-storm traces readable.
-    let glitch_list = glitches(&records, opts.tau_s, opts.rate_pps);
+    let glitch_list = glitches(&records, TAU_S, rate_pps);
     let cause_of = |start_s: f64| {
-        trace.path_events().into_iter().rev().find(|e| {
+        path_events.iter().rev().find(|e| {
             let t = e.t as f64 / 1e9;
-            t <= start_s + opts.tau_s && t >= start_s - opts.window_s
+            t <= start_s + TAU_S && t >= start_s - WINDOW_S
         })
     };
     let mut gt = Table::new(
@@ -295,7 +315,7 @@ pub fn render_report(trace: &Trace, opts: &ReportOptions) -> String {
     }
     if glitch_list.is_empty() {
         out.push_str("\nno glitches at this tau; nothing to explain\n");
-        return out;
+        return Ok(out);
     }
     out.push('\n');
     out.push_str(&gt.render());
@@ -320,7 +340,7 @@ pub fn render_report(trace: &Trace, opts: &ReportOptions) -> String {
             )),
             _ => out.push_str("  cause: no scripted path event nearby (congestion-driven)\n"),
         }
-        let (w0, w1) = ((start_s - opts.window_s).max(0.0), end_s + opts.window_s);
+        let (w0, w1) = ((start_s - WINDOW_S).max(0.0), end_s + WINDOW_S);
         let window = trace.recovery_events_in(w0, w1);
         out.push_str(&format!(
             "  {} recovery-relevant event(s) in [{w0:.2} s, {w1:.2} s]:\n",
@@ -334,7 +354,7 @@ pub fn render_report(trace: &Trace, opts: &ReportOptions) -> String {
             out.push_str(&format!("    ... {} more\n", window.len() - MAX_LISTED));
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -350,8 +370,8 @@ mod tests {
     }
 
     /// 40 packets at 1 pkt/s; path 0 goes down at t=10 and packets 10..=14
-    /// arrive 8 s late (tau 4 → one glitch), the rest arrive instantly.
-    fn failover_trace() -> Trace {
+    /// arrive `late_s` late over path 1, the rest arrive at once.
+    fn failover_trace(late_s: f64) -> Trace {
         let mut events = vec![
             ev(0.0, EventKind::PathConn { path: 0, conn: 0 }),
             ev(0.0, EventKind::PathConn { path: 1, conn: 1 }),
@@ -360,7 +380,7 @@ mod tests {
             let t = i as f64;
             events.push(ev(t, EventKind::Generated { seq: i }));
             let (lateness, path) = if (10..15).contains(&i) {
-                (8.0, 1)
+                (late_s, 1)
             } else {
                 (0.01, 0)
             };
@@ -387,24 +407,19 @@ mod tests {
 
     #[test]
     fn glitches_are_maximal_late_runs() {
-        let t = failover_trace();
+        let t = failover_trace(8.0);
         let g = glitches(&records(&t.packet_times()), 4.0, 1.0);
         assert_eq!(g.len(), 1);
         assert!((g[0].0 - 10.0).abs() < 1e-9);
         assert!((g[0].1 - 15.0).abs() < 1e-9, "end {}", g[0].1);
     }
 
+    /// 8 s late misses τ = 6 s: one glitch, at the packet rate the `gen`
+    /// events show.
     #[test]
     fn report_correlates_glitch_with_scripted_down_and_rto() {
-        let t = failover_trace();
-        let opts = ReportOptions {
-            rate_pps: 1.0,
-            tau_s: 4.0,
-            window_s: 10.0,
-            bucket_s: 10.0,
-        };
-        let text = render_report(&t, &opts);
-        assert!(text.contains("1 glitch(es)"), "{text}");
+        let text = render_report(&failover_trace(8.0)).expect("renders");
+        assert!(text.contains("(mu=1 pkt/s): 1 glitch(es)"), "{text}");
         assert!(
             text.contains("cause: scripted `down` on path 0 at 10.00 s"),
             "{text}"
@@ -415,23 +430,32 @@ mod tests {
 
     #[test]
     fn clean_trace_reports_nothing_to_explain() {
-        let mut t = failover_trace();
-        t.events.retain(|e| {
-            !matches!(
-                e.kind,
-                EventKind::PathEvent { .. } | EventKind::RtoTimeout { .. }
-            )
-        });
-        let text = render_report(
-            &t,
-            &ReportOptions {
-                rate_pps: 1.0,
-                tau_s: 20.0,
-                window_s: 10.0,
-                bucket_s: 10.0,
-            },
-        );
+        let text = render_report(&failover_trace(2.0)).expect("renders");
         assert!(text.contains("0 glitch(es)"), "{text}");
         assert!(text.contains("nothing to explain"), "{text}");
+    }
+
+    #[test]
+    fn a_trace_without_a_packet_rate_is_refused() {
+        let mut t = failover_trace(8.0);
+        t.events
+            .retain(|e| !matches!(e.kind, EventKind::Generated { seq } if seq > 0));
+        assert!(render_report(&t).unwrap_err().0.contains("fewer than two"));
+        // Generation running backwards is refused too.
+        let mut t = failover_trace(8.0);
+        for e in &mut t.events {
+            if let EventKind::Generated { seq: seq @ 0 } = &mut e.kind {
+                *seq = 99;
+            }
+        }
+        assert!(render_report(&t).unwrap_err().0.contains("seq 1 "));
+        // So is a timeline longer than the trace has events.
+        let mut t = failover_trace(8.0);
+        t.events
+            .push(ev(1e5, EventKind::Strategy { name: "x".into() }));
+        assert!(render_report(&t)
+            .unwrap_err()
+            .0
+            .contains("more 5-s buckets"));
     }
 }

@@ -6,19 +6,25 @@
 //!   every `artifacts/metrics/<stem>.json` has its data sibling — the two
 //!   shapes the gate compares — and the workflow runs the workspace's tests,
 //!   the gate among them, with nothing excluded or skipped;
-//! * every committed file renders through `dmp-bench render`;
+//! * every committed file renders through `dmp-bench render`, the example
+//!   trace as its committed report, byte for byte;
 //! * rendering is total: a damaged committed artifact gives `render` an
 //!   `Err` or a string, never a panic. One mutation per render: each object
 //!   member deleted, then each number replaced with a string and each string
 //!   with a number — every member of every committed file under 10 KB, data
 //!   and metrics snapshots alike, and the top-level members of the two large
-//!   scenario dumps, `ext_failover.json` and `ext_flashcrowd.json`.
+//!   scenario dumps, `ext_failover.json` and `ext_flashcrowd.json`; and the
+//!   example trace with each line deleted, each numeric field turned into
+//!   strings in every line, and cut short at 64 offsets. A `seq` of 2^62
+//!   must not size an allocation, and a trace with no packet rate is
+//!   refused.
 //!
 //! Seen red: reading a leaf with `.expect` instead of `?`
 //! (`c.opt_num("headroom").expect("headroom")` in
 //! `cc_matrix::render_cc_matrix`) fails `damaged_artifacts_render_or_refuse`
 //! with each file and mutation that panicked.
 
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
@@ -84,6 +90,24 @@ fn every_committed_metrics_snapshot_has_data_and_a_ci_check() {
         ci_runs_the_gate(),
         "no CI line runs `cargo test --workspace`, so no CI step compares a fresh run \
          against artifacts/metrics/"
+    );
+}
+
+/// The committed flight-recorder example.
+const EXAMPLE_TRACE: &str = "artifacts/traces/ext_failover_quick_run0.jsonl";
+
+/// A trace line: packet `seq` generated at `t` ns.
+fn gen(t: u64, seq: u64) -> String {
+    format!("{{\"t\":{t},\"ev\":\"gen\",\"seq\":{seq}}}\n")
+}
+
+#[test]
+fn the_example_trace_renders_as_its_committed_report() {
+    let report = target::render_file(&repo_path(EXAMPLE_TRACE)).unwrap_or_else(|e| panic!("{e}"));
+    let committed = EXAMPLE_TRACE.replace(".jsonl", ".report.txt");
+    assert_eq!(
+        report,
+        std::fs::read_to_string(repo_path(&committed)).unwrap()
     );
 }
 
@@ -185,19 +209,78 @@ fn damaged_artifacts_render_or_refuse() {
     {
         let doc = json::parse(&std::fs::read_to_string(&file).unwrap()).expect("committed JSON");
         assert!(
-            target::render_artifact(&file, &doc).is_ok(),
+            target::render_file(&file).is_ok(),
             "{} does not render undamaged",
             file.display()
         );
         for (what, damaged) in mutations(&doc, &node_paths(&doc, depth(&file))) {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                target::render_artifact(&file, &damaged)
+                target::render_artifact(&file, &damaged.render_pretty())
             }));
             match outcome {
                 Ok(_) => rendered += 1,
                 Err(_) => panics.push(format!("{}: {what}", file.display())),
             }
         }
+    }
+    let trace = repo_path(EXAMPLE_TRACE);
+    let text = std::fs::read_to_string(&trace).expect("example trace");
+    let mut damaged: Vec<(String, String)> = (0..64)
+        .map(|k| {
+            (
+                format!("cut at {k}/64"),
+                text[..text.len() * k / 64].to_string(),
+            )
+        })
+        .collect();
+    // Each number-valued key's numbers become strings, in every line.
+    let events: Vec<Json> = text.lines().filter_map(json::parse).collect();
+    let mut keys = BTreeSet::new();
+    for e in &events {
+        if let Json::Obj(pairs) = e {
+            let numeric = pairs.iter().filter(|(_, v)| matches!(v, Json::Num(_)));
+            keys.extend(numeric.map(|(k, _)| k.clone()));
+        }
+    }
+    for key in keys {
+        let mut swapped = events.clone();
+        for (k, v) in swapped.iter_mut().flat_map(|e| match e {
+            Json::Obj(pairs) => pairs.iter_mut(),
+            _ => [].iter_mut(),
+        }) {
+            if let (true, Json::Num(n)) = (*k == key, &*v) {
+                *v = Json::Str(n.to_string());
+            }
+        }
+        let swapped: Vec<String> = swapped.iter().map(Json::render).collect();
+        damaged.push((format!("`{key}` a string"), swapped.join("\n")));
+    }
+    damaged.push(("seq 2^62".into(), gen(0, 0) + &gen(1, 1 << 62)));
+    for (what, damaged) in damaged {
+        let render = || target::render_artifact(&trace, &damaged);
+        match catch_unwind(AssertUnwindSafe(render)) {
+            Ok(_) => rendered += 1,
+            Err(_) => panics.push(format!("{}: {what}", trace.display())),
+        }
+    }
+    // `Trace::parse` reads each line on its own: deleting a line is
+    // deleting its event, and parsing 7 000 copies would take half a minute.
+    let parsed = obs::Trace::parse(&text).expect("example trace");
+    for i in 0..parsed.events.len() {
+        let mut events = parsed.events.clone();
+        events.remove(i);
+        let render = || dmp_bench::trace_report::render_report(&obs::Trace { events });
+        match catch_unwind(AssertUnwindSafe(render)) {
+            Ok(_) => rendered += 1,
+            Err(_) => panics.push(format!("{}: delete line {i}", trace.display())),
+        }
+    }
+    // One `gen` has no packet rate; two must not size a `Vec` by 2^62.
+    for refused in [gen(0, 1 << 62), gen(0, 0), String::new()] {
+        assert!(
+            target::render_artifact(&trace, &refused).is_err(),
+            "{refused}"
+        );
     }
     assert!(
         panics.is_empty(),

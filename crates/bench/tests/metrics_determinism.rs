@@ -1,10 +1,9 @@
 //! The always-on metrics layer is deterministic end to end: snapshots are a
 //! pure function of the run, so they must come out byte-identical across
 //! runner thread counts and whether or not the flight recorder is on — and
-//! `bench_diff` over two identical runs must report zero drift while a
-//! perturbed metric exits nonzero.
+//! the differ must name the one leaf of a perturbed metric.
 
-use dmp_bench::diff::{diff_paths, Verdict};
+use dmp_bench::diff::{diff_docs, Moved};
 use dmp_bench::target::{execute, Target, TargetReport};
 use dmp_bench::Scale;
 use dmp_core::spec::SchedulerKind;
@@ -61,9 +60,8 @@ const TINY_FLEET: Target = Target {
 };
 
 /// Bench layer: `execute` writes `metrics/<name>.json`, the bytes do not
-/// depend on the runner's thread count, `bench_diff` on the two identical
-/// runs reports zero drift, and a perturbed metric flips the verdict to
-/// drift (nonzero exit).
+/// depend on the runner's thread count, and `diff_docs` names the one leaf
+/// a perturbation moved.
 #[test]
 fn metrics_file_thread_invariant_and_diffable() {
     let base = temp_base("threads");
@@ -83,13 +81,7 @@ fn metrics_file_thread_invariant_and_diffable() {
         "metrics file must be byte-identical across 1 and 8 runner threads"
     );
 
-    // bench_diff over the two identical runs: zero drift, exit code 0.
-    let report = diff_paths(&dirs[0], &dirs[1]).unwrap();
-    assert_eq!(report.verdict(), Verdict::Ok);
-    assert_eq!(report.verdict().exit_code(), 0);
-    assert!(report.compared > 0);
-
-    // Perturb one metric: verdict drift, nonzero exit.
+    // Perturb one metric: it is the one moved leaf.
     let doc = read(&dirs[1]);
     let perturbed = doc.replacen(
         "\"fleet.sessions_started\": ",
@@ -97,14 +89,12 @@ fn metrics_file_thread_invariant_and_diffable() {
         1,
     );
     assert_ne!(doc, perturbed, "perturbation must apply");
-    std::fs::write(dirs[1].join("tiny_fleet.json"), perturbed).unwrap();
-    let report = diff_paths(&dirs[0], &dirs[1]).unwrap();
-    assert_eq!(report.verdict(), Verdict::Drift);
-    assert_ne!(report.verdict().exit_code(), 0);
-    assert!(report
-        .drifted
-        .iter()
-        .any(|d| d.path.contains("fleet.sessions_started")));
+    let parse = |text: &str| dmp_runner::json::parse(text).expect("metrics JSON");
+    let moved = diff_docs(&parse(&doc), &parse(&perturbed));
+    assert!(
+        matches!(&moved[..], [Moved::Num { path, .. }] if path == "counters.fleet.sessions_started"),
+        "{moved:?}"
+    );
 
     std::fs::remove_dir_all(&base).ok();
 }

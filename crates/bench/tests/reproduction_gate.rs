@@ -13,8 +13,9 @@
 //!   sidecar carries the per-session histograms and the shards;
 //! * a warm run, a second process on the same cache, serves every job from
 //!   the cache and writes every file of the cold run again, byte for byte;
-//! * a traced `ext_failover` leaves its data file as committed and its
-//!   sidecar lists exactly the trace files it wrote;
+//! * a traced `ext_failover` leaves its data file as committed, its
+//!   sidecar lists exactly the trace files it wrote, and each of them
+//!   renders as `dmp-bench render` reports it;
 //! * a misspelt flag exits 2 and writes nothing.
 //!
 //! The targets are read off `artifacts/`: a committed stem must be a
@@ -24,8 +25,8 @@
 //!
 //! Seen red: one step off `fig9a`'s τ grid (each searched τ reported 0.5 s
 //! later, `req.map(|t| t + 0.5)` in `params::fig9a`) names
-//! `artifacts/fig9a.json`, its eight moved `points[i].tau_s` and their table
-//! cells; one seed changed in `ext_cc_matrix` (`scale.seed + 1` in
+//! `artifacts/fig9a.json` and its 16 moved leaves, the eight
+//! `points[i].tau_s` and their eight table cells; one seed changed in `ext_cc_matrix` (`scale.seed + 1` in
 //! `MatrixOptions::from_scale`) names `artifacts/ext_cc_matrix.json` (the
 //! cells' `tried` lists) and `artifacts/metrics/ext_cc_matrix.json` (45
 //! drifted counters). Each prints
@@ -35,7 +36,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use dmp_bench::diff::diff_docs;
+use dmp_bench::diff::{self, diff_docs};
 use dmp_bench::{repo_path, target};
 use dmp_runner::test_util::TempDir;
 use dmp_runner::{json, Json, JsonCodec};
@@ -110,7 +111,7 @@ fn moved(expected: &Path, fresh: &Path) -> Option<String> {
     }
     let line = want.lines().zip(got.lines()).take_while(|(a, b)| a == b);
     let leaves = match (json::parse(&want), json::parse(&got)) {
-        (Some(a), Some(b)) => diff_docs(&a, &b).render(),
+        (Some(a), Some(b)) => diff::render(&diff_docs(&a, &b)),
         _ => "not JSON\n".to_string(),
     };
     Some(format!(
@@ -222,6 +223,11 @@ fn committed_artifacts_reproduce_cold_warm_and_traced() {
         failures.push(format!(
             "the traced ext_failover wrote {written:?} and its sidecar lists {listed:?}"
         ));
+    }
+    for trace in &written {
+        if let Err(e) = target::render_file(trace) {
+            failures.push(format!("does not render: {e}"));
+        }
     }
 
     if !rerecord.is_empty() {

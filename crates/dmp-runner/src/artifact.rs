@@ -64,7 +64,7 @@ impl ArtifactWriter {
 
     /// Write a deterministic metrics snapshot as `metrics/<name>.json`,
     /// returning its path. Standalone files (rather than a section of the
-    /// main artifact) let `bench_diff` compare two runs' metrics directories
+    /// main artifact) let two runs' metrics be compared file by file
     /// without parsing figure-specific payloads.
     pub fn write_metrics(&self, name: &str, metrics: &Json) -> io::Result<PathBuf> {
         let dir = self.dir.join("metrics");

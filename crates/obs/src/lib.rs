@@ -33,7 +33,7 @@
 //! The [`metrics`] module is the complementary **always-on** layer: cheap
 //! mergeable counters/gauges/histograms that every run records regardless of
 //! tracing, snapshotted into artifact sidecars and compared across runs by
-//! the `bench_diff` regression differ.
+//! the reproduction gate, which lists the leaves that moved.
 
 #![warn(missing_docs)]
 

@@ -377,9 +377,9 @@ fn widened(mut counts: Vec<u64>, i: usize, n: u64) -> Vec<u64> {
 
 /// One frozen, serialisable, mergeable metrics reading.
 ///
-/// `labels` carry configuration identity (`cc`, `strategy`, `engine`);
-/// `bench_diff` refuses to compare snapshots whose labels disagree instead
-/// of reporting spurious drift. Merging two snapshots with conflicting
+/// `labels` carry configuration identity (`cc`, `strategy`, `engine`), so
+/// snapshots of two configurations never read alike, and a changed label
+/// shows in a diff of two runs. Merging two snapshots with conflicting
 /// label values records the literal value `"mixed"`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {

@@ -2,8 +2,11 @@
 //! the paper-style diagnostics (cwnd evolution, per-path throughput
 //! timelines, queue-depth percentiles, event windows around a glitch).
 //!
-//! The resilience-specific "why" report lives in `dmp-bench`'s `trace_report`
-//! binary, which combines these primitives with `dmp-core`'s glitch model.
+//! The resilience-specific "why" report lives in `dmp-bench`'s
+//! `trace_report` module (what `dmp-bench render` prints for a trace), which
+//! combines these primitives with `dmp-core`'s glitch model. A trace is
+//! outside input: what these allocate is bounded by the events it holds,
+//! never by a sequence number or a timestamp read from it.
 
 use crate::event::{EventKind, TraceEvent};
 use dmp_base::Distribution;
@@ -146,10 +149,16 @@ impl Trace {
     /// Per-path delivered-packet counts in fixed time buckets:
     /// `(path, counts)` with `counts[i]` covering
     /// `[i*bucket_s, (i+1)*bucket_s)`. Paths sorted ascending; every path
-    /// gets the same number of buckets (covering the full trace).
-    pub fn path_throughput(&self, bucket_s: f64) -> Vec<(u32, Vec<u64>)> {
+    /// gets the same number of buckets (covering the full trace). `None`
+    /// when that would be more buckets than the trace has events: one
+    /// timestamp far past the rest must not size the timeline.
+    pub fn path_throughput(&self, bucket_s: f64) -> Option<Vec<(u32, Vec<u64>)>> {
         assert!(bucket_s > 0.0, "bucket width must be positive");
-        let buckets = (self.duration_s() / bucket_s).floor() as usize + 1;
+        let last = (self.duration_s() / bucket_s).floor();
+        if last >= self.events.len() as f64 {
+            return None;
+        }
+        let buckets = last as usize + 1;
         let mut paths: Vec<u32> = self
             .events
             .iter()
@@ -172,7 +181,7 @@ impl Trace {
                 }
             }
         }
-        out
+        Some(out)
     }
 
     /// Occupancy percentiles of one link queue.
@@ -251,40 +260,39 @@ impl Trace {
     }
 
     /// Reconstruct per-packet generation/arrival times from the `gen` and
-    /// `dlv` events, ordered by sequence number. Packets that arrived
-    /// without a recorded generation (trace started late) are skipped.
+    /// `dlv` events, ordered by sequence number: one per sequence number a
+    /// `gen` event names (its last generation), with the first `dlv` of it.
+    /// Deliveries of packets with no recorded generation (trace started
+    /// late) are skipped.
     pub fn packet_times(&self) -> Vec<PacketTimes> {
-        let mut by_seq: Vec<PacketTimes> = Vec::new();
+        let mut by_seq: Vec<PacketTimes> = self
+            .events
+            .iter()
+            .rev()
+            .filter_map(|e| match e.kind {
+                EventKind::Generated { seq } => Some(PacketTimes {
+                    seq,
+                    gen_s: e.t as f64 / SECOND_NS,
+                    arrival_s: None,
+                    path: None,
+                }),
+                _ => None,
+            })
+            .collect();
+        // Stable, so the last `gen` of a repeated sequence number comes first.
+        by_seq.sort_by_key(|p| p.seq);
+        by_seq.dedup_by_key(|p| p.seq);
         for e in &self.events {
-            match e.kind {
-                EventKind::Generated { seq } => {
-                    let idx = seq as usize;
-                    if by_seq.len() <= idx {
-                        by_seq.resize(
-                            idx + 1,
-                            PacketTimes {
-                                seq: 0,
-                                gen_s: f64::NAN,
-                                arrival_s: None,
-                                path: None,
-                            },
-                        );
-                    }
-                    by_seq[idx].seq = seq;
-                    by_seq[idx].gen_s = e.t as f64 / SECOND_NS;
-                }
-                EventKind::Delivered { path, seq } => {
-                    if let Some(p) = by_seq.get_mut(seq as usize) {
-                        if p.arrival_s.is_none() {
-                            p.arrival_s = Some(e.t as f64 / SECOND_NS);
-                            p.path = Some(path);
-                        }
+            if let EventKind::Delivered { path, seq } = e.kind {
+                if let Ok(i) = by_seq.binary_search_by_key(&seq, |p| p.seq) {
+                    let p = &mut by_seq[i];
+                    if p.arrival_s.is_none() {
+                        p.arrival_s = Some(e.t as f64 / SECOND_NS);
+                        p.path = Some(path);
                     }
                 }
-                _ => {}
             }
         }
-        by_seq.retain(|p| p.gen_s.is_finite());
         by_seq
     }
 }
@@ -374,7 +382,7 @@ mod tests {
     #[test]
     fn throughput_buckets_split_paths() {
         let t = sample_trace();
-        let th = t.path_throughput(2.0);
+        let th = t.path_throughput(2.0).expect("10 s in 2-s buckets");
         assert_eq!(th.len(), 2);
         let total: u64 = th.iter().flat_map(|(_, c)| c.iter()).sum();
         assert_eq!(total, 10);
@@ -411,6 +419,23 @@ mod tests {
         assert!((pkts[4].gen_s - 4.0).abs() < 1e-9);
         assert!((pkts[4].arrival_s.unwrap() - 4.1).abs() < 1e-9);
         assert_eq!(pkts[4].path, Some(0));
+    }
+
+    /// A sequence number allocates one packet, not a slot per number below
+    /// it: 2^62 slots overflow `Vec`'s capacity.
+    #[test]
+    fn a_huge_seq_is_one_packet() {
+        let t = Trace::parse(r#"{"t":0,"ev":"gen","seq":4611686018427387904}"#).unwrap();
+        assert_eq!(t.packet_times().len(), 1);
+    }
+
+    #[test]
+    fn a_far_timestamp_is_refused_not_allocated() {
+        let mut t = sample_trace();
+        t.events
+            .push(ev(1e9, EventKind::Delivered { path: 0, seq: 0 }));
+        assert_eq!(t.path_throughput(5.0), None);
+        assert!(sample_trace().path_throughput(5.0).is_some());
     }
 
     #[test]

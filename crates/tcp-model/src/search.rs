@@ -46,8 +46,8 @@ impl Default for SearchOptions {
 /// Tuning of the capacity planner's max-µ bisection, layered on the same
 /// decision machinery as the τ searches: [`PlannerOptions::search`] supplies
 /// the late-fraction threshold, SSA budget and base seed, and the planner
-/// adds the µ bracket and stopping resolution that used to be hard-coded in
-/// the `capacity_planner` example.
+/// adds the µ bracket and stopping resolution the `capacity_planner` target
+/// bisects with.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerOptions {
     /// Shared evaluation tuning (threshold, block/budget, seed).
