@@ -61,7 +61,6 @@ pub fn experiment_set(scale: &Scale) -> Vec<LiveExperiment> {
             send_buf_bytes: 16 * 1024,
             seed: scale.seed.wrapping_add(i as u64 * 97),
             time_dilation: scale.live_time_dilation,
-            schedules: None,
             trace: trace_dir
                 .as_ref()
                 .map(|dir| TraceSpec::new(format!("fig7_live_exp{i}"), dir)),
@@ -70,13 +69,13 @@ pub fn experiment_set(scale: &Scale) -> Vec<LiveExperiment> {
     v
 }
 
-/// What a live-run job returns: the lateness summary, plus the shaping
+/// What a live-run job returns: the lateness summary, plus the rate
 /// timeline each emulated path applied. The codec is `RunSummary`'s, so the
 /// timelines, like the trace file, come back from a run, never the cache.
 pub struct LiveSummary {
     /// Lateness, frame metrics and the trace file of the run.
     pub summary: RunSummary,
-    /// Per path, the shaping states the emulator applied, nominal time.
+    /// Per path, the rates the emulator applied, nominal time.
     pub timelines: Vec<Vec<AppliedPoint>>,
 }
 
@@ -201,8 +200,6 @@ pub fn fig7(r: &Runner, scale: &Scale) -> TargetReport {
                 Json::obj([
                     ("t_s", Json::Num(p.t.as_secs_f64())),
                     ("rate_bps", Json::Num(p.rate_bps)),
-                    ("delay_s", Json::Num(p.delay.as_secs_f64())),
-                    ("down", Json::Bool(p.down)),
                 ])
             });
             timelines.push((format!("seed{}-path{k}", exp.seed), Json::arr(points)));

@@ -7,7 +7,7 @@
 
 use dmp_core::spec::PathSpec;
 use dmp_runner::{JobSpec, Json, Runner};
-use tcp_model::{calibrate, required_startup_delay, DmpModel, TauSearchSpec};
+use tcp_model::{calibrate, DmpModel, TauSearchSpec};
 
 use crate::report::{tau, Table};
 use crate::scale::Scale;
@@ -48,21 +48,6 @@ pub fn paper_settings() -> Vec<StaticSetting> {
             ratio: 2.0,
         },
     ]
-}
-
-/// Required startup delay of static streaming: each path carries an
-/// independent single-path stream at µ/2.
-pub fn static_required_tau(
-    path: PathSpec,
-    mu: f64,
-    opts: &tcp_model::SearchOptions,
-) -> Option<f64> {
-    required_startup_delay(|t| DmpModel::new(vec![path], mu / 2.0, t), opts)
-}
-
-/// Required startup delay of DMP-streaming over the two paths.
-pub fn dmp_required_tau(path: PathSpec, mu: f64, opts: &tcp_model::SearchOptions) -> Option<f64> {
-    required_startup_delay(|t| DmpModel::new(vec![path; 2], mu, t), opts)
 }
 
 /// Fig. 11: required startup delay, static vs DMP, across the paper's
@@ -143,8 +128,19 @@ mod tests {
             rtt_s: s.rtt_s,
             to_ratio: 4.0,
         };
-        let t_static = static_required_tau(path, mu, &opts).expect("static reachable");
-        let t_dmp = dmp_required_tau(path, mu, &opts).expect("dmp reachable");
+        // The two cells `fig11` submits: static is K = 1 at µ/2, DMP K = 2 at µ.
+        let static_cell = TauSearchSpec {
+            paths: vec![path],
+            mu: mu / 2.0,
+            opts,
+        };
+        let dmp_cell = TauSearchSpec {
+            paths: vec![path; 2],
+            mu,
+            opts,
+        };
+        let t_static = static_cell.run().expect("static reachable");
+        let t_dmp = dmp_cell.run().expect("dmp reachable");
         assert!(
             t_dmp <= t_static,
             "DMP τ = {t_dmp} should not exceed static τ = {t_static}"

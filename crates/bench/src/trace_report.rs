@@ -20,6 +20,11 @@ use crate::scenarios::{TAU_S, WINDOW_S};
 /// Bucket width of the per-path throughput timeline, seconds.
 const BUCKET_S: f64 = 5.0;
 
+/// Most rows of the glitch table: a glitch storm (thousands of short stalls
+/// on a congested static split) lists its first glitches and counts the
+/// rest.
+const MAX_GLITCH_ROWS: usize = 30;
+
 /// The video packet rate µ (pkts/s) of the trace: the sequence numbers the
 /// first and last `gen` events span over the nanoseconds between them. The
 /// `gen` events must rise in sequence number at non-decreasing times, the
@@ -282,11 +287,11 @@ pub fn render_report(trace: &Trace) -> Result<String, RenderError> {
         },
     ));
 
-    // The per-glitch "why". Every glitch gets one table row with its most
-    // plausible cause — the last scripted path event shortly before (or
-    // within τ of) the stall's onset; the full recovery-event windows are
-    // spelled out only for the longest stalls, which keeps reports on
-    // glitch-storm traces readable.
+    // The per-glitch "why". The first `MAX_GLITCH_ROWS` glitches get one
+    // table row each with its most plausible cause — the last scripted path
+    // event shortly before (or within τ of) the stall's onset; the full
+    // recovery-event windows are spelled out only for the longest stalls,
+    // which keeps reports on glitch-storm traces readable.
     let glitch_list = glitches(&records, TAU_S, rate_pps);
     let cause_of = |start_s: f64| {
         path_events.iter().rev().find(|e| {
@@ -298,7 +303,7 @@ pub fn render_report(trace: &Trace) -> Result<String, RenderError> {
         "glitches and their causes",
         &["glitch", "start (s)", "end (s)", "stalled (s)", "cause"],
     );
-    for (i, &(start_s, end_s)) in glitch_list.iter().enumerate() {
+    for (i, &(start_s, end_s)) in glitch_list.iter().enumerate().take(MAX_GLITCH_ROWS) {
         let cause = match cause_of(start_s).map(|e| &e.kind) {
             Some(EventKind::PathEvent { path, action }) => {
                 format!("scripted `{}` on path {path}", action.name())
@@ -319,6 +324,10 @@ pub fn render_report(trace: &Trace) -> Result<String, RenderError> {
     }
     out.push('\n');
     out.push_str(&gt.render());
+    if glitch_list.len() > MAX_GLITCH_ROWS {
+        let unlisted = glitch_list.len() - MAX_GLITCH_ROWS;
+        out.push_str(&format!("... {unlisted} more glitch(es) not listed\n"));
+    }
 
     const MAX_DETAILED: usize = 3;
     let mut by_duration: Vec<(usize, (f64, f64))> = glitch_list.into_iter().enumerate().collect();
@@ -426,6 +435,40 @@ mod tests {
         );
         assert!(text.contains("RTO expired"), "{text}");
         assert!(text.contains("path 0 <-> conn 0"), "{text}");
+    }
+
+    /// 400 packets at 1 pkt/s, every other one 8 s late: one glitch per
+    /// late packet, far more than the table lists.
+    #[test]
+    fn a_glitch_storm_lists_its_first_glitches_and_counts_the_rest() {
+        let mut events = vec![ev(0.0, EventKind::PathConn { path: 0, conn: 0 })];
+        for i in 0..400u64 {
+            let t = i as f64;
+            let lateness = if i % 2 == 0 { 8.0 } else { 0.01 };
+            events.push(ev(t, EventKind::Generated { seq: i }));
+            events.push(ev(t + lateness, EventKind::Delivered { path: 0, seq: i }));
+        }
+        events.sort_by_key(|e| e.t);
+        let text = render_report(&Trace { events }).expect("renders");
+        let count: usize = text
+            .split(" glitch(es),")
+            .next()
+            .and_then(|head| head.rsplit(' ').next())
+            .and_then(|n| n.parse().ok())
+            .expect("the glitch count");
+        assert!(count > 2 * MAX_GLITCH_ROWS, "{text}");
+        let rows = text
+            .split("== glitches and their causes ==\n")
+            .nth(1)
+            .expect("a glitch table")
+            .lines()
+            .skip(2) // header and rule
+            .take_while(|l| !l.is_empty() && !l.starts_with("..."))
+            .count();
+        assert_eq!(rows, MAX_GLITCH_ROWS, "{text}");
+        let unlisted = count - MAX_GLITCH_ROWS;
+        let tail = format!("\n... {unlisted} more glitch(es) not listed\n");
+        assert!(text.contains(&tail), "{text}");
     }
 
     #[test]

@@ -108,14 +108,13 @@ const FLEET_FIELDS: [fn(&mut FleetSpec); 19] = [
     |f| f.seed += 1,
 ];
 
-const LIVE_FIELDS: [fn(&mut LiveExperiment); 8] = [
+const LIVE_FIELDS: [fn(&mut LiveExperiment); 7] = [
     |e| e.video.rate_pps += 1.0,
     |e| e.packets += 1,
     |e| e.paths[0].delay += Duration::from_millis(1),
     |e| e.send_buf_bytes += 1,
     |e| e.seed += 1,
     |e| e.time_dilation += 1.0,
-    |e| e.schedules = Some(Vec::new()),
     |e| e.trace = Some(TraceSpec::new("t", "d")),
 ];
 

@@ -84,16 +84,6 @@ pub fn t_quantile_975(df: u64) -> f64 {
     }
 }
 
-/// Geometric mean of strictly positive values (0 if empty). Useful for
-/// order-of-magnitude comparisons of late fractions.
-pub fn geometric_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = xs.iter().map(|&x| x.max(f64::MIN_POSITIVE).ln()).sum();
-    (log_sum / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,11 +122,5 @@ mod tests {
             prev = t;
         }
         assert!((t_quantile_975(1_000_000) - 1.96).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_mean_basic() {
-        assert!((geometric_mean(&[1.0, 100.0]) - 10.0).abs() < 1e-9);
-        assert_eq!(geometric_mean(&[]), 0.0);
     }
 }

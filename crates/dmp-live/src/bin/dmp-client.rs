@@ -17,10 +17,9 @@
 use std::fmt::Display;
 use std::net::SocketAddr;
 use std::str::FromStr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use dmp_live::stream::{listen, receive, settle, Arrival, Session};
-use parking_lot::Mutex;
 
 const USAGE: &str = "usage: dmp-client --listen PORT[,PORT…] [--mu PKTS_PER_S] [--tau S,S,…]";
 
@@ -100,7 +99,7 @@ fn main() -> std::io::Result<()> {
         );
         let sink = Arc::clone(&arrivals);
         let readers = receive(listeners, &Session::start(false), move |a| {
-            sink.lock().push(a)
+            sink.lock().unwrap_or_else(PoisonError::into_inner).push(a)
         });
         for (path, reader) in readers.into_iter().enumerate() {
             match settle(reader, None).await {
@@ -111,7 +110,7 @@ fn main() -> std::io::Result<()> {
         std::io::Result::Ok(())
     })?;
 
-    let arrivals = arrivals.lock();
+    let arrivals = arrivals.lock().unwrap_or_else(PoisonError::into_inner);
     let Some(late) = late_fractions(&arrivals, &args.taus) else {
         println!("no packets received");
         return Ok(());

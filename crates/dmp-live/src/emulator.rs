@@ -9,13 +9,11 @@
 //! bounded queue plus TCP flow control push backpressure all the way to the
 //! server's send buffer — exactly the signal DMP-streaming schedules on.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use scenario::PathSchedule;
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
 use tokio::net::{TcpSocket, TcpStream};
 use tokio::sync::mpsc;
@@ -50,38 +48,28 @@ impl PathProfile {
     }
 }
 
-/// One shaping state the emulator actually applied, with when it took
-/// effect (relative to the proxy accepting its connection).
+/// One service rate the emulator actually applied, with when it took
+/// effect (relative to the proxy accepting its connection). The delay is
+/// the profile's throughout.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppliedPoint {
-    /// When this state took effect.
+    /// When this rate took effect.
     pub t: Duration,
     /// Service rate in force, bits per second.
     pub rate_bps: f64,
-    /// One-way propagation delay in force.
-    pub delay: Duration,
-    /// True while the path was administratively down.
-    pub down: bool,
 }
 
-/// Byte counters exposed by a running emulator.
-#[derive(Debug, Default)]
-pub struct PathStats {
-    /// Bytes forwarded downstream.
-    pub bytes_forwarded: AtomicU64,
-    /// Every shaping state the path applied, in order: the initial state,
-    /// each random resample, and each scripted step. This is the ground
-    /// truth of what the emulated path did during a run.
-    pub timeline: parking_lot::Mutex<Vec<AppliedPoint>>,
-}
+/// Every rate a path applied, in order: the initial rate and each random
+/// resample. This is the ground truth of what the emulated path did during
+/// a run.
+type Timeline = Arc<Mutex<Vec<AppliedPoint>>>;
 
 /// A running path emulator: connect the upstream (server) to
 /// [`PathEmulator::addr`]; bytes come out at `downstream_addr` shaped by the
 /// profile.
 pub struct PathEmulator {
     addr: std::net::SocketAddr,
-    /// Counters.
-    pub stats: Arc<PathStats>,
+    timeline: Timeline,
 }
 
 impl PathEmulator {
@@ -92,20 +80,6 @@ impl PathEmulator {
         profile: PathProfile,
         downstream_addr: std::net::SocketAddr,
         seed: u64,
-    ) -> std::io::Result<Self> {
-        Self::spawn_scripted(profile, downstream_addr, seed, None).await
-    }
-
-    /// [`PathEmulator::spawn`], optionally replacing the random rate
-    /// resampler with a scripted [`PathSchedule`] (rate/delay factors on the
-    /// profile's base values, plus down intervals). Schedule times are
-    /// relative to the proxy accepting its connection — effectively the
-    /// start of the stream.
-    pub async fn spawn_scripted(
-        profile: PathProfile,
-        downstream_addr: std::net::SocketAddr,
-        seed: u64,
-        schedule: Option<PathSchedule>,
     ) -> std::io::Result<Self> {
         // Cap the upstream receive buffer: kernel autotuning would otherwise
         // grow it to hundreds of KB on loopback, letting a slow path absorb
@@ -118,14 +92,14 @@ impl PathEmulator {
         socket.bind("127.0.0.1:0".parse().expect("literal addr"))?;
         let listener = socket.listen(8)?;
         let addr = listener.local_addr()?;
-        let stats = Arc::new(PathStats::default());
-        let stats2 = Arc::clone(&stats);
+        let timeline = Timeline::default();
+        let applied = Arc::clone(&timeline);
         tokio::spawn(async move {
             if let Ok((upstream, _)) = listener.accept().await {
-                let _ = run_proxy(upstream, downstream_addr, profile, seed, stats2, schedule).await;
+                let _ = run_proxy(upstream, downstream_addr, profile, seed, applied).await;
             }
         });
-        Ok(Self { addr, stats })
+        Ok(Self { addr, timeline })
     }
 
     /// Address the upstream should connect to.
@@ -133,9 +107,12 @@ impl PathEmulator {
         self.addr
     }
 
-    /// Snapshot of the applied shaping timeline so far.
+    /// Snapshot of the applied rate timeline so far.
     pub fn timeline(&self) -> Vec<AppliedPoint> {
-        self.stats.timeline.lock().clone()
+        self.timeline
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -151,8 +128,7 @@ async fn run_proxy(
     downstream_addr: std::net::SocketAddr,
     profile: PathProfile,
     seed: u64,
-    stats: Arc<PathStats>,
-    schedule: Option<PathSchedule>,
+    timeline: Timeline,
 ) -> std::io::Result<()> {
     let mut downstream = TcpStream::connect(downstream_addr).await?;
     downstream.set_nodelay(true)?;
@@ -183,84 +159,36 @@ async fn run_proxy(
     // leak into the pacing (a transmitted chunk propagates while the next
     // one is already being serialised, as on a real link).
     let (dtx, mut drx) = mpsc::channel::<(Instant, Vec<u8>)>(depth.max(64));
-    let shaper_stats = Arc::clone(&stats);
     let shaper = tokio::spawn(async move {
         let start = Instant::now();
-        let record = |t: Duration, rate_bps: f64, delay: Duration, down: bool| {
-            shaper_stats.timeline.lock().push(AppliedPoint {
-                t,
-                rate_bps,
-                delay,
-                down,
-            });
+        let record = |t: Duration, rate_bps: f64| {
+            let point = AppliedPoint { t, rate_bps };
+            timeline
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(point);
         };
-        match schedule {
-            // Scripted mode: the schedule dictates rate/delay/down; the
-            // random resampler is disabled entirely.
-            Some(sched) => {
-                let mut applied: Option<scenario::LiveStep> = None;
-                let mut vclock = Instant::now();
-                'stream: while let Some(chunk) = rx.recv().await {
-                    // Resolve the state in force, waiting out down periods
-                    // (a down path delays its queue; TCP loses nothing).
-                    let st = loop {
-                        let elapsed = start.elapsed();
-                        let st = sched.state_at(elapsed);
-                        if applied != Some(st) {
-                            record(
-                                elapsed,
-                                profile.rate_bps * st.rate_factor,
-                                profile.delay.mul_f64(st.delay_factor),
-                                st.down,
-                            );
-                            applied = Some(st);
-                        }
-                        if !st.down {
-                            break st;
-                        }
-                        match sched.next_change_after(elapsed) {
-                            Some(at) => tokio::time::sleep_until(start + at).await,
-                            // Down forever: abandon the stream (downstream
-                            // closes once the delay stage drains).
-                            None => break 'stream,
-                        }
-                    };
-                    let rate = profile.rate_bps * st.rate_factor;
-                    let delay = profile.delay.mul_f64(st.delay_factor);
-                    let tx_time = Duration::from_secs_f64(chunk.len() as f64 * 8.0 / rate);
-                    vclock = vclock.max(Instant::now()) + tx_time;
-                    tokio::time::sleep_until(vclock).await;
-                    if dtx.send((vclock + delay, chunk)).await.is_err() {
-                        break;
-                    }
-                }
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rate = profile.rate_bps;
+        let mut next_resample = Instant::now() + profile.resample_every;
+        record(Duration::ZERO, rate);
+        // Virtual transmit clock for the serialisation discipline.
+        let mut vclock = Instant::now();
+        while let Some(chunk) = rx.recv().await {
+            let now = Instant::now();
+            if profile.variability > 0.0 && now >= next_resample {
+                let v = profile.variability;
+                rate = profile.rate_bps * rng.gen_range(1.0 - v..=1.0 + v);
+                record(start.elapsed(), rate);
+                // Jitter the resample interval ±50% so paths decorrelate.
+                let jitter = rng.gen_range(0.5..1.5);
+                next_resample = now + profile.resample_every.mul_f64(jitter);
             }
-            // Random mode: the original seeded resampler.
-            None => {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let mut rate = profile.rate_bps;
-                let mut next_resample = Instant::now() + profile.resample_every;
-                record(Duration::ZERO, rate, profile.delay, false);
-                // Virtual transmit clock for the serialisation discipline.
-                let mut vclock = Instant::now();
-                while let Some(chunk) = rx.recv().await {
-                    let now = Instant::now();
-                    if profile.variability > 0.0 && now >= next_resample {
-                        let v = profile.variability;
-                        rate = profile.rate_bps * rng.gen_range(1.0 - v..=1.0 + v);
-                        record(start.elapsed(), rate, profile.delay, false);
-                        // Jitter the resample interval ±50% so paths
-                        // decorrelate.
-                        let jitter = rng.gen_range(0.5..1.5);
-                        next_resample = now + profile.resample_every.mul_f64(jitter);
-                    }
-                    let tx_time = Duration::from_secs_f64(chunk.len() as f64 * 8.0 / rate);
-                    vclock = vclock.max(now) + tx_time;
-                    tokio::time::sleep_until(vclock).await;
-                    if dtx.send((vclock + profile.delay, chunk)).await.is_err() {
-                        break;
-                    }
-                }
+            let tx_time = Duration::from_secs_f64(chunk.len() as f64 * 8.0 / rate);
+            vclock = vclock.max(now) + tx_time;
+            tokio::time::sleep_until(vclock).await;
+            if dtx.send((vclock + profile.delay, chunk)).await.is_err() {
+                break;
             }
         }
     });
@@ -272,9 +200,6 @@ async fn run_proxy(
         if downstream.write_all(&chunk).await.is_err() {
             break;
         }
-        stats
-            .bytes_forwarded
-            .fetch_add(chunk.len() as u64, Ordering::Relaxed);
     }
     let _ = downstream.shutdown().await;
     shaper.abort();
@@ -335,63 +260,6 @@ mod tests {
             let profile = PathProfile::steady(50_000_000.0, Duration::from_millis(1));
             let elapsed = pump(profile, 100_000).await;
             assert!(elapsed.as_secs_f64() < 1.0, "took {:?}", elapsed);
-        })
-    }
-
-    #[test]
-    fn scripted_down_interval_stalls_then_resumes() {
-        use scenario::LiveStep;
-        tokio::runtime::Runtime::new().unwrap().block_on(async {
-            // 2 Mbps path, down from 0.2 s to 0.9 s. 100 KB needs ~0.4 s of
-            // service, so the transfer must straddle the outage: it completes,
-            // but not before the path comes back up.
-            let profile = PathProfile::steady(2_000_000.0, Duration::from_millis(1));
-            let mk = |at_ms: u64, down: bool| LiveStep {
-                at: Duration::from_millis(at_ms),
-                rate_factor: 1.0,
-                delay_factor: 1.0,
-                down,
-            };
-            let sched = PathSchedule {
-                steps: vec![mk(0, false), mk(200, true), mk(900, false)],
-            };
-
-            let sink = TcpListener::bind("127.0.0.1:0").await.unwrap();
-            let sink_addr = sink.local_addr().unwrap();
-            let emu = PathEmulator::spawn_scripted(profile, sink_addr, 7, Some(sched))
-                .await
-                .unwrap();
-            let n = 100_000usize;
-            let recv = tokio::spawn(async move {
-                let (mut s, _) = sink.accept().await.unwrap();
-                let mut total = 0usize;
-                let mut buf = vec![0u8; 8192];
-                while total < n {
-                    match s.read(&mut buf).await {
-                        Ok(0) | Err(_) => break,
-                        Ok(k) => total += k,
-                    }
-                }
-                total
-            });
-            let mut up = TcpStream::connect(emu.addr()).await.unwrap();
-            let t0 = Instant::now();
-            up.write_all(&vec![0xcdu8; n]).await.unwrap();
-            up.shutdown().await.unwrap();
-            let total = recv.await.unwrap();
-            let secs = t0.elapsed().as_secs_f64();
-            assert_eq!(total, n, "transfer must survive the outage");
-            assert!(secs > 0.85, "finished in {secs:.2}s — outage not enforced");
-            assert!(secs < 3.0, "took {secs:.2}s — never recovered");
-
-            // The applied timeline records the outage.
-            let tl = emu.timeline();
-            assert!(tl.iter().any(|p| p.down), "no down point in {tl:?}");
-            assert!(
-                tl.iter()
-                    .any(|p| !p.down && p.t >= Duration::from_millis(800)),
-                "no recovery point in {tl:?}"
-            );
         })
     }
 

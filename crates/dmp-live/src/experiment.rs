@@ -48,11 +48,6 @@ pub struct LiveExperiment {
     /// relies on. `1.0` = real time. Keep the dilated event spacing (nominal
     /// spacing ÷ F) well above tokio's ~1 ms timer granularity.
     pub time_dilation: f64,
-    /// Scripted per-path shaping schedules (from
-    /// [`scenario::compile_live`]), replacing the emulators' random rate
-    /// resamplers. `None` = the profiles' own random processes. Step times
-    /// are nominal; dilation is applied internally.
-    pub schedules: Option<Vec<scenario::PathSchedule>>,
     /// When set, record an [`obs`] flight-recorder trace to this
     /// destination: the same JSONL schema the simulator emits, timestamped
     /// in *nominal* nanoseconds (dilated runs are rescaled), returned in
@@ -99,9 +94,7 @@ pub struct LiveRun {
     pub output: LiveOutput,
     /// Measured lateness at the requested startup delays.
     pub report: LatenessReport,
-    /// Model-facing path estimates.
-    pub est_paths: Vec<PathSpec>,
-    /// Per path, the shaping states its emulator applied, nominal time.
+    /// Per path, the rates its emulator applied, nominal time.
     pub timelines: Vec<Vec<AppliedPoint>>,
     /// The trace file [`LiveExperiment::trace`] asked for.
     pub trace_file: Option<TraceFileRef>,
@@ -138,40 +131,19 @@ fn undilate_trace(
 
 /// Execute the experiment and evaluate lateness at each τ in `taus_s`.
 ///
-/// A `time_dilation` below 1 (or not finite) and a schedule count other
-/// than the path count are `InvalidInput` errors.
+/// A `time_dilation` below 1 (or not finite) is an `InvalidInput` error.
 pub async fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> io::Result<LiveRun> {
     let f = exp.time_dilation;
-    let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
     if !(f.is_finite() && f >= 1.0) {
-        return invalid(format!("time_dilation must be finite and ≥ 1, not {f}"));
+        let msg = format!("time_dilation must be finite and ≥ 1, not {f}");
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
     }
-    let paths = exp.paths.len();
-    let schedules = exp.schedules.as_ref().map_or(paths, Vec::len);
-    if schedules != paths {
-        return invalid(format!("{schedules} schedules for {paths} paths"));
-    }
-    let loopback = vec![SocketAddr::from(([127, 0, 0, 1], 0)); paths];
+    let loopback = vec![SocketAddr::from(([127, 0, 0, 1], 0)); exp.paths.len()];
     let (listeners, client_addrs) = listen(&loopback).await?;
     let mut emus = Vec::new();
     for (k, profile) in exp.paths.iter().enumerate() {
         let dilated = dilate_profile(profile, f);
-        // Dilate scripted step times; factors are relative, so they carry
-        // over unchanged.
-        let schedule = exp.schedules.as_ref().map(|s| scenario::PathSchedule {
-            steps: s[k]
-                .steps
-                .iter()
-                .map(|st| scenario::LiveStep {
-                    at: st.at.div_f64(f),
-                    ..*st
-                })
-                .collect(),
-        });
-        emus.push(
-            PathEmulator::spawn_scripted(dilated, client_addrs[k], exp.seed ^ k as u64, schedule)
-                .await?,
-        );
+        emus.push(PathEmulator::spawn(dilated, client_addrs[k], exp.seed ^ k as u64).await?);
     }
     let addrs: Vec<_> = emus.iter().map(|e| e.addr()).collect();
     let cfg = LiveConfig {
@@ -190,8 +162,8 @@ pub async fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> io::Result<
         output.trace = undilate_trace(&output.trace, exp.video, f);
         output.elapsed = output.elapsed.mul_f64(f);
     }
-    // What each emulated path actually applied (rate/delay/down timeline),
-    // rescaled to nominal time.
+    // The rates each emulated path actually applied, rescaled to nominal
+    // time.
     let timelines = emus
         .iter()
         .map(|emu| {
@@ -200,8 +172,6 @@ pub async fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> io::Result<
                 .map(|p| AppliedPoint {
                     t: p.t.mul_f64(f),
                     rate_bps: p.rate_bps / f,
-                    delay: p.delay.mul_f64(f),
-                    down: p.down,
                 })
                 .collect()
         })
@@ -240,13 +210,9 @@ pub async fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> io::Result<
         output.trace_events = events;
     }
     let report = LatenessReport::from_trace(&output.trace, taus_s);
-    let est_paths = (0..exp.paths.len())
-        .map(|k| exp.effective_path_spec(k))
-        .collect();
     Ok(LiveRun {
         output,
         report,
-        est_paths,
         timelines,
         trace_file,
     })
@@ -280,7 +246,6 @@ mod tests {
             send_buf_bytes: 16 * 1024,
             seed: 3,
             time_dilation: 1.0,
-            schedules: None,
             trace: None,
         }
     }
@@ -386,30 +351,18 @@ mod tests {
         })
     }
 
-    /// `run_experiment`'s error on `exp`, which must be `InvalidInput`.
-    fn invalid_input(exp: &LiveExperiment) -> String {
-        let run = tokio::runtime::Runtime::new()
-            .unwrap()
-            .block_on(run_experiment(exp, &[1.0]));
-        let err = run.expect_err("the input must be refused");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
-        err.to_string()
-    }
-
     #[test]
     fn a_dilation_below_one_is_an_input_error() {
+        let rt = tokio::runtime::Runtime::new().unwrap();
         for f in [0.5, f64::NAN, f64::INFINITY] {
             let mut exp = two_path_exp(600_000.0, 600_000.0, 50.0, 100);
             exp.time_dilation = f;
-            assert!(invalid_input(&exp).contains("time_dilation"));
+            let err = rt
+                .block_on(run_experiment(&exp, &[1.0]))
+                .expect_err("the input must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+            assert!(err.to_string().contains("time_dilation"), "{err}");
         }
-    }
-
-    #[test]
-    fn a_schedule_per_path_is_required() {
-        let mut exp = two_path_exp(600_000.0, 600_000.0, 50.0, 100);
-        exp.schedules = Some(vec![scenario::PathSchedule { steps: Vec::new() }]);
-        assert!(invalid_input(&exp).contains("1 schedules for 2 paths"));
     }
 
     #[test]

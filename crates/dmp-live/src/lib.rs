@@ -18,12 +18,15 @@
 //!   `dmp-server` / `dmp-client` binaries run one half each;
 //! * [`experiment`] — the Fig. 7 validation harness: run, measure late
 //!   fractions, estimate effective path parameters, compare to the model.
-//!   A [`LiveRun`] also returns what the run left behind: the shaping
+//!   A [`LiveRun`] also returns what the run left behind: the rate
 //!   timeline each emulated path actually applied and, when the experiment
 //!   names a trace destination, the flight-recorder file it wrote.
 //!
-//! The crate reads no environment and links no job runner: where a trace
-//! goes is part of the experiment's input.
+//! The paths are unscripted, as the paper's were: each emulator's rate
+//! follows its own seeded random resampler. Scripted path dynamics run on
+//! the packet simulator (the `scenario` crate), which this crate does not
+//! link: it builds on `obs`, `dmp-core` and `tcp-model` alone, and reads no
+//! environment. Where a trace goes is part of the experiment's input.
 
 #![warn(missing_docs)]
 

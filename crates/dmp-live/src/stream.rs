@@ -17,14 +17,13 @@
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use dmp_core::scheme::{Scheme, StreamPacket};
 use dmp_core::spec::{PullStrategy, SchedulerKind, VideoSpec};
 use dmp_core::trace::StreamTrace;
 use obs::{EventKind, TraceEvent};
-use parking_lot::Mutex;
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
 use tokio::net::{TcpListener, TcpSocket, TcpStream};
 use tokio::sync::Notify;
@@ -55,7 +54,7 @@ impl ServerQueue {
 
     /// Queue a generated packet; returns the queue depth after the push.
     fn push(&self, pkt: StreamPacket) -> usize {
-        let mut scheme = self.scheme.lock();
+        let mut scheme = self.scheme.lock().unwrap_or_else(PoisonError::into_inner);
         scheme.on_generated(pkt, &());
         let depth = scheme.shared_depth().unwrap_or(0);
         drop(scheme);
@@ -65,7 +64,7 @@ impl ServerQueue {
 
     /// Take the lock for `path`: what it takes, and the depth left behind.
     fn take(&self, path: usize, now_ns: u64) -> Option<(StreamPacket, usize)> {
-        let mut scheme = self.scheme.lock();
+        let mut scheme = self.scheme.lock().unwrap_or_else(PoisonError::into_inner);
         let pkt = scheme.take(path, now_ns)?;
         Some((pkt, scheme.shared_depth().unwrap_or(0)))
     }
@@ -140,7 +139,10 @@ impl Session {
 
     fn emit(&self, t: u64, kind: EventKind) {
         if let Some(events) = &self.events {
-            events.lock().push(TraceEvent { t, kind });
+            events
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(TraceEvent { t, kind });
         }
     }
 }
@@ -337,10 +339,19 @@ pub async fn run_stream(
 
     // The client accepts before the server connects.
     let arrivals = Arc::clone(&trace);
-    let arrived =
-        move |(path, pkt, at): Arrival| arrivals.lock().on_arrival(pkt.seq, at, path as u8);
+    let arrived = move |(path, pkt, at): Arrival| {
+        arrivals
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .on_arrival(pkt.seq, at, path as u8)
+    };
     let readers = receive(listeners, &session, arrived);
-    let generated = |pkt: StreamPacket| trace.lock().on_generated(pkt.seq, pkt.gen_ns);
+    let generated = |pkt: StreamPacket| {
+        trace
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .on_generated(pkt.seq, pkt.gen_ns)
+    };
     serve(cfg, path_addrs, Some(grace), &session, generated).await?;
     // A reader still blocked after the grace (its tail in flight) counts
     // nothing; its arrivals so far are already in the trace.
@@ -349,11 +360,12 @@ pub async fn run_stream(
         per_path_packets.push(settle(reader, Some(grace)).await.unwrap_or(0));
     }
 
-    let trace = trace.lock().clone();
+    let trace = trace.lock().unwrap_or_else(PoisonError::into_inner).clone();
     // Snapshot rather than unwrap the Arc: a reader still blocked on a
     // straggling tail holds its clone past the grace timeout.
     let events = session.events.as_ref();
-    let trace_events = events.map(|e| std::mem::take(&mut *e.lock()));
+    let trace_events =
+        events.map(|e| std::mem::take(&mut *e.lock().unwrap_or_else(PoisonError::into_inner)));
     Ok(LiveOutput {
         trace,
         per_path_packets,

@@ -4,20 +4,16 @@
 //! because TCP backpressure *implicitly* reallocates the stream — only shows
 //! its teeth when path conditions change: cross-traffic surges, degradation,
 //! outright failure. This crate scripts those changes as a serializable,
-//! seeded **timeline DSL** ([`Scenario`]) and compiles the same script onto
-//! both experiment backends:
-//!
-//! * **netsim** ([`netsim_driver`]): a [`netsim_driver::ScenarioDriver`] app
-//!   schedules every scripted action as an ordinary engine event (an app
-//!   timer) and applies it through the simulator's link-mutation API, so the
-//!   replay follows the event queue's `(time, seq)` order like every other
-//!   event;
-//! * **dmp-live** ([`live`]): the timeline compiles to a piecewise-constant
-//!   rate/delay/down schedule per path ([`live::PathSchedule`]) that replaces
-//!   the path emulator's random rate resampler.
+//! seeded **timeline DSL** ([`Scenario`]) and replays them on the packet
+//! simulator: a [`netsim_driver::ScenarioDriver`] app schedules every
+//! scripted action as an ordinary engine event (an app timer) and applies it
+//! through the simulator's link-mutation API, so the replay follows the
+//! event queue's `(time, seq)` order like every other event. The
+//! real-socket plane (`dmp-live`) runs unscripted, as the paper's §6
+//! Internet paths did, and does not link this crate.
 //!
 //! Scenario event times are **seconds relative to the start of the video**
-//! (both backends offset them past any warm-up themselves).
+//! (the driver offsets them past any warm-up itself).
 //!
 //! # Example
 //!
@@ -35,11 +31,9 @@
 #![warn(missing_docs)]
 
 pub mod fleet;
-pub mod live;
 pub mod netsim_driver;
 pub mod timeline;
 
 pub use fleet::{FleetTimeline, RateSpike};
-pub use live::{compile_live, LiveStep, PathSchedule};
 pub use netsim_driver::{PathBinding, ScenarioDriver};
 pub use timeline::{Event, Scenario, TimedEvent};

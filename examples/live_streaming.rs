@@ -43,7 +43,6 @@ fn main() -> std::io::Result<()> {
         // Run the emulation 4× faster than real time (timestamps are scaled
         // back): ~14 s of video streams in ~3.5 s of wall clock.
         time_dilation: 4.0,
-        schedules: None,
         trace: None,
     };
 

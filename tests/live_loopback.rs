@@ -21,7 +21,6 @@ fn exp(rates: [f64; 2], mu: f64, packets: u64) -> LiveExperiment {
         send_buf_bytes: 16 * 1024,
         seed: 9,
         time_dilation: 1.0,
-        schedules: None,
         trace: None,
     }
 }
@@ -139,7 +138,6 @@ fn asymmetric_delays_reorder_across_paths_but_metrics_agree() {
             send_buf_bytes: 16 * 1024,
             seed: 77,
             time_dilation: 1.0,
-            schedules: None,
             trace: None,
         };
         let run = run_experiment(&e, &[1.0]).await.unwrap();
