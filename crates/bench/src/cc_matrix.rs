@@ -198,9 +198,7 @@ fn cell_spec(kind: CcKind, strategy: PullStrategy, opts: &MatrixOptions) -> Expe
 fn probe_sigma(runner: &Runner, kind: CcKind, opts: &MatrixOptions) -> f64 {
     let spec = cell_spec(kind, PullStrategy::RoundRobin, opts);
     let cells = runner.run_all(saturation_jobs(&spec, 1));
-    let r: &SaturationReport = cells[0]
-        .ok()
-        .unwrap_or_else(|| panic!("{} failed: {:?}", cells[0].label, cells[0].failure()));
+    let r: &SaturationReport = cells[0].unwrap();
     r.aggregate_pps
 }
 
@@ -233,13 +231,7 @@ fn cell_outcome(
         let mut spec = cell_spec(kind, strategy, opts);
         spec.setting.video.rate_pps = rate_for(sigma_pps, m);
         let cells = runner.run_all(batch_jobs(&spec, opts.runs, &[TAU_S]));
-        let runs: Vec<&RunSummary> = cells
-            .iter()
-            .map(|c| {
-                c.ok()
-                    .unwrap_or_else(|| panic!("{} failed: {:?}", c.label, c.failure()))
-            })
-            .collect();
+        let runs: Vec<&RunSummary> = cells.iter().map(|c| c.unwrap()).collect();
         for r in &runs {
             metrics.merge(&r.metrics);
         }

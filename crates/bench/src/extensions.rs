@@ -55,7 +55,7 @@ pub fn ext_kpaths(r: &Runner, scale: &Scale) -> TargetReport {
     for k in 1..=4usize {
         let mut row = vec![k.to_string(), format!("{:.0}", k as f64 * sigma / 1.6)];
         for (ri, &ratio) in ratios.iter().enumerate() {
-            let req = *cells[(k - 1) * ratios.len() + ri].ok().expect("search job");
+            let req = *cells[(k - 1) * ratios.len() + ri].unwrap();
             row.push(tau(req));
             points.push(Json::obj([
                 ("k", Json::Num(k as f64)),
@@ -126,7 +126,7 @@ pub fn ext_stored(r: &Runner, scale: &Scale) -> TargetReport {
     );
     let mut points = Vec::new();
     for (i, &tau_s) in taus.iter().enumerate() {
-        let fs = cells[i].ok().expect("model job");
+        let fs = cells[i].unwrap();
         t.row(vec![format!("{tau_s:.0}"), frac(fs[0]), frac(fs[1])]);
         points.push(Json::obj([
             ("tau_s", Json::Num(tau_s)),
@@ -210,10 +210,7 @@ pub fn ext_ablations(r: &Runner, scale: &Scale) -> TargetReport {
     for (vi, (name, _)) in variants.iter().enumerate() {
         let summaries: Vec<&RunSummary> = cells[vi * runs..(vi + 1) * runs]
             .iter()
-            .map(|c| {
-                c.ok()
-                    .unwrap_or_else(|| panic!("{} failed: {:?}", c.label, c.failure()))
-            })
+            .map(|c| c.unwrap())
             .collect();
         let mut loss = OnlineStats::new();
         let mut f = vec![OnlineStats::new(); taus.len()];

@@ -67,7 +67,7 @@ pub fn fig1(r: &Runner, scale: &Scale) -> TargetReport {
     spec.warmup_s = 10.0;
     let job = JobSpec::keyed("fig1:trace", (spec, TAU_S), seed, curve_rows);
     let cells = r.run_all(vec![job]);
-    let rows = cells[0].ok().expect("fig1 simulation").clone();
+    let rows = cells[0].unwrap().clone();
 
     let data = Json::obj([
         ("figure", Json::Str("fig1".into())),

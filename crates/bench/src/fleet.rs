@@ -51,7 +51,6 @@ pub fn fleet_spec(scale: &Scale) -> FleetSpec {
 pub fn ext_fleet(runner: &Runner, scale: &Scale) -> TargetReport {
     let opts = FleetOptions {
         trace_dir: scale.trace_dir(),
-        ..FleetOptions::default()
     };
     let spec = fleet_spec(scale);
     let result = run_fleet(runner, &spec, &opts);

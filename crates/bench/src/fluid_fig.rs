@@ -44,7 +44,7 @@ pub fn fig_fluid(r: &Runner, _scale: &Scale) -> TargetReport {
         }
     }
     let cells = r.run_all(jobs);
-    let f = |k: usize| *cells[k].ok().expect("fluid job");
+    let f = |k: usize| *cells[k].unwrap();
 
     let mut tau_blocks = Vec::new();
     for (ti, tau) in TAUS.into_iter().enumerate() {

@@ -159,8 +159,8 @@ pub fn fig10(r: &Runner, scale: &Scale) -> TargetReport {
     );
     let mut points = Vec::new();
     for (i, s) in settings.iter().enumerate() {
-        let tau_homo = *cells[2 * i].ok().expect("search job");
-        let tau_het = *cells[2 * i + 1].ok().expect("search job");
+        let tau_homo = *cells[2 * i].unwrap();
+        let tau_het = *cells[2 * i + 1].unwrap();
         t.row(vec![
             s.case.to_string(),
             format!("{:.1}", s.gamma),

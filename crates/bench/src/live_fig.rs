@@ -92,12 +92,12 @@ impl JsonCodec for LiveSummary {
     }
 }
 
-/// One live-run job: stream the experiment on its own (thread-per-task)
-/// tokio runtime and summarise the lateness report. The measurement is
-/// wall-clock real — caching it means a re-run of `fig7` re-renders the
-/// *recorded* measurement for that configuration and seed instead of
-/// re-streaming for `packets/µ` seconds. Delete `target/dmp-cache` or set
-/// `DMP_NO_CACHE=1` to re-measure.
+/// One live-run job: stream the experiment (its sender, reader and
+/// emulator threads all joined before the job returns) and summarise the
+/// lateness report. The measurement is wall-clock real — caching it means a
+/// re-run of `fig7` re-renders the *recorded* measurement for that
+/// configuration and seed instead of re-streaming for `packets/µ` seconds.
+/// Delete `target/dmp-cache` or set `DMP_NO_CACHE=1` to re-measure.
 fn live_job(i: usize, exp: LiveExperiment, taus: Vec<f64>) -> JobSpec<LiveSummary> {
     let seed = exp.seed;
     let traced = exp.trace.is_some();
@@ -106,8 +106,7 @@ fn live_job(i: usize, exp: LiveExperiment, taus: Vec<f64>) -> JobSpec<LiveSummar
         (exp, taus),
         seed,
         |(exp, taus)| {
-            let rt = tokio::runtime::Runtime::new().expect("tokio runtime");
-            let run = rt.block_on(run_experiment(exp, taus)).expect("live run");
+            let run = run_experiment(exp, taus).expect("live run");
             // Frame metrics on the *nominal-time* trace (run_experiment undilates
             // timestamps), so live distributions are directly comparable with the
             // simulator's. Labelled `backend=live`, so a live snapshot never
@@ -189,9 +188,7 @@ pub fn fig7(r: &Runner, scale: &Scale) -> TargetReport {
     let mut timelines = Vec::new();
     let mut trace_files = Vec::new();
     for (i, (cell, exp)) in live_cells.iter().zip(&experiments).enumerate() {
-        let live = cell
-            .ok()
-            .unwrap_or_else(|| panic!("{} failed: {:?}", cell.label, cell.failure()));
+        let live = cell.unwrap();
         let summary = &live.summary;
         metrics.merge(&summary.metrics);
         trace_files.extend(summary.trace_file.clone());
@@ -211,7 +208,7 @@ pub fn fig7(r: &Runner, scale: &Scale) -> TargetReport {
                 frac(lf.playback_order),
                 frac(lf.arrival_order),
             ]);
-            let fm = *model_cells[i * taus.len() + ti].ok().expect("model job");
+            let fm = *model_cells[i * taus.len() + ti].unwrap();
             let verdict = if lf.playback_order == 0.0 {
                 // The paper: zero-f experiments "are not shown in the plot".
                 "(0; not plotted)".to_string()

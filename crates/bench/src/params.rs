@@ -64,7 +64,7 @@ pub fn fig8(r: &Runner, scale: &Scale) -> TargetReport {
         let mut row = vec![format!("{tau_s:.0}")];
         let mut fs = Vec::new();
         for ri in 0..ratios.len() {
-            let f = *cells[ti * ratios.len() + ri].ok().expect("model job");
+            let f = *cells[ti * ratios.len() + ri].unwrap();
             row.push(frac(f));
             fs.push(f);
         }
@@ -131,7 +131,7 @@ pub fn fig9a(r: &Runner, scale: &Scale) -> TargetReport {
                 ]));
                 continue;
             }
-            let req = *cells[next].ok().expect("search job");
+            let req = *cells[next].unwrap();
             next += 1;
             row.push(tau(req));
             points.push(Json::obj([
@@ -175,7 +175,7 @@ pub fn fig9b(r: &Runner, scale: &Scale) -> TargetReport {
     for (ri, &rtt_ms) in rtts_ms.iter().enumerate() {
         let mut row = vec![format!("{rtt_ms:.0}")];
         for (pi, &p) in ps.iter().enumerate() {
-            let req = *cells[ri * ps.len() + pi].ok().expect("search job");
+            let req = *cells[ri * ps.len() + pi].unwrap();
             row.push(tau(req));
             points.push(Json::obj([
                 ("rtt_ms", Json::Num(rtt_ms)),
@@ -229,7 +229,7 @@ pub fn headline(r: &Runner, scale: &Scale) -> TargetReport {
         }
     }
     let cells = r.run_all(jobs);
-    let taus: Vec<Option<f64>> = cells.iter().map(|c| *c.ok().expect("search job")).collect();
+    let taus: Vec<Option<f64>> = cells.iter().map(|c| *c.unwrap()).collect();
 
     let mut t = Table::new(
         "Headline: required startup delay (s) vs sigma_a/mu, K=1 vs K=2 (p=0.02, TO=4, mu=25)",

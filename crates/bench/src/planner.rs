@@ -124,7 +124,7 @@ pub fn capacity_planner(r: &Runner, scale: &Scale) -> TargetReport {
         for &tau_s in &grid.taus {
             for scheme in SCHEMES {
                 let spec = cell_spec(&grid, loss, tau_s, scheme, opts);
-                let mu_max = cells[i].ok().copied().flatten();
+                let mu_max = *cells[i].unwrap();
                 i += 1;
                 let sigma_a = spec.sigma_a();
                 metrics.counter_add("planner.cells", 1);

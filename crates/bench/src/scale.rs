@@ -28,7 +28,8 @@ pub struct Scale {
     /// are scaled back, so a `packets/µ`-second stream costs `packets/(µF)`
     /// wall seconds. Distortion stays small while the dilated event spacing
     /// (generation interval, chunk serialisation, path delay) remains well
-    /// above the tokio timer granularity of ~1 ms.
+    /// above how late a sleeping live thread wakes (see
+    /// `LiveExperiment::time_dilation`).
     pub live_time_dilation: f64,
     /// Base seed.
     pub seed: u64,

@@ -186,14 +186,7 @@ fn reduce(cells: &[dmp_runner::Cell<ScenarioSummary>], runs: usize) -> Vec<Sched
         .zip(cells.chunks(runs))
         .map(|(sched, cells)| SchedRow {
             name: sched.name(),
-            runs: cells
-                .iter()
-                .map(|c| {
-                    c.ok()
-                        .unwrap_or_else(|| panic!("{} failed: {:?}", c.label, c.failure()))
-                        .clone()
-                })
-                .collect(),
+            runs: cells.iter().map(|c| c.unwrap().clone()).collect(),
         })
         .collect()
 }

@@ -86,8 +86,8 @@ pub fn fig11(r: &Runner, scale: &Scale) -> TargetReport {
     );
     let mut points = Vec::new();
     for (i, (s, p)) in grid.iter().enumerate() {
-        let t_static = *cells[2 * i].ok().expect("search job");
-        let t_dmp = *cells[2 * i + 1].ok().expect("search job");
+        let t_static = *cells[2 * i].unwrap();
+        let t_dmp = *cells[2 * i + 1].unwrap();
         t.row(vec![
             format!("{:.0}", s.rtt_s * 1e3),
             format!("{:.1}", s.ratio),

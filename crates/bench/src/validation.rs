@@ -25,14 +25,7 @@ pub fn validation_figure(setting_name: &str, r: &Runner, scale: &Scale) -> Targe
 
     // Stage 1: the simulation replications (one job each).
     let cells = r.run_all(batch_jobs(&spec, scale.sim_runs, &all_taus));
-    let summaries: Vec<RunSummary> = cells
-        .iter()
-        .map(|c| {
-            c.ok()
-                .unwrap_or_else(|| panic!("{} failed: {:?}", c.label, c.failure()))
-                .clone()
-        })
-        .collect();
+    let summaries: Vec<RunSummary> = cells.iter().map(|c| c.unwrap().clone()).collect();
     let batch = BatchOutput::from_summaries(&all_taus, &summaries);
 
     // (a) out-of-order scatter: one point per (run, τ).
@@ -100,7 +93,7 @@ pub fn validation_figure(setting_name: &str, r: &Runner, scale: &Scale) -> Targe
     let mut curve = Vec::new();
     for (i, &tau) in curve_taus.iter().enumerate() {
         let (_, stats) = &batch.late_playback[scatter_taus.len() + i];
-        let fm = *model_cells[i].ok().expect("model job");
+        let fm = *model_cells[i].unwrap();
         b.row(vec![
             format!("{tau:.0}"),
             frac(stats.mean()),

@@ -172,7 +172,7 @@ fn every_job_family_keys_every_field_of_its_input_and_nothing_else() {
         |s: ExperimentSpec, t: &[f64], r| scenario_batch_jobs(&s, 1, t, r).remove(0).config_repr;
     let sat = |s: ExperimentSpec| saturation_jobs(&s, 1).remove(0).config_repr;
     let fig1 = |s: ExperimentSpec, tau: f64| key::<_, Vec<f64>>((s, tau));
-    let shard = |f: FleetSpec, lo: u32| key::<_, Vec<ShardOutput>>((f, lo..lo + 1));
+    let shard = |f: FleetSpec, shard: u32| key::<_, ShardOutput>((f, shard));
     let fig7 = |e: LiveExperiment, t: Vec<f64>| key::<_, LiveSummary>((e, t));
     let fig7_model = |e: LiveExperiment, tau: f64, n: u64| key::<_, f64>((e, tau, n));
 

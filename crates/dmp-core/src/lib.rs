@@ -3,8 +3,9 @@
 //! *Multipath Live Streaming via TCP*, CoNEXT 2007).
 //!
 //! This crate is runtime-agnostic: it contains the pieces of the scheme that
-//! are shared between the discrete-event simulation (`dmp-sim`), the real
-//! tokio implementation (`dmp-live`), and the analytical model (`tcp-model`):
+//! are shared between the discrete-event simulation (`dmp-sim`), the
+//! real-socket implementation (`dmp-live`, one thread per sender and
+//! reader), and the analytical model (`tcp-model`):
 //!
 //! * [`spec`] — parameter types describing videos, paths, and experiments;
 //! * [`scheme`] — the scheme itself: [`Scheme`] decides who holds the server

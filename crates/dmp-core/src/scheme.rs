@@ -13,7 +13,7 @@
 //! (`dmp_sim::video`) asks all of it — a discrete-event server must itself
 //! name the blocked sender that wakes first. The live server
 //! (`dmp_live::stream`) keeps one behind a mutex and asks only
-//! `on_generated` and `take`: its senders are tasks blocked in `write_all`,
+//! `on_generated` and `take`: its senders are threads blocked in `write_all`,
 //! so the kernel's send buffers arbitrate the lock, as in the paper.
 
 use std::collections::{BTreeMap, VecDeque};

@@ -1,8 +1,9 @@
 //! Per-packet delivery traces.
 //!
-//! Both backends (simulator and tokio implementation) record, for every video
-//! packet, when it was generated and when the client application received it.
-//! All of the paper's empirical metrics are computed from such traces.
+//! Both backends (simulator and real-socket implementation) record, for every
+//! video packet, when it was generated and when the client application
+//! received it. All of the paper's empirical metrics are computed from such
+//! traces.
 
 use crate::spec::VideoSpec;
 

@@ -17,9 +17,10 @@
 use std::fmt::Display;
 use std::net::SocketAddr;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
+use std::thread;
 
-use dmp_live::stream::{listen, receive, settle, Arrival, Session};
+use dmp_live::stream::{accept, listen, receive, Arrival, Session};
 
 const USAGE: &str = "usage: dmp-client --listen PORT[,PORT…] [--mu PKTS_PER_S] [--tau S,S,…]";
 
@@ -89,28 +90,34 @@ fn main() -> std::io::Result<()> {
         eprintln!("dmp-client: {e}\n{USAGE}");
         std::process::exit(2)
     });
-    let arrivals = Arc::new(Mutex::new(Vec::new()));
-    tokio::runtime::Runtime::new()?.block_on(async {
-        let addrs: Vec<SocketAddr> = args.ports.iter().map(|&p| ([0; 4], p).into()).collect();
-        let (listeners, _) = listen(&addrs).await?;
-        println!(
-            "listening on ports {:?} (µ = {} pkt/s)…",
-            args.ports, args.mu
-        );
-        let sink = Arc::clone(&arrivals);
-        let readers = receive(listeners, &Session::start(false), move |a| {
-            sink.lock().unwrap_or_else(PoisonError::into_inner).push(a)
-        });
-        for (path, reader) in readers.into_iter().enumerate() {
-            match settle(reader, None).await {
-                Ok(n) => println!("path {path}: received {n} packets"),
-                Err(e) => eprintln!("path {path}: reader error: {e}"),
-            }
-        }
-        std::io::Result::Ok(())
+    let addrs: Vec<SocketAddr> = args.ports.iter().map(|&p| ([0; 4], p).into()).collect();
+    let (listeners, _) = listen(&addrs)?;
+    println!(
+        "listening on ports {:?} (µ = {} pkt/s)…",
+        args.ports, args.mu
+    );
+    let socks = accept(&listeners)?;
+    let arrivals = Mutex::new(Vec::new());
+    let sink = |a: Arrival| {
+        arrivals
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(a)
+    };
+    let session = Session::start(false);
+    let counts = thread::scope(|s| -> std::io::Result<_> {
+        Ok(receive(s, socks, &session, &sink)?.join(None))
     })?;
+    for (path, count) in counts.into_iter().enumerate() {
+        match count {
+            Ok(n) => println!("path {path}: received {n} packets"),
+            Err(e) => eprintln!("path {path}: reader error: {e}"),
+        }
+    }
 
-    let arrivals = arrivals.lock().unwrap_or_else(PoisonError::into_inner);
+    let arrivals = arrivals
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     let Some(late) = late_fractions(&arrivals, &args.taus) else {
         println!("no packets received");
         return Ok(());

@@ -17,7 +17,7 @@ use std::net::SocketAddr;
 use std::str::FromStr;
 
 use dmp_core::spec::VideoSpec;
-use dmp_live::stream::{serve, LiveConfig, Session};
+use dmp_live::stream::{connect, serve, LiveConfig, Session};
 use dmp_live::wire::HEADER_BYTES;
 
 const USAGE: &str = "usage: dmp-server --connect IP:PORT[,IP:PORT…] [--mu PKTS_PER_S] \
@@ -105,8 +105,8 @@ fn main() -> std::io::Result<()> {
         trace: false,
     };
     let session = Session::start(false);
-    let streaming = serve(cfg, &args.connect, None, &session, |_| ());
-    let sent = tokio::runtime::Runtime::new()?.block_on(streaming)?;
+    let socks = connect(&args.connect, args.sndbuf)?;
+    let sent = serve(cfg, socks, None, &session, |_| ())?;
     for (path, (n, addr)) in sent.iter().zip(&args.connect).enumerate() {
         let share = 100.0 * *n as f64 / packets.max(1) as f64;
         println!("path {path} ({addr}): sent {n} packets ({share:.0}%)");

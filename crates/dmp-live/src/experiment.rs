@@ -46,7 +46,10 @@ pub struct LiveExperiment {
     /// Byte-denominated state (shaper queue, kernel socket buffers) is
     /// untouched, which preserves the backpressure dynamics the scheme
     /// relies on. `1.0` = real time. Keep the dilated event spacing (nominal
-    /// spacing ÷ F) well above tokio's ~1 ms timer granularity.
+    /// spacing ÷ F) well above how late a paced thread wakes
+    /// (`std::thread::sleep` for generation, a timed `Condvar` wait for the
+    /// emulator stages): on a shared 2-core Linux host, ~0.1 ms at the
+    /// median and up to ~2 ms at the 99th percentile.
     pub time_dilation: f64,
     /// When set, record an [`obs`] flight-recorder trace to this
     /// destination: the same JSONL schema the simulator emits, timestamped
@@ -132,18 +135,22 @@ fn undilate_trace(
 /// Execute the experiment and evaluate lateness at each τ in `taus_s`.
 ///
 /// A `time_dilation` below 1 (or not finite) is an `InvalidInput` error.
-pub async fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> io::Result<LiveRun> {
+pub fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> io::Result<LiveRun> {
     let f = exp.time_dilation;
     if !(f.is_finite() && f >= 1.0) {
         let msg = format!("time_dilation must be finite and ≥ 1, not {f}");
         return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
     }
     let loopback = vec![SocketAddr::from(([127, 0, 0, 1], 0)); exp.paths.len()];
-    let (listeners, client_addrs) = listen(&loopback).await?;
+    let (listeners, client_addrs) = listen(&loopback)?;
     let mut emus = Vec::new();
     for (k, profile) in exp.paths.iter().enumerate() {
         let dilated = dilate_profile(profile, f);
-        emus.push(PathEmulator::spawn(dilated, client_addrs[k], exp.seed ^ k as u64).await?);
+        emus.push(PathEmulator::spawn(
+            dilated,
+            client_addrs[k],
+            exp.seed ^ k as u64,
+        )?);
     }
     let addrs: Vec<_> = emus.iter().map(|e| e.addr()).collect();
     let cfg = LiveConfig {
@@ -157,30 +164,26 @@ pub async fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> io::Result<
     };
     let max_tau = taus_s.iter().cloned().fold(1.0, f64::max);
     let grace = Duration::from_secs_f64((max_tau.min(15.0) + 2.0) / f);
-    let mut output = run_stream(cfg, &addrs, listeners, grace).await?;
+    let mut output = run_stream(cfg, &addrs, listeners, grace)?;
     if f != 1.0 {
         output.trace = undilate_trace(&output.trace, exp.video, f);
         output.elapsed = output.elapsed.mul_f64(f);
     }
     // The rates each emulated path actually applied, rescaled to nominal
     // time.
+    let undilate = |p: AppliedPoint| AppliedPoint {
+        t: p.t.mul_f64(f),
+        rate_bps: p.rate_bps / f,
+    };
     let timelines = emus
-        .iter()
-        .map(|emu| {
-            emu.timeline()
-                .into_iter()
-                .map(|p| AppliedPoint {
-                    t: p.t.mul_f64(f),
-                    rate_bps: p.rate_bps / f,
-                })
-                .collect()
-        })
+        .into_iter()
+        .map(|emu| emu.finish().into_iter().map(undilate).collect())
         .collect();
     let mut trace_file = None;
     if let Some(trace) = &exp.trace {
         // Rescale event timestamps to nominal time, prepend the path↔conn
         // header (live "connections" are the path socket indices), and sort:
-        // tasks interleave, so collection order is not time order.
+        // threads interleave, so collection order is not time order.
         let mut events: Vec<obs::TraceEvent> = (0..exp.paths.len())
             .map(|k| obs::TraceEvent {
                 t: 0,
@@ -262,104 +265,93 @@ mod tests {
 
     #[test]
     fn ample_live_run_has_no_late_packets_at_modest_tau() {
-        tokio::runtime::Runtime::new().unwrap().block_on(async {
-            // 2× headroom, ~4 s of video.
-            let exp = two_path_exp(1_200_000.0, 1_200_000.0, 100.0, 400);
-            let run = run_experiment(&exp, &[0.5, 2.0]).await.unwrap();
-            assert!(run.output.trace.delivered() >= 399);
-            let f2 = run.report.per_tau[1].playback_order;
-            assert_eq!(f2, 0.0, "2 s of buffer with 2× headroom must be clean");
-        })
+        // 2× headroom, ~4 s of video.
+        let exp = two_path_exp(1_200_000.0, 1_200_000.0, 100.0, 400);
+        let run = run_experiment(&exp, &[0.5, 2.0]).unwrap();
+        assert!(run.output.trace.delivered() >= 399);
+        let f2 = run.report.per_tau[1].playback_order;
+        assert_eq!(f2, 0.0, "2 s of buffer with 2× headroom must be clean");
     }
 
     #[test]
     fn starved_live_run_is_late() {
-        tokio::runtime::Runtime::new().unwrap().block_on(async {
-            // Aggregate ≈ 0.7× bitrate: lateness is unavoidable. The run must be
-            // long enough that the lateness backlog reaches the *stable* region
-            // of the trace: `stable_records` discards packets generated within
-            // τ+5 s of the window end, and starvation needs a couple of seconds
-            // before delivery falls ~1 s behind generation. 8 s of video leaves
-            // a 5 s stable prefix whose tail is deeply late.
-            let exp = two_path_exp(300_000.0, 300_000.0, 75.0, 600);
-            let run = run_experiment(&exp, &[1.0]).await.unwrap();
-            let f = run.report.per_tau[0].playback_order;
-            assert!(f > 0.1, "f = {f}");
-        })
+        // Aggregate ≈ 0.7× bitrate: lateness is unavoidable. The run must be
+        // long enough that the lateness backlog reaches the *stable* region
+        // of the trace: `stable_records` discards packets generated within
+        // τ+5 s of the window end, and starvation needs a couple of seconds
+        // before delivery falls ~1 s behind generation. 8 s of video leaves
+        // a 5 s stable prefix whose tail is deeply late.
+        let exp = two_path_exp(300_000.0, 300_000.0, 75.0, 600);
+        let run = run_experiment(&exp, &[1.0]).unwrap();
+        let f = run.report.per_tau[0].playback_order;
+        assert!(f > 0.1, "f = {f}");
     }
 
     #[test]
     fn dilated_run_matches_real_time_semantics() {
-        tokio::runtime::Runtime::new().unwrap().block_on(async {
-            // Same ample-headroom experiment as above, executed 8× faster.
-            // The nominal-time trace must still show a complete, punctual
-            // delivery: everything arrives, nothing is late at τ = 2 s, and
-            // the rescaled generation span matches the nominal schedule.
-            let mut exp = two_path_exp(1_200_000.0, 1_200_000.0, 100.0, 400);
-            exp.time_dilation = 8.0;
-            let run = run_experiment(&exp, &[2.0]).await.unwrap();
-            assert!(run.output.trace.delivered() >= 399);
-            assert_eq!(run.report.per_tau[0].playback_order, 0.0);
-            let records = run.output.trace.records();
-            let span_s = (records.last().unwrap().gen_ns - records[0].gen_ns) as f64 / 1e9;
-            let nominal_s = (exp.packets - 1) as f64 * exp.video.gen_interval_s();
-            assert!(
-                (span_s - nominal_s).abs() < 0.1 * nominal_s,
-                "generation span {span_s:.2}s vs nominal {nominal_s:.2}s"
-            );
-        })
+        // Same ample-headroom experiment as above, executed 8× faster.
+        // The nominal-time trace must still show a complete, punctual
+        // delivery: everything arrives, nothing is late at τ = 2 s, and
+        // the rescaled generation span matches the nominal schedule.
+        let mut exp = two_path_exp(1_200_000.0, 1_200_000.0, 100.0, 400);
+        exp.time_dilation = 8.0;
+        let run = run_experiment(&exp, &[2.0]).unwrap();
+        assert!(run.output.trace.delivered() >= 399);
+        assert_eq!(run.report.per_tau[0].playback_order, 0.0);
+        let records = run.output.trace.records();
+        let span_s = (records.last().unwrap().gen_ns - records[0].gen_ns) as f64 / 1e9;
+        let nominal_s = (exp.packets - 1) as f64 * exp.video.gen_interval_s();
+        assert!(
+            (span_s - nominal_s).abs() < 0.1 * nominal_s,
+            "generation span {span_s:.2}s vs nominal {nominal_s:.2}s"
+        );
     }
 
     #[test]
     fn traced_live_run_writes_nominal_time_jsonl_and_registers_it() {
-        tokio::runtime::Runtime::new().unwrap().block_on(async {
-            let dir = std::env::temp_dir().join(format!("dmp-live-trace-{}", std::process::id()));
-            let mut exp = two_path_exp(1_200_000.0, 1_200_000.0, 100.0, 200);
-            exp.time_dilation = 4.0; // exercise the nominal-time rescale
-            exp.trace = Some(TraceSpec::new("live:test:seed3", &dir));
-            let run = run_experiment(&exp, &[2.0]).await.unwrap();
+        let dir = std::env::temp_dir().join(format!("dmp-live-trace-{}", std::process::id()));
+        let mut exp = two_path_exp(1_200_000.0, 1_200_000.0, 100.0, 200);
+        exp.time_dilation = 4.0; // exercise the nominal-time rescale
+        exp.trace = Some(TraceSpec::new("live:test:seed3", &dir));
+        let run = run_experiment(&exp, &[2.0]).unwrap();
 
-            let f = run
-                .trace_file
-                .as_ref()
-                .expect("the run returns its trace file");
-            assert_eq!(f.label, "live:test:seed3");
-            assert_eq!(run.timelines.len(), 2, "one applied timeline per path");
-            let text = std::fs::read_to_string(&f.path).unwrap();
-            let trace = obs::Trace::parse(&text).unwrap();
-            assert_eq!(f.events, text.lines().count() as u64);
-            // Nominal-time check: 200 packets at a nominal 100 pkt/s span
-            // ~2 s; on the 4×-dilated execution clock they'd span ~0.5 s.
-            let span = trace.duration_s();
-            assert!(
-                span > 1.5 && span < 8.0,
-                "trace span {span} s is not on the nominal clock"
-            );
-            // The schema mirrors the simulator: header + scheduler + client.
-            assert_eq!(trace.path_conn_map(), vec![(0, 0), (1, 1)]);
-            assert!(text.contains("\"ev\":\"pull\""));
-            assert!(text.contains("\"ev\":\"gen\""));
-            assert!(text.contains("\"ev\":\"dlv\""));
-            // Events came from concurrent tasks but the file is time-sorted.
-            let ts: Vec<u64> = trace.events.iter().map(|e| e.t).collect();
-            assert!(
-                ts.windows(2).all(|w| w[0] <= w[1]),
-                "trace must be time-sorted"
-            );
-            assert!(run.output.trace.delivered() >= 199);
-            std::fs::remove_dir_all(&dir).ok();
-        })
+        let f = run
+            .trace_file
+            .as_ref()
+            .expect("the run returns its trace file");
+        assert_eq!(f.label, "live:test:seed3");
+        assert_eq!(run.timelines.len(), 2, "one applied timeline per path");
+        let text = std::fs::read_to_string(&f.path).unwrap();
+        let trace = obs::Trace::parse(&text).unwrap();
+        assert_eq!(f.events, text.lines().count() as u64);
+        // Nominal-time check: 200 packets at a nominal 100 pkt/s span
+        // ~2 s; on the 4×-dilated execution clock they'd span ~0.5 s.
+        let span = trace.duration_s();
+        assert!(
+            span > 1.5 && span < 8.0,
+            "trace span {span} s is not on the nominal clock"
+        );
+        // The schema mirrors the simulator: header + scheduler + client.
+        assert_eq!(trace.path_conn_map(), vec![(0, 0), (1, 1)]);
+        assert!(text.contains("\"ev\":\"pull\""));
+        assert!(text.contains("\"ev\":\"gen\""));
+        assert!(text.contains("\"ev\":\"dlv\""));
+        // Events came from concurrent threads but the file is time-sorted.
+        let ts: Vec<u64> = trace.events.iter().map(|e| e.t).collect();
+        assert!(
+            ts.windows(2).all(|w| w[0] <= w[1]),
+            "trace must be time-sorted"
+        );
+        assert!(run.output.trace.delivered() >= 199);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn a_dilation_below_one_is_an_input_error() {
-        let rt = tokio::runtime::Runtime::new().unwrap();
         for f in [0.5, f64::NAN, f64::INFINITY] {
             let mut exp = two_path_exp(600_000.0, 600_000.0, 50.0, 100);
             exp.time_dilation = f;
-            let err = rt
-                .block_on(run_experiment(&exp, &[1.0]))
-                .expect_err("the input must be refused");
+            let err = run_experiment(&exp, &[1.0]).expect_err("the input must be refused");
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
             assert!(err.to_string().contains("time_dilation"), "{err}");
         }

@@ -2,42 +2,46 @@
 //!
 //! [`serve`] is the server: a CBR generator feeds a
 //! [`dmp_core::scheme::Scheme`] — the type the simulator's server runs —
-//! behind a mutex, and one sender task per path takes from it and
+//! behind a mutex, and one sender thread per path takes from it and
 //! `write_all`s into its socket. Only *what the lock holder takes* is asked
 //! of the scheme; *who holds the lock next* is not ours to decide: a sender
 //! blocked on a full kernel send buffer simply stops taking while the others
 //! drain the queue — the paper's scheme verbatim, with the socket buffer
 //! playing the role it plays in Fig. 2.
 //!
-//! [`receive`] is the client: one reader per path decodes fixed-size frames
-//! and reports each arrival. [`run_stream`] joins the two in one process
-//! around a [`StreamTrace`]; the `dmp-server` and `dmp-client` binaries run
-//! one half each.
+//! [`receive`] is the client: one reader thread per path decodes fixed-size
+//! frames and reports each arrival. [`run_stream`] joins the two in one
+//! process around a [`StreamTrace`]; the `dmp-server` and `dmp-client`
+//! binaries run one half each. Both halves start their threads in a
+//! [`std::thread::scope`] and join every one before they return.
 
-use std::io;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Scope, ScopedJoinHandle};
+use std::time::{Duration, Instant};
 
 use dmp_core::scheme::{Scheme, StreamPacket};
 use dmp_core::spec::{PullStrategy, SchedulerKind, VideoSpec};
 use dmp_core::trace::StreamTrace;
 use obs::{EventKind, TraceEvent};
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
-use tokio::net::{TcpListener, TcpSocket, TcpStream};
-use tokio::sync::Notify;
-use tokio::task::JoinHandle;
-use tokio::time::Instant;
 
+use crate::sock::{self, Cutoff};
 use crate::wire;
 
-/// The paper's server queue with its lock, as the sender tasks share it.
+/// The paper's server queue with its lock, as the sender threads share it.
 struct ServerQueue {
-    scheme: Mutex<Scheme>,
-    notify: Notify,
+    state: Mutex<QueueState>,
+    /// Signalled on every push and when generation ends.
+    pushed: Condvar,
+}
+
+struct QueueState {
+    scheme: Scheme,
     /// Set once generation is finished (senders drain and exit).
-    done: AtomicBool,
+    done: bool,
 }
 
 impl ServerQueue {
@@ -46,32 +50,63 @@ impl ServerQueue {
         let (dmp, paper) = (SchedulerKind::Dynamic, PullStrategy::RoundRobin);
         let scheme = Scheme::new(dmp, paper, &vec![1.0; paths], packets);
         Self {
-            scheme: Mutex::new(scheme),
-            notify: Notify::new(),
-            done: AtomicBool::new(false),
+            state: Mutex::new(QueueState {
+                scheme,
+                done: false,
+            }),
+            pushed: Condvar::new(),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Queue a generated packet; returns the queue depth after the push.
     fn push(&self, pkt: StreamPacket) -> usize {
-        let mut scheme = self.scheme.lock().unwrap_or_else(PoisonError::into_inner);
-        scheme.on_generated(pkt, &());
-        let depth = scheme.shared_depth().unwrap_or(0);
-        drop(scheme);
-        self.notify.notify_waiters();
+        let mut state = self.lock();
+        state.scheme.on_generated(pkt, &());
+        let depth = state.scheme.shared_depth().unwrap_or(0);
+        drop(state);
+        self.pushed.notify_all();
         depth
     }
 
-    /// Take the lock for `path`: what it takes, and the depth left behind.
-    fn take(&self, path: usize, now_ns: u64) -> Option<(StreamPacket, usize)> {
-        let mut scheme = self.scheme.lock().unwrap_or_else(PoisonError::into_inner);
-        let pkt = scheme.take(path, now_ns)?;
-        Some((pkt, scheme.shared_depth().unwrap_or(0)))
+    /// Take the lock for `path` and hold it until there is something to
+    /// take: the packet, when it was taken and the depth left behind; `None`
+    /// once generation is over and the queue is empty. The wait gives the
+    /// lock up and a push signals it, so a push cannot land between an empty
+    /// take and the wait, and a wait ends on nothing but a push or the end.
+    fn take(&self, path: usize, session: &Session) -> Option<(StreamPacket, u64, usize)> {
+        let mut state = self.lock();
+        loop {
+            let now_ns = session.now_ns();
+            if let Some(pkt) = state.scheme.take(path, now_ns) {
+                return Some((pkt, now_ns, state.scheme.shared_depth().unwrap_or(0)));
+            }
+            if state.done {
+                return None;
+            }
+            state = self
+                .pushed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     fn finish(&self) {
-        self.done.store(true, Ordering::SeqCst);
-        self.notify.notify_waiters();
+        self.lock().done = true;
+        self.pushed.notify_all();
+    }
+}
+
+/// Generation in progress: dropping it finishes the queue, so the senders
+/// drain and exit even when the generator unwinds.
+struct Generating<'q>(&'q ServerQueue);
+
+impl Drop for Generating<'_> {
+    fn drop(&mut self) {
+        self.0.finish();
     }
 }
 
@@ -105,18 +140,17 @@ pub struct LiveOutput {
     /// experiments (see `LiveExperiment::time_dilation`).
     pub elapsed: Duration,
     /// Collected [`obs`] events (empty unless [`LiveConfig::trace`] was set).
-    /// Unsorted — producers on different tasks interleave; sort by timestamp
-    /// before writing.
+    /// Unsorted — producers on different threads interleave; sort by
+    /// timestamp before writing.
     pub trace_events: Vec<TraceEvent>,
 }
 
-/// The clock and the event log the tasks of one run share. Unlike the
+/// The clock and the event log the threads of one run share. Unlike the
 /// simulator there is no single-threaded dispatch loop to serialise
 /// emission, so events are sorted by timestamp when they are written out.
-#[derive(Clone)]
 pub struct Session {
     epoch: Instant,
-    events: Option<Arc<Mutex<Vec<TraceEvent>>>>,
+    events: Option<Mutex<Vec<TraceEvent>>>,
 }
 
 impl Session {
@@ -124,7 +158,7 @@ impl Session {
     pub fn start(trace: bool) -> Self {
         Self {
             epoch: Instant::now(),
-            events: trace.then(Arc::default),
+            events: trace.then(Mutex::default),
         }
     }
 
@@ -147,78 +181,129 @@ impl Session {
     }
 }
 
-/// Wait for one of [`receive`]'s readers (or a sender); with a `grace`, give
-/// up on one still running after it (`TimedOut`).
-pub async fn settle(task: JoinHandle<io::Result<u64>>, grace: Option<Duration>) -> io::Result<u64> {
-    let joined = match grace {
-        Some(grace) => tokio::time::timeout(grace, task).await,
-        None => Ok(task.await),
-    };
-    joined
-        .map_err(|_| io::Error::from(io::ErrorKind::TimedOut))?
-        .map_err(io::Error::other)?
+/// One thread per path, each blocked on its path's socket until its stream
+/// ends and returning the packets it moved. [`PathThreads::join`] joins them
+/// all.
+pub struct PathThreads<'scope> {
+    threads: Vec<ScopedJoinHandle<'scope, io::Result<u64>>>,
+    cutoff: Cutoff,
+    /// Disconnects once every thread has ended: each holds a sender.
+    ended: mpsc::Receiver<()>,
+}
+
+impl<'scope> PathThreads<'scope> {
+    /// Run `work(path, socket)` for each socket on a thread of `s`.
+    fn spawn<W>(s: &'scope Scope<'scope, '_>, socks: Vec<TcpStream>, work: W) -> io::Result<Self>
+    where
+        W: Fn(u32, TcpStream) -> io::Result<u64> + Copy + Send + 'scope,
+    {
+        let cutoff = Cutoff::new();
+        for sock in &socks {
+            cutoff.watch(sock)?;
+        }
+        let (alive, ended) = mpsc::channel();
+        let spawn = |(sock, path)| {
+            let alive = alive.clone();
+            s.spawn(move || {
+                let _alive = alive;
+                work(path, sock)
+            })
+        };
+        let threads = socks.into_iter().zip(0..).map(spawn).collect();
+        Ok(Self {
+            threads,
+            cutoff,
+            ended,
+        })
+    }
+
+    /// Wait for every thread to end — with a `grace`, at most that long,
+    /// then shut each socket down both ways, so that a thread still blocked
+    /// on one returns what it has counted — and join them all. A thread's
+    /// panic resumes here. Each path's count, or its error, in path order.
+    pub fn join(self, grace: Option<Duration>) -> Vec<io::Result<u64>> {
+        if let Some(grace) = grace {
+            if self.ended.recv_timeout(grace) == Err(RecvTimeoutError::Timeout) {
+                self.cutoff.cut();
+            }
+        }
+        // Every thread is joined before any panic resumes.
+        let joined: Vec<_> = self.threads.into_iter().map(|t| t.join()).collect();
+        let resumed = |r: thread::Result<_>| r.unwrap_or_else(|p| panic::resume_unwind(p));
+        joined.into_iter().map(resumed).collect()
+    }
 }
 
 /// Bind one listener per address (`127.0.0.1:0` picks a free loopback port)
 /// and report where each ended up.
-pub async fn listen(addrs: &[SocketAddr]) -> io::Result<(Vec<TcpListener>, Vec<SocketAddr>)> {
+pub fn listen(addrs: &[SocketAddr]) -> io::Result<(Vec<TcpListener>, Vec<SocketAddr>)> {
     let mut listeners = Vec::new();
     let mut bound = Vec::new();
     for &addr in addrs {
-        let l = TcpListener::bind(addr).await?;
+        let l = TcpListener::bind(addr)?;
         bound.push(l.local_addr()?);
         listeners.push(l);
     }
     Ok((listeners, bound))
 }
 
+/// The server's sockets: one per path, `path_addrs[k]` being where path `k`
+/// leads, each with a kernel send buffer of `send_buf_bytes`.
+pub fn connect(path_addrs: &[SocketAddr], send_buf_bytes: u32) -> io::Result<Vec<TcpStream>> {
+    let connect = |&addr| {
+        let sock = sock::connect_with_sndbuf(addr, send_buf_bytes)?;
+        sock.set_nodelay(true)?;
+        Ok(sock)
+    };
+    path_addrs.iter().map(connect).collect()
+}
+
+/// The client's sockets: one connection accepted on each listener, in path
+/// order (`listeners[k]` is path `k`). A server connects every path before
+/// it streams, so this returns once it has connected.
+pub fn accept(listeners: &[TcpListener]) -> io::Result<Vec<TcpStream>> {
+    let accept = |l: &TcpListener| {
+        let (sock, _) = l.accept()?;
+        sock.set_nodelay(true)?;
+        Ok(sock)
+    };
+    listeners.iter().map(accept).collect()
+}
+
 /// One path's sender: take from the head of the server queue and write; a
 /// blocked `write_all` keeps this sender away from the queue while the
 /// others take. Returns the packets written.
-async fn send_path(
+fn send_path(
     mut sock: TcpStream,
     path: u32,
     packet_bytes: usize,
-    queue: Arc<ServerQueue>,
-    session: Session,
-) -> io::Result<u64> {
+    queue: &ServerQueue,
+    session: &Session,
+) -> u64 {
     let mut out = bytes::BytesMut::with_capacity(packet_bytes);
     let mut sent = 0;
-    loop {
-        // Register for the next push *before* looking at the queue, so one
-        // landing between an empty `take` and the wait ends the wait at once
-        // instead of costing a wait chunk of server-queue delay. (The
-        // vendored `Notify` snapshots its epoch here; under real tokio this
-        // is the pinned-and-`enable()`d `Notified` idiom.)
-        let pushed = queue.notify.notified();
-        let now_ns = session.now_ns();
-        match queue.take(path as usize, now_ns) {
-            Some((pkt, left)) => {
-                let (seq, queued) = (pkt.seq, left as u32);
-                session.emit(now_ns, EventKind::Pull { path, seq, queued });
-                out.clear();
-                wire::encode(&pkt, packet_bytes, &mut out);
-                if sock.write_all(&out).await.is_err() {
-                    break;
-                }
-                sent += 1;
-            }
-            None if queue.done.load(Ordering::SeqCst) => break,
-            None => pushed.await,
+    while let Some((pkt, now_ns, left)) = queue.take(path as usize, session) {
+        let (seq, queued) = (pkt.seq, left as u32);
+        session.emit(now_ns, EventKind::Pull { path, seq, queued });
+        out.clear();
+        wire::encode(&pkt, packet_bytes, &mut out);
+        if sock.write_all(&out).is_err() {
+            break;
         }
+        sent += 1;
     }
-    let _ = sock.shutdown().await;
-    Ok(sent)
+    let _ = sock.shutdown(Shutdown::Write);
+    sent
 }
 
-/// The server half: connect one socket per path (`path_addrs[k]` is where
-/// path `k` leads), generate `cfg.packets` CBR packets on the tokio clock
-/// into the shared queue — `on_generated` sees each one — and let the
-/// per-path senders drain it. Returns the packets each path sent, once every
-/// sender is done or, with a `grace`, has had that long after generation.
-pub async fn serve(
+/// The server half over [`connect`]ed sockets (`socks[k]` is path `k`):
+/// generate `cfg.packets` CBR packets into the shared queue — `on_generated`
+/// sees each one — and let the per-path senders drain it. Returns the
+/// packets each path sent, once every sender is done or, with a `grace`, has
+/// had that long after generation (see [`PathThreads::join`]).
+pub fn serve(
     cfg: LiveConfig,
-    path_addrs: &[SocketAddr],
+    socks: Vec<TcpStream>,
     grace: Option<Duration>,
     session: &Session,
     mut on_generated: impl FnMut(StreamPacket),
@@ -227,42 +312,27 @@ pub async fn serve(
     if packet_bytes < wire::HEADER_BYTES {
         return Err(io::Error::other("packet smaller than the frame header"));
     }
-    let queue = Arc::new(ServerQueue::new(path_addrs.len(), cfg.packets));
-    let mut senders = Vec::new();
-    for (path, &addr) in path_addrs.iter().enumerate() {
-        let socket = TcpSocket::new_v4()?;
-        socket.set_send_buffer_size(cfg.send_buf_bytes)?;
-        let sock = socket.connect(addr).await?;
-        sock.set_nodelay(true)?;
-        let (queue, session) = (Arc::clone(&queue), session.clone());
-        senders.push(tokio::spawn(send_path(
-            sock,
-            path as u32,
-            packet_bytes,
-            queue,
-            session,
-        )));
-    }
-
-    // Paced from here, not from the session start: connecting took a while.
-    let interval = Duration::from_secs_f64(cfg.video.gen_interval_s());
-    let mut next = Instant::now();
-    for seq in 0..cfg.packets {
-        next += interval;
-        tokio::time::sleep_until(next).await;
-        let gen_ns = session.now_ns();
-        on_generated(StreamPacket { seq, gen_ns });
-        let depth = queue.push(StreamPacket { seq, gen_ns }) as u32;
-        session.emit(gen_ns, EventKind::Generated { seq });
-        session.emit(gen_ns, EventKind::SrvQueue { depth });
-    }
-    queue.finish();
-
-    let mut sent = Vec::new();
-    for task in senders {
-        sent.push(settle(task, grace).await.unwrap_or(0));
-    }
-    Ok(sent)
+    let queue = ServerQueue::new(socks.len(), cfg.packets);
+    let send = |path, sock| Ok(send_path(sock, path, packet_bytes, &queue, session));
+    thread::scope(|s| {
+        let senders = PathThreads::spawn(s, socks, send)?;
+        // Paced from here, not from the session start: connecting took a
+        // while.
+        let interval = Duration::from_secs_f64(cfg.video.gen_interval_s());
+        let generating = Generating(&queue);
+        let mut next = Instant::now();
+        for seq in 0..cfg.packets {
+            next += interval;
+            thread::sleep(next.saturating_duration_since(Instant::now()));
+            let gen_ns = session.now_ns();
+            on_generated(StreamPacket { seq, gen_ns });
+            let depth = queue.push(StreamPacket { seq, gen_ns }) as u32;
+            session.emit(gen_ns, EventKind::Generated { seq });
+            session.emit(gen_ns, EventKind::SrvQueue { depth });
+        }
+        drop(generating);
+        senders.join(grace).into_iter().collect()
+    })
 }
 
 /// One frame as a reader saw it: the path whose socket delivered it, the
@@ -270,21 +340,19 @@ pub async fn serve(
 /// decoded, ns on the session clock.
 pub type Arrival = (u32, StreamPacket, u64);
 
-/// One path's reader: accept, then decode frames until the stream ends.
-/// Returns the packets received; a corrupt stream is an error.
-async fn read_path(
-    listener: TcpListener,
+/// One path's reader: decode frames until the stream ends. Returns the
+/// packets received; a corrupt stream is an error.
+fn read_path(
+    mut sock: TcpStream,
     path: u32,
-    session: Session,
-    on_arrival: impl Fn(Arrival),
+    session: &Session,
+    on_arrival: &impl Fn(Arrival),
 ) -> io::Result<u64> {
-    let (mut sock, _) = listener.accept().await?;
-    sock.set_nodelay(true)?;
     let mut buf = bytes::BytesMut::with_capacity(64 * 1024);
     let mut tmp = vec![0u8; 16 * 1024];
     let mut received = 0;
     loop {
-        match sock.read(&mut tmp).await {
+        match sock.read(&mut tmp) {
             Ok(0) | Err(_) => return Ok(received),
             Ok(n) => buf.extend_from_slice(&tmp[..n]),
         }
@@ -305,17 +373,19 @@ async fn read_path(
     }
 }
 
-/// The client half: one reader task per listener (`listeners[k]` is path
-/// `k`), each accepting one connection and handing every decoded frame to
-/// `on_arrival`. Returns the readers at once; [`settle`] each for its count.
-pub fn receive(
-    listeners: Vec<TcpListener>,
-    session: &Session,
-    on_arrival: impl Fn(Arrival) + Clone + Send + 'static,
-) -> Vec<JoinHandle<io::Result<u64>>> {
-    let paths = listeners.into_iter().zip(0..);
-    let reader = |(l, path)| tokio::spawn(read_path(l, path, session.clone(), on_arrival.clone()));
-    paths.map(reader).collect()
+/// The client half over [`accept`]ed sockets (`socks[k]` is path `k`): one
+/// reader thread per socket on `s`, handing every decoded frame to
+/// `on_arrival`. Returns the readers at once; [`PathThreads::join`] them
+/// for each path's count.
+pub fn receive<'scope, 'env: 'scope>(
+    s: &'scope Scope<'scope, 'env>,
+    socks: Vec<TcpStream>,
+    session: &'env Session,
+    on_arrival: &'env (impl Fn(Arrival) + Sync),
+) -> io::Result<PathThreads<'scope>> {
+    PathThreads::spawn(s, socks, move |path, sock| {
+        read_path(sock, path, session, on_arrival)
+    })
 }
 
 /// Stream a video from an in-process server to an in-process client over the
@@ -324,8 +394,9 @@ pub fn receive(
 /// accepts on the listeners supplied alongside.
 ///
 /// Returns once every generated packet has been delivered or `grace` elapses
-/// after generation ends.
-pub async fn run_stream(
+/// after generation ends; a reader cut off then counts what it received.
+/// A reader's error is the run's error, and a reader's panic resumes here.
+pub fn run_stream(
     cfg: LiveConfig,
     path_addrs: &[SocketAddr],
     listeners: Vec<TcpListener>,
@@ -335,42 +406,29 @@ pub async fn run_stream(
     let session = Session::start(cfg.trace);
     let horizon_ns =
         (cfg.packets as f64 * cfg.video.gen_interval_s() * 1e9) as u64 + grace.as_nanos() as u64;
-    let trace = Arc::new(Mutex::new(StreamTrace::new(cfg.video, horizon_ns)));
+    let trace = Mutex::new(StreamTrace::new(cfg.video, horizon_ns));
+    let trace_of = || trace.lock().unwrap_or_else(PoisonError::into_inner);
 
-    // The client accepts before the server connects.
-    let arrivals = Arc::clone(&trace);
-    let arrived = move |(path, pkt, at): Arrival| {
-        arrivals
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .on_arrival(pkt.seq, at, path as u8)
-    };
-    let readers = receive(listeners, &session, arrived);
-    let generated = |pkt: StreamPacket| {
-        trace
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .on_generated(pkt.seq, pkt.gen_ns)
-    };
-    serve(cfg, path_addrs, Some(grace), &session, generated).await?;
-    // A reader still blocked after the grace (its tail in flight) counts
-    // nothing; its arrivals so far are already in the trace.
-    let mut per_path_packets = Vec::new();
-    for reader in readers {
-        per_path_packets.push(settle(reader, Some(grace)).await.unwrap_or(0));
-    }
+    let server = connect(path_addrs, cfg.send_buf_bytes)?;
+    let client = accept(&listeners)?;
+    let arrived = |(path, pkt, at): Arrival| trace_of().on_arrival(pkt.seq, at, path as u8);
+    let generated = |pkt: StreamPacket| trace_of().on_generated(pkt.seq, pkt.gen_ns);
+    let per_path_packets = thread::scope(|s| {
+        let readers = receive(s, client, &session, &arrived)?;
+        let served = serve(cfg, server, Some(grace), &session, generated);
+        let received = readers.join(Some(grace));
+        served?;
+        received.into_iter().collect::<io::Result<Vec<_>>>()
+    })?;
 
-    let trace = trace.lock().unwrap_or_else(PoisonError::into_inner).clone();
-    // Snapshot rather than unwrap the Arc: a reader still blocked on a
-    // straggling tail holds its clone past the grace timeout.
-    let events = session.events.as_ref();
-    let trace_events =
-        events.map(|e| std::mem::take(&mut *e.lock().unwrap_or_else(PoisonError::into_inner)));
     Ok(LiveOutput {
-        trace,
+        trace: trace.into_inner().unwrap_or_else(PoisonError::into_inner),
         per_path_packets,
         elapsed: session.elapsed(),
-        trace_events: trace_events.unwrap_or_default(),
+        trace_events: session
+            .events
+            .map(|e| e.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .unwrap_or_default(),
     })
 }
 
@@ -378,35 +436,39 @@ pub async fn run_stream(
 mod tests {
     use super::*;
     use crate::emulator::{PathEmulator, PathProfile};
+    use std::sync::Arc;
 
-    async fn listeners(n: usize) -> (Vec<TcpListener>, Vec<SocketAddr>) {
+    fn listeners(n: usize) -> (Vec<TcpListener>, Vec<SocketAddr>) {
         let loopback = vec!["127.0.0.1:0".parse().unwrap(); n];
-        listen(&loopback).await.unwrap()
+        listen(&loopback).unwrap()
     }
 
-    /// A push that lands after a sender registered for it but before the
-    /// sender waits must end the wait at once, not after the vendored
-    /// `Notify`'s 50 ms liveness chunk.
+    /// Each push races the taker's empty take and its wait; one landing in
+    /// between must still end the wait. There is no timeout to fall back
+    /// on: a lost push leaves the taker one packet behind for good.
     #[test]
     fn a_push_between_the_empty_take_and_the_wait_is_not_lost() {
-        tokio::runtime::Runtime::new().unwrap().block_on(async {
-            let queue = ServerQueue::new(1, 8);
-            for seq in 0..8 {
-                let pushed = queue.notify.notified();
-                assert_eq!(queue.take(0, 0), None);
-                assert_eq!(queue.push(StreamPacket { seq, gen_ns: 0 }), 1);
-                let waiting = std::time::Instant::now();
-                pushed.await;
-                assert!(
-                    waiting.elapsed() < Duration::from_millis(25),
-                    "the wait slept through a push it had registered for"
-                );
-                assert_eq!(
-                    queue.take(0, 0).map(|(p, left)| (p.seq, left)),
-                    Some((seq, 0))
-                );
+        const PUSHES: u64 = 10_000;
+        let queue = Arc::new(ServerQueue::new(1, PUSHES));
+        let (took, taken) = mpsc::channel();
+        // Not scoped: should a push be lost, the assertion fails with the
+        // taker still waiting, instead of the test hanging on it.
+        let taker = thread::spawn({
+            let queue = Arc::clone(&queue);
+            move || {
+                let session = Session::start(false);
+                while let Some((pkt, _, left)) = queue.take(0, &session) {
+                    took.send((pkt.seq, left)).unwrap();
+                }
             }
-        })
+        });
+        for seq in 0..PUSHES {
+            assert_eq!(queue.push(StreamPacket { seq, gen_ns: 0 }), 1);
+            let got = taken.recv_timeout(Duration::from_secs(2)).ok();
+            assert_eq!(got, Some((seq, 0)), "the taker slept through a push");
+        }
+        queue.finish();
+        taker.join().unwrap();
     }
 
     fn cfg(mu: f64, packets: u64) -> LiveConfig {
@@ -422,136 +484,156 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "the reader's own panic")]
+    fn a_panic_on_a_reader_thread_reaches_the_caller() {
+        let (ls, addrs) = listeners(1);
+        let server = connect(&addrs, 16 * 1024).unwrap();
+        let client = accept(&ls).unwrap();
+        let session = Session::start(false);
+        let on_arrival = |_: Arrival| panic!("the reader's own panic");
+        thread::scope(|s| {
+            let readers = receive(s, client, &session, &on_arrival).unwrap();
+            let grace = Some(Duration::from_secs(2));
+            let _ = serve(cfg(100.0, 5), server, grace, &session, |_| ());
+            readers.join(grace)
+        });
+    }
+
+    /// A server that sent three frames and holds its connection open: the
+    /// reader waits for a fourth until the grace cuts it loose, and counts
+    /// the three.
+    #[test]
+    fn a_reader_cut_off_at_the_grace_reports_what_it_received() {
+        let (ls, addrs) = listeners(1);
+        let mut server = connect(&addrs, 16 * 1024).unwrap();
+        let client = accept(&ls).unwrap();
+        let mut frames = bytes::BytesMut::new();
+        for seq in 0..3 {
+            wire::encode(&StreamPacket { seq, gen_ns: 0 }, 1448, &mut frames);
+        }
+        server[0].write_all(&frames).unwrap();
+        let session = Session::start(false);
+        let seen = Mutex::new(Vec::new());
+        let on_arrival = |(_, pkt, _): Arrival| seen.lock().unwrap().push(pkt.seq);
+        let grace = Some(Duration::from_millis(50));
+        let counts = thread::scope(|s| {
+            let readers = receive(s, client, &session, &on_arrival).unwrap();
+            readers.join(grace)
+        });
+        assert_eq!(counts[0].as_ref().ok(), Some(&3));
+        assert_eq!(*seen.lock().unwrap(), [0, 1, 2]);
+    }
+
+    #[test]
     fn direct_loopback_delivers_everything() {
-        tokio::runtime::Runtime::new().unwrap().block_on(async {
-            let (ls, addrs) = listeners(2).await;
-            let out = run_stream(cfg(100.0, 200), &addrs, ls, Duration::from_secs(2))
-                .await
-                .unwrap();
-            assert_eq!(out.trace.generated(), 200);
-            assert_eq!(out.trace.delivered(), 200);
-            assert_eq!(out.per_path_packets.iter().sum::<u64>(), 200);
-        })
+        let (ls, addrs) = listeners(2);
+        let out = run_stream(cfg(100.0, 200), &addrs, ls, Duration::from_secs(2)).unwrap();
+        assert_eq!(out.trace.generated(), 200);
+        assert_eq!(out.trace.delivered(), 200);
+        assert_eq!(out.per_path_packets.iter().sum::<u64>(), 200);
     }
 
     #[test]
     fn traced_loopback_mirrors_the_sim_schema() {
-        tokio::runtime::Runtime::new().unwrap().block_on(async {
-            let (ls, addrs) = listeners(2).await;
-            let mut c = cfg(100.0, 100);
-            c.trace = true;
-            let out = run_stream(c, &addrs, ls, Duration::from_secs(2))
-                .await
-                .unwrap();
-            assert_eq!(out.trace.delivered(), 100);
-            let gens = out
-                .trace_events
-                .iter()
-                .filter(|e| matches!(e.kind, EventKind::Generated { .. }))
-                .count();
-            let pulls = out
-                .trace_events
-                .iter()
-                .filter(|e| matches!(e.kind, EventKind::Pull { .. }))
-                .count();
-            let dlvs = out
-                .trace_events
-                .iter()
-                .filter(|e| matches!(e.kind, EventKind::Delivered { .. }))
-                .count();
-            assert_eq!(gens, 100);
-            assert_eq!(pulls, 100, "every packet is pulled exactly once");
-            assert_eq!(dlvs, 100);
-            assert!(out
-                .trace_events
-                .iter()
-                .any(|e| matches!(e.kind, EventKind::SrvQueue { .. })));
-        })
+        let (ls, addrs) = listeners(2);
+        let mut c = cfg(100.0, 100);
+        c.trace = true;
+        let out = run_stream(c, &addrs, ls, Duration::from_secs(2)).unwrap();
+        assert_eq!(out.trace.delivered(), 100);
+        let gens = out
+            .trace_events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Generated { .. }))
+            .count();
+        let pulls = out
+            .trace_events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Pull { .. }))
+            .count();
+        let dlvs = out
+            .trace_events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Delivered { .. }))
+            .count();
+        assert_eq!(gens, 100);
+        assert_eq!(pulls, 100, "every packet is pulled exactly once");
+        assert_eq!(dlvs, 100);
+        assert!(out
+            .trace_events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::SrvQueue { .. })));
     }
 
     #[test]
     fn untraced_loopback_collects_nothing() {
-        tokio::runtime::Runtime::new().unwrap().block_on(async {
-            let (ls, addrs) = listeners(1).await;
-            let out = run_stream(cfg(100.0, 50), &addrs, ls, Duration::from_secs(2))
-                .await
-                .unwrap();
-            assert!(out.trace_events.is_empty());
-        })
+        let (ls, addrs) = listeners(1);
+        let out = run_stream(cfg(100.0, 50), &addrs, ls, Duration::from_secs(2)).unwrap();
+        assert!(out.trace_events.is_empty());
     }
 
     #[test]
     fn faster_path_carries_more() {
-        tokio::runtime::Runtime::new().unwrap().block_on(async {
-            // Path 0: 4 Mbps; path 1: 120 kbps. Video 800 kbps. The slow path
-            // must sit well below *half* the demand: in the pull race each path
-            // is offered up to half the stream, so a 400 kbps path (= exactly
-            // half of 800 kbps) would legitimately keep up and earn ~50% — no
-            // dominance to observe. At 120 kbps the slow path saturates, its
-            // send buffer backs up, and path 0 takes the rest.
-            let (ls, client_addrs) = listeners(2).await;
-            let e0 = PathEmulator::spawn(
-                PathProfile::steady(4_000_000.0, Duration::from_millis(5)),
-                client_addrs[0],
-                1,
-            )
-            .await
-            .unwrap();
-            let e1 = PathEmulator::spawn(
-                PathProfile::steady(120_000.0, Duration::from_millis(5)),
-                client_addrs[1],
-                2,
-            )
-            .await
-            .unwrap();
-            let out = run_stream(
-                cfg(69.0, 350), // ≈ 800 kbps for ~5 s
-                &[e0.addr(), e1.addr()],
-                ls,
-                Duration::from_secs(3),
-            )
-            .await
-            .unwrap();
-            // Packets committed to the slow path's in-flight buffers (its queue
-            // plus kernel send/receive buffers, ~60 packets) drain at only
-            // ~10 pkt/s, so the tail cannot arrive within the grace window; the
-            // invariant is that the fast path keeps the stream moving.
-            let delivered = out.trace.delivered();
-            assert!(delivered > 270, "delivered {delivered}");
-            let shares = out.trace.path_shares(2);
-            assert!(
-                shares[0] > 1.5 * shares[1],
-                "expected path 0 to dominate: {shares:?}"
-            );
-        })
+        // Path 0: 4 Mbps; path 1: 120 kbps. Video 800 kbps. The slow path
+        // must sit well below *half* the demand: in the pull race each path
+        // is offered up to half the stream, so a 400 kbps path (= exactly
+        // half of 800 kbps) would legitimately keep up and earn ~50% — no
+        // dominance to observe. At 120 kbps the slow path saturates, its
+        // send buffer backs up, and path 0 takes the rest.
+        let (ls, client_addrs) = listeners(2);
+        let e0 = PathEmulator::spawn(
+            PathProfile::steady(4_000_000.0, Duration::from_millis(5)),
+            client_addrs[0],
+            1,
+        )
+        .unwrap();
+        let e1 = PathEmulator::spawn(
+            PathProfile::steady(120_000.0, Duration::from_millis(5)),
+            client_addrs[1],
+            2,
+        )
+        .unwrap();
+        let out = run_stream(
+            cfg(69.0, 350), // ≈ 800 kbps for ~5 s
+            &[e0.addr(), e1.addr()],
+            ls,
+            Duration::from_secs(3),
+        )
+        .unwrap();
+        // Packets committed to the slow path's in-flight buffers (its queue
+        // plus kernel send/receive buffers, ~60 packets) drain at only
+        // ~10 pkt/s, so the tail cannot arrive within the grace window; the
+        // invariant is that the fast path keeps the stream moving.
+        let delivered = out.trace.delivered();
+        assert!(delivered > 270, "delivered {delivered}");
+        let shares = out.trace.path_shares(2);
+        assert!(
+            shares[0] > 1.5 * shares[1],
+            "expected path 0 to dominate: {shares:?}"
+        );
     }
 
     #[test]
     fn constrained_paths_cause_late_packets_only_at_small_tau() {
-        tokio::runtime::Runtime::new().unwrap().block_on(async {
-            // Aggregate capacity ≈ 1.25× bitrate over two slow paths: delivery
-            // works but needs buffering; τ = 0.05 s should show late packets,
-            // τ = 10 s none.
-            let (ls, client_addrs) = listeners(2).await;
-            let mut addrs = Vec::new();
-            for (i, &ca) in client_addrs.iter().enumerate() {
-                let e = PathEmulator::spawn(
-                    PathProfile::steady(500_000.0, Duration::from_millis(20)),
-                    ca,
-                    i as u64,
-                )
-                .await
-                .unwrap();
-                addrs.push(e.addr());
-            }
-            let out = run_stream(cfg(69.0, 300), &addrs, ls, Duration::from_secs(4))
-                .await
-                .unwrap();
-            let report = dmp_core::metrics::LatenessReport::from_trace(&out.trace, &[0.05, 10.0]);
-            let f_small = report.per_tau[0].playback_order;
-            let f_large = report.per_tau[1].playback_order;
-            assert!(f_large <= f_small);
-            assert_eq!(f_large, 0.0, "10 s of buffer must absorb everything");
-        })
+        // Aggregate capacity ≈ 1.25× bitrate over two slow paths: delivery
+        // works but needs buffering; τ = 0.05 s should show late packets,
+        // τ = 10 s none.
+        let (ls, client_addrs) = listeners(2);
+        let mut emus = Vec::new();
+        for (i, &ca) in client_addrs.iter().enumerate() {
+            let e = PathEmulator::spawn(
+                PathProfile::steady(500_000.0, Duration::from_millis(20)),
+                ca,
+                i as u64,
+            )
+            .unwrap();
+            emus.push(e); // an emulator stops when dropped
+        }
+        let addrs: Vec<_> = emus.iter().map(|e| e.addr()).collect();
+        let out = run_stream(cfg(69.0, 300), &addrs, ls, Duration::from_secs(4)).unwrap();
+        let report = dmp_core::metrics::LatenessReport::from_trace(&out.trace, &[0.05, 10.0]);
+        let f_small = report.per_tau[0].playback_order;
+        let f_large = report.per_tau[1].playback_order;
+        assert!(f_large <= f_small);
+        assert_eq!(f_large, 0.0, "10 s of buffer must absorb everything");
     }
 }

@@ -109,6 +109,15 @@ impl<T> Cell<T> {
             CellValue::Failed(msg) => Some(msg),
         }
     }
+
+    /// The value of a job that must have succeeded: a failed one panics
+    /// with `{label} failed: {message}`.
+    pub fn unwrap(&self) -> &T {
+        match &self.value {
+            CellValue::Ok(v) => v,
+            CellValue::Failed(msg) => panic!("{} failed: {msg}", self.label),
+        }
+    }
 }
 
 /// Counters accumulated across every batch a [`Runner`] executes.
@@ -376,6 +385,14 @@ mod tests {
             panic!("still failing")
         })]);
         assert_eq!(cells2[0].failure(), Some("still failing"));
+        // Reading a failed cell as a value names the job and its panic.
+        let read = std::panic::catch_unwind(|| *cells[2].unwrap());
+        let panic = read.expect_err("a failed cell has no value");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some("boom failed: simulated divergence at cell 2")
+        );
+        assert_eq!(*cells[3].unwrap(), 4.0);
     }
 
     #[test]

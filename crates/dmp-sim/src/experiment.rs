@@ -788,10 +788,7 @@ mod tests {
 
         let runner = dmp_runner::Runner::new(2, dmp_runner::Cache::disabled()).with_progress(false);
         let cells = runner.run_all(batch_jobs(&spec, 2, &taus));
-        let summaries: Vec<RunSummary> = cells
-            .into_iter()
-            .map(|c| c.ok().expect("job should not fail").clone())
-            .collect();
+        let summaries: Vec<RunSummary> = cells.into_iter().map(|c| c.unwrap().clone()).collect();
         let parallel = BatchOutput::from_summaries(&taus, &summaries);
 
         for j in 0..2 {

@@ -8,8 +8,7 @@
 //! are exponential with the spec's mean.
 //!
 //! The plan for a shard is a **pure function of `(spec.seed, shard)`** — no
-//! global state, no dependence on thread count, shard chunking, or execution
-//! order — which is what makes fleet artifacts byte-identical however the
+//! global state, no dependence on thread count or execution order — which is what makes fleet artifacts byte-identical however the
 //! shards are fanned out.
 
 use rand::rngs::SmallRng;

@@ -15,8 +15,8 @@
 //!   arena-backed state, run to completion, read out as per-session
 //!   [`dmp_core::SessionOutcome`]s.
 //! - [`run`] — fans shards across a [`dmp_runner::Runner`] pool and merges
-//!   outputs in shard-index order, so the fleet artifact is byte-identical
-//!   across thread counts and shard-per-job chunking.
+//!   outputs in shard-index order (one job per shard), so the fleet artifact
+//!   is byte-identical across thread counts.
 //!
 //! Determinism contract: everything in [`run::FleetResult::artifact`] is a
 //! pure function of the [`spec::FleetSpec`]; engine telemetry (the wheel and

@@ -1,18 +1,15 @@
 //! Fan a fleet's shards across the runner pool and merge the results.
 //!
-//! Each job runs a contiguous range of shards serially in shard-index order;
-//! ranges are chunked by [`FleetOptions::shards_per_job`] and submitted to
+//! Each shard is one job, submitted in shard-index order to
 //! [`dmp_runner::Runner::run_all`], which preserves submission order however
-//! many worker threads drain the queue. Merging is therefore a flatten: the
-//! concatenation of shard outputs in shard-index order, independent of
-//! thread count and of how shards were chunked into jobs. Per-shard
-//! simulations are pure functions of `(spec, shard)`, so the merged fleet is
-//! byte-identical across all execution choices — the property the
-//! determinism suite in `tests/determinism.rs` locks down. Which scheduler a
-//! shard's simulator runs on is not an execution choice at all: netsim has
-//! one.
+//! many worker threads drain the queue. Merging is therefore a concatenation
+//! of shard outputs in shard-index order, independent of thread count.
+//! Per-shard simulations are pure functions of `(spec, shard)`, so the
+//! merged fleet is byte-identical however many threads ran it — the
+//! property the determinism suite in `tests/determinism.rs` locks down.
+//! Which scheduler a shard's simulator runs on is not an execution choice at
+//! all: netsim has one.
 
-use std::ops::Range;
 use std::path::PathBuf;
 
 use dmp_core::{FleetReport, SessionOutcome};
@@ -26,24 +23,12 @@ use crate::spec::FleetSpec;
 /// Execution-level knobs: everything here changes *how* a fleet runs, never
 /// *what* it produces, so none of it reaches the cache key or the
 /// deterministic artifact.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetOptions {
-    /// Shards per runner job. 1 maximises parallelism; larger values
-    /// amortise job overhead when shards are tiny.
-    pub shards_per_job: u32,
     /// Write one flight-recorder trace per shard into this directory,
     /// labelled `fleet:<name>:shard<i>` and listed in
     /// [`FleetResult::trace_files`]. Traced jobs are not cached.
     pub trace_dir: Option<PathBuf>,
-}
-
-impl Default for FleetOptions {
-    fn default() -> Self {
-        Self {
-            shards_per_job: 1,
-            trace_dir: None,
-        }
-    }
 }
 
 /// A merged fleet run.
@@ -61,8 +46,7 @@ pub struct FleetResult {
     pub shard_telemetry: Vec<EngineTelemetry>,
     /// Every shard's metrics merged in shard-index order — the same merge
     /// discipline as [`EngineTelemetry::absorb`], but over the exact integer
-    /// histogram arithmetic, so the result is also chunking- and
-    /// thread-invariant.
+    /// histogram arithmetic, so the result is also thread-invariant.
     pub metrics: obs::MetricsSnapshot,
     /// The trace files the shards wrote (traced runs), shard-index order.
     pub trace_files: Vec<obs::TraceFileRef>,
@@ -85,7 +69,7 @@ impl FleetResult {
 
     /// The deterministic artifact document: spec identity, per-session
     /// outcomes, the fleet report, and per-shard event counts. Everything in
-    /// here is byte-identical across thread counts and shard chunking;
+    /// here is byte-identical across thread counts;
     /// telemetry deliberately stays out (its high-water marks describe the
     /// event queue's storage, not the fleet).
     pub fn artifact(&self, spec: &FleetSpec) -> Json {
@@ -162,57 +146,42 @@ fn shard_trace_label(fleet: &str, shard: u32) -> String {
 pub fn run_fleet(runner: &Runner, spec: &FleetSpec, opts: &FleetOptions) -> FleetResult {
     spec.validate().expect("valid fleet spec");
     let shards = spec.shard_count();
-    let chunk = opts.shards_per_job.max(1);
-
-    let mut jobs: Vec<JobSpec<Vec<ShardOutput>>> = Vec::new();
-    let mut lo = 0u32;
-    while lo < shards {
-        let hi = (lo + chunk).min(shards);
+    let job = |shard| {
         let dir = opts.trace_dir.clone();
         let traced = dir.is_some();
         let job = JobSpec::keyed(
-            format!("fleet:{}:shards{lo}-{}", spec.name, hi - 1),
-            (spec.clone(), lo..hi),
+            format!("fleet:{}:shard{shard}", spec.name),
+            (spec.clone(), shard),
             spec.seed,
-            move |(spec, range): &(FleetSpec, Range<u32>)| {
-                range
-                    .clone()
-                    .map(|shard| {
-                        let label = shard_trace_label(&spec.name, shard);
-                        let path = dir.as_ref().map(|d| TraceSpec::new(&label, d).path());
-                        run_shard(spec, shard, path.as_deref().map(|p| (p, label.as_str())))
-                    })
-                    .collect()
+            move |(spec, shard): &(FleetSpec, u32)| {
+                let label = shard_trace_label(&spec.name, *shard);
+                let path = dir.as_ref().map(|d| TraceSpec::new(&label, d).path());
+                run_shard(spec, *shard, path.as_deref().map(|p| (p, label.as_str())))
             },
         );
         // A traced job's product is the side-effect trace file, which the
         // cache would skip reproducing on a hit.
-        jobs.push(if traced { job.uncacheable() } else { job });
-        lo = hi;
-    }
+        if traced {
+            job.uncacheable()
+        } else {
+            job
+        }
+    };
 
-    let cells = runner.run_all(jobs);
+    let cells = runner.run_all((0..shards).map(job).collect());
     let mut outcomes = Vec::with_capacity(spec.sessions as usize);
     let mut shard_events = Vec::with_capacity(shards as usize);
     let mut shard_telemetry = Vec::with_capacity(shards as usize);
     let mut metrics = obs::MetricsSnapshot::new();
     let mut trace_files = Vec::new();
     for cell in &cells {
-        let outputs = match cell.ok() {
-            Some(v) => v,
-            None => panic!(
-                "fleet shard job failed: {}",
-                cell.failure().unwrap_or("unknown")
-            ),
-        };
-        for out in outputs {
-            debug_assert_eq!(out.shard as usize, shard_events.len(), "shard order");
-            outcomes.extend(out.outcomes.iter().copied());
-            shard_events.push(out.events_processed);
-            shard_telemetry.push(out.telemetry);
-            metrics.merge(&out.metrics);
-            trace_files.extend(out.trace_file.clone());
-        }
+        let out: &ShardOutput = cell.unwrap();
+        debug_assert_eq!(out.shard as usize, shard_events.len(), "shard order");
+        outcomes.extend(out.outcomes.iter().copied());
+        shard_events.push(out.events_processed);
+        shard_telemetry.push(out.telemetry);
+        metrics.merge(&out.metrics);
+        trace_files.extend(out.trace_file.clone());
     }
     let report = FleetReport::from_outcomes(&outcomes, spec.duration_s);
     FleetResult {
@@ -228,7 +197,7 @@ pub fn run_fleet(runner: &Runner, spec: &FleetSpec, opts: &FleetOptions) -> Flee
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmp_runner::{Cache, JsonCodec};
+    use dmp_runner::Cache;
 
     fn small_spec() -> FleetSpec {
         let mut spec = FleetSpec::new("small", 6, 2, 21);
@@ -249,6 +218,7 @@ mod tests {
             assert_eq!(o.session as usize, i, "global order preserved");
         }
         assert_eq!(result.shard_events.len(), 3);
+        assert!(result.metrics.histograms["fleet.session_late_ppm"].count() > 0);
         assert_eq!(result.report.sessions, 6);
         assert!(result.report.started > 0);
         assert!(result.total_events() > 0);
@@ -269,30 +239,5 @@ mod tests {
             .map(|shard| obs::sanitize_label(&shard_trace_label(&spec.name, shard)))
             .collect();
         assert_eq!(stems.len(), spec.shard_count() as usize);
-    }
-
-    #[test]
-    fn chunking_does_not_change_the_artifact() {
-        let spec = small_spec();
-        let runner = Runner::new(1, Cache::disabled());
-        let one = run_fleet(&runner, &spec, &FleetOptions::default());
-        let chunked = run_fleet(
-            &runner,
-            &spec,
-            &FleetOptions {
-                shards_per_job: 2,
-                ..FleetOptions::default()
-            },
-        );
-        assert_eq!(
-            one.artifact(&spec).render(),
-            chunked.artifact(&spec).render()
-        );
-        assert_eq!(
-            one.metrics.to_json().render(),
-            chunked.metrics.to_json().render(),
-            "merged metrics must be chunking-invariant"
-        );
-        assert!(one.metrics.histograms["fleet.session_late_ppm"].count() > 0);
     }
 }

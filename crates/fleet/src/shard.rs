@@ -53,7 +53,7 @@ fn drain_s(spec: &FleetSpec) -> f64 {
 
 /// One fleet shard's results: everything the run layer needs to merge the
 /// fleet, split into the deterministic part (`outcomes`, `events_processed`
-/// — byte-identical across thread counts and shard chunking) and the
+/// — byte-identical across thread counts) and the
 /// engine's bookkeeping (`telemetry` — its HWM fields describe the event
 /// queue's storage, not the simulated system, and only ever reach volatile
 /// meta sidecars), plus the trace file of a traced run.
@@ -70,7 +70,7 @@ pub struct ShardOutput {
     /// Always-on metrics: the shard sim's sender/link distributions, frame
     /// metrics over every session's delivery trace, and per-session
     /// lateness/headroom/glitch histograms. No HWMs, so it merges and
-    /// serialises byte-identically across thread counts and chunking.
+    /// serialises byte-identically across thread counts.
     pub metrics: obs::MetricsSnapshot,
     /// The flight-recorder file this shard wrote. Never serialised: a traced
     /// job is not cached, and a decoded output names no file.
@@ -239,7 +239,7 @@ pub fn run_shard(spec: &FleetSpec, shard: u32, trace: Option<(&Path, &str)>) -> 
     // PFTK headroom in milli-multiples, glitch counts — integer units so the
     // buckets merge exactly). Sessions are visited in global session order,
     // and every operation is commutative, so the snapshot is identical
-    // however shards are chunked into jobs.
+    // however many threads ran the shards.
     let mut metrics = sim.metrics_snapshot();
     for (s, o) in sessions.iter().zip(&outcomes) {
         obs::record_frame_metrics(&mut metrics, s.trace.borrow().frames());

@@ -7,9 +7,9 @@
 //! bottlenecks inside each) is part of the physics: sessions in one shard
 //! contend with each other and sessions in different shards never meet, so
 //! the partition belongs in the spec and in the cache key. *How shards are
-//! executed* — how many runner threads, how many shards each job runs — is
-//! an execution detail that must never change a result byte; that knob lives
-//! in [`crate::run::FleetOptions`], not here.
+//! executed* — one runner job each, on however many runner threads — is an
+//! execution detail that must never change a result byte; it lives in
+//! [`crate::run`], not here.
 
 use cc::CcKind;
 use dmp_core::spec::{PullStrategy, VideoSpec};

@@ -1,6 +1,6 @@
 //! The fleet determinism contract: the deterministic artifact is a pure
 //! function of the [`FleetSpec`] — byte-identical across runner thread
-//! counts and shard-per-job chunking — and the churn plan is a pure function
+//! counts — and the churn plan is a pure function
 //! of the spec seed. Every shard runs under the event queue's contract check
 //! (debug builds), which fixes the event sequence any conforming scheduler
 //! dispatches.
@@ -21,27 +21,24 @@ fn spec() -> FleetSpec {
     spec
 }
 
-fn artifact(threads: usize, shards_per_job: u32) -> String {
+fn artifact(threads: usize) -> String {
     let runner = Runner::new(threads, Cache::disabled());
     let spec = spec();
-    let opts = FleetOptions {
-        shards_per_job,
-        ..FleetOptions::default()
-    };
-    run_fleet(&runner, &spec, &opts).artifact(&spec).render()
+    run_fleet(&runner, &spec, &FleetOptions::default())
+        .artifact(&spec)
+        .render()
 }
 
 #[test]
-fn artifact_is_byte_identical_across_threads_and_chunking() {
-    let reference = artifact(1, 1);
-    // Three shards chunked 1, 2 and 3 per job cover split, partial-merge and
-    // single-job paths; 2 and 8 threads cover contended and oversubscribed
-    // pools (this box may have fewer cores than 8).
-    for (threads, shards_per_job) in [(2, 1), (8, 2), (8, 3)] {
-        let other = artifact(threads, shards_per_job);
+fn artifact_is_byte_identical_across_thread_counts() {
+    let reference = artifact(1);
+    // Three shards on 2 and 8 threads cover contended and oversubscribed
+    // pools (a host may have fewer cores than 8).
+    for threads in [2, 8] {
         assert_eq!(
-            reference, other,
-            "artifact changed at threads={threads} shards_per_job={shards_per_job}"
+            reference,
+            artifact(threads),
+            "artifact changed at threads={threads}"
         );
     }
 }
@@ -51,7 +48,7 @@ fn engines_produce_identical_fleets() {
     // No spec names an engine, so the whole artifact — `config` line
     // included — is a function of the spec alone: the one scheduler runs it
     // under its contract check, inline on one thread.
-    let artifact = artifact(1, 2);
+    let artifact = artifact(1);
     let config = dmp_runner::Json::Str(format!("{:?}", spec())).render();
     assert!(artifact.contains(&config), "{artifact}");
 }

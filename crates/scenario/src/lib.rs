@@ -23,8 +23,7 @@
 //! let s = Scenario::named("failover")
 //!     .at(60.0, 0, Event::PathDown)
 //!     .at(120.0, 1, Event::RateStep { factor: 0.5 });
-//! let text = s.canonical();
-//! assert_eq!(Scenario::parse(&text).unwrap(), s);
+//! assert_eq!(s.canonical(), "scenario failover\n60.0 0 down\n120.0 1 rate 0.5\n");
 //! assert_ne!(s.stable_hash(), Scenario::default().stable_hash());
 //! ```
 

@@ -1,6 +1,6 @@
 //! The timeline DSL: scripted network events, a canonical serialized text
-//! form (round-trips through [`Scenario::parse`]), and a stable hash for
-//! content-addressed cache keys.
+//! form, and a stable hash of it that artifacts carry as the script's
+//! identity.
 
 use dmp_base::hash::StableHasher;
 use std::fmt;
@@ -160,8 +160,9 @@ impl Scenario {
     }
 
     /// Canonical text form: one header line, then one line per event in
-    /// script order. `f64` fields use Rust's `{:?}`, which round-trips
-    /// exactly, so [`Scenario::parse`] reproduces the scenario bit-for-bit.
+    /// script order. `f64` fields use Rust's `{:?}`, which prints the
+    /// shortest text that reads back to the same bits, so two scenarios
+    /// share a canonical form only if they are equal.
     pub fn canonical(&self) -> String {
         let mut out = format!(
             "scenario {}\n",
@@ -177,67 +178,10 @@ impl Scenario {
         out
     }
 
-    /// Parse the canonical text form back into a scenario.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (_, header) = lines.next().ok_or("empty scenario text")?;
-        let name = header
-            .strip_prefix("scenario ")
-            .ok_or_else(|| format!("bad header: {header:?}"))?
-            .trim();
-        let mut s = Scenario {
-            name: if name == "-" {
-                String::new()
-            } else {
-                name.to_string()
-            },
-            events: Vec::new(),
-        };
-        for (ln, line) in lines {
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            let err = |msg: &str| format!("line {}: {msg}: {line:?}", ln + 1);
-            if toks.len() < 3 {
-                return Err(err("too few tokens"));
-            }
-            let at_s: f64 = toks[0].parse().map_err(|_| err("bad time"))?;
-            let path: usize = toks[1].parse().map_err(|_| err("bad path"))?;
-            let f = |i: usize| -> Result<f64, String> {
-                toks.get(i)
-                    .ok_or_else(|| err("missing field"))?
-                    .parse()
-                    .map_err(|_| err("bad number"))
-            };
-            let event = match toks[2] {
-                "down" => Event::PathDown,
-                "up" => Event::PathUp,
-                "rate" => Event::RateStep { factor: f(3)? },
-                "ramp" => Event::RateRamp {
-                    factor: f(3)?,
-                    over_s: f(4)?,
-                    steps: f(5)? as u32,
-                },
-                "delay" => Event::DelayStep { factor: f(3)? },
-                "loss" => Event::LossEpisode {
-                    loss: f(3)?,
-                    duration_s: f(4)?,
-                },
-                "flash" => Event::FlashCrowd {
-                    n_flows: f(3)? as u32,
-                    duration_s: f(4)?,
-                },
-                other => return Err(err(&format!("unknown event {other:?}"))),
-            };
-            s.events.push(TimedEvent { at_s, path, event });
-        }
-        Ok(s)
-    }
-
-    /// Stable 64-bit hash of the canonical form (FNV-1a). Embedded in
-    /// experiment cache keys so two runs with different scripts can never be
-    /// served each other's cached results.
+    /// Stable 64-bit hash of the canonical form (FNV-1a): the
+    /// `scenario_hash` leaf of the `ext_failover` / `ext_flashcrowd`
+    /// artifacts. Cache keys do not use it: they come from the experiment
+    /// spec's `Debug`, which prints the scenario itself.
     pub fn stable_hash(&self) -> u64 {
         let mut h = StableHasher::new();
         h.write(self.canonical().as_bytes());
@@ -308,15 +252,22 @@ mod tests {
     }
 
     #[test]
-    fn canonical_round_trips() {
-        let s = sample();
-        assert_eq!(Scenario::parse(&s.canonical()).unwrap(), s);
-        // Including awkward floats.
+    fn canonical_form_is_pinned() {
+        let text = "scenario kitchen-sink\n\
+                    10.0 0 down\n\
+                    25.5 0 up\n\
+                    30.0 1 rate 0.5\n\
+                    40.0 1 ramp 1.0 12.0 6\n\
+                    55.0 0 delay 3.0\n\
+                    60.0 1 loss 0.03 20.0\n\
+                    90.0 0 flash 8 45.0\n";
+        assert_eq!(sample().canonical(), text);
+        // Awkward floats print the bits they hold.
         let s = Scenario::named("f").at(0.1 + 0.2, 3, Event::RateStep { factor: 1.0 / 3.0 });
-        assert_eq!(Scenario::parse(&s.canonical()).unwrap(), s);
+        let text = "scenario f\n0.30000000000000004 3 rate 0.3333333333333333\n";
+        assert_eq!(s.canonical(), text);
         // And the empty/default scenario.
-        let d = Scenario::default();
-        assert_eq!(Scenario::parse(&d.canonical()).unwrap(), d);
+        assert_eq!(Scenario::default().canonical(), "scenario -\n");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Live streaming over **real TCP sockets**: a server stripes a CBR video
 //! over two emulated access paths (different bandwidths), and the client
-//! reassembles and scores it. Runs in real time (~15 s).
+//! reassembles and scores it. Streams ~14 s of video in ~4 s of wall clock
+//! (the emulation runs 4× faster than real time).
 //!
 //! ```sh
 //! cargo run --release --example live_streaming
@@ -12,7 +13,6 @@ use mptcp_streaming::dmp_live::{run_experiment, LiveExperiment, PathProfile};
 use mptcp_streaming::prelude::*;
 
 fn main() -> std::io::Result<()> {
-    tokio::runtime::Runtime::new().unwrap().block_on(async {
     // Two asymmetric "ADSL" paths: 700 kbps and 450 kbps, with fluctuating
     // service rate (±35%) — together ≈1.4× the video bitrate.
     let video = VideoSpec {
@@ -51,7 +51,7 @@ fn main() -> std::io::Result<()> {
         video.bitrate_bps() / 1e3,
         exp.aggregate_ratio()
     );
-    let run = run_experiment(&exp, &[1.0, 2.0, 4.0, 8.0]).await?;
+    let run = run_experiment(&exp, &[1.0, 2.0, 4.0, 8.0])?;
 
     let trace = &run.output.trace;
     println!(
@@ -61,15 +61,23 @@ fn main() -> std::io::Result<()> {
         run.output.elapsed.as_secs_f64()
     );
     let shares = trace.path_shares(2);
-    println!(
-        "path shares: {:.0}% / {:.0}%  (DMP inferred the 61/39 bandwidth split from backpressure alone)",
-        shares[0] * 100.0,
-        shares[1] * 100.0
-    );
+    let capacity: Vec<f64> = exp.paths.iter().map(|p| p.rate_bps).collect();
+    let total: f64 = capacity.iter().sum();
+    for (k, (share, rate)) in shares.iter().zip(&capacity).enumerate() {
+        println!(
+            "path {k}: carried {:>4.1}% of the stream; {:>4.1}% of the capacity",
+            share * 100.0,
+            rate / total * 100.0
+        );
+    }
+    // Each path alone can carry half the stream (405 kbps ≤ 450 kbps), so
+    // neither send buffer stays full for long and the pull race splits the
+    // packets about evenly. Backpressure moves load to the faster path only
+    // where half the stream exceeds the slower one: at µ = 100 pkt/s
+    // (≈ 1.16 Mbps) the split reads about 58/42.
     println!("\nstartup delay → fraction of late packets:");
     for lf in &run.report.per_tau {
         println!("  τ = {:>4.1} s → {:>9.2e}", lf.tau_s, lf.playback_order);
     }
     Ok(())
-})
 }

@@ -10,7 +10,7 @@
 //! | [`dmp_core`] | the DMP-streaming scheme: schedulers, reorder buffer, late-packet metrics, stats |
 //! | [`tcp_model`] | the analytical side: per-flow TCP Markov chain, CTMC solvers, PFTK formula, fluid model, startup-delay search |
 //! | [`dmp_sim`] | the paper's Section 5 simulation experiments (Tables 1–3, Figs 4–5) |
-//! | [`dmp_live`] | DMP-streaming over real tokio TCP sockets + path emulator (Fig 7) |
+//! | [`dmp_live`] | DMP-streaming over real TCP sockets (a `std` thread per sender and reader) + path emulator (Fig 7) |
 //!
 //! The reproduction harness is the `dmp-bench` crate: one named target per
 //! table and figure (`cargo run --release -p dmp-bench -- fig8`, …, `all`).
