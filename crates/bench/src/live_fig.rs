@@ -205,8 +205,8 @@ pub fn fig7(r: &Runner, scale: &Scale) -> TargetReport {
             a.row(vec![
                 i.to_string(),
                 format!("{:.0}", lf.tau_s),
-                frac(lf.playback_order),
-                frac(lf.arrival_order),
+                measured(lf.playback_order, lf.total),
+                measured(lf.arrival_order, lf.total),
             ]);
             let fm = *model_cells[i * taus.len() + ti].unwrap();
             let verdict = if lf.playback_order == 0.0 {
@@ -229,7 +229,7 @@ pub fn fig7(r: &Runner, scale: &Scale) -> TargetReport {
             b.row(vec![
                 i.to_string(),
                 format!("{:.0}", lf.tau_s),
-                frac(lf.playback_order),
+                measured(lf.playback_order, lf.total),
                 frac(fm),
                 verdict,
             ]);
@@ -239,6 +239,7 @@ pub fn fig7(r: &Runner, scale: &Scale) -> TargetReport {
                 ("f_playback", Json::Num(lf.playback_order)),
                 ("f_arrival", Json::Num(lf.arrival_order)),
                 ("f_model", Json::Num(fm)),
+                ("packets", Json::Num(lf.total as f64)),
             ]));
         }
     }
@@ -266,14 +267,67 @@ pub fn fig7(r: &Runner, scale: &Scale) -> TargetReport {
     report
 }
 
+/// A measured late fraction over `packets` packets: a zero is a count of
+/// none late, not a bound the run did not resolve.
+fn measured(f: f64, packets: u64) -> String {
+    if f == 0.0 {
+        format!("0 of {packets}")
+    } else {
+        frac(f)
+    }
+}
+
 /// Fig. 7's text: both panels and how many plotted points the band holds.
 pub fn render_fig7(doc: &Json) -> Result<String, RenderError> {
     let in_band = doc.at("in_band")?;
+    let plotted = in_band.num("plotted")?;
+    let summary = if plotted == 0.0 {
+        "no measured late fraction is nonzero, so nothing is plotted and the \
+         x10 band is not tested at this scale"
+            .to_string()
+    } else {
+        format!(
+            "{}/{plotted} plotted points inside the x10 band",
+            in_band.num("count")?
+        )
+    };
     Ok(format!(
-        "{}\nScatter summary: {}/{} plotted points inside the x10 band \
-         (paper: all but one point).\n",
+        "{}\nScatter summary: {summary} (paper: all but one point inside).\n",
         tables(doc)?,
-        in_band.num("count")?,
-        in_band.num("plotted")?,
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn doc(count: u32, plotted: u32) -> Json {
+        Json::obj([
+            (
+                "in_band",
+                Json::obj([
+                    ("count", Json::Num(f64::from(count))),
+                    ("plotted", Json::Num(f64::from(plotted))),
+                ]),
+            ),
+            ("tables", Json::Arr(Vec::new())),
+        ])
+    }
+
+    #[test]
+    fn the_summary_says_whether_the_band_was_tested() {
+        let none = render_fig7(&doc(0, 0)).unwrap();
+        assert!(
+            none.contains("x10 band is not tested at this scale"),
+            "{none}"
+        );
+        assert!(!none.contains("0/0"), "{none}");
+        let some = render_fig7(&doc(5, 6)).unwrap();
+        assert!(
+            some.contains("5/6 plotted points inside the x10 band"),
+            "{some}"
+        );
+        assert_eq!(measured(0.0, 400), "0 of 400");
+        assert_eq!(measured(2.5e-3, 400), frac(2.5e-3));
+    }
 }

@@ -30,8 +30,8 @@ use dmp_sim::{batch_jobs, scenario_batch_jobs, setting, ExperimentSpec, TraceSpe
 use netsim::tcp::TcpFlavor;
 use scenario::{FleetTimeline, Scenario};
 use tcp_model::{
-    ExactCellSpec, ExactOutcome, FluidCellSpec, LateCellSpec, MuCellSpec, PlannerOptions,
-    PlannerScheme, SearchOptions, SolveOptions, TauSearchSpec,
+    FluidCellSpec, LateCellSpec, MuCellSpec, PlannerOptions, PlannerScheme, SearchOptions,
+    TauSearchSpec,
 };
 
 /// The key `JobSpec::keyed` gives `input` under payload type `T`.
@@ -147,14 +147,6 @@ fn every_job_family_keys_every_field_of_its_input_and_nothing_else() {
         scheme: PlannerScheme::Dmp,
         opts: PlannerOptions::default(),
     };
-    let exact = ExactCellSpec {
-        path,
-        wmax: 6,
-        mu: 25.0,
-        tau_s: 4.0,
-        floor: -80,
-        opts: SolveOptions::default(),
-    };
     let search = TauSearchSpec {
         paths: vec![path; 2],
         mu: 25.0,
@@ -188,7 +180,6 @@ fn every_job_family_keys_every_field_of_its_input_and_nothing_else() {
         key::<_, f64>(late.clone()),
         key::<_, Vec<f64>>(late.clone()),
         key::<_, Option<f64>>(mu.clone()),
-        key::<_, ExactOutcome>(exact.clone()),
         key::<_, Option<f64>>(search.clone()),
         key::<_, f64>(fluid),
     ];
@@ -221,15 +212,6 @@ fn every_job_family_keys_every_field_of_its_input_and_nothing_else() {
         |c| c.opts.mu_rel_resolution *= 2.0,
     ];
     every_field_moves(&mu, &mu_fields, key::<_, Option<f64>>);
-    let exact_fields: [fn(&mut ExactCellSpec); 6] = [
-        |c| c.path.rtt_s *= 2.0,
-        |c| c.wmax += 1,
-        |c| c.mu += 1.0,
-        |c| c.tau_s += 1.0,
-        |c| c.floor -= 1,
-        |c| c.opts.max_states += 1,
-    ];
-    every_field_moves(&exact, &exact_fields, key::<_, ExactOutcome>);
     let search_fields: [fn(&mut TauSearchSpec); 3] = [
         |c| c.paths.truncate(1),
         |c| c.mu += 1.0,

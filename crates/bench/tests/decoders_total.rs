@@ -3,9 +3,9 @@
 //!
 //! Each payload below is a real encoding: the `RunSummary` fixture (whole,
 //! its `metrics` snapshot, one of its histograms) and one encoded value of
-//! every other job family's payload (`ScenarioSummary`, tcp-model's
-//! `ExactOutcome`, fleet's `ShardOutput`, the saturation probe's
-//! `SaturationReport`, `dmp-bench`'s `LiveSummary`). Each is fed to its
+//! every other job family's payload (`ScenarioSummary`, fleet's
+//! `ShardOutput`, the saturation probe's `SaturationReport`, `dmp-bench`'s
+//! `LiveSummary`). Each is fed to its
 //! decoder intact, cut at every prefix, with every byte replaced by each of
 //! a set of bytes that JSON gives a meaning to, and with each object's
 //! first key given a second pair (the second pair's value) right after the
@@ -37,7 +37,6 @@ use dmp_sim::experiment::{RunSummary, ScenarioSummary};
 use dmp_sim::probe::SaturationReport;
 use netsim::EngineTelemetry;
 use obs::{Histogram, MetricsSnapshot, TraceEvent};
-use tcp_model::batch::ExactOutcome;
 
 const RUN_SUMMARY: &str = include_str!("../../base/tests/fixtures/run_summary.json");
 const TRACE: &str = include_str!("../../../artifacts/traces/ext_failover_quick_run0.jsonl");
@@ -238,21 +237,6 @@ fn scenario_and_live_summaries() {
         timelines: Vec::new(),
     };
     total::<LiveSummary>(&live.to_json().render());
-}
-
-#[test]
-fn exact_outcomes() {
-    let solved = ExactOutcome::Solved {
-        f: 1.25e-3,
-        floor_mass: 1e-9,
-        states: 12_345,
-        iterations: 113,
-    };
-    let error = ExactOutcome::Error {
-        message: "state space exceeds 10 states".into(),
-    };
-    total::<ExactOutcome>(&solved.to_json().render());
-    total::<ExactOutcome>(&error.to_json().render());
 }
 
 #[test]

@@ -1,13 +1,11 @@
 //! The model cells through the runner cache, keyed the way the bench
 //! targets key them: warm and cold runs must produce byte-identical
-//! payloads, and a typed solver failure must be cached like any other result
-//! — a panic would waste a runner slot on every cold run, an error payload
-//! is content-addressed.
+//! payloads.
 
 use dmp_core::spec::PathSpec;
 use dmp_runner::test_util::TempDir;
 use dmp_runner::{Cache, JobSpec, JsonCodec, Runner};
-use tcp_model::{ExactCellSpec, ExactOutcome, LateCellSpec, SolveOptions};
+use tcp_model::LateCellSpec;
 
 fn path() -> PathSpec {
     PathSpec::from_ms(0.02, 150.0, 3.0)
@@ -55,44 +53,4 @@ fn warm_and_cold_runs_are_byte_identical_through_the_runner_cache() {
     // never changes results, it only skips work.
     let none = Runner::new(2, Cache::disabled()).with_progress(false);
     assert_eq!(rendered(&cold), rendered(&none.run_all(jobs().collect())));
-}
-
-#[test]
-fn exact_solver_failure_is_cached_as_a_value() {
-    let tmp = TempDir::new("model-cache-err");
-    let job = || {
-        let cell = ExactCellSpec {
-            path: path(),
-            wmax: 6,
-            mu: 25.0,
-            tau_s: 8.0,
-            floor: -200,
-            // Far too small for the joint space: the cell must fail.
-            opts: SolveOptions {
-                max_states: 50,
-                ..SolveOptions::default()
-            },
-        };
-        JobSpec::keyed("exact:overflow", cell, 0, ExactCellSpec::run)
-    };
-    let expect_error = |cell: &dmp_runner::Cell<ExactOutcome>| match cell.ok() {
-        Some(ExactOutcome::Error { message }) => {
-            assert!(message.contains("exceeds 50 states"), "{message}");
-        }
-        other => panic!("expected a typed error payload, got {other:?}"),
-    };
-
-    let r1 = Runner::new(1, Cache::new(tmp.path())).with_progress(false);
-    let first = r1.run_all(vec![job()]);
-    assert!(!first[0].from_cache);
-    expect_error(&first[0]);
-
-    let r2 = Runner::new(1, Cache::new(tmp.path())).with_progress(false);
-    let second = r2.run_all(vec![job()]);
-    assert!(
-        second[0].from_cache,
-        "typed failure was not served from the cache — overflow cells would \
-         re-enumerate on every run"
-    );
-    expect_error(&second[0]);
 }

@@ -167,7 +167,6 @@ pub fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> io::Result<LiveRu
     let mut output = run_stream(cfg, &addrs, listeners, grace)?;
     if f != 1.0 {
         output.trace = undilate_trace(&output.trace, exp.video, f);
-        output.elapsed = output.elapsed.mul_f64(f);
     }
     // The rates each emulated path actually applied, rescaled to nominal
     // time.

@@ -135,10 +135,6 @@ pub struct LiveOutput {
     pub trace: StreamTrace,
     /// Packets received per path.
     pub per_path_packets: Vec<u64>,
-    /// Duration of the run on the trace's clock: wall-clock as produced by
-    /// [`run_stream`], rescaled to the nominal timeline by time-dilated
-    /// experiments (see `LiveExperiment::time_dilation`).
-    pub elapsed: Duration,
     /// Collected [`obs`] events (empty unless [`LiveConfig::trace`] was set).
     /// Unsorted — producers on different threads interleave; sort by
     /// timestamp before writing.
@@ -424,7 +420,6 @@ pub fn run_stream(
     Ok(LiveOutput {
         trace: trace.into_inner().unwrap_or_else(PoisonError::into_inner),
         per_path_packets,
-        elapsed: session.elapsed(),
         trace_events: session
             .events
             .map(|e| e.into_inner().unwrap_or_else(PoisonError::into_inner))

@@ -843,14 +843,15 @@ mod tests {
     }
 
     #[test]
-    fn identity_rate_step_is_behavior_neutral() {
-        // A RateStep{1.0} attaches the driver and injects real AppTimer
-        // events; they shift `event_seq` but must not change any outcome.
+    fn identity_path_up_is_behavior_neutral() {
+        // A PathUp on a path that is up attaches the driver and injects real
+        // AppTimer events; they shift `event_seq` but must not change any
+        // outcome.
         let base = quick_spec("2-2", SchedulerKind::Dynamic, 43);
         let mut ident = base.clone();
         ident.scenario = Scenario::named("ident")
-            .at(30.0, 0, scenario::Event::RateStep { factor: 1.0 })
-            .at(60.0, 1, scenario::Event::RateStep { factor: 1.0 });
+            .at(30.0, 0, scenario::Event::PathUp)
+            .at(60.0, 1, scenario::Event::PathUp);
         let mut a = run_summary(&base, &[2.0, 6.0]);
         let mut b = run_summary(&ident, &[2.0, 6.0]);
         // The scheduler-event counter is the one place the two scripted
@@ -917,8 +918,7 @@ mod tests {
     fn scenario_summary_json_roundtrip() {
         let mut spec = quick_spec("2-2", SchedulerKind::Dynamic, 53);
         spec.duration_s = 30.0;
-        spec.scenario =
-            Scenario::named("rt").at(10.0, 0, scenario::Event::RateStep { factor: 0.5 });
+        spec.scenario = Scenario::named("rt").at(10.0, 0, scenario::Event::PathDown);
         let res = ResilienceSpec {
             fail_at_s: Some(10.0),
             ..ResilienceSpec::default()

@@ -12,16 +12,16 @@
 //! *queued* behind the transmitter. Nothing is scheduled per packet —
 //! [`Link::advance`] lazily drains queue → wire up to the current time, and
 //! the simulator keeps a single tracked delivery event per link aimed at the
-//! wire head. Because serialisation is FIFO and arrivals are clamped
-//! monotone, the head's arrival time never moves once stamped, so that one
-//! event never goes stale. Compared to the classic two-events-per-transit
-//! (`LinkTxDone` + `Arrival`) design this roughly halves scheduler traffic
-//! on transit-heavy topologies.
+//! wire head. A link's rate and delay are fixed when it is built, so with
+//! FIFO serialisation the arrival stamps are monotone: the head's arrival
+//! time never moves once stamped, and that one event never goes stale.
+//! Compared to the classic two-events-per-transit (`LinkTxDone` +
+//! `Arrival`) design this roughly halves scheduler traffic on transit-heavy
+//! topologies.
 //!
-//! Laziness preserves the runtime-mutation contract exactly: every mutation
-//! (and every offer/delivery) advances the link to `now` first, so rate and
-//! delay changes apply to packets that start serialising after the call, and
-//! an admin-down flushes precisely the packets that have not yet started.
+//! Laziness keeps an admin-down exact: it advances the link to `now` first
+//! (as every offer and delivery does), so it flushes precisely the packets
+//! that have not yet started.
 
 use std::collections::VecDeque;
 
@@ -142,10 +142,8 @@ struct WireEntry {
 /// `pop_due` to collect arrivals at the tracked delivery time.
 #[derive(Debug)]
 pub struct Link {
-    /// Static parameters. Mutable at runtime through the `set_*` methods
-    /// (fault injection / path dynamics); rate and delay changes apply to
-    /// packets that *start* transmission afterwards, never to packets already
-    /// being serialised or in flight.
+    /// Static parameters, fixed when the link is built. Only the admin
+    /// state ([`Link::set_admin_down`]) changes at runtime.
     pub spec: LinkSpec,
     /// Node at the transmitting end (used to validate routing tables).
     pub from: NodeId,
@@ -158,16 +156,13 @@ pub struct Link {
     started: usize,
     /// When the transmitter finishes serialising the last started packet.
     free_at: SimTime,
-    /// Nanoseconds per byte at the current rate (`8e9 / bandwidth_bps`),
-    /// cached so a memo miss is one multiply, not a divide.
+    /// Nanoseconds per byte (`8e9 / bandwidth_bps`), cached so a memo miss
+    /// is one multiply, not a divide.
     ns_per_byte: f64,
     /// `(size_bytes, tx_ns)` of the two packet sizes serialised most
-    /// recently at the current rate (a flow has two: data and ACK). Size 0
-    /// serialises in 0 ns at any rate, so the zeroed memo is already valid.
+    /// recently (a flow has two: data and ACK). Size 0 serialises in 0 ns,
+    /// so the zeroed memo is already valid.
     tx_memo: [(u32, SimTime); 2],
-    /// Arrival stamp of the most recently departed packet: later departures
-    /// clamp to this so the wire stays FIFO even across delay reductions.
-    last_arrival: SimTime,
     /// Per-link random stream (Bernoulli loss, RED). Seeded per link so
     /// loss-free links never draw and lossy links never perturb each other.
     rng: SmallRng,
@@ -192,9 +187,9 @@ pub enum Offer {
 }
 
 impl Link {
-    /// Serialisation time at the current rate; identical to
-    /// `self.spec.tx_time(bytes)` by construction — a memo hit returns what
-    /// the same expression produced for the same size and rate.
+    /// Serialisation time; identical to `self.spec.tx_time(bytes)` by
+    /// construction — a memo hit returns what the same expression produced
+    /// for the same size.
     #[inline]
     fn tx_ns(&mut self, bytes: u32) -> SimTime {
         let [a, b] = self.tx_memo;
@@ -223,7 +218,6 @@ impl Link {
             free_at: 0,
             ns_per_byte: 8e9 / spec.bandwidth_bps,
             tx_memo: [(0, 0); 2],
-            last_arrival: 0,
             rng: SmallRng::seed_from_u64(seed),
             red: spec.red.map(RedState::new),
             deliver_ev: false,
@@ -232,10 +226,10 @@ impl Link {
     }
 
     /// Drain queue → wire up to `now`: every queued packet whose
-    /// serialisation starts at or before `now` departs, at the rate and
-    /// delay in force at its start time. `on_depart(start, queue_len)` fires
-    /// per departure (for queue-occupancy tracing) with the queue length
-    /// remaining after the pop.
+    /// serialisation starts at or before `now` departs.
+    /// `on_depart(start, queue_len)` fires per departure (for
+    /// queue-occupancy tracing) with the queue length remaining after the
+    /// pop.
     ///
     /// Postcondition: queued packets remain only if the transmitter is still
     /// busy (`free_at > now`).
@@ -256,10 +250,10 @@ impl Link {
             let start = self.free_at;
             let size = self.ring[self.started].pkt.size_bytes;
             let done = start + self.tx_ns(size);
+            let arrive = done + self.spec.delay;
+            self.debug_assert_fifo(arrive);
             let entry = &mut self.ring[self.started];
-            let arrive = (done + self.spec.delay).max(self.last_arrival);
             entry.at = arrive;
-            self.last_arrival = arrive;
             self.free_at = done;
             self.stats.bytes_tx += u64::from(entry.pkt.size_bytes);
             self.started += 1;
@@ -306,9 +300,9 @@ impl Link {
             // Transmitter idle (and, post-advance, the queue is empty):
             // depart immediately.
             let done = now + self.tx_ns(pkt.size_bytes);
-            let arrive = (done + self.spec.delay).max(self.last_arrival);
+            let arrive = done + self.spec.delay;
+            self.debug_assert_fifo(arrive);
             self.free_at = done;
-            self.last_arrival = arrive;
             self.ring.push_back(WireEntry { at: arrive, pkt });
             self.started += 1;
             self.stats.accepted += 1;
@@ -328,6 +322,18 @@ impl Link {
             }
             Offer::Dropped(pkt)
         }
+    }
+
+    /// A departure stamped `arrive` lands no earlier than the wire tail:
+    /// serialisation is FIFO and the delay constant, so stamps are monotone
+    /// and the simulator's one delivery event per link, aimed at the wire
+    /// head, never goes stale.
+    #[inline(always)]
+    fn debug_assert_fifo(&self, arrive: SimTime) {
+        debug_assert!(
+            self.started == 0 || self.ring[self.started - 1].at <= arrive,
+            "wire stamps out of order"
+        );
     }
 
     /// Pop the wire head if it has arrived by `now`. The simulator calls
@@ -354,33 +360,6 @@ impl Link {
         } else {
             None
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Runtime mutation (fault injection / path dynamics)
-    // ------------------------------------------------------------------
-
-    /// Change the transmission rate. The caller must `advance` to `now`
-    /// first; the change then applies to packets that start serialising
-    /// after the call, never to packets already departed.
-    pub fn set_bandwidth_bps(&mut self, bps: f64) {
-        assert!(bps > 0.0, "bandwidth must be positive (got {bps})");
-        self.spec.bandwidth_bps = bps;
-        self.ns_per_byte = 8e9 / bps;
-        self.tx_memo = [(0, 0); 2];
-    }
-
-    /// Change the propagation delay. The caller must `advance` to `now`
-    /// first; packets already on the wire keep their stamped arrival time,
-    /// and later departures clamp monotone (no reordering on the wire).
-    pub fn set_delay(&mut self, delay: SimTime) {
-        self.spec.delay = delay;
-    }
-
-    /// Change the Bernoulli random-loss probability.
-    pub fn set_random_loss(&mut self, p: f64) {
-        assert!((0.0..1.0).contains(&p), "loss must be in [0,1) (got {p})");
-        self.spec.random_loss = p;
     }
 
     /// Administratively down (or up) the link. The caller must `advance` to
@@ -468,17 +447,15 @@ mod tests {
     #[test]
     fn memoised_serialisation_time_is_the_spec_formula() {
         // Four sizes in rotation over a two-entry memo: hits, misses and
-        // evictions all answer what `LinkSpec::tx_time` computes afresh, and
-        // a rate change leaves nothing stale behind.
-        let mut l = Link::new(LinkSpec::from_table(3.7, 1.0, 10), 0, 1, 1);
-        for bps in [3.7e6, 1.234_567e6, 3.7e6] {
-            l.set_bandwidth_bps(bps);
+        // evictions all answer what `LinkSpec::tx_time` computes afresh.
+        for mbps in [3.7, 1.234_567] {
+            let mut l = Link::new(LinkSpec::from_table(mbps, 1.0, 10), 0, 1, 1);
             for round in 0..3 {
                 for bytes in [40, 40, 1_040, 1_500, 1_500, 40, 9_000] {
                     assert_eq!(
                         l.tx_ns(bytes),
                         l.spec.tx_time(bytes),
-                        "{bytes} B at {bps} bps, round {round}"
+                        "{bytes} B at {mbps} Mbps, round {round}"
                     );
                 }
             }
@@ -548,41 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn mid_flight_rate_step_applies_to_not_yet_started_packets() {
-        // Two queued packets; halve the rate while the first serialises.
-        // The first keeps its old tx time, the second takes twice as long.
-        let mut l = link(5);
-        let tx = l.spec.tx_time(1500);
-        let delay = l.spec.delay;
-        l.offer(0, pkt(0));
-        l.offer(0, pkt(1));
-        l.advance(tx / 2, |_, _| {});
-        l.set_bandwidth_bps(0.5e6);
-        let slow_tx = l.spec.tx_time(1500);
-        assert_eq!(slow_tx, 2 * tx);
-        let got = drain(&mut l, tx + slow_tx + delay);
-        assert_eq!(got, vec![(tx + delay, 0), (tx + slow_tx + delay, 1)]);
-    }
-
-    #[test]
-    fn mid_flight_delay_cut_never_reorders_the_wire() {
-        // Packet 0 departs with a 10 ms delay (far exceeding its 0.12 ms tx
-        // time); the delay then drops to 0. Packet 1 would naively overtake
-        // it — the monotone clamp makes it arrive at the same instant
-        // instead, preserving FIFO.
-        let mut l = Link::new(LinkSpec::from_table(100.0, 10.0, 5), 0, 1, 1);
-        let tx = l.spec.tx_time(1500);
-        let delay = l.spec.delay;
-        assert!(delay > 2 * tx);
-        l.offer(0, pkt(0));
-        l.offer(0, pkt(1));
-        l.advance(1, |_, _| {});
-        l.set_delay(0);
-        let got = drain(&mut l, 2 * tx + delay);
-        assert_eq!(got, vec![(tx + delay, 0), (tx + delay, 1)]);
-    }
-
-    #[test]
     fn peak_queue_tracked() {
         let mut l = link(5);
         l.offer(0, pkt(0));
@@ -617,28 +559,6 @@ mod tests {
         let t_up = tx + delay;
         assert_eq!(l.offer(t_up, pkt(4)), Offer::Started);
         assert_eq!(l.next_arrival(), Some(t_up + tx + delay));
-    }
-
-    #[test]
-    fn rate_and_delay_changes_apply_to_future_transmissions() {
-        let mut l = link(5);
-        assert_eq!(l.spec.tx_time(1500), 12_000_000); // 1 Mbps
-        l.set_bandwidth_bps(2e6);
-        assert_eq!(l.spec.tx_time(1500), 6_000_000);
-        l.set_delay(crate::time::millis(55.0));
-        assert_eq!(l.spec.delay, crate::time::millis(55.0));
-        l.set_random_loss(0.5);
-        let mut dropped = 0u64;
-        let mut now = 0;
-        for i in 0..1000 {
-            l.advance(now, |_, _| {});
-            if matches!(l.offer(now, pkt(i)), Offer::Dropped(_)) {
-                dropped += 1;
-            }
-            now += l.spec.tx_time(1500) + 1;
-        }
-        assert!((400..600).contains(&dropped), "dropped {dropped}");
-        assert_eq!(l.stats.random_dropped, dropped);
     }
 
     #[test]

@@ -25,14 +25,6 @@ pub enum PathAction {
     Down,
     /// Path restored.
     Up,
-    /// Bottleneck rate changed.
-    Rate,
-    /// Propagation delay changed.
-    Delay,
-    /// Bernoulli loss probability set.
-    Loss,
-    /// Bernoulli loss probability cleared.
-    LossClear,
     /// Flash-crowd flows started.
     FlashStart,
     /// Flash-crowd flows stopped.
@@ -45,10 +37,6 @@ impl PathAction {
         match self {
             PathAction::Down => "down",
             PathAction::Up => "up",
-            PathAction::Rate => "rate",
-            PathAction::Delay => "delay",
-            PathAction::Loss => "loss",
-            PathAction::LossClear => "loss_clear",
             PathAction::FlashStart => "flash_start",
             PathAction::FlashStop => "flash_stop",
         }
@@ -58,10 +46,6 @@ impl PathAction {
         Some(match s {
             "down" => PathAction::Down,
             "up" => PathAction::Up,
-            "rate" => PathAction::Rate,
-            "delay" => PathAction::Delay,
-            "loss" => PathAction::Loss,
-            "loss_clear" => PathAction::LossClear,
             "flash_start" => PathAction::FlashStart,
             "flash_stop" => PathAction::FlashStop,
             _ => return None,
@@ -450,6 +434,30 @@ mod tests {
             let back =
                 TraceEvent::parse_line(&line).unwrap_or_else(|| panic!("failed to parse {line}"));
             assert_eq!(back, ev, "line: {line}");
+        }
+    }
+
+    #[test]
+    fn path_events_carry_only_the_scripted_actions() {
+        let line =
+            |action: &str| format!(r#"{{"t":1,"ev":"path_ev","path":0,"action":"{action}"}}"#);
+        for action in [
+            PathAction::Down,
+            PathAction::Up,
+            PathAction::FlashStart,
+            PathAction::FlashStop,
+        ] {
+            let ev = TraceEvent {
+                t: 1,
+                kind: EventKind::PathEvent { path: 0, action },
+            };
+            assert_eq!(ev.to_line(), line(action.name()));
+            assert_eq!(TraceEvent::parse_line(&line(action.name())), Some(ev));
+        }
+        // Rate, delay and loss are not scriptable, so no recorder writes
+        // them; a line naming one is skipped like any unknown event.
+        for name in ["rate", "delay", "loss", "loss_clear"] {
+            assert!(TraceEvent::parse_line(&line(name)).is_none(), "{name}");
         }
     }
 

@@ -7,7 +7,6 @@
 //! contract orders scripted actions exactly like the traffic around them.
 
 use netsim::app::App;
-use netsim::link::LinkSpec;
 use netsim::sim::SimApi;
 use netsim::time::{secs, SimTime};
 use netsim::{FlowId, LinkId};
@@ -18,8 +17,8 @@ use crate::timeline::{Event, Scenario};
 #[derive(Debug, Clone, Default)]
 pub struct PathBinding {
     /// Links that carry the path's traffic (typically the bottleneck link and
-    /// its reverse direction). Down/rate/delay/loss events apply to all of
-    /// them; rate events scale each link's own base rate.
+    /// its reverse direction). [`Event::PathDown`] and [`Event::PathUp`]
+    /// apply to all of them.
     pub links: Vec<LinkId>,
     /// Pre-provisioned idle flows reserved for [`Event::FlashCrowd`] events
     /// on this path, in the order crowds appear in the script. Must hold at
@@ -32,14 +31,6 @@ pub struct PathBinding {
 enum ActionKind {
     Down,
     Up,
-    /// Set every bound link's rate to `factor ×` its captured base rate.
-    Rate(f64),
-    /// Set every bound link's delay to `factor ×` its captured base delay.
-    Delay(f64),
-    /// Set absolute random loss on every bound link.
-    Loss(f64),
-    /// Restore every bound link's base random loss.
-    LossClear,
     /// Un-idle `n` pre-provisioned flash flows starting at index `first`.
     FlashStart {
         first: usize,
@@ -70,9 +61,6 @@ struct Action {
 pub struct ScenarioDriver {
     bindings: Vec<PathBinding>,
     actions: Vec<Action>,
-    /// Base [`LinkSpec`] per binding link, captured at `start()` — factors in
-    /// the script are always relative to these, never cumulative.
-    base: Vec<Vec<LinkSpec>>,
     offset: SimTime,
 }
 
@@ -98,9 +86,6 @@ impl ScenarioDriver {
         }
 
         let mut actions = Vec::new();
-        // Current scripted rate factor per path, so ramps interpolate from
-        // wherever the script last left the rate.
-        let mut rate_factor = vec![1.0_f64; bindings.len()];
         // Next free pre-provisioned flash flow per path.
         let mut flash_cursor = vec![0_usize; bindings.len()];
 
@@ -118,49 +103,6 @@ impl ScenarioDriver {
                     path,
                     kind: ActionKind::Up,
                 }),
-                Event::RateStep { factor } => {
-                    rate_factor[path] = factor;
-                    actions.push(Action {
-                        at,
-                        path,
-                        kind: ActionKind::Rate(factor),
-                    });
-                }
-                Event::RateRamp {
-                    factor,
-                    over_s,
-                    steps,
-                } => {
-                    let from = rate_factor[path];
-                    for i in 1..=steps {
-                        let frac = f64::from(i) / f64::from(steps);
-                        actions.push(Action {
-                            at: at + secs(over_s * frac),
-                            path,
-                            kind: ActionKind::Rate(from + (factor - from) * frac),
-                        });
-                    }
-                    rate_factor[path] = factor;
-                }
-                Event::DelayStep { factor } => {
-                    actions.push(Action {
-                        at,
-                        path,
-                        kind: ActionKind::Delay(factor),
-                    });
-                }
-                Event::LossEpisode { loss, duration_s } => {
-                    actions.push(Action {
-                        at,
-                        path,
-                        kind: ActionKind::Loss(loss),
-                    });
-                    actions.push(Action {
-                        at: at + secs(duration_s),
-                        path,
-                        kind: ActionKind::LossClear,
-                    });
-                }
                 Event::FlashCrowd {
                     n_flows,
                     duration_s,
@@ -174,7 +116,7 @@ impl ScenarioDriver {
                         kind: ActionKind::FlashStart { first, n },
                     });
                     actions.push(Action {
-                        at: at + secs(duration_s),
+                        at: at.saturating_add(secs(duration_s)),
                         path,
                         kind: ActionKind::FlashStop { first, n },
                     });
@@ -185,12 +127,11 @@ impl ScenarioDriver {
         Self {
             bindings,
             actions,
-            base: Vec::new(),
             offset,
         }
     }
 
-    /// Number of compiled actions (ramps and episodes expand to several).
+    /// Number of compiled actions (a flash crowd expands to two).
     pub fn action_count(&self) -> usize {
         self.actions.len()
     }
@@ -204,10 +145,6 @@ impl ScenarioDriver {
             let action = match kind {
                 ActionKind::Down => obs::PathAction::Down,
                 ActionKind::Up => obs::PathAction::Up,
-                ActionKind::Rate(_) => obs::PathAction::Rate,
-                ActionKind::Delay(_) => obs::PathAction::Delay,
-                ActionKind::Loss(_) => obs::PathAction::Loss,
-                ActionKind::LossClear => obs::PathAction::LossClear,
                 ActionKind::FlashStart { .. } => obs::PathAction::FlashStart,
                 ActionKind::FlashStop { .. } => obs::PathAction::FlashStop,
             };
@@ -227,27 +164,6 @@ impl ScenarioDriver {
                     api.set_link_up(l);
                 }
             }
-            ActionKind::Rate(factor) => {
-                for (i, &l) in b.links.iter().enumerate() {
-                    api.set_link_rate(l, self.base[path][i].bandwidth_bps * factor);
-                }
-            }
-            ActionKind::Delay(factor) => {
-                for (i, &l) in b.links.iter().enumerate() {
-                    let base = self.base[path][i].delay;
-                    api.set_link_delay(l, (base as f64 * factor).round() as SimTime);
-                }
-            }
-            ActionKind::Loss(p) => {
-                for &l in &b.links {
-                    api.set_link_loss(l, p);
-                }
-            }
-            ActionKind::LossClear => {
-                for (i, &l) in b.links.iter().enumerate() {
-                    api.set_link_loss(l, self.base[path][i].random_loss);
-                }
-            }
             ActionKind::FlashStart { first, n } => {
                 for &flow in &b.flash_flows[first..first + n] {
                     api.set_backlogged(flow, None);
@@ -265,13 +181,8 @@ impl ScenarioDriver {
 
 impl App for ScenarioDriver {
     fn start(&mut self, api: &mut SimApi<'_>) {
-        self.base = self
-            .bindings
-            .iter()
-            .map(|b| b.links.iter().map(|&l| api.link_spec(l)).collect())
-            .collect();
         for (idx, a) in self.actions.iter().enumerate() {
-            api.schedule_in(self.offset + a.at, idx as u64);
+            api.schedule_in(self.offset.saturating_add(a.at), idx as u64);
         }
     }
 
@@ -313,40 +224,6 @@ mod tests {
 
     fn delivered(sim: &Sim, flow: FlowId) -> u64 {
         sim.sink(flow).stats.delivered
-    }
-
-    #[test]
-    fn ramp_expands_from_current_factor() {
-        let s = Scenario::named("r")
-            .at(0.0, 0, Event::RateStep { factor: 0.5 })
-            .at(
-                10.0,
-                0,
-                Event::RateRamp {
-                    factor: 1.0,
-                    over_s: 4.0,
-                    steps: 4,
-                },
-            );
-        let d = ScenarioDriver::new(
-            &s,
-            vec![PathBinding {
-                links: vec![],
-                flash_flows: vec![],
-            }],
-            0,
-        );
-        // 1 step + 4 ramp sub-steps.
-        assert_eq!(d.action_count(), 5);
-        let factors: Vec<f64> = d
-            .actions
-            .iter()
-            .filter_map(|a| match a.kind {
-                ActionKind::Rate(f) => Some(f),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(factors, vec![0.5, 0.625, 0.75, 0.875, 1.0]);
     }
 
     #[test]
@@ -418,35 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn loss_episode_applies_and_clears() {
-        let (mut sim, video, _, fwd, _) = build(0);
-        sim.add_app(Box::new(Backlog(video)));
-        let s = Scenario::named("lossy").at(
-            5.0,
-            0,
-            Event::LossEpisode {
-                loss: 0.05,
-                duration_s: 10.0,
-            },
-        );
-        sim.add_app(Box::new(ScenarioDriver::new(
-            &s,
-            // Loss on the forward (data) direction only.
-            vec![PathBinding {
-                links: vec![fwd],
-                flash_flows: vec![],
-            }],
-            0,
-        )));
-        sim.run_until(30 * SECOND);
-        let drops = sim.counters().random_loss_drops;
-        assert!(drops > 10, "loss episode injected nothing: {drops}");
-        assert_eq!(sim.link(fwd).stats.random_dropped, drops);
-        // After the episode the spec is restored to lossless.
-        assert_eq!(sim.link(fwd).spec.random_loss, 0.0);
-    }
-
-    #[test]
     fn offset_shifts_the_whole_script() {
         let (mut sim, video, _, fwd, rev) = build(0);
         sim.add_app(Box::new(Backlog(video)));
@@ -471,5 +319,33 @@ mod tests {
             after - before < 20,
             "down should fire at offset: {before}..{after}"
         );
+    }
+
+    #[test]
+    fn a_far_future_event_never_fires() {
+        // 1e12 s is past the end of the u64-nanosecond clock: the script
+        // compiles and schedules without overflow, and the down never lands.
+        let (mut sim, video, flash, fwd, rev) = build(1);
+        sim.add_app(Box::new(Backlog(video)));
+        let s = Scenario::named("never").at(1e12, 0, Event::PathDown).at(
+            1e12,
+            0,
+            Event::FlashCrowd {
+                n_flows: 1,
+                duration_s: 1e12,
+            },
+        );
+        sim.add_app(Box::new(ScenarioDriver::new(
+            &s,
+            vec![PathBinding {
+                links: vec![fwd, rev],
+                flash_flows: flash.clone(),
+            }],
+            12 * SECOND,
+        )));
+        sim.run_until(20 * SECOND);
+        assert!(delivered(&sim, video) > 1000);
+        assert_eq!(delivered(&sim, flash[0]), 0);
+        assert_eq!(sim.link(fwd).stats.admin_dropped, 0);
     }
 }

@@ -13,35 +13,6 @@ pub enum Event {
     PathDown,
     /// Restore a failed path.
     PathUp,
-    /// Set the path's bottleneck rate to `factor ×` its configured base rate
-    /// (a step; `factor` is absolute w.r.t. the base, not cumulative).
-    RateStep {
-        /// Multiplier on the base bottleneck rate (must be > 0).
-        factor: f64,
-    },
-    /// Ramp the rate factor linearly from its current scripted value to
-    /// `factor`, in `steps` equal sub-steps over `over_s` seconds.
-    RateRamp {
-        /// Target multiplier on the base bottleneck rate (must be > 0).
-        factor: f64,
-        /// Ramp duration, seconds.
-        over_s: f64,
-        /// Number of discrete sub-steps the ramp is quantised into.
-        steps: u32,
-    },
-    /// Set the path's one-way propagation delay to `factor ×` its base value.
-    DelayStep {
-        /// Multiplier on the base propagation delay (must be ≥ 0).
-        factor: f64,
-    },
-    /// Add Bernoulli random loss `loss` on the path for `duration_s` seconds,
-    /// after which the base loss rate is restored.
-    LossEpisode {
-        /// Loss probability during the episode, in `[0, 1)`.
-        loss: f64,
-        /// Episode length, seconds.
-        duration_s: f64,
-    },
     /// A flash crowd: `n_flows` extra backlogged TCP flows join the path's
     /// bottleneck for `duration_s` seconds, then stop.
     FlashCrowd {
@@ -66,13 +37,13 @@ pub struct TimedEvent {
 /// A named, serializable timeline of network events.
 ///
 /// The default scenario is empty (no name, no events) and compiles to a
-/// no-op on both backends.
+/// no-op.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Scenario {
     /// Scenario name (no whitespace; part of the stable hash).
     pub name: String,
-    /// The timeline, in script order. Events need not be sorted; both
-    /// backends order them by `(at_s, script position)`.
+    /// The timeline, in script order. Events need not be sorted; the
+    /// driver orders them by `(at_s, script position)`.
     pub events: Vec<TimedEvent>,
 }
 
@@ -90,9 +61,8 @@ impl Scenario {
         }
     }
 
-    /// Append an event (builder style).
+    /// Append an event (builder style). [`Scenario::validate`] checks it.
     pub fn at(mut self, at_s: f64, path: usize, event: Event) -> Self {
-        assert!(at_s >= 0.0 && at_s.is_finite(), "event time {at_s} invalid");
         self.events.push(TimedEvent { at_s, path, event });
         self
     }
@@ -110,35 +80,20 @@ impl Scenario {
             if e.path >= n_paths {
                 return fail(format!("path {} out of range (< {n_paths})", e.path));
             }
-            match e.event {
-                Event::RateStep { factor } | Event::RateRamp { factor, .. } if factor <= 0.0 => {
-                    return fail(format!("rate factor {factor} must be > 0"));
-                }
-                Event::RateRamp { over_s, steps, .. } if over_s <= 0.0 || steps == 0 => {
+            if !(e.at_s >= 0.0 && e.at_s.is_finite()) {
+                return fail(format!("time {} must be finite and ≥ 0", e.at_s));
+            }
+            if let Event::FlashCrowd {
+                n_flows,
+                duration_s,
+            } = e.event
+            {
+                if n_flows == 0 || !(duration_s > 0.0 && duration_s.is_finite()) {
                     return fail(format!(
-                        "ramp needs over_s > 0 and steps > 0, got {over_s}/{steps}"
+                        "flash crowd needs n_flows > 0 and a finite duration > 0, \
+                         got {n_flows}/{duration_s}"
                     ));
                 }
-                Event::DelayStep { factor } if factor < 0.0 => {
-                    return fail(format!("delay factor {factor} must be ≥ 0"));
-                }
-                Event::LossEpisode { loss, duration_s } => {
-                    if !(0.0..1.0).contains(&loss) {
-                        return fail(format!("loss {loss} must be in [0,1)"));
-                    }
-                    if duration_s <= 0.0 {
-                        return fail(format!("loss episode duration {duration_s} must be > 0"));
-                    }
-                }
-                Event::FlashCrowd {
-                    n_flows,
-                    duration_s,
-                } if n_flows == 0 || duration_s <= 0.0 => {
-                    return fail(format!(
-                        "flash crowd needs n_flows > 0 and duration > 0, got {n_flows}/{duration_s}"
-                    ));
-                }
-                _ => {}
             }
         }
         Ok(())
@@ -194,16 +149,6 @@ impl fmt::Display for Event {
         match self {
             Event::PathDown => write!(f, "down"),
             Event::PathUp => write!(f, "up"),
-            Event::RateStep { factor } => write!(f, "rate {factor:?}"),
-            Event::RateRamp {
-                factor,
-                over_s,
-                steps,
-            } => {
-                write!(f, "ramp {factor:?} {over_s:?} {steps}")
-            }
-            Event::DelayStep { factor } => write!(f, "delay {factor:?}"),
-            Event::LossEpisode { loss, duration_s } => write!(f, "loss {loss:?} {duration_s:?}"),
             Event::FlashCrowd {
                 n_flows,
                 duration_s,
@@ -222,28 +167,9 @@ mod tests {
         Scenario::named("kitchen-sink")
             .at(10.0, 0, Event::PathDown)
             .at(25.5, 0, Event::PathUp)
-            .at(30.0, 1, Event::RateStep { factor: 0.5 })
-            .at(
-                40.0,
-                1,
-                Event::RateRamp {
-                    factor: 1.0,
-                    over_s: 12.0,
-                    steps: 6,
-                },
-            )
-            .at(55.0, 0, Event::DelayStep { factor: 3.0 })
-            .at(
-                60.0,
-                1,
-                Event::LossEpisode {
-                    loss: 0.03,
-                    duration_s: 20.0,
-                },
-            )
             .at(
                 90.0,
-                0,
+                1,
                 Event::FlashCrowd {
                     n_flows: 8,
                     duration_s: 45.0,
@@ -256,15 +182,18 @@ mod tests {
         let text = "scenario kitchen-sink\n\
                     10.0 0 down\n\
                     25.5 0 up\n\
-                    30.0 1 rate 0.5\n\
-                    40.0 1 ramp 1.0 12.0 6\n\
-                    55.0 0 delay 3.0\n\
-                    60.0 1 loss 0.03 20.0\n\
-                    90.0 0 flash 8 45.0\n";
+                    90.0 1 flash 8 45.0\n";
         assert_eq!(sample().canonical(), text);
         // Awkward floats print the bits they hold.
-        let s = Scenario::named("f").at(0.1 + 0.2, 3, Event::RateStep { factor: 1.0 / 3.0 });
-        let text = "scenario f\n0.30000000000000004 3 rate 0.3333333333333333\n";
+        let s = Scenario::named("f").at(
+            0.1 + 0.2,
+            3,
+            Event::FlashCrowd {
+                n_flows: 1,
+                duration_s: 1.0 / 3.0,
+            },
+        );
+        let text = "scenario f\n0.30000000000000004 3 flash 1 0.3333333333333333\n";
         assert_eq!(s.canonical(), text);
         // And the empty/default scenario.
         assert_eq!(Scenario::default().canonical(), "scenario -\n");
@@ -289,17 +218,15 @@ mod tests {
     fn validate_catches_bad_scripts() {
         assert!(sample().validate(2).is_ok());
         assert!(sample().validate(1).is_err(), "path 1 out of range");
-        let bad = Scenario::named("x").at(1.0, 0, Event::RateStep { factor: 0.0 });
-        assert!(bad.validate(2).is_err());
-        let bad = Scenario::named("x").at(
-            1.0,
-            0,
-            Event::LossEpisode {
-                loss: 1.0,
-                duration_s: 5.0,
-            },
-        );
-        assert!(bad.validate(2).is_err());
+        // A time that is not a point on the run's clock is refused.
+        for at_s in [f64::NAN, -1.0, f64::INFINITY] {
+            let bad = Scenario::named("x").at(at_s, 0, Event::PathDown);
+            assert!(bad.validate(2).is_err(), "at_s = {at_s}");
+        }
+        assert!(Scenario::named("x")
+            .at(1e12, 0, Event::PathDown)
+            .validate(2)
+            .is_ok());
         let bad = Scenario::named("x").at(
             1.0,
             0,
@@ -309,6 +236,17 @@ mod tests {
             },
         );
         assert!(bad.validate(2).is_err());
+        for duration_s in [0.0, f64::NAN, f64::INFINITY] {
+            let bad = Scenario::named("x").at(
+                1.0,
+                0,
+                Event::FlashCrowd {
+                    n_flows: 1,
+                    duration_s,
+                },
+            );
+            assert!(bad.validate(2).is_err(), "duration_s = {duration_s}");
+        }
     }
 
     #[test]

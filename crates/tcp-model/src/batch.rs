@@ -4,25 +4,17 @@
 //! A planner heatmap or validation curve is a grid of cells, each fully
 //! described by a small spec (paths, rates, tuning). This module names those
 //! cells — [`LateCellSpec`] for one `f(τ)` point, [`MuCellSpec`] for one
-//! max-µ bisection, [`ExactCellSpec`] for one exact CTMC solve,
-//! [`FluidCellSpec`] for one Section 7.3 fluid integration — each with a
-//! pure `run`. The model crate submits nothing: callers wrap a cell in
+//! max-µ bisection, [`FluidCellSpec`] for one Section 7.3 fluid
+//! integration — each with a pure `run`. The model crate submits nothing:
+//! callers wrap a cell in
 //! `dmp_runner::JobSpec::keyed(label, cell, seed, LateCellSpec::run)`, whose
 //! key is the cell's type and derived `Debug`, and the runner fans the grid
 //! across threads while its cache makes re-renders free.
-//!
-//! The exact cell is the one place the state-space cap can bite, so its
-//! payload is [`ExactOutcome`]: a solver failure is a *value* (cached like
-//! any other result, rendered into the artifact as a failed cell) rather
-//! than a panic tripping the runner's isolation.
 
-use dmp_base::{Json, JsonCodec, JsonRead};
 use dmp_core::spec::PathSpec;
 
 use crate::dmp::{static_streaming_late_fraction, DmpModel, DmpSsa};
-use crate::exact::ExactDmp;
 use crate::search::{evaluate_tau_with, max_mu, PlannerOptions};
-use crate::solver::SolveOptions;
 use crate::{calibrate, fluid};
 
 /// One `f(τ)` model point: the SSA late-fraction estimator at fixed paths,
@@ -171,104 +163,6 @@ impl MuCellSpec {
     }
 }
 
-/// One exact-solver cell: a single-flow [`ExactDmp`] instance solved by
-/// [`crate::solver::CsrCtmc::solve_accelerated`].
-#[derive(Debug, Clone)]
-pub struct ExactCellSpec {
-    /// Path parameters.
-    pub path: PathSpec,
-    /// Window cap (keep small; the state space grows as `wmax²`).
-    pub wmax: u32,
-    /// Playback rate µ, packets per second.
-    pub mu: f64,
-    /// Startup delay τ, seconds.
-    pub tau_s: f64,
-    /// Deficit truncation floor (negative).
-    pub floor: i64,
-    /// Solver tuning.
-    pub opts: SolveOptions,
-}
-
-impl ExactCellSpec {
-    /// Solve the cell. State-space overflow (or any future typed solver
-    /// error) comes back as [`ExactOutcome::Error`] — an ordinary value, so
-    /// the runner caches it instead of burning the retry every render.
-    pub fn run(&self) -> ExactOutcome {
-        let model = ExactDmp::new(self.path, self.wmax, self.mu, self.tau_s, self.floor);
-        match model.try_late_fraction(self.opts) {
-            Ok(r) => ExactOutcome::Solved {
-                f: r.f,
-                floor_mass: r.floor_mass,
-                states: r.states as u64,
-                iterations: u64::from(r.iterations),
-            },
-            Err(e) => ExactOutcome::Error {
-                message: e.to_string(),
-            },
-        }
-    }
-}
-
-/// What an [`ExactCellSpec`] evaluates to: either the stationary summary or a
-/// typed solver failure. Both variants round-trip through the cache.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExactOutcome {
-    /// The solve completed.
-    Solved {
-        /// Exact late fraction `P(N ≤ 0)`.
-        f: f64,
-        /// Stationary mass at the truncation floor.
-        floor_mass: f64,
-        /// Enumerated state count.
-        states: u64,
-        /// Solver sweeps taken.
-        iterations: u64,
-    },
-    /// The solver declined (e.g. state space over `max_states`).
-    Error {
-        /// Human-readable reason, from [`crate::solver::SolveError`].
-        message: String,
-    },
-}
-
-impl JsonCodec for ExactOutcome {
-    fn to_json(&self) -> Json {
-        match self {
-            ExactOutcome::Solved {
-                f,
-                floor_mass,
-                states,
-                iterations,
-            } => Json::obj([
-                ("kind", Json::Str("solved".into())),
-                ("f", Json::Num(*f)),
-                ("floor_mass", Json::Num(*floor_mass)),
-                ("states", Json::Num(*states as f64)),
-                ("iterations", Json::Num(*iterations as f64)),
-            ]),
-            ExactOutcome::Error { message } => Json::obj([
-                ("kind", Json::Str("error".into())),
-                ("message", Json::Str(message.clone())),
-            ]),
-        }
-    }
-
-    fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self> {
-        match json.get("kind")?.as_str()? {
-            "solved" => Some(ExactOutcome::Solved {
-                f: json.get("f")?.as_f64()?,
-                floor_mass: json.get("floor_mass")?.as_f64()?,
-                states: json.get("states")?.as_u64()?,
-                iterations: json.get("iterations")?.as_u64()?,
-            }),
-            "error" => Some(ExactOutcome::Error {
-                message: json.get("message")?.as_str()?.to_string(),
-            }),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,43 +170,6 @@ mod tests {
 
     fn paths() -> Vec<PathSpec> {
         vec![PathSpec::from_ms(0.02, 150.0, 4.0); 2]
-    }
-
-    #[test]
-    fn exact_outcome_round_trips_through_json() {
-        let solved = ExactOutcome::Solved {
-            f: 1.25e-3,
-            floor_mass: 1e-9,
-            states: 12_345,
-            iterations: 678,
-        };
-        let error = ExactOutcome::Error {
-            message: "state space exceeds 10 states — use the SSA solver instead".into(),
-        };
-        for v in [solved, error] {
-            assert_eq!(ExactOutcome::from_json(&v.to_json()), Some(v.clone()));
-        }
-    }
-
-    #[test]
-    fn exact_cell_overflow_is_a_value_not_a_panic() {
-        let spec = ExactCellSpec {
-            path: PathSpec::from_ms(0.06, 200.0, 2.0),
-            wmax: 8,
-            mu: 20.0,
-            tau_s: 4.0,
-            floor: -200,
-            opts: SolveOptions {
-                max_states: 50,
-                ..SolveOptions::default()
-            },
-        };
-        match spec.run() {
-            ExactOutcome::Error { message } => {
-                assert!(message.contains("exceeds 50 states"), "{message}")
-            }
-            other => panic!("expected an error outcome, got {other:?}"),
-        }
     }
 
     #[test]

@@ -34,9 +34,7 @@ pub mod search;
 pub mod solver;
 pub mod stored;
 
-pub use batch::{
-    ExactCellSpec, ExactOutcome, FluidCellSpec, LateCellSpec, MuCellSpec, PlannerScheme,
-};
+pub use batch::{FluidCellSpec, LateCellSpec, MuCellSpec, PlannerScheme};
 pub use chain::{Phase, TcpChain, TcpChainState};
 pub use dmp::{static_streaming_late_fraction, DmpModel, DmpSsa, LateFracEstimate};
 pub use exact::{exact_tau_sweep, ExactDmp, ExactLateFraction};

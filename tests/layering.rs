@@ -24,7 +24,7 @@ const ALLOWED: &[(&str, &str)] = &[
     ("scenario", "dmp-base netsim obs"),
     ("dmp-core", "dmp-base"),
     ("dmp-runner", "dmp-base"),
-    ("tcp-model", "dmp-base dmp-core"),
+    ("tcp-model", "dmp-core"),
     ("dmp-sim", "cc dmp-core dmp-runner netsim obs scenario"),
     ("dmp-live", "dmp-core obs tcp-model"),
     (
