@@ -58,8 +58,8 @@ fn records(pkts: &[PacketTimes]) -> Vec<DeliveryRecord> {
     pkts.iter()
         .map(|p| DeliveryRecord {
             seq: p.seq,
-            gen_ns: (p.gen_s * 1e9).round() as u64,
-            arrival_ns: p.arrival_s.map(|a| (a * 1e9).round() as u64),
+            gen_ns: p.gen_ns,
+            arrival_ns: p.arrival_ns,
             path: p.path.unwrap_or(0) as u8,
         })
         .collect()
@@ -250,8 +250,9 @@ pub fn render_report(trace: &Trace) -> Result<String, RenderError> {
     // τ+5 s of the end may look "never arrived" only because the run ended,
     // and would otherwise fabricate an end-of-trace glitch.
     let mut pkts = trace.packet_times();
-    let end_s = pkts.iter().map(|p| p.gen_s).fold(0.0, f64::max);
-    pkts.retain(|p| p.gen_s < end_s - (TAU_S + 5.0));
+    let end_ns = pkts.iter().map(|p| p.gen_ns).max().unwrap_or(0);
+    let tail_ns = ((TAU_S + 5.0) * 1e9) as u64;
+    pkts.retain(|p| p.gen_ns < end_ns.saturating_sub(tail_ns));
     if pkts.is_empty() {
         out.push_str("\nno (stable) gen/dlv events in the trace; skipping the glitch report\n");
         return Ok(out);

@@ -2,10 +2,11 @@
 //! printed them (that a fresh run writes them byte for byte is
 //! `tests/reproduction_gate.rs`):
 //!
-//! * every `artifacts/<stem>.json` is a registered target's artifact, and
-//!   every `artifacts/metrics/<stem>.json` has its data sibling — the two
-//!   shapes the gate compares — and the workflow runs the workspace's tests,
-//!   the gate among them, with nothing excluded or skipped;
+//! * every `artifacts/metrics/<stem>.json` has its data sibling, and the
+//!   workflow runs the workspace's tests, the gate among them, with nothing
+//!   excluded or skipped (the gate itself holds the committed files to
+//!   exactly those a quick run of every registered target but `fig7`
+//!   writes);
 //! * every committed file renders through `dmp-bench render`, the example
 //!   trace as its committed report, byte for byte;
 //! * rendering is total: a damaged committed artifact gives `render` an
@@ -63,13 +64,6 @@ fn ci_runs_the_gate() -> bool {
 
 #[test]
 fn every_committed_artifact_is_a_target_that_ci_compares() {
-    for file in json_files("artifacts") {
-        let stem = stem(&file);
-        assert!(
-            target::find(&stem).is_some(),
-            "artifacts/{stem}.json is no registered target's artifact"
-        );
-    }
     assert!(
         ci_runs_the_gate(),
         "no CI line runs `cargo test --workspace`, so no CI step compares a fresh run \

@@ -6,11 +6,12 @@
 //! directories, `DMP_THREADS=8`, `DMP_QUIET=1`, no `DMP_NO_CACHE`), so the
 //! gate checks what a command line does, exit code included:
 //!
-//! * a cold run of every target with a committed file, plus [`UNCOMMITTED`],
-//!   writes each committed data file and `metrics/` snapshot byte for byte
-//!   at 8 runner threads (they were recorded at 2), and no uncommitted file
-//!   of a committed target; every file it writes renders, and `ext_fleet`'s
-//!   sidecar carries the per-session histograms and the shards;
+//! * a cold run of every registered target but [`WALL_CLOCK`] writes
+//!   exactly the committed data files and `metrics/` snapshots, each byte
+//!   for byte, at 8 runner threads (they were recorded at 2): a committed
+//!   file it does not write and a file it writes that is not committed
+//!   both fail. Every file it writes renders, and `ext_fleet`'s sidecar
+//!   carries the per-session histograms and the shards;
 //! * a warm run, a second process on the same cache, serves every job from
 //!   the cache and writes every file of the cold run again, byte for byte;
 //! * a traced `ext_failover` leaves its data file as committed, its
@@ -18,19 +19,26 @@
 //!   renders as `dmp-bench render` reports it;
 //! * a misspelt flag exits 2 and writes nothing.
 //!
-//! The targets are read off `artifacts/`: a committed stem must be a
-//! registered target, a committed snapshot must sit beside its data file.
-//! A moved file fails with its moved leaves (`diff::diff_docs`) and the one
-//! command that re-records the moved targets.
+//! The targets are read off the registry, `target::TARGETS`, so a newly
+//! registered target fails until its quick files are committed. A moved,
+//! missing or uncommitted file fails with its moved leaves
+//! (`diff::diff_docs`) and the one command that re-records its targets.
 //!
 //! Seen red: one step off `fig9a`'s τ grid (each searched τ reported 0.5 s
 //! later, `req.map(|t| t + 0.5)` in `params::fig9a`) names
 //! `artifacts/fig9a.json` and its 16 moved leaves, the eight
-//! `points[i].tau_s` and their eight table cells; one seed changed in `ext_cc_matrix` (`scale.seed + 1` in
-//! `MatrixOptions::from_scale`) names `artifacts/ext_cc_matrix.json` (the
-//! cells' `tried` lists) and `artifacts/metrics/ext_cc_matrix.json` (45
-//! drifted counters). Each prints
-//! `DMP_ARTIFACT_DIR=artifacts dmp-bench <target> --quick`.
+//! `points[i].tau_s` and their eight table cells; one seed changed in
+//! `ext_cc_matrix` (`scale.seed + 1` in `MatrixOptions::from_scale`) names
+//! `artifacts/ext_cc_matrix.json` (the cells' `tried` lists) and
+//! `artifacts/metrics/ext_cc_matrix.json` (45 drifted counters); a drop-tail
+//! bottleneck one packet deeper (`cfg.buffer_pkts + 1` in
+//! `dmp_sim::topology`) names `table2.json` (Table 2's p, R and T_O cells),
+//! `table3.json`, `fig1.json`, `fig4.json`, `fig5.json`,
+//! `correlated_validation.json` and the three snapshots beside them, and
+//! the scenario, `ext_ablations` and `ext_cc_matrix` files. Each prints
+//! `DMP_ARTIFACT_DIR=artifacts dmp-bench <targets> --quick`. A deleted
+//! `artifacts/table2.json` is reported as `table2.json is written but not
+//! committed`, with `DMP_ARTIFACT_DIR=artifacts dmp-bench table2 --quick`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -41,9 +49,9 @@ use dmp_bench::{repo_path, target};
 use dmp_runner::test_util::TempDir;
 use dmp_runner::{json, Json, JsonCodec};
 
-/// Targets with no committed file that the cold run runs too: the packet
-/// simulation's tables and figures, and the fluid figure.
-const UNCOMMITTED: [&str; 5] = ["table2", "table3", "fig4", "fig5", "fig_fluid"];
+/// The one registered target the gate does not run: `fig7` streams over
+/// wall-clock sockets, so its late counts and timelines differ run to run.
+const WALL_CLOCK: &str = "fig7";
 
 /// `dmp-bench args…` with its cache under `cache` and its artifacts under
 /// `out`.
@@ -81,7 +89,7 @@ fn run(cache: &Path, out: &Path, args: &[&str]) -> [u64; 4] {
 
 /// The data files and `metrics/` snapshots of an artifact directory,
 /// relative to it, as `dmp-bench render` lists them.
-fn files(dir: &Path) -> Vec<PathBuf> {
+fn files(dir: &Path) -> BTreeSet<PathBuf> {
     [dir.to_path_buf(), dir.join("metrics")]
         .iter()
         .flat_map(|sub| target::artifact_files(sub).expect("artifact directory"))
@@ -126,30 +134,14 @@ fn moved(expected: &Path, fresh: &Path) -> Option<String> {
 fn committed_artifacts_reproduce_cold_warm_and_traced() {
     let committed = repo_path("artifacts").canonicalize().expect("artifacts/");
     let committed_files = files(&committed);
-    let mut targets = Vec::new();
-    for file in &committed_files {
-        let stem = stem(file);
-        if file.starts_with("metrics") {
-            assert!(
-                committed.join(format!("{stem}.json")).is_file(),
-                "artifacts/metrics/{stem}.json has no data artifact beside it"
-            );
-        } else {
-            targets.push(stem);
-        }
-    }
-    assert!(!targets.is_empty(), "artifacts/ holds no data file");
-    targets.extend(UNCOMMITTED.map(String::from));
-    let unknown: Vec<_> = targets
-        .iter()
-        .filter(|t| target::find(t).is_none())
-        .collect();
-    assert!(unknown.is_empty(), "no registered target {unknown:?}");
-
     let tmp = TempDir::new("reproduction-gate");
     let [cache, cold, warm, traced] =
         ["cache", "cold", "warm", "traced"].map(|d| tmp.path().join(d));
-    let mut args: Vec<&str> = targets.iter().map(String::as_str).collect();
+    let mut args: Vec<&str> = target::TARGETS
+        .iter()
+        .map(|t| t.name)
+        .filter(|&name| name != WALL_CLOCK)
+        .collect();
     args.push("--quick");
     let mut failures = Vec::new();
     let mut rerecord = BTreeSet::new();
@@ -158,19 +150,19 @@ fn committed_artifacts_reproduce_cold_warm_and_traced() {
     if failed > 0 {
         failures.push(format!("the cold run failed {failed} jobs"));
     }
-    for file in &committed_files {
-        if let Some(why) = moved(&committed.join(file), &cold.join(file)) {
+    let cold_files = files(&cold);
+    for file in committed_files.union(&cold_files) {
+        let why = if committed_files.contains(file) {
+            moved(&committed.join(file), &cold.join(file))
+        } else {
+            Some(format!("{} is written but not committed", file.display()))
+        };
+        if let Some(why) = why {
             failures.push(why);
             rerecord.insert(stem(file));
         }
     }
-    let cold_files = files(&cold);
     for file in &cold_files {
-        let of_committed = !UNCOMMITTED.contains(&stem(file).as_str());
-        if of_committed && !committed_files.contains(file) {
-            failures.push(format!("{} is written but not committed", file.display()));
-            rerecord.insert(stem(file));
-        }
         if let Err(e) = target::render_file(&cold.join(file)) {
             failures.push(format!("does not render: {e}"));
         }

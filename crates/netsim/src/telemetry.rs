@@ -16,7 +16,7 @@
 //! by subtraction ([`EngineTelemetry::delta`]) for its sidecars, but the
 //! reader that keeps it alive is `benchmark/`'s `NetsimTally`, which
 //! changes only together with the benchmark ledger. It goes when the counts
-//! move onto each `Sim`'s own result (ROADMAP items 1 and 6).
+//! move onto each `Sim`'s own result (ROADMAP items 1 and 8(a)).
 //!
 //! With the `profile` cargo feature, the `profile` submodule additionally
 //! accumulates per-event-kind dispatch counts and tick (TSC cycle / ns)

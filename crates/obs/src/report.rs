@@ -42,10 +42,11 @@ pub struct QueueStats {
 pub struct PacketTimes {
     /// Video packet sequence number.
     pub seq: u64,
-    /// Generation time, seconds.
-    pub gen_s: f64,
-    /// Arrival time, seconds (`None`: never arrived in the trace window).
-    pub arrival_s: Option<f64>,
+    /// Generation time, the trace's nanoseconds.
+    pub gen_ns: u64,
+    /// Arrival time, the trace's nanoseconds (`None`: never arrived in the
+    /// trace window).
+    pub arrival_ns: Option<u64>,
     /// Path it arrived over (`None` until it arrives).
     pub path: Option<u32>,
 }
@@ -272,8 +273,8 @@ impl Trace {
             .filter_map(|e| match e.kind {
                 EventKind::Generated { seq } => Some(PacketTimes {
                     seq,
-                    gen_s: e.t as f64 / SECOND_NS,
-                    arrival_s: None,
+                    gen_ns: e.t,
+                    arrival_ns: None,
                     path: None,
                 }),
                 _ => None,
@@ -286,8 +287,8 @@ impl Trace {
             if let EventKind::Delivered { path, seq } = e.kind {
                 if let Ok(i) = by_seq.binary_search_by_key(&seq, |p| p.seq) {
                     let p = &mut by_seq[i];
-                    if p.arrival_s.is_none() {
-                        p.arrival_s = Some(e.t as f64 / SECOND_NS);
+                    if p.arrival_ns.is_none() {
+                        p.arrival_ns = Some(e.t);
                         p.path = Some(path);
                     }
                 }
@@ -416,8 +417,8 @@ mod tests {
         let pkts = t.packet_times();
         assert_eq!(pkts.len(), 10);
         assert_eq!(pkts[4].seq, 4);
-        assert!((pkts[4].gen_s - 4.0).abs() < 1e-9);
-        assert!((pkts[4].arrival_s.unwrap() - 4.1).abs() < 1e-9);
+        assert_eq!(pkts[4].gen_ns, 4_000_000_000);
+        assert_eq!(pkts[4].arrival_ns, Some(4_100_000_000));
         assert_eq!(pkts[4].path, Some(0));
     }
 

@@ -78,19 +78,11 @@ impl ExactDmp {
     /// finds `N ≤ 0`.
     ///
     /// # Panics
-    /// Panics on state-space overflow; use [`ExactDmp::try_late_fraction`]
-    /// in runner jobs.
+    /// Panics on state-space overflow; [`ExactDmp::csr`] returns it as a
+    /// typed [`SolveError`] instead.
     pub fn late_fraction(&self, opts: SolveOptions) -> ExactLateFraction {
-        match self.try_late_fraction(opts) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`ExactDmp::late_fraction`] with a typed error instead of a panic.
-    pub fn try_late_fraction(&self, opts: SolveOptions) -> Result<ExactLateFraction, SolveError> {
-        let sol = self.csr(&opts)?.solve_accelerated(&opts, None);
-        Ok(self.summarise(&sol))
+        let csr = self.csr(&opts).unwrap_or_else(|e| panic!("{e}"));
+        self.summarise(&csr.solve_accelerated(&opts, None))
     }
 
     /// Reduce a stationary solution of this instance to its late-fraction

@@ -42,7 +42,5 @@ pub use search::{
     evaluate_tau, max_mu, required_startup_delay, PlannerOptions, SearchOptions, TauEval,
     TauSearchSpec,
 };
-pub use solver::{
-    solve_stationary, try_solve_stationary, CsrCtmc, Ctmc, SolveError, SolveOptions, Stationary,
-};
+pub use solver::{solve_stationary, CsrCtmc, Ctmc, SolveError, SolveOptions, Stationary};
 pub use stored::{stored_video_late_fraction, StoredVideoResult};

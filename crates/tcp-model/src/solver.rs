@@ -98,11 +98,6 @@ impl Hasher for WordHasher {
 type StateIndex<S> = HashMap<S, usize, BuildHasherDefault<WordHasher>>;
 
 /// Why a chain could not be enumerated.
-///
-/// Runner jobs should surface this as a *failed-cell payload* (data) rather
-/// than panicking: panics are never cached, so a cached-panic configuration
-/// would waste a runner slot on every cold run, while an error payload is
-/// content-addressed like any other result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveError {
     /// The BFS found more reachable states than `SolveOptions::max_states`.
@@ -629,24 +624,14 @@ impl Mixer {
 
 /// Solve for the stationary distribution of `chain`.
 ///
-/// Returns [`SolveError`] instead of panicking when the reachable state
-/// space exceeds `opts.max_states`; prefer this in runner jobs so oversized
-/// configurations become cacheable failed-cell artifacts.
-pub fn try_solve_stationary<C: Ctmc>(
-    chain: &C,
-    opts: SolveOptions,
-) -> Result<Stationary<C::State>, SolveError> {
-    Ok(CsrCtmc::enumerate(chain, &opts)?.solve_accelerated(&opts, None))
-}
-
-/// Solve for the stationary distribution of `chain`.
-///
 /// # Panics
 /// Panics if the reachable state space exceeds `opts.max_states` or a state
-/// has no outgoing transition. Use [`try_solve_stationary`] to get a typed
-/// [`SolveError`] instead.
+/// has no outgoing transition. [`CsrCtmc::enumerate`] returns the overflow
+/// as a typed [`SolveError`] instead.
 pub fn solve_stationary<C: Ctmc>(chain: &C, opts: SolveOptions) -> Stationary<C::State> {
-    try_solve_stationary(chain, opts).unwrap_or_else(|e| panic!("{e}"))
+    CsrCtmc::enumerate(chain, &opts)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .solve_accelerated(&opts, None)
 }
 
 #[cfg(test)]
@@ -747,9 +732,11 @@ mod tests {
             max_states: 10,
             ..SolveOptions::default()
         };
-        let err = try_solve_stationary(&q, opts).unwrap_err();
+        let Err(err) = CsrCtmc::enumerate(&q, &opts) else {
+            panic!("an M/M/1/1000 chain fits in 10 states");
+        };
         assert_eq!(err, SolveError::StateSpaceExceeded { limit: 10 });
-        // The panicking wrapper preserves the historical message.
+        // `solve_stationary` panics with this message.
         let msg = err.to_string();
         assert!(msg.contains("exceeds 10 states"), "{msg}");
     }
