@@ -23,9 +23,12 @@
 //! of two pairs with one key (the duplicate-key inputs then decode the
 //! second value from the tape and the first from the tree), dropping
 //! `Histogram::from_json`'s refusal of `min > max` (a substituted `min` then
-//! decodes, and re-encoding it panics in `f64::clamp`), and a lookup that
+//! decodes, and re-encoding it panics in `f64::clamp`), a lookup that
 //! serves the payload line without comparing the header above it (a
-//! substituted digit in the payload is then a hit with another value).
+//! substituted digit in the payload is then a hit with another value), and
+//! dropping `Histogram::from_json`'s length check (indexing the bucket array
+//! without checking the list's length: a `,` substituted into a count makes
+//! the list one entry longer than its span, and decoding it panics).
 
 use dmp_bench::live_fig::LiveSummary;
 use dmp_core::{ResilienceReport, SessionOutcome};

@@ -34,7 +34,7 @@ const FORMAT_VERSION: f64 = 2.0;
 
 /// Code-version salt: bump it whenever a cached computation's output
 /// changes for the same input (the input itself is in the key).
-pub const CODE_SALT: &str = "dmp-runner-2026-08-a";
+pub const CODE_SALT: &str = "dmp-runner-2026-10-a";
 
 /// Handle to a cache directory (cheap to clone; counters are shared).
 #[derive(Debug)]

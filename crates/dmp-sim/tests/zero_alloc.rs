@@ -147,9 +147,9 @@ fn building_the_event_queue_is_a_handful_of_allocations() {
 
 /// Decoding the pinned `RunSummary` from its tape, as a cache hit does, asks
 /// for at most 7 000 bytes: its four histograms are sized up to their
-/// highest occupied bucket (20–143 of 496). It reads 5 933 bytes; a dense
-/// `vec![0; BUCKETS]` per histogram in `Histogram::from_json` reads 19 709
-/// and fails it.
+/// highest occupied bucket (20–143 of 496). It reads 5 933 bytes in 34
+/// allocations; a dense `vec![0; BUCKETS]` per histogram in
+/// `Histogram::from_json` reads 19 709 and fails it.
 #[test]
 fn a_decoded_run_summary_holds_only_its_occupied_buckets() {
     let tape = Tape::parse(RUN_SUMMARY.trim_end()).expect("the fixture scans");
@@ -159,4 +159,23 @@ fn a_decoded_run_summary_holds_only_its_occupied_buckets() {
         bytes <= 7_000,
         "decoding the fixture made {allocs} allocations, {bytes} bytes"
     );
+}
+
+
+/// Re-encoding the decoded fixture with `RunSummary::to_json`, as a warm
+/// replay's check does, builds one `Vec` per JSON array or object: each of
+/// the four histograms writes its buckets as one array. It makes 119
+/// allocations, 10 526 bytes; the bound is 131. Written as one
+/// `[index, count]` array per occupied bucket, the same summary made 251
+/// allocations, 20 574 bytes.
+#[test]
+fn re_encoding_a_decoded_run_summary_is_one_array_per_histogram() {
+    let tape = Tape::parse(RUN_SUMMARY.trim_end()).expect("the fixture scans");
+    let summary = RunSummary::from_json(tape.root()).expect("the fixture decodes");
+    let (json, (allocs, bytes), _) = allocations_in(|| summary.to_json());
+    assert!(
+        allocs <= 131,
+        "encoding the fixture made {allocs} allocations, {bytes} bytes"
+    );
+    assert_eq!(json.render(), RUN_SUMMARY.trim_end(), "the fixture re-encodes to itself");
 }

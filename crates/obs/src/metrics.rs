@@ -16,12 +16,11 @@
 //!   snapshot (the same discipline as `EngineTelemetry::absorb`);
 //! * **deterministic serialisation** — snapshots serialise with sorted keys,
 //!   so two equal snapshots render the same bytes across runner thread
-//!   counts and trace on/off. Everything is written as a JSON number, i.e.
-//!   an `f64`: bucket counts, `count`, `min` and `max` stay exact below
-//!   2^53, but `sum` and `sum_sq` (`u128` in memory) already pass 2^53 in
-//!   long RTT histograms and round. A snapshot decoded from the cache and
-//!   merged is therefore byte-identical to the cold merge only while every
-//!   part's moments are below 2^53.
+//!   counts and trace on/off. Every integer is written exactly: a
+//!   histogram's `sum` and `sum_sq` (`u128` in memory, past 2^53 in long
+//!   RTT histograms), `min` and `max` as a JSON number below 2^53 and as a
+//!   string of digits from there on, so a snapshot decoded from the cache
+//!   and merged is byte-identical to the cold merge.
 //!
 //! The histogram is HDR-style log-linear: values `< 8` get exact unit
 //! buckets; every power-of-two octave above splits into 8 sub-buckets
@@ -35,7 +34,9 @@
 //! holds its buckets only up to the highest occupied one: a cached
 //! `RunSummary` fills 20–143 of the 496, and a warm replay holds hundreds of
 //! them at once. Both are one type with one meaning: equality, merges and
-//! the JSON bytes ignore how many trailing empty buckets are stored.
+//! the JSON bytes ignore how many trailing empty buckets are stored. The
+//! JSON carries the at-rest array itself, from the bucket of `min` on: one
+//! number per bucket, not an `[index, count]` array per occupied one.
 
 use std::collections::BTreeMap;
 
@@ -203,6 +204,15 @@ impl Histogram {
         &self.counts[..width.min(self.counts.len())]
     }
 
+    /// The buckets from the one holding `min` to the one holding `max`,
+    /// the empty ones between included (none when empty): the array the
+    /// JSON carries.
+    fn span(&self) -> &[u64] {
+        let occupied = self.occupied();
+        let first = if self.count == 0 { 0 } else { bucket_index(self.min) };
+        &occupied[first..]
+    }
+
     /// Fold `other` into `self`. Exact integer arithmetic: commutative and
     /// associative, so any merge order yields the identical histogram.
     /// `self` widens only as far as `other`'s highest occupied bucket.
@@ -258,19 +268,13 @@ impl Histogram {
     /// Reconstruct the summary distribution (mean/p50/p90/p99/max/stddev)
     /// from the buckets and exact moments.
     pub fn distribution(&self) -> Distribution {
-        self.distribution_of(self.nonzero_buckets())
-    }
-
-    /// [`distribution`](Self::distribution) over this histogram's non-empty
-    /// `(index, count)` buckets, ascending.
-    fn distribution_of(&self, nonzero: impl Iterator<Item = (usize, u64)>) -> Distribution {
         Distribution::from_histogram(
             self.count,
             self.sum as f64,
             self.sum_sq as f64,
             self.min() as f64,
             self.max as f64,
-            nonzero.map(|(i, c)| {
+            self.nonzero_buckets().map(|(i, c)| {
                 let (lo, hi) = bucket_bounds(i);
                 (lo as f64, hi as f64, c)
             }),
@@ -279,53 +283,44 @@ impl Histogram {
 }
 
 impl JsonCodec for Histogram {
+    /// `"buckets"` is the histogram's at-rest array from the bucket of
+    /// `min` on: one count per bucket up to that of `max`, the empty ones
+    /// between included (`[]` when there is no sample). `sum`, `sum_sq`,
+    /// `min` and `max` are exact: see [`exact_json`].
     fn to_json(&self) -> Json {
-        // The non-empty buckets, gathered once into an exact-size `Vec`, feed
-        // both the percentiles and the rendered pairs.
-        let mut nonzero = Vec::with_capacity(self.occupied().iter().filter(|&&c| c > 0).count());
-        nonzero.extend(self.nonzero_buckets());
-        let d = self.distribution_of(nonzero.iter().copied());
+        let d = self.distribution();
         Json::obj([
             ("count", Json::Num(self.count as f64)),
-            ("sum", Json::Num(self.sum as f64)),
-            ("sum_sq", Json::Num(self.sum_sq as f64)),
-            ("min", Json::Num(self.min() as f64)),
-            ("max", Json::Num(self.max as f64)),
+            ("sum", exact_json(self.sum)),
+            ("sum_sq", exact_json(self.sum_sq)),
+            ("min", exact_json(self.min().into())),
+            ("max", exact_json(self.max.into())),
             ("mean", Json::Num(d.mean)),
             ("p50", Json::Num(d.p50)),
             ("p90", Json::Num(d.p90)),
             ("p99", Json::Num(d.p99)),
             ("stddev", Json::Num(d.stddev)),
-            (
-                "buckets",
-                Json::Arr(
-                    nonzero
-                        .iter()
-                        .map(|&(i, c)| Json::nums([i as f64, c as f64]))
-                        .collect(),
-                ),
-            ),
+            ("buckets", Json::nums(self.span().iter().map(|&c| c as f64))),
         ])
     }
 
-    /// Accepts exactly what [`to_json`](Self::to_json) writes: integral,
-    /// non-negative moments, `min ≤ max`, and non-empty buckets in strictly
-    /// ascending order that add up to `count`, the first holding `min` and
-    /// the last `max`. The decoded histogram is at rest: its bucket array
-    /// ends at the bucket of `max`, allocated once at that size.
+    /// Accepts exactly what [`to_json`](Self::to_json) writes: whole,
+    /// non-negative moments in [`exact_json`]'s one form each, `min ≤ max`,
+    /// and one whole count per bucket from that of `min` to that of `max`,
+    /// the two ends non-zero, adding up to `count`. An empty histogram is
+    /// all zeros with no buckets. The decoded histogram is at rest: its
+    /// bucket array ends at the bucket of `max`, allocated once at that size.
     fn from_json<'a>(json: impl JsonRead<'a>) -> Option<Self> {
         let count = json.get("count")?.as_u64()?;
-        let moment = |key: &str| {
-            let x = json.get(key)?.as_f64()?;
-            (x >= 0.0 && x.fract() == 0.0).then_some(x as u128)
-        };
-        let buckets = json.get("buckets")?.items()?;
+        let exact = |key: &str| exact_from_json(json.get(key)?);
+        let (sum, sum_sq) = (exact("sum")?, exact("sum_sq")?);
+        let min = u64::try_from(exact("min")?).ok()?;
+        let max = u64::try_from(exact("max")?).ok()?;
+        let mut buckets = json.get("buckets")?.items()?;
         if count == 0 {
-            return (buckets.count() == 0).then(|| Histogram::with_counts(Vec::new()));
+            return ((sum, sum_sq, min, max) == (0, 0, 0, 0) && buckets.next().is_none())
+                .then(|| Histogram::with_counts(Vec::new()));
         }
-        let (sum, sum_sq) = (moment("sum")?, moment("sum_sq")?);
-        let min = json.get("min")?.as_u64()?;
-        let max = json.get("max")?.as_u64()?;
         // The percentiles are clamped to `[min, max]`; no recorded
         // histogram has them the other way round.
         if min > max {
@@ -335,20 +330,15 @@ impl JsonCodec for Histogram {
         let mut counts = vec![0; last + 1];
         let mut next = first;
         let mut total = 0u64;
-        for pair in buckets {
-            let mut pair = pair.items()?;
-            let idx = usize::try_from(pair.next()?.as_u64()?).ok()?;
-            let c = pair.next()?.as_u64()?;
-            // Ascending, from the bucket of `min` on (a repeat is not
-            // ascending), and within `counts`, which ends at that of `max`.
-            if idx < next || idx > last || c == 0 || pair.next().is_some() {
-                return None;
-            }
-            counts[idx] = c;
-            next = idx + 1;
-            total = total.checked_add(c)?;
+        for entry in buckets {
+            // No entry past the bucket of `max`.
+            let slot = counts.get_mut(next)?;
+            *slot = entry.as_u64()?;
+            total = total.checked_add(*slot)?;
+            next += 1;
         }
-        // The first pair holds `min` and the last `max`.
+        // The first entry holds `min` and the last `max`: a list that stops
+        // short leaves the bucket of `max` empty.
         if counts[first] == 0 || counts[last] == 0 || total != count {
             return None;
         }
@@ -361,6 +351,36 @@ impl JsonCodec for Histogram {
             max,
         })
     }
+}
+
+/// Integers below this are written as JSON numbers, which an `f64` holds
+/// exactly; from it on, as strings of decimal digits.
+const EXACT_NUM: u128 = 1 << 53;
+
+/// A histogram's `sum`, `sum_sq`, `min` or `max` as a snapshot writes it: a
+/// JSON number below 2^53, the integer's decimal digits as a JSON string
+/// from there on.
+fn exact_json(v: u128) -> Json {
+    if v < EXACT_NUM {
+        Json::Num(v as f64)
+    } else {
+        Json::Str(v.to_string())
+    }
+}
+
+/// Reads an integer in the one form [`exact_json`] gives its value: a whole
+/// number below 2^53, or a digit string without sign or leading zero that
+/// fits a `u128` and is at least 2^53. Each value then has one encoding, so
+/// an accepted one re-encodes to its own text.
+fn exact_from_json<'a>(json: impl JsonRead<'a>) -> Option<u128> {
+    if let Some(x) = json.as_f64() {
+        return (x >= 0.0 && x < EXACT_NUM as f64 && x.fract() == 0.0).then_some(x as u128);
+    }
+    let digits = json.as_str()?;
+    if digits.starts_with('0') || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok().filter(|&v| v >= EXACT_NUM)
 }
 
 /// The bucket array of an at-rest histogram, widened to all [`BUCKETS`]
@@ -468,9 +488,8 @@ impl MetricsSnapshot {
 
 impl JsonCodec for MetricsSnapshot {
     /// Deterministic rendering: `BTreeMap` iteration sorts every section by
-    /// key, so equal snapshots produce identical bytes. Histogram moments
-    /// are written as `f64`: a `sum` or `sum_sq` above 2^53 rounds, and the
-    /// decoded snapshot is then not the one that was encoded.
+    /// key, so equal snapshots produce identical bytes, and the decoded
+    /// snapshot is the one that was encoded, histogram moments included.
     fn to_json(&self) -> Json {
         Json::obj([
             (
@@ -669,30 +688,41 @@ mod tests {
         assert!(Histogram::from_json(&doc).is_none());
     }
 
+    /// 100 seeded merges of three 9-sample parts for each of two ranges of
+    /// a part's `sum_sq`: 8.6e15–9.5e15, across 2^53, and 1.4e16–3.2e16,
+    /// past it. While the moments were written as `f64`, 19 and 14 of those
+    /// merges rendered differently replayed than cold.
     #[test]
-    fn replay_then_merge_equals_the_cold_merge_below_2_pow_53() {
-        // Three parts whose `sum_sq` each ends just below 2^53, as a long
-        // RTT histogram's does; their merge is past it.
+    fn replay_then_merge_equals_the_cold_merge_past_2_pow_53() {
         const TWO_53: u128 = 1 << 53;
-        let parts: Vec<Histogram> = (0..3u64)
-            .map(|k| {
-                let mut h = Histogram::new();
-                for i in 0..9u64 {
-                    h.record(31_000_000 + 7_919 * i + 104_729 * k + i * i);
+        let mut parts_past = 0;
+        for (lo, hi) in [(8.6e15, 9.5e15), (1.4e16, 3.2e16)] {
+            // Every sample's square in [lo, hi] / 9, so every part's
+            // `sum_sq` in [lo, hi].
+            let (vlo, vhi) = ((lo / 9f64).sqrt().ceil() as u64, (hi / 9f64).sqrt() as u64);
+            for seed in 0..100u64 {
+                let parts: Vec<Histogram> = (0..3u64)
+                    .map(|k| {
+                        let mut h = Histogram::new();
+                        for x in samples(3 * seed + k, 9, 32) {
+                            h.record(vlo + x % (vhi - vlo + 1));
+                        }
+                        assert!((lo..=hi).contains(&(h.sum_sq as f64)), "{}", h.sum_sq);
+                        h
+                    })
+                    .collect();
+                let mut cold = Histogram::new();
+                let mut warm = Histogram::new();
+                for h in &parts {
+                    cold.merge(h);
+                    warm.merge(&replayed(h));
                 }
-                assert!(h.sum < TWO_53 && h.sum_sq < TWO_53, "part {k} is exact");
-                h
-            })
-            .collect();
-        let mut cold = Histogram::new();
-        let mut warm = Histogram::new();
-        for h in &parts {
-            cold.merge(h);
-            warm.merge(&replayed(h));
+                parts_past += parts.iter().filter(|h| h.sum_sq >= TWO_53).count();
+                assert!(warm == cold, "seed {seed} in {lo:e}..{hi:e}");
+                assert_eq!(warm.to_json().render(), cold.to_json().render());
+            }
         }
-        assert!(cold.sum_sq > TWO_53, "the merge leaves the exact range");
-        assert_eq!(warm, cold);
-        assert_eq!(warm.to_json().render(), cold.to_json().render());
+        assert!(parts_past > 300, "{parts_past} of 600 parts are past 2^53");
     }
 
     /// `n` samples from a seeded xorshift, spread over `bits` bits.
@@ -708,8 +738,6 @@ mod tests {
             .collect()
     }
 
-    /// Sample sets whose moments stay below 2^53, so JSON carries them
-    /// exactly.
     #[test]
     fn recorded_cloned_decoded_and_merged_histograms_are_one_histogram() {
         for (seed, n, bits) in [
@@ -801,61 +829,103 @@ mod tests {
         Json::Obj(pairs)
     }
 
-    /// `[index, count]` pairs as a `buckets` member.
-    fn buckets(pairs: &[(usize, f64)]) -> Json {
-        Json::Arr(
-            pairs
-                .iter()
-                .map(|&(i, c)| Json::nums([i as f64, c]))
-                .collect(),
-        )
+    /// A `buckets` member with one entry per bucket from `first` to `last`:
+    /// the counts `at` lists, zero elsewhere.
+    fn span(first: usize, last: usize, at: &[(usize, f64)]) -> Json {
+        Json::nums((first..=last).map(|i| {
+            at.iter()
+                .find(|&&(j, _)| j == i)
+                .map_or(0.0, |&(_, c)| c)
+        }))
+    }
+
+    fn refused(doc: &Json) -> bool {
+        Histogram::from_json(doc).is_none()
     }
 
     #[test]
     fn the_tampering_helper_rebuilds_what_the_encoder_writes() {
         let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
-        let doc = tampered("buckets", buckets(&[(b3, 2.0), (b10, 1.0), (b100, 3.0)]));
-        assert!(Histogram::from_json(&doc).is_some());
+        let doc = tampered("buckets", span(b3, b100, &[(b3, 2.0), (b10, 1.0), (b100, 3.0)]));
+        assert_eq!(doc, tampered("count", Json::Num(6.0)));
+        assert!(!refused(&doc));
     }
 
     #[test]
-    fn a_repeated_bucket_index_is_refused() {
+    fn a_bucket_list_one_entry_short_or_long_is_refused() {
+        let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
+        // Each list has non-zero ends adding up to `count` with the middle.
+        for (first, last) in [(b3, b100 - 1), (b3 + 1, b100), (b3, b100 + 1), (b3 - 1, b100)] {
+            let doc = tampered("buckets", span(first, last, &[(first, 2.0), (b10, 1.0), (last, 3.0)]));
+            assert!(refused(&doc), "buckets {first}..={last}");
+        }
+    }
+
+    #[test]
+    fn a_zero_first_or_last_bucket_entry_is_refused() {
         let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
         let doc = tampered(
             "buckets",
-            buckets(&[(b3, 2.0), (b10, 1.0), (b10, 1.0), (b100, 2.0)]),
+            span(b3, b100, &[(b3 + 1, 2.0), (b10, 1.0), (b100, 3.0)]),
         );
-        assert!(Histogram::from_json(&doc).is_none());
-    }
-
-    #[test]
-    fn buckets_out_of_order_are_refused() {
-        let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
-        let doc = tampered("buckets", buckets(&[(b3, 2.0), (b100, 3.0), (b10, 1.0)]));
-        assert!(Histogram::from_json(&doc).is_none());
-    }
-
-    #[test]
-    fn an_empty_bucket_is_refused() {
-        let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
+        assert!(refused(&doc));
         let doc = tampered(
             "buckets",
-            buckets(&[(b3, 2.0), (b10, 1.0), (b10 + 1, 0.0), (b100, 3.0)]),
+            span(b3, b100, &[(b3, 2.0), (b10, 1.0), (b100 - 1, 3.0)]),
         );
-        assert!(Histogram::from_json(&doc).is_none());
+        assert!(refused(&doc));
+    }
+
+    #[test]
+    fn a_fractional_or_negative_bucket_entry_is_refused() {
+        let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
+        for (a, b) in [(1.5, 1.5), (-1.0, 3.0), (1.0, 2.0 + 1e-9)] {
+            let doc = tampered(
+                "buckets",
+                span(b3, b100, &[(b3, 2.0), (b10, a), (b10 + 1, b), (b100, 3.0)]),
+            );
+            assert!(refused(&doc), "entries {a} and {b}");
+        }
+        let doc = tampered("buckets", Json::arr([Json::Str("2".into())]));
+        assert!(refused(&doc));
     }
 
     #[test]
     fn bucket_counts_that_miss_the_count_are_refused() {
         let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
-        let doc = tampered("buckets", buckets(&[(b3, 2.0), (b10, 1.0), (b100, 4.0)]));
-        assert!(Histogram::from_json(&doc).is_none());
+        let doc = tampered("buckets", span(b3, b100, &[(b3, 2.0), (b10, 1.0), (b100, 4.0)]));
+        assert!(refused(&doc));
         let empty = Histogram::new().to_json().render();
-        let doc = dmp_base::json::parse(&empty.replace("[]", "[[3,1]]")).expect("parses");
-        assert!(
-            Histogram::from_json(&doc).is_none(),
-            "an empty histogram with a bucket"
-        );
+        let doc = dmp_base::json::parse(&empty.replace("[]", "[1]")).expect("parses");
+        assert!(refused(&doc), "an empty histogram with a bucket");
+    }
+
+    #[test]
+    fn a_bucket_list_longer_than_every_bucket_is_refused() {
+        let mut h = Histogram::new();
+        h.record(0);
+        h.record(u64::MAX);
+        let Json::Obj(mut pairs) = h.to_json() else {
+            unreachable!("a histogram renders an object")
+        };
+        let at = pairs.iter().position(|(k, _)| k == "buckets").expect("a member");
+        let entries = |n: usize| Json::nums((0..n).map(|i| f64::from(i == 0 || i == n - 1)));
+        assert_eq!(pairs[at].1, entries(BUCKETS), "every bucket, the ends occupied");
+        pairs[at].1 = entries(BUCKETS + 1);
+        assert!(refused(&Json::Obj(pairs)));
+    }
+
+    #[test]
+    fn an_empty_histogram_with_a_nonzero_moment_is_refused() {
+        let empty = Histogram::new().to_json();
+        assert!(!refused(&empty));
+        for key in ["sum", "sum_sq", "min", "max"] {
+            let Json::Obj(mut pairs) = empty.clone() else {
+                unreachable!("a histogram renders an object")
+            };
+            pairs.iter_mut().find(|(k, _)| k == key).expect("a member").1 = Json::Num(5.0);
+            assert!(refused(&Json::Obj(pairs)), "{key} = 5");
+        }
     }
 
     #[test]
@@ -863,39 +933,93 @@ mod tests {
         for key in ["sum", "sum_sq"] {
             for bad in [-1.0, 0.5, 1e3 + 0.25] {
                 let doc = tampered(key, Json::Num(bad));
-                assert!(Histogram::from_json(&doc).is_none(), "{key} = {bad}");
+                assert!(refused(&doc), "{key} = {bad}");
+            }
+        }
+    }
+
+    /// A moment is a whole number below 2^53 and a canonical digit string
+    /// from 2^53 on, never the other form, so each accepted moment
+    /// re-encodes to its own text.
+    #[test]
+    fn each_moment_is_read_in_its_one_form() {
+        let two_53 = 1u128 << 53;
+        let string = |v: &str| Json::Str(v.to_string());
+        let accepted = [
+            Json::Num(0.0),
+            Json::Num((two_53 - 1) as f64),
+            string(&two_53.to_string()),
+            string(&u128::MAX.to_string()),
+        ];
+        let refused_forms = [
+            Json::Num(two_53 as f64),
+            Json::Num(1e20),
+            string("5"),
+            string(&(two_53 - 1).to_string()),
+            string(&format!("0{two_53}")),
+            string(&format!("+{two_53}")),
+            string(&format!("-{two_53}")),
+            string(&format!("{two_53}.0")),
+            string("9.1e15"),
+            string(""),
+            string(" 9007199254740993"),
+            string("340282366920938463463374607431768211456"),
+            string(&format!("1{}", u128::MAX)),
+            Json::Null,
+        ];
+        for key in ["sum", "sum_sq"] {
+            for form in &accepted {
+                let doc = tampered(key, form.clone());
+                let h = Histogram::from_json(&doc).unwrap_or_else(|| panic!("{key} = {form:?}"));
+                assert_eq!(h.to_json().get(key), Some(form), "{key} re-encodes");
+            }
+            for form in &refused_forms {
+                assert!(refused(&tampered(key, form.clone())), "{key} = {form:?}");
             }
         }
     }
 
     #[test]
     fn a_first_bucket_that_does_not_hold_min_is_refused() {
-        let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
-        let doc = tampered(
-            "buckets",
-            buckets(&[(b3 + 1, 2.0), (b10, 1.0), (b100, 3.0)]),
-        );
-        assert!(Histogram::from_json(&doc).is_none());
-        let doc = tampered(
-            "buckets",
-            buckets(&[(b3 - 1, 2.0), (b10, 1.0), (b100, 3.0)]),
-        );
-        assert!(Histogram::from_json(&doc).is_none());
+        for min in [2.0, 4.0, 8.0] {
+            assert!(refused(&tampered("min", Json::Num(min))), "min {min}");
+        }
     }
 
     #[test]
     fn a_last_bucket_that_does_not_hold_max_is_refused() {
-        let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
-        let doc = tampered(
-            "buckets",
-            buckets(&[(b3, 2.0), (b10, 1.0), (b100 - 1, 3.0)]),
-        );
-        assert!(Histogram::from_json(&doc).is_none());
-        let doc = tampered(
-            "buckets",
-            buckets(&[(b3, 2.0), (b10, 1.0), (b100 + 1, 3.0)]),
-        );
-        assert!(Histogram::from_json(&doc).is_none());
+        for max in [95.0, 104.0, 1e6] {
+            assert!(refused(&tampered("max", Json::Num(max))), "max {max}");
+        }
+    }
+
+    /// Empty, one sample, both ends of the `u64` range, wide sparse spans
+    /// and dense ones: each histogram decodes alike from the tree and from
+    /// the tape, and re-encodes to its own bytes.
+    #[test]
+    fn generated_histograms_round_trip_through_tree_and_tape() {
+        let mut cases: Vec<Vec<u64>> = vec![vec![], vec![0], vec![u64::MAX], vec![0, u64::MAX]];
+        cases.extend([1, 7, 8, 9, 1 << 20, u64::MAX - 1].map(|v| vec![v]));
+        for seed in 0..40u64 {
+            let bits = 1 + (seed * 13 % 64) as u32;
+            let n = [2, 3, 5, 40, 500][seed as usize % 5];
+            cases.push(samples(seed, n, bits));
+        }
+        for values in cases {
+            let mut h = Histogram::new();
+            values.iter().for_each(|&v| h.record(v));
+            let text = h.to_json().render();
+            let tree = dmp_base::json::parse(&text).expect("parses");
+            let tape = dmp_base::json::Tape::parse(&text).expect("scans");
+            for (from, back) in [
+                ("tree", Histogram::from_json(&tree)),
+                ("tape", Histogram::from_json(tape.root())),
+            ] {
+                let back = back.unwrap_or_else(|| panic!("{values:?} from the {from}"));
+                assert!(back == h, "{values:?} from the {from}");
+                assert_eq!(back.to_json().render(), text, "{values:?} from the {from}");
+            }
+        }
     }
 
     #[test]
