@@ -13,7 +13,10 @@ fn payload() -> Json {
     Json::obj([
         ("mean", Json::Num(0.25)),
         ("label", Json::Str("τ \"quick\"".into())),
-        ("buckets", Json::arr([Json::nums([1.0, 0.0, 3.0]), Json::Null])),
+        (
+            "buckets",
+            Json::arr([Json::nums([1.0, 0.0, 3.0]), Json::Null]),
+        ),
     ])
 }
 

@@ -161,7 +161,6 @@ fn a_decoded_run_summary_holds_only_its_occupied_buckets() {
     );
 }
 
-
 /// Re-encoding the decoded fixture with `RunSummary::to_json`, as a warm
 /// replay's check does, builds one `Vec` per JSON array or object: each of
 /// the four histograms writes its buckets as one array. It makes 119
@@ -177,5 +176,9 @@ fn re_encoding_a_decoded_run_summary_is_one_array_per_histogram() {
         allocs <= 131,
         "encoding the fixture made {allocs} allocations, {bytes} bytes"
     );
-    assert_eq!(json.render(), RUN_SUMMARY.trim_end(), "the fixture re-encodes to itself");
+    assert_eq!(
+        json.render(),
+        RUN_SUMMARY.trim_end(),
+        "the fixture re-encodes to itself"
+    );
 }

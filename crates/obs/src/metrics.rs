@@ -13,7 +13,10 @@
 //! * **exactly mergeable** — counters add, gauges take the max, histogram
 //!   buckets and moments add as integers, so merging shard snapshots is
 //!   commutative and associative: any merge order produces the identical
-//!   snapshot (the same discipline as `EngineTelemetry::absorb`);
+//!   snapshot (the same discipline as `EngineTelemetry::absorb`). The one
+//!   moment that can outgrow its integer, `sum_sq`, saturates at
+//!   `u128::MAX` (see [`Histogram`]), and a saturating sum is still
+//!   commutative and associative;
 //! * **deterministic serialisation** — snapshots serialise with sorted keys,
 //!   so two equal snapshots render the same bytes across runner thread
 //!   counts and trace on/off. Every integer is written exactly: a
@@ -84,6 +87,15 @@ fn bucket_bounds(i: usize) -> (u64, u64) {
 /// milliseconds for frame delays, packets for queue depths, …) and encode
 /// it in the metric name (`net.rtt_us`). All state is integer, so merges
 /// are exact and order-independent.
+///
+/// `sum` cannot overflow its `u128` (it is at most `count · max`, below
+/// 2^128 while `count` is a `u64`), but `sum_sq` can: two samples of
+/// `u64::MAX` square past it. Every update of `sum_sq` — the `v²·n` of
+/// [`record_n`](Self::record_n) included — saturates at `u128::MAX`
+/// instead of wrapping (release) or panicking (dev profile), so such a
+/// histogram keeps every other moment exact, a finite (understated)
+/// `stddev`, merges in any order to the same value, and round-trips through
+/// its JSON. A `sum_sq` of `u128::MAX` means "at least that".
 pub struct Histogram {
     /// Bucket counts, at least up to `bucket_index(max)` once a sample is
     /// in; every bucket past that one is zero.
@@ -163,7 +175,7 @@ impl Histogram {
         self.bump(bucket_index(v), 1);
         self.count += 1;
         self.sum += u128::from(v);
-        self.sum_sq += u128::from(v) * u128::from(v);
+        self.sum_sq = self.sum_sq.saturating_add(u128::from(v) * u128::from(v));
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -176,7 +188,8 @@ impl Histogram {
         self.bump(bucket_index(v), n);
         self.count += n;
         self.sum += u128::from(v) * u128::from(n);
-        self.sum_sq += u128::from(v) * u128::from(v) * u128::from(n);
+        let sq = u128::from(v) * u128::from(v);
+        self.sum_sq = self.sum_sq.saturating_add(sq.saturating_mul(u128::from(n)));
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -209,7 +222,11 @@ impl Histogram {
     /// JSON carries.
     fn span(&self) -> &[u64] {
         let occupied = self.occupied();
-        let first = if self.count == 0 { 0 } else { bucket_index(self.min) };
+        let first = if self.count == 0 {
+            0
+        } else {
+            bucket_index(self.min)
+        };
         &occupied[first..]
     }
 
@@ -227,7 +244,7 @@ impl Histogram {
         }
         self.count += other.count;
         self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
+        self.sum_sq = self.sum_sq.saturating_add(other.sum_sq);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -286,7 +303,7 @@ impl JsonCodec for Histogram {
     /// `"buckets"` is the histogram's at-rest array from the bucket of
     /// `min` on: one count per bucket up to that of `max`, the empty ones
     /// between included (`[]` when there is no sample). `sum`, `sum_sq`,
-    /// `min` and `max` are exact: see [`exact_json`].
+    /// `min` and `max` are exact, one form per value (see `exact_json`).
     fn to_json(&self) -> Json {
         let d = self.distribution();
         Json::obj([
@@ -305,7 +322,7 @@ impl JsonCodec for Histogram {
     }
 
     /// Accepts exactly what [`to_json`](Self::to_json) writes: whole,
-    /// non-negative moments in [`exact_json`]'s one form each, `min ≤ max`,
+    /// non-negative moments in `exact_json`'s one form each, `min ≤ max`,
     /// and one whole count per bucket from that of `min` to that of `max`,
     /// the two ends non-zero, adding up to `count`. An empty histogram is
     /// all zeros with no buckets. The decoded histogram is at rest: its
@@ -328,14 +345,13 @@ impl JsonCodec for Histogram {
         }
         let (first, last) = (bucket_index(min), bucket_index(max));
         let mut counts = vec![0; last + 1];
-        let mut next = first;
+        let mut slots = counts[first..].iter_mut();
         let mut total = 0u64;
         for entry in buckets {
             // No entry past the bucket of `max`.
-            let slot = counts.get_mut(next)?;
+            let slot = slots.next()?;
             *slot = entry.as_u64()?;
             total = total.checked_add(*slot)?;
-            next += 1;
         }
         // The first entry holds `min` and the last `max`: a list that stops
         // short leaves the bucket of `max` empty.
@@ -832,11 +848,9 @@ mod tests {
     /// A `buckets` member with one entry per bucket from `first` to `last`:
     /// the counts `at` lists, zero elsewhere.
     fn span(first: usize, last: usize, at: &[(usize, f64)]) -> Json {
-        Json::nums((first..=last).map(|i| {
-            at.iter()
-                .find(|&&(j, _)| j == i)
-                .map_or(0.0, |&(_, c)| c)
-        }))
+        Json::nums(
+            (first..=last).map(|i| at.iter().find(|&&(j, _)| j == i).map_or(0.0, |&(_, c)| c)),
+        )
     }
 
     fn refused(doc: &Json) -> bool {
@@ -846,7 +860,10 @@ mod tests {
     #[test]
     fn the_tampering_helper_rebuilds_what_the_encoder_writes() {
         let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
-        let doc = tampered("buckets", span(b3, b100, &[(b3, 2.0), (b10, 1.0), (b100, 3.0)]));
+        let doc = tampered(
+            "buckets",
+            span(b3, b100, &[(b3, 2.0), (b10, 1.0), (b100, 3.0)]),
+        );
         assert_eq!(doc, tampered("count", Json::Num(6.0)));
         assert!(!refused(&doc));
     }
@@ -855,8 +872,16 @@ mod tests {
     fn a_bucket_list_one_entry_short_or_long_is_refused() {
         let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
         // Each list has non-zero ends adding up to `count` with the middle.
-        for (first, last) in [(b3, b100 - 1), (b3 + 1, b100), (b3, b100 + 1), (b3 - 1, b100)] {
-            let doc = tampered("buckets", span(first, last, &[(first, 2.0), (b10, 1.0), (last, 3.0)]));
+        for (first, last) in [
+            (b3, b100 - 1),
+            (b3 + 1, b100),
+            (b3, b100 + 1),
+            (b3 - 1, b100),
+        ] {
+            let doc = tampered(
+                "buckets",
+                span(first, last, &[(first, 2.0), (b10, 1.0), (last, 3.0)]),
+            );
             assert!(refused(&doc), "buckets {first}..={last}");
         }
     }
@@ -893,7 +918,10 @@ mod tests {
     #[test]
     fn bucket_counts_that_miss_the_count_are_refused() {
         let (b3, b10, b100) = (bucket_index(3), bucket_index(10), bucket_index(100));
-        let doc = tampered("buckets", span(b3, b100, &[(b3, 2.0), (b10, 1.0), (b100, 4.0)]));
+        let doc = tampered(
+            "buckets",
+            span(b3, b100, &[(b3, 2.0), (b10, 1.0), (b100, 4.0)]),
+        );
         assert!(refused(&doc));
         let empty = Histogram::new().to_json().render();
         let doc = dmp_base::json::parse(&empty.replace("[]", "[1]")).expect("parses");
@@ -908,9 +936,16 @@ mod tests {
         let Json::Obj(mut pairs) = h.to_json() else {
             unreachable!("a histogram renders an object")
         };
-        let at = pairs.iter().position(|(k, _)| k == "buckets").expect("a member");
+        let at = pairs
+            .iter()
+            .position(|(k, _)| k == "buckets")
+            .expect("a member");
         let entries = |n: usize| Json::nums((0..n).map(|i| f64::from(i == 0 || i == n - 1)));
-        assert_eq!(pairs[at].1, entries(BUCKETS), "every bucket, the ends occupied");
+        assert_eq!(
+            pairs[at].1,
+            entries(BUCKETS),
+            "every bucket, the ends occupied"
+        );
         pairs[at].1 = entries(BUCKETS + 1);
         assert!(refused(&Json::Obj(pairs)));
     }
@@ -923,7 +958,11 @@ mod tests {
             let Json::Obj(mut pairs) = empty.clone() else {
                 unreachable!("a histogram renders an object")
             };
-            pairs.iter_mut().find(|(k, _)| k == key).expect("a member").1 = Json::Num(5.0);
+            pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .expect("a member")
+                .1 = Json::Num(5.0);
             assert!(refused(&Json::Obj(pairs)), "{key} = 5");
         }
     }
@@ -1018,6 +1057,41 @@ mod tests {
                 let back = back.unwrap_or_else(|| panic!("{values:?} from the {from}"));
                 assert!(back == h, "{values:?} from the {from}");
                 assert_eq!(back.to_json().render(), text, "{values:?} from the {from}");
+            }
+        }
+    }
+
+    /// `u64::MAX` recorded twice, recorded three times at once, and two such
+    /// histograms merged: each `sum_sq` passes `u128::MAX` and saturates
+    /// there, with no overflow panic, a finite `stddev`, and the tree and
+    /// the tape decoding it back to its own bytes.
+    #[test]
+    fn a_sum_of_squares_past_u128_saturates() {
+        let mut twice = Histogram::new();
+        twice.record(u64::MAX);
+        twice.record(u64::MAX);
+        let mut thrice = Histogram::new();
+        thrice.record_n(u64::MAX, 3);
+        let mut merged = twice.clone();
+        merged.merge(&thrice);
+        for (what, h, count) in [
+            ("twice", &twice, 2),
+            ("thrice", &thrice, 3),
+            ("merged", &merged, 5),
+        ] {
+            assert_eq!((h.count(), h.sum_sq), (count, u128::MAX), "{what}");
+            assert_eq!(h.sum, u128::from(u64::MAX) * u128::from(count), "{what}");
+            assert!(h.distribution().stddev.is_finite(), "{what}");
+            let text = h.to_json().render();
+            let tree = dmp_base::json::parse(&text).expect("parses");
+            let tape = dmp_base::json::Tape::parse(&text).expect("scans");
+            for (from, back) in [
+                ("tree", Histogram::from_json(&tree)),
+                ("tape", Histogram::from_json(tape.root())),
+            ] {
+                let back = back.unwrap_or_else(|| panic!("{what} from the {from}"));
+                assert!(back == *h, "{what} from the {from}");
+                assert_eq!(back.to_json().render(), text, "{what} from the {from}");
             }
         }
     }

@@ -145,12 +145,31 @@ pub struct TcpChain {
     /// Maximum window, segments.
     pub wmax: u32,
     state: TcpChainState,
-    /// Precomputed `(1-p)^w` for w = 0..=wmax.
+    /// Precomputed `(1-p)^w` for w = 0..=wmax: the clean-round
+    /// probabilities, and the table a lossy round's first loss is read from.
     no_loss_prob: Vec<f64>,
+    /// `ln(1-p)`, for the first-loss draws the table leaves undecided.
     ln_1mp: f64,
     /// Stage-transition rate per phase, indexed by [`phase_slot`]: the
     /// sending phases' `k/R`, then `k/(2^e·T_O·R)` for `e = 0..=6`.
     rates: [f64; PHASE_SLOTS],
+}
+
+/// Relative half-width of the band around each `(1-p)^g` table entry inside
+/// which [`TcpChain::sample_first_loss`] leaves a draw to the logarithm (see
+/// its error budget).
+const TABLE_BAND: f64 = 1e-9;
+
+/// The `(1-p)^g` table's reading of one uniform draw of a lossy round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TableDraw {
+    /// The first loss comes after `g < w` successes.
+    Loss(u32),
+    /// `G ≥ w`: the draw is rejected.
+    Reject,
+    /// The draw lies within the band of a bracketing entry: the logarithm
+    /// decides.
+    Near,
 }
 
 /// Slots of the per-phase tables: one for the sending phases plus one per
@@ -257,21 +276,80 @@ impl TcpChain {
 
     /// Number of successes before the first loss in a round of `w` packets:
     /// `w` with probability `(1-p)^w`, otherwise `G < w` geometric.
+    ///
+    /// A lossy round draws `v` uniform on `[ε, 1)` until
+    /// `G = floor(ln(v)/ln(1-p)) < w` (inverse-CDF geometric, conditioned by
+    /// rejection). The draws and the answer are exactly those of that
+    /// formula, but the `(1-p)^g` table decides almost every `v` without a
+    /// logarithm: `G ≥ g` exactly when `v ≤ (1-p)^g`, so a `v` below
+    /// `T[w]` is a reject and a binary search over `T[..w]` finds `g`
+    /// otherwise. The table stands for the formula only outside a relative
+    /// band [`TABLE_BAND`] around each bracketing entry; inside it the
+    /// logarithm decides. Error budget: `T[g]` and `ln_1mp` are both built
+    /// from the same `m = fl(1-p)`; `T[g]` is within `g·ε/2` relative of
+    /// `m^g` (`powi` multiplies repeated squares; ≈ 7e-15 at `g = 64`), and
+    /// the computed quotient crosses `g` within `3·|ln v|·ε ≤ 2.4e-14`
+    /// relative of `v = m^g` (`ln v`, `ln_1mp` and the division each within
+    /// an ulp, `|ln v| ≤ 36` on `[ε, 1)`). The band, 1e-9, is 3·10⁴ times
+    /// their sum at the model's windows (`w ≤ 64`) and still 90 times it at
+    /// `w = 10⁵`, so every trajectory is the formula's, bit for bit
+    /// (the test `first_loss_table_agrees_with_the_logarithm` holds it on
+    /// seeded draws and at every entry ± 8 ulp).
     fn sample_first_loss(&self, w: u32, rng: &mut impl Rng) -> u32 {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         if u <= self.no_loss_prob[w as usize] {
             return w; // no loss this round
         }
-        // Inverse-CDF geometric conditioned on < w: G = floor(ln(v)/ln(1-p)).
-        // The quotient is positive and finite (`v` in [ε, 1), `p` in (0, 1)),
-        // and `as u32` truncates toward zero and saturates, so the cast alone
-        // is `floor` followed by the cast, without the call.
         loop {
             let v: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let g = (v.ln() / self.ln_1mp) as u32;
-            if g < w {
+            if let Some(g) = self.first_loss_below(v, w) {
                 return g;
             }
+        }
+    }
+
+    /// One draw of [`TcpChain::sample_first_loss`]'s loop: `G` for the
+    /// uniform `v` when `G < w`, `None` for a reject. The table decides;
+    /// the logarithm only in its band.
+    #[inline]
+    fn first_loss_below(&self, v: f64, w: u32) -> Option<u32> {
+        match self.table_first_loss(v, w) {
+            TableDraw::Loss(g) => Some(g),
+            TableDraw::Reject => None,
+            TableDraw::Near => Some(self.ln_first_loss(v)).filter(|&g| g < w),
+        }
+    }
+
+    /// `G = floor(ln(v)/ln(1-p))` as the chain has always computed it. The
+    /// quotient is positive (`v` in [ε, 1), `p` in (0, 1)), and `as u32`
+    /// truncates toward zero and saturates, so the cast alone is `floor`
+    /// followed by the cast, without the call.
+    fn ln_first_loss(&self, v: f64) -> u32 {
+        (v.ln() / self.ln_1mp) as u32
+    }
+
+    /// What the table `T[g] = (1-p)^g` says about `v` in a round of `w`
+    /// packets, with no logarithm: `G ≥ w` when `v` lies clearly below
+    /// `T[w]`, `G = g` when `T[g] ≥ v > T[g+1]` with `v` clear of both, and
+    /// [`TableDraw::Near`] when `v` is within [`TABLE_BAND`] of either.
+    #[inline]
+    fn table_first_loss(&self, v: f64, w: u32) -> TableDraw {
+        let t = &self.no_loss_prob[..=w as usize];
+        let w = w as usize;
+        if v < t[w] * (1.0 - TABLE_BAND) {
+            return TableDraw::Reject;
+        }
+        // #{k in 0..w : T[k] ≥ v} = g + 1: the table is non-increasing and
+        // T[0] = 1 > v, so T[g] ≥ v > T[g+1] (the last only for g + 1 < w;
+        // T[w] may still be within the band above `v`). The search starts
+        // at T[0], not at a slice from T[1]: that slice's bounds check
+        // keeps the kernel's and the calibration's instances of
+        // `complete_round` from folding into one copy.
+        let g = t[..w].partition_point(|&x| x >= v) - 1;
+        if v <= t[g] * (1.0 - TABLE_BAND) && v >= t[g + 1] * (1.0 + TABLE_BAND) {
+            TableDraw::Loss(g as u32)
+        } else {
+            TableDraw::Near
         }
     }
 
@@ -763,6 +841,79 @@ mod tests {
         // No outcome outside the enumerated support.
         for key in counts.keys() {
             assert!(expected.contains_key(key), "unexpected outcome {key:?}");
+        }
+    }
+
+    /// The first-loss table against the logarithm it stands in for, draw for
+    /// draw, at every window `w = 1..=64` of seven loss rates from 1e-9 to
+    /// 0.999999: 10⁶ seeded `v` per rate (half uniform on `[ε, 1)` as the
+    /// chain draws them, half log-uniform over `[max(T[64], ε), 1)`, where
+    /// the table has entries to bracket), every entry `T[g]` ± 0…8 ulp and
+    /// every `T[g]·(1 ± δ)` ± 1 ulp. Every entry ± 8 ulp must be left to the
+    /// logarithm (the fallback runs there), and at the paper's loss rates
+    /// the table must decide at least 99.9 % of the seeded draws.
+    /// Mutations seen to turn it red: `TABLE_BAND = 0.0` (the entries ± ulp
+    /// are decided by the table; with that assertion dropped, the table
+    /// disagrees with the logarithm at `v = T[1]`, p = 1e-9),
+    /// `TABLE_BAND = 4e-15`, narrower than the error budget (disagrees at
+    /// p = 0.5, w = 33), and the search's count taken as `g` without the
+    /// `- 1` (a first loss one success late: it indexes past the table at
+    /// once).
+    #[test]
+    fn first_loss_table_agrees_with_the_logarithm() {
+        const W: u32 = 64;
+        const DRAWS: u32 = 1_000_000;
+        let below_one = 1.0f64.next_down();
+        let mut rng = SmallRng::seed_from_u64(43);
+        for p in [1e-9, 1e-6, 0.005, 0.02, 0.06, 0.5, 0.999999] {
+            let c = TcpChain::new(path(p, 100.0, 2.0), W);
+            let check = |v: f64, w: u32| {
+                let want = Some(c.ln_first_loss(v)).filter(|&g| g < w);
+                assert_eq!(c.first_loss_below(v, w), want, "p {p} w {w} v {v:e}");
+            };
+            let ln_floor = c.no_loss_prob[W as usize].max(f64::EPSILON).ln();
+            let mut decided = 0;
+            for i in 0..DRAWS {
+                let v = if i % 2 == 0 {
+                    rng.gen_range(f64::EPSILON..1.0)
+                } else {
+                    (rng.gen_range(0.0f64..1.0) * ln_floor)
+                        .exp()
+                        .clamp(f64::EPSILON, below_one)
+                };
+                (1..=W).for_each(|w| check(v, w));
+                decided += u32::from(c.table_first_loss(v, W) != TableDraw::Near);
+            }
+            if (0.005..=0.5).contains(&p) {
+                assert!(decided >= DRAWS - DRAWS / 1000, "p {p}: {decided} decided");
+            }
+            for w in 1..=W {
+                for (g, &entry) in c.no_loss_prob.iter().enumerate() {
+                    let mut ulps = vec![entry];
+                    for step in [f64::next_up, f64::next_down] {
+                        ulps.extend((0..8).scan(entry, |v, _| {
+                            *v = step(*v);
+                            Some(*v)
+                        }));
+                    }
+                    let band = [1.0 - TABLE_BAND, 1.0 + TABLE_BAND].map(|f| entry * f);
+                    let edges = band
+                        .into_iter()
+                        .flat_map(|b| [b.next_down(), b, b.next_up()]);
+                    let in_range = |v: &f64| (f64::EPSILON..1.0).contains(v);
+                    for &v in ulps.iter().filter(|v| in_range(v)) {
+                        check(v, w);
+                        if g <= w as usize {
+                            assert_eq!(
+                                c.table_first_loss(v, w),
+                                TableDraw::Near,
+                                "p {p} w {w} g {g}"
+                            );
+                        }
+                    }
+                    edges.filter(in_range).for_each(|v| check(v, w));
+                }
+            }
         }
     }
 

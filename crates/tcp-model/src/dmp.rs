@@ -115,15 +115,16 @@ impl LateFracEstimate {
 /// stores a chain through the `Vec`: between the two, only a completed
 /// round touches a [`TcpChain`].
 ///
-/// An event costs one RNG draw, a handful of selects and a single
-/// data-dependent branch: which event a draw picks is computed as flags,
-/// not control flow — `cons = frozen ∨ pick < µ`, the chain index by
-/// `select_chain`, `N -= cons`, `late = cons ∧ N < 0`, the chain's Erlang
-/// stage advanced by `!cons` — so the consumption-vs-production coin flip,
-/// the which-chain flip and the one-in-four stage wrap never reach the
-/// branch predictor. The branch left is "a round just completed" (about one
-/// event in seven), behind which sit the outcome draw, the window update
-/// and the rate bookkeeping.
+/// An event costs one RNG draw scaled by one multiply (`pick = total · u`,
+/// the bits of `gen_range(0.0..total)` without its range check), a handful
+/// of selects and a single data-dependent branch: which event a draw picks
+/// is computed as flags, not control flow — `cons = frozen ∨ pick < µ`, the
+/// chain index by `select_chain`, `N -= cons`, `late = cons ∧ N < 0`, the
+/// chain's Erlang stage advanced by `!cons` — so the
+/// consumption-vs-production coin flip, the which-chain flip and the
+/// one-in-four stage wrap never reach the branch predictor. The branch left
+/// is "a round just completed" (about one event in seven), behind which sit
+/// the outcome draw, the window update and the rate bookkeeping.
 ///
 /// The draw does not wait for `N`: `pick` is always drawn on `[0, total)`
 /// with the unfrozen total, and a full buffer (`N = N_max`, the live
@@ -135,8 +136,11 @@ impl LateFracEstimate {
 /// No division happens per event either: each chain reads its rate from a
 /// per-phase table, the kernel's `rates[k]` mirrors it, and
 /// `total = µ + r₀ + r₁ + …` is cached and re-summed only when a completed
-/// round moved a chain between phases. Two orders are load-bearing, because
-/// `pick` is drawn on `[0, total)` and floating-point addition is not
+/// round moved a chain between phases. Nor, almost always, a logarithm per
+/// round: a lossy round's first loss is a binary search of the chain's
+/// `(1-p)^g` table, which leaves only draws within 1e-9 of an entry to
+/// `ln` (see `TcpChain::sample_first_loss`). Two orders are load-bearing,
+/// because `pick` is drawn on `[0, total)` and floating-point addition is not
 /// associative: `total` is summed left to right starting from µ, and
 /// `select_chain` subtracts the rates from `pick` one at a time in chain
 /// order instead of comparing against prefix sums. Either changed, a draw
@@ -255,7 +259,10 @@ impl<'a, const K: usize> Kernel<'a, K> {
     /// consumptions sample the stationary law by PASTA.
     #[inline(always)]
     fn event(&mut self) -> Event {
-        let pick = self.rng.gen_range(0.0..self.total);
+        // `gen_range(0.0..total)` without its range check and `0.0 +`:
+        // `total > 0`, so these are its bits, draw for draw.
+        let pick = self.total * self.rng.gen::<f64>();
+        let pick = if pick >= self.total { 0.0 } else { pick };
         let cons = (self.n >= self.nmax) | (pick < self.mu);
         // For a consumption `k` is some valid index and its stage is
         // written back unchanged.
