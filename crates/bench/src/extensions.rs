@@ -23,7 +23,7 @@ pub fn ext_kpaths(r: &Runner, scale: &Scale) -> TargetReport {
         rtt_s: 0.150,
         to_ratio: to,
     };
-    let sigma = calibrate::chain_throughput_pps(&path, DmpModel::DEFAULT_WMAX);
+    let sigma = calibrate::chain_throughput_pps(&path);
     let ratios = [1.4, 1.6, 1.8];
     let opts = scale.search_options();
     let mut jobs = Vec::new();
@@ -83,7 +83,7 @@ pub fn render_kpaths(doc: &Json) -> Result<String, RenderError> {
 pub fn ext_stored(r: &Runner, scale: &Scale) -> TargetReport {
     let (p, to, mu) = (0.02, 4.0, 25.0);
     let taus = [2.0, 4.0, 8.0, 12.0];
-    let rtt = calibrate::rtt_for_ratio(p, to, DmpModel::DEFAULT_WMAX, 2, mu, 1.3);
+    let rtt = calibrate::rtt_for_ratio(p, to, 2, mu, 1.3);
     let paths = vec![
         PathSpec {
             loss: p,

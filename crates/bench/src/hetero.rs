@@ -13,7 +13,7 @@
 
 use dmp_core::spec::PathSpec;
 use dmp_runner::{JobSpec, Json, Runner};
-use tcp_model::{pftk, DmpModel, TauSearchSpec};
+use tcp_model::{pftk, TauSearchSpec};
 
 use crate::report::{tau, Table};
 use crate::scale::Scale;
@@ -117,7 +117,7 @@ pub fn hetero_paths(s: &HeteroSetting) -> Vec<PathSpec> {
 /// The playback rate µ that puts the homogeneous scenario at the setting's
 /// `σ_a/µ` ratio.
 pub fn mu_for(s: &HeteroSetting) -> f64 {
-    tcp_model::calibrate::mu_for_ratio(s.p_o, s.r_o, 4.0, DmpModel::DEFAULT_WMAX, 2, s.ratio)
+    tcp_model::calibrate::mu_for_ratio(s.p_o, s.r_o, 4.0, 2, s.ratio)
 }
 
 /// Fig. 10: required startup delay under homogeneous vs heterogeneous paths.

@@ -3,7 +3,7 @@
 
 use dmp_core::spec::PathSpec;
 use dmp_runner::{JobSpec, Json, Runner};
-use tcp_model::{calibrate, DmpModel, LateCellSpec, TauSearchSpec};
+use tcp_model::{calibrate, LateCellSpec, TauSearchSpec};
 
 use crate::report::{frac, tau, Leaf, RenderError, Table};
 use crate::scale::Scale;
@@ -36,7 +36,7 @@ pub fn fig8(r: &Runner, scale: &Scale) -> TargetReport {
     // Precompute per-ratio RTTs, then one model job per (τ, ratio) cell.
     let rtts: Vec<f64> = ratios
         .iter()
-        .map(|&ratio| calibrate::rtt_for_ratio(p, to, DmpModel::DEFAULT_WMAX, 2, mu, ratio))
+        .map(|&ratio| calibrate::rtt_for_ratio(p, to, 2, mu, ratio))
         .collect();
     let mut jobs = Vec::with_capacity(taus.len() * ratios.len());
     for &tau_s in &taus {
@@ -96,7 +96,7 @@ pub fn fig9a(r: &Runner, scale: &Scale) -> TargetReport {
     let mut included = Vec::new();
     for &mu in &mus {
         for &p in &ps {
-            let rtt = calibrate::rtt_for_ratio(p, to, DmpModel::DEFAULT_WMAX, 2, mu, ratio);
+            let rtt = calibrate::rtt_for_ratio(p, to, 2, mu, ratio);
             if rtt > 0.6 {
                 included.push(false);
             } else {
@@ -156,7 +156,7 @@ pub fn fig9b(r: &Runner, scale: &Scale) -> TargetReport {
     let mut jobs = Vec::new();
     for &rtt_ms in &rtts_ms {
         for &p in &ps {
-            let mu = calibrate::mu_for_ratio(p, rtt_ms / 1e3, to, DmpModel::DEFAULT_WMAX, 2, ratio);
+            let mu = calibrate::mu_for_ratio(p, rtt_ms / 1e3, to, 2, ratio);
             jobs.push(search_job(
                 format!("fig9b:R{rtt_ms}:p{p}"),
                 homo_paths(p, rtt_ms / 1e3, to, 2),
@@ -204,11 +204,11 @@ pub fn headline(r: &Runner, scale: &Scale) -> TargetReport {
         rtt_s: 0.150,
         to_ratio: to,
     };
-    let sigma = calibrate::chain_throughput_pps(&fixed_path, DmpModel::DEFAULT_WMAX);
+    let sigma = calibrate::chain_throughput_pps(&fixed_path);
     let mut jobs = Vec::new();
     for &ratio in &ratios {
         for k in [1usize, 2] {
-            let rtt = calibrate::rtt_for_ratio(p, to, DmpModel::DEFAULT_WMAX, k, mu, ratio);
+            let rtt = calibrate::rtt_for_ratio(p, to, k, mu, ratio);
             jobs.push(search_job(
                 format!("headline:rtt-framing:ratio{ratio:.1}:K{k}"),
                 homo_paths(p, rtt, to, k),

@@ -12,6 +12,7 @@
 //!   bottleneck for a quarter of the video: a transient overload instead of
 //!   a hard failure.
 
+use dmp_core::resilience::WINDOW_S;
 use dmp_core::{ResilienceSpec, SchedulerKind, VideoSpec};
 use dmp_runner::{JobSpec, Json, JsonCodec, Runner};
 use dmp_sim::{scenario_batch_jobs, setting, ExperimentSpec, ScenarioSummary, Setting, TraceSpec};
@@ -23,8 +24,6 @@ use crate::target::{opt_num, TargetReport};
 
 /// Startup delay τ at which the scenario runs are evaluated, seconds.
 pub const TAU_S: f64 = 6.0;
-/// Sliding window for the worst-window late fraction, seconds.
-pub const WINDOW_S: f64 = 10.0;
 /// Schedulers compared under every scenario, in row order.
 const SCHEDULERS: [SchedulerKind; 3] = [
     SchedulerKind::Dynamic,
@@ -75,7 +74,6 @@ pub fn flashcrowd_scenario(duration_s: f64) -> (Scenario, f64) {
 fn resilience_spec(fail_at_s: f64) -> ResilienceSpec {
     ResilienceSpec {
         tau_s: TAU_S,
-        window_s: WINDOW_S,
         fail_at_s: Some(fail_at_s),
     }
 }

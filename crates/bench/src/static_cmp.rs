@@ -7,7 +7,7 @@
 
 use dmp_core::spec::PathSpec;
 use dmp_runner::{JobSpec, Json, Runner};
-use tcp_model::{calibrate, DmpModel, TauSearchSpec};
+use tcp_model::{calibrate, TauSearchSpec};
 
 use crate::report::{tau, Table};
 use crate::scale::Scale;
@@ -62,7 +62,7 @@ pub fn fig11(r: &Runner, scale: &Scale) -> TargetReport {
     let mut jobs = Vec::new();
     for s in paper_settings() {
         for &p in &losses {
-            let mu = calibrate::mu_for_ratio(p, s.rtt_s, 4.0, DmpModel::DEFAULT_WMAX, 2, s.ratio);
+            let mu = calibrate::mu_for_ratio(p, s.rtt_s, 4.0, 2, s.ratio);
             let path = PathSpec {
                 loss: p,
                 rtt_s: s.rtt_s,
@@ -122,7 +122,7 @@ mod tests {
             rtt_s: 0.200,
             ratio: 1.6,
         };
-        let mu = calibrate::mu_for_ratio(p, s.rtt_s, 4.0, DmpModel::DEFAULT_WMAX, 2, s.ratio);
+        let mu = calibrate::mu_for_ratio(p, s.rtt_s, 4.0, 2, s.ratio);
         let path = PathSpec {
             loss: p,
             rtt_s: s.rtt_s,

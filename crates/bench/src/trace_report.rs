@@ -9,13 +9,13 @@
 //! it: a trace whose `gen` events do not advance, or whose timeline would
 //! outnumber its events, is refused with a [`RenderError`].
 
-use dmp_core::resilience::{glitches, ResilienceReport, ResilienceSpec};
+use dmp_core::resilience::{glitches, ResilienceReport, ResilienceSpec, WINDOW_S};
 use dmp_core::trace::DeliveryRecord;
 use obs::report::PacketTimes;
 use obs::{EventKind, Trace, TraceEvent};
 
 use crate::report::{RenderError, Table};
-use crate::scenarios::{TAU_S, WINDOW_S};
+use crate::scenarios::TAU_S;
 
 /// Bucket width of the per-path throughput timeline, seconds.
 const BUCKET_S: f64 = 5.0;
@@ -267,7 +267,6 @@ pub fn render_report(trace: &Trace) -> Result<String, RenderError> {
     });
     let spec = ResilienceSpec {
         tau_s: TAU_S,
-        window_s: WINDOW_S,
         fail_at_s,
     };
     let records = records(&pkts);

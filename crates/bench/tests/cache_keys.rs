@@ -70,13 +70,12 @@ fn every_field_moves<S: Clone + Debug>(
     }
 }
 
-const SPEC_FIELDS: [fn(&mut ExperimentSpec); 13] = [
+const SPEC_FIELDS: [fn(&mut ExperimentSpec); 12] = [
     |s| s.setting.video.rate_pps += 1.0,
     |s| s.scheduler = SchedulerKind::Static,
     |s| s.duration_s += 1.0,
     |s| s.warmup_s += 1.0,
     |s| s.send_buf_pkts += 1,
-    |s| s.static_weights = Some(vec![2.0, 1.0]),
     |s| s.red = true,
     |s| s.video_flavor = TcpFlavor::NewReno,
     |s| s.cc = CcKind::Cubic,
@@ -194,11 +193,8 @@ fn every_job_family_keys_every_field_of_its_input_and_nothing_else() {
     every_field_moves(&spec, &SPEC_FIELDS, |s| scn(s, &taus, res));
     every_field_moves(&spec, &SPEC_FIELDS, sat);
     every_field_moves(&spec, &SPEC_FIELDS, |s| fig1(s, 4.0));
-    let res_fields: [fn(&mut ResilienceSpec); 3] = [
-        |r| r.tau_s += 1.0,
-        |r| r.window_s += 1.0,
-        |r| r.fail_at_s = Some(1.0),
-    ];
+    let res_fields: [fn(&mut ResilienceSpec); 2] =
+        [|r| r.tau_s += 1.0, |r| r.fail_at_s = Some(1.0)];
     every_field_moves(&res, &res_fields, |r| scn(spec.clone(), &taus, r));
     every_field_moves(&fleet, &FLEET_FIELDS, |f| shard(f, 0));
     every_field_moves(&live, &LIVE_FIELDS, |e| fig7(e, taus.clone()));

@@ -8,11 +8,14 @@
 //! * **glitches** — maximal runs of consecutive late packets, i.e. playback
 //!   stalls the viewer actually sees, with their count and durations;
 //! * **worst window** — the highest late fraction over any sliding window of
-//!   `window_s` seconds, the "how bad did it get" number;
+//!   [`WINDOW_S`] seconds, the "how bad did it get" number;
 //! * **time to recover** — for scripted failures at a known instant, how long
 //!   until the stream is late-free again (and stays that way).
 
 use crate::trace::DeliveryRecord;
+
+/// Window of the worst-window late fraction and of the recovery check, s.
+pub const WINDOW_S: f64 = 10.0;
 
 /// Parameters for a resilience evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,8 +23,6 @@ pub struct ResilienceSpec {
     /// Startup delay τ in seconds; packet `i` is late iff it misses
     /// `gen_i + τ`.
     pub tau_s: f64,
-    /// Sliding-window length for the worst-window late fraction, seconds.
-    pub window_s: f64,
     /// When the scripted failure happened (same clock as `gen_ns`, in
     /// seconds), if the scenario has a designated failure to recover from.
     pub fail_at_s: Option<f64>,
@@ -31,7 +32,6 @@ impl Default for ResilienceSpec {
     fn default() -> Self {
         Self {
             tau_s: 4.0,
-            window_s: 10.0,
             fail_at_s: None,
         }
     }
@@ -48,7 +48,7 @@ pub struct ResilienceReport {
     pub total_glitch_s: f64,
     /// Longest single glitch, seconds.
     pub max_glitch_s: f64,
-    /// Highest late fraction over any `window_s` sliding window.
+    /// Highest late fraction over any [`WINDOW_S`] sliding window.
     pub worst_window_late: f64,
     /// Start of that worst window (generation clock), seconds.
     pub worst_window_start_s: f64,
@@ -57,7 +57,7 @@ pub struct ResilienceReport {
     /// glitch follows the failure, or the stream never recovers.
     pub time_to_recover_s: Option<f64>,
     /// True when the stream is late-free for the tail of the trace (no late
-    /// packet in the final `window_s` of generation time).
+    /// packet in the final [`WINDOW_S`] of generation time).
     pub recovered: bool,
 }
 
@@ -100,7 +100,7 @@ impl ResilienceReport {
         let max_glitch_s = glitches.iter().map(|(s, e)| e - s).fold(0.0, f64::max);
 
         // Worst sliding window, anchored at each packet's generation time.
-        let win_ns = (spec.window_s * 1e9) as u64;
+        let win_ns = (WINDOW_S * 1e9) as u64;
         let mut worst = 0.0_f64;
         let mut worst_start = 0.0_f64;
         let mut lo = 0usize;

@@ -127,7 +127,7 @@ fn rotation(waker: usize, k: usize) -> impl Iterator<Item = usize> {
 
 /// The scheme's decisions (module docs). DMP-streaming
 /// ([`SchedulerKind::Dynamic`], [`SchedulerKind::SinglePath`]) keeps one
-/// queue shared by all senders. The static baseline
+/// queue shared by all senders and allocates no rates. The static baseline
 /// ([`SchedulerKind::Static`], Section 7.4) gives each path its own and
 /// assigns every packet ahead of time, so a congested path cannot shed load
 /// onto the others — the weakness that section quantifies.
@@ -139,42 +139,27 @@ pub struct Scheme {
     shared: DynamicQueue,
     /// Static streaming: `own[k]` is path `k`'s queue. Empty otherwise.
     own: Vec<DynamicQueue>,
-    /// The paths' normalised long-term bandwidth shares: the static split,
-    /// and the target of [`PullStrategy::Weighted`].
-    weights: Vec<f64>,
-    /// Weighted-round-robin credit of the static split.
-    credit: Vec<f64>,
     /// Packets taken per path under `Weighted` (its deficit counters).
     taken: Vec<u64>,
-    /// Which sender wins the lock on the next generation event.
+    /// Generation events so far, modulo `k`: who gets the next one's first
+    /// go at the lock, or (static, counting down) which path it goes to.
     rr: usize,
     dropped_late: u64,
 }
 
 impl Scheme {
-    /// A scheme over `weights.len()` paths (shares measured beforehand;
-    /// equal for homogeneous paths, which makes the static split the paper's
-    /// odd/even one) for a stream of `packets` packets: the shared queue
-    /// reserves that much, so a late backlog peak never reallocates.
+    /// A scheme over `k` paths for a stream of `packets` packets: the shared
+    /// queue reserves that much, so a late backlog peak never reallocates.
     ///
     /// # Panics
-    /// Panics if `weights` is empty or has a non-positive entry.
-    pub fn new(
-        scheduler: SchedulerKind,
-        strategy: PullStrategy,
-        weights: &[f64],
-        packets: u64,
-    ) -> Self {
-        assert!(!weights.is_empty(), "at least one path required");
-        assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
-        let (k, sum) = (weights.len(), weights.iter().sum::<f64>());
+    /// Panics if `k` is 0.
+    pub fn new(scheduler: SchedulerKind, strategy: PullStrategy, k: usize, packets: u64) -> Self {
+        assert!(k > 0, "at least one path required");
         let per_path = scheduler == SchedulerKind::Static;
         Self {
             strategy,
             shared: DynamicQueue::with_capacity(if per_path { 0 } else { packets }),
             own: vec![DynamicQueue::new(); if per_path { k } else { 0 }],
-            weights: weights.iter().map(|w| w / sum).collect(),
-            credit: vec![0.0; k],
             taken: vec![0; k],
             rr: 0,
             dropped_late: 0,
@@ -217,32 +202,25 @@ impl Scheme {
     /// A packet was generated. Returns the paths whose own queue got it
     /// (none: it joined the shared queue) and the sender that gets the first
     /// go at the lock. Dynamic: the rotation says which blocked sender that
-    /// is. Static: the packet is assigned for good — by weighted round-robin
-    /// (the paper's split; the weights *are* the strategy for `RoundRobin`,
-    /// `Weighted` and `DeadlineAware`), to the best-looking path, or to
-    /// every path — and the first assignee wakes.
+    /// is. Static: the packet is assigned for good — in turn, paths `k − 1,
+    /// …, 0` and round again (the paper's odd/even split at `k = 2`, and the
+    /// split of `RoundRobin`, `Weighted` and `DeadlineAware` alike), to the
+    /// best-looking path, or to every path — and the first assignee wakes.
     pub fn on_generated(
         &mut self,
         pkt: StreamPacket,
         paths: &impl PathView,
     ) -> (Range<usize>, usize) {
         let k = self.paths();
+        let turn = self.rr;
+        self.rr = (turn + 1) % k;
         if !self.per_path() {
             self.shared.push(pkt);
-            let waker = self.rr;
-            self.rr = (waker + 1) % k;
-            return (0..0, waker);
+            return (0..0, turn);
         }
         let assigned = match self.strategy {
             PullStrategy::RoundRobin | PullStrategy::Weighted | PullStrategy::DeadlineAware => {
-                // Everyone earns its share; the richest pays for the packet.
-                for (c, w) in self.credit.iter_mut().zip(&self.weights) {
-                    *c += w;
-                }
-                let credits = self.credit.iter().enumerate();
-                let richest = credits.max_by(|a, b| a.1.partial_cmp(b.1).expect("finite credits"));
-                let p = richest.expect("at least one path").0;
-                self.credit[p] -= 1.0;
+                let p = k - 1 - turn;
                 p..p + 1
             }
             PullStrategy::BestPath => {
@@ -258,11 +236,10 @@ impl Scheme {
 
     /// Who holds the lock next, `waker` being the sender whose wake-up
     /// started this round: among the paths with buffer space and something
-    /// to take, the first in rotation order from the waker, the one furthest
-    /// behind its share (smallest `(taken + 1) / weight`), or the
-    /// best-looking one. Static senders only ever compete for their own
-    /// queue, so there it is always the rotation. `None`: nobody can take
-    /// anything.
+    /// to take, the first in rotation order from the waker, the one that has
+    /// taken the fewest packets, or the best-looking one. Static senders
+    /// only ever compete for their own queue, so there it is always the
+    /// rotation. `None`: nobody can take anything.
     pub fn next_holder(&self, waker: usize, paths: &impl PathView) -> Option<usize> {
         if !self.per_path() && self.shared.is_empty() {
             return None; // the common wake-up: nothing is waiting
@@ -272,10 +249,7 @@ impl Scheme {
         match self.strategy {
             PullStrategy::Weighted if !self.per_path() => (0..self.paths())
                 .filter(ready)
-                .map(|p| ((self.taken[p] + 1) as f64 / self.weights[p], p))
-                // Strict `<`: the lowest index wins a tie.
-                .reduce(|best, c| if c.0 < best.0 { c } else { best })
-                .map(|(_, p)| p),
+                .min_by_key(|&p| (self.taken[p], p)),
             PullStrategy::BestPath if !self.per_path() => (0..self.paths())
                 .filter(ready)
                 .min_by_key(|&p| (paths.quality(p), p)),
@@ -404,10 +378,10 @@ mod tests {
         assert_eq!(q.total_generated(), 5);
     }
 
-    /// A static round-robin scheme over `weights`, and the path each of `n`
+    /// A static round-robin scheme over `k` paths, and the path each of `n`
     /// generated packets is assigned to.
-    fn static_split(weights: &[f64], n: u64) -> (Scheme, Vec<usize>) {
-        let mut s = Scheme::new(SchedulerKind::Static, PullStrategy::RoundRobin, weights, n);
+    fn static_split(k: usize, n: u64) -> (Scheme, Vec<usize>) {
+        let mut s = Scheme::new(SchedulerKind::Static, PullStrategy::RoundRobin, k, n);
         let paths = (0..n).map(|i| {
             let (assigned, waker) = s.on_generated(pkt(i), &());
             assert_eq!(assigned, waker..waker + 1, "one path, and it wakes");
@@ -419,24 +393,47 @@ mod tests {
 
     #[test]
     fn static_splitter_equal_weights_alternates() {
-        let (_, paths) = static_split(&[1.0, 1.0], 6);
-        // Weighted round-robin with equal weights strictly alternates.
+        let (_, paths) = static_split(2, 6);
+        // Two paths strictly alternate.
         assert_eq!(paths.iter().filter(|&&p| p == 0).count(), 3);
         for w in paths.windows(2) {
             assert_ne!(w[0], w[1]);
         }
     }
 
+    /// The static split is the rotation `k − 1, …, 0`. It replaced a
+    /// weighted round-robin over equal float credits, whose order this test
+    /// replays: the same at `k` = 1, 2 and 4, where `1/k` is exact, and at
+    /// `k` = 3 `2, 1, 0, 0, 2, 1, 0, …` — `fl(1/3)` credits gave path 0 the
+    /// third and the fourth packet. Production only splits statically over
+    /// two paths.
     #[test]
     fn static_splitter_respects_weights() {
-        let (_, paths) = static_split(&[3.0, 1.0], 4000);
-        let share0 = paths.iter().filter(|&&p| p == 0).count() as f64 / 4000.0;
-        assert!((share0 - 0.75).abs() < 0.01, "share0 = {share0}");
+        let credit_split = |k: usize, n: usize| {
+            let mut credit = vec![0.0_f64; k];
+            let mut turn = move || {
+                credit.iter_mut().for_each(|c| *c += 1.0 / k as f64);
+                let richest = credit.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1));
+                let p = richest.expect("a path").0;
+                credit[p] -= 1.0;
+                p
+            };
+            (0..n).map(|_| turn()).collect::<Vec<_>>()
+        };
+        for k in 1..=4 {
+            let (_, paths) = static_split(k, 1000);
+            let rotation: Vec<usize> = (0..1000).map(|i| k - 1 - i % k).collect();
+            assert_eq!(paths, rotation, "k = {k}");
+            if k != 3 {
+                assert_eq!(paths, credit_split(k, 1000), "k = {k}");
+            }
+        }
+        assert_eq!(credit_split(3, 8), [2, 1, 0, 0, 2, 1, 0, 2]);
     }
 
     #[test]
     fn static_splitter_pull_is_per_path() {
-        let (mut s, paths) = static_split(&[1.0, 1.0], 4);
+        let (mut s, paths) = static_split(2, 4);
         assert_eq!(s.shared_depth(), None);
         let a: Vec<_> = std::iter::from_fn(|| s.take(0, 0)).collect();
         let b: Vec<_> = std::iter::from_fn(|| s.take(1, 0)).collect();
@@ -447,9 +444,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "weights must be positive")]
+    #[should_panic(expected = "at least one path required")]
     fn static_splitter_rejects_zero_weight() {
-        static_split(&[1.0, 0.0], 0);
+        static_split(0, 0);
     }
 
     #[test]

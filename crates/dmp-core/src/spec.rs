@@ -110,8 +110,8 @@ pub enum PullStrategy {
     /// shared-queue lock first on each generation event.
     #[default]
     RoundRobin,
-    /// Deficit-weighted striping: the path furthest behind its configured
-    /// bandwidth share pulls first.
+    /// Deficit striping: of the paths with buffer space, the one that has
+    /// taken the fewest packets so far pulls first.
     Weighted,
     /// Greedy path quality: the path with the lowest smoothed RTT (ties
     /// broken by congestion-window headroom) pulls first.

@@ -48,7 +48,7 @@ impl ServerQueue {
     /// The paper's scheme over `paths` equal paths, for `packets` packets.
     fn new(paths: usize, packets: u64) -> Self {
         let (dmp, paper) = (SchedulerKind::Dynamic, PullStrategy::RoundRobin);
-        let scheme = Scheme::new(dmp, paper, &vec![1.0; paths], packets);
+        let scheme = Scheme::new(dmp, paper, paths, packets);
         Self {
             state: Mutex::new(QueueState {
                 scheme,

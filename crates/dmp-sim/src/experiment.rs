@@ -19,7 +19,9 @@ use obs::{Recorder, TraceConfig, TraceFileRef};
 use scenario::{PathBinding, Scenario, ScenarioDriver};
 
 use crate::configs::{config, Setting};
-use crate::topology::{attach_background, build_correlated_scenario, video_tcp, Topology};
+use crate::topology::{
+    attach_background, build_correlated, build_independent, video_tcp, Topology,
+};
 use crate::video::{shared_trace, VideoClient, VideoServer};
 
 /// Where [`ExperimentSpec::trace`] sends a run's flight-recorder trace.
@@ -38,8 +40,6 @@ pub struct ExperimentSpec {
     pub warmup_s: f64,
     /// Video TCP socket send buffer, packets.
     pub send_buf_pkts: usize,
-    /// Static-streaming path weights (defaults to equal when `None`).
-    pub static_weights: Option<Vec<f64>>,
     /// Use RED instead of drop-tail on the bottlenecks (ablation; the paper
     /// always uses drop-tail).
     pub red: bool,
@@ -75,7 +75,6 @@ impl ExperimentSpec {
             duration_s,
             warmup_s: 20.0,
             send_buf_pkts: 32,
-            static_weights: None,
             red: false,
             video_flavor: netsim::tcp::TcpFlavor::Reno,
             cc: cc::CcKind::Reno,
@@ -287,31 +286,18 @@ pub fn build(spec: &ExperimentSpec) -> BuiltExperiment {
     video_cfg.flavor = spec.video_flavor;
     video_cfg.cc = spec.cc;
 
-    let topo: Topology = if setting.correlated {
-        // Correlated paths share one bottleneck: provision the union of all
-        // paths' flash crowds on it.
-        let flash_total: usize = flash_per_path.iter().sum();
-        build_correlated_scenario(
-            &mut sim,
-            config(setting.configs[0]),
-            k,
-            video_cfg,
-            flash_total,
-        )
-    } else {
-        let cfgs: Vec<_> = (0..k).map(|i| config(setting.configs[i])).collect();
-        crate::topology::build_independent_scenario(
-            &mut sim,
-            &cfgs,
-            video_cfg,
-            spec.red,
-            &flash_per_path,
-        )
-    };
     let cfgs: Vec<_> = if setting.correlated {
         vec![config(setting.configs[0])]
     } else {
         (0..k).map(|i| config(setting.configs[i])).collect()
+    };
+    let topo: Topology = if setting.correlated {
+        // Correlated paths share one bottleneck: provision the union of all
+        // paths' flash crowds on it.
+        let flash_total: usize = flash_per_path.iter().sum();
+        build_correlated(&mut sim, cfgs[0], k, video_cfg, flash_total)
+    } else {
+        build_independent(&mut sim, &cfgs, video_cfg, spec.red, &flash_per_path)
     };
     attach_background(&mut sim, &topo, &cfgs, spec.seed);
 
@@ -364,12 +350,8 @@ pub fn build(spec: &ExperimentSpec) -> BuiltExperiment {
     let flows: Vec<_> = topo.paths.iter().map(|p| p.video_flow).collect();
     let n_packets = (spec.duration_s * setting.video.rate_pps) as u64;
 
-    let weights = spec
-        .static_weights
-        .clone()
-        .unwrap_or_else(|| vec![1.0; flows.len()]);
     sim.add_app(Box::new(VideoServer::new(
-        Scheme::new(spec.scheduler, spec.strategy, &weights, n_packets),
+        Scheme::new(spec.scheduler, spec.strategy, flows.len(), n_packets),
         flows.clone(),
         setting.video,
         trace.clone(),
@@ -700,21 +682,6 @@ impl BatchOutput {
     }
 }
 
-/// Run `runs` independent replications (seeds `spec.seed + i`), evaluating
-/// the late fraction at each startup delay in `taus_s`. Serial; parallel
-/// callers should submit [`batch_jobs`] to a [`dmp_runner::Runner`] and
-/// reduce with [`BatchOutput::from_summaries`].
-pub fn run_batch(spec: &ExperimentSpec, runs: usize, taus_s: &[f64]) -> BatchOutput {
-    let summaries: Vec<RunSummary> = (0..runs)
-        .map(|i| {
-            let mut s = spec.clone();
-            s.seed = spec.seed.wrapping_add(i as u64);
-            run_summary(&s, taus_s)
-        })
-        .collect();
-    BatchOutput::from_summaries(taus_s, &summaries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,17 +746,27 @@ mod tests {
         assert_eq!(out.paths.len(), 2);
     }
 
+    /// `runs` replications of `spec` as every target runs them: [`batch_jobs`]
+    /// on a two-thread runner, folded by [`BatchOutput::from_summaries`].
+    fn batch(spec: &ExperimentSpec, runs: usize, taus: &[f64]) -> BatchOutput {
+        let runner = dmp_runner::Runner::new(2, dmp_runner::Cache::disabled()).with_progress(false);
+        let cells = runner.run_all(batch_jobs(spec, runs, taus));
+        let summaries: Vec<RunSummary> = cells.iter().map(|c| c.unwrap().clone()).collect();
+        BatchOutput::from_summaries(taus, &summaries)
+    }
+
     #[test]
-    fn batch_jobs_match_serial_run_batch() {
+    fn batch_jobs_match_serial_run_summaries() {
         let mut spec = quick_spec("2-2", SchedulerKind::Dynamic, 31);
         spec.duration_s = 60.0;
         let taus = [2.0, 6.0];
-        let serial = run_batch(&spec, 2, &taus);
-
-        let runner = dmp_runner::Runner::new(2, dmp_runner::Cache::disabled()).with_progress(false);
-        let cells = runner.run_all(batch_jobs(&spec, 2, &taus));
-        let summaries: Vec<RunSummary> = cells.into_iter().map(|c| c.unwrap().clone()).collect();
-        let parallel = BatchOutput::from_summaries(&taus, &summaries);
+        let replica = |i: u64| ExperimentSpec {
+            seed: spec.seed + i,
+            ..spec.clone()
+        };
+        let summaries: Vec<RunSummary> = (0..2).map(|i| run_summary(&replica(i), &taus)).collect();
+        let serial = BatchOutput::from_summaries(&taus, &summaries);
+        let parallel = batch(&spec, 2, &taus);
 
         for j in 0..2 {
             assert_eq!(serial.loss[j].mean(), parallel.loss[j].mean());
@@ -880,7 +857,6 @@ mod tests {
             .at(fail_at + 15.0, 0, scenario::Event::PathUp);
         let res = ResilienceSpec {
             tau_s: 4.0,
-            window_s: 10.0,
             fail_at_s: Some(fail_at),
         };
 
@@ -937,7 +913,7 @@ mod tests {
     #[test]
     fn batch_aggregates_runs() {
         let spec = quick_spec("2-2", SchedulerKind::Dynamic, 29);
-        let batch = run_batch(&spec, 3, &[2.0, 6.0]);
+        let batch = batch(&spec, 3, &[2.0, 6.0]);
         assert_eq!(batch.reports.len(), 3);
         assert_eq!(batch.loss[0].count(), 3);
         let (tau, stats) = &batch.late_playback[1];

@@ -40,6 +40,6 @@ pub use configs::{
     config, setting, BottleneckConfig, Setting, CORRELATED, HETEROGENEOUS, HOMOGENEOUS, TABLE1,
 };
 pub use experiment::{
-    batch_jobs, run, run_batch, run_scenario_summary, run_summary, scenario_batch_jobs,
-    BatchOutput, ExperimentSpec, MeasuredPath, RunOutput, RunSummary, ScenarioSummary, TraceSpec,
+    batch_jobs, run, run_scenario_summary, run_summary, scenario_batch_jobs, BatchOutput,
+    ExperimentSpec, MeasuredPath, RunOutput, RunSummary, ScenarioSummary, TraceSpec,
 };

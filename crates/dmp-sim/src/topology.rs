@@ -53,10 +53,6 @@ fn access(delay_ms: f64) -> LinkSpec {
     LinkSpec::from_table(100.0, delay_ms, 4_000)
 }
 
-fn duplex_with_routes(sim: &mut Sim, a: NodeId, b: NodeId, spec: LinkSpec) -> (u32, u32) {
-    sim.add_duplex(a, b, spec)
-}
-
 /// TCP configuration for the video stream: payload sized so packets are the
 /// video packet size on the wire, finite send buffer (the DMP mechanism).
 pub fn video_tcp(packet_bytes: u32, send_buf_pkts: usize) -> TcpConfig {
@@ -83,15 +79,15 @@ fn build_path(
     let r1 = sim.add_node(format!("r{}1", cfg.id));
     let r2 = sim.add_node(format!("r{}2", cfg.id));
 
-    let (srv_r1, r1_srv) = duplex_with_routes(sim, server, r1, access(10.0));
+    let (srv_r1, r1_srv) = sim.add_duplex(server, r1, access(10.0));
     let mut bottleneck_spec =
         LinkSpec::from_table(cfg.bandwidth_mbps, cfg.delay_ms, cfg.buffer_pkts);
     if red {
         bottleneck_spec =
             bottleneck_spec.with_red(netsim::red::RedParams::for_buffer(cfg.buffer_pkts));
     }
-    let (r1_r2, r2_r1) = duplex_with_routes(sim, r1, r2, bottleneck_spec);
-    let (r2_cl, cl_r2) = duplex_with_routes(sim, r2, client, access(10.0));
+    let (r1_r2, r2_r1) = sim.add_duplex(r1, r2, bottleneck_spec);
+    let (r2_cl, cl_r2) = sim.add_duplex(r2, client, access(10.0));
 
     // Background hosts come in several tiers with different access delays:
     // RTT diversity desynchronises the background flows (with identical
@@ -102,8 +98,8 @@ fn build_path(
     for (t, &d) in BG_TIER_DELAY_MS.iter().enumerate() {
         let bg_src = sim.add_node(format!("bgsrc{}t{t}", cfg.id));
         let bg_dst = sim.add_node(format!("bgdst{}t{t}", cfg.id));
-        let (bgs_r1, r1_bgs) = duplex_with_routes(sim, bg_src, r1, access(d));
-        let (r2_bgd, bgd_r2) = duplex_with_routes(sim, r2, bg_dst, access(d));
+        let (bgs_r1, r1_bgs) = sim.add_duplex(bg_src, r1, access(d));
+        let (r2_bgd, bgd_r2) = sim.add_duplex(r2, bg_dst, access(d));
         sim.add_route(r1, bg_dst, r1_r2);
         sim.add_route(r1, bg_src, r1_bgs);
         sim.add_route(r2, bg_dst, r2_bgd);
@@ -168,30 +164,12 @@ fn build_path(
 }
 
 /// Build the independent-paths topology of Fig. 3: one bottleneck per path,
-/// a shared multihomed server, one client node per path.
+/// a shared multihomed server, one client node per path. `red` puts RED
+/// queues on the bottlenecks (the ablation of the paper's drop-tail loss
+/// process); `flash_per_path[k]` idle TCP flows are pre-provisioned across
+/// path `k`'s bottleneck (missing entries mean zero), for a scenario to
+/// start mid-run.
 pub fn build_independent(
-    sim: &mut Sim,
-    cfgs: &[&BottleneckConfig],
-    video_tcp_cfg: TcpConfig,
-) -> Topology {
-    build_independent_with(sim, cfgs, video_tcp_cfg, false)
-}
-
-/// [`build_independent`] with optional RED queues on the bottlenecks (the
-/// ablation of the paper's drop-tail loss process).
-pub fn build_independent_with(
-    sim: &mut Sim,
-    cfgs: &[&BottleneckConfig],
-    video_tcp_cfg: TcpConfig,
-    red: bool,
-) -> Topology {
-    build_independent_scenario(sim, cfgs, video_tcp_cfg, red, &[])
-}
-
-/// [`build_independent_with`] plus pre-provisioned flash-crowd flows:
-/// `flash_per_path[k]` idle TCP flows are created across path `k`'s
-/// bottleneck (missing entries mean zero), for a scenario to start mid-run.
-pub fn build_independent_scenario(
     sim: &mut Sim,
     cfgs: &[&BottleneckConfig],
     video_tcp_cfg: TcpConfig,
@@ -217,20 +195,11 @@ pub fn build_independent_scenario(
 }
 
 /// Build the correlated-paths topology of Fig. 6: `k_flows` video TCP flows
-/// from the server to a single client over **one** bottleneck.
+/// from the server to a single client over **one** bottleneck, plus
+/// `flash_flows` pre-provisioned idle flash-crowd flows across it (every
+/// path handle reports the same set, since correlated paths share their
+/// infrastructure).
 pub fn build_correlated(
-    sim: &mut Sim,
-    cfg: &BottleneckConfig,
-    k_flows: usize,
-    video_tcp_cfg: TcpConfig,
-) -> Topology {
-    build_correlated_scenario(sim, cfg, k_flows, video_tcp_cfg, 0)
-}
-
-/// [`build_correlated`] plus `flash_flows` pre-provisioned idle flash-crowd
-/// flows across the shared bottleneck (every path handle reports the same
-/// set, since correlated paths share their infrastructure).
-pub fn build_correlated_scenario(
     sim: &mut Sim,
     cfg: &BottleneckConfig,
     k_flows: usize,
@@ -301,7 +270,13 @@ mod tests {
     #[test]
     fn independent_topology_has_one_client_per_path() {
         let mut sim = Sim::new(1);
-        let topo = build_independent(&mut sim, &[config(1), config(2)], video_tcp(1500, 32));
+        let topo = build_independent(
+            &mut sim,
+            &[config(1), config(2)],
+            video_tcp(1500, 32),
+            false,
+            &[],
+        );
         assert_eq!(topo.clients.len(), 2);
         assert_eq!(topo.paths.len(), 2);
         assert_ne!(topo.paths[0].video_flow, topo.paths[1].video_flow);
@@ -310,7 +285,7 @@ mod tests {
     #[test]
     fn correlated_topology_shares_one_client_and_bottleneck() {
         let mut sim = Sim::new(1);
-        let topo = build_correlated(&mut sim, config(2), 2, video_tcp(1500, 32));
+        let topo = build_correlated(&mut sim, config(2), 2, video_tcp(1500, 32), 0);
         assert_eq!(topo.clients.len(), 1);
         assert_eq!(topo.paths.len(), 2);
         assert_eq!(topo.paths[0].bottleneck, topo.paths[1].bottleneck);
@@ -320,7 +295,7 @@ mod tests {
     #[test]
     fn background_saturates_the_bottleneck() {
         let mut sim = Sim::new(5);
-        let topo = build_independent(&mut sim, &[config(2)], video_tcp(1500, 32));
+        let topo = build_independent(&mut sim, &[config(2)], video_tcp(1500, 32), false, &[]);
         attach_background(&mut sim, &topo, &[config(2)], 5);
         sim.run_until(60 * SECOND);
         let link = sim.link(topo.paths[0].bottleneck);

@@ -64,7 +64,6 @@ fn failover_batch(
     spec.trace = trace_dir.map(|dir| TraceSpec::new("", dir));
     let res = ResilienceSpec {
         tau_s: 4.0,
-        window_s: 10.0,
         fail_at_s: Some(20.0),
     };
     let runner = Runner::new(threads, Cache::disabled()).with_progress(false);
@@ -286,8 +285,8 @@ fn spec_outage(scheduler: SchedulerKind, strategy: PullStrategy) -> ExperimentSp
 /// differently than the code it replaced. The summary digests were
 /// re-recorded once, when a histogram's buckets became one array: every
 /// cell's summary then differed from the one before only in its four
-/// bucket lists (`tools/rerecord_equivalence.py`'s edits), and no trace
-/// digest moved.
+/// bucket lists, checked once by a script against the commit before that
+/// change, and no trace digest moved.
 #[test]
 fn every_scheduler_strategy_cell_matches_the_pre_move_digests() {
     use PullStrategy::{BestPath, DeadlineAware, RedundantDuplicate, RoundRobin, Weighted};

@@ -203,9 +203,9 @@ pub fn run_shard(spec: &FleetSpec, shard: u32, trace: Option<(&Path, &str)>) -> 
 
     for s in &sessions {
         let start_at = secs(spec.warmup_s + s.plan.arrival_s);
-        let equal = vec![1.0; s.flows.len()];
+        let k = s.flows.len();
         sim.add_app(Box::new(VideoServer::new(
-            Scheme::new(SchedulerKind::Dynamic, spec.strategy, &equal, s.budget),
+            Scheme::new(SchedulerKind::Dynamic, spec.strategy, k, s.budget),
             s.flows.clone(),
             spec.video,
             s.trace.clone(),

@@ -34,6 +34,10 @@ pub enum TcpFlavor {
     NewReno,
 }
 
+/// Maximum RTO backoff exponent: the model's backoff state `E` caps at 6,
+/// so the timer stops doubling at 64× the RTO.
+const MAX_BACKOFF_EXP: u32 = 6;
+
 /// Tunables of a TCP sender.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
@@ -45,8 +49,6 @@ pub struct TcpConfig {
     pub max_wnd: u32,
     /// Initial congestion window, segments.
     pub initial_cwnd: f64,
-    /// Maximum RTO backoff exponent (the model caps at 6 → factor 64).
-    pub max_backoff_exp: u32,
     /// Loss-recovery flavour (Reno or NewReno).
     pub flavor: TcpFlavor,
     /// Congestion-control algorithm (window growth/decrease response).
@@ -60,7 +62,6 @@ impl Default for TcpConfig {
             send_buf_pkts: 64,
             max_wnd: 64,
             initial_cwnd: 2.0,
-            max_backoff_exp: 6,
             flavor: TcpFlavor::Reno,
             cc: CcKind::Reno,
         }
@@ -536,7 +537,7 @@ impl TcpSender {
         self.in_recovery = false;
         self.dupacks = 0;
         self.sample = None;
-        self.backoff_exp = (self.backoff_exp + 1).min(self.cfg.max_backoff_exp);
+        self.backoff_exp = (self.backoff_exp + 1).min(MAX_BACKOFF_EXP);
         self.retransmit_head();
         self.arm_timer(now);
         if self.trace_on {
@@ -681,7 +682,7 @@ mod tests {
         for _ in 0..10 {
             s.on_timeout(s.timer_deadline.unwrap());
         }
-        assert_eq!(s.backoff_exp, s.cfg.max_backoff_exp);
+        assert_eq!(s.backoff_exp, MAX_BACKOFF_EXP);
         // RTO multiplier is 64×, clamped to max_rto.
         assert!(s.current_rto_secs() <= s.rtt.max_rto);
     }

@@ -22,8 +22,8 @@
 //!
 //! The [`report`] module parses traces back and computes paper-style
 //! diagnostics (cwnd evolution, per-path throughput timelines, queue-depth
-//! percentiles); the `trace-report` binary in `dmp-bench` builds the
-//! per-glitch "why" report on top.
+//! percentiles); `dmp-bench render` prints a trace's report with the
+//! per-glitch "why" built on top.
 //!
 //! A run is traced when its input carries a [`TraceSpec`] (label and
 //! directory), and it hands back a [`TraceFileRef`] (label, path, events)

@@ -131,11 +131,6 @@ impl ScenarioDriver {
         }
     }
 
-    /// Number of compiled actions (a flash crowd expands to two).
-    pub fn action_count(&self) -> usize {
-        self.actions.len()
-    }
-
     fn apply(&self, api: &mut SimApi<'_>, idx: usize) {
         let Action { path, kind, .. } = self.actions[idx];
         let b = &self.bindings[path];

@@ -103,7 +103,7 @@ pub struct MuCellSpec {
     pub tau_s: f64,
     /// Streaming scheme under test.
     pub scheme: PlannerScheme,
-    /// Bisection + evaluation tuning (threshold, budget, seed, bracket).
+    /// Bisection + evaluation tuning (threshold, budget, seed, resolution).
     pub opts: PlannerOptions,
 }
 
@@ -121,7 +121,7 @@ impl MuCellSpec {
     pub fn sigma_a(&self) -> f64 {
         self.effective_paths()
             .iter()
-            .map(|p| calibrate::chain_throughput_pps(p, DmpModel::DEFAULT_WMAX))
+            .map(calibrate::chain_throughput_pps)
             .sum()
     }
 
@@ -185,7 +185,6 @@ mod tests {
                 ..SearchOptions::default()
             },
             mu_rel_resolution: 2e-2,
-            ..PlannerOptions::default()
         };
         let cell = |scheme| MuCellSpec {
             paths: paths(),

@@ -8,9 +8,10 @@
 //! chain terms and make the stream diverge.
 //!
 //! This module measures the chain's per-round achievable throughput
-//! `σR(p, T_O)` once per parameter pair (cached, deterministic seed) and
-//! derives the RTT or playback rate that hits a requested ratio exactly the
-//! way [`crate::pftk::rtt_for_ratio`] does — but in the model's own units.
+//! `σR(p, T_O)` at the models' window cap once per parameter pair (cached,
+//! deterministic seed) and derives the RTT or playback rate that hits a
+//! requested ratio exactly the way [`crate::pftk::rtt_for_ratio`] does — but
+//! in the model's own units.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -20,15 +21,19 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::chain::TcpChain;
+use crate::dmp::DmpModel;
 
 /// Stage transitions simulated per calibration measurement — four per
 /// round, so 375 000 rounds. Against the chain's exact σR
 /// (`tests/exact_sigma.rs`) the estimate is off by 0.03–0.34 % on the four
 /// points measured there (p 0.005–0.06, `wmax` 4 and 64).
-const CALIBRATION_TRANSITIONS: u64 = 1_500_000;
+pub const CALIBRATION_TRANSITIONS: u64 = 1_500_000;
 
-/// Cache key: bit patterns of (loss, T_O) plus the window cap.
-type CalKey = (u64, u64, u32);
+/// The seed every calibration measurement starts from.
+pub const CALIBRATION_SEED: u64 = 0xca11b8a7e;
+
+/// Cache key: bit patterns of (loss, T_O).
+type CalKey = (u64, u64);
 
 fn cache() -> &'static Mutex<HashMap<CalKey, f64>> {
     static CACHE: std::sync::OnceLock<Mutex<HashMap<CalKey, f64>>> = std::sync::OnceLock::new();
@@ -38,17 +43,14 @@ fn cache() -> &'static Mutex<HashMap<CalKey, f64>> {
 /// The chain's backlogged per-round throughput `σR = σ·R` in packets per
 /// round trip, for loss `p` and timeout ratio `T_O` (RTT-invariant, like the
 /// PFTK per-round value). Measured once and cached.
-pub fn chain_per_round_throughput(loss: f64, to_ratio: f64, wmax: u32) -> f64 {
-    let key = (loss.to_bits(), to_ratio.to_bits(), wmax);
+pub fn chain_per_round_throughput(loss: f64, to_ratio: f64) -> f64 {
+    let key = (loss.to_bits(), to_ratio.to_bits());
     if let Some(&v) = cache().lock().expect("calibration cache").get(&key) {
         return v;
     }
-    let spec = PathSpec {
-        loss,
-        rtt_s: 1.0,
-        to_ratio,
-    };
-    let mut rng = SmallRng::seed_from_u64(0xca11b8a7e);
+    let spec = PathSpec::from_ms(loss, 1e3, to_ratio); // R = 1 s
+    let wmax = DmpModel::DEFAULT_WMAX;
+    let mut rng = SmallRng::seed_from_u64(CALIBRATION_SEED);
     let sigma_r = TcpChain::achievable_throughput(spec, wmax, CALIBRATION_TRANSITIONS, &mut rng);
     cache()
         .lock()
@@ -58,33 +60,32 @@ pub fn chain_per_round_throughput(loss: f64, to_ratio: f64, wmax: u32) -> f64 {
 }
 
 /// Chain-calibrated achievable throughput in packets per second.
-pub fn chain_throughput_pps(path: &PathSpec, wmax: u32) -> f64 {
-    chain_per_round_throughput(path.loss, path.to_ratio, wmax) / path.rtt_s
+pub fn chain_throughput_pps(path: &PathSpec) -> f64 {
+    chain_per_round_throughput(path.loss, path.to_ratio) / path.rtt_s
 }
 
 /// The RTT making `K` homogeneous chain-paths hit `σ_a/µ = ratio`
 /// (chain-calibrated analogue of [`crate::pftk::rtt_for_ratio`]).
-pub fn rtt_for_ratio(loss: f64, to_ratio: f64, wmax: u32, k: usize, mu: f64, ratio: f64) -> f64 {
+pub fn rtt_for_ratio(loss: f64, to_ratio: f64, k: usize, mu: f64, ratio: f64) -> f64 {
     assert!(ratio > 0.0 && mu > 0.0);
-    k as f64 * chain_per_round_throughput(loss, to_ratio, wmax) / (ratio * mu)
+    k as f64 * chain_per_round_throughput(loss, to_ratio) / (ratio * mu)
 }
 
 /// The playback rate µ making `K` homogeneous chain-paths hit
 /// `σ_a/µ = ratio` at a fixed RTT.
-pub fn mu_for_ratio(loss: f64, rtt_s: f64, to_ratio: f64, wmax: u32, k: usize, ratio: f64) -> f64 {
-    let sigma = chain_per_round_throughput(loss, to_ratio, wmax) / rtt_s;
+pub fn mu_for_ratio(loss: f64, rtt_s: f64, to_ratio: f64, k: usize, ratio: f64) -> f64 {
+    let sigma = chain_per_round_throughput(loss, to_ratio) / rtt_s;
     k as f64 * sigma / ratio
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dmp::DmpModel;
 
     #[test]
     fn calibration_is_cached_and_deterministic() {
-        let a = chain_per_round_throughput(0.02, 4.0, 64);
-        let b = chain_per_round_throughput(0.02, 4.0, 64);
+        let a = chain_per_round_throughput(0.02, 4.0);
+        let b = chain_per_round_throughput(0.02, 4.0);
         assert_eq!(a, b);
         assert!(a > 1.0 && a < 20.0, "σR = {a}");
     }
@@ -94,15 +95,12 @@ mod tests {
         // Dial σa/µ = 1.3 through the calibration, then verify that the
         // chain really delivers ≈1.3µ when backlogged.
         let (p, to, mu) = (0.02, 4.0, 25.0);
-        let rtt = rtt_for_ratio(p, to, DmpModel::DEFAULT_WMAX, 2, mu, 1.3);
-        let sigma = chain_throughput_pps(
-            &PathSpec {
-                loss: p,
-                rtt_s: rtt,
-                to_ratio: to,
-            },
-            DmpModel::DEFAULT_WMAX,
-        );
+        let rtt = rtt_for_ratio(p, to, 2, mu, 1.3);
+        let sigma = chain_throughput_pps(&PathSpec {
+            loss: p,
+            rtt_s: rtt,
+            to_ratio: to,
+        });
         let achieved = 2.0 * sigma / mu;
         assert!((achieved - 1.3).abs() < 0.02, "achieved ratio {achieved}");
     }
@@ -113,7 +111,7 @@ mod tests {
         // the buffer drains slower than it fills *on average*, so with a
         // large τ the late fraction must drop well below 1.
         let (p, to, mu) = (0.02, 4.0, 25.0);
-        let rtt = rtt_for_ratio(p, to, DmpModel::DEFAULT_WMAX, 2, mu, 1.2);
+        let rtt = rtt_for_ratio(p, to, 2, mu, 1.2);
         let paths = vec![
             PathSpec {
                 loss: p,
@@ -129,8 +127,8 @@ mod tests {
     #[test]
     fn mu_and_rtt_forms_agree() {
         let mu = 50.0;
-        let rtt = rtt_for_ratio(0.02, 4.0, 64, 2, mu, 1.6);
-        let mu_back = mu_for_ratio(0.02, rtt, 4.0, 64, 2, 1.6);
+        let rtt = rtt_for_ratio(0.02, 4.0, 2, mu, 1.6);
+        let mu_back = mu_for_ratio(0.02, rtt, 4.0, 2, 1.6);
         assert!((mu_back - mu).abs() < 1e-9);
     }
 }

@@ -456,7 +456,7 @@ fn check_path_count(k: usize) {
 }
 
 /// The static-streaming baseline of Section 7.4: with `K` homogeneous paths,
-/// odd/even (weighted) assignment makes each path an **independent
+/// odd/even (round-robin) assignment makes each path an **independent
 /// single-path stream** of rate `µ/K` with its own startup buffer `(µ/K)·τ`;
 /// the overall late fraction is the average of the per-path ones.
 pub fn static_streaming_late_fraction(

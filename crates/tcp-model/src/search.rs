@@ -43,11 +43,16 @@ impl Default for SearchOptions {
     }
 }
 
+/// The capacity planner's µ bisection bracket `(lo, hi)`, in multiples of
+/// the aggregate achievable throughput σ_a ([`max_mu`]: why `lo` is not 0).
+pub const MU_BRACKET: (f64, f64) = (0.2, 1.5);
+const _: () = assert!(MU_BRACKET.0 > 0.0 && MU_BRACKET.1 > MU_BRACKET.0);
+
 /// Tuning of the capacity planner's max-µ bisection, layered on the same
 /// decision machinery as the τ searches: [`PlannerOptions::search`] supplies
 /// the late-fraction threshold, SSA budget and base seed, and the planner
-/// adds the µ bracket and stopping resolution the `capacity_planner` target
-/// bisects with.
+/// adds the stopping resolution the `capacity_planner` target bisects
+/// [`MU_BRACKET`] with.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerOptions {
     /// Shared evaluation tuning (threshold, block/budget, seed).
@@ -55,9 +60,6 @@ pub struct PlannerOptions {
     /// Stop the µ bisection when the bracket width falls below this fraction
     /// of the upper end (relative resolution; 5e-3 ≈ 9 bisection steps).
     pub mu_rel_resolution: f64,
-    /// Bisection bracket `(lo, hi)` as multiples of the aggregate achievable
-    /// throughput σ_a. See [`max_mu`] for why `lo` must stay well above 0.
-    pub bracket: (f64, f64),
 }
 
 impl Default for PlannerOptions {
@@ -65,15 +67,14 @@ impl Default for PlannerOptions {
         Self {
             search: SearchOptions::default(),
             mu_rel_resolution: 5e-3,
-            bracket: (0.2, 1.5),
         }
     }
 }
 
 /// Largest µ (pkt/s) whose late fraction stays below
 /// `opts.search.threshold` at a fixed τ, found by bisection over
-/// `[bracket.0 · σ_a, bracket.1 · σ_a]`. Returns `None` when even the lower
-/// bracket fails (the path cannot support the scheme at this τ).
+/// `[MU_BRACKET.0 · σ_a, MU_BRACKET.1 · σ_a]`. Returns `None` when even the
+/// lower bracket fails (the path cannot support the scheme at this τ).
 ///
 /// `feasible(µ)` is the verdict "the late fraction at µ is below the
 /// threshold", not the fraction itself: an evaluation that stops as soon as
@@ -87,8 +88,8 @@ impl Default for PlannerOptions {
 /// `N_max = ⌈µτ⌉`, so a very small µ also means a one- or two-packet client
 /// buffer, and the late fraction *rises* again as µ → 0 even on an idle
 /// path. Bisection is only sound on the monotone branch, which is why
-/// `opts.bracket.0` starts the search at a fifth of the aggregate
-/// achievable throughput by default — large enough that the buffer is
+/// `MU_BRACKET.0` starts the search at a fifth of the aggregate
+/// achievable throughput — large enough that the buffer is
 /// meaningful, small enough that any feasible operating point lies above
 /// it. If `f(lo)` is already at or above the threshold the function reports
 /// `None` rather than bisecting on a non-monotone bracket.
@@ -97,13 +98,13 @@ pub fn max_mu(
     sigma_a: f64,
     opts: &PlannerOptions,
 ) -> Option<f64> {
-    assert!(sigma_a > 0.0 && opts.bracket.0 > 0.0 && opts.bracket.1 > opts.bracket.0);
+    assert!(sigma_a > 0.0);
     assert!(
         opts.mu_rel_resolution > 0.0,
         "PlannerOptions::mu_rel_resolution must be positive, got {}",
         opts.mu_rel_resolution
     );
-    let (mut lo, mut hi) = (opts.bracket.0 * sigma_a, opts.bracket.1 * sigma_a);
+    let (mut lo, mut hi) = (MU_BRACKET.0 * sigma_a, MU_BRACKET.1 * sigma_a);
     if !feasible(lo) {
         return None;
     }

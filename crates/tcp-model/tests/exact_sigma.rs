@@ -9,13 +9,17 @@
 //! holds the Monte-Carlo calibration to the exact value.
 //!
 //! `cargo test --release -p tcp-model --test exact_sigma -- --nocapture`
-//! prints each point's walls (enumerate, solve, Monte-Carlo run).
+//! prints each point's walls (enumerate, solve, Monte-Carlo run). The
+//! Monte-Carlo wall is an uncached run, so it is real whichever test fills
+//! the calibration's process-wide memo first.
 
 use std::time::Instant;
 
 use dmp_core::spec::PathSpec;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use tcp_model::chain::TcpChainState;
-use tcp_model::{calibrate, CsrCtmc, Ctmc, SolveOptions, TcpChain};
+use tcp_model::{calibrate, CsrCtmc, Ctmc, DmpModel, SolveOptions, TcpChain};
 
 /// One backlogged flow: the chain alone, its rates at `R = 1` s.
 struct PerFlow(TcpChain);
@@ -47,13 +51,27 @@ struct Exact {
     sweeps: u32,
 }
 
-fn exact_sigma_r(loss: f64, to_ratio: f64, wmax: u32) -> Exact {
-    let path = PathSpec {
+/// The chain on a path of loss `loss` and timeout ratio `to_ratio`, at
+/// `R = 1` s.
+fn path(loss: f64, to_ratio: f64) -> PathSpec {
+    PathSpec {
         loss,
         rtt_s: 1.0,
         to_ratio,
-    };
-    let flow = PerFlow(TcpChain::new(path, wmax));
+    }
+}
+
+/// One Monte-Carlo σR run at the calibration's seed and transition count,
+/// bypassing its memo: at `wmax = DmpModel::DEFAULT_WMAX` exactly the run
+/// [`calibrate::chain_per_round_throughput`] caches.
+fn monte_carlo_sigma_r(loss: f64, to_ratio: f64, wmax: u32) -> f64 {
+    let mut rng = SmallRng::seed_from_u64(calibrate::CALIBRATION_SEED);
+    let transitions = calibrate::CALIBRATION_TRANSITIONS;
+    TcpChain::achievable_throughput(path(loss, to_ratio), wmax, transitions, &mut rng)
+}
+
+fn exact_sigma_r(loss: f64, to_ratio: f64, wmax: u32) -> Exact {
+    let flow = PerFlow(TcpChain::new(path(loss, to_ratio), wmax));
     let opts = SolveOptions::default();
     let t0 = Instant::now();
     let csr = CsrCtmc::enumerate(&flow, &opts).expect("the per-flow chain enumerates");
@@ -90,8 +108,12 @@ fn monte_carlo_calibration_meets_the_exact_per_round_throughput() {
     for (loss, to_ratio, wmax) in points {
         let exact = exact_sigma_r(loss, to_ratio, wmax);
         let t0 = Instant::now();
-        let mc = calibrate::chain_per_round_throughput(loss, to_ratio, wmax);
+        let mc = monte_carlo_sigma_r(loss, to_ratio, wmax);
         let mc_ms = t0.elapsed().as_secs_f64() * 1e3;
+        if wmax == DmpModel::DEFAULT_WMAX {
+            let cached = calibrate::chain_per_round_throughput(loss, to_ratio);
+            assert_eq!(cached.to_bits(), mc.to_bits(), "p {loss}: memo vs run");
+        }
         let rel = (mc - exact.sigma_r) / exact.sigma_r;
         println!(
             "p {loss} T_O {to_ratio} wmax {wmax}: {} states, {} nnz; enumerate \
@@ -132,7 +154,11 @@ fn monte_carlo_calibration_reproduces_recorded_bits() {
         ((0.02, 4.0, 4), 0x4005_f58a_1f82_c2f8),      // 2.74489235513499
     ];
     for ((loss, to_ratio, wmax), bits) in recorded {
-        let mc = calibrate::chain_per_round_throughput(loss, to_ratio, wmax);
+        let mc = if wmax == DmpModel::DEFAULT_WMAX {
+            calibrate::chain_per_round_throughput(loss, to_ratio)
+        } else {
+            monte_carlo_sigma_r(loss, to_ratio, wmax)
+        };
         assert_eq!(
             mc.to_bits(),
             bits,

@@ -17,7 +17,7 @@
 use dmp_core::spec::PathSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use tcp_model::search::evaluate_tau_with;
+use tcp_model::search::{evaluate_tau_with, MU_BRACKET};
 use tcp_model::{
     pftk, static_streaming_late_fraction, DmpModel, DmpSsa, LateFracEstimate, MuCellSpec,
     PlannerOptions, PlannerScheme, SearchOptions, TauSearchSpec,
@@ -112,7 +112,7 @@ fn reference_mu_cell(cell: &MuCellSpec) -> Option<f64> {
         }
     };
     let sigma = cell.sigma_a();
-    let (mut lo, mut hi) = (opts.bracket.0 * sigma, opts.bracket.1 * sigma);
+    let (mut lo, mut hi) = (MU_BRACKET.0 * sigma, MU_BRACKET.1 * sigma);
     if f_of_mu(lo) >= opts.search.threshold {
         return None;
     }
@@ -279,7 +279,6 @@ fn searches_and_planner_cells_match_the_full_budget_loop() {
         let opts = PlannerOptions {
             search,
             mu_rel_resolution: 2e-2,
-            ..PlannerOptions::default()
         };
         for scheme in [
             PlannerScheme::Dmp,

@@ -27,18 +27,17 @@ fn required_tau(paths: Vec<PathSpec>, mu: f64) -> Option<f64> {
 
 fn main() {
     let (p, to) = (0.02, 4.0);
-    let wmax = DmpModel::DEFAULT_WMAX;
 
     // A single path dialled to σ/µ = 2 — the single-path rule of thumb of
     // Wang et al. 2004 — for a 25 pkt/s (300 kbps) video.
     let mu = 25.0;
-    let rtt_single = calibrate::rtt_for_ratio(p, to, wmax, 1, mu, 2.0);
+    let rtt_single = calibrate::rtt_for_ratio(p, to, 1, mu, 2.0);
     let single = PathSpec {
         loss: p,
         rtt_s: rtt_single,
         to_ratio: to,
     };
-    let sigma_single = calibrate::chain_throughput_pps(&single, wmax);
+    let sigma_single = calibrate::chain_throughput_pps(&single);
     println!(
         "single path: σ = {:.1} pkt/s at p = {p}, R = {:.0} ms (σ/µ = 2.0)",
         sigma_single,
@@ -78,7 +77,7 @@ fn main() {
 
     // The reason: multipath needs σa/µ ≈ 1.6, single path ≈ 2. Show the
     // margin at the multipath rule.
-    let mu_at_1_6 = calibrate::mu_for_ratio(p, rtt_single, to, wmax, 2, 1.6);
+    let mu_at_1_6 = calibrate::mu_for_ratio(p, rtt_single, to, 2, 1.6);
     println!(
         "\nat σa/µ = 1.6 the same two paths even support µ = {:.1} pkt/s (> 2×{mu}):",
         mu_at_1_6

@@ -26,7 +26,7 @@
 //! // One path: 2% loss, 150 ms RTT, timeout ratio 4.
 //! let path = PathSpec::from_ms(0.02, 150.0, 4.0);
 //! // Achievable TCP throughput of the model's chain on that path:
-//! let sigma = tcp_model::calibrate::chain_throughput_pps(&path, DmpModel::DEFAULT_WMAX);
+//! let sigma = tcp_model::calibrate::chain_throughput_pps(&path);
 //!
 //! // A video at σa/µ = 1.6 over TWO such paths (the paper's rule)…
 //! let mu = 2.0 * sigma / 1.6;

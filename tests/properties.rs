@@ -70,30 +70,27 @@ fn reorder_buffer_is_a_sorting_network() {
     }
 }
 
-/// The static split conserves packets and respects weights within one
-/// packet of the ideal split.
+/// The static split over `k` = 1…4 paths conserves packets and gives every
+/// path its even share within one packet.
 #[test]
 fn splitter_conserves_and_balances() {
     for case in 0..CASES {
         let mut rng = case_rng("splitter", case);
-        let w1 = 1 + rng.next_u32() % 19;
-        let w2 = 1 + rng.next_u32() % 19;
+        let k = 1 + (case % 4) as usize;
         let n = 1 + rng.next_u64() % 1999;
-        let weights = [f64::from(w1), f64::from(w2)];
-        let mut s = Scheme::new(SchedulerKind::Static, PullStrategy::RoundRobin, &weights, n);
-        let to_path0 = (0..n)
-            .filter(|&i| s.on_generated(pkt(i), &()).1 == 0)
-            .count();
-        let ideal0 = n as f64 * f64::from(w1) / f64::from(w1 + w2);
+        let mut s = Scheme::new(SchedulerKind::Static, PullStrategy::RoundRobin, k, n);
+        let mut to_path = vec![0usize; k];
+        (0..n).for_each(|i| to_path[s.on_generated(pkt(i), &()).1] += 1);
+        let ideal = n as f64 / k as f64;
         assert!(
-            (to_path0 as f64 - ideal0).abs() <= 1.0 + 1e-9,
-            "case {case}"
+            to_path.iter().all(|&c| (c as f64 - ideal).abs() <= 1.0),
+            "case {case}: {to_path:?}"
         );
         // Pulling everything returns each packet exactly once.
-        let got: Vec<usize> = (0..2)
-            .map(|k| std::iter::from_fn(|| s.take(k, 0)).count())
+        let got: Vec<usize> = (0..k)
+            .map(|p| std::iter::from_fn(|| s.take(p, 0)).count())
             .collect();
-        assert_eq!(got, [to_path0, n as usize - to_path0], "case {case}");
+        assert_eq!(got, to_path, "case {case}");
     }
 }
 
@@ -211,22 +208,23 @@ impl Harness {
 /// never served by another path.
 #[test]
 fn scheme_conformance() {
+    // Each scheduler with the most paths a case may draw.
     let schedulers = [
-        (SchedulerKind::Dynamic, 3),
-        (SchedulerKind::Static, 3),
+        (SchedulerKind::Dynamic, 4),
+        (SchedulerKind::Static, 4),
         (SchedulerKind::SinglePath, 1),
     ];
     // The property must not hold vacuously: the runs drop and duplicate.
     let (mut drops, mut duplicates) = (0, 0);
-    for (scheduler, k) in schedulers {
+    for (scheduler, max_k) in schedulers {
         for strategy in PullStrategy::all() {
             for case in 0..CASES / 4 {
                 let name = format!("{scheduler:?} × {strategy:?}, case {case}");
                 let mut rng = case_rng(&format!("{scheduler:?}{strategy:?}"), case);
-                let weights: Vec<f64> = (0..k).map(|_| rng.gen_range(0.5f64..4.0)).collect();
+                let k = usize_in(&mut rng, 1, max_k + 1);
                 let shared = scheduler != SchedulerKind::Static;
                 let mut h = Harness {
-                    scheme: Scheme::new(scheduler, strategy, &weights, 0),
+                    scheme: Scheme::new(scheduler, strategy, k, 0),
                     strategy,
                     paths: FakePaths {
                         space: vec![0; k],

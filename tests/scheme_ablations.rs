@@ -121,7 +121,7 @@ fn three_paths_carry_what_two_cannot() {
     let run_k = |k: usize| {
         let mut sim = Sim::new(17);
         let cfgs: Vec<_> = (0..k).map(|_| dmp_sim::config(2)).collect();
-        let topo = build_independent(&mut sim, &cfgs, video_tcp(1500, 32));
+        let topo = build_independent(&mut sim, &cfgs, video_tcp(1500, 32), false, &[]);
         attach_background(&mut sim, &topo, &cfgs, 17);
         // 75 pkt/s = 900 kbps: more than two config-2 paths comfortably carry.
         let video = VideoSpec::new(75.0);
@@ -129,14 +129,8 @@ fn three_paths_carry_what_two_cannot() {
         let trace = shared_trace(video, end);
         let flows: Vec<_> = topo.paths.iter().map(|p| p.video_flow).collect();
         let packets = (200.0 * video.rate_pps) as u64;
-        let equal = vec![1.0; k];
         sim.add_app(Box::new(VideoServer::new(
-            Scheme::new(
-                SchedulerKind::Dynamic,
-                PullStrategy::RoundRobin,
-                &equal,
-                packets,
-            ),
+            Scheme::new(SchedulerKind::Dynamic, PullStrategy::RoundRobin, k, packets),
             flows.clone(),
             video,
             trace.clone(),

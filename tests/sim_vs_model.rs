@@ -5,13 +5,19 @@
 //! comparisons that the model claims (DMP ≥ static, multipath helps).
 
 use dmp_core::spec::{PathSpec, SchedulerKind};
-use dmp_sim::{run_batch, setting, ExperimentSpec};
+use dmp_runner::{Cache, Runner};
+use dmp_sim::{batch_jobs, setting, BatchOutput, ExperimentSpec, RunSummary};
 use tcp_model::DmpModel;
 
-fn batch(name: &str, scheduler: SchedulerKind, taus: &[f64]) -> dmp_sim::BatchOutput {
+/// Four replications of `name` under `scheduler`, through the runner and
+/// the reduce every target uses.
+fn batch(name: &str, scheduler: SchedulerKind, taus: &[f64]) -> BatchOutput {
     let mut spec = ExperimentSpec::new(*setting(name).unwrap(), scheduler, 600.0, 41);
     spec.warmup_s = 15.0;
-    run_batch(&spec, 4, taus)
+    let runner = Runner::new(2, Cache::disabled()).with_progress(false);
+    let cells = runner.run_all(batch_jobs(&spec, 4, taus));
+    let summaries: Vec<RunSummary> = cells.iter().map(|c| c.unwrap().clone()).collect();
+    BatchOutput::from_summaries(taus, &summaries)
 }
 
 #[test]
