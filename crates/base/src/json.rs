@@ -6,13 +6,20 @@
 //! order (callers control it), `f64` uses Rust's shortest-roundtrip `Display`,
 //! and non-finite floats render as `null` (JSON has no NaN/Inf).
 //!
+//! Writing is what a warm replay repeats for every cached result, so it
+//! copies as little as it can: an object [`Key`] borrows a literal key
+//! instead of allocating it, and [`escape_into`] writes a string with
+//! nothing to escape in one piece.
+//!
 //! Reading has one grammar, in one scanner: [`Tape::parse`] writes a
 //! document into a flat, borrowed [`Tape`] in one pass, and [`parse`] builds
 //! the owned [`Json`] tree from that tape. Decoders read either through
 //! [`JsonRead`], which `&Json` and the tape's [`Value`] both implement; a
 //! cache hit decodes straight from the tape and never builds a tree.
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
+use std::ops::Deref;
 
 /// A JSON document. Objects preserve insertion order (no sorting, no maps) so
 /// that rendering is deterministic and mirrors construction order.
@@ -29,7 +36,66 @@ pub enum Json {
     /// Array.
     Arr(Vec<Json>),
     /// Object as ordered key/value pairs.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Key, Json)>),
+}
+
+/// An object key. A literal key is borrowed, so building an object from
+/// literals allocates no key; a key read from a document or made at run
+/// time (a metric name, a label) is owned. It reads as a `str`.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Key(Cow<'static, str>);
+
+impl Key {
+    /// The key's text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for Key {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&'static str> for Key {
+    fn from(key: &'static str) -> Key {
+        Key(Cow::Borrowed(key))
+    }
+}
+
+impl From<String> for Key {
+    fn from(key: String) -> Key {
+        Key(Cow::Owned(key))
+    }
+}
+
+impl fmt::Display for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+/// The quoted text, as a `String` key was written, so that a `Json`'s
+/// `Debug` reads as before.
+impl fmt::Debug for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl PartialEq<str> for Key {
+    fn eq(&self, other: &str) -> bool {
+        *self.0 == *other
+    }
+}
+
+impl PartialEq<Key> for str {
+    fn eq(&self, other: &Key) -> bool {
+        *self == *other.0
+    }
 }
 
 impl Json {
@@ -37,7 +103,7 @@ impl Json {
     pub fn obj<I, K>(pairs: I) -> Json
     where
         I: IntoIterator<Item = (K, Json)>,
-        K: Into<String>,
+        K: Into<Key>,
     {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
@@ -218,12 +284,19 @@ fn push_spaces(mut n: usize, out: &mut String) {
 }
 
 /// Append `s` as a JSON string literal, the bytes [`Json::render`] writes
-/// for `Json::Str(s)`. Runs between escapes are copied whole, so a string
-/// with nothing to escape is one copy. Every escaped byte is ASCII, which
-/// makes each cut a char boundary.
+/// for `Json::Str(s)`. A string with no byte to escape (every key and almost
+/// every value) is found by one pass and copied in one piece; otherwise the
+/// runs between escapes are copied whole. Every escaped byte
+/// is ASCII, which makes each cut a char boundary. Non-ASCII and 0x7f go out
+/// as they are.
 pub fn escape_into(s: &str, out: &mut String) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
+    if !needs_escape(s.as_bytes()) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
         let escape = match b {
@@ -245,6 +318,17 @@ pub fn escape_into(s: &str, out: &mut String) {
     }
     out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Whether any byte of `bytes` is one [`escape_into`] escapes: a control
+/// byte (`< 0x20`), `"` or `\`. An `or` over every byte, with no branch per
+/// byte: on a payload's short keys it beat both the escaping loop and an
+/// early-exit scan.
+#[inline]
+fn needs_escape(bytes: &[u8]) -> bool {
+    bytes.iter().fold(false, |any, &b| {
+        any | (b < 0x20) | (b == b'"') | (b == b'\\')
+    })
 }
 
 /// Deepest array/object nesting [`Tape::parse`] accepts. The scanner
@@ -337,7 +421,7 @@ impl<'a> JsonRead<'a> for &'a Json {
 
 /// The pairs of a tree object, keys as `&str`.
 #[derive(Debug, Clone)]
-pub struct TreePairs<'a>(std::slice::Iter<'a, (String, Json)>);
+pub struct TreePairs<'a>(std::slice::Iter<'a, (Key, Json)>);
 
 impl<'a> Iterator for TreePairs<'a> {
     type Item = (&'a str, &'a Json);
@@ -432,7 +516,7 @@ impl<'a> Tape<'a> {
                     .map(|_| {
                         let key = self.text(*next).unwrap_or_default().to_owned();
                         *next += 1;
-                        (key, self.tree(next))
+                        (Key::from(key), self.tree(next))
                     })
                     .collect(),
             ),

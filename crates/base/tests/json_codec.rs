@@ -1,11 +1,12 @@
 //! The JSON codec's contracts: render/parse round-trip on seeded random
 //! documents, digit-for-digit agreement with `Display for f64` (every
-//! committed artifact and cache digest depends on it), parsing in linear
-//! time, and a nesting limit instead of a stack overflow.
+//! committed artifact and cache digest depends on it), byte-for-byte
+//! agreement of both renderings with a plain reference renderer, parsing in
+//! linear time, and a nesting limit instead of a stack overflow.
 
 mod common;
 
-use common::{document, number, Rng, FRAGMENTS, NUMBERS};
+use common::{document, number, string, Rng, FRAGMENTS, NUMBERS};
 use dmp_base::json::{self, Json, MAX_DEPTH};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -31,13 +32,93 @@ fn reference_render(doc: &Json, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&Json::Str(key.clone()).render());
+                out.push_str(&Json::Str(key.to_string()).render());
                 out.push(':');
                 reference_render(value, out);
             }
             out.push('}');
         }
         scalar => out.push_str(&scalar.render()),
+    }
+}
+
+/// The renderer written plainly: every string escaped byte by byte, every
+/// number through `Display for f64`, both layouts. `render` and
+/// `render_pretty` must write exactly its bytes.
+mod plain {
+    use dmp_base::json::Json;
+    use std::fmt::Write as _;
+
+    pub fn render(doc: &Json, indent: Option<usize>) -> String {
+        let mut out = String::new();
+        value(doc, indent, 0, &mut out);
+        if indent.is_some() {
+            out.push('\n');
+        }
+        out
+    }
+
+    fn value(doc: &Json, indent: Option<usize>, depth: usize, out: &mut String) {
+        match doc {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => write!(out, "{b}").unwrap(),
+            Json::Num(v) if v.is_finite() => write!(out, "{v}").unwrap(),
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => string(s, out),
+            Json::Arr(items) => {
+                let items: Vec<_> = items.iter().map(|v| (None, v)).collect();
+                seq(&items, ('[', ']'), indent, depth, out);
+            }
+            Json::Obj(pairs) => {
+                let pairs: Vec<_> = pairs.iter().map(|(k, v)| (Some(k.as_str()), v)).collect();
+                seq(&pairs, ('{', '}'), indent, depth, out);
+            }
+        }
+    }
+
+    fn seq(
+        items: &[(Option<&str>, &Json)],
+        (open, close): (char, char),
+        indent: Option<usize>,
+        depth: usize,
+        out: &mut String,
+    ) {
+        out.push(open);
+        for (i, (key, item)) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            if let Some(step) = indent {
+                out.push('\n');
+                out.push_str(&" ".repeat(step * (depth + 1)));
+            }
+            if let Some(key) = key {
+                string(key, out);
+                out.push_str(if indent.is_some() { ": " } else { ":" });
+            }
+            value(item, indent, depth + 1, out);
+        }
+        if let (Some(step), false) = (indent, items.is_empty()) {
+            out.push('\n');
+            out.push_str(&" ".repeat(step * depth));
+        }
+        out.push(close);
+    }
+
+    fn string(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\0'..='\u{1f}' => write!(out, "\\u{:04x}", u32::from(c)).unwrap(),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
     }
 }
 
@@ -97,6 +178,98 @@ fn whole_numbers_render_as_display_does() {
     for _ in 0..20_000 {
         check(number(&mut rng));
     }
+}
+
+/// Numbers at the edges of both number paths, and those JSON cannot hold.
+const EDGE_NUMBERS: [f64; 15] = [
+    0.0,
+    -0.0,
+    5e-324,
+    -2.225_073_858_507_201e-308,
+    9_007_199_254_740_991.0,
+    9_007_199_254_740_992.0,
+    9_007_199_254_740_994.0,
+    -9_007_199_254_740_993.0,
+    1e15,
+    1e17,
+    1e21,
+    1e22,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// A string that needs no escape, or one byte of a single escape class (or
+/// 0x20, 0x7f, a non-ASCII letter) at any place of a clean run long enough
+/// to span several of the scan's blocks.
+fn clean_or_one_escape(rng: &mut Rng) -> String {
+    let mut s: String = "abcdefghijklmnopqrstuvwxyz0123456789-._"
+        .chars()
+        .take(rng.below(48) as usize)
+        .collect();
+    if rng.below(3) > 0 {
+        let class = rng.below(0x25) as u8;
+        let c = match class {
+            0..=0x1f => char::from(class),
+            0x20 => ' ',
+            0x21 => '"',
+            0x22 => '\\',
+            0x23 => '\u{7f}',
+            _ => 'τ',
+        };
+        let at = rng.below(s.len() as u64 + 1) as usize;
+        s.insert(at, c);
+    }
+    s
+}
+
+/// A tree whose keys and strings are drawn from both generators and whose
+/// numbers include [`EDGE_NUMBERS`].
+fn edge_tree(rng: &mut Rng, depth: usize) -> Json {
+    let text = |rng: &mut Rng| {
+        if rng.below(2) == 0 {
+            string(rng)
+        } else {
+            clean_or_one_escape(rng)
+        }
+    };
+    let leaf = depth == 0 || rng.below(3) == 0;
+    match rng.below(if leaf { 5 } else { 7 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.below(2) == 0),
+        2 => Json::Num(number(rng)),
+        3 => Json::Num(rng.pick(&EDGE_NUMBERS)),
+        4 => Json::Str(text(rng)),
+        5 => Json::arr((0..rng.below(5)).map(|_| edge_tree(rng, depth - 1))),
+        _ => Json::obj((0..rng.below(5)).map(|_| (text(rng), edge_tree(rng, depth - 1)))),
+    }
+}
+
+/// Both renderings of seeded random trees are the plain renderer's bytes.
+/// Letting the one-copy path take a string that holds 0x1f (`< 0x1f` in
+/// `needs_escape`) turns it red, as does any other escape class dropped.
+#[test]
+fn both_renderings_match_the_plain_renderer_byte_for_byte() {
+    let check = |doc: &Json| {
+        assert_eq!(doc.render(), plain::render(doc, None));
+        assert_eq!(doc.render_pretty(), plain::render(doc, Some(2)));
+    };
+    for seed in 1..=4u64 {
+        let mut rng = Rng(seed.wrapping_mul(0xd1b5_4a32_d192_ed03));
+        for _ in 0..500 {
+            check(&edge_tree(&mut rng, 6));
+        }
+    }
+    for b in 0..=0x7fu8 {
+        let s = char::from(b).to_string();
+        check(&Json::obj([(s.clone(), Json::Str(s))]));
+    }
+    for v in EDGE_NUMBERS {
+        check(&Json::Num(v));
+    }
+    check(&Json::arr([]));
+    check(&Json::obj::<_, String>([]));
+    check(&json::parse(RUN_SUMMARY.trim_end()).expect("fixture parses"));
 }
 
 /// A real `RunSummary` payload (Setting 2-2, seed 2008) as the parent

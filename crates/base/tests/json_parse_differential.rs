@@ -202,7 +202,7 @@ mod reference {
                 self.eat(b':')?;
                 self.skip_ws();
                 let value = self.value()?;
-                pairs.push((key, value));
+                pairs.push((key.into(), value));
                 self.skip_ws();
                 match self.peek()? {
                     b',' => self.pos += 1,

@@ -84,7 +84,7 @@ fn leaves(doc: &Json) -> Vec<(String, &Json)> {
             Json::Obj(pairs) => {
                 for (k, v) in pairs.iter().filter(|(k, _)| k != "buckets") {
                     let p = if path.is_empty() {
-                        k.clone()
+                        k.to_string()
                     } else {
                         format!("{path}.{k}")
                     };

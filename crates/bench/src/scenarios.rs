@@ -15,7 +15,9 @@
 use dmp_core::resilience::WINDOW_S;
 use dmp_core::{ResilienceSpec, SchedulerKind, VideoSpec};
 use dmp_runner::{JobSpec, Json, JsonCodec, Runner};
-use dmp_sim::{scenario_batch_jobs, setting, ExperimentSpec, ScenarioSummary, Setting, TraceSpec};
+use dmp_sim::{
+    config, scenario_batch_jobs, setting, ExperimentSpec, ScenarioSummary, Setting, TraceSpec,
+};
 use scenario::{Event, Scenario};
 
 use crate::report::{frac, tau, Leaf, RenderError, Table};
@@ -38,7 +40,7 @@ const SCHEDULERS: [SchedulerKind; 3] = [
 pub(crate) fn failover_setting() -> Setting {
     Setting {
         name: "fail-2-2",
-        configs: [2, 2],
+        configs: [*config(2); 2],
         video: VideoSpec {
             rate_pps: 25.0,
             packet_bytes: 1500,

@@ -9,7 +9,8 @@
 //! 1. keys are pairwise distinct across the families;
 //! 2. perturbing any field of a family's input moves its key (one
 //!    perturbation per field, counted off the input's pretty `Debug`, so a
-//!    field added without one fails here);
+//!    field added without one fails here), down to each field of a
+//!    setting's Table 1 configurations and of their HTTP sessions;
 //! 3. a `TraceSpec`'s label and directory do not move it;
 //! 4. the same input under another payload type gets another key: the late
 //!    cell and `ext_stored` share their input, so (1) covers it.
@@ -26,7 +27,10 @@ use dmp_fleet::{FleetSpec, ShardOutput};
 use dmp_live::LiveExperiment;
 use dmp_runner::JobSpec;
 use dmp_sim::probe::saturation_jobs;
-use dmp_sim::{batch_jobs, scenario_batch_jobs, setting, ExperimentSpec, TraceSpec};
+use dmp_sim::{
+    batch_jobs, scenario_batch_jobs, setting, BottleneckConfig, ExperimentSpec, TraceSpec,
+};
+use netsim::apps::HttpParams;
 use netsim::tcp::TcpFlavor;
 use scenario::{FleetTimeline, Scenario};
 use tcp_model::{
@@ -83,6 +87,24 @@ const SPEC_FIELDS: [fn(&mut ExperimentSpec); 12] = [
     |s| s.scenario = Scenario::named("noop"),
     |s| s.trace = Some(TraceSpec::new("t", "d")),
     |s| s.seed += 1,
+];
+
+const BOTTLENECK_FIELDS: [fn(&mut BottleneckConfig); 8] = [
+    |c| c.id += 1,
+    |c| c.ftp_flows += 1,
+    |c| c.http_flows += 1,
+    |c| c.delay_ms += 1.0,
+    |c| c.bandwidth_mbps += 1.0,
+    |c| c.buffer_pkts += 1,
+    |c| c.bg_wnd += 1,
+    |c| c.http.mean_think_s += 1.0,
+];
+
+const HTTP_FIELDS: [fn(&mut HttpParams); 4] = [
+    |h| h.mean_page_pkts += 1.0,
+    |h| h.pareto_shape += 0.1,
+    |h| h.max_page_pkts += 1,
+    |h| h.mean_think_s += 1.0,
 ];
 
 const FLEET_FIELDS: [fn(&mut FleetSpec); 19] = [
@@ -193,6 +215,20 @@ fn every_job_family_keys_every_field_of_its_input_and_nothing_else() {
     every_field_moves(&spec, &SPEC_FIELDS, |s| scn(s, &taus, res));
     every_field_moves(&spec, &SPEC_FIELDS, sat);
     every_field_moves(&spec, &SPEC_FIELDS, |s| fig1(s, 4.0));
+    // A setting carries its Table 1 configurations, and each of them its
+    // HTTP sessions, by value: on either path, each field is in the key.
+    for k in 0..2 {
+        let on_path = |c: BottleneckConfig| {
+            let mut s = spec.clone();
+            s.setting.configs[k] = c;
+            batch(s, &taus)
+        };
+        let config = spec.setting.configs[k];
+        every_field_moves(&config, &BOTTLENECK_FIELDS, on_path);
+        every_field_moves(&config.http, &HTTP_FIELDS, |http| {
+            on_path(BottleneckConfig { http, ..config })
+        });
+    }
     let res_fields: [fn(&mut ResilienceSpec); 2] =
         [|r| r.tau_s += 1.0, |r| r.fail_at_s = Some(1.0)];
     every_field_moves(&res, &res_fields, |r| scn(spec.clone(), &taus, r));

@@ -83,7 +83,7 @@ impl ArtifactWriter {
         stats: &RunnerStats,
         threads: usize,
         wall: Duration,
-        extra: Vec<(&str, Json)>,
+        extra: Vec<(&'static str, Json)>,
     ) -> io::Result<PathBuf> {
         std::fs::create_dir_all(&self.dir)?;
         let path = self.dir.join(format!("{name}.meta.json"));

@@ -7,30 +7,32 @@
 //! change of the *code*: bump [`CODE_SALT`] whenever a cached computation's
 //! output changes for the same input; it is the one invalidation point, and
 //! `DMP_NO_CACHE=1` re-measures without touching it. Entries live
-//! one-per-file, two lines each: a header `{"v":2,"salt":…,"key":…,"crc":…}`,
-//! then the payload's compact render. `crc` digests the payload bytes as
-//! stored, so a lookup writes the header `store` would have written above
-//! those bytes under this salt and key, and compares it with the first line
-//! byte for byte — the header is never parsed —, then scans only the
-//! payload, into a [`json::Tape`] that borrows the file's text, and decodes
-//! from that: a hit is one read, one digest pass, one scan into one node
-//! array, and no `Json` tree ([`Cache::load`], which returns the tree, builds
-//! it from the same tape). Any mismatch, truncation, parse or decode failure
-//! is a *miss*, never an error — a corrupt or stale cache can only cost
-//! time.
+//! one-per-file, two lines each: a header `{"v":3,"salt":…,"key":…,"crc":…}`,
+//! then the payload's compact render. `crc` is [`word_digest`] of the
+//! payload bytes as stored, which reads them eight at a time, so a lookup
+//! writes the header `store` would have written above those bytes under this
+//! salt and key, and compares it with the first line byte for byte — the
+//! header is never parsed —, then scans only the payload, into a
+//! [`json::Tape`] that borrows the file's text, and decodes from that: a hit
+//! is one read, one word-wise digest pass, one scan into one node array, and
+//! no `Json` tree ([`Cache::load`], which returns the tree, builds it from
+//! the same tape). Any mismatch, truncation, parse or decode failure, or an
+//! entry of another format version, is a *miss*, never an error — a corrupt
+//! or stale cache can only cost time.
 //!
 //! Layout: `<dir>/<key[0..2]>/<key>.json` (fan-out keeps directories small).
 //! Writes are atomic (`.tmp` + rename) so an interrupted sweep never leaves
 //! a truncated entry that later reads would trust.
 
-use crate::hash::{hex_digest, StableHasher};
+use crate::hash::{word_digest, StableHasher};
 use crate::json::{self, Json, Tape, Value};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Entry format version; bump when the on-disk layout changes (entries of
-/// any other version are misses and get overwritten).
-const FORMAT_VERSION: f64 = 2.0;
+/// any other version are misses and get overwritten). Format 3 digests the
+/// payload a word at a time.
+const FORMAT_VERSION: f64 = 3.0;
 
 /// Code-version salt: bump it whenever a cached computation's output
 /// changes for the same input (the input itself is in the key).
@@ -149,7 +151,7 @@ impl Cache {
     /// must carry exactly these bytes. Written field by field, it is the
     /// render of `{"v":…,"salt":…,"key":…,"crc":…}` as a [`Json`] object.
     fn header(&self, key: &str, payload: &str) -> String {
-        let crc = hex_digest(payload.as_bytes());
+        let crc = word_digest(payload.as_bytes());
         let mut line = String::with_capacity(40 + self.salt.len() + key.len() + crc.len());
         line.push_str("{\"v\":");
         json::render_num(FORMAT_VERSION, &mut line);
@@ -250,7 +252,7 @@ mod tests {
                         ("v", Json::Num(FORMAT_VERSION)),
                         ("salt", Json::Str(salt.clone())),
                         ("key", Json::Str(key.clone())),
-                        ("crc", Json::Str(hex_digest(payload.as_bytes()))),
+                        ("crc", Json::Str(word_digest(payload.as_bytes()))),
                     ])
                     .render();
                     assert_eq!(cache.header(&key, payload), rendered, "{salt:?} {key:?}");

@@ -2,7 +2,7 @@
 //! `Cache::load` answers with the stored payload or with a miss, never with
 //! a panic, an abort or another payload.
 
-use dmp_runner::hash::hex_digest;
+use dmp_runner::hash::{hex_digest, word_digest};
 use dmp_runner::test_util::TempDir;
 use dmp_runner::{Cache, Json};
 use std::path::PathBuf;
@@ -77,7 +77,7 @@ fn v1_envelope_is_a_miss_and_the_next_store_replaces_it() {
     cache.store(&key, &payload());
     assert_eq!(cache.load(&key), Some(payload()));
     let stored = std::fs::read_to_string(&path).unwrap();
-    assert!(stored.starts_with("{\"v\":2,"), "{stored}");
+    assert!(stored.starts_with("{\"v\":3,"), "{stored}");
     assert_eq!(stored.lines().count(), 2);
 }
 
@@ -92,22 +92,30 @@ fn header_fields_are_each_checked() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, format!("{header}\n{body}")).unwrap();
     };
-    let crc = hex_digest(body.as_bytes());
+    let crc = word_digest(body.as_bytes());
     let other_key = cache.key("spec{duration=301}", 7);
 
-    write("2", SALT, &key, &crc, &body);
+    write("3", SALT, &key, &crc, &body);
     assert_eq!(cache.load(&key), Some(payload()), "hand-written entry hits");
     for (what, v, salt, k, c, b) in [
-        ("version", "3", SALT, &key, &crc, &body),
-        ("salt", "2", "other", &key, &crc, &body),
-        ("key", "2", SALT, &other_key, &crc, &body),
-        ("checksum", "2", SALT, &key, &hex_digest(b"else"), &body),
+        ("version", "2", SALT, &key, &crc, &body),
+        ("salt", "3", "other", &key, &crc, &body),
+        ("key", "3", SALT, &other_key, &crc, &body),
+        ("checksum", "3", SALT, &key, &word_digest(b"else"), &body),
         (
-            "payload",
-            "2",
+            "format 2's checksum",
+            "3",
             SALT,
             &key,
-            &hex_digest(b"{\"mean\":"),
+            &hex_digest(body.as_bytes()),
+            &body,
+        ),
+        (
+            "payload",
+            "3",
+            SALT,
+            &key,
+            &word_digest(b"{\"mean\":"),
             &"{\"mean\":".to_string(),
         ),
     ] {
@@ -127,9 +135,9 @@ fn deeply_nested_entries_are_misses_on_a_small_stack() {
             for hostile in ["[".repeat(1 << 20), "{\"a\":".repeat(1 << 18)] {
                 // As the whole file, as the header line, and as a payload
                 // whose header verifies, so that `load` goes on to parse it.
-                let crc = hex_digest(hostile.as_bytes());
+                let crc = word_digest(hostile.as_bytes());
                 let header =
-                    format!("{{\"v\":2,\"salt\":\"{SALT}\",\"key\":\"{key}\",\"crc\":\"{crc}\"}}");
+                    format!("{{\"v\":3,\"salt\":\"{SALT}\",\"key\":\"{key}\",\"crc\":\"{crc}\"}}");
                 for text in [
                     hostile.clone(),
                     format!("{hostile}\n{hostile}"),

@@ -1,6 +1,7 @@
 //! The paper's simulation configurations (Section 5, Tables 1–3).
 
 use dmp_core::spec::VideoSpec;
+use netsim::apps::HttpParams;
 
 /// One bottleneck-link configuration from Table 1 of the paper.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,7 +22,23 @@ pub struct BottleneckConfig {
     /// specify it; these values are calibrated so the measured loss rates and
     /// RTTs land in the band Table 2 reports (see DESIGN.md).
     pub bg_wnd: u32,
+    /// Page sizes and think times of the HTTP sessions. Table 1 does not
+    /// specify them either; every configuration uses [`WEB_SESSIONS`].
+    pub http: HttpParams,
 }
+
+/// The HTTP sessions of every Table 1 configuration: classic web-workload
+/// numbers (ns-2 webtraf era), ~10 KB mean pages with a heavy tail and think
+/// times of a few seconds. Each session then offers ~1-2 pkt/s — tens of
+/// sessions add up to a bursty but secondary load next to the FTP flows,
+/// which is what Table 2's measured loss rates (2–5%) imply. Being a field
+/// of every configuration, it is in every simulation's cache key.
+pub const WEB_SESSIONS: HttpParams = HttpParams {
+    mean_page_pkts: 8.0,
+    pareto_shape: 1.3,
+    max_page_pkts: 200,
+    mean_think_s: 4.0,
+};
 
 /// Table 1: the four bottleneck configurations.
 pub const TABLE1: [BottleneckConfig; 4] = [
@@ -33,6 +50,7 @@ pub const TABLE1: [BottleneckConfig; 4] = [
         bandwidth_mbps: 3.7,
         buffer_pkts: 50,
         bg_wnd: 20,
+        http: WEB_SESSIONS,
     },
     BottleneckConfig {
         id: 2,
@@ -42,6 +60,7 @@ pub const TABLE1: [BottleneckConfig; 4] = [
         bandwidth_mbps: 3.7,
         buffer_pkts: 50,
         bg_wnd: 20,
+        http: WEB_SESSIONS,
     },
     BottleneckConfig {
         id: 3,
@@ -51,6 +70,7 @@ pub const TABLE1: [BottleneckConfig; 4] = [
         bandwidth_mbps: 5.0,
         buffer_pkts: 50,
         bg_wnd: 20,
+        http: WEB_SESSIONS,
     },
     BottleneckConfig {
         id: 4,
@@ -60,6 +80,7 @@ pub const TABLE1: [BottleneckConfig; 4] = [
         bandwidth_mbps: 5.0,
         buffer_pkts: 30,
         bg_wnd: 20,
+        http: WEB_SESSIONS,
     },
 ];
 
@@ -68,14 +89,20 @@ pub fn config(id: u8) -> &'static BottleneckConfig {
     &TABLE1[(id - 1) as usize]
 }
 
+/// [`config`] by value, for the settings below.
+const fn table1(id: u8) -> BottleneckConfig {
+    TABLE1[(id - 1) as usize]
+}
+
 /// One validation setting: the bottleneck configuration used by each path
 /// and the video played over them (Section 5.2's "Setting i-j").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Setting {
     /// Human name, e.g. "2-2" or "1-3" (or "corr-2" for correlated paths).
     pub name: &'static str,
-    /// Table 1 configuration id per path.
-    pub configs: [u8; 2],
+    /// Table 1 configuration per path, by value, so that every field of it
+    /// is in the cache key of an experiment on this setting.
+    pub configs: [BottleneckConfig; 2],
     /// Video spec (paper: µ of 30–80 pkt/s, 1500-byte packets).
     pub video: VideoSpec,
     /// Whether both flows share one bottleneck (Fig. 6) instead of using
@@ -94,25 +121,25 @@ const fn vid(mu: u32) -> VideoSpec {
 pub const HOMOGENEOUS: [Setting; 4] = [
     Setting {
         name: "1-1",
-        configs: [1, 1],
+        configs: [table1(1), table1(1)],
         video: vid(50),
         correlated: false,
     },
     Setting {
         name: "2-2",
-        configs: [2, 2],
+        configs: [table1(2), table1(2)],
         video: vid(50),
         correlated: false,
     },
     Setting {
         name: "3-3",
-        configs: [3, 3],
+        configs: [table1(3), table1(3)],
         video: vid(30),
         correlated: false,
     },
     Setting {
         name: "4-4",
-        configs: [4, 4],
+        configs: [table1(4), table1(4)],
         video: vid(80),
         correlated: false,
     },
@@ -122,25 +149,25 @@ pub const HOMOGENEOUS: [Setting; 4] = [
 pub const HETEROGENEOUS: [Setting; 4] = [
     Setting {
         name: "1-2",
-        configs: [1, 2],
+        configs: [table1(1), table1(2)],
         video: vid(50),
         correlated: false,
     },
     Setting {
         name: "1-3",
-        configs: [1, 3],
+        configs: [table1(1), table1(3)],
         video: vid(40),
         correlated: false,
     },
     Setting {
         name: "2-3",
-        configs: [2, 3],
+        configs: [table1(2), table1(3)],
         video: vid(40),
         correlated: false,
     },
     Setting {
         name: "3-4",
-        configs: [3, 4],
+        configs: [table1(3), table1(4)],
         video: vid(60),
         correlated: false,
     },
@@ -150,25 +177,25 @@ pub const HETEROGENEOUS: [Setting; 4] = [
 pub const CORRELATED: [Setting; 4] = [
     Setting {
         name: "corr-1",
-        configs: [1, 1],
+        configs: [table1(1), table1(1)],
         video: vid(50),
         correlated: true,
     },
     Setting {
         name: "corr-2",
-        configs: [2, 2],
+        configs: [table1(2), table1(2)],
         video: vid(50),
         correlated: true,
     },
     Setting {
         name: "corr-3",
-        configs: [3, 3],
+        configs: [table1(3), table1(3)],
         video: vid(30),
         correlated: true,
     },
     Setting {
         name: "corr-4",
-        configs: [4, 4],
+        configs: [table1(4), table1(4)],
         video: vid(80),
         correlated: true,
     },

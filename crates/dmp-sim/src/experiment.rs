@@ -18,7 +18,7 @@ use netsim::{secs, FlowId, LinkId, Sim, SimTracer};
 use obs::{Recorder, TraceConfig, TraceFileRef};
 use scenario::{PathBinding, Scenario, ScenarioDriver};
 
-use crate::configs::{config, Setting};
+use crate::configs::Setting;
 use crate::topology::{
     attach_background, build_correlated, build_independent, video_tcp, Topology,
 };
@@ -287,9 +287,9 @@ pub fn build(spec: &ExperimentSpec) -> BuiltExperiment {
     video_cfg.cc = spec.cc;
 
     let cfgs: Vec<_> = if setting.correlated {
-        vec![config(setting.configs[0])]
+        vec![&setting.configs[0]]
     } else {
-        (0..k).map(|i| config(setting.configs[i])).collect()
+        setting.configs[..k].iter().collect()
     };
     let topo: Topology = if setting.correlated {
         // Correlated paths share one bottleneck: provision the union of all

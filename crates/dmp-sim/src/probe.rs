@@ -21,7 +21,6 @@
 
 use dmp_runner::{JobSpec, Json, JsonCodec, JsonRead};
 
-use crate::configs::config;
 use crate::experiment::{run, ExperimentSpec};
 
 /// How far above the aggregate bottleneck capacity the probe's video rate
@@ -35,7 +34,7 @@ pub fn capacity_pps(setting: &crate::configs::Setting) -> f64 {
     setting
         .configs
         .iter()
-        .map(|&id| config(id).bandwidth_mbps * 1e6 / (8.0 * f64::from(setting.video.packet_bytes)))
+        .map(|cfg| cfg.bandwidth_mbps * 1e6 / (8.0 * f64::from(setting.video.packet_bytes)))
         .sum()
 }
 

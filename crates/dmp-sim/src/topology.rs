@@ -229,7 +229,7 @@ pub fn build_correlated(
 /// every path of a topology. `cfgs[k]` must be the configuration used to
 /// build path `k` (for correlated topologies pass one entry).
 pub fn attach_background(sim: &mut Sim, topo: &Topology, cfgs: &[&BottleneckConfig], seed: u64) {
-    use netsim::apps::{Ftp, HttpParams, HttpSession};
+    use netsim::apps::{Ftp, HttpSession};
     use rand::Rng;
     use rand::SeedableRng;
     // Stagger times are derived from the run seed: every replication gets a
@@ -251,11 +251,7 @@ pub fn attach_background(sim: &mut Sim, topo: &Topology, cfgs: &[&BottleneckConf
         }
         for _ in 0..cfg.http_flows {
             let start = netsim::secs(rng.gen_range(0.0..10.0));
-            sim.add_app(Box::new(HttpSession::new(
-                flow,
-                HttpParams::default(),
-                start,
-            )));
+            sim.add_app(Box::new(HttpSession::new(flow, cfg.http, start)));
             flow += 1;
         }
     }

@@ -38,8 +38,9 @@ impl App for Ftp {
     }
 }
 
-/// Parameters of an HTTP session.
-#[derive(Debug, Clone, Copy)]
+/// Parameters of an HTTP session. The simulations' values are part of each
+/// bottleneck's configuration (`dmp_sim::configs::WEB_SESSIONS`).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HttpParams {
     /// Mean page size, in segments. Pages are Pareto-distributed.
     pub mean_page_pkts: f64,
@@ -50,22 +51,6 @@ pub struct HttpParams {
     pub max_page_pkts: u64,
     /// Mean think time between downloads, seconds (exponential).
     pub mean_think_s: f64,
-}
-
-impl Default for HttpParams {
-    fn default() -> Self {
-        // Classic web-workload numbers (ns-2 webtraf era): ~10 KB mean pages
-        // with a heavy tail, think times of a few seconds. Each session then
-        // offers ~1-2 pkt/s — tens of sessions add up to a bursty but
-        // secondary load next to the FTP flows, which is what Table 2's
-        // measured loss rates (2–5%) imply.
-        Self {
-            mean_page_pkts: 8.0,
-            pareto_shape: 1.3,
-            max_page_pkts: 200,
-            mean_think_s: 4.0,
-        }
-    }
 }
 
 /// An on/off web session over one persistent flow: download a page (with the
@@ -121,12 +106,20 @@ impl App for HttpSession {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::link::LinkSpec;
     use crate::sim::Sim;
     use crate::tcp::{SinkConfig, TcpConfig};
     use crate::time::SECOND;
+
+    /// The Table 1 configurations' sessions.
+    pub(crate) const WEB: HttpParams = HttpParams {
+        mean_page_pkts: 8.0,
+        pareto_shape: 1.3,
+        max_page_pkts: 200,
+        mean_think_s: 4.0,
+    };
 
     fn duplex_pair(sim: &mut Sim, bw: f64, delay: f64, q: usize) -> (u32, u32) {
         let a = sim.add_node("a");
@@ -157,7 +150,7 @@ mod tests {
         let params = HttpParams {
             mean_page_pkts: 10.0,
             mean_think_s: 0.2,
-            ..HttpParams::default()
+            ..WEB
         };
         sim.add_app(Box::new(HttpSession::new(flow, params, 0)));
         sim.run_until(60 * SECOND);
@@ -172,16 +165,13 @@ mod tests {
 
     #[test]
     fn pareto_pages_have_requested_mean() {
-        let sess = HttpSession::new(0, HttpParams::default(), 0);
+        let sess = HttpSession::new(0, WEB, 0);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(9);
         let n = 200_000;
         let sum: u64 = (0..n).map(|_| sess.sample_page(&mut rng)).sum();
         let mean = sum as f64 / n as f64;
         // Ceil + cap bias the mean a little; accept ±20%.
-        assert!(
-            (mean - HttpParams::default().mean_page_pkts).abs() < 4.0,
-            "mean page {mean}"
-        );
+        assert!((mean - WEB.mean_page_pkts).abs() < 4.0, "mean page {mean}");
         use rand::SeedableRng;
     }
 
@@ -190,7 +180,7 @@ mod tests {
         use rand::SeedableRng;
         let params = HttpParams {
             mean_think_s: 2.0,
-            ..HttpParams::default()
+            ..WEB
         };
         let sess = HttpSession::new(0, params, 0);
         let mut rng = rand::rngs::SmallRng::seed_from_u64(11);

@@ -994,7 +994,7 @@ impl SimApi<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::{Ftp, HttpParams, HttpSession};
+    use crate::apps::{Ftp, HttpSession};
     use crate::time::{millis, secs, SECOND};
 
     /// Two hosts, one duplex link. An FTP transfers data; check delivery and
@@ -1213,7 +1213,7 @@ mod tests {
                 Box::new(Ftp::new(flow, i * SECOND / 10))
             } else {
                 let start = (i - 9) * SECOND / 20;
-                Box::new(HttpSession::new(flow, HttpParams::default(), start))
+                Box::new(HttpSession::new(flow, crate::apps::tests::WEB, start))
             };
             sim.add_app(app);
         }
