@@ -3,9 +3,9 @@
 /// Summary statistics of one per-session metric across the fleet.
 ///
 /// This is the repo's **single** percentile implementation: every layer
-/// that reports a p50/p90/p99 — fleet reports, trace post-processing in
-/// `obs::report`, metric-snapshot rendering — funnels through either
-/// [`Distribution::from_values`] (exact order statistics) or
+/// that reports a p50/p90/p99 — fleet reports, the queue-depth table of
+/// `dmp-bench`'s trace report, metric-snapshot rendering — funnels through
+/// either [`Distribution::from_values`] (exact order statistics) or
 /// [`Distribution::from_histogram`] (bucket reconstruction).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Distribution {

@@ -238,41 +238,19 @@ pub fn execute(
     let text = json::parse(&report.data.render_pretty())
         .ok_or_else(|| RenderError("not JSON".into()))
         .and_then(|doc| (target.render)(&doc));
+    let per_s = |count: u64| {
+        let serial_s = stats.serial_equiv.as_secs_f64();
+        Json::Num(if serial_s > 0.0 {
+            count as f64 / serial_s
+        } else {
+            0.0
+        })
+    };
     let mut engine_meta = report.meta;
     engine_meta.extend([
-        ("engine_events", Json::Num(engine.events_processed as f64)),
-        (
-            "engine_events_per_s",
-            Json::Num(if stats.serial_equiv.as_secs_f64() > 0.0 {
-                engine.events_processed as f64 / stats.serial_equiv.as_secs_f64()
-            } else {
-                0.0
-            }),
-        ),
-        ("engine_transits", Json::Num(engine.transits as f64)),
-        (
-            "engine_transits_per_s",
-            Json::Num(if stats.serial_equiv.as_secs_f64() > 0.0 {
-                engine.transits as f64 / stats.serial_equiv.as_secs_f64()
-            } else {
-                0.0
-            }),
-        ),
-        (
-            "engine_stale_timer_pops",
-            Json::Num(engine.stale_timer_pops as f64),
-        ),
-        (
-            "engine_deferred_timer_pushes",
-            Json::Num(engine.deferred_timer_pushes as f64),
-        ),
-        ("engine_wheel_hwm", Json::Num(engine.wheel_hwm as f64)),
-        ("engine_far_hwm", Json::Num(engine.far_hwm as f64)),
-        ("engine_ring_hwm", Json::Num(engine.ring_hwm as f64)),
-        (
-            "engine_random_loss_drops",
-            Json::Num(engine.random_loss_drops as f64),
-        ),
+        ("engine", dmp_fleet::telemetry_json(&engine)),
+        ("engine_events_per_s", per_s(engine.events_processed)),
+        ("engine_transits_per_s", per_s(engine.transits)),
     ]);
     #[cfg(feature = "profile")]
     engine_meta.push(("engine_profile", profile_meta()));
@@ -332,7 +310,7 @@ pub fn artifact_files(path: &Path) -> std::io::Result<Vec<PathBuf>> {
 /// metrics snapshot, any other as the registered target its stem names.
 pub fn render_artifact(path: &Path, text: &str) -> Result<String, RenderError> {
     if path.extension() == Some("jsonl".as_ref()) {
-        let trace = obs::Trace::parse(text).map_err(RenderError)?;
+        let trace = crate::trace_report::Trace::parse(text).map_err(RenderError)?;
         return crate::trace_report::render_report(&trace);
     }
     let doc = json::parse(text).ok_or_else(|| RenderError("not JSON".into()))?;

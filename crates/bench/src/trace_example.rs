@@ -11,12 +11,10 @@
 
 use std::path::{Path, PathBuf};
 
+use crate::scenarios;
+use crate::trace_report::{render_report, Trace};
 use dmp_core::spec::SchedulerKind;
 use dmp_sim::experiment::{ExperimentSpec, RunOutput, TraceSpec};
-use obs::Trace;
-
-use crate::scenarios;
-use crate::trace_report::render_report;
 
 /// Label (and file stem) of the committed example trace.
 pub const LABEL: &str = "ext_failover_quick_run0";

@@ -1,9 +1,10 @@
 //! The flight-recorder report `dmp-bench render` prints for a `.jsonl`
-//! trace (see the [`obs`] crate): cwnd-evolution and per-path throughput
-//! timelines, queue-depth percentiles, the [`dmp_core::resilience`] summary,
-//! and a per-glitch "why" report that correlates each playback stall with
-//! the scripted path events and TCP recovery activity (RTO expirations,
-//! fast-recovery transitions) in the surrounding window.
+//! trace (see the [`obs`] crate): the trace read back into its events,
+//! cwnd-evolution and per-path throughput timelines, queue-depth
+//! percentiles, the [`dmp_core::resilience`] summary, and a per-glitch "why"
+//! report that correlates each playback stall with the scripted path events
+//! and TCP recovery activity (RTO expirations, fast-recovery transitions) in
+//! the surrounding window.
 //!
 //! A trace is outside input, so nothing here allocates by a value read from
 //! it: a trace whose `gen` events do not advance, or whose timeline would
@@ -11,8 +12,8 @@
 
 use dmp_core::resilience::{glitches, ResilienceReport, ResilienceSpec, WINDOW_S};
 use dmp_core::trace::DeliveryRecord;
-use obs::report::PacketTimes;
-use obs::{EventKind, Trace, TraceEvent};
+use dmp_core::Distribution;
+use obs::{EventKind, TraceEvent};
 
 use crate::report::{RenderError, Table};
 use crate::scenarios::TAU_S;
@@ -24,6 +25,181 @@ const BUCKET_S: f64 = 5.0;
 /// on a congested static split) lists its first glitches and counts the
 /// rest.
 const MAX_GLITCH_ROWS: usize = 30;
+
+/// A parsed trace.
+#[derive(Debug, Clone)]
+pub struct Trace {
+    /// Events in file order (which is emission order).
+    pub events: Vec<TraceEvent>,
+}
+
+impl Trace {
+    /// Parse JSONL text. Unknown or malformed lines are skipped (forward
+    /// compatibility); returns an error only if *nothing* parsed from a
+    /// non-empty input, which indicates the wrong file.
+    pub fn parse(text: &str) -> Result<Trace, String> {
+        let mut events = Vec::new();
+        let mut lines = 0usize;
+        for line in text.lines() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            lines += 1;
+            if let Some(ev) = TraceEvent::parse_line(line) {
+                events.push(ev);
+            }
+        }
+        if events.is_empty() && lines > 0 {
+            return Err(format!("no trace events in {lines} non-empty lines"));
+        }
+        Ok(Trace { events })
+    }
+
+    /// Timestamp of the last event, in seconds.
+    fn duration_s(&self) -> f64 {
+        self.events.iter().map(|e| e.t).max().unwrap_or(0) as f64 / 1e9
+    }
+
+    /// The distinct values `pick` reads off the events, ascending.
+    fn distinct<T: Ord>(&self, pick: impl Fn(&EventKind) -> Option<T>) -> Vec<T> {
+        let mut values: Vec<T> = self.events.iter().filter_map(|e| pick(&e.kind)).collect();
+        values.sort_unstable();
+        values.dedup();
+        values
+    }
+
+    /// Pull-strategy name from the header events, if the trace recorded one.
+    fn strategy(&self) -> Option<String> {
+        self.events.iter().find_map(|e| match &e.kind {
+            EventKind::Strategy { name } => Some(name.clone()),
+            _ => None,
+        })
+    }
+
+    /// Cwnd evolution of one connection: `(t_s, cwnd, ssthresh)` per change.
+    fn cwnd_series(&self, conn: u32) -> Vec<(f64, f64, f64)> {
+        self.events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Cwnd {
+                    conn: c,
+                    cwnd,
+                    ssthresh,
+                } if c == conn => Some((e.t as f64 / 1e9, cwnd, ssthresh)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Per-path delivered-packet counts in fixed time buckets:
+    /// `(path, counts)` with `counts[i]` covering
+    /// `[i*bucket_s, (i+1)*bucket_s)`. Paths sorted ascending; every path
+    /// gets the same number of buckets (covering the full trace). `None`
+    /// when that would be more buckets than the trace has events: one
+    /// timestamp far past the rest must not size the timeline.
+    fn path_throughput(&self, bucket_s: f64) -> Option<Vec<(u32, Vec<u64>)>> {
+        assert!(bucket_s > 0.0, "bucket width must be positive");
+        let last = (self.duration_s() / bucket_s).floor();
+        if last >= self.events.len() as f64 {
+            return None;
+        }
+        let buckets = last as usize + 1;
+        let paths = self.distinct(|k| match k {
+            EventKind::Delivered { path, .. } => Some(*path),
+            _ => None,
+        });
+        let mut out: Vec<(u32, Vec<u64>)> = paths
+            .into_iter()
+            .map(|p| (p, vec![0u64; buckets]))
+            .collect();
+        for e in &self.events {
+            if let EventKind::Delivered { path, .. } = e.kind {
+                let b = ((e.t as f64 / 1e9) / bucket_s) as usize;
+                if let Some((_, counts)) = out.iter_mut().find(|(p, _)| *p == path) {
+                    counts[b.min(buckets - 1)] += 1;
+                }
+            }
+        }
+        Some(out)
+    }
+
+    /// Sample count and depth percentiles of the queue samples `pick`
+    /// selects: the DMP server's pull queue (`srv_q`) or one link's
+    /// (`link_q`).
+    fn queue_stats(&self, pick: impl Fn(&EventKind) -> Option<u32>) -> (usize, Distribution) {
+        let depths: Vec<f64> = self
+            .events
+            .iter()
+            .filter_map(|e| pick(&e.kind).map(f64::from))
+            .collect();
+        (depths.len(), Distribution::from_values(&depths))
+    }
+
+    /// Recovery-relevant events (retransmits, RTO expirations, fast-recovery
+    /// transitions, scripted path events) inside `[t0_s, t1_s]`.
+    fn recovery_events_in(&self, t0_s: f64, t1_s: f64) -> Vec<&TraceEvent> {
+        self.events
+            .iter()
+            .filter(|e| {
+                let t = e.t as f64 / 1e9;
+                t >= t0_s
+                    && t <= t1_s
+                    && matches!(
+                        e.kind,
+                        EventKind::Retransmit { .. }
+                            | EventKind::RtoTimeout { .. }
+                            | EventKind::FastRecovery { .. }
+                            | EventKind::PathEvent { .. }
+                    )
+            })
+            .collect()
+    }
+
+    /// Scripted path events in file order.
+    fn path_events(&self) -> Vec<&TraceEvent> {
+        self.events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::PathEvent { .. }))
+            .collect()
+    }
+
+    /// The video packets' deliveries from the `gen` and `dlv` events,
+    /// ordered by sequence number: one per sequence number a `gen` event
+    /// names (its last generation), with the first `dlv` of it (path 0 until
+    /// one arrives). Deliveries of packets with no recorded generation
+    /// (trace started late) are skipped.
+    fn deliveries(&self) -> Vec<DeliveryRecord> {
+        let mut by_seq: Vec<DeliveryRecord> = self
+            .events
+            .iter()
+            .rev()
+            .filter_map(|e| match e.kind {
+                EventKind::Generated { seq } => Some(DeliveryRecord {
+                    seq,
+                    gen_ns: e.t,
+                    arrival_ns: None,
+                    path: 0,
+                }),
+                _ => None,
+            })
+            .collect();
+        // Stable, so the last `gen` of a repeated sequence number comes first.
+        by_seq.sort_by_key(|p| p.seq);
+        by_seq.dedup_by_key(|p| p.seq);
+        for e in &self.events {
+            if let EventKind::Delivered { path, seq } = e.kind {
+                if let Ok(i) = by_seq.binary_search_by_key(&seq, |p| p.seq) {
+                    let p = &mut by_seq[i];
+                    if p.arrival_ns.is_none() {
+                        p.arrival_ns = Some(e.t);
+                        p.path = path as u8;
+                    }
+                }
+            }
+        }
+        by_seq
+    }
+}
 
 /// The video packet rate µ (pkts/s) of the trace: the sequence numbers the
 /// first and last `gen` events span over the nanoseconds between them. The
@@ -52,17 +228,6 @@ fn packet_rate(trace: &Trace) -> Result<f64, RenderError> {
             "fewer than two `gen` events a time apart: no packet rate".into(),
         )),
     }
-}
-
-fn records(pkts: &[PacketTimes]) -> Vec<DeliveryRecord> {
-    pkts.iter()
-        .map(|p| DeliveryRecord {
-            seq: p.seq,
-            gen_ns: p.gen_ns,
-            arrival_ns: p.arrival_ns,
-            path: p.path.unwrap_or(0) as u8,
-        })
-        .collect()
 }
 
 /// One-line rendering of a recovery-relevant event for the "why" listing.
@@ -113,14 +278,21 @@ pub fn render_report(trace: &Trace) -> Result<String, RenderError> {
         trace.events.len(),
         trace.duration_s()
     ));
-    let algos = trace.cc_algo_map();
+    let algos = trace.distinct(|k| match k {
+        EventKind::CcAlgo { conn, algo } => Some((*conn, algo.clone())),
+        _ => None,
+    });
     let algo_of = |conn: u32| -> &str {
         algos
             .iter()
             .find(|(c, _)| *c == conn)
             .map_or("?", |(_, a)| a.as_str())
     };
-    for (path, conn) in trace.path_conn_map() {
+    let path_conns = trace.distinct(|k| match k {
+        EventKind::PathConn { path, conn } => Some((*path, *conn)),
+        _ => None,
+    });
+    for (path, conn) in path_conns {
         if algos.is_empty() {
             out.push_str(&format!("  path {path} <-> conn {conn}\n"));
         } else {
@@ -150,7 +322,11 @@ pub fn render_report(trace: &Trace) -> Result<String, RenderError> {
             "fastrec entries",
         ],
     );
-    for conn in trace.conns() {
+    let conns = trace.distinct(|k| match k {
+        EventKind::Cwnd { conn, .. } => Some(*conn),
+        _ => None,
+    });
+    for conn in conns {
         let series = trace.cwnd_series(conn);
         for (t, w, ss) in downsample(&series, 8) {
             cwnd.row(vec![
@@ -219,27 +395,33 @@ pub fn render_report(trace: &Trace) -> Result<String, RenderError> {
         "queue occupancy (packets)",
         &["queue", "samples", "p50", "p90", "p99", "max"],
     );
-    let srv = trace.srv_queue_stats();
-    if srv.samples > 0 {
+    let mut queue_row = |name: String, (samples, d): (usize, Distribution)| {
         q.row(vec![
-            "server pull queue".to_string(),
-            srv.samples.to_string(),
-            srv.p50.to_string(),
-            srv.p90.to_string(),
-            srv.p99.to_string(),
-            srv.max.to_string(),
+            name,
+            samples.to_string(),
+            d.p50.to_string(),
+            d.p90.to_string(),
+            d.p99.to_string(),
+            d.max.to_string(),
         ]);
+    };
+    let srv = trace.queue_stats(|k| match k {
+        EventKind::SrvQueue { depth } => Some(*depth),
+        _ => None,
+    });
+    if srv.0 > 0 {
+        queue_row("server pull queue".to_string(), srv);
     }
-    for link in trace.sampled_links() {
-        let s = trace.link_queue_stats(link);
-        q.row(vec![
-            format!("link {link}"),
-            s.samples.to_string(),
-            s.p50.to_string(),
-            s.p90.to_string(),
-            s.p99.to_string(),
-            s.max.to_string(),
-        ]);
+    let links = trace.distinct(|k| match k {
+        EventKind::LinkQueue { link, .. } => Some(*link),
+        _ => None,
+    });
+    for link in links {
+        let stats = trace.queue_stats(|k| match k {
+            EventKind::LinkQueue { link: l, depth } if *l == link => Some(*depth),
+            _ => None,
+        });
+        queue_row(format!("link {link}"), stats);
     }
     out.push('\n');
     out.push_str(&q.render());
@@ -249,11 +431,11 @@ pub fn render_report(trace: &Trace) -> Result<String, RenderError> {
     // way `StreamTrace::stable_records` trims it: a packet generated within
     // τ+5 s of the end may look "never arrived" only because the run ended,
     // and would otherwise fabricate an end-of-trace glitch.
-    let mut pkts = trace.packet_times();
-    let end_ns = pkts.iter().map(|p| p.gen_ns).max().unwrap_or(0);
+    let mut records = trace.deliveries();
+    let end_ns = records.iter().map(|p| p.gen_ns).max().unwrap_or(0);
     let tail_ns = ((TAU_S + 5.0) * 1e9) as u64;
-    pkts.retain(|p| p.gen_ns < end_ns.saturating_sub(tail_ns));
-    if pkts.is_empty() {
+    records.retain(|p| p.gen_ns < end_ns.saturating_sub(tail_ns));
+    if records.is_empty() {
         out.push_str("\nno (stable) gen/dlv events in the trace; skipping the glitch report\n");
         return Ok(out);
     }
@@ -269,7 +451,6 @@ pub fn render_report(trace: &Trace) -> Result<String, RenderError> {
         tau_s: TAU_S,
         fail_at_s,
     };
-    let records = records(&pkts);
     let res = ResilienceReport::from_records(&records, rate_pps, spec);
     out.push_str(&format!(
         "\nresilience @ tau={:.0}s (mu={:.0} pkt/s): {} glitch(es), {:.1} s stalled total, \
@@ -378,6 +559,156 @@ mod tests {
         }
     }
 
+    fn sample_trace() -> Trace {
+        let mut events = vec![
+            ev(0.0, EventKind::PathConn { path: 0, conn: 0 }),
+            ev(0.0, EventKind::PathConn { path: 1, conn: 1 }),
+        ];
+        for i in 0..10u64 {
+            let t = i as f64;
+            events.push(ev(
+                t,
+                EventKind::Cwnd {
+                    conn: 0,
+                    cwnd: 2.0 + i as f64,
+                    ssthresh: 8.0,
+                },
+            ));
+            events.push(ev(t, EventKind::Generated { seq: i }));
+            events.push(ev(
+                t + 0.1,
+                EventKind::Delivered {
+                    path: (i % 2) as u32,
+                    seq: i,
+                },
+            ));
+            events.push(ev(
+                t,
+                EventKind::LinkQueue {
+                    link: 3,
+                    depth: i as u32,
+                },
+            ));
+        }
+        events.push(ev(
+            5.0,
+            EventKind::PathEvent {
+                path: 1,
+                action: PathAction::Down,
+            },
+        ));
+        events.push(ev(
+            5.2,
+            EventKind::RtoTimeout {
+                conn: 1,
+                seq: 3,
+                backoff_exp: 1,
+            },
+        ));
+        Trace { events }
+    }
+
+    #[test]
+    fn parse_round_trips_through_text() {
+        let t = sample_trace();
+        let text: String = t
+            .events
+            .iter()
+            .map(|e| format!("{}\n", e.to_line()))
+            .collect();
+        let back = Trace::parse(&text).unwrap();
+        assert_eq!(back.events, t.events);
+    }
+
+    #[test]
+    fn cwnd_series_filters_by_conn() {
+        let t = sample_trace();
+        let s = t.cwnd_series(0);
+        assert_eq!(s.len(), 10);
+        assert_eq!(s[0], (0.0, 2.0, 8.0));
+        assert!(t.cwnd_series(9).is_empty());
+    }
+
+    #[test]
+    fn throughput_buckets_split_paths() {
+        let t = sample_trace();
+        let th = t.path_throughput(2.0).expect("10 s in 2-s buckets");
+        assert_eq!(th.len(), 2);
+        let total: u64 = th.iter().flat_map(|(_, c)| c.iter()).sum();
+        assert_eq!(total, 10);
+    }
+
+    #[test]
+    fn queue_percentiles_are_order_statistics() {
+        let t = sample_trace();
+        let link = |want: u32| {
+            t.queue_stats(move |k| match k {
+                EventKind::LinkQueue { link, depth } if *link == want => Some(*depth),
+                _ => None,
+            })
+        };
+        let (samples, q) = link(3);
+        assert_eq!(samples, 10);
+        assert_eq!(q.max, 9.0);
+        assert!((q.p50 - 4.5).abs() < 1e-12, "p50 {}", q.p50);
+        assert!((q.p99 - 8.91).abs() < 1e-12, "p99 {}", q.p99);
+        assert_eq!(link(99).0, 0);
+        let links = t.distinct(|k| match k {
+            EventKind::LinkQueue { link, .. } => Some(*link),
+            _ => None,
+        });
+        assert_eq!(links, vec![3]);
+    }
+
+    #[test]
+    fn recovery_window_catches_path_event_and_rto() {
+        let t = sample_trace();
+        let w = t.recovery_events_in(4.5, 5.5);
+        assert_eq!(w.len(), 2);
+        assert!(matches!(w[0].kind, EventKind::PathEvent { path: 1, .. }));
+        assert!(matches!(w[1].kind, EventKind::RtoTimeout { conn: 1, .. }));
+        assert!(t.recovery_events_in(8.0, 9.0).is_empty());
+    }
+
+    #[test]
+    fn deliveries_pair_generation_with_arrival() {
+        let t = sample_trace();
+        let pkts = t.deliveries();
+        assert_eq!(pkts.len(), 10);
+        assert_eq!(
+            pkts[5],
+            DeliveryRecord {
+                seq: 5,
+                gen_ns: 5_000_000_000,
+                arrival_ns: Some(5_100_000_000),
+                path: 1,
+            }
+        );
+    }
+
+    /// A sequence number allocates one packet, not a slot per number below
+    /// it: 2^62 slots overflow `Vec`'s capacity.
+    #[test]
+    fn a_huge_seq_is_one_packet() {
+        let t = Trace::parse(r#"{"t":0,"ev":"gen","seq":4611686018427387904}"#).unwrap();
+        assert_eq!(t.deliveries().len(), 1);
+    }
+
+    #[test]
+    fn a_far_timestamp_is_refused_not_allocated() {
+        let mut t = sample_trace();
+        t.events
+            .push(ev(1e9, EventKind::Delivered { path: 0, seq: 0 }));
+        assert_eq!(t.path_throughput(5.0), None);
+        assert!(sample_trace().path_throughput(5.0).is_some());
+    }
+
+    #[test]
+    fn empty_input_parses_to_empty_trace_but_garbage_errors() {
+        assert!(Trace::parse("").unwrap().events.is_empty());
+        assert!(Trace::parse("junk\nmore junk\n").is_err());
+    }
+
     /// 40 packets at 1 pkt/s; path 0 goes down at t=10 and packets 10..=14
     /// arrive `late_s` late over path 1, the rest arrive at once.
     fn failover_trace(late_s: f64) -> Trace {
@@ -417,7 +748,7 @@ mod tests {
     #[test]
     fn glitches_are_maximal_late_runs() {
         let t = failover_trace(8.0);
-        let g = glitches(&records(&t.packet_times()), 4.0, 1.0);
+        let g = glitches(&t.deliveries(), 4.0, 1.0);
         assert_eq!(g.len(), 1);
         assert!((g[0].0 - 10.0).abs() < 1e-9);
         assert!((g[0].1 - 15.0).abs() < 1e-9, "end {}", g[0].1);

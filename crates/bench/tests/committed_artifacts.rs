@@ -29,6 +29,7 @@ use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
+use dmp_bench::trace_report::Trace;
 use dmp_bench::{repo_path, target};
 use dmp_runner::{json, Json};
 
@@ -259,11 +260,11 @@ fn damaged_artifacts_render_or_refuse() {
     }
     // `Trace::parse` reads each line on its own: deleting a line is
     // deleting its event, and parsing 7 000 copies would take half a minute.
-    let parsed = obs::Trace::parse(&text).expect("example trace");
+    let parsed = Trace::parse(&text).expect("example trace");
     for i in 0..parsed.events.len() {
         let mut events = parsed.events.clone();
         events.remove(i);
-        let render = || dmp_bench::trace_report::render_report(&obs::Trace { events });
+        let render = || dmp_bench::trace_report::render_report(&Trace { events });
         match catch_unwind(AssertUnwindSafe(render)) {
             Ok(_) => rendered += 1,
             Err(_) => panics.push(format!("{}: delete line {i}", trace.display())),

@@ -180,6 +180,16 @@ fn committed_artifacts_reproduce_cold_warm_and_traced() {
     if fleet_meta.get("shards").is_none() {
         failures.push("ext_fleet.meta.json lists no shards".to_string());
     }
+    // The target's engine counters and its shards' absorbed total are one
+    // spelling of the same simulations.
+    let events = |doc: Option<&Json>| doc?.get("events_processed")?.as_u64();
+    let engine = events(fleet_meta.get("engine"));
+    let shards = events(fleet_meta.get("shards").and_then(|s| s.get("total")));
+    if engine.is_none_or(|n| n == 0) || engine != shards {
+        failures.push(format!(
+            "ext_fleet.meta.json: engine events {engine:?}, shard total {shards:?}"
+        ));
+    }
 
     let [jobs, hits, misses, failed] = run(&cache, &warm, &args);
     if (hits, misses, failed) != (jobs, 0, 0) {

@@ -200,7 +200,7 @@ pub fn run_experiment(exp: &LiveExperiment, taus_s: &[f64]) -> io::Result<LiveRu
         }));
         events.sort_by_key(|e| e.t);
         let path = trace.path();
-        let mut rec = obs::Recorder::to_file(obs::TraceConfig::default(), &path)?;
+        let mut rec = obs::Recorder::to_file(&path)?;
         for e in &events {
             rec.emit(e.t, e.kind.clone());
         }
@@ -321,22 +321,32 @@ mod tests {
         assert_eq!(f.label, "live:test:seed3");
         assert_eq!(run.timelines.len(), 2, "one applied timeline per path");
         let text = std::fs::read_to_string(&f.path).unwrap();
-        let trace = obs::Trace::parse(&text).unwrap();
-        assert_eq!(f.events, text.lines().count() as u64);
+        let events: Vec<obs::TraceEvent> = text
+            .lines()
+            .map(|l| obs::TraceEvent::parse_line(l).expect("a trace line"))
+            .collect();
+        assert_eq!(f.events, events.len() as u64);
         // Nominal-time check: 200 packets at a nominal 100 pkt/s span
         // ~2 s; on the 4×-dilated execution clock they'd span ~0.5 s.
-        let span = trace.duration_s();
+        let span = events.iter().map(|e| e.t).max().unwrap() as f64 / 1e9;
         assert!(
             span > 1.5 && span < 8.0,
             "trace span {span} s is not on the nominal clock"
         );
         // The schema mirrors the simulator: header + scheduler + client.
-        assert_eq!(trace.path_conn_map(), vec![(0, 0), (1, 1)]);
+        let path_conns: Vec<(u32, u32)> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                obs::EventKind::PathConn { path, conn } => Some((path, conn)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(path_conns, vec![(0, 0), (1, 1)]);
         assert!(text.contains("\"ev\":\"pull\""));
         assert!(text.contains("\"ev\":\"gen\""));
         assert!(text.contains("\"ev\":\"dlv\""));
         // Events came from concurrent threads but the file is time-sorted.
-        let ts: Vec<u64> = trace.events.iter().map(|e| e.t).collect();
+        let ts: Vec<u64> = events.iter().map(|e| e.t).collect();
         assert!(
             ts.windows(2).all(|w| w[0] <= w[1]),
             "trace must be time-sorted"

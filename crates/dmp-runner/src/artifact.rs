@@ -124,7 +124,7 @@ mod tests {
                 &RunnerStats::default(),
                 4,
                 Duration::from_millis(1500),
-                vec![("engine_events", Json::Num(123.0))],
+                vec![("engine_events_per_s", Json::Num(123.0))],
             )
             .unwrap();
         assert_eq!(data_path, tmp.path().join("fig_test.json"));
@@ -133,7 +133,7 @@ mod tests {
         assert_eq!(read_back, Some(data));
         let meta = crate::json::parse(&std::fs::read_to_string(&meta_path).unwrap()).unwrap();
         assert_eq!(meta.get("threads").unwrap().as_u64(), Some(4));
-        assert_eq!(meta.get("engine_events").unwrap().as_u64(), Some(123));
+        assert_eq!(meta.get("engine_events_per_s").unwrap().as_u64(), Some(123));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use dmp_core::stats::OnlineStats;
 use dmp_core::trace::StreamTrace;
 use dmp_runner::{JobSpec, Json, JsonCodec, JsonRead};
 use netsim::{secs, FlowId, LinkId, Sim, SimTracer};
-use obs::{Recorder, TraceConfig, TraceFileRef};
+use obs::{Recorder, TraceFileRef};
 use scenario::{PathBinding, Scenario, ScenarioDriver};
 
 use crate::configs::Setting;
@@ -227,7 +227,7 @@ impl Recording {
         strategy: PullStrategy,
     ) -> Self {
         let rec = Rc::new(RefCell::new(
-            Recorder::to_file(TraceConfig::default(), path).expect("create trace file"),
+            Recorder::to_file(path).expect("create trace file"),
         ));
         let mut tracer = SimTracer::new(Rc::clone(&rec));
         for link in links {

@@ -33,5 +33,5 @@ pub mod spec;
 
 pub use churn::{shard_plans, SessionPlan};
 pub use run::{run_fleet, FleetOptions, FleetResult};
-pub use shard::{run_shard, ShardOutput};
+pub use shard::{run_shard, telemetry_json, ShardOutput};
 pub use spec::FleetSpec;

@@ -328,8 +328,10 @@ fn outcome_of(
     }
 }
 
-/// One simulation's engine counters, as cached and as the sidecar shows them.
-pub(crate) fn telemetry_json(t: &EngineTelemetry) -> Json {
+/// Engine counters as JSON: as a shard's cached output holds them, and as
+/// the `.meta.json` sidecars show them (a fleet's per-shard breakdown, every
+/// target's `engine` entry).
+pub fn telemetry_json(t: &EngineTelemetry) -> Json {
     Json::obj([
         ("events_processed", Json::Num(t.events_processed as f64)),
         ("transits", Json::Num(t.transits as f64)),

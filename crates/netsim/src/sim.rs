@@ -717,17 +717,17 @@ impl Sim {
     fn flush_sender<M: RecordMode>(&mut self, sender_id: u32) {
         let s = sender_id as usize;
         let (node, flow) = (self.senders[s].node, self.senders[s].flow);
-        // Drain trace marks before routing the outbox: the state transitions
-        // they describe logically precede the packets they caused.
+        // Drain trace events before routing the outbox: the state
+        // transitions they describe logically precede the packets they caused.
         if M::ENABLED {
             if !self.senders[s].marks.is_empty() {
                 match self.tracer.as_mut() {
-                    Some(tr) => tr.drain_marks(flow, &mut self.senders[s].marks),
+                    Some(tr) => tr.drain_marks(&mut self.senders[s].marks),
                     None => self.senders[s].marks.clear(),
                 }
             }
         } else {
-            // Untraced instantiation: no tracer, so no sender takes marks.
+            // Untraced instantiation: no tracer, so no sender takes events.
             debug_assert!(self.senders[s].marks.is_empty());
         }
         let mut pkts = std::mem::take(&mut self.senders[s].outbox);
@@ -943,7 +943,7 @@ impl SimApi<'_> {
     }
 
     /// Record a depth change of the streaming server's shared pull queue
-    /// (decimated per the trace configuration).
+    /// (every [`crate::trace::QUEUE_DECIMATION`]th change is sampled).
     pub fn trace_srv_queue(&mut self, depth: usize) {
         let now = self.sim.now;
         if let Some(tr) = self.sim.tracer.as_mut() {
@@ -1338,7 +1338,7 @@ mod tests {
     #[test]
     fn tracing_is_behaviour_neutral_and_engine_invariant() {
         use crate::trace::SimTracer;
-        use obs::{Recorder, TraceConfig};
+        use obs::Recorder;
         use std::cell::RefCell;
         use std::rc::Rc;
 
@@ -1353,10 +1353,7 @@ mod tests {
             sim.add_route(b, a, r);
             let flow = sim.add_flow(a, b, TcpConfig::default(), SinkConfig::default());
             let rec = traced.then(|| {
-                let rec = Rc::new(RefCell::new(Recorder::in_memory(TraceConfig {
-                    ring_capacity: 64,
-                    queue_decimation: 2,
-                })));
+                let rec = Rc::new(RefCell::new(Recorder::in_memory()));
                 let mut tr = SimTracer::new(Rc::clone(&rec));
                 tr.trace_flow(flow);
                 tr.trace_link(f);

@@ -16,11 +16,11 @@
 use std::collections::VecDeque;
 
 use cc::{AckCtx, Cc, CcAlgo, CcConfig, CcKind};
+use obs::{EventKind, TraceEvent};
 
 use crate::packet::{AppChunk, FlowId, NodeId, Packet};
 use crate::tcp::rtt::RttEstimator;
 use crate::time::{secs, SimTime};
-use crate::trace::TraceMark;
 
 /// Loss-recovery flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -156,12 +156,13 @@ pub struct TcpSender {
     pub metric_sample: Option<(u64, u64)>,
     /// Set once when a sized backlogged transfer is fully acknowledged.
     pub transfer_complete: bool,
-    /// Flight-recorder opt-in: when set, state transitions push
-    /// [`TraceMark`]s that the engine drains on flush. Off by default, so an
+    /// Flight-recorder opt-in: when set, state transitions push trace
+    /// events, stamped with this sender's `flow` as their `conn`, that the
+    /// engine drains into the recorder on flush. Off by default, so an
     /// untraced sender takes one predictable branch per transition.
     pub trace_on: bool,
-    /// Deferred trace notes since the last flush (empty unless `trace_on`).
-    pub marks: Vec<TraceMark>,
+    /// Trace events since the last flush (empty unless `trace_on`).
+    pub marks: Vec<TraceEvent>,
 }
 
 impl TcpSender {
@@ -206,14 +207,22 @@ impl TcpSender {
         }
     }
 
-    /// Note the current cwnd/ssthresh as a trace mark (call after a change).
+    /// Take a trace event for this sender's connection (`trace_on` only).
+    fn mark(&mut self, t: SimTime, kind: EventKind) {
+        self.marks.push(TraceEvent { t, kind });
+    }
+
+    /// Note the current cwnd/ssthresh as a trace event (call after a change).
     fn mark_cwnd(&mut self, t: SimTime) {
         if self.trace_on {
-            self.marks.push(TraceMark::Cwnd {
+            self.mark(
                 t,
-                cwnd: self.cc.cwnd(),
-                ssthresh: self.cc.ssthresh(),
-            });
+                EventKind::Cwnd {
+                    conn: self.flow,
+                    cwnd: self.cc.cwnd(),
+                    ssthresh: self.cc.ssthresh(),
+                },
+            );
         }
     }
 
@@ -445,11 +454,14 @@ impl TcpSender {
                 self.cc.on_partial_ack(newly_acked);
                 self.retransmit_head();
                 if self.trace_on {
-                    self.marks.push(TraceMark::Retransmit {
-                        t: now,
-                        seq: self.snd_una,
-                        fast: true,
-                    });
+                    self.mark(
+                        now,
+                        EventKind::Retransmit {
+                            conn: self.flow,
+                            seq: self.snd_una,
+                            fast: true,
+                        },
+                    );
                 }
                 self.mark_cwnd(now);
                 self.arm_timer(now);
@@ -461,10 +473,13 @@ impl TcpSender {
             self.cc.on_exit_recovery();
             self.in_recovery = false;
             if self.trace_on {
-                self.marks.push(TraceMark::FastRecovery {
-                    t: now,
-                    entered: false,
-                });
+                self.mark(
+                    now,
+                    EventKind::FastRecovery {
+                        conn: self.flow,
+                        entered: false,
+                    },
+                );
             }
             self.mark_cwnd(now);
         } else {
@@ -512,15 +527,21 @@ impl TcpSender {
             self.stats.fast_retransmits += 1;
             self.arm_timer(now);
             if self.trace_on {
-                self.marks.push(TraceMark::Retransmit {
-                    t: now,
-                    seq: self.snd_una,
-                    fast: true,
-                });
-                self.marks.push(TraceMark::FastRecovery {
-                    t: now,
-                    entered: true,
-                });
+                self.mark(
+                    now,
+                    EventKind::Retransmit {
+                        conn: self.flow,
+                        seq: self.snd_una,
+                        fast: true,
+                    },
+                );
+                self.mark(
+                    now,
+                    EventKind::FastRecovery {
+                        conn: self.flow,
+                        entered: true,
+                    },
+                );
             }
             self.mark_cwnd(now);
         }
@@ -541,16 +562,22 @@ impl TcpSender {
         self.retransmit_head();
         self.arm_timer(now);
         if self.trace_on {
-            self.marks.push(TraceMark::Timeout {
-                t: now,
-                seq: self.snd_una,
-                backoff_exp: self.backoff_exp,
-            });
-            self.marks.push(TraceMark::Retransmit {
-                t: now,
-                seq: self.snd_una,
-                fast: false,
-            });
+            self.mark(
+                now,
+                EventKind::RtoTimeout {
+                    conn: self.flow,
+                    seq: self.snd_una,
+                    backoff_exp: self.backoff_exp,
+                },
+            );
+            self.mark(
+                now,
+                EventKind::Retransmit {
+                    conn: self.flow,
+                    seq: self.snd_una,
+                    fast: false,
+                },
+            );
         }
         self.mark_cwnd(now);
         self.check_transfer_complete();
@@ -671,6 +698,63 @@ mod tests {
         let gap2 = s.timer_deadline.unwrap() - (d1 + gap1);
         assert_eq!(gap2, gap1 * 2, "second timeout doubles the RTO");
         assert_eq!(s.stats.timeouts, 2);
+    }
+
+    /// A traced sender's events carry its own flow id as `conn`, in the
+    /// order its transitions happened; an untraced one takes none.
+    #[test]
+    fn a_traced_sender_stamps_its_flow_as_conn() {
+        let run = |trace_on: bool| {
+            let mut s = TcpSender::new(7, 0, 1, TcpConfig::default());
+            s.trace_on = trace_on;
+            s.set_backlogged(None);
+            s.try_send(0);
+            s.on_ack(2, SECOND / 10);
+            s.on_ack(5, 2 * SECOND / 10);
+            for i in 0..3 {
+                s.on_ack(5, 3 * SECOND / 10 + i);
+            }
+            s.on_timeout(SECOND);
+            s.marks
+        };
+        assert!(run(false).is_empty());
+        let marks = run(true);
+        let kinds: Vec<&str> = marks
+            .iter()
+            .map(|m| match m.kind {
+                EventKind::Cwnd { conn: 7, .. } => "cwnd",
+                EventKind::Retransmit {
+                    conn: 7,
+                    fast: true,
+                    ..
+                } => "fast retx",
+                EventKind::Retransmit {
+                    conn: 7,
+                    fast: false,
+                    ..
+                } => "retx",
+                EventKind::FastRecovery {
+                    conn: 7,
+                    entered: true,
+                } => "fastrec",
+                EventKind::RtoTimeout { conn: 7, .. } => "rto",
+                ref other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                "cwnd",
+                "cwnd",
+                "fast retx",
+                "fastrec",
+                "cwnd",
+                "rto",
+                "retx",
+                "cwnd"
+            ]
+        );
+        assert!(marks.windows(2).all(|w| w[0].t <= w[1].t));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use obs::{EventKind, Recorder};
+use obs::{EventKind, Recorder, TraceEvent};
 
 use crate::packet::{FlowId, LinkId};
 use crate::time::SimTime;
@@ -51,46 +51,9 @@ impl RecordMode for Unrecorded {
     const ENABLED: bool = false;
 }
 
-/// A deferred trace note a [`crate::tcp::TcpSender`] takes while handling an
-/// ACK or timeout; the engine drains these into the recorder when it flushes
-/// the sender (the sender itself has no recorder handle).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceMark {
-    /// cwnd or ssthresh changed.
-    Cwnd {
-        /// When.
-        t: SimTime,
-        /// New congestion window, segments.
-        cwnd: f64,
-        /// New slow-start threshold, segments.
-        ssthresh: f64,
-    },
-    /// Fast recovery entered or exited.
-    FastRecovery {
-        /// When.
-        t: SimTime,
-        /// Entered (true) or exited.
-        entered: bool,
-    },
-    /// A segment was retransmitted.
-    Retransmit {
-        /// When.
-        t: SimTime,
-        /// Segment number.
-        seq: u64,
-        /// Triggered by dupacks (true) or by the RTO (false).
-        fast: bool,
-    },
-    /// The retransmission timer expired.
-    Timeout {
-        /// When.
-        t: SimTime,
-        /// Oldest outstanding segment.
-        seq: u64,
-        /// Backoff exponent after this expiry.
-        backoff_exp: u32,
-    },
-}
+/// Queue samples keep every `QUEUE_DECIMATION`th occupancy change per
+/// queue (each traced link, and the DMP server's pull queue).
+pub const QUEUE_DECIMATION: u32 = 32;
 
 /// Per-traced-link decimation state.
 #[derive(Debug, Clone, Copy, Default)]
@@ -104,20 +67,16 @@ struct LinkGate {
 /// and decimation state.
 pub struct SimTracer {
     rec: Rc<RefCell<Recorder>>,
-    decimation: u32,
     links: Vec<LinkGate>,
     flows: Vec<bool>,
     srv_pending: u32,
 }
 
 impl SimTracer {
-    /// Tracer feeding `rec`; queue decimation comes from the recorder's
-    /// config.
+    /// Tracer feeding `rec`.
     pub fn new(rec: Rc<RefCell<Recorder>>) -> Self {
-        let decimation = rec.borrow().config().queue_decimation.max(1);
         Self {
             rec,
-            decimation,
             links: Vec::new(),
             flows: Vec::new(),
             srv_pending: 0,
@@ -156,7 +115,7 @@ impl SimTracer {
     }
 
     /// Record one occupancy change of `link` (depth after the change);
-    /// emits every Nth change per the decimation setting.
+    /// emits every [`QUEUE_DECIMATION`]th change.
     pub(crate) fn link_queue_changed(&mut self, t: SimTime, link: LinkId, depth: usize) {
         let Some(gate) = self.links.get_mut(link as usize) else {
             return;
@@ -165,7 +124,7 @@ impl SimTracer {
             return;
         }
         gate.pending += 1;
-        if gate.pending >= self.decimation {
+        if gate.pending >= QUEUE_DECIMATION {
             gate.pending = 0;
             self.rec.borrow_mut().emit(
                 t,
@@ -181,7 +140,7 @@ impl SimTracer {
     /// decimated like link queues.
     pub fn srv_queue_changed(&mut self, t: SimTime, depth: usize) {
         self.srv_pending += 1;
-        if self.srv_pending >= self.decimation {
+        if self.srv_pending >= QUEUE_DECIMATION {
             self.srv_pending = 0;
             self.rec.borrow_mut().emit(
                 t,
@@ -198,38 +157,11 @@ impl SimTracer {
         self.rec.borrow_mut().emit(t, kind);
     }
 
-    /// Drain a sender's deferred marks for connection `conn`.
-    pub(crate) fn drain_marks(&mut self, conn: u32, marks: &mut Vec<TraceMark>) {
+    /// Drain the events a traced sender took since its last flush.
+    pub(crate) fn drain_marks(&mut self, marks: &mut Vec<TraceEvent>) {
         let mut rec = self.rec.borrow_mut();
-        for m in marks.drain(..) {
-            match m {
-                TraceMark::Cwnd { t, cwnd, ssthresh } => rec.emit(
-                    t,
-                    EventKind::Cwnd {
-                        conn,
-                        cwnd,
-                        ssthresh,
-                    },
-                ),
-                TraceMark::FastRecovery { t, entered } => {
-                    rec.emit(t, EventKind::FastRecovery { conn, entered })
-                }
-                TraceMark::Retransmit { t, seq, fast } => {
-                    rec.emit(t, EventKind::Retransmit { conn, seq, fast })
-                }
-                TraceMark::Timeout {
-                    t,
-                    seq,
-                    backoff_exp,
-                } => rec.emit(
-                    t,
-                    EventKind::RtoTimeout {
-                        conn,
-                        seq,
-                        backoff_exp,
-                    },
-                ),
-            }
+        for TraceEvent { t, kind } in marks.drain(..) {
+            rec.emit(t, kind);
         }
     }
 }
@@ -237,13 +169,9 @@ impl SimTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::TraceConfig;
 
-    fn tracer(decimation: u32) -> (SimTracer, Rc<RefCell<Recorder>>) {
-        let rec = Rc::new(RefCell::new(Recorder::in_memory(TraceConfig {
-            ring_capacity: 8,
-            queue_decimation: decimation,
-        })));
+    fn tracer() -> (SimTracer, Rc<RefCell<Recorder>>) {
+        let rec = Rc::new(RefCell::new(Recorder::in_memory()));
         (SimTracer::new(Rc::clone(&rec)), rec)
     }
 
@@ -257,10 +185,12 @@ mod tests {
 
     #[test]
     fn untraced_entities_emit_nothing() {
-        let (mut tr, rec) = tracer(1);
+        let (mut tr, rec) = tracer();
         tr.trace_link(2);
         tr.trace_flow(5);
-        tr.link_queue_changed(1, 0, 9); // link 0 untraced
+        for depth in 1..=2 * QUEUE_DECIMATION as usize {
+            tr.link_queue_changed(depth as u64, 0, depth); // link 0 untraced
+        }
         assert!(!tr.flow_traced(0));
         assert!(tr.flow_traced(5));
         assert!(tr.link_traced(2));
@@ -270,35 +200,67 @@ mod tests {
 
     #[test]
     fn decimation_keeps_every_nth_change() {
-        let (mut tr, rec) = tracer(4);
+        let (mut tr, rec) = tracer();
         tr.trace_link(0);
-        for depth in 1..=10usize {
-            tr.link_queue_changed(depth as u64, 0, depth);
+        let n = QUEUE_DECIMATION;
+        // Two and a half periods of changes on a traced link and on the
+        // server queue: each keeps its `n`th and `2n`th change.
+        for change in 1..=2 * n + n / 2 {
+            tr.link_queue_changed(u64::from(change), 0, change as usize);
+            tr.srv_queue_changed(u64::from(change), 1000 + change as usize);
         }
         drop(tr);
-        let text = finish(rec);
-        let depths: Vec<&str> = text.lines().collect();
-        assert_eq!(depths.len(), 2, "10 changes / decimation 4 → 2 samples");
-        assert!(depths[0].contains("\"depth\":4"));
-        assert!(depths[1].contains("\"depth\":8"));
+        let samples: Vec<TraceEvent> = finish(rec)
+            .lines()
+            .map(|l| TraceEvent::parse_line(l).unwrap())
+            .collect();
+        let expected: Vec<TraceEvent> = [n, 2 * n]
+            .into_iter()
+            .flat_map(|change| {
+                let t = u64::from(change);
+                [
+                    TraceEvent {
+                        t,
+                        kind: EventKind::LinkQueue {
+                            link: 0,
+                            depth: change,
+                        },
+                    },
+                    TraceEvent {
+                        t,
+                        kind: EventKind::SrvQueue {
+                            depth: 1000 + change,
+                        },
+                    },
+                ]
+            })
+            .collect();
+        assert_eq!(samples, expected);
     }
 
     #[test]
     fn marks_drain_in_order_with_conn_id() {
-        let (mut tr, rec) = tracer(1);
+        let (mut tr, rec) = tracer();
         let mut marks = vec![
-            TraceMark::Timeout {
+            TraceEvent {
                 t: 5,
-                seq: 7,
-                backoff_exp: 2,
+                kind: EventKind::RtoTimeout {
+                    conn: 3,
+                    seq: 7,
+                    backoff_exp: 2,
+                },
             },
-            TraceMark::Cwnd {
+            TraceEvent {
                 t: 5,
-                cwnd: 1.0,
-                ssthresh: 4.0,
+                kind: EventKind::Cwnd {
+                    conn: 3,
+                    cwnd: 1.0,
+                    ssthresh: 4.0,
+                },
             },
         ];
-        tr.drain_marks(3, &mut marks);
+        let expected = marks.clone();
+        tr.drain_marks(&mut marks);
         assert!(marks.is_empty());
         drop(tr);
         let text = finish(rec);
@@ -306,5 +268,10 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"ev\":\"rto\"") && lines[0].contains("\"conn\":3"));
         assert!(lines[1].contains("\"ev\":\"cwnd\"") && lines[1].contains("\"conn\":3"));
+        let back: Vec<TraceEvent> = lines
+            .iter()
+            .map(|l| TraceEvent::parse_line(l).unwrap())
+            .collect();
+        assert_eq!(back, expected);
     }
 }

@@ -5,10 +5,10 @@
 //! one structured event stream with a shared schema: per-connection TCP state
 //! transitions, queue-occupancy samples, per-path pull/stripe decisions, and
 //! scripted path events. Events are timestamped in simulation time (or
-//! nominal time for live runs, so the two are directly comparable) and sink
-//! into a bounded in-memory ring that spills to JSONL — one file per run.
+//! nominal time for live runs, so the two are directly comparable) and each
+//! is written as one JSONL line the moment it is emitted — one file per run.
 //!
-//! Three invariants make the recorder safe to leave wired into the hot path:
+//! Two invariants make the recorder safe to leave wired into the hot path:
 //!
 //! * **zero-cost when off** — producers check a flag before constructing any
 //!   event; a disabled run executes the exact same instruction stream and
@@ -16,19 +16,13 @@
 //!   tracing, so deterministic artifacts are byte-identical either way;
 //! * **deterministic when on** — emission is a pure function of simulation
 //!   state, so a trace file is byte-identical across runner thread counts
-//!   (each run writes its own file);
-//! * **bounded memory** — the ring holds a fixed number of events and spills
-//!   to its sink when full, so multi-minute traces never accumulate in RAM.
-//!
-//! The [`report`] module parses traces back and computes paper-style
-//! diagnostics (cwnd evolution, per-path throughput timelines, queue-depth
-//! percentiles); `dmp-bench render` prints a trace's report with the
-//! per-glitch "why" built on top.
+//!   (each run writes its own file).
 //!
 //! A run is traced when its input carries a [`TraceSpec`] (label and
 //! directory), and it hands back a [`TraceFileRef`] (label, path, events)
 //! in its result; the harness lists those in the `.meta.json` sidecars.
-//! Nothing here is process-global.
+//! Nothing here is process-global. Traces are read back by their one
+//! reader, `dmp-bench render` (its `trace_report` module).
 //!
 //! The [`metrics`] module is the complementary **always-on** layer: cheap
 //! mergeable counters/gauges/histograms that every run records regardless of
@@ -40,12 +34,10 @@
 pub mod event;
 pub mod metrics;
 pub mod recorder;
-pub mod report;
 
 pub use event::{EventKind, PathAction, TraceEvent};
 pub use metrics::{record_frame_metrics, Histogram, MetricsSnapshot};
-pub use recorder::{Recorder, TraceConfig, TraceFileRef, TraceSpec};
-pub use report::Trace;
+pub use recorder::{Recorder, TraceFileRef, TraceSpec};
 
 /// Sanitise a run label into a file stem: every character outside
 /// `[A-Za-z0-9._-]` becomes `_`. Labels like `scn:failover:Dmp:run0` map to

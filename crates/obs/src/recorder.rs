@@ -1,6 +1,6 @@
-//! The bounded-ring recorder: events accumulate in memory and spill to a
-//! JSONL sink whenever the ring fills, so tracing a long run costs a fixed
-//! amount of RAM regardless of duration.
+//! The recorder: each event is written as one JSONL line into a buffered
+//! sink the moment it is emitted, so tracing a long run holds no more than
+//! the sink's buffer in memory, regardless of duration.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -8,29 +8,8 @@ use std::path::{Path, PathBuf};
 
 use crate::event::{EventKind, TraceEvent};
 
-/// Recorder tuning knobs. These are *semantic* settings: they change which
-/// events a trace contains (decimation) but never how the traced system
-/// behaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Events buffered before a spill to the sink.
-    pub ring_capacity: usize,
-    /// Emit every Nth occupancy change per queue (1 = every change).
-    pub queue_decimation: u32,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        Self {
-            ring_capacity: 4096,
-            queue_decimation: 32,
-        }
-    }
-}
-
-/// Where one run's trace goes: the file `<dir>/<sanitised label>.jsonl`,
-/// recorded with [`TraceConfig::default`]. A run is traced exactly when it
-/// is given one.
+/// Where one run's trace goes: the file `<dir>/<sanitised label>.jsonl`.
+/// A run is traced exactly when it is given one.
 ///
 /// `Debug` prints no field: a job input's `Debug` is its cache key, and the
 /// label and directory name a file, not a run.
@@ -80,10 +59,8 @@ enum Sink {
     Mem(Vec<u8>),
 }
 
-/// A flight recorder for one run: ring buffer plus spill sink.
+/// A flight recorder for one run: a JSONL sink and its event count.
 pub struct Recorder {
-    cfg: TraceConfig,
-    ring: Vec<TraceEvent>,
     sink: Sink,
     events: u64,
 }
@@ -97,62 +74,42 @@ pub struct RecorderOutput {
 }
 
 impl Recorder {
-    /// Recorder spilling to a new JSONL file at `path` (parent directories
+    /// Recorder writing to a new JSONL file at `path` (parent directories
     /// are created; an existing file is truncated).
-    pub fn to_file(cfg: TraceConfig, path: impl AsRef<Path>) -> io::Result<Self> {
+    pub fn to_file(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref();
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let w = BufWriter::new(File::create(path)?);
         Ok(Self {
-            ring: Vec::with_capacity(cfg.ring_capacity.max(1)),
-            cfg,
-            sink: Sink::File(w),
+            sink: Sink::File(BufWriter::new(File::create(path)?)),
             events: 0,
         })
     }
 
-    /// Recorder spilling to an in-memory buffer (tests, live loopback runs).
-    pub fn in_memory(cfg: TraceConfig) -> Self {
+    /// Recorder writing to an in-memory buffer (tests).
+    pub fn in_memory() -> Self {
         Self {
-            ring: Vec::with_capacity(cfg.ring_capacity.max(1)),
-            cfg,
             sink: Sink::Mem(Vec::new()),
             events: 0,
         }
     }
 
-    /// The configuration this recorder was built with.
-    pub fn config(&self) -> TraceConfig {
-        self.cfg
-    }
-
-    /// Record one event. Spills the ring when it reaches capacity; I/O
-    /// errors at spill time panic (a half-written trace is worse than a
-    /// failed run, and the paths involved are developer-controlled).
+    /// Write one event's line. I/O errors panic (a half-written trace is
+    /// worse than a failed run, and the paths involved are
+    /// developer-controlled).
     pub fn emit(&mut self, t: u64, kind: EventKind) {
-        self.ring.push(TraceEvent { t, kind });
-        if self.ring.len() >= self.cfg.ring_capacity.max(1) {
-            self.spill().expect("trace spill failed");
-        }
-    }
-
-    fn spill(&mut self) -> io::Result<()> {
-        let w: &mut dyn Write = match &mut self.sink {
-            Sink::File(w) => w,
-            Sink::Mem(buf) => buf,
+        let line = TraceEvent { t, kind }.to_line();
+        let written = match &mut self.sink {
+            Sink::File(w) => writeln!(w, "{line}"),
+            Sink::Mem(buf) => writeln!(buf, "{line}"),
         };
-        self.events += self.ring.len() as u64;
-        for ev in self.ring.drain(..) {
-            writeln!(w, "{}", ev.to_line())?;
-        }
-        Ok(())
+        written.expect("trace write failed");
+        self.events += 1;
     }
 
-    /// Flush the remaining ring contents and close the sink.
-    pub fn finish(mut self) -> io::Result<RecorderOutput> {
-        self.spill()?;
+    /// Flush and close the sink.
+    pub fn finish(self) -> io::Result<RecorderOutput> {
         let bytes = match self.sink {
             Sink::File(mut w) => {
                 w.flush()?;
@@ -171,21 +128,27 @@ impl Recorder {
 mod tests {
     use super::*;
 
-    fn small(cap: usize) -> Recorder {
-        Recorder::in_memory(TraceConfig {
-            ring_capacity: cap,
-            queue_decimation: 1,
-        })
-    }
-
+    /// Far more than one `BufWriter` buffer (8 KiB) of lines: the file sink
+    /// flushes many times mid-run, and must still write exactly the memory
+    /// sink's bytes, every event once and in order.
     #[test]
-    fn ring_spills_and_preserves_order() {
-        let mut r = small(3);
-        for seq in 0..10 {
-            r.emit(seq, EventKind::Generated { seq });
+    fn file_sink_writes_identical_bytes_to_memory_sink() {
+        const EVENTS: u64 = 5_000;
+        let dir = std::env::temp_dir().join(format!("obs-rec-{}", std::process::id()));
+        let path = dir.join("t.jsonl");
+        let mut f = Recorder::to_file(&path).unwrap();
+        let mut m = Recorder::in_memory();
+        for seq in 0..EVENTS {
+            f.emit(seq * 7, EventKind::Generated { seq });
+            m.emit(seq * 7, EventKind::Generated { seq });
         }
-        let out = r.finish().unwrap();
-        let text = String::from_utf8(out.bytes.unwrap()).unwrap();
+        assert_eq!(f.finish().unwrap().events, EVENTS);
+        let mem = m.finish().unwrap().bytes.unwrap();
+        let file = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(file.len() > 4 * 8 * 1024, "{} bytes", file.len());
+        assert_eq!(file, mem);
+        let text = String::from_utf8(mem).unwrap();
         let seqs: Vec<u64> = text
             .lines()
             .map(|l| match TraceEvent::parse_line(l).unwrap().kind {
@@ -193,63 +156,12 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        assert_eq!(seqs, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn file_sink_writes_identical_bytes_to_memory_sink() {
-        let dir = std::env::temp_dir().join(format!("obs-rec-{}", std::process::id()));
-        let path = dir.join("t.jsonl");
-        let cfg = TraceConfig {
-            ring_capacity: 4,
-            queue_decimation: 1,
-        };
-        let mut f = Recorder::to_file(cfg, &path).unwrap();
-        let mut m = Recorder::in_memory(cfg);
-        for seq in 0..9 {
-            f.emit(seq * 7, EventKind::Generated { seq });
-            m.emit(seq * 7, EventKind::Generated { seq });
-        }
-        f.finish().unwrap();
-        let mem = m.finish().unwrap().bytes.unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), mem);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Regression guard for the exact-capacity boundary: writing precisely
-    /// `capacity` events must spill exactly once with every event present
-    /// once, and `capacity + 1` must not drop or duplicate the event that
-    /// lands right after the spill.
-    #[test]
-    fn exact_capacity_boundary_drops_and_duplicates_nothing() {
-        const CAP: u64 = 5;
-        for total in [CAP, CAP + 1] {
-            let mut r = small(CAP as usize);
-            for seq in 0..total {
-                r.emit(seq, EventKind::Generated { seq });
-            }
-            let out = r.finish().unwrap();
-            assert_eq!(out.events, total, "event count for {total} emits");
-            let text = String::from_utf8(out.bytes.unwrap()).unwrap();
-            let seqs: Vec<u64> = text
-                .lines()
-                .map(|l| match TraceEvent::parse_line(l).unwrap().kind {
-                    EventKind::Generated { seq } => seq,
-                    other => panic!("unexpected {other:?}"),
-                })
-                .collect();
-            assert_eq!(
-                seqs,
-                (0..total).collect::<Vec<_>>(),
-                "JSONL for {total} emits at capacity {CAP} must hold every \
-                 event exactly once, in order"
-            );
-        }
+        assert_eq!(seqs, (0..EVENTS).collect::<Vec<_>>());
     }
 
     #[test]
     fn event_count_is_reported() {
-        let mut r = small(2);
+        let mut r = Recorder::in_memory();
         for seq in 0..5 {
             r.emit(seq, EventKind::Generated { seq });
         }

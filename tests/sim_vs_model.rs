@@ -105,14 +105,29 @@ fn dmp_beats_static_in_the_simulator_too() {
     );
 }
 
+/// Setting 1-3: path 2 uses config 3 (5 Mbps, 19 FTPs) vs config 1
+/// (3.7 Mbps, 9 FTPs). Whatever the exact shares, DMP must keep both paths
+/// in use and deliver the stream, and the capacity-blind equal static split
+/// must lose, by a margin: at seed 41 static is late 2.5×, 13× and ∞× as
+/// often as DMP at τ = 2, 4, 6 s (f = 0.099 vs 0.039, 0.026 vs 0.002,
+/// 0.0056 vs 0), and this asserts at least 1.5×. Unlike the "not clearly
+/// worse" check above, this one fails when the two schedulers are the same
+/// code (`tools/mutants/static_as_dynamic.patch`).
 #[test]
 fn dynamic_split_follows_capacity_in_heterogeneous_setting() {
-    // Setting 1-3: path 2 uses config 3 (5 Mbps, 19 FTPs) vs config 1
-    // (3.7 Mbps, 9 FTPs). Whatever the exact shares, DMP must keep both
-    // paths in use and deliver the stream.
-    let b = batch("1-3", SchedulerKind::Dynamic, &[6.0]);
+    let taus = [2.0, 4.0, 6.0];
+    let dynamic = batch("1-3", SchedulerKind::Dynamic, &taus);
     for k in 0..2 {
-        let share = b.share[k].mean();
+        let share = dynamic.share[k].mean();
         assert!((0.15..0.85).contains(&share), "share_{k} = {share}");
+    }
+    let static_ = batch("1-3", SchedulerKind::Static, &taus);
+    let pairs = dynamic.late_playback.iter().zip(&static_.late_playback);
+    for ((tau, d), (_, s)) in pairs {
+        let (fd, fs) = (d.mean(), s.mean());
+        assert!(
+            fs > 0.0 && 1.5 * fd < fs,
+            "tau {tau}: static f = {fs:.3e} must be over 1.5x dynamic f = {fd:.3e}"
+        );
     }
 }
